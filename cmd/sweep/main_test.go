@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cli"
+	"repro/sim"
 )
 
 func write(t *testing.T, name, content string) string {
@@ -189,6 +190,38 @@ func TestQuantileSmokeSpecMatchesGolden(t *testing.T) {
 				t.Fatalf("rerun differs from first run:\n%s\nvs\n%s", second.String(), first.String())
 			}
 		})
+	}
+}
+
+// TestGoldensReproducedByEventDrivenOracle gives every committed golden an
+// independent check: each golden spec is rerun with sim.DisableFastKernel,
+// so every store-and-forward row comes from the event-driven calendar, and
+// the output must equal the golden byte for byte once the golden's
+// slot-stepped kernel labels are mapped back to event-driven.
+func TestGoldensReproducedByEventDrivenOracle(t *testing.T) {
+	sim.DisableFastKernel = true
+	defer func() { sim.DisableFastKernel = false }()
+	for _, name := range []string{"sweep-smoke", "quantile-smoke", "fault-sweep"} {
+		spec := filepath.Join("..", "..", "specs", name+".json")
+		for _, format := range []struct {
+			ext  string
+			args []string
+		}{{"csv", nil}, {"jsonl", []string{"-json"}}} {
+			t.Run(name+"/"+format.ext, func(t *testing.T) {
+				var stdout, stderr strings.Builder
+				if code := run(append([]string{"-spec", spec}, format.args...), &stdout, &stderr); code != 0 {
+					t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+				}
+				committed := golden(t, "golden/"+name+"."+format.ext)
+				want := strings.ReplaceAll(committed, sim.KernelSlotStepped, sim.KernelEventDriven)
+				if want == committed {
+					t.Fatal("golden has no slot-stepped rows; the oracle checks nothing")
+				}
+				if got := stdout.String(); got != want {
+					t.Fatalf("event-driven output differs from the golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+				}
+			})
+		}
 	}
 }
 

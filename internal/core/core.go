@@ -171,8 +171,8 @@ type HypercubeResult struct {
 }
 
 // RunHypercube runs one hypercube simulation through the unified scenario
-// API. Eligible workloads (the §3.4 slotted arrival model on FIFO arcs)
-// execute on the slot-stepped fast kernel; everything else runs on the
+// API. FIFO runs, slotted or continuous-time, execute on the slot-stepped
+// kernel; the RandomOrder discipline and ForceEventDriven runs use the
 // event-driven calendar. The two kernels produce byte-identical results on
 // the same seed.
 func RunHypercube(cfg HypercubeConfig) (*HypercubeResult, error) {

@@ -83,80 +83,116 @@ func compareMetrics(t *testing.T, label string, a, b network.Metrics) {
 	}
 }
 
-// TestCrossKernelGoldenHypercubeSlotted pins the tentpole contract: for every
-// eligible slotted configuration, the slot-stepped kernel and the
-// event-driven calendar produce byte-identical metrics and byte-identical
-// per-packet delays on the same seed.
+// checkHypercubeIdentity runs cfg on the slot-stepped kernel and on the
+// event-driven oracle and fails on any bit of difference in the metrics, the
+// per-packet delays, the quantiles or the per-dimension statistics.
+func checkHypercubeIdentity(t *testing.T, cfg HypercubeConfig) {
+	t.Helper()
+	fast, err := RunHypercube(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := cfg
+	slow.ForceEventDriven = true
+	ref, err := RunHypercube(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Kernel != KernelSlotStepped || ref.Kernel != KernelEventDriven {
+		t.Fatalf("kernels: %s vs %s", fast.Kernel, ref.Kernel)
+	}
+	compareMetrics(t, "metrics", fast.Metrics, ref.Metrics)
+	if !floatsEq(fast.Delays, ref.Delays) {
+		t.Errorf("per-packet delays differ (%d vs %d samples)", len(fast.Delays), len(ref.Delays))
+	}
+	if !floatEq(fast.DelayP95, ref.DelayP95) || !floatEq(fast.DelayP99, ref.DelayP99) {
+		t.Errorf("quantiles differ: %v/%v vs %v/%v", fast.DelayP95, fast.DelayP99, ref.DelayP95, ref.DelayP99)
+	}
+	if !floatsEq(fast.PerDimensionMeanQueue, ref.PerDimensionMeanQueue) ||
+		!floatsEq(fast.PerDimensionUtilization, ref.PerDimensionUtilization) ||
+		!floatsEq(fast.PerDimensionMeanWait, ref.PerDimensionMeanWait) {
+		t.Error("per-dimension statistics differ")
+	}
+	if cfg.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
+		t.Error("fault variant recorded no drops; the loss path was not exercised")
+	}
+}
+
+// sharedHypercubeVariants are the configuration variants both hypercube
+// golden tests run, under either arrival model: every router, the optional
+// observability hooks, an unstable load, custom weights and the three fault
+// variants (identity must hold for the loss accounting too).
+var sharedHypercubeVariants = []func(*HypercubeConfig){
+	func(c *HypercubeConfig) { c.Router = GreedyRandomOrder },
+	func(c *HypercubeConfig) { c.Router = ValiantTwoPhase; c.LoadFactor = 0.3 },
+	func(c *HypercubeConfig) { c.TrackPerDimensionWait = true },
+	func(c *HypercubeConfig) { c.PopulationTraceInterval = 25 },
+	func(c *HypercubeConfig) { c.LoadFactor = 1.2 }, // unstable: leftovers in flight
+	func(c *HypercubeConfig) {
+		c.LoadFactor = 0
+		c.Lambda = 1.0
+		c.CustomWeights = []float64{0, 1, 1, 0.5, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 3}
+	},
+	// Fault-model variants: transient faults alone, finite buffers alone,
+	// and the full model with scheduled outages.
+	func(c *HypercubeConfig) { c.Faults = &sim.FaultSpec{ArcFailProb: 0.02} },
+	func(c *HypercubeConfig) { c.Faults = &sim.FaultSpec{BufferCapacity: 1}; c.LoadFactor = 0.9 },
+	func(c *HypercubeConfig) {
+		c.Faults = &sim.FaultSpec{
+			ArcFailProb:    0.01,
+			BufferCapacity: 3,
+			Outages: []sim.Outage{
+				{From: 80, Until: 160, Fraction: 0.25},
+				{From: 160, Until: 170, Arcs: []int{0, 1, 2, 5}},
+				{From: 200.25, Until: 233.5, Fraction: 0.5},
+			},
+		}
+	},
+}
+
+// runHypercubeVariants runs checkHypercubeIdentity on base modified by each
+// variant, as subtests variant0, variant1, ...
+func runHypercubeVariants(t *testing.T, base HypercubeConfig, variants []func(*HypercubeConfig)) {
+	for i, mod := range variants {
+		cfg := base
+		mod(&cfg)
+		t.Run(fmt.Sprintf("variant%d", i), func(t *testing.T) { checkHypercubeIdentity(t, cfg) })
+	}
+}
+
+// TestCrossKernelGoldenHypercubeSlotted pins the kernel contract on the §3.4
+// slotted model: for every eligible configuration, the slot-stepped kernel
+// and the event-driven calendar produce byte-identical metrics and
+// byte-identical per-packet delays on the same seed.
 func TestCrossKernelGoldenHypercubeSlotted(t *testing.T) {
 	base := HypercubeConfig{
 		D: 4, P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
 		Slotted: true, Tau: 0.5, TrackQuantiles: true, ReturnDelays: true,
 	}
-	variants := []func(*HypercubeConfig){
+	variants := append([]func(*HypercubeConfig){
 		func(c *HypercubeConfig) {},
 		func(c *HypercubeConfig) { c.Tau = 1.0 },
 		func(c *HypercubeConfig) { c.Tau = 0.25; c.D = 5; c.Seed = 99 },
-		func(c *HypercubeConfig) { c.Router = GreedyRandomOrder },
-		func(c *HypercubeConfig) { c.Router = ValiantTwoPhase; c.LoadFactor = 0.3 },
-		func(c *HypercubeConfig) { c.TrackPerDimensionWait = true },
-		func(c *HypercubeConfig) { c.PopulationTraceInterval = 25 },
-		func(c *HypercubeConfig) { c.LoadFactor = 1.2 }, // unstable: leftovers in flight
-		func(c *HypercubeConfig) {
-			c.LoadFactor = 0
-			c.Lambda = 1.0
-			c.CustomWeights = []float64{0, 1, 1, 0.5, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 3}
-		},
-		// Fault-model variants: transient faults alone, finite buffers alone,
-		// and the full model with scheduled outages. Identity must hold for
-		// the loss accounting too (compareMetrics covers the drop counters).
-		func(c *HypercubeConfig) { c.Faults = &sim.FaultSpec{ArcFailProb: 0.02} },
-		func(c *HypercubeConfig) { c.Faults = &sim.FaultSpec{BufferCapacity: 1}; c.LoadFactor = 0.9 },
-		func(c *HypercubeConfig) {
-			c.Faults = &sim.FaultSpec{
-				ArcFailProb:    0.01,
-				BufferCapacity: 3,
-				Outages: []sim.Outage{
-					{From: 80, Until: 160, Fraction: 0.25},
-					{From: 160, Until: 170, Arcs: []int{0, 1, 2, 5}},
-					{From: 200.25, Until: 233.5, Fraction: 0.5},
-				},
-			}
-		},
+	}, sharedHypercubeVariants...)
+	runHypercubeVariants(t, base, variants)
+}
+
+// TestCrossKernelGoldenHypercubeContinuous is the same contract on the
+// paper's headline model, continuous-time Poisson arrivals. Greedy routing at
+// p = 1/2 runs the kernel's bulk arrival prefetch on its FillUint64 path;
+// other p run it on the scalar fallback; randomized routers run without it.
+func TestCrossKernelGoldenHypercubeContinuous(t *testing.T) {
+	base := HypercubeConfig{
+		D: 4, P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
+		TrackQuantiles: true, ReturnDelays: true,
 	}
-	for i, mod := range variants {
-		cfg := base
-		mod(&cfg)
-		t.Run(fmt.Sprintf("variant%d", i), func(t *testing.T) {
-			fast, err := RunHypercube(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow := cfg
-			slow.ForceEventDriven = true
-			ref, err := RunHypercube(slow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Kernel != KernelSlotStepped || ref.Kernel != KernelEventDriven {
-				t.Fatalf("kernels: %s vs %s", fast.Kernel, ref.Kernel)
-			}
-			compareMetrics(t, "metrics", fast.Metrics, ref.Metrics)
-			if !floatsEq(fast.Delays, ref.Delays) {
-				t.Errorf("per-packet delays differ (%d vs %d samples)", len(fast.Delays), len(ref.Delays))
-			}
-			if !floatEq(fast.DelayP95, ref.DelayP95) || !floatEq(fast.DelayP99, ref.DelayP99) {
-				t.Errorf("quantiles differ: %v/%v vs %v/%v", fast.DelayP95, fast.DelayP99, ref.DelayP95, ref.DelayP99)
-			}
-			if !floatsEq(fast.PerDimensionMeanQueue, ref.PerDimensionMeanQueue) ||
-				!floatsEq(fast.PerDimensionUtilization, ref.PerDimensionUtilization) ||
-				!floatsEq(fast.PerDimensionMeanWait, ref.PerDimensionMeanWait) {
-				t.Error("per-dimension statistics differ")
-			}
-			if cfg.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
-				t.Error("fault variant recorded no drops; the loss path was not exercised")
-			}
-		})
-	}
+	variants := append([]func(*HypercubeConfig){
+		func(c *HypercubeConfig) {},
+		func(c *HypercubeConfig) { c.P = 0.3; c.D = 5; c.Seed = 99 },
+		func(c *HypercubeConfig) { c.D = 10; c.LoadFactor = 0.8; c.Horizon = 40; c.Seed = 7 },
+		func(c *HypercubeConfig) { c.D = 10; c.P = 0.3; c.LoadFactor = 0.8; c.Horizon = 40; c.Seed = 8 },
+	}, sharedHypercubeVariants...)
+	runHypercubeVariants(t, base, variants)
 }
 
 // TestCrossKernelGoldenButterfly is the butterfly (continuous-time) half of
@@ -217,18 +253,28 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 	}
 	rng := xrand.New(0xC0FFEE)
 	taus := []float64{0.125, 0.25, 0.5, 1.0}
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < 16; trial++ {
 		seed := rng.Uint64()
 		if trial%2 == 0 {
+			// Hypercube trials h = 0..7 alternate slotted and continuous
+			// arrivals, use p = 1/2 (the bulk sampler's FillUint64 path) in
+			// half of them, and cycle the router every two trials, so each
+			// arrival model meets greedy routing at both kinds of p.
+			h := trial / 2
 			cfg := HypercubeConfig{
 				D:          2 + rng.Intn(4),
 				P:          0.2 + 0.6*rng.Float64(),
 				LoadFactor: 0.2 + 0.7*rng.Float64(),
 				Horizon:    100 + 50*float64(rng.Intn(4)),
 				Seed:       seed,
-				Slotted:    true,
-				Tau:        taus[rng.Intn(len(taus))],
-				Router:     RouterKind(rng.Intn(3)),
+				Slotted:    h%2 == 0,
+				Router:     RouterKind(h / 2 % 3),
+			}
+			if cfg.Slotted {
+				cfg.Tau = taus[rng.Intn(len(taus))]
+			}
+			if h%4 < 2 {
+				cfg.P = 0.5
 			}
 			fast, err := RunHypercube(cfg)
 			if err != nil {
@@ -263,7 +309,10 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 }
 
 // TestKernelSelection pins which configurations route to which kernel and
-// that both escape hatches work.
+// that both escape hatches work. Every FIFO store-and-forward run is
+// eligible under either arrival model; only the three blockers named at
+// sim's slotKernelEligible (RandomOrder, ForceEventDriven,
+// DisableFastKernel) keep a run on the event-driven calendar.
 func TestKernelSelection(t *testing.T) {
 	hyper := func(mod func(*HypercubeConfig)) HypercubeConfig {
 		cfg := HypercubeConfig{D: 3, P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
@@ -275,7 +324,10 @@ func TestKernelSelection(t *testing.T) {
 		cfg  HypercubeConfig
 		want string
 	}{
-		{"poisson arrivals stay event-driven", hyper(func(c *HypercubeConfig) {}), KernelEventDriven},
+		{"poisson FIFO uses the slot kernel", hyper(func(c *HypercubeConfig) {}), KernelSlotStepped},
+		{"poisson random-order falls back", hyper(func(c *HypercubeConfig) { c.Discipline = network.RandomOrder }), KernelEventDriven},
+		{"poisson valiant eligible", hyper(func(c *HypercubeConfig) { c.Router = ValiantTwoPhase }), KernelSlotStepped},
+		{"poisson ForceEventDriven wins", hyper(func(c *HypercubeConfig) { c.ForceEventDriven = true }), KernelEventDriven},
 		{"slotted FIFO uses the slot kernel", hyper(func(c *HypercubeConfig) { c.Slotted = true; c.Tau = 0.5 }), KernelSlotStepped},
 		{"slotted random-order falls back", hyper(func(c *HypercubeConfig) {
 			c.Slotted = true

@@ -84,10 +84,19 @@ type Config struct {
 	// zero GroupMeanPopulation. Callers that never read the per-group
 	// populations (the butterfly experiments) set it on both kernels.
 	SkipGroupPopulation bool
+	// Faults is the fault model; the zero value means a faultless network.
+	Faults
+}
+
+// Faults is the fault model of both store-and-forward kernels: Config and
+// slotsim.Config embed it, so a resolved plan is handed to either kernel as
+// one value and the zero value clears it on a recycled config.
+type Faults struct {
 	// ArcFailProb is the probability that any single transmission fails and
 	// drops its packet, drawn at each service completion from the dedicated
-	// fault stream (xrand.StreamFault of Seed). Zero disables the draw
-	// entirely, keeping faultless runs byte-identical.
+	// fault stream (xrand.StreamFault of Seed) — exactly one draw per
+	// completion, in completion order. Zero disables the draw entirely,
+	// keeping faultless runs byte-identical.
 	ArcFailProb float64
 	// BufferCapacity, when positive, bounds each arc's waiting queue (the
 	// packet in service is not counted); an arrival at a full queue is

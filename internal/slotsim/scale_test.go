@@ -30,6 +30,12 @@ type uniformBatch struct {
 	raw  []uint64
 }
 
+// SampleDest is the scalar counterpart the batch must reproduce draw for
+// draw: dest = origin XOR one masked word, as sim's bit-flip sampler at p = 1/2.
+func (u *uniformBatch) SampleDest(origin int32, rng *xrand.Rand) uint32 {
+	return uint32(origin) ^ uint32(rng.Uint64())&u.mask
+}
+
 func (u *uniformBatch) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
 	if cap(u.raw) < 2*len(origins) {
 		u.raw = make([]uint64, 2*len(origins))

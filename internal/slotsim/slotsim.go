@@ -1,11 +1,12 @@
-// Package slotsim is the synchronous fast-path kernel for unit-service FIFO
-// workloads: the slotted-time hypercube model of §3.4 and the butterfly
-// experiments. On these workloads every transmission takes exactly one time
-// unit, so the general event calendar of internal/des — heap pushes, handler
-// dispatch, cancellation slots — is pure overhead: the whole simulation
-// advances in lock-step, and the only event sources are the slot clock (or
-// the aggregate Poisson arrival stream) and a single monotone stream of
-// service completions.
+// Package slotsim is the store-and-forward kernel for unit-service FIFO
+// workloads: every FIFO hypercube run — the paper's continuous-time Poisson
+// model as well as the slotted model of §3.4 — and every FIFO butterfly. On
+// these workloads every transmission takes exactly one time unit, so the
+// general event calendar of internal/des — heap pushes, handler dispatch,
+// cancellation slots — is pure overhead: the only event sources are the slot
+// clock (or the aggregate Poisson arrival stream) and a single monotone
+// stream of service completions. The event-driven calendar remains the
+// cross-kernel oracle and runs only the RandomOrder discipline.
 //
 // # Memory layout: structure of arrays, sized for the million-node regime
 //
@@ -32,10 +33,12 @@
 //   - Service completions form a flat FIFO ring of three parallel arrays
 //     (due time, tie-break sequence, arc).
 //
-// Slotted injection is batched: when Config.Batch is set, a whole slot's
-// origins and destinations are drawn in bulk (xrand.FillUint64-backed), so a
-// tick costs O(arrivals) with no per-packet sampler dispatch — at 2^20 nodes
-// a slot's Poisson(N·λ·τ) batch is the dominant per-tick work.
+// Arrival sampling is batched: when Config.Batch is set in a stepped route
+// mode, (origin, destination) pairs are drawn in bulk (backed by
+// xrand.FillUint64) with no per-packet sampler dispatch — a whole slot's
+// Poisson(N·λ·τ) batch per tick in slotted mode (at 2^20 nodes the dominant
+// per-tick work), and blocks of prefetchPairs upcoming arrivals in continuous
+// mode.
 //
 // Config.MaxBytes puts an explicit budget on all of this: EstimateBytes
 // prices the arc-indexed arrays up front (the deterministic, dominant term),
@@ -46,7 +49,7 @@
 // There is no handler indirection and no per-event allocation; once the pool,
 // rings and sample buffers have grown to their steady-state size, a whole
 // replication — per-replication setup included, since a pooled kernel
-// (internal/core reuses one per worker via sync.Pool) reseeds rather than
+// (sim reuses one per worker via sync.Pool) reseeds rather than
 // reconstructs — performs zero allocations. Only the Metrics snapshot handed
 // to the caller is freshly allocated, because the caller owns it.
 //
@@ -73,6 +76,8 @@
 //     (time, sequence) key with the sequence number assigned at exactly the
 //     moment the des path would call Schedule — so even exact time ties
 //     (measure zero, but possible in floating point) break identically.
+//     Prefetching arrival pairs (Config.Batch) reorders draws only across
+//     random streams, never within one.
 package slotsim
 
 import (
@@ -86,7 +91,7 @@ import (
 )
 
 // Traffic samples a packet's destination and appends its arc-index route.
-// Implementations are provided by internal/core (hypercube routing schemes,
+// Implementations are provided by sim (hypercube routing schemes,
 // the unique butterfly path); they must consume rng (the aggregate source's
 // payload stream) and any private routing stream exactly as the event-driven
 // path does, because stream consumption order is part of the cross-kernel
@@ -173,10 +178,11 @@ type Config struct {
 	Traffic Traffic
 	// Dest samples destinations; required in the stepped route modes.
 	Dest DestSampler
-	// Batch, when non-nil, bulk-samples whole slot batches instead of
-	// dispatching Dest per packet. Used only by the stepped route modes
-	// under slotted arrivals; it must produce exactly the (origin, dest)
-	// sequence the scalar path would.
+	// Batch, when non-nil, bulk-samples arrivals' (origin, dest) pairs
+	// instead of dispatching Dest per packet: whole slot batches under
+	// slotted arrivals, blocks of prefetchPairs upcoming arrivals under
+	// continuous ones. Used only by the stepped route modes; it must produce
+	// exactly the (origin, dest) sequence the scalar path would.
 	Batch BatchSampler
 	// MaxBytes caps the kernel's memory: reset panics when the pre-run
 	// estimate (EstimateBytes) exceeds it, and every growth of the dynamic
@@ -199,23 +205,12 @@ type Config struct {
 	SkipGroupPopulation bool
 	// TraceInterval enables the population trace (0 disables it).
 	TraceInterval float64
-	// ArcFailProb is the probability that any single transmission fails and
-	// drops its packet, drawn at each service completion from the dedicated
-	// fault stream (xrand.StreamFault of Seed) — exactly one draw per
-	// completion, in completion order, so the stream consumption matches the
-	// event-driven kernel's. Zero disables the draw entirely.
-	ArcFailProb float64
-	// BufferCapacity, when positive, bounds each arc's waiting queue (the
-	// packet in service is not counted); an arrival at a full queue is
-	// dropped. Finite buffers disable the batched population updates, because
-	// an injection-time drop breaks the monotone down-then-up order within a
+	// Faults is the fault model, with exactly the event-driven kernel's
+	// semantics and fault-stream consumption (see network.Faults). Finite
+	// buffers disable the batched population updates, because an
+	// injection-time drop breaks the monotone down-then-up order within a
 	// slot instant that batching relies on.
-	BufferCapacity int
-	// Outages schedules link outage windows; they must be sorted by start
-	// time and non-overlapping (sim resolves specs into this form). Down-arc
-	// semantics match network.Config.Outages: in-flight transmissions finish,
-	// no new ones start until the window ends.
-	Outages []network.Outage
+	network.Faults
 }
 
 // transition is one flattened outage boundary. The list is built in
@@ -237,8 +232,10 @@ const (
 	pktBytes      = 8 + 8 + 8 + 4         // pGen+pUV+pAux+pNext
 	pktWaitBytes  = 8                     // pEnqAt, only with per-hop waits
 	compBytes     = 8 + 8 + 4             // compTime+compSeq+compArc
-	poolChunk     = 4096                  // initial packet-pool capacity (slots)
+	poolChunk     = 256                   // initial packet-pool capacity (slots)
 	compChunk     = 64                    // initial completion-ring capacity
+	prefetchPairs = 256                   // continuous-mode arrival prefetch block (pairs)
+	pairBytes     = 4 + 4                 // batchOrigins+batchDests
 )
 
 // noSlot marks a stepped-route packet (no stored-route slab slot) in the
@@ -265,6 +262,9 @@ func EstimateBytes(cfg Config) int64 {
 		perArc += 4 // aQLen
 	}
 	est := int64(cfg.NumArcs)*perArc + poolChunk*perPkt + compChunk*compBytes
+	if cfg.prefetch() {
+		est += prefetchPairs * pairBytes
+	}
 	if len(cfg.Outages) > 0 {
 		est += int64((cfg.NumArcs+63)/64)*8 + int64(2*len(cfg.Outages))*16 // down bitset + transitions
 	}
@@ -273,6 +273,11 @@ func EstimateBytes(cfg Config) int64 {
 		groups = 1
 	}
 	return est + int64(groups)*24 // snapshot scratch
+}
+
+// prefetch reports whether continuous-mode arrivals are sampled in blocks.
+func (cfg *Config) prefetch() bool {
+	return cfg.Batch != nil && !cfg.Slotted && cfg.Mode != RouteStored
 }
 
 // Kernel is a reusable slot-stepped simulator. The zero value is ready for
@@ -363,7 +368,8 @@ type Kernel struct {
 	slotSrc *workload.SlottedSource
 	poisSrc *workload.PoissonSource
 
-	// Bulk-injection scratch (Config.Batch).
+	// Bulk-sampling scratch (Config.Batch): one slot batch, or one
+	// continuous-mode prefetch block.
 	batchOrigins []uint32
 	batchDests   []uint32
 
@@ -753,12 +759,24 @@ func (k *Kernel) runSlotted() {
 
 // runContinuous merges the aggregate arrival stream with the completion
 // stream in exact (time, seq) order.
+//
+// With Config.Batch set in a stepped route mode, the (origin, dest) pairs of
+// upcoming arrivals are prefetched in blocks of prefetchPairs. The sample
+// path is unchanged: inter-arrival gaps come from the source's separate
+// timing stream, and the payload stream feeds nothing but these pairs, so
+// drawing them early only reorders draws across streams, never within one.
+// Pairs prefetched past the horizon are discarded unused.
 func (k *Kernel) runContinuous() {
 	horizon, warmup := k.cfg.Horizon, k.cfg.Warmup
 	nodes := uint64(k.srcN)
 	src := k.poisSrc
 	rng := src.RNG()
 	measuring := false
+	var origins, dests []uint32
+	if k.cfg.prefetch() {
+		origins, dests = k.batchBuffers(prefetchPairs, "arrival prefetch buffers")
+	}
+	pos := len(origins) // index of the next unused prefetched pair; starts drained
 	for {
 		var next float64
 		kind := evNone
@@ -805,8 +823,16 @@ func (k *Kernel) runContinuous() {
 		default:
 			t := k.arrTime
 			k.arrPending = false
-			node := int32(rng.Uint64n(nodes))
-			k.inject(node, rng, t)
+			if origins == nil {
+				k.inject(int32(rng.Uint64n(nodes)), rng, t)
+			} else {
+				if pos == len(origins) {
+					k.cfg.Batch.SampleDestBatch(rng, origins, dests)
+					pos = 0
+				}
+				k.injectTo(origins[pos], dests[pos], t)
+				pos++
+			}
 			if nxt := src.NextArrival(); nxt <= horizon {
 				src.Advance()
 				k.arrTime = nxt
@@ -830,14 +856,10 @@ func (k *Kernel) fireTick(now float64) {
 	batch := src.BatchSize()
 	rng := src.RNG()
 	if k.cfg.Batch != nil && k.mode != RouteStored && batch > 0 {
-		if cap(k.batchOrigins) < batch {
-			k.checkBudget("slot batch buffers", int64(2*batch-cap(k.batchOrigins)-cap(k.batchDests))*4)
-		}
-		k.batchOrigins = resize(k.batchOrigins, batch)
-		k.batchDests = resize(k.batchDests, batch)
-		k.cfg.Batch.SampleDestBatch(rng, k.batchOrigins, k.batchDests)
+		origins, dests := k.batchBuffers(batch, "slot batch buffers")
+		k.cfg.Batch.SampleDestBatch(rng, origins, dests)
 		for j := 0; j < batch; j++ {
-			k.injectTo(k.batchOrigins[j], k.batchDests[j], now)
+			k.injectTo(origins[j], dests[j], now)
 		}
 		return
 	}
@@ -846,6 +868,18 @@ func (k *Kernel) fireTick(now float64) {
 		node := int32(rng.Uint64n(nodes))
 		k.inject(node, rng, now)
 	}
+}
+
+// batchBuffers returns the bulk-sampling scratch sized to n pairs, charging
+// any growth (named what) to the memory budget first. The two buffers are
+// always resized together, so they share one capacity.
+func (k *Kernel) batchBuffers(n int, what string) (origins, dests []uint32) {
+	if cap(k.batchOrigins) < n {
+		k.checkBudget(what, int64(n-cap(k.batchOrigins))*pairBytes)
+	}
+	k.batchOrigins = resize(k.batchOrigins, n)
+	k.batchDests = resize(k.batchDests, n)
+	return k.batchOrigins, k.batchDests
 }
 
 // inject creates one packet at time now; it mirrors network.System.Inject.

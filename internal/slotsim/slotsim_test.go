@@ -48,6 +48,49 @@ func continuousConfig() Config {
 	return cfg
 }
 
+// continuousGreedyConfig is the paper's headline workload as sim runs it: a
+// continuous-time Poisson 6-cube at load 0.7 under uniform traffic, stepped
+// greedy routing, per-dimension statistics and bulk arrival prefetch.
+func continuousGreedyConfig() Config {
+	const d = 6
+	sampler := &uniformBatch{mask: 1<<d - 1}
+	return Config{
+		NumArcs:   d << d,
+		NumGroups: d,
+		GroupOf:   func(a int) int { return a >> d }, // arc = dim*2^d + node
+		Sources:   1 << d,
+		Horizon:   200,
+		Warmup:    40,
+		Seed:      42,
+		Lambda:    1.4,
+		Mode:      RouteHypercubeGreedy,
+		Dest:      sampler,
+		Batch:     sampler,
+	}
+}
+
+// TestContinuousPrefetchMatchesScalar pins the continuous-mode prefetch as a
+// pure sampling optimisation: with and without Config.Batch the run is the
+// same, and only the estimate grows, by exactly the prefetch block.
+func TestContinuousPrefetchMatchesScalar(t *testing.T) {
+	bulk := continuousGreedyConfig()
+	scalar := bulk
+	scalar.Batch = nil
+	want := (&Kernel{}).Run(scalar)
+	got := (&Kernel{}).Run(bulk)
+	if got.Generated <= prefetchPairs {
+		t.Fatalf("only %d packets: the run never refills the prefetch block", got.Generated)
+	}
+	if got.MeanDelay != want.MeanDelay || got.Generated != want.Generated ||
+		got.Delivered != want.Delivered || got.MeanPopulation != want.MeanPopulation ||
+		got.InFlight != want.InFlight || got.MaxDelay != want.MaxDelay {
+		t.Fatalf("prefetched run diverges from the scalar run:\n%+v\nvs\n%+v", got, want)
+	}
+	if extra := EstimateBytes(bulk) - EstimateBytes(scalar); extra != prefetchPairs*pairBytes {
+		t.Errorf("prefetch buffers priced at %d B, want %d", extra, prefetchPairs*pairBytes)
+	}
+}
+
 // TestKernelBasicConservation checks the kernel's accounting on both drive
 // modes: everything generated is either delivered or still in flight, and
 // throughput/population are positive under load.
@@ -101,7 +144,11 @@ func TestKernelReusedAcrossConfigs(t *testing.T) {
 // slices and class map, so they cannot be pooled), and that cost is pinned to
 // a small constant independent of horizon and traffic volume.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	for name, cfg := range map[string]Config{"slotted": slottedConfig(), "continuous": continuousConfig()} {
+	for name, cfg := range map[string]Config{
+		"slotted":                    slottedConfig(),
+		"continuous":                 continuousConfig(),
+		"continuous greedy prefetch": continuousGreedyConfig(),
+	} {
 		cfg := cfg
 		k := &Kernel{}
 		k.Run(cfg)
@@ -150,4 +197,21 @@ func BenchmarkContinuousKernelReplication(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Run(cfg)
 	}
+}
+
+// BenchmarkContinuousHypercubeReplication measures one pooled replication of
+// the continuous-time greedy hypercube (bulk arrival prefetch included) and
+// reports the kernel's cost per injected packet.
+func BenchmarkContinuousHypercubeReplication(b *testing.B) {
+	cfg := continuousGreedyConfig()
+	cfg.Horizon = 500
+	cfg.Warmup = 0 // Generated then counts every injected packet
+	k := &Kernel{}
+	packets := k.Run(cfg).Generated
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Run(cfg)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*packets), "ns/packet")
 }

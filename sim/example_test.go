@@ -29,7 +29,7 @@ func ExampleRun() {
 	fmt.Printf("bounds: [%.3f, %.3f]\n", res.Hypercube.GreedyLowerBound, res.Hypercube.GreedyUpperBound)
 	fmt.Printf("within paper bounds: %v\n", res.WithinPaperBounds)
 	// Output:
-	// kernel: event-driven
+	// kernel: slot-stepped
 	// measured T: 10.540
 	// bounds: [5.000, 20.000]
 	// within paper bounds: true

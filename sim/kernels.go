@@ -33,19 +33,20 @@ const (
 // goroutine while no simulations are running.
 var DisableFastKernel bool
 
-// slotKernelEligible reports whether the run can use the slot-stepped kernel:
-// the §3.4 slotted arrival model with unit service and FIFO arcs is exactly
-// the synchronous workload slotsim models.
-func (c *hypercubeConfig) slotKernelEligible() bool {
-	return c.Slotted && c.Discipline == network.FIFO &&
-		!c.ForceEventDriven && !DisableFastKernel
-}
-
-// slotKernelEligible reports whether the butterfly run can use the fast
-// kernel: every butterfly experiment is a unit-service FIFO workload, so only
-// the discipline and the escape hatches matter.
-func (c *butterflyConfig) slotKernelEligible() bool {
-	return c.Discipline == network.FIFO && !c.ForceEventDriven && !DisableFastKernel
+// slotKernelEligible reports whether a store-and-forward run (hypercube or
+// butterfly) can use the slot-stepped kernel. Unit service on FIFO arcs makes
+// service completions a monotone stream under both arrival models — the §3.4
+// slot clock and continuous-time Poisson arrivals — and randomized routers
+// run on stored routes, so exactly three things block it:
+//   - the RandomOrder discipline (ablation A2), whose random service order
+//     the kernel's FIFO completion ring cannot express;
+//   - Scenario.ForceEventDriven;
+//   - DisableFastKernel.
+//
+// The last two keep the event-driven calendar available as the cross-kernel
+// oracle.
+func slotKernelEligible(discipline network.Discipline, forceEventDriven bool) bool {
+	return discipline == network.FIFO && !forceEventDriven && !DisableFastKernel
 }
 
 // packetSink receives one generated packet; rng is the generating source's
@@ -150,32 +151,14 @@ func (d *slottedNodeSources) HandleEvent(_, _ int32) {
 	}
 }
 
-// applyNetFaults copies the resolved fault plan (or its absence) into a
-// reusable event-driven config; runners recycle their configs across pooled
-// replications, so the faultless case must clear the fields explicitly.
-func applyNetFaults(c *network.Config, f *faultPlan) {
-	if f != nil {
-		c.ArcFailProb = f.arcFailProb
-		c.BufferCapacity = f.bufferCap
-		c.Outages = f.outages
-	} else {
-		c.ArcFailProb = 0
-		c.BufferCapacity = 0
-		c.Outages = nil
+// kernelFaults is the fault model handed to either kernel's config: the
+// resolved plan, or the zero value for a faultless run — runners recycle their
+// configs across pooled replications, so the faultless case must clear it.
+func kernelFaults(f *network.Faults) network.Faults {
+	if f == nil {
+		return network.Faults{}
 	}
-}
-
-// applySlotFaults is applyNetFaults for the slot-stepped kernel config.
-func applySlotFaults(c *slotsim.Config, f *faultPlan) {
-	if f != nil {
-		c.ArcFailProb = f.arcFailProb
-		c.BufferCapacity = f.bufferCap
-		c.Outages = f.outages
-	} else {
-		c.ArcFailProb = 0
-		c.BufferCapacity = 0
-		c.Outages = nil
-	}
+	return *f
 }
 
 // runOutcome bundles what result assembly needs from either kernel.
@@ -187,6 +170,27 @@ type runOutcome struct {
 	// TailQuantiles (nil otherwise). It is cloned out of the pooled
 	// collector, so it stays valid after the runner is recycled.
 	sketch *stats.DDSketch
+}
+
+// delayStats is the delay-statistics view both kernels expose
+// (network.System and slotsim.Kernel).
+type delayStats interface {
+	DelayQuantile(q float64) float64
+	DelaySample() []float64
+	DelaySketch() *stats.DDSketch
+}
+
+// newOutcome copies a finished run's metrics and delay statistics out of the
+// pooled kernel state.
+func newOutcome(m network.Metrics, k delayStats, returnDelays bool, sketchAlpha float64) runOutcome {
+	out := runOutcome{m: m, q95: k.DelayQuantile(0.95), q99: k.DelayQuantile(0.99)}
+	if returnDelays {
+		out.delays = append([]float64(nil), k.DelaySample()...)
+	}
+	if sketchAlpha > 0 {
+		out.sketch = k.DelaySketch().Clone()
+	}
+	return out
 }
 
 // hyperRunner holds the reusable simulation state of one hypercube run —
@@ -211,7 +215,7 @@ type hyperRunner struct {
 	// Slot-stepped state, built on first use.
 	kernel  *slotsim.Kernel
 	slotCfg slotsim.Config
-	rawBuf  []uint64 // bulk-injection scratch (SampleDestBatch)
+	rawBuf  []uint64 // bulk-sampling scratch (SampleDestBatch)
 }
 
 var hyperRunners = sync.Pool{New: func() any { return new(hyperRunner) }}
@@ -266,7 +270,8 @@ func (r *hyperRunner) SampleDest(origin int32, rng *xrand.Rand) uint32 {
 	return uint32(r.dist.Sample(hypercube.Node(origin), rng))
 }
 
-// SampleDestBatch serves the kernel's bulk slot-injection path. For uniform
+// SampleDestBatch serves the kernel's bulk arrival sampling: whole slot
+// batches, and prefetch blocks under continuous arrivals. For uniform
 // traffic (bit-flip with p = 1/2) every packet costs exactly two raw
 // generator words — origin pick on 2^d nodes and destination mask — so the
 // whole batch is one xrand.FillUint64 over 2·n words plus masking, with a
@@ -307,7 +312,7 @@ func (r *hyperRunner) runEventDriven(cfg *hypercubeConfig) runOutcome {
 	r.netCfg.ServiceTime = 1
 	r.netCfg.Seed = cfg.Seed
 	r.netCfg.SkipGroupPopulation = cfg.SkipPerDimensionStats
-	applyNetFaults(&r.netCfg, cfg.Faults)
+	r.netCfg.Faults = kernelFaults(cfg.Faults)
 	if r.sys == nil {
 		r.netCfg.GroupOf = func(a int) int { return int(r.cube.DimensionOfArcIndex(a)) - 1 }
 		r.sys = network.NewSystem(r.netCfg)
@@ -336,19 +341,11 @@ func (r *hyperRunner) runEventDriven(cfg *hypercubeConfig) runOutcome {
 	sys.Sim.RunUntil(warmup)
 	sys.StartMeasurement()
 	sys.Sim.RunUntil(cfg.Horizon)
-	out := runOutcome{m: sys.Snapshot()}
-	out.q95 = sys.DelayQuantile(0.95)
-	out.q99 = sys.DelayQuantile(0.99)
-	if cfg.TrackQuantiles && cfg.ReturnDelays {
-		out.delays = append([]float64(nil), sys.DelaySample()...)
-	}
-	if cfg.SketchAlpha > 0 {
-		out.sketch = sys.DelaySketch().Clone()
-	}
-	return out
+	return newOutcome(sys.Snapshot(), sys, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
 }
 
-// runSlotStepped executes cfg on the slot-stepped kernel.
+// runSlotStepped executes cfg on the slot-stepped kernel, under either
+// arrival model.
 func (r *hyperRunner) runSlotStepped(cfg *hypercubeConfig) runOutcome {
 	r.prepare(cfg)
 	if r.kernel == nil {
@@ -363,14 +360,14 @@ func (r *hyperRunner) runSlotStepped(cfg *hypercubeConfig) runOutcome {
 	r.slotCfg.Warmup = cfg.WarmupFraction * cfg.Horizon
 	r.slotCfg.Seed = cfg.Seed
 	r.slotCfg.Lambda = cfg.Lambda
-	r.slotCfg.Slotted = true
+	r.slotCfg.Slotted = cfg.Slotted
 	r.slotCfg.Tau = cfg.Tau
 	// The canonical dimension-order path is a pure function of
 	// (origin, dest), so the kernel steps it arithmetically; randomized
 	// routers need materialized routes.
 	if cfg.Router == GreedyDimensionOrder {
 		r.slotCfg.Mode = slotsim.RouteHypercubeGreedy
-		r.slotCfg.Batch = r // bulk slot injection (stepped greedy only)
+		r.slotCfg.Batch = r // bulk arrival sampling (stepped greedy only)
 	} else {
 		r.slotCfg.Mode = slotsim.RouteStored
 		r.slotCfg.Batch = nil
@@ -383,17 +380,8 @@ func (r *hyperRunner) runSlotStepped(cfg *hypercubeConfig) runOutcome {
 	r.slotCfg.TrackPerHopWait = cfg.TrackPerDimensionWait
 	r.slotCfg.SkipGroupPopulation = cfg.SkipPerDimensionStats
 	r.slotCfg.TraceInterval = cfg.PopulationTraceInterval
-	applySlotFaults(&r.slotCfg, cfg.Faults)
-	out := runOutcome{m: r.kernel.Run(r.slotCfg)}
-	out.q95 = r.kernel.DelayQuantile(0.95)
-	out.q99 = r.kernel.DelayQuantile(0.99)
-	if cfg.TrackQuantiles && cfg.ReturnDelays {
-		out.delays = append([]float64(nil), r.kernel.DelaySample()...)
-	}
-	if cfg.SketchAlpha > 0 {
-		out.sketch = r.kernel.DelaySketch().Clone()
-	}
-	return out
+	r.slotCfg.Faults = kernelFaults(cfg.Faults)
+	return newOutcome(r.kernel.Run(r.slotCfg), r.kernel, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
 }
 
 // butterflyRunner is the butterfly counterpart of hyperRunner.
@@ -461,7 +449,7 @@ func (r *butterflyRunner) runEventDriven(cfg *butterflyConfig) runOutcome {
 	// The butterfly results never read per-group populations; skip them on
 	// both kernels (cross-kernel identity requires the settings to match).
 	r.netCfg.SkipGroupPopulation = true
-	applyNetFaults(&r.netCfg, cfg.Faults)
+	r.netCfg.Faults = kernelFaults(cfg.Faults)
 	if r.sys == nil {
 		r.netCfg.GroupOf = r.groupOfArc
 		r.sys = network.NewSystem(r.netCfg)
@@ -483,16 +471,7 @@ func (r *butterflyRunner) runEventDriven(cfg *butterflyConfig) runOutcome {
 	sys.Sim.RunUntil(warmup)
 	sys.StartMeasurement()
 	sys.Sim.RunUntil(cfg.Horizon)
-	out := runOutcome{m: sys.Snapshot()}
-	out.q95 = sys.DelayQuantile(0.95)
-	out.q99 = sys.DelayQuantile(0.99)
-	if cfg.TrackQuantiles && cfg.ReturnDelays {
-		out.delays = append([]float64(nil), sys.DelaySample()...)
-	}
-	if cfg.SketchAlpha > 0 {
-		out.sketch = sys.DelaySketch().Clone()
-	}
-	return out
+	return newOutcome(sys.Snapshot(), sys, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
 }
 
 func (r *butterflyRunner) runSlotStepped(cfg *butterflyConfig) runOutcome {
@@ -518,15 +497,6 @@ func (r *butterflyRunner) runSlotStepped(cfg *butterflyConfig) runOutcome {
 	r.slotCfg.TrackPerHopWait = false
 	r.slotCfg.SkipGroupPopulation = true
 	r.slotCfg.TraceInterval = cfg.PopulationTraceInterval
-	applySlotFaults(&r.slotCfg, cfg.Faults)
-	out := runOutcome{m: r.kernel.Run(r.slotCfg)}
-	out.q95 = r.kernel.DelayQuantile(0.95)
-	out.q99 = r.kernel.DelayQuantile(0.99)
-	if cfg.TrackQuantiles && cfg.ReturnDelays {
-		out.delays = append([]float64(nil), r.kernel.DelaySample()...)
-	}
-	if cfg.SketchAlpha > 0 {
-		out.sketch = r.kernel.DelaySketch().Clone()
-	}
-	return out
+	r.slotCfg.Faults = kernelFaults(cfg.Faults)
+	return newOutcome(r.kernel.Run(r.slotCfg), r.kernel, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
 }

@@ -529,11 +529,11 @@ var runTestHook func(Scenario)
 // independent replications on the sharded parallel engine with
 // deterministically split seeds.
 //
-// Eligible workloads (the §3.4 slotted arrival model and every FIFO
-// butterfly) execute on the slot-stepped fast kernel; everything else runs
-// on the event-driven calendar. The two kernels produce byte-identical
-// results on the same seed, and simulation state is pooled per worker, so
-// repeated runs perform no setup allocations in steady state.
+// Every FIFO store-and-forward workload executes on the slot-stepped kernel;
+// the RandomOrder discipline and ForceEventDriven runs use the event-driven
+// calendar. The two kernels produce byte-identical results on the same
+// seed, and simulation state is pooled per worker, so repeated runs perform
+// no setup allocations in steady state.
 //
 // Cancellation is cooperative at replication granularity: a cancelled ctx
 // stops unstarted replications and returns ctx.Err(); an individual
@@ -589,7 +589,7 @@ func runHypercubeOnce(cfg *hypercubeConfig) *Result {
 	defer hyperRunners.Put(r)
 	var out runOutcome
 	kernel := KernelEventDriven
-	if cfg.slotKernelEligible() {
+	if slotKernelEligible(cfg.Discipline, cfg.ForceEventDriven) {
 		kernel = KernelSlotStepped
 		out = r.runSlotStepped(cfg)
 	} else {
@@ -681,7 +681,7 @@ func runButterflyOnce(cfg *butterflyConfig) *Result {
 	defer butterflyRunners.Put(r)
 	var out runOutcome
 	kernel := KernelEventDriven
-	if cfg.slotKernelEligible() {
+	if slotKernelEligible(cfg.Discipline, cfg.ForceEventDriven) {
 		kernel = KernelSlotStepped
 		out = r.runSlotStepped(cfg)
 	} else {
@@ -934,7 +934,7 @@ func analyticResult(sc *Scenario, n normalized) *Result {
 		b.UniversalLowerBound = boundOrNaN(b.Params.UniversalLowerBound)
 		b.GreedyUpperBound = boundOrNaN(b.Params.GreedyUpperBound)
 		kernel := KernelEventDriven
-		if bc.slotKernelEligible() {
+		if slotKernelEligible(bc.Discipline, bc.ForceEventDriven) {
 			kernel = KernelSlotStepped
 		}
 		return &Result{
@@ -949,7 +949,7 @@ func analyticResult(sc *Scenario, n normalized) *Result {
 		Params: HypercubeParams{D: hc.D, Lambda: hc.Lambda, P: hc.P},
 	}
 	kernel := KernelEventDriven
-	if hc.slotKernelEligible() {
+	if slotKernelEligible(hc.Discipline, hc.ForceEventDriven) {
 		kernel = KernelSlotStepped
 	}
 	res := &Result{

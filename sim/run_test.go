@@ -184,7 +184,7 @@ func TestReplicatedMatchesManualEngineRun(t *testing.T) {
 	if res.Hypercube == nil || math.IsNaN(res.Hypercube.GreedyUpperBound) {
 		t.Error("replicated result missing the analytic hypercube block")
 	}
-	if res.Kernel != sim.KernelEventDriven {
+	if res.Kernel != sim.KernelSlotStepped {
 		t.Errorf("kernel = %s", res.Kernel)
 	}
 }
@@ -298,7 +298,7 @@ func TestResultMarshalsWithNaNFields(t *testing.T) {
 		t.Fatalf("marshal with NaN fields: %v", err)
 	}
 	s := string(data)
-	for _, want := range []string{`"delay_p95":null`, `"greedy_upper_bound":null`, `"kernel":"event-driven"`} {
+	for _, want := range []string{`"delay_p95":null`, `"greedy_upper_bound":null`, `"kernel":"slot-stepped"`} {
 		if !strings.Contains(s, want) {
 			t.Errorf("result JSON missing %s:\n%s", want, s)
 		}

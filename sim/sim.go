@@ -13,12 +13,13 @@
 // documented in docs/SPEC.md).
 //
 // Normalization also selects the simulation kernel from the scenario's
-// shape: slotted hypercube scenarios and FIFO butterflies run on the
-// synchronous slot-stepped fast path (internal/slotsim, byte-identical to
-// the event calendar on the same seed), deflection scenarios (Router ==
-// Deflection, the hot-potato related-work baseline) run on their own
-// slotted bufferless kernel (internal/deflection), and everything else runs
-// on the general event-driven calendar (internal/des + internal/network).
+// shape: every FIFO store-and-forward scenario — hypercube under either
+// arrival model, or butterfly — runs on the slot-stepped kernel
+// (internal/slotsim, byte-identical to the event calendar on the same seed),
+// deflection scenarios (Router == Deflection, the hot-potato related-work
+// baseline) run on their own slotted bufferless kernel (internal/deflection),
+// and only the RandomOrder discipline and ForceEventDriven runs use the
+// general event-driven calendar (internal/des + internal/network).
 // Result.Kernel reports the choice.
 //
 // Replication is first-class: setting Scenario.Replications runs the
@@ -347,10 +348,8 @@ type Scenario struct {
 	// scenarios that cannot fit with a clean error; the kernel re-checks the
 	// budget whenever its dynamic pools grow mid-run, so a run whose
 	// in-flight population outgrows the budget fails loudly instead of being
-	// OOM-killed. It requires a scenario the fast kernel will actually
-	// execute (slotted hypercube or FIFO butterfly, without
-	// force_event_driven): the million-node runs it exists for are exactly
-	// the fast-kernel workloads.
+	// OOM-killed. It requires a slotted FIFO hypercube or a FIFO butterfly,
+	// without force_event_driven: the million-node runs it exists for.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
 
 	// Parallelism bounds the number of concurrently executing replication

@@ -49,6 +49,8 @@ func TestTailCrossKernelIdentity(t *testing.T) {
 			Slotted: true, Tau: 1, TailQuantiles: true, SketchAlpha: 0.05},
 		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 9,
 			TailQuantiles: true},
+		{Topology: sim.Hypercube(5), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 17,
+			TailQuantiles: true},
 	}
 	for i, sc := range scenarios {
 		fast, err := sim.Run(context.Background(), sc)

@@ -35,7 +35,7 @@ type hypercubeConfig struct {
 	SkipPerDimensionStats   bool
 	ForceEventDriven        bool
 	MaxBytes                int64
-	Faults                  *faultPlan
+	Faults                  *network.Faults
 }
 
 // deflectionConfig is the normalized internal form of a hot-potato scenario:
@@ -67,19 +67,7 @@ type butterflyConfig struct {
 	PopulationTraceInterval float64
 	ForceEventDriven        bool
 	MaxBytes                int64
-	Faults                  *faultPlan
-}
-
-// faultPlan is the normalized, kernel-ready form of a FaultSpec: the
-// probability and capacity range-checked, every outage arc set resolved to an
-// explicit sorted index list (fraction subsets drawn from the dedicated
-// outage RNG stream), windows sorted by start time with non-overlap verified.
-// A nil plan means no faults — normalize guarantees plan == nil exactly when
-// Scenario.Faults == nil, so faultless runs take the unchanged fast paths.
-type faultPlan struct {
-	arcFailProb float64
-	bufferCap   int
-	outages     []network.Outage
+	Faults                  *network.Faults
 }
 
 // normalized is the result of one validation/normalization pass: exactly one
@@ -103,10 +91,14 @@ func (s *Scenario) sketchAlpha() float64 {
 	return DefaultSketchAlpha
 }
 
-// resolveFaults validates the scenario's faults block and resolves it into a
-// faultPlan over a topology with numArcs directed arcs. It returns (nil, nil)
-// when the scenario has no faults block.
-func (s *Scenario) resolveFaults(numArcs int) (*faultPlan, error) {
+// resolveFaults validates the scenario's faults block and resolves it into
+// the kernel-ready fault model over a topology with numArcs directed arcs:
+// the probability and capacity range-checked, every outage arc set resolved
+// to an explicit sorted index list (fraction subsets drawn from the dedicated
+// outage RNG stream), windows sorted by start time with non-overlap verified.
+// It returns (nil, nil) exactly when the scenario has no faults block, so
+// faultless runs take the unchanged fast paths.
+func (s *Scenario) resolveFaults(numArcs int) (*network.Faults, error) {
 	f := s.Faults
 	if f == nil {
 		return nil, nil
@@ -120,7 +112,7 @@ func (s *Scenario) resolveFaults(numArcs int) (*faultPlan, error) {
 	if f.BufferCapacity < 0 {
 		return nil, fmt.Errorf("sim: negative buffer_capacity %d", f.BufferCapacity)
 	}
-	plan := &faultPlan{arcFailProb: f.ArcFailProb, bufferCap: f.BufferCapacity}
+	plan := &network.Faults{ArcFailProb: f.ArcFailProb, BufferCapacity: f.BufferCapacity}
 	if len(f.Outages) == 0 {
 		return plan, nil
 	}
@@ -161,7 +153,7 @@ func (s *Scenario) resolveFaults(numArcs int) (*faultPlan, error) {
 				outages[i-1].From, outages[i-1].Until, outages[i].From, outages[i].Until)
 		}
 	}
-	plan.outages = outages
+	plan.Outages = outages
 	return plan, nil
 }
 
@@ -394,7 +386,7 @@ func (s *Scenario) normalize() (normalized, error) {
 			SketchAlpha:    s.sketchAlpha(),
 		}
 		if plan != nil {
-			dc.ArcFailProb = plan.arcFailProb
+			dc.ArcFailProb = plan.ArcFailProb
 		}
 		return normalized{dc: dc}, nil
 	}
