@@ -3,6 +3,7 @@ package slotsim
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -185,4 +186,146 @@ func TestMaxBytesGrowthRejection(t *testing.T) {
 		}
 	}()
 	(&Kernel{}).Run(cfg)
+}
+
+// TestColdRunAllocations pins the cold-start cost of one slotted d = 14 run
+// at the benchmark's load (τ = 1, ρ = 0.7) on a fresh Kernel: everything it
+// allocates stays within 1.25× the kernel's final footprint. The tick grows
+// the packet pool and completion ring once, straight to their final size,
+// and samples its batch through one fixed block, so neither doubling copies
+// nor batch-sized scratch add to the arrays the run keeps. The horizon spans
+// two ticks: across more ticks of a still-filling network each tick grows
+// the pool again, and those geometric copies are outside this bound.
+func TestColdRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting differs under the race detector")
+	}
+	const d = 14
+	sampler := &uniformBatch{mask: 1<<d - 1}
+	cfg := Config{
+		NumArcs:             d << d,
+		NumGroups:           d,
+		Sources:             1 << d,
+		Horizon:             1,
+		Seed:                5,
+		Lambda:              1.4,
+		Slotted:             true,
+		Tau:                 1,
+		Mode:                RouteHypercubeGreedy,
+		Dest:                sampler,
+		Batch:               sampler,
+		SkipGroupPopulation: true,
+	}
+	k := &Kernel{}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := k.Run(cfg)
+	runtime.ReadMemStats(&after)
+	if m.Generated < 2*prefetchPairs {
+		t.Fatalf("only %d packets: the batch never spans several sampling blocks", m.Generated)
+	}
+	alloc, foot := after.TotalAlloc-before.TotalAlloc, k.memFootprint()
+	t.Logf("cold run allocated %d B; final footprint %d B", alloc, foot)
+	if float64(alloc) > 1.25*float64(foot) {
+		t.Errorf("cold run allocated %d B, over 1.25x the final footprint of %d B", alloc, foot)
+	}
+	if cap(k.batchOrigins) > prefetchPairs || cap(sampler.raw) > 2*prefetchPairs {
+		t.Errorf("sampling scratch grew to %d pairs (sampler: %d words), want one block of %d",
+			cap(k.batchOrigins), cap(sampler.raw), prefetchPairs)
+	}
+}
+
+// TestBlockGroups pins the statistics-group layout: one group takes any arc
+// count; more groups must be power-of-two blocks that divide the arcs.
+func TestBlockGroups(t *testing.T) {
+	for _, tc := range []struct {
+		arcs, groups int
+		ok           bool
+	}{
+		{30, 1, true},  // a single group covers a non-power-of-two arc count
+		{30, 0, true},  // as does the zero value
+		{40, 5, true},  // five blocks of 8
+		{32, 32, true}, // blocks of one arc
+		{24, 4, false}, // blocks of 6
+		{33, 4, false}, // blocks of 8 that leave one arc over
+		{4, 8, false},  // more groups than arcs
+	} {
+		name := fmt.Sprintf("%d arcs in %d groups", tc.arcs, tc.groups)
+		t.Run(name, func(t *testing.T) {
+			cfg := slottedConfig()
+			cfg.NumArcs, cfg.NumGroups = tc.arcs, tc.groups
+			cfg.Traffic = chainTraffic{numArcs: tc.arcs, hops: 4}
+			defer func() {
+				r := recover()
+				switch {
+				case tc.ok && r != nil:
+					t.Fatalf("unexpected panic: %v", r)
+				case !tc.ok && r == nil:
+					t.Fatal("want a panic for the group shape")
+				case !tc.ok:
+					msg := fmt.Sprint(r)
+					if !strings.Contains(msg, fmt.Sprintf("NumArcs=%d", tc.arcs)) ||
+						!strings.Contains(msg, fmt.Sprintf("NumGroups=%d", tc.groups)) {
+						t.Fatalf("panic %q does not name the arc and group counts", msg)
+					}
+				}
+			}()
+			m := (&Kernel{}).Run(cfg)
+			if m.Delivered == 0 {
+				t.Fatalf("no traffic simulated: %+v", m)
+			}
+			if want := max(tc.groups, 1); len(m.GroupArrivalRate) != want {
+				t.Fatalf("%d groups reported, want %d", len(m.GroupArrivalRate), want)
+			}
+		})
+	}
+}
+
+// BenchmarkSlottedHypercubeScale runs the slotted 16-cube point of the
+// end-to-end slot-scale workload (2^20 arcs, τ = 1, horizon 4, ρ = 0.7) on a
+// fresh kernel per run (cold) and on one reused kernel (warm), reporting the
+// kernel's time and allocated bytes per injected packet.
+func BenchmarkSlottedHypercubeScale(b *testing.B) {
+	const d = 16
+	sampler := &uniformBatch{mask: 1<<d - 1}
+	cfg := Config{
+		NumArcs:             d << d,
+		NumGroups:           d,
+		Sources:             1 << d,
+		Horizon:             4,
+		Seed:                11,
+		Lambda:              1.4, // ρ = λ·p with p = 1/2
+		Slotted:             true,
+		Tau:                 1,
+		Mode:                RouteHypercubeGreedy,
+		Dest:                sampler,
+		Batch:               sampler,
+		SkipGroupPopulation: true,
+	}
+	packets := (&Kernel{}).Run(cfg).Generated // Warmup 0: every injected packet
+	for _, cold := range []bool{true, false} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			k := &Kernel{}
+			k.Run(cfg)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for range b.N {
+				if cold {
+					k = &Kernel{}
+				}
+				k.Run(cfg)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(int64(b.N) * packets)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/packet")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/packet")
+		})
+	}
 }

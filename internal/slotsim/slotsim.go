@@ -14,10 +14,12 @@
 // so a d = 20 hypercube — 2^20 nodes, d·2^d ≈ 21M arcs — fits in a few GiB
 // and a hop touches a handful of cache lines:
 //
-//   - Arc state is six parallel arrays indexed by arc (in-service packet
-//     index, queue head/tail, arrival count, busy-since/busy-time), 36 bytes
-//     per arc, plus an optional 4-byte group id when per-group statistics are
-//     on. There is no per-arc queue buffer: queue memory scales with the
+//   - Arc state is five parallel arrays indexed by arc (in-service packet
+//     index, queue head/tail, busy-since/busy-time), 28 bytes per arc.
+//     Statistics groups are contiguous power-of-two blocks of arcs
+//     (group = arc >> shift, the layout both topologies already use), so no
+//     arc stores a group id, and arrivals are counted per group, not per
+//     arc. There is no per-arc queue buffer: queue memory scales with the
 //     in-flight population, not with the arc count.
 //   - Packets live in a pooled slab of parallel arrays (generation time,
 //     bit-packed route state, hop counters, queue link), 28 bytes per packet.
@@ -30,21 +32,27 @@
 //     bits.TrailingZeros64 and clears it with a single XOR. Butterfly routes
 //     step the unique path the same way; only randomized routers store routes
 //     (in a fixed-stride slab referenced by packet-held slots).
-//   - Service completions form a flat FIFO ring of three parallel arrays
-//     (due time, tie-break sequence, arc).
+//   - Service completions form a flat FIFO ring of (due time, arc) records.
+//     The hop steps — the greedy arc step, queue pop, service start and ring
+//     push — are small enough for the compiler to inline into the completion
+//     handler.
 //
 // Arrival sampling is batched: when Config.Batch is set in a stepped route
 // mode, (origin, destination) pairs are drawn in bulk (backed by
-// xrand.FillUint64) with no per-packet sampler dispatch — a whole slot's
-// Poisson(N·λ·τ) batch per tick in slotted mode (at 2^20 nodes the dominant
-// per-tick work), and blocks of prefetchPairs upcoming arrivals in continuous
-// mode.
+// xrand.FillUint64) with no per-packet sampler dispatch, in blocks of at most
+// prefetchPairs — a slot's Poisson(N·λ·τ) batch block by block in slotted
+// mode (at 2^20 nodes the dominant per-tick work), and blocks of upcoming
+// arrivals in continuous mode — so the sampling scratch never grows with the
+// batch.
 //
 // Config.MaxBytes puts an explicit budget on all of this: EstimateBytes
 // prices the arc-indexed arrays up front (the deterministic, dominant term),
 // reset refuses configurations that cannot fit, and every growth of the
 // dynamic pools re-checks the budget so a run fails loudly with a diagnostic
-// instead of dying to the OOM killer.
+// instead of dying to the OOM killer. Before a slot tick injects its batch,
+// the packet pool and the completion ring grow once, straight to the size
+// their doubling would reach for the live population plus the batch, instead
+// of doubling packet by packet.
 //
 // There is no handler indirection and no per-event allocation; once the pool,
 // rings and sample buffers have grown to their steady-state size, a whole
@@ -72,10 +80,13 @@
 //     service start that can complete at t, so at equal times completions
 //     precede the tick; the kernel hard-codes that rule.
 //   - Continuous mode (aggregate Poisson arrivals): completions still form a
-//     monotone FIFO stream, and the single pending arrival carries a
-//     (time, sequence) key with the sequence number assigned at exactly the
-//     moment the des path would call Schedule — so even exact time ties
-//     (measure zero, but possible in floating point) break identically.
+//     monotone FIFO stream. On the des calendar a completion and the single
+//     pending arrival that fall due at the same instant (measure zero, but
+//     possible in floating point) fire in the order they were scheduled. The
+//     kernel records how many completions had been pushed when the arrival
+//     was scheduled; since the ring pops in push order, the head completion
+//     was scheduled first exactly when fewer completions than that have been
+//     popped — so even exact time ties break identically.
 //     Prefetching arrival pairs (Config.Batch) reorders draws only across
 //     random streams, never within one.
 package slotsim
@@ -110,7 +121,7 @@ type DestSampler interface {
 	SampleDest(origin int32, rng *xrand.Rand) uint32
 }
 
-// BatchSampler bulk-samples a whole slot batch of origins and destinations
+// BatchSampler bulk-samples a block of arrivals' origins and destinations
 // for the stepped route modes. Implementations must consume rng exactly as
 // len(origins) successive (uniform origin pick; DestSampler.SampleDest) pairs
 // would — stream consumption order is part of the cross-kernel contract — but
@@ -147,10 +158,12 @@ const (
 type Config struct {
 	// NumArcs is the number of servers (arcs) in the network.
 	NumArcs int
-	// GroupOf maps an arc index to a statistics group; nil puts every arc in
-	// group 0.
-	GroupOf func(arc int) int
-	// NumGroups is the number of distinct statistics groups.
+	// NumGroups is the number of statistics groups. Groups are contiguous
+	// blocks of NumArcs/NumGroups arcs (group = arc / block), and the block
+	// must be a power of two that divides NumArcs — the layout of both
+	// topologies' arc indices: a hypercube arc is dim·2^d + node, a
+	// butterfly arc is (level, kind)·2^d + row. With NumGroups <= 1 every
+	// arc is in group 0, for any NumArcs.
 	NumGroups int
 	// Sources is the number of traffic sources (hypercube nodes or butterfly
 	// first-level rows); arrivals of the aggregate stream pick one uniformly.
@@ -179,10 +192,11 @@ type Config struct {
 	// Dest samples destinations; required in the stepped route modes.
 	Dest DestSampler
 	// Batch, when non-nil, bulk-samples arrivals' (origin, dest) pairs
-	// instead of dispatching Dest per packet: whole slot batches under
-	// slotted arrivals, blocks of prefetchPairs upcoming arrivals under
-	// continuous ones. Used only by the stepped route modes; it must produce
-	// exactly the (origin, dest) sequence the scalar path would.
+	// instead of dispatching Dest per packet, in blocks of at most
+	// prefetchPairs: a slot batch block by block under slotted arrivals, the
+	// upcoming arrivals under continuous ones. Used only by the stepped route
+	// modes; it must produce exactly the (origin, dest) sequence the scalar
+	// path would, however the sequence is cut into blocks.
 	Batch BatchSampler
 	// MaxBytes caps the kernel's memory: reset panics when the pre-run
 	// estimate (EstimateBytes) exceeds it, and every growth of the dynamic
@@ -227,16 +241,22 @@ type transition struct {
 // Per-element sizes of the structure-of-arrays storage, in bytes. They are
 // the coefficients of EstimateBytes and of the growth-time budget checks.
 const (
-	arcBytes      = 4 + 4 + 4 + 8 + 8 + 8 // aSvc+aHead+aTail+aArrivals+aBusySince+aBusyTime
-	arcGroupBytes = 4                     // aGroup, only with per-group stats
-	pktBytes      = 8 + 8 + 8 + 4         // pGen+pUV+pAux+pNext
-	pktWaitBytes  = 8                     // pEnqAt, only with per-hop waits
-	compBytes     = 8 + 8 + 4             // compTime+compSeq+compArc
-	poolChunk     = 256                   // initial packet-pool capacity (slots)
-	compChunk     = 64                    // initial completion-ring capacity
-	prefetchPairs = 256                   // continuous-mode arrival prefetch block (pairs)
-	pairBytes     = 4 + 4                 // batchOrigins+batchDests
+	arcBytes      = 4 + 4 + 4 + 8 + 8 // aSvc+aHead+aTail+aBusySince+aBusyTime
+	groupBytes    = 8 + 8 + 8 + 8     // gArrivals + snapshot scratch, per group
+	pktBytes      = 8 + 8 + 8 + 4     // pGen+pUV+pAux+pNext
+	pktWaitBytes  = 8                 // pEnqAt, only with per-hop waits
+	compBytes     = 16                // one completion record: 8+4, padded
+	poolChunk     = 256               // initial packet-pool capacity (slots)
+	compChunk     = 64                // initial completion-ring capacity
+	prefetchPairs = 256               // arrival sampling block (pairs)
+	pairBytes     = 4 + 4             // batchOrigins+batchDests
 )
+
+// completion is one pending service completion in the ring.
+type completion struct {
+	at  float64
+	arc int32
+}
 
 // noSlot marks a stepped-route packet (no stored-route slab slot) in the
 // packed auxiliary word.
@@ -251,9 +271,6 @@ const noSlot = ^uint32(0)
 // sim's max_bytes validation prices before a run starts.
 func EstimateBytes(cfg Config) int64 {
 	perArc := int64(arcBytes)
-	if !cfg.SkipGroupPopulation || cfg.TrackPerHopWait {
-		perArc += arcGroupBytes
-	}
 	perPkt := int64(pktBytes)
 	if cfg.TrackPerHopWait {
 		perPkt += pktWaitBytes
@@ -268,14 +285,12 @@ func EstimateBytes(cfg Config) int64 {
 	if len(cfg.Outages) > 0 {
 		est += int64((cfg.NumArcs+63)/64)*8 + int64(2*len(cfg.Outages))*16 // down bitset + transitions
 	}
-	groups := cfg.NumGroups
-	if groups < 1 {
-		groups = 1
-	}
-	return est + int64(groups)*24 // snapshot scratch
+	return est + int64(max(cfg.NumGroups, 1))*groupBytes
 }
 
 // prefetch reports whether continuous-mode arrivals are sampled in blocks.
+// Slotted batches sample through the same block, but only as large as the
+// batches they meet; that growth is charged when it happens.
 func (cfg *Config) prefetch() bool {
 	return cfg.Batch != nil && !cfg.Slotted && cfg.Mode != RouteStored
 }
@@ -288,7 +303,7 @@ type Kernel struct {
 	col        network.Collector
 	trackGrp   bool
 	hopWait    bool
-	haveGroups bool  // aGroup is populated (trackGrp || hopWait)
+	groupShift uint  // group of arc a = a >> groupShift
 	bfHops     int32 // butterfly mode: hops per packet (= log2 Sources)
 
 	// Hot copies of config fields, so the per-hop path never reloads the
@@ -312,18 +327,19 @@ type Kernel struct {
 
 	// Arc state, one entry per arc: the packet in service (doubling as the
 	// busy flag), intrusive FIFO queue head/tail pool indices, and the
-	// measurement accumulators. The three index arrays are biased by one —
+	// busy-time accumulators. The three index arrays are biased by one —
 	// 0 means idle/empty, s+1 means pool slot s — so an all-zero array is a
 	// valid initial state: reset can rely on make's lazy zero pages and a
 	// fresh million-arc run never pre-faults memory it does not touch.
 	aSvc       []int32
 	aHead      []int32
 	aTail      []int32
-	aArrivals  []int64
 	aBusySince []float64
 	aBusyTime  []float64
-	aGroup     []int32 // populated only when per-group stats are on
 	aQLen      []int32 // waiting-queue lengths, maintained only with finite buffers
+
+	// Per-group arrival counts since the measurement start.
+	gArrivals []int64
 
 	// Packet pool: parallel arrays indexed by pool slot. A packet occupies
 	// one slot from injection to delivery; pNext threads both the per-arc
@@ -336,25 +352,25 @@ type Kernel struct {
 	pEnqAt   []float64 // queue-join time, allocated only for per-hop waits
 	freeHead int32
 	poolBump int32
+	live     int // occupied slots
 
 	// Stored-route slab: MaxHops ints per slot, with a slot free list.
 	paths    []int
 	pathFree []int32
 	numSlots int
 
-	// Completion FIFO: a power-of-two ring of parallel arrays over
-	// [compHead, compHead+compLen).
-	compTime []float64
-	compSeq  []uint64
-	compArc  []int32
-	compHead int
-	compLen  int
+	// Completion FIFO: a power-of-two ring indexed by free-running counts of
+	// the completions popped (compHead) and pushed (compTail) so far; the
+	// pending ones are [compHead, compTail), each at its count & compMask.
+	comp     []completion
+	compMask uint64
+	compHead uint64
+	compTail uint64
 
-	seq uint64
-
-	// Continuous mode: the single pending aggregate arrival.
+	// Continuous mode: the single pending aggregate arrival, and the number
+	// of completions pushed before it was scheduled (its tie-break mark).
 	arrTime    float64
-	arrSeq     uint64
+	arrMark    uint64
 	arrPending bool
 
 	// Slotted mode: batched population updates (see Collector.
@@ -368,8 +384,8 @@ type Kernel struct {
 	slotSrc *workload.SlottedSource
 	poisSrc *workload.PoissonSource
 
-	// Bulk-sampling scratch (Config.Batch): one slot batch, or one
-	// continuous-mode prefetch block.
+	// Bulk-sampling scratch (Config.Batch): one block of at most
+	// prefetchPairs pairs.
 	batchOrigins []uint32
 	batchDests   []uint32
 
@@ -441,13 +457,10 @@ func (k *Kernel) reset(cfg Config) {
 	default:
 		panic(fmt.Sprintf("slotsim: unknown route mode %d", cfg.Mode))
 	}
-	if cfg.GroupOf == nil {
-		cfg.GroupOf = func(int) int { return 0 }
-		cfg.NumGroups = 1
-	}
 	if cfg.NumGroups <= 0 {
 		cfg.NumGroups = 1
 	}
+	k.groupShift = groupShift(cfg.NumArcs, cfg.NumGroups)
 	if cfg.MaxBytes > 0 {
 		if est := EstimateBytes(cfg); est > cfg.MaxBytes {
 			panic(fmt.Sprintf("slotsim: estimated kernel memory %d B exceeds MaxBytes %d (NumArcs=%d; see EstimateBytes)",
@@ -457,7 +470,6 @@ func (k *Kernel) reset(cfg Config) {
 	k.cfg = cfg
 	k.trackGrp = !cfg.SkipGroupPopulation
 	k.hopWait = cfg.TrackPerHopWait
-	k.haveGroups = k.trackGrp || k.hopWait
 	k.bfHops = int32(bits.TrailingZeros32(uint32(cfg.Sources)))
 	k.mode = cfg.Mode
 	k.srcN = cfg.Sources
@@ -489,26 +501,17 @@ func (k *Kernel) reset(cfg Config) {
 	k.aSvc = resizeZero(k.aSvc, cfg.NumArcs)
 	k.aHead = resizeZero(k.aHead, cfg.NumArcs)
 	k.aTail = resizeZero(k.aTail, cfg.NumArcs)
-	k.aArrivals = resizeZero(k.aArrivals, cfg.NumArcs)
 	k.aBusySince = resizeZero(k.aBusySince, cfg.NumArcs)
 	k.aBusyTime = resizeZero(k.aBusyTime, cfg.NumArcs)
-	if k.haveGroups {
-		k.aGroup = resize(k.aGroup, cfg.NumArcs)
-		for i := range k.aGroup {
-			g := cfg.GroupOf(i)
-			if g < 0 || g >= cfg.NumGroups {
-				panic(fmt.Sprintf("slotsim: GroupOf(%d) = %d outside [0,%d)", i, g, cfg.NumGroups))
-			}
-			k.aGroup[i] = int32(g)
-		}
-	}
 	if k.bufCap > 0 {
 		k.aQLen = resizeZero(k.aQLen, cfg.NumArcs)
 	}
+	k.gArrivals = resizeZero(k.gArrivals, cfg.NumGroups)
 
 	// Packet pool: every slot is free again (bump allocation restarts).
 	k.freeHead = -1
 	k.poolBump = 0
+	k.live = 0
 	if k.hopWait {
 		k.pEnqAt = resize(k.pEnqAt, len(k.pGen))
 	}
@@ -525,8 +528,7 @@ func (k *Kernel) reset(cfg Config) {
 		k.paths = make([]int, need)
 	}
 
-	k.compHead, k.compLen = 0, 0
-	k.seq = 0
+	k.compHead, k.compTail = 0, 0
 	k.arrPending = false
 	k.batchPop = cfg.Slotted && cfg.TraceInterval == 0 && cfg.BufferCapacity == 0
 	k.popDelta = 0
@@ -549,12 +551,7 @@ func (k *Kernel) reset(cfg Config) {
 		} else {
 			k.poisSrc.Reseed(rate, cfg.Seed, 0)
 		}
-		if next := k.poisSrc.NextArrival(); next <= cfg.Horizon {
-			k.poisSrc.Advance()
-			k.arrTime = next
-			k.arrSeq = k.nextSeq()
-			k.arrPending = true
-		}
+		k.scheduleArrival()
 	}
 
 	k.col.Reset(cfg.NumGroups)
@@ -600,30 +597,84 @@ func resizeZero[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
+// groupShift returns the shift that maps an arc to its statistics group:
+// groups are contiguous power-of-two blocks of arcs, and a single group
+// covers any number of arcs.
+func groupShift(numArcs, numGroups int) uint {
+	if numGroups == 1 {
+		return bits.UintSize - 1 // every arc index shifts to 0
+	}
+	block := numArcs / numGroups
+	if block*numGroups != numArcs || block&(block-1) != 0 {
+		panic(fmt.Sprintf("slotsim: NumArcs=%d does not split into NumGroups=%d contiguous power-of-two blocks of arcs",
+			numArcs, numGroups))
+	}
+	return uint(bits.TrailingZeros(uint(block)))
+}
+
 // memFootprint sums the capacities of the kernel's long-lived arrays; it is
 // the "in use" figure of the growth-time budget checks.
 func (k *Kernel) memFootprint() int64 {
 	b := int64(cap(k.aSvc))*4 + int64(cap(k.aHead))*4 + int64(cap(k.aTail))*4 +
-		int64(cap(k.aArrivals))*8 + int64(cap(k.aBusySince))*8 + int64(cap(k.aBusyTime))*8 +
-		int64(cap(k.aGroup))*4 + int64(cap(k.aQLen))*4 + int64(cap(k.downWords))*8 + int64(cap(k.trans))*16
+		int64(cap(k.aBusySince))*8 + int64(cap(k.aBusyTime))*8 + int64(cap(k.aQLen))*4 +
+		int64(cap(k.gArrivals))*8 + int64(cap(k.downWords))*8 + int64(cap(k.trans))*16
 	b += int64(cap(k.pGen))*8 + int64(cap(k.pUV))*8 + int64(cap(k.pAux))*8 +
 		int64(cap(k.pNext))*4 + int64(cap(k.pEnqAt))*8
-	b += int64(cap(k.compTime))*8 + int64(cap(k.compSeq))*8 + int64(cap(k.compArc))*4
+	b += int64(cap(k.comp)) * compBytes
 	b += int64(cap(k.paths))*8 + int64(cap(k.pathFree))*4
 	b += int64(cap(k.batchOrigins))*4 + int64(cap(k.batchDests))*4
 	return b
+}
+
+// pktSize is the pool's size per packet slot.
+func (k *Kernel) pktSize() int64 {
+	if k.hopWait {
+		return pktBytes + pktWaitBytes
+	}
+	return pktBytes
+}
+
+// fits reports whether growing by extra bytes stays within MaxBytes.
+func (k *Kernel) fits(extra int64) bool {
+	return k.cfg.MaxBytes <= 0 || k.memFootprint()+extra <= k.cfg.MaxBytes
 }
 
 // checkBudget panics when growing `what` by extra bytes would exceed the
 // configured MaxBytes. Growth happens mid-run, where no error return exists;
 // failing loudly with sizes beats being OOM-killed without one.
 func (k *Kernel) checkBudget(what string, extra int64) {
-	if k.cfg.MaxBytes <= 0 {
-		return
-	}
-	if use := k.memFootprint(); use+extra > k.cfg.MaxBytes {
+	if !k.fits(extra) {
 		panic(fmt.Sprintf("slotsim: memory budget exceeded growing %s: ~%d B in use + %d B needed > MaxBytes %d",
-			what, use, extra, k.cfg.MaxBytes))
+			what, k.memFootprint(), extra, k.cfg.MaxBytes))
+	}
+}
+
+// grownCap is the capacity that doubling from have (from chunk when have is
+// smaller) reaches once it holds need elements.
+func grownCap(have, need, chunk int) int {
+	c := max(have, chunk)
+	for c < need {
+		c *= 2
+	}
+	return c
+}
+
+// reserve grows the packet pool, and the completion ring if needed, before a
+// slot tick injects n packets: straight to the capacity their doubling would
+// reach for the live population plus the batch (every pending completion is
+// one busy arc, so the ring never needs more than the arc count). A
+// reservation that would break MaxBytes is skipped: the doubling in allocPkt
+// and pushCompletion then fails only if the packets really need the room.
+func (k *Kernel) reserve(n int) {
+	if need := k.live + n; need > len(k.pGen) {
+		if c := grownCap(len(k.pGen), need, poolChunk); k.fits(int64(c-len(k.pGen)) * k.pktSize()) {
+			k.growPool(need)
+		}
+	}
+	if need := min(int(k.compTail-k.compHead)+n, k.numArcs); need > len(k.comp) {
+		if c := grownCap(len(k.comp), need, compChunk); k.fits(int64(c-len(k.comp)) * compBytes) {
+			k.growComp(need)
+		}
 	}
 }
 
@@ -652,6 +703,7 @@ func (k *Kernel) fireTransition(now float64) {
 	for _, arc := range arcs {
 		k.downWords[uint32(arc)>>6] &^= 1 << (uint32(arc) & 63)
 		if k.aSvc[arc] == 0 && k.aHead[arc] != 0 {
+			k.makeRoom()
 			k.startService(int(arc), k.popHead(int(arc)), now)
 		}
 	}
@@ -713,8 +765,8 @@ func (k *Kernel) runSlotted() {
 		if k.transNext < len(k.trans) {
 			next, kind = k.trans[k.transNext].at, evTrans
 		}
-		if k.compLen > 0 {
-			if ct := k.compTime[k.compHead]; kind == evNone || ct < next {
+		if k.compHead != k.compTail {
+			if ct := k.comp[k.compHead&k.compMask].at; kind == evNone || ct < next {
 				next, kind = ct, evComp
 			}
 		}
@@ -769,8 +821,7 @@ func (k *Kernel) runSlotted() {
 func (k *Kernel) runContinuous() {
 	horizon, warmup := k.cfg.Horizon, k.cfg.Warmup
 	nodes := uint64(k.srcN)
-	src := k.poisSrc
-	rng := src.RNG()
+	rng := k.poisSrc.RNG()
 	measuring := false
 	var origins, dests []uint32
 	if k.cfg.prefetch() {
@@ -781,15 +832,15 @@ func (k *Kernel) runContinuous() {
 		var next float64
 		kind := evNone
 		switch {
-		case k.compLen > 0 && k.arrPending:
-			ct := k.compTime[k.compHead]
-			if ct < k.arrTime || (ct == k.arrTime && k.compSeq[k.compHead] < k.arrSeq) {
+		case k.compHead != k.compTail && k.arrPending:
+			ct := k.comp[k.compHead&k.compMask].at
+			if ct < k.arrTime || (ct == k.arrTime && k.compHead < k.arrMark) {
 				next, kind = ct, evComp
 			} else {
 				next, kind = k.arrTime, evArr
 			}
-		case k.compLen > 0:
-			next, kind = k.compTime[k.compHead], evComp
+		case k.compHead != k.compTail:
+			next, kind = k.comp[k.compHead&k.compMask].at, evComp
 		case k.arrPending:
 			next, kind = k.arrTime, evArr
 		}
@@ -833,12 +884,7 @@ func (k *Kernel) runContinuous() {
 				k.injectTo(origins[pos], dests[pos], t)
 				pos++
 			}
-			if nxt := src.NextArrival(); nxt <= horizon {
-				src.Advance()
-				k.arrTime = nxt
-				k.arrSeq = k.nextSeq()
-				k.arrPending = true
-			}
+			k.scheduleArrival()
 		}
 	}
 	if !measuring {
@@ -848,18 +894,25 @@ func (k *Kernel) runContinuous() {
 
 // fireTick injects the network-wide slot batch at time now; each packet picks
 // a uniformly random origin node from the aggregate source's payload stream.
-// With a BatchSampler configured the whole batch's (origin, dest) pairs are
-// drawn in bulk first, so the tick does O(batch) work with no per-packet
-// sampler dispatch; the sample path is identical either way.
+// With a BatchSampler configured the batch's (origin, dest) pairs are drawn
+// in bulk, one block of at most prefetchPairs at a time, with no per-packet
+// sampler dispatch; the sample path is identical either way, because only
+// the sampler reads the payload stream.
 func (k *Kernel) fireTick(now float64) {
 	src := k.slotSrc
 	batch := src.BatchSize()
 	rng := src.RNG()
-	if k.cfg.Batch != nil && k.mode != RouteStored && batch > 0 {
-		origins, dests := k.batchBuffers(batch, "slot batch buffers")
-		k.cfg.Batch.SampleDestBatch(rng, origins, dests)
-		for j := 0; j < batch; j++ {
-			k.injectTo(origins[j], dests[j], now)
+	k.reserve(batch)
+	if k.cfg.Batch != nil && k.mode != RouteStored {
+		origins, dests := k.batchBuffers(min(batch, prefetchPairs), "slot batch buffers")
+		for left := batch; left > 0; left -= len(origins) {
+			if left < len(origins) {
+				origins, dests = origins[:left], dests[:left]
+			}
+			k.cfg.Batch.SampleDestBatch(rng, origins, dests)
+			for j := range origins {
+				k.injectTo(origins[j], dests[j], now)
+			}
 		}
 		return
 	}
@@ -870,9 +923,9 @@ func (k *Kernel) fireTick(now float64) {
 	}
 }
 
-// batchBuffers returns the bulk-sampling scratch sized to n pairs, charging
-// any growth (named what) to the memory budget first. The two buffers are
-// always resized together, so they share one capacity.
+// batchBuffers returns the bulk-sampling scratch sized to n <= prefetchPairs
+// pairs, charging any growth (named what) to the memory budget first. The two
+// buffers are always resized together, so they share one capacity.
 func (k *Kernel) batchBuffers(n int, what string) (origins, dests []uint32) {
 	if cap(k.batchOrigins) < n {
 		k.checkBudget(what, int64(n-cap(k.batchOrigins))*pairBytes)
@@ -909,7 +962,7 @@ func (k *Kernel) inject(node int32, rng *xrand.Rand, now float64) {
 		k.pGen[s] = now
 		k.pUV[s] = 0
 		k.pAux[s] = uint64(uint32(slot))<<32 | uint64(uint16(len(route)))
-		k.enqueue(s, now)
+		k.enqueue(s, k.nextArc(s), now)
 	}
 }
 
@@ -936,23 +989,16 @@ func (k *Kernel) injectTo(origin, dest uint32, now float64) {
 	k.pGen[s] = now
 	k.pUV[s] = uv
 	k.pAux[s] = uint64(noSlot)<<32 | uint64(uint16(hops))
-	k.enqueue(s, now)
+	k.enqueue(s, k.nextArc(s), now)
 }
 
-// nextArc returns the arc index of pool slot s's current hop, advancing the
-// stepped-route state. The stepped arithmetic reproduces the arc indices of
+// nextArc returns the arc index of pool slot s's current hop, advancing its
+// route state. The stepped arithmetic reproduces the arc indices of
 // routing.DimensionOrder.AppendPath and routing.AppendButterflyPath exactly.
 func (k *Kernel) nextArc(s int32) int {
 	switch k.mode {
 	case RouteHypercubeGreedy:
-		// The difference mask lives in the low word, so the lowest set bit
-		// of the packed word is the lowest unresolved dimension; one XOR
-		// clears it from the mask and flips it into the node (high word).
-		uv := k.pUV[s]
-		bit := uv & -uv
-		idx := bits.TrailingZeros64(uv)*k.srcN + int(uv>>32)
-		k.pUV[s] = uv ^ (bit | bit<<32)
-		return idx
+		return k.greedyArc(s)
 	case RouteButterfly:
 		hop := uint64(uint16(k.pAux[s] >> 16))
 		uv := k.pUV[s]
@@ -964,30 +1010,37 @@ func (k *Kernel) nextArc(s int32) int {
 			idx += int(uv >> 32)
 		}
 		return idx
-	default:
-		aux := k.pAux[s]
-		idx := k.paths[int(uint32(aux>>32))*k.maxHops+int(uint16(aux>>16))]
-		if idx < 0 || idx >= k.numArcs {
-			panic(fmt.Sprintf("slotsim: route refers to arc %d outside [0,%d)", idx, k.numArcs))
-		}
-		return idx
 	}
+	aux := k.pAux[s]
+	idx := k.paths[int(uint32(aux>>32))*k.maxHops+int(uint16(aux>>16))]
+	if idx < 0 || idx >= k.numArcs {
+		panic(fmt.Sprintf("slotsim: route refers to arc %d outside [0,%d)", idx, k.numArcs))
+	}
+	return idx
 }
 
-// enqueue places pool slot s at its current arc; it mirrors System.enqueue.
-// An idle arc outside any outage window starts service immediately; otherwise
-// s joins the arc's intrusive FIFO list — unless a finite buffer is full, in
-// which case the packet is dropped before any statistic is touched.
-func (k *Kernel) enqueue(s int32, now float64) {
-	idx := k.nextArc(s)
+// greedyArc is nextArc's greedy hypercube step, small enough to inline into
+// the per-hop path. The difference mask lives in
+// the low word, so the lowest set bit of the packed word is the lowest
+// unresolved dimension; one XOR clears it from the mask and flips it into the
+// node (high word).
+func (k *Kernel) greedyArc(s int32) int {
+	uv := k.pUV[s]
+	bit := uv & -uv
+	k.pUV[s] = uv ^ (bit | bit<<32)
+	return bits.TrailingZeros64(uv)*k.srcN + int(uv>>32)
+}
+
+// enqueue places pool slot s at arc idx, its current hop; it mirrors
+// System.enqueue. An idle arc outside any outage window starts service
+// immediately; otherwise s joins the arc's intrusive FIFO list — unless a
+// finite buffer is full, in which case the packet is dropped before any
+// statistic is touched.
+func (k *Kernel) enqueue(s int32, idx int, now float64) {
 	if k.aSvc[idx] != 0 || (k.downWords != nil && k.arcDown(idx)) {
 		if k.bufCap > 0 && int(k.aQLen[idx]) >= k.bufCap {
 			k.dropPkt(s, now, true)
 			return
-		}
-		k.aArrivals[idx]++
-		if k.hopWait {
-			k.pEnqAt[s] = now
 		}
 		k.pNext[s] = -1
 		if t := k.aTail[idx]; t != 0 {
@@ -1000,14 +1053,16 @@ func (k *Kernel) enqueue(s int32, now float64) {
 			k.aQLen[idx]++
 		}
 	} else {
-		k.aArrivals[idx]++
-		if k.hopWait {
-			k.pEnqAt[s] = now
-		}
+		k.makeRoom()
 		k.startService(idx, s, now)
 	}
+	g := idx >> k.groupShift
+	k.gArrivals[g]++
+	if k.hopWait {
+		k.pEnqAt[s] = now
+	}
 	if k.trackGrp {
-		k.col.GroupPopulationAdd(k.aGroup[idx], now, +1)
+		k.col.GroupPopulationAdd(int32(g), now, +1)
 	}
 }
 
@@ -1015,7 +1070,7 @@ func (k *Kernel) enqueue(s int32, now float64) {
 func (k *Kernel) startService(idx int, s int32, now float64) {
 	k.aSvc[idx] = s + 1
 	k.aBusySince[idx] = now
-	k.pushCompletion(now+1, k.nextSeq(), int32(idx))
+	k.pushCompletion(now+1, int32(idx))
 }
 
 // complete finishes the transmission on arc idx; it mirrors
@@ -1027,8 +1082,8 @@ func (k *Kernel) complete(idx int, now float64) {
 	}
 	k.aSvc[idx] = 0
 	k.aBusyTime[idx] += now - k.aBusySince[idx]
-	if k.haveGroups {
-		g := k.aGroup[idx]
+	if k.trackGrp || k.hopWait {
+		g := int32(idx >> k.groupShift)
 		if k.trackGrp {
 			k.col.GroupPopulationAdd(g, now, -1)
 		}
@@ -1038,7 +1093,8 @@ func (k *Kernel) complete(idx int, now float64) {
 	}
 
 	// Start the next queued packet on this arc (never inside an outage
-	// window: the outage-end transition restarts the arc).
+	// window: the outage-end transition restarts the arc). The ring has room:
+	// this arc's completion was just popped.
 	if k.aHead[idx] != 0 && (k.downWords == nil || !k.arcDown(idx)) {
 		k.startService(idx, k.popHead(idx), now)
 	}
@@ -1061,13 +1117,17 @@ func (k *Kernel) complete(idx int, now float64) {
 		return
 	}
 	k.pAux[s] = aux
-	k.enqueue(s, now)
+	if k.mode == RouteHypercubeGreedy {
+		k.enqueue(s, k.greedyArc(s), now)
+	} else {
+		k.enqueue(s, k.nextArc(s), now)
+	}
 }
 
 // startMeasurement discards the warm-up transient at the given instant.
 func (k *Kernel) startMeasurement(now float64) {
 	k.col.StartMeasurement(now)
-	clear(k.aArrivals)
+	clear(k.gArrivals)
 	clear(k.aBusyTime)
 	for i, s := range k.aSvc {
 		if s != 0 {
@@ -1076,34 +1136,29 @@ func (k *Kernel) startMeasurement(now float64) {
 	}
 }
 
-// snapshot closes the run at the horizon, aggregating per-arc state in
-// arc-index order exactly as System.Snapshot does.
+// snapshot closes the run at the horizon, aggregating per-arc busy time in
+// arc-index order exactly as System.Snapshot does. Arrival counts are summed
+// per group in integers; System.Snapshot sums their float64 values, which is
+// the same number below 2^53.
 func (k *Kernel) snapshot() network.Metrics {
 	n := k.cfg.NumGroups
 	k.snapArcs = resize(k.snapArcs, n)
 	k.snapBusy = resize(k.snapBusy, n)
 	k.snapArrivals = resize(k.snapArrivals, n)
-	clear(k.snapArcs)
-	clear(k.snapBusy)
-	clear(k.snapArrivals)
 	now := k.cfg.Horizon
-	for i := 0; i < k.numArcs; i++ {
-		var g int
-		if k.haveGroups {
-			g = int(k.aGroup[i])
-		} else {
-			g = k.cfg.GroupOf(i)
-			if g < 0 || g >= n {
-				panic(fmt.Sprintf("slotsim: GroupOf(%d) = %d outside [0,%d)", i, g, n))
+	block := k.numArcs / n
+	for g := range n {
+		busy := 0.0
+		for i := g * block; i < (g+1)*block; i++ {
+			b := k.aBusyTime[i]
+			if k.aSvc[i] != 0 {
+				b += now - k.aBusySince[i]
 			}
+			busy += b
 		}
-		k.snapArcs[g]++
-		busy := k.aBusyTime[i]
-		if k.aSvc[i] != 0 {
-			busy += now - k.aBusySince[i]
-		}
-		k.snapBusy[g] += busy
-		k.snapArrivals[g] += float64(k.aArrivals[i])
+		k.snapArcs[g] = block
+		k.snapBusy[g] = busy
+		k.snapArrivals[g] = float64(k.gArrivals[g])
 	}
 	return k.col.Snapshot(now, k.snapArcs, k.snapBusy, k.snapArrivals)
 }
@@ -1111,12 +1166,13 @@ func (k *Kernel) snapshot() network.Metrics {
 // allocPkt takes a pool slot: from the free list when one exists, otherwise
 // by bumping into (and if needed growing) the slab.
 func (k *Kernel) allocPkt() int32 {
+	k.live++
 	if s := k.freeHead; s >= 0 {
 		k.freeHead = k.pNext[s]
 		return s
 	}
 	if int(k.poolBump) == len(k.pGen) {
-		k.growPool()
+		k.growPool(len(k.pGen) + 1)
 	}
 	s := k.poolBump
 	k.poolBump++
@@ -1127,20 +1183,14 @@ func (k *Kernel) allocPkt() int32 {
 func (k *Kernel) freePkt(s int32) {
 	k.pNext[s] = k.freeHead
 	k.freeHead = s
+	k.live--
 }
 
-// growPool doubles the packet pool (which scales with the in-flight
-// population, not the arc count).
-func (k *Kernel) growPool() {
-	newCap := 2 * len(k.pGen)
-	if newCap == 0 {
-		newCap = poolChunk
-	}
-	per := int64(pktBytes)
-	if k.hopWait {
-		per += pktWaitBytes
-	}
-	k.checkBudget("packet pool", int64(newCap-len(k.pGen))*per)
+// growPool grows the packet pool (which scales with the in-flight
+// population, not the arc count) to hold need slots.
+func (k *Kernel) growPool(need int) {
+	newCap := grownCap(len(k.pGen), need, poolChunk)
+	k.checkBudget("packet pool", int64(newCap-len(k.pGen))*k.pktSize())
 	k.pGen = resize(k.pGen, newCap)
 	k.pUV = resize(k.pUV, newCap)
 	k.pAux = resize(k.pAux, newCap)
@@ -1176,10 +1226,16 @@ func (k *Kernel) allocPathSlot() int32 {
 	return s
 }
 
-func (k *Kernel) nextSeq() uint64 {
-	s := k.seq
-	k.seq++
-	return s
+// scheduleArrival draws the aggregate stream's next arrival when it falls
+// within the horizon, marking it with the number of completions pushed so
+// far: exactly those precede it at an equal due time.
+func (k *Kernel) scheduleArrival() {
+	if next := k.poisSrc.NextArrival(); next <= k.cfg.Horizon {
+		k.poisSrc.Advance()
+		k.arrTime = next
+		k.arrMark = k.compTail
+		k.arrPending = true
+	}
 }
 
 // packetEntered and packetLeft update the population process, batching
@@ -1212,45 +1268,41 @@ func (k *Kernel) flushPop(at float64) {
 	}
 }
 
-// pushCompletion appends to the completion ring, growing (power-of-two
-// capacity) when full.
-func (k *Kernel) pushCompletion(t float64, seq uint64, arc int32) {
-	if k.compLen == len(k.compTime) {
-		k.growComp()
+// makeRoom doubles the completion ring when it is full. A push follows it,
+// except on the one path that needs none: a completion handler restarting
+// its own arc reuses the slot its completion just vacated.
+func (k *Kernel) makeRoom() {
+	if k.compTail-k.compHead == uint64(len(k.comp)) {
+		k.growComp(len(k.comp) + 1)
 	}
-	pos := (k.compHead + k.compLen) & (len(k.compTime) - 1)
-	k.compTime[pos] = t
-	k.compSeq[pos] = seq
-	k.compArc[pos] = arc
-	k.compLen++
 }
 
-// popCompletion removes the head completion; the caller has checked compLen.
+// pushCompletion appends to the completion ring, which has room (makeRoom).
+func (k *Kernel) pushCompletion(at float64, arc int32) {
+	if k.compTail-k.compHead == uint64(len(k.comp)) {
+		panic("slotsim: completion ring overflow")
+	}
+	k.comp[k.compTail&k.compMask] = completion{at, arc}
+	k.compTail++
+}
+
+// popCompletion removes the head completion; the caller has checked that one
+// is pending.
 func (k *Kernel) popCompletion() (arc int, t float64) {
-	h := k.compHead
-	arc, t = int(k.compArc[h]), k.compTime[h]
-	k.compHead = (h + 1) & (len(k.compTime) - 1)
-	k.compLen--
-	return arc, t
+	c := k.comp[k.compHead&k.compMask]
+	k.compHead++
+	return int(c.arc), c.at
 }
 
-func (k *Kernel) growComp() {
-	oldCap := len(k.compTime)
-	newCap := 2 * oldCap
-	if newCap == 0 {
-		newCap = compChunk
+// growComp moves the pending completions, in order, into a ring that holds
+// need records.
+func (k *Kernel) growComp(need int) {
+	newCap := grownCap(len(k.comp), need, compChunk)
+	k.checkBudget("completion ring", int64(newCap-len(k.comp))*compBytes)
+	nc := make([]completion, newCap)
+	for i := k.compHead; i != k.compTail; i++ {
+		nc[i&uint64(newCap-1)] = k.comp[i&k.compMask]
 	}
-	k.checkBudget("completion ring", int64(newCap-oldCap)*compBytes)
-	nt := make([]float64, newCap)
-	ns := make([]uint64, newCap)
-	na := make([]int32, newCap)
-	mask := oldCap - 1
-	for i := 0; i < k.compLen; i++ {
-		src := (k.compHead + i) & mask
-		nt[i] = k.compTime[src]
-		ns[i] = k.compSeq[src]
-		na[i] = k.compArc[src]
-	}
-	k.compTime, k.compSeq, k.compArc = nt, ns, na
-	k.compHead = 0
+	k.comp = nc
+	k.compMask = uint64(newCap - 1)
 }

@@ -27,8 +27,7 @@ func (c chainTraffic) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []in
 func slottedConfig() Config {
 	return Config{
 		NumArcs:   32,
-		NumGroups: 4,
-		GroupOf:   func(a int) int { return a % 4 },
+		NumGroups: 4, // blocks of 8 arcs
 		Sources:   16,
 		MaxHops:   4,
 		Horizon:   200,
@@ -56,8 +55,7 @@ func continuousGreedyConfig() Config {
 	sampler := &uniformBatch{mask: 1<<d - 1}
 	return Config{
 		NumArcs:   d << d,
-		NumGroups: d,
-		GroupOf:   func(a int) int { return a >> d }, // arc = dim*2^d + node
+		NumGroups: d, // arc = dim*2^d + node
 		Sources:   1 << d,
 		Horizon:   200,
 		Warmup:    40,
@@ -88,6 +86,37 @@ func TestContinuousPrefetchMatchesScalar(t *testing.T) {
 	}
 	if extra := EstimateBytes(bulk) - EstimateBytes(scalar); extra != prefetchPairs*pairBytes {
 		t.Errorf("prefetch buffers priced at %d B, want %d", extra, prefetchPairs*pairBytes)
+	}
+}
+
+// TestSlottedBlocksMatchScalar pins the block-wise sampling of slot batches
+// as a pure sampling optimisation: batches that span several blocks give the
+// run the scalar sampler gives.
+func TestSlottedBlocksMatchScalar(t *testing.T) {
+	const d = 8
+	sampler := &uniformBatch{mask: 1<<d - 1}
+	bulk := Config{
+		NumArcs:   d << d,
+		NumGroups: d,
+		Sources:   1 << d,
+		Horizon:   60,
+		Warmup:    10,
+		Seed:      8,
+		Lambda:    1.4, // ~358 packets a tick
+		Slotted:   true,
+		Tau:       1,
+		Mode:      RouteHypercubeGreedy,
+		Dest:      sampler,
+		Batch:     sampler,
+	}
+	scalar := bulk
+	scalar.Batch = nil
+	want := (&Kernel{}).Run(scalar)
+	got := (&Kernel{}).Run(bulk)
+	if got.MeanDelay != want.MeanDelay || got.Generated != want.Generated ||
+		got.Delivered != want.Delivered || got.MeanPopulation != want.MeanPopulation ||
+		got.InFlight != want.InFlight || got.MaxDelay != want.MaxDelay {
+		t.Fatalf("block-sampled run diverges from the scalar run:\n%+v\nvs\n%+v", got, want)
 	}
 }
 

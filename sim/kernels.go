@@ -270,8 +270,8 @@ func (r *hyperRunner) SampleDest(origin int32, rng *xrand.Rand) uint32 {
 	return uint32(r.dist.Sample(hypercube.Node(origin), rng))
 }
 
-// SampleDestBatch serves the kernel's bulk arrival sampling: whole slot
-// batches, and prefetch blocks under continuous arrivals. For uniform
+// SampleDestBatch serves the kernel's bulk arrival sampling, one block of at
+// most a few hundred arrivals at a time under either arrival model. For uniform
 // traffic (bit-flip with p = 1/2) every packet costs exactly two raw
 // generator words — origin pick on 2^d nodes and destination mask — so the
 // whole batch is one xrand.FillUint64 over 2·n words plus masking, with a
@@ -350,10 +350,9 @@ func (r *hyperRunner) runSlotStepped(cfg *hypercubeConfig) runOutcome {
 	r.prepare(cfg)
 	if r.kernel == nil {
 		r.kernel = new(slotsim.Kernel)
-		r.slotCfg.GroupOf = func(a int) int { return int(r.cube.DimensionOfArcIndex(a)) - 1 }
 	}
 	r.slotCfg.NumArcs = r.cube.NumArcs()
-	r.slotCfg.NumGroups = cfg.D
+	r.slotCfg.NumGroups = cfg.D // arc = (dim-1)·2^d + node: one block of 2^d arcs per dimension
 	r.slotCfg.Sources = r.cube.Nodes()
 	r.slotCfg.MaxHops = 2 * cfg.D // Valiant routes use up to 2d hops
 	r.slotCfg.Horizon = cfg.Horizon
@@ -478,10 +477,9 @@ func (r *butterflyRunner) runSlotStepped(cfg *butterflyConfig) runOutcome {
 	r.prepare(cfg)
 	if r.kernel == nil {
 		r.kernel = new(slotsim.Kernel)
-		r.slotCfg.GroupOf = r.groupOfArc
 	}
 	r.slotCfg.NumArcs = r.bf.NumArcs()
-	r.slotCfg.NumGroups = 2 * cfg.D
+	r.slotCfg.NumGroups = 2 * cfg.D // groupOfArc's blocks: arc = ((level-1)·2 + kind)·2^d + row
 	r.slotCfg.Sources = r.bf.Rows()
 	r.slotCfg.Horizon = cfg.Horizon
 	r.slotCfg.Warmup = cfg.WarmupFraction * cfg.Horizon

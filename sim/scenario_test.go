@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -92,9 +93,9 @@ func TestScenarioValidationErrors(t *testing.T) {
 			s.TrackPerDimensionWait = true
 		}, "hypercube feature"},
 		{"negative max bytes", func(s *Scenario) { s.MaxBytes = -1 }, "negative max_bytes"},
-		{"max bytes on a continuous hypercube", func(s *Scenario) {
-			s.MaxBytes = 1 << 30
-		}, "must be slotted"},
+		{"max bytes below the continuous hypercube estimate", func(s *Scenario) {
+			s.MaxBytes = slotEstimateHypercube(s) - 1
+		}, "exceeding max_bytes"},
 		{"max bytes with the event-driven kernel forced", func(s *Scenario) {
 			s.Slotted = true
 			s.Tau = 1
@@ -158,6 +159,9 @@ func TestScenarioValidationAccepts(t *testing.T) {
 		{"slotted hypercube within max bytes", func(s *Scenario) {
 			s.Slotted = true
 			s.Tau = 1
+			s.MaxBytes = 1 << 30
+		}},
+		{"continuous hypercube within max bytes", func(s *Scenario) {
 			s.MaxBytes = 1 << 30
 		}},
 		{"butterfly within max bytes", func(s *Scenario) {
@@ -268,5 +272,29 @@ func TestScenarioTitle(t *testing.T) {
 	sc.Lambda = 1.2
 	if got := sc.Title(); got != "hypercube(d=4) lambda=1.2" {
 		t.Fatalf("lambda title = %q", got)
+	}
+}
+
+// TestContinuousMaxBytes checks the budget on a continuous-time hypercube:
+// the estimate prices the arrival prefetch block that greedy routing uses,
+// and a budgeted run is the unbudgeted run.
+func TestContinuousMaxBytes(t *testing.T) {
+	continuous := valid()
+	slotted := valid()
+	slotted.Slotted, slotted.Tau = true, 1
+	if extra := slotEstimateHypercube(&continuous) - slotEstimateHypercube(&slotted); extra != 256*8 {
+		t.Errorf("continuous estimate exceeds the slotted one by %d B, want the 2048 B prefetch block", extra)
+	}
+	want, err := Run(context.Background(), continuous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	continuous.MaxBytes = 1 << 20
+	got, err := Run(context.Background(), continuous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Metrics.MeanDelay != want.Metrics.MeanDelay || got.Kernel != KernelSlotStepped {
+		t.Errorf("budgeted run: %s kernel, mean delay %v; want slot-stepped, %v", got.Kernel, got.Metrics.MeanDelay, want.Metrics.MeanDelay)
 	}
 }

@@ -348,8 +348,9 @@ type Scenario struct {
 	// scenarios that cannot fit with a clean error; the kernel re-checks the
 	// budget whenever its dynamic pools grow mid-run, so a run whose
 	// in-flight population outgrows the budget fails loudly instead of being
-	// OOM-killed. It requires a slotted FIFO hypercube or a FIFO butterfly,
-	// without force_event_driven: the million-node runs it exists for.
+	// OOM-killed. It requires a FIFO hypercube (slotted or continuous-time)
+	// or a FIFO butterfly, without force_event_driven: the runs the
+	// slot-stepped kernel executes.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
 
 	// Parallelism bounds the number of concurrently executing replication

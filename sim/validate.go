@@ -410,13 +410,10 @@ func (s *Scenario) normalize() (normalized, error) {
 		}
 	}
 	if s.MaxBytes > 0 {
-		switch {
-		case !s.Slotted:
-			return none, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; the hypercube scenario must be slotted (§3.4)")
-		case s.ForceEventDriven || s.Discipline != FIFO:
+		if s.ForceEventDriven || s.Discipline != FIFO {
 			return none, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; it requires the FIFO discipline without force_event_driven")
 		}
-		if est := slotEstimateHypercube(s.Topology.D, s.SkipPerDimensionStats, s.TrackPerDimensionWait); est > s.MaxBytes {
+		if est := slotEstimateHypercube(s); est > s.MaxBytes {
 			return none, fmt.Errorf("sim: hypercube d=%d needs an estimated %s of kernel memory, exceeding max_bytes = %s",
 				s.Topology.D, formatBytes(est), formatBytes(s.MaxBytes))
 		}
@@ -450,16 +447,25 @@ func (s *Scenario) normalize() (normalized, error) {
 }
 
 // slotEstimateHypercube prices the slotsim configuration runSlotStepped
-// builds for a slotted hypercube run: d·2^d arcs plus the kernel's initial
-// dynamic capacities. Kept next to the validation that quotes it; the
+// builds for a hypercube run: d·2^d arcs, the kernel's initial dynamic
+// capacities and, for greedy routing under continuous-time arrivals, the
+// arrival prefetch block. Kept next to the validation that quotes it; the
 // runner-side config construction lives in kernels.go.
-func slotEstimateHypercube(d int, skipPerDim, trackPerDimWait bool) int64 {
-	return slotsim.EstimateBytes(slotsim.Config{
+func slotEstimateHypercube(s *Scenario) int64 {
+	d := s.Topology.D
+	cfg := slotsim.Config{
 		NumArcs:             d * (1 << uint(d)),
 		NumGroups:           d,
-		SkipGroupPopulation: skipPerDim,
-		TrackPerHopWait:     trackPerDimWait,
-	})
+		Slotted:             s.Slotted,
+		SkipGroupPopulation: s.SkipPerDimensionStats,
+		TrackPerHopWait:     s.TrackPerDimensionWait,
+	}
+	if s.Router == GreedyDimensionOrder {
+		// As in runSlotStepped; the sampler is only priced, never called.
+		cfg.Mode = slotsim.RouteHypercubeGreedy
+		cfg.Batch = (*hyperRunner)(nil)
+	}
+	return slotsim.EstimateBytes(cfg)
 }
 
 // slotEstimateButterfly prices the slotsim configuration for a butterfly run:
