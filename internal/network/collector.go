@@ -39,7 +39,7 @@ type Collector struct {
 	sketch   stats.DDSketch
 
 	population stats.TimeWeighted
-	groupPop   []stats.TimeWeighted
+	groupPop   []groupPopulation
 	groupWait  []stats.Tally
 	perHopWait bool
 
@@ -80,12 +80,10 @@ func (c *Collector) Reset(numGroups int) {
 	c.sketchOn = false
 	c.population.Reset(0, 0)
 	if cap(c.groupPop) < numGroups {
-		c.groupPop = make([]stats.TimeWeighted, numGroups)
+		c.groupPop = make([]groupPopulation, numGroups)
 	} else {
 		c.groupPop = c.groupPop[:numGroups]
-	}
-	for g := range c.groupPop {
-		c.groupPop[g].Reset(0, 0)
+		clear(c.groupPop)
 	}
 	c.perHopWait = false
 	c.groupWait = c.groupWait[:0]
@@ -178,10 +176,22 @@ func (c *Collector) setPopulation(now float64) {
 	}
 }
 
+// groupPopulation is one statistics group's time-weighted population: the
+// value since time last and the area accumulated before it, since the
+// measurement start. It performs exactly stats.TimeWeighted.Add's arithmetic
+// without its start, backwards-time and maximum checks, which no group
+// reader needs.
+type groupPopulation struct {
+	last, value, area float64
+}
+
 // GroupPopulationAdd shifts the population of statistics group g by delta at
 // time now.
 func (c *Collector) GroupPopulationAdd(g int32, now, delta float64) {
-	c.groupPop[g].Add(now, delta)
+	p := &c.groupPop[g]
+	p.area += p.value * (now - p.last)
+	p.last = now
+	p.value += delta
 }
 
 // ArcWait records one completed arc traversal for group g: the time from
@@ -276,7 +286,7 @@ func (c *Collector) StartMeasurement(now float64) {
 	}
 	c.population.Reset(now, float64(c.inFlight))
 	for g := range c.groupPop {
-		c.groupPop[g].Reset(now, c.groupPop[g].Current())
+		c.groupPop[g].last, c.groupPop[g].area = now, 0
 	}
 	c.popTrace.Reset()
 	c.lastTrace = now
@@ -348,8 +358,12 @@ func (c *Collector) Snapshot(now float64, groupArcs []int, groupBusy, groupArriv
 	if elapsed > 0 {
 		m.Throughput = float64(c.departures) / elapsed
 	}
-	for g := range c.groupPop {
-		m.GroupMeanPopulation[g] = c.groupPop[g].MeanAt(now)
+	for g, p := range c.groupPop {
+		// stats.TimeWeighted.MeanAt, with the measurement start as its start.
+		m.GroupMeanPopulation[g] = p.value
+		if now > c.measureFrom {
+			m.GroupMeanPopulation[g] = (p.area + p.value*(now-p.last)) / (now - c.measureFrom)
+		}
 	}
 	for g := range c.groupPop {
 		if groupArcs[g] > 0 && elapsed > 0 {

@@ -3,7 +3,9 @@ package slotsim
 import (
 	"fmt"
 	"math/bits"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -285,7 +287,11 @@ func TestBlockGroups(t *testing.T) {
 // BenchmarkSlottedHypercubeScale runs the slotted 16-cube point of the
 // end-to-end slot-scale workload (2^20 arcs, τ = 1, horizon 4, ρ = 0.7) on a
 // fresh kernel per run (cold) and on one reused kernel (warm), reporting the
-// kernel's time and allocated bytes per injected packet.
+// kernel's time and allocated bytes per injected packet. Before each cold
+// run, outside the timer, the heap is returned to the OS, so the run faults
+// its pages in afresh as a new process would; where getrusage reports minor
+// faults, cold runs also report them per page of the kernel's footprint
+// (faults/page: 1 when every page faults exactly once).
 func BenchmarkSlottedHypercubeScale(b *testing.B) {
 	const d = 16
 	sampler := &uniformBatch{mask: 1<<d - 1}
@@ -314,18 +320,30 @@ func BenchmarkSlottedHypercubeScale(b *testing.B) {
 			k.Run(cfg)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			_, faultsOK := minorFaults()
+			var faults int64
 			b.ResetTimer()
 			for range b.N {
 				if cold {
+					b.StopTimer()
 					k = &Kernel{}
+					debug.FreeOSMemory()
+					b.StartTimer()
 				}
+				f0, _ := minorFaults()
 				k.Run(cfg)
+				f1, _ := minorFaults()
+				faults += f1 - f0
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			n := float64(int64(b.N) * packets)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/packet")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/packet")
+			if cold && faultsOK {
+				pages := float64(k.memFootprint()) / float64(os.Getpagesize())
+				b.ReportMetric(float64(faults)/(float64(b.N)*pages), "faults/page")
+			}
 		})
 	}
 }

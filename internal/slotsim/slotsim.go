@@ -14,8 +14,10 @@
 // so a d = 20 hypercube — 2^20 nodes, d·2^d ≈ 21M arcs — fits in a few GiB
 // and a hop touches a handful of cache lines:
 //
-//   - Arc state is five parallel arrays indexed by arc (in-service packet
-//     index, queue head/tail, busy-since/busy-time), 28 bytes per arc.
+//   - Arc state is four parallel arrays indexed by arc (in-service packet
+//     index, queue head/tail, busy time), 20 bytes per arc. The start of the
+//     service in progress is not stored per arc: it rides in the arc's
+//     pending completion record.
 //     Statistics groups are contiguous power-of-two blocks of arcs
 //     (group = arc >> shift, the layout both topologies already use), so no
 //     arc stores a group id, and arrivals are counted per group, not per
@@ -32,10 +34,11 @@
 //     bits.TrailingZeros64 and clears it with a single XOR. Butterfly routes
 //     step the unique path the same way; only randomized routers store routes
 //     (in a fixed-stride slab referenced by packet-held slots).
-//   - Service completions form a flat FIFO ring of (due time, arc) records.
-//     The hop steps — the greedy arc step, queue pop, service start and ring
-//     push — are small enough for the compiler to inline into the completion
-//     handler.
+//   - Service completions form a flat FIFO ring of (service start, arc)
+//     records; a record falls due one time unit after its start, and the
+//     pending records are exactly the busy arcs. The hop steps — the greedy
+//     arc step, queue pop, service start and ring push — are small enough
+//     for the compiler to inline into the completion handler.
 //
 // Arrival sampling is batched: when Config.Batch is set in a stepped route
 // mode, (origin, destination) pairs are drawn in bulk (backed by
@@ -241,21 +244,24 @@ type transition struct {
 // Per-element sizes of the structure-of-arrays storage, in bytes. They are
 // the coefficients of EstimateBytes and of the growth-time budget checks.
 const (
-	arcBytes      = 4 + 4 + 4 + 8 + 8 // aSvc+aHead+aTail+aBusySince+aBusyTime
-	groupBytes    = 8 + 8 + 8 + 8     // gArrivals + snapshot scratch, per group
-	pktBytes      = 8 + 8 + 8 + 4     // pGen+pUV+pAux+pNext
-	pktWaitBytes  = 8                 // pEnqAt, only with per-hop waits
-	compBytes     = 16                // one completion record: 8+4, padded
-	poolChunk     = 256               // initial packet-pool capacity (slots)
-	compChunk     = 64                // initial completion-ring capacity
-	prefetchPairs = 256               // arrival sampling block (pairs)
-	pairBytes     = 4 + 4             // batchOrigins+batchDests
+	arcBytes      = 4 + 4 + 4 + 8 // aSvc+aHead+aTail+aBusyTime
+	groupBytes    = 8 + 8 + 8 + 8 // gArrivals + snapshot scratch, per group
+	pktBytes      = 8 + 8 + 8 + 4 // pGen+pUV+pAux+pNext
+	pktWaitBytes  = 8             // pEnqAt, only with per-hop waits
+	compBytes     = 16            // one completion record: 8+4, padded
+	poolChunk     = 256           // initial packet-pool capacity (slots)
+	compChunk     = 64            // initial completion-ring capacity
+	prefetchPairs = 256           // arrival sampling block (pairs)
+	pairBytes     = 4 + 4         // batchOrigins+batchDests
 )
 
-// completion is one pending service completion in the ring.
+// completion is one pending service completion in the ring: the service on
+// arc started at start and falls due at start+1, recomputed at each
+// comparison. That sum is the time the event-driven calendar schedules the
+// completion at, so the two kernels order events alike.
 type completion struct {
-	at  float64
-	arc int32
+	start float64
+	arc   int32
 }
 
 // noSlot marks a stepped-route packet (no stored-route slab slot) in the
@@ -329,14 +335,18 @@ type Kernel struct {
 	// busy flag), intrusive FIFO queue head/tail pool indices, and the
 	// busy-time accumulators. The three index arrays are biased by one —
 	// 0 means idle/empty, s+1 means pool slot s — so an all-zero array is a
-	// valid initial state: reset can rely on make's lazy zero pages and a
-	// fresh million-arc run never pre-faults memory it does not touch.
-	aSvc       []int32
-	aHead      []int32
-	aTail      []int32
-	aBusySince []float64
-	aBusyTime  []float64
-	aQLen      []int32 // waiting-queue lengths, maintained only with finite buffers
+	// valid initial state and reset needs nothing but resizeZero's clear,
+	// which faults every page in by write, once and in order.
+	aSvc      []int32
+	aHead     []int32
+	aTail     []int32
+	aBusyTime []float64 // service time inside the measurement window
+	aQLen     []int32   // waiting-queue lengths, maintained only with finite buffers
+
+	// busyFrom is the measurement start (Config.Warmup): a service's busy
+	// time counts from max(start, busyFrom), so completions before the
+	// warm-up add nothing and startMeasurement needs no per-arc pass.
+	busyFrom float64
 
 	// Per-group arrival counts since the measurement start.
 	gArrivals []int64
@@ -501,8 +511,8 @@ func (k *Kernel) reset(cfg Config) {
 	k.aSvc = resizeZero(k.aSvc, cfg.NumArcs)
 	k.aHead = resizeZero(k.aHead, cfg.NumArcs)
 	k.aTail = resizeZero(k.aTail, cfg.NumArcs)
-	k.aBusySince = resizeZero(k.aBusySince, cfg.NumArcs)
 	k.aBusyTime = resizeZero(k.aBusyTime, cfg.NumArcs)
+	k.busyFrom = cfg.Warmup
 	if k.bufCap > 0 {
 		k.aQLen = resizeZero(k.aQLen, cfg.NumArcs)
 	}
@@ -583,18 +593,22 @@ func resize[T any](s []T, n int) []T {
 	return ns
 }
 
-// resizeZero returns a zeroed slice of length n. Reused capacity is cleared
-// with memclr; a fresh allocation is returned as-is, because make's pages are
-// already zero and remain untouched until the run first writes them. That
-// lazy path is what keeps a cold 2^20-node reset from pre-faulting ~750 MB of
-// arc arrays the run may never fully visit.
+// resizeZero returns a zeroed slice of length n, reusing capacity when
+// possible. A fresh allocation is cleared too, although make's pages are
+// already zero: the clear writes every page once, in order, so each faults in
+// once. Left untouched, the hop path's first access to a page is usually a
+// read, which maps the shared zero page, and the write that follows faults
+// the page a second time. The price is that a sparse run faults in arc pages
+// it never visits; every shipped scale workload is dense, and max_bytes
+// already prices the full arrays.
 func resizeZero[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		s = s[:n]
-		clear(s)
-		return s
+	} else {
+		s = make([]T, n)
 	}
-	return make([]T, n)
+	clear(s)
+	return s
 }
 
 // groupShift returns the shift that maps an arc to its statistics group:
@@ -616,7 +630,7 @@ func groupShift(numArcs, numGroups int) uint {
 // the "in use" figure of the growth-time budget checks.
 func (k *Kernel) memFootprint() int64 {
 	b := int64(cap(k.aSvc))*4 + int64(cap(k.aHead))*4 + int64(cap(k.aTail))*4 +
-		int64(cap(k.aBusySince))*8 + int64(cap(k.aBusyTime))*8 + int64(cap(k.aQLen))*4 +
+		int64(cap(k.aBusyTime))*8 + int64(cap(k.aQLen))*4 +
 		int64(cap(k.gArrivals))*8 + int64(cap(k.downWords))*8 + int64(cap(k.trans))*16
 	b += int64(cap(k.pGen))*8 + int64(cap(k.pUV))*8 + int64(cap(k.pAux))*8 +
 		int64(cap(k.pNext))*4 + int64(cap(k.pEnqAt))*8
@@ -766,7 +780,7 @@ func (k *Kernel) runSlotted() {
 			next, kind = k.trans[k.transNext].at, evTrans
 		}
 		if k.compHead != k.compTail {
-			if ct := k.comp[k.compHead&k.compMask].at; kind == evNone || ct < next {
+			if ct := k.comp[k.compHead&k.compMask].start + 1; kind == evNone || ct < next {
 				next, kind = ct, evComp
 			}
 		}
@@ -795,8 +809,7 @@ func (k *Kernel) runSlotted() {
 		case evTrans:
 			k.fireTransition(next)
 		case evComp:
-			arc, t := k.popCompletion()
-			k.complete(arc, t)
+			k.complete(k.popCompletion())
 		default:
 			k.fireTick(tick)
 			tick += tau
@@ -833,14 +846,14 @@ func (k *Kernel) runContinuous() {
 		kind := evNone
 		switch {
 		case k.compHead != k.compTail && k.arrPending:
-			ct := k.comp[k.compHead&k.compMask].at
+			ct := k.comp[k.compHead&k.compMask].start + 1
 			if ct < k.arrTime || (ct == k.arrTime && k.compHead < k.arrMark) {
 				next, kind = ct, evComp
 			} else {
 				next, kind = k.arrTime, evArr
 			}
 		case k.compHead != k.compTail:
-			next, kind = k.comp[k.compHead&k.compMask].at, evComp
+			next, kind = k.comp[k.compHead&k.compMask].start+1, evComp
 		case k.arrPending:
 			next, kind = k.arrTime, evArr
 		}
@@ -869,8 +882,7 @@ func (k *Kernel) runContinuous() {
 		case evTrans:
 			k.fireTransition(next)
 		case evComp:
-			arc, t := k.popCompletion()
-			k.complete(arc, t)
+			k.complete(k.popCompletion())
 		default:
 			t := k.arrTime
 			k.arrPending = false
@@ -1069,19 +1081,27 @@ func (k *Kernel) enqueue(s int32, idx int, now float64) {
 // startService begins the unit transmission of pool slot s on arc idx.
 func (k *Kernel) startService(idx int, s int32, now float64) {
 	k.aSvc[idx] = s + 1
-	k.aBusySince[idx] = now
-	k.pushCompletion(now+1, int32(idx))
+	k.pushCompletion(now, int32(idx))
 }
 
-// complete finishes the transmission on arc idx; it mirrors
+// addBusy credits arc idx with the part of a service begun at start that
+// falls inside the measurement window and ends at now.
+func (k *Kernel) addBusy(idx int, start, now float64) {
+	if b := now - max(start, k.busyFrom); b > 0 {
+		k.aBusyTime[idx] += b
+	}
+}
+
+// complete finishes the transmission begun at start on arc idx; it mirrors
 // System.completeService (FIFO discipline).
-func (k *Kernel) complete(idx int, now float64) {
+func (k *Kernel) complete(idx int, start float64) {
+	now := start + 1
 	s := k.aSvc[idx] - 1
 	if s < 0 {
 		panic(fmt.Sprintf("slotsim: completion on idle arc %d", idx))
 	}
 	k.aSvc[idx] = 0
-	k.aBusyTime[idx] += now - k.aBusySince[idx]
+	k.addBusy(idx, start, now)
 	if k.trackGrp || k.hopWait {
 		g := int32(idx >> k.groupShift)
 		if k.trackGrp {
@@ -1125,35 +1145,34 @@ func (k *Kernel) complete(idx int, now float64) {
 }
 
 // startMeasurement discards the warm-up transient at the given instant.
+// Busy time needs no reset: addBusy never counts time before busyFrom.
 func (k *Kernel) startMeasurement(now float64) {
 	k.col.StartMeasurement(now)
 	clear(k.gArrivals)
-	clear(k.aBusyTime)
-	for i, s := range k.aSvc {
-		if s != 0 {
-			k.aBusySince[i] = now
-		}
-	}
 }
 
 // snapshot closes the run at the horizon, aggregating per-arc busy time in
-// arc-index order exactly as System.Snapshot does. Arrival counts are summed
-// per group in integers; System.Snapshot sums their float64 values, which is
-// the same number below 2^53.
+// arc-index order exactly as System.Snapshot does. The pending completions
+// are exactly the busy arcs, so one pass over the ring credits each with its
+// partial service before the per-group sums; every arc sees the same two
+// float additions, in the same order, as System.Snapshot performs. Arrival
+// counts are summed per group in integers; System.Snapshot sums their
+// float64 values, which is the same number below 2^53.
 func (k *Kernel) snapshot() network.Metrics {
 	n := k.cfg.NumGroups
 	k.snapArcs = resize(k.snapArcs, n)
 	k.snapBusy = resize(k.snapBusy, n)
 	k.snapArrivals = resize(k.snapArrivals, n)
 	now := k.cfg.Horizon
+	for i := k.compHead; i != k.compTail; i++ {
+		c := k.comp[i&k.compMask]
+		k.addBusy(int(c.arc), c.start, now)
+	}
+	k.busyFrom = now // credited up to now: a repeated snapshot adds nothing
 	block := k.numArcs / n
 	for g := range n {
 		busy := 0.0
-		for i := g * block; i < (g+1)*block; i++ {
-			b := k.aBusyTime[i]
-			if k.aSvc[i] != 0 {
-				b += now - k.aBusySince[i]
-			}
+		for _, b := range k.aBusyTime[g*block : (g+1)*block] {
 			busy += b
 		}
 		k.snapArcs[g] = block
@@ -1277,21 +1296,22 @@ func (k *Kernel) makeRoom() {
 	}
 }
 
-// pushCompletion appends to the completion ring, which has room (makeRoom).
-func (k *Kernel) pushCompletion(at float64, arc int32) {
+// pushCompletion appends the service begun at start on arc to the completion
+// ring, which has room (makeRoom).
+func (k *Kernel) pushCompletion(start float64, arc int32) {
 	if k.compTail-k.compHead == uint64(len(k.comp)) {
 		panic("slotsim: completion ring overflow")
 	}
-	k.comp[k.compTail&k.compMask] = completion{at, arc}
+	k.comp[k.compTail&k.compMask] = completion{start, arc}
 	k.compTail++
 }
 
-// popCompletion removes the head completion; the caller has checked that one
-// is pending.
-func (k *Kernel) popCompletion() (arc int, t float64) {
+// popCompletion removes the head completion and returns its arc and service
+// start; the caller has checked that one is pending.
+func (k *Kernel) popCompletion() (arc int, start float64) {
 	c := k.comp[k.compHead&k.compMask]
 	k.compHead++
-	return int(c.arc), c.at
+	return int(c.arc), c.start
 }
 
 // growComp moves the pending completions, in order, into a ring that holds

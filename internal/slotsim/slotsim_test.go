@@ -244,3 +244,54 @@ func BenchmarkContinuousHypercubeReplication(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*packets), "ns/packet")
 }
+
+// flipDest sends every packet across dimension 0 only: a one-hop route.
+type flipDest struct{}
+
+func (flipDest) SampleDest(origin int32, rng *xrand.Rand) uint32 { return uint32(origin) ^ 1 }
+
+// TestContinuousTieBreak pins the continuous-mode rule for a completion and
+// an arrival due at the same instant: they fire in des schedule order. A
+// one-hop packet injected at t = 0 completes at t = 1, and the pending
+// arrival is forced to t = 1. Scheduled before the completion (mark 0), the
+// arrival fires first, so both packets are in flight together; scheduled
+// after it (mark = completions pushed), the first packet has left by then.
+func TestContinuousTieBreak(t *testing.T) {
+	const d = 4
+	for _, tc := range []struct {
+		name       string
+		markPushed bool
+		wantMaxPop float64
+	}{
+		{"arrival scheduled first", false, 2},
+		{"completion scheduled first", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := &Kernel{}
+			k.reset(Config{
+				NumArcs:   d << d,
+				NumGroups: d,
+				Sources:   1 << d,
+				Horizon:   10,
+				Seed:      1,
+				Lambda:    1e-300, // no drawn arrival falls inside the horizon
+				Mode:      RouteHypercubeGreedy,
+				Dest:      flipDest{},
+			})
+			if k.arrPending {
+				t.Fatal("an arrival was drawn inside the horizon")
+			}
+			k.injectTo(0, 1, 0) // one hop: due at t = 1
+			k.arrTime, k.arrPending, k.arrMark = 1, true, 0
+			if tc.markPushed {
+				k.arrMark = k.compTail
+			}
+			k.runContinuous()
+			m := k.snapshot()
+			if m.MaxPopulation != tc.wantMaxPop || m.Delivered != 2 {
+				t.Fatalf("MaxPopulation %v, Delivered %d; want %v, 2",
+					m.MaxPopulation, m.Delivered, tc.wantMaxPop)
+			}
+		})
+	}
+}
