@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cli"
@@ -83,6 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.ExitSpec
 	}
 
+	// Shards log concurrently; stderr need not be safe for concurrent use.
+	var logMu sync.Mutex
 	cfg := cluster.Config{
 		Workers:       urls,
 		StateDir:      *state,
@@ -91,12 +94,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ShardAttempts: *attempts,
 		RetryBackoff:  *backoff,
 		Logf: func(format string, a ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
 			fmt.Fprintf(stderr, "simc: "+format+"\n", a...)
 		},
 	}
 	if *progress {
 		title := sw.Title()
 		cfg.Progress = func(done, total int) {
+			logMu.Lock()
+			defer logMu.Unlock()
 			fmt.Fprintf(stderr, "%s: point %d/%d merged\n", title, done, total)
 		}
 	}

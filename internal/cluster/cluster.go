@@ -81,7 +81,7 @@ type Config struct {
 	// deadlines).
 	HTTPClient *http.Client
 	// Logf, when non-nil, receives operational log lines (shard placement,
-	// failover, retries).
+	// failover, retries). Shards call it concurrently.
 	Logf func(format string, args ...any)
 	// Progress, when non-nil, is called after every merged point with
 	// (done, total). Called under the merge lock; keep it fast.

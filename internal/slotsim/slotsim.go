@@ -14,10 +14,13 @@
 // so a d = 20 hypercube — 2^20 nodes, d·2^d ≈ 21M arcs — fits in a few GiB
 // and a hop touches a handful of cache lines:
 //
-//   - Arc state is four parallel arrays indexed by arc (in-service packet
-//     index, queue head/tail, busy time), 20 bytes per arc. The start of the
-//     service in progress is not stored per arc: it rides in the arc's
-//     pending completion record.
+//   - Arc state is three parallel arrays indexed by arc (queue head/tail,
+//     busy time), 16 bytes per arc. The packet in service is not stored per
+//     arc: while a completion is pending for an arc, its packet in service
+//     is the head of the arc's queue, and the service's start rides in the
+//     pending completion record. An arc whose head waits for an outage to
+//     end is marked in a stalled bitset, allocated only when the run has
+//     outages; finite buffers add a count of the waiting packets.
 //     Statistics groups are contiguous power-of-two blocks of arcs
 //     (group = arc >> shift, the layout both topologies already use), so no
 //     arc stores a group id, and arrivals are counted per group, not per
@@ -37,8 +40,17 @@
 //   - Service completions form a flat FIFO ring of (service start, arc)
 //     records; a record falls due one time unit after its start, and the
 //     pending records are exactly the busy arcs. The hop steps — the greedy
-//     arc step, queue pop, service start and ring push — are small enough
+//     arc step, head pop, service start and ring push — are small enough
 //     for the compiler to inline into the completion handler.
+//
+// # The continuous-time hop path
+//
+// In continuous mode the state is small enough to stay in cache, so the cost
+// of a hop is its mispredicted branches. Completions due strictly before the
+// pending arrival, the next outage boundary, the horizon and (until
+// measurement starts) the warm-up instant drain in a tight loop, without the
+// event merge. Joining a queue and restarting an arc take the same path as
+// in slotted runs.
 //
 // Arrival sampling is batched: when Config.Batch is set in a stepped route
 // mode, (origin, destination) pairs are drawn in bulk (backed by
@@ -244,7 +256,7 @@ type transition struct {
 // Per-element sizes of the structure-of-arrays storage, in bytes. They are
 // the coefficients of EstimateBytes and of the growth-time budget checks.
 const (
-	arcBytes      = 4 + 4 + 4 + 8 // aSvc+aHead+aTail+aBusyTime
+	arcBytes      = 4 + 4 + 8     // aHead+aTail+aBusyTime
 	groupBytes    = 8 + 8 + 8 + 8 // gArrivals + snapshot scratch, per group
 	pktBytes      = 8 + 8 + 8 + 4 // pGen+pUV+pAux+pNext
 	pktWaitBytes  = 8             // pEnqAt, only with per-hop waits
@@ -276,22 +288,32 @@ const noSlot = ^uint32(0)
 // Config.MaxBytes, so the estimate is a floor, not a ceiling; it is what
 // sim's max_bytes validation prices before a run starts.
 func EstimateBytes(cfg Config) int64 {
-	perArc := int64(arcBytes)
 	perPkt := int64(pktBytes)
 	if cfg.TrackPerHopWait {
 		perPkt += pktWaitBytes
 	}
-	if cfg.BufferCapacity > 0 {
-		perArc += 4 // aQLen
-	}
-	est := int64(cfg.NumArcs)*perArc + poolChunk*perPkt + compChunk*compBytes
+	est := arcTermBytes(cfg) + poolChunk*perPkt + compChunk*compBytes
 	if cfg.prefetch() {
 		est += prefetchPairs * pairBytes
 	}
 	if len(cfg.Outages) > 0 {
-		est += int64((cfg.NumArcs+63)/64)*8 + int64(2*len(cfg.Outages))*16 // down bitset + transitions
+		est += int64(2*len(cfg.Outages)) * 16 // transitions
 	}
 	return est + int64(max(cfg.NumGroups, 1))*groupBytes
+}
+
+// arcTermBytes is EstimateBytes' arc-indexed term: the per-arc arrays, plus
+// the down and stalled bitsets of a run with outages.
+func arcTermBytes(cfg Config) int64 {
+	perArc := int64(arcBytes)
+	if cfg.BufferCapacity > 0 {
+		perArc += 4 // aQLen
+	}
+	est := int64(cfg.NumArcs) * perArc
+	if len(cfg.Outages) > 0 {
+		est += 2 * int64((cfg.NumArcs+63)/64) * 8 // downWords + stalled
+	}
+	return est
 }
 
 // prefetch reports whether continuous-mode arrivals are sampled in blocks.
@@ -323,25 +345,29 @@ type Kernel struct {
 
 	// Fault state. faultRNG is the dedicated transient-fault stream, consumed
 	// only when failProb > 0 (exactly one draw per completion). downWords is
-	// the down-arc bitset, nil when the run has no outages so the faultless
-	// hot path costs one nil check; trans is the flattened, time-ordered
-	// outage boundary list with transNext the next unfired boundary.
+	// the down-arc bitset and stalled marks the arcs whose queue head waits
+	// for the outage to end instead of being in service; both are nil when
+	// the run has no outages, so the faultless hot path costs one nil check.
+	// trans is the flattened, time-ordered outage boundary list with
+	// transNext the next unfired boundary.
 	faultRNG  *xrand.Rand
 	downWords []uint64
+	stalled   []uint64
 	trans     []transition
 	transNext int
 
-	// Arc state, one entry per arc: the packet in service (doubling as the
-	// busy flag), intrusive FIFO queue head/tail pool indices, and the
-	// busy-time accumulators. The three index arrays are biased by one —
-	// 0 means idle/empty, s+1 means pool slot s — so an all-zero array is a
-	// valid initial state and reset needs nothing but resizeZero's clear,
-	// which faults every page in by write, once and in order.
-	aSvc      []int32
+	// Arc state, one entry per arc: intrusive FIFO queue head/tail pool
+	// indices and the busy-time accumulators, 16 bytes per arc. The head of
+	// a non-empty queue is the packet in service — the arc has a pending
+	// completion — unless the arc is stalled. The two index arrays are
+	// biased by one — 0 means empty, s+1 means pool slot s — so an all-zero
+	// array is a valid initial state and reset needs nothing but
+	// resizeZero's clear, which faults every page in by write, once and in
+	// order.
 	aHead     []int32
 	aTail     []int32
 	aBusyTime []float64 // service time inside the measurement window
-	aQLen     []int32   // waiting-queue lengths, maintained only with finite buffers
+	aQLen     []int32   // waiting packets (an in-service head excluded), only with finite buffers
 
 	// busyFrom is the measurement start (Config.Warmup): a service's busy
 	// time counts from max(start, busyFrom), so completions before the
@@ -495,6 +521,7 @@ func (k *Kernel) reset(cfg Config) {
 	k.transNext = 0
 	if len(cfg.Outages) > 0 {
 		k.downWords = resizeZero(k.downWords, (cfg.NumArcs+63)/64)
+		k.stalled = resizeZero(k.stalled, (cfg.NumArcs+63)/64)
 		last := 0.0
 		for i := range cfg.Outages {
 			o := &cfg.Outages[i]
@@ -505,10 +532,9 @@ func (k *Kernel) reset(cfg Config) {
 			k.trans = append(k.trans, transition{o.From, int32(i), true}, transition{o.Until, int32(i), false})
 		}
 	} else {
-		k.downWords = nil
+		k.downWords, k.stalled = nil, nil
 	}
 
-	k.aSvc = resizeZero(k.aSvc, cfg.NumArcs)
 	k.aHead = resizeZero(k.aHead, cfg.NumArcs)
 	k.aTail = resizeZero(k.aTail, cfg.NumArcs)
 	k.aBusyTime = resizeZero(k.aBusyTime, cfg.NumArcs)
@@ -629,15 +655,20 @@ func groupShift(numArcs, numGroups int) uint {
 // memFootprint sums the capacities of the kernel's long-lived arrays; it is
 // the "in use" figure of the growth-time budget checks.
 func (k *Kernel) memFootprint() int64 {
-	b := int64(cap(k.aSvc))*4 + int64(cap(k.aHead))*4 + int64(cap(k.aTail))*4 +
-		int64(cap(k.aBusyTime))*8 + int64(cap(k.aQLen))*4 +
-		int64(cap(k.gArrivals))*8 + int64(cap(k.downWords))*8 + int64(cap(k.trans))*16
+	b := k.arcFootprint() + int64(cap(k.gArrivals))*8 + int64(cap(k.trans))*16
 	b += int64(cap(k.pGen))*8 + int64(cap(k.pUV))*8 + int64(cap(k.pAux))*8 +
 		int64(cap(k.pNext))*4 + int64(cap(k.pEnqAt))*8
 	b += int64(cap(k.comp)) * compBytes
 	b += int64(cap(k.paths))*8 + int64(cap(k.pathFree))*4
 	b += int64(cap(k.batchOrigins))*4 + int64(cap(k.batchDests))*4
 	return b
+}
+
+// arcFootprint is memFootprint's arc-indexed part, the counterpart of
+// arcTermBytes.
+func (k *Kernel) arcFootprint() int64 {
+	return int64(cap(k.aHead))*4 + int64(cap(k.aTail))*4 + int64(cap(k.aBusyTime))*8 +
+		int64(cap(k.aQLen))*4 + int64(cap(k.downWords))*8 + int64(cap(k.stalled))*8
 }
 
 // pktSize is the pool's size per packet slot.
@@ -703,7 +734,8 @@ const (
 
 // fireTransition applies the next outage boundary at time now: a start marks
 // its arcs down; an end marks them up again and — in ascending arc order,
-// matching the event-driven handler — restarts idle arcs with queued work.
+// matching the event-driven handler — restarts the stalled ones, exactly the
+// idle arcs with queued work.
 func (k *Kernel) fireTransition(now float64) {
 	tr := k.trans[k.transNext]
 	k.transNext++
@@ -715,10 +747,12 @@ func (k *Kernel) fireTransition(now float64) {
 		return
 	}
 	for _, arc := range arcs {
-		k.downWords[uint32(arc)>>6] &^= 1 << (uint32(arc) & 63)
-		if k.aSvc[arc] == 0 && k.aHead[arc] != 0 {
+		w, bit := uint32(arc)>>6, uint64(1)<<(uint32(arc)&63)
+		k.downWords[w] &^= bit
+		if k.stalled[w]&bit != 0 {
+			k.stalled[w] &^= bit
 			k.makeRoom()
-			k.startService(int(arc), k.popHead(int(arc)), now)
+			k.startHead(int(arc), now)
 		}
 	}
 }
@@ -729,20 +763,17 @@ func (k *Kernel) arcDown(idx int) bool {
 	return k.downWords[uint32(idx)>>6]>>(uint32(idx)&63)&1 != 0
 }
 
-// popHead removes and returns the head of arc idx's FIFO queue; the caller
-// has checked the queue is non-empty. pNext stores raw slots with a -1 end
-// sentinel, so nh+1 is exactly the biased head encoding.
-func (k *Kernel) popHead(idx int) int32 {
-	h := k.aHead[idx]
-	nh := k.pNext[h-1] + 1
-	k.aHead[idx] = nh
-	if nh == 0 {
-		k.aTail[idx] = 0
-	}
+// stall marks arc idx's queue head as waiting for the outage to end.
+func (k *Kernel) stall(idx int) {
+	k.stalled[uint32(idx)>>6] |= 1 << (uint32(idx) & 63)
+}
+
+// startHead starts the service of arc idx's queue head, which was waiting.
+func (k *Kernel) startHead(idx int, now float64) {
+	k.pushCompletion(now, int32(idx))
 	if k.bufCap > 0 {
 		k.aQLen[idx]--
 	}
-	return h - 1
 }
 
 // dropPkt discards pool slot s mid-network — a transient transmission fault
@@ -842,6 +873,30 @@ func (k *Kernel) runContinuous() {
 	}
 	pos := len(origins) // index of the next unused prefetched pair; starts drained
 	for {
+		// Completions due strictly before every other event source fire
+		// without the merge: before the pending arrival, the next outage
+		// boundary, the horizon and, until measuring, the warm-up instant.
+		// Completing only ever pushes later completions, so lim holds for the
+		// whole drain; ties and boundary events go through the merge below.
+		lim := horizon
+		if k.arrPending && k.arrTime < lim {
+			lim = k.arrTime
+		}
+		if k.transNext < len(k.trans) && k.trans[k.transNext].at < lim {
+			lim = k.trans[k.transNext].at
+		}
+		if !measuring && warmup < lim {
+			lim = warmup
+		}
+		for k.compHead != k.compTail {
+			c := k.comp[k.compHead&k.compMask]
+			if c.start+1 >= lim {
+				break
+			}
+			k.compHead++
+			k.complete(int(c.arc), c.start)
+		}
+
 		var next float64
 		kind := evNone
 		switch {
@@ -1043,31 +1098,34 @@ func (k *Kernel) greedyArc(s int32) int {
 	return bits.TrailingZeros64(uv)*k.srcN + int(uv>>32)
 }
 
-// enqueue places pool slot s at arc idx, its current hop; it mirrors
-// System.enqueue. An idle arc outside any outage window starts service
-// immediately; otherwise s joins the arc's intrusive FIFO list — unless a
-// finite buffer is full, in which case the packet is dropped before any
-// statistic is touched.
+// enqueue places pool slot s at the tail of arc idx's intrusive FIFO list,
+// its current hop; it mirrors System.enqueue. On an empty queue s is the new
+// head and starts service at once — unless the arc is inside an outage
+// window, where it stalls. A packet that would wait behind a full finite
+// buffer is dropped instead, before any statistic is touched.
 func (k *Kernel) enqueue(s int32, idx int, now float64) {
-	if k.aSvc[idx] != 0 || (k.downWords != nil && k.arcDown(idx)) {
+	t := k.aTail[idx]
+	if t == 0 && (k.downWords == nil || !k.arcDown(idx)) {
+		k.makeRoom()
+		k.pushCompletion(now, int32(idx))
+		k.aHead[idx] = s + 1
+	} else {
 		if k.bufCap > 0 && int(k.aQLen[idx]) >= k.bufCap {
 			k.dropPkt(s, now, true)
 			return
 		}
-		k.pNext[s] = -1
-		if t := k.aTail[idx]; t != 0 {
+		if t != 0 {
 			k.pNext[t-1] = s
 		} else {
 			k.aHead[idx] = s + 1
+			k.stall(idx)
 		}
-		k.aTail[idx] = s + 1
 		if k.bufCap > 0 {
 			k.aQLen[idx]++
 		}
-	} else {
-		k.makeRoom()
-		k.startService(idx, s, now)
 	}
+	k.pNext[s] = -1
+	k.aTail[idx] = s + 1
 	g := idx >> k.groupShift
 	k.gArrivals[g]++
 	if k.hopWait {
@@ -1076,12 +1134,6 @@ func (k *Kernel) enqueue(s int32, idx int, now float64) {
 	if k.trackGrp {
 		k.col.GroupPopulationAdd(int32(g), now, +1)
 	}
-}
-
-// startService begins the unit transmission of pool slot s on arc idx.
-func (k *Kernel) startService(idx int, s int32, now float64) {
-	k.aSvc[idx] = s + 1
-	k.pushCompletion(now, int32(idx))
 }
 
 // addBusy credits arc idx with the part of a service begun at start that
@@ -1093,14 +1145,14 @@ func (k *Kernel) addBusy(idx int, start, now float64) {
 }
 
 // complete finishes the transmission begun at start on arc idx; it mirrors
-// System.completeService (FIFO discipline).
+// System.completeService (FIFO discipline). The packet in service is the
+// queue head, which is popped; pNext stores raw slots with a -1 end sentinel,
+// so the next slot plus one is exactly the biased head encoding.
 func (k *Kernel) complete(idx int, start float64) {
 	now := start + 1
-	s := k.aSvc[idx] - 1
-	if s < 0 {
-		panic(fmt.Sprintf("slotsim: completion on idle arc %d", idx))
-	}
-	k.aSvc[idx] = 0
+	s := k.aHead[idx] - 1
+	nh := k.pNext[s] + 1
+	k.aHead[idx] = nh
 	k.addBusy(idx, start, now)
 	if k.trackGrp || k.hopWait {
 		g := int32(idx >> k.groupShift)
@@ -1112,11 +1164,15 @@ func (k *Kernel) complete(idx int, start float64) {
 		}
 	}
 
-	// Start the next queued packet on this arc (never inside an outage
-	// window: the outage-end transition restarts the arc). The ring has room:
+	// The new head, if any, starts service — or stalls inside an outage
+	// window, until the outage-end transition restarts it. The ring has room:
 	// this arc's completion was just popped.
-	if k.aHead[idx] != 0 && (k.downWords == nil || !k.arcDown(idx)) {
-		k.startService(idx, k.popHead(idx), now)
+	if nh == 0 {
+		k.aTail[idx] = 0
+	} else if k.downWords != nil && k.arcDown(idx) {
+		k.stall(idx)
+	} else {
+		k.startHead(idx, now)
 	}
 
 	// Transient fault: one dedicated-stream draw per completed transmission

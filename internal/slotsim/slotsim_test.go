@@ -1,6 +1,7 @@
 package slotsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/xrand"
@@ -229,42 +230,63 @@ func BenchmarkContinuousKernelReplication(b *testing.B) {
 }
 
 // BenchmarkContinuousHypercubeReplication measures one pooled replication of
-// the continuous-time greedy hypercube (bulk arrival prefetch included) and
-// reports the kernel's cost per injected packet.
+// the continuous-time greedy hypercube (bulk arrival prefetch included) at
+// loads 0.5, 0.7 and 0.9 and reports the kernel's cost per injected packet.
+// The load sets how often a packet finds its arc idle, the outcome the
+// queue join branches on. load-0.7 is
+// continuousGreedyConfig's own λ = 1.4, the single point this benchmark ran
+// before it was split, so its ns/packet series continues.
 func BenchmarkContinuousHypercubeReplication(b *testing.B) {
-	cfg := continuousGreedyConfig()
-	cfg.Horizon = 500
-	cfg.Warmup = 0 // Generated then counts every injected packet
-	k := &Kernel{}
-	packets := k.Run(cfg).Generated
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Run(cfg)
+	for _, rho := range []float64{0.5, 0.7, 0.9} {
+		b.Run(fmt.Sprintf("load-%v", rho), func(b *testing.B) {
+			cfg := continuousGreedyConfig()
+			cfg.Lambda = 2 * rho // ρ = λ·p with p = 1/2
+			cfg.Horizon = 500
+			cfg.Warmup = 0 // Generated then counts every injected packet
+			k := &Kernel{}
+			packets := k.Run(cfg).Generated
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Run(cfg)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*packets), "ns/packet")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*packets), "ns/packet")
 }
 
-// flipDest sends every packet across dimension 0 only: a one-hop route.
-type flipDest struct{}
+// flipDest sends every packet across dimension 0 only (a one-hop route), or
+// across dimensions 0 and 1 when two is set.
+type flipDest struct{ two bool }
 
-func (flipDest) SampleDest(origin int32, rng *xrand.Rand) uint32 { return uint32(origin) ^ 1 }
+func (f flipDest) SampleDest(origin int32, rng *xrand.Rand) uint32 {
+	if f.two {
+		return uint32(origin) ^ 3
+	}
+	return uint32(origin) ^ 1
+}
 
 // TestContinuousTieBreak pins the continuous-mode rule for a completion and
 // an arrival due at the same instant: they fire in des schedule order. A
-// one-hop packet injected at t = 0 completes at t = 1, and the pending
-// arrival is forced to t = 1. Scheduled before the completion (mark 0), the
-// arrival fires first, so both packets are in flight together; scheduled
-// after it (mark = completions pushed), the first packet has left by then.
+// packet injected at t = 0 completes its last hop at t = hops, and the
+// pending arrival is forced to that instant. Scheduled before that completion
+// (mark 0), the arrival fires first, so both packets are in flight together;
+// scheduled after it (mark = hops, the completions pushed by then), the
+// first packet has left by then. With one hop the tie is the run's first
+// event; with two it comes after the measurement start, where completions
+// due strictly before the arrival drain without the merge.
 func TestContinuousTieBreak(t *testing.T) {
 	const d = 4
 	for _, tc := range []struct {
 		name       string
+		hops       int
 		markPushed bool
 		wantMaxPop float64
 	}{
-		{"arrival scheduled first", false, 2},
-		{"completion scheduled first", true, 1},
+		{"arrival scheduled first", 1, false, 2},
+		{"completion scheduled first", 1, true, 1},
+		{"arrival scheduled first mid-run", 2, false, 2},
+		{"completion scheduled first mid-run", 2, true, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := &Kernel{}
@@ -276,15 +298,15 @@ func TestContinuousTieBreak(t *testing.T) {
 				Seed:      1,
 				Lambda:    1e-300, // no drawn arrival falls inside the horizon
 				Mode:      RouteHypercubeGreedy,
-				Dest:      flipDest{},
+				Dest:      flipDest{two: tc.hops == 2},
 			})
 			if k.arrPending {
 				t.Fatal("an arrival was drawn inside the horizon")
 			}
-			k.injectTo(0, 1, 0) // one hop: due at t = 1
-			k.arrTime, k.arrPending, k.arrMark = 1, true, 0
+			k.injectTo(0, uint32(1<<tc.hops-1), 0) // last hop due at t = hops
+			k.arrTime, k.arrPending, k.arrMark = float64(tc.hops), true, 0
 			if tc.markPushed {
-				k.arrMark = k.compTail
+				k.arrMark = uint64(tc.hops)
 			}
 			k.runContinuous()
 			m := k.snapshot()

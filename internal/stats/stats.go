@@ -132,13 +132,17 @@ type TimeWeighted struct {
 }
 
 // Set records that the tracked process takes value v from time now onwards.
-// Calls must have non-decreasing time stamps. The common case is small
-// enough to inline into the simulators' per-hop hot path; initialisation and
-// the went-backwards panic live in setSlow.
+// Calls must have non-decreasing time stamps; the first call starts the
+// process. Set is small enough to inline into the simulators' per-hop hot
+// path: the went-backwards panic carries a typed value whose message is
+// formatted only when printed.
 func (w *TimeWeighted) Set(now, v float64) {
-	if !w.started || now < w.lastTime {
-		w.setSlow(now, v)
+	if !w.started {
+		w.Reset(now, v)
 		return
+	}
+	if now < w.lastTime {
+		panic(timeWentBackwards{now, w.lastTime})
 	}
 	w.area += w.lastValue * (now - w.lastTime)
 	w.lastTime = now
@@ -148,15 +152,11 @@ func (w *TimeWeighted) Set(now, v float64) {
 	}
 }
 
-func (w *TimeWeighted) setSlow(now, v float64) {
-	if w.started {
-		panic(fmt.Sprintf("stats: TimeWeighted.Set time went backwards: %v < %v", now, w.lastTime))
-	}
-	w.started = true
-	w.startTime = now
-	w.lastTime = now
-	w.lastValue = v
-	w.maxValue = v
+// timeWentBackwards is TimeWeighted.Set's panic value.
+type timeWentBackwards struct{ now, last float64 }
+
+func (e timeWentBackwards) Error() string {
+	return fmt.Sprintf("stats: TimeWeighted.Set time went backwards: %v < %v", e.now, e.last)
 }
 
 // Advance extends the current value to time now without changing it.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -187,8 +188,12 @@ func TestTimeWeightedReset(t *testing.T) {
 
 func TestTimeWeightedBackwardsTimePanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("expected panic on backwards time")
+		}
+		if msg := fmt.Sprint(r); msg != "stats: TimeWeighted.Set time went backwards: 5 < 10" {
+			t.Fatalf("panic message %q", msg)
 		}
 	}()
 	var w TimeWeighted
