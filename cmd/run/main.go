@@ -61,6 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
+	if *csvOut && *jsonOut {
+		fmt.Fprintf(stderr, "run: -csv and -json select different output formats; pass at most one\n")
+		return cli.ExitUsage
+	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc

@@ -128,18 +128,27 @@ func TestRunExitCodeTable(t *testing.T) {
 		name string
 		args []string
 		want int
+		// stderr lists substrings the error message must contain.
+		stderr []string
 	}{
-		{"success", []string{good}, cli.ExitOK},
-		{"runtime failure", []string{"-artifacts", blocked, good}, cli.ExitRuntime},
-		{"usage error", []string{"-nonsense"}, cli.ExitUsage},
-		{"spec failure", []string{bad}, cli.ExitSpec},
-		{"timeout expiry", []string{"-timeout", "1ns", good}, cli.ExitTimeout},
+		{"success", []string{good}, cli.ExitOK, nil},
+		{"runtime failure", []string{"-artifacts", blocked, good}, cli.ExitRuntime, nil},
+		{"usage error", []string{"-nonsense"}, cli.ExitUsage, nil},
+		// Two output formats cannot both apply; neither may win silently.
+		{"csv with json", []string{"-csv", "-json", good}, cli.ExitUsage, []string{"-csv", "-json"}},
+		{"spec failure", []string{bad}, cli.ExitSpec, nil},
+		{"timeout expiry", []string{"-timeout", "1ns", good}, cli.ExitTimeout, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder
 			if code := run(tc.args, &stdout, &stderr); code != tc.want {
 				t.Fatalf("run(%v) = %d, want %d; stderr: %s", tc.args, code, tc.want, stderr.String())
+			}
+			for _, want := range tc.stderr {
+				if !strings.Contains(stderr.String(), want) {
+					t.Fatalf("run(%v) stderr %q does not name %s", tc.args, stderr.String(), want)
+				}
 			}
 		})
 	}

@@ -1,13 +1,9 @@
-// Command sweep executes declarative parameter sweeps over the unified
-// scenario API (sim.Sweep / sim.RunSweep). It has two built-in sweeps — the
-// two headline curves of the reproduction — plus a -spec mode that runs any
-// sweep spec file:
-//
-//   - "load": mean delay versus load factor rho at fixed dimension, for the
-//     measured system and the Prop. 12 / Prop. 13 bounds (the 1/(1-rho) knee);
-//   - "dimension": mean delay versus d at fixed rho, showing the O(d) scaling;
-//   - -spec file.json: any sweep spec (see docs/SPEC.md and specs/sweep-*.json),
-//     streamed as CSV (default) or JSON Lines (-json) rows in point order.
+// Command sweep runs a declarative sweep spec file (see docs/SPEC.md and
+// specs/sweep-*.json) over the unified scenario API (sim.RunSweep) and
+// streams one row per point, as CSV (default) or JSON Lines (-json), in point
+// order. The paper's two headline curves are checked in as
+// specs/sweep-load.json (mean delay versus rho, with the Prop. 12/13 bounds)
+// and specs/sweep-dimension.json (mean delay versus d at fixed rho).
 //
 // Sweep points are independent simulations, so they execute concurrently on
 // the engine's worker pool; rows are emitted in sweep order regardless of
@@ -16,11 +12,9 @@
 //
 // Examples:
 //
-//	sweep -mode load -d 7
-//	sweep -mode dimension -rho 0.8 -csv
-//	sweep -mode load -json -parallelism 4
 //	sweep -spec specs/sweep-load.json
 //	sweep -spec specs/sweep-smoke.json -json > rows.jsonl
+//	sweep -spec specs/fault-sweep.json -checkpoint fault.ckpt
 //
 // Exit codes (shared with cmd/run, see internal/cli): 0 success, 1 runtime
 // failure, 2 usage error, 3 spec load/validation failure, 4 -timeout expiry.
@@ -33,13 +27,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
-	"time"
 
-	"repro/internal/asciiplot"
 	"repro/internal/cli"
 	"repro/internal/harness"
-	"repro/internal/stats"
 	"repro/sim"
 )
 
@@ -53,21 +43,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		mode        = fs.String("mode", "load", "built-in sweep: load (T vs rho) or dimension (T vs d)")
-		spec        = fs.String("spec", "", "run a sweep spec file instead of a built-in mode")
-		d           = fs.Int("d", 7, "hypercube dimension (load mode) ")
-		rho         = fs.Float64("rho", 0.8, "load factor (dimension mode)")
-		p           = fs.Float64("p", 0.5, "destination bit-flip probability")
-		horizon     = fs.Float64("horizon", 4000, "simulated time per point")
-		seed        = fs.Uint64("seed", 1, "random seed")
-		csvOnly     = fs.Bool("csv", false, "emit only CSV (no ASCII plot)")
-		jsonOut     = fs.Bool("json", false, "emit JSON (built-in modes: the table; -spec: JSON Lines rows)")
+		spec        = fs.String("spec", "", "sweep spec file to run (required)")
+		jsonOut     = fs.Bool("json", false, "emit JSON Lines rows instead of CSV")
 		parallelism = fs.Int("parallelism", 0, "max concurrent sweep points (0 = GOMAXPROCS)")
 		progress    = fs.Bool("progress", false, "report per-point progress on stderr")
 		timeout     = fs.Duration("timeout", 0, "abort the whole invocation after this wall-clock duration (0 = no limit)")
-		checkpoint  = fs.String("checkpoint", "", "journal completed points to this file and resume from it (-spec mode only)")
+		checkpoint  = fs.String("checkpoint", "", "journal completed points to this file and resume from it")
 	)
 	if err := fs.Parse(args); err != nil {
+		return cli.ExitUsage
+	}
+	if *spec == "" {
+		fmt.Fprintf(stderr, "sweep: -spec is required: sweep -spec file.json [-json] [-parallelism N] [-progress] [-timeout D] [-checkpoint file]\n")
 		return cli.ExitUsage
 	}
 	ctx := context.Background()
@@ -77,175 +64,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	if *spec != "" {
-		// A -spec run takes every model parameter from the spec file; catch
-		// built-in-mode flags on the same command line instead of silently
-		// ignoring them.
-		builtinOnly := map[string]bool{
-			"mode": true, "d": true, "rho": true, "p": true,
-			"horizon": true, "seed": true, "csv": true,
-		}
-		var clash []string
-		fs.Visit(func(f *flag.Flag) {
-			if builtinOnly[f.Name] {
-				clash = append(clash, "-"+f.Name)
-			}
-		})
-		if len(clash) > 0 {
-			fmt.Fprintf(stderr, "sweep: %s only apply to the built-in modes; a -spec run takes all parameters from the spec file\n",
-				strings.Join(clash, ", "))
-			return cli.ExitUsage
-		}
-		sw, err := harness.LoadSweep(*spec)
-		if err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return cli.ExitSpec
-		}
-		sw.Parallelism = *parallelism
-		// -spec mode only streams to a sink; don't hold every Result until
-		// the sweep ends.
-		sw.DiscardResults = true
-		sw.CheckpointPath = *checkpoint
-		if *progress {
-			title := sw.Title()
-			sw.Progress = func(done, total int) {
-				fmt.Fprintf(stderr, "%s: point %d/%d done\n", title, done, total)
-			}
-		}
-		var sink sim.RowSink
-		if *jsonOut {
-			sink = sim.NewJSONLSink(stdout)
-		} else {
-			sink = sim.NewCSVSink(stdout)
-		}
-		if _, err := sim.RunSweep(ctx, *sw, sink); err != nil {
-			return reportSweepErr(err, *timeout, stderr)
-		}
-		return cli.ExitOK
-	}
-	if *checkpoint != "" {
-		fmt.Fprintf(stderr, "sweep: -checkpoint only applies to -spec runs\n")
-		return cli.ExitUsage
-	}
-
-	switch *mode {
-	case "load":
-		return sweepLoad(ctx, *d, *p, *horizon, *seed, *parallelism, *timeout, *csvOnly, *jsonOut, stdout, stderr)
-	case "dimension":
-		return sweepDimension(ctx, *rho, *p, *horizon, *seed, *parallelism, *timeout, *csvOnly, *jsonOut, stdout, stderr)
-	default:
-		fmt.Fprintf(stderr, "sweep: unknown mode %q\n", *mode)
-		return cli.ExitUsage
-	}
-}
-
-// reportSweepErr prints a sweep failure — translating a -timeout expiry into
-// a message that names the flag — and returns the matching exit code.
-func reportSweepErr(err error, timeout time.Duration, stderr io.Writer) int {
-	if errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(stderr, "sweep: timed out after %v (-timeout)\n", timeout)
-		return cli.ExitTimeout
-	}
-	fmt.Fprintf(stderr, "sweep: %v\n", err)
-	return cli.ExitRuntime
-}
-
-// runSweep executes the sweep and returns its rows in point order; a nil
-// slice means the error was already reported, with code as the exit code.
-func runSweep(ctx context.Context, sw sim.Sweep, parallelism int, timeout time.Duration, stderr io.Writer) ([]sim.Row, int) {
-	sw.Parallelism = parallelism
-	rows, err := sim.RunSweep(ctx, sw)
+	sw, err := harness.LoadSweep(*spec)
 	if err != nil {
-		return nil, reportSweepErr(err, timeout, stderr)
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
+		return cli.ExitSpec
 	}
-	return rows, cli.ExitOK
-}
-
-func emit(table *harness.Table, series []stats.Series, jsonOut, csvOnly bool, xLabel string, stdout, stderr io.Writer) int {
-	if jsonOut {
-		data, err := table.JSON()
-		if err != nil {
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return cli.ExitRuntime
+	sw.Parallelism = *parallelism
+	// Rows only stream to a sink; don't hold every Result until the sweep
+	// ends.
+	sw.DiscardResults = true
+	sw.CheckpointPath = *checkpoint
+	if *progress {
+		title := sw.Title()
+		sw.Progress = func(done, total int) {
+			fmt.Fprintf(stderr, "%s: point %d/%d done\n", title, done, total)
 		}
-		fmt.Fprintf(stdout, "%s\n", data)
-		return cli.ExitOK
 	}
-	fmt.Fprint(stdout, table.CSV())
-	if !csvOnly {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, asciiplot.Render(series, asciiplot.Options{
-			Title: table.Title, Width: 70, Height: 18, XLabel: xLabel, YLabel: "mean delay",
-		}))
+	var sink sim.RowSink
+	if *jsonOut {
+		sink = sim.NewJSONLSink(stdout)
+	} else {
+		sink = sim.NewCSVSink(stdout)
+	}
+	if _, err := sim.RunSweep(ctx, *sw, sink); err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			fmt.Fprintf(stderr, "sweep: timed out after %v (-timeout)\n", *timeout)
+			return cli.ExitTimeout
+		}
+		fmt.Fprintf(stderr, "sweep: %v\n", err)
+		return cli.ExitRuntime
 	}
 	return cli.ExitOK
-}
-
-// loadSweep is the built-in "load" curve as a declarative sweep (the same
-// sweep is checked in as specs/sweep-load.json).
-func loadSweep(d int, p, horizon float64, seed uint64) sim.Sweep {
-	return sim.Sweep{
-		Base: sim.Scenario{Topology: sim.Hypercube(d), P: p, Horizon: horizon, Seed: seed},
-		Axes: []sim.Axis{
-			{Field: "load_factor", Values: sim.Nums(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9, 0.95)},
-		},
-	}
-}
-
-// dimensionSweep is the built-in "dimension" curve as a declarative sweep
-// (checked in as specs/sweep-dimension.json).
-func dimensionSweep(rho, p, horizon float64, seed uint64) sim.Sweep {
-	return sim.Sweep{
-		Base: sim.Scenario{Topology: sim.Hypercube(0), P: p, LoadFactor: rho, Horizon: horizon, Seed: seed},
-		Axes: []sim.Axis{
-			{Field: "d", Values: sim.Ints(3, 4, 5, 6, 7, 8, 9)},
-		},
-	}
-}
-
-func sweepLoad(ctx context.Context, d int, p, horizon float64, seed uint64, parallelism int, timeout time.Duration, csvOnly, jsonOut bool, stdout, stderr io.Writer) int {
-	table := harness.NewTable(fmt.Sprintf("mean delay vs rho (d=%d, p=%g)", d, p),
-		"rho", "measured T", "lower (P13)", "upper (P12)")
-	var measured, lower, upper stats.Series
-	measured.Name = "measured T"
-	lower.Name = "lower bound (Prop 13)"
-	upper.Name = "upper bound (Prop 12)"
-	rows, code := runSweep(ctx, loadSweep(d, p, horizon, seed), parallelism, timeout, stderr)
-	if rows == nil {
-		return code
-	}
-	for _, row := range rows {
-		res := row.Result
-		rho := res.LoadFactor
-		h := res.Hypercube
-		table.AddRow(harness.F(rho), harness.F(res.MeanDelay),
-			harness.F(h.GreedyLowerBound), harness.F(h.GreedyUpperBound))
-		measured.AddPoint(rho, res.MeanDelay)
-		lower.AddPoint(rho, h.GreedyLowerBound)
-		upper.AddPoint(rho, h.GreedyUpperBound)
-	}
-	return emit(table, []stats.Series{measured, lower, upper}, jsonOut, csvOnly, "rho", stdout, stderr)
-}
-
-func sweepDimension(ctx context.Context, rho, p, horizon float64, seed uint64, parallelism int, timeout time.Duration, csvOnly, jsonOut bool, stdout, stderr io.Writer) int {
-	table := harness.NewTable(fmt.Sprintf("mean delay vs dimension (rho=%g, p=%g)", rho, p),
-		"d", "measured T", "lower (P13)", "upper (P12)", "T/d")
-	var measured, upper stats.Series
-	measured.Name = "measured T"
-	upper.Name = "upper bound (Prop 12)"
-	rows, code := runSweep(ctx, dimensionSweep(rho, p, horizon, seed), parallelism, timeout, stderr)
-	if rows == nil {
-		return code
-	}
-	for _, row := range rows {
-		res := row.Result
-		d := res.Topology.D
-		h := res.Hypercube
-		table.AddRow(fmt.Sprintf("%d", d), harness.F(res.MeanDelay),
-			harness.F(h.GreedyLowerBound), harness.F(h.GreedyUpperBound),
-			harness.F(res.MeanDelay/float64(d)))
-		measured.AddPoint(float64(d), res.MeanDelay)
-		upper.AddPoint(float64(d), h.GreedyUpperBound)
-	}
-	return emit(table, []stats.Series{measured, upper}, jsonOut, csvOnly, "d", stdout, stderr)
 }

@@ -73,17 +73,20 @@ func TestSweepRejectsBadSpecs(t *testing.T) {
 
 func TestSweepUsageErrors(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-mode", "sideways"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unknown mode exit code = %d, want 2", code)
-	}
-	// Built-in-mode flags next to -spec are rejected, not silently ignored.
+	// The removed built-in-mode flags are usage errors that name the flag;
+	// every model parameter comes from the spec file.
 	spec := filepath.Join("..", "..", "specs", "sweep-smoke.json")
-	stderr.Reset()
-	if code := run([]string{"-spec", spec, "-seed", "42"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-spec with -seed exit code = %d, want 2", code)
+	for _, flag := range []string{"-mode", "-seed"} {
+		stderr.Reset()
+		if code := run([]string{"-spec", spec, flag, "1"}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-spec with %s exit code = %d, want 2", flag, code)
+		}
+		if !strings.Contains(stderr.String(), flag) {
+			t.Fatalf("usage error does not name %s: %q", flag, stderr.String())
+		}
 	}
-	if !strings.Contains(stderr.String(), "-seed") {
-		t.Fatalf("clash error does not name the flag: %q", stderr.String())
+	if stdout.Len() != 0 {
+		t.Fatalf("usage errors produced stdout output: %q", stdout.String())
 	}
 	if code := run([]string{"-nonsense"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("bad flag exit code = %d, want 2", code)
@@ -107,7 +110,7 @@ func TestSweepExitCodeTable(t *testing.T) {
 		// A checkpoint journal in a nonexistent directory fails at open time,
 		// after the spec has validated: a runtime error.
 		{"runtime failure", []string{"-spec", spec, "-checkpoint", filepath.Join(t.TempDir(), "no", "dir", "x.ckpt")}, cli.ExitRuntime},
-		{"usage error", []string{"-mode", "sideways"}, cli.ExitUsage},
+		{"usage error", []string{"-spec", spec, "-mode", "load"}, cli.ExitUsage},
 		{"spec failure", []string{"-spec", bad}, cli.ExitSpec},
 		{"timeout expiry", []string{"-spec", spec, "-timeout", "1ns"}, cli.ExitTimeout},
 	}
@@ -241,16 +244,33 @@ func TestSweepTimeoutFlag(t *testing.T) {
 	}
 }
 
-// TestSweepCheckpointFlag pins -checkpoint: it is -spec-only (usage error
-// otherwise), and a resumed run — here a fully-journaled rerun — streams the
-// exact bytes of the uninterrupted run.
+// TestSweepRequiresSpec pins that sweep has no built-in sweeps: without
+// -spec it is a usage error whose message names the flag.
+func TestSweepRequiresSpec(t *testing.T) {
+	for _, args := range [][]string{nil, {"-json"}, {"-checkpoint", "x.ckpt"}} {
+		var stdout, stderr strings.Builder
+		if code := run(args, &stdout, &stderr); code != cli.ExitUsage {
+			t.Fatalf("run(%v) = %d, want %d (ExitUsage)", args, code, cli.ExitUsage)
+		}
+		if !strings.Contains(stderr.String(), "-spec") {
+			t.Fatalf("run(%v) stderr %q does not name -spec", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("run(%v) produced stdout output: %q", args, stdout.String())
+		}
+	}
+}
+
+// TestSweepCheckpointFlag pins -checkpoint: a resumed run — here a
+// fully-journaled rerun — streams the exact bytes of the uninterrupted run.
+// The removed -mode flag is a usage error next to it too.
 func TestSweepCheckpointFlag(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-mode", "load", "-checkpoint", "x.ckpt"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("built-in mode with -checkpoint exit code = %d, want 2", code)
+		t.Fatalf("-mode with -checkpoint exit code = %d, want 2", code)
 	}
-	if !strings.Contains(stderr.String(), "-checkpoint only applies to -spec runs") {
-		t.Fatalf("stderr %q does not explain the -checkpoint restriction", stderr.String())
+	if !strings.Contains(stderr.String(), "-mode") {
+		t.Fatalf("stderr %q does not name the removed -mode flag", stderr.String())
 	}
 
 	spec := filepath.Join("..", "..", "specs", "sweep-smoke.json")

@@ -19,11 +19,6 @@
 // completion streams, slot clocks — can bypass the heap entirely through
 // monotone channels (NewChannel), which fire in O(1) per event.
 //
-// The original closure API (Schedule, ScheduleAt returning *Event, Cancel) is
-// kept as a thin compatibility shim on top of the typed calendar: it still
-// allocates one Event per call and is intended for tests, one-off setup
-// events and cold paths; hot loops should register a handler.
-//
 // # Determinism
 //
 // Determinism matters: the paper's sample-path arguments (Lemmas 7-10) are
@@ -51,10 +46,6 @@ type Handler interface {
 
 // HandlerID identifies a handler registered with RegisterHandler.
 type HandlerID int32
-
-// closureHandler marks calendar entries owned by the closure compatibility
-// shim; owner is then an index into Simulator.closures.
-const closureHandler HandlerID = -1
 
 // heapArity is the fan-out of the implicit heap. A 4-ary heap does fewer,
 // more cache-friendly levels than a binary heap for the same size, which
@@ -91,21 +82,6 @@ type EventRef struct {
 	slot int32 // slot index + 1, so the zero value is inert
 	gen  uint32
 }
-
-// Event is a scheduled callback created by the closure shim. Events can be
-// cancelled; a cancelled event stays in the calendar but is skipped when it
-// reaches the head of the heap (lazy deletion).
-type Event struct {
-	time      float64
-	fn        func()
-	cancelled bool
-}
-
-// Time returns the simulation time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // ChannelID identifies a monotone event channel created with NewChannel.
 type ChannelID int32
@@ -164,11 +140,6 @@ type Simulator struct {
 	// Cancellation slots for typed events, recycled through a free list.
 	slots    []cancelSlot
 	slotFree []int32
-
-	// Closure shim state: pending *Event entries, recycled through a free
-	// list (the Events themselves are caller-visible and not recycled).
-	closures    []*Event
-	closureFree []int32
 }
 
 // New returns a simulator with the clock at zero and an empty calendar.
@@ -196,11 +167,6 @@ func (s *Simulator) Reset() {
 	}
 	s.slots = s.slots[:0]
 	s.slotFree = s.slotFree[:0]
-	for i := range s.closures {
-		s.closures[i] = nil
-	}
-	s.closures = s.closures[:0]
-	s.closureFree = s.closureFree[:0]
 }
 
 // Pending returns the number of events in the calendar, including cancelled
@@ -230,10 +196,10 @@ func (s *Simulator) RegisterHandler(h Handler) HandlerID {
 // panics, since it would silently corrupt the sample path.
 func (s *Simulator) checkTime(t float64) {
 	if t < s.now {
-		panic(fmt.Sprintf("des: ScheduleAt(%v) before current time %v", t, s.now))
+		panic(fmt.Sprintf("des: schedule at %v before current time %v", t, s.now))
 	}
 	if math.IsNaN(t) {
-		panic("des: ScheduleAt with NaN time")
+		panic("des: schedule at NaN time")
 	}
 }
 
@@ -332,31 +298,6 @@ func (s *Simulator) CancelRef(ref EventRef) {
 	sl.cancelled = true
 }
 
-// ScheduleAt schedules fn to run at absolute time t (closure shim).
-func (s *Simulator) ScheduleAt(t float64, fn func()) *Event {
-	s.checkTime(t)
-	ev := &Event{time: t, fn: fn}
-	s.push(item{time: t, seq: s.nextSeq(), h: closureHandler, owner: s.allocClosure(ev), slot: -1})
-	return ev
-}
-
-// Schedule schedules fn to run delay time units from now (closure shim).
-func (s *Simulator) Schedule(delay float64, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: Schedule with negative delay %v", delay))
-	}
-	return s.ScheduleAt(s.now+delay, fn)
-}
-
-// Cancel marks a closure event so that it will not fire. Cancelling an event
-// that already fired or was already cancelled is a no-op.
-func (s *Simulator) Cancel(ev *Event) {
-	if ev == nil {
-		return
-	}
-	ev.cancelled = true
-}
-
 // Stop makes the current Run call return after the event being processed.
 func (s *Simulator) Stop() { s.stopped = true }
 
@@ -444,15 +385,9 @@ const heapSource = -1
 func (s *Simulator) heapLive() bool {
 	for len(s.heap) > 0 {
 		it := &s.heap[0]
-		if it.slot >= 0 {
-			if s.slots[it.slot].cancelled {
-				dead := s.popHead()
-				s.freeSlot(dead.slot)
-				continue
-			}
-		} else if it.h == closureHandler && s.closures[it.owner].cancelled {
+		if it.slot >= 0 && s.slots[it.slot].cancelled {
 			dead := s.popHead()
-			s.freeClosure(dead.owner)
+			s.freeSlot(dead.slot)
 			continue
 		}
 		return true
@@ -472,12 +407,6 @@ func (s *Simulator) fire(src int) {
 	}
 	s.now = it.time
 	s.processed++
-	if it.h == closureHandler {
-		ev := s.closures[it.owner]
-		s.freeClosure(it.owner)
-		ev.fn()
-		return
-	}
 	if it.slot >= 0 {
 		s.freeSlot(it.slot)
 	}
@@ -509,22 +438,6 @@ func (s *Simulator) freeSlot(idx int32) {
 	sl.gen++
 	sl.cancelled = false
 	s.slotFree = append(s.slotFree, idx)
-}
-
-func (s *Simulator) allocClosure(ev *Event) int32 {
-	if n := len(s.closureFree); n > 0 {
-		idx := s.closureFree[n-1]
-		s.closureFree = s.closureFree[:n-1]
-		s.closures[idx] = ev
-		return idx
-	}
-	s.closures = append(s.closures, ev)
-	return int32(len(s.closures) - 1)
-}
-
-func (s *Simulator) freeClosure(idx int32) {
-	s.closures[idx] = nil
-	s.closureFree = append(s.closureFree, idx)
 }
 
 // push inserts a calendar entry into the 4-ary heap.

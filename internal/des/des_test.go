@@ -8,13 +8,47 @@ import (
 	"repro/internal/xrand"
 )
 
+// calls is a test handler that runs one function per event: an event's
+// owner indexes fns. It lets the calendar tests below state their event
+// bodies inline while every event goes through the typed calendar.
+type calls struct {
+	s   *Simulator
+	h   HandlerID
+	fns []func()
+}
+
+func newCalls(s *Simulator) *calls {
+	c := &calls{s: s}
+	c.h = s.RegisterHandler(c)
+	return c
+}
+
+func (c *calls) HandleEvent(_, owner int32) { c.fns[owner]() }
+
+// add files fn and returns its owner index.
+func (c *calls) add(fn func()) int32 {
+	c.fns = append(c.fns, fn)
+	return int32(len(c.fns) - 1)
+}
+
+// at schedules fn at absolute time t.
+func (c *calls) at(t float64, fn func()) { c.s.ScheduleEventAt(t, c.h, 0, c.add(fn)) }
+
+// after schedules fn delay time units from now.
+func (c *calls) after(delay float64, fn func()) { c.s.ScheduleEvent(delay, c.h, 0, c.add(fn)) }
+
+// cancellableAt schedules fn at absolute time t and returns its reference.
+func (c *calls) cancellableAt(t float64, fn func()) EventRef {
+	return c.s.ScheduleCancellableAt(t, c.h, 0, c.add(fn))
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	var fired []float64
 	times := []float64{5, 1, 3, 2, 4}
 	for _, tm := range times {
-		tt := tm
-		s.ScheduleAt(tt, func() { fired = append(fired, tt) })
+		c.at(tm, func() { fired = append(fired, tm) })
 	}
 	s.Run()
 	if len(fired) != len(times) {
@@ -33,10 +67,10 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	var order []int
 	for i := 0; i < 100; i++ {
-		i := i
-		s.ScheduleAt(1.0, func() { order = append(order, i) })
+		c.at(1.0, func() { order = append(order, i) })
 	}
 	s.Run()
 	for i, v := range order {
@@ -48,10 +82,11 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 
 func TestScheduleRelative(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	var hit []float64
-	s.Schedule(2, func() {
+	c.after(2, func() {
 		hit = append(hit, s.Now())
-		s.Schedule(3, func() { hit = append(hit, s.Now()) })
+		c.after(3, func() { hit = append(hit, s.Now()) })
 	})
 	s.Run()
 	if len(hit) != 2 || hit[0] != 2 || hit[1] != 5 {
@@ -61,34 +96,35 @@ func TestScheduleRelative(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
-	s.ScheduleAt(5, func() {})
+	c := newCalls(s)
+	c.at(5, func() {})
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
 		}
 	}()
-	s.ScheduleAt(1, func() {})
+	c.at(1, func() {})
 }
 
 func TestScheduleNegativeDelayPanics(t *testing.T) {
-	s := New()
+	c := newCalls(New())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.Schedule(-1, func() {})
+	c.after(-1, func() {})
 }
 
 func TestScheduleNaNPanics(t *testing.T) {
-	s := New()
+	c := newCalls(New())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.ScheduleAt(nan(), func() {})
+	c.at(nan(), func() {})
 }
 
 func nan() float64 {
@@ -98,14 +134,12 @@ func nan() float64 {
 
 func TestCancel(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	fired := false
-	ev := s.ScheduleAt(1, func() { fired = true })
+	ref := c.cancellableAt(1, func() { fired = true })
 	keep := 0
-	s.ScheduleAt(2, func() { keep++ })
-	s.Cancel(ev)
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
+	c.at(2, func() { keep++ })
+	s.CancelRef(ref)
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
@@ -113,16 +147,17 @@ func TestCancel(t *testing.T) {
 	if keep != 1 {
 		t.Fatal("non-cancelled event did not fire")
 	}
-	// Cancelling nil or an already-fired event must not panic.
-	s.Cancel(nil)
-	s.Cancel(ev)
+	// Cancelling the zero reference or an already-discarded event must not panic.
+	s.CancelRef(EventRef{})
+	s.CancelRef(ref)
 }
 
 func TestRunUntilStopsAtHorizon(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.ScheduleAt(float64(i), func() { count++ })
+		c.at(float64(i), func() { count++ })
 	}
 	s.RunUntil(5.5)
 	if count != 5 {
@@ -148,9 +183,10 @@ func TestRunUntilEmptyCalendarAdvancesClock(t *testing.T) {
 
 func TestStop(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.ScheduleAt(float64(i), func() {
+		c.at(float64(i), func() {
 			count++
 			if count == 3 {
 				s.Stop()
@@ -170,9 +206,10 @@ func TestStop(t *testing.T) {
 
 func TestRunWhile(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	count := 0
 	for i := 1; i <= 10; i++ {
-		s.ScheduleAt(float64(i), func() { count++ })
+		c.at(float64(i), func() { count++ })
 	}
 	s.RunWhile(func() bool { return count < 4 })
 	if count != 4 {
@@ -189,15 +226,16 @@ func TestStepOnEmptyCalendar(t *testing.T) {
 
 func TestPendingCount(t *testing.T) {
 	s := New()
+	c := newCalls(s)
 	if s.Pending() != 0 {
 		t.Fatal("pending not zero initially")
 	}
-	e1 := s.ScheduleAt(1, func() {})
-	s.ScheduleAt(2, func() {})
+	e1 := c.cancellableAt(1, func() {})
+	c.at(2, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("pending = %d", s.Pending())
 	}
-	s.Cancel(e1)
+	s.CancelRef(e1)
 	// Lazy deletion: still counted until skipped.
 	if s.Pending() != 2 {
 		t.Fatalf("pending after cancel = %d", s.Pending())
@@ -208,11 +246,16 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
+// TestEventTimeAccessor checks that an event body reads its own scheduled
+// time from the clock.
 func TestEventTimeAccessor(t *testing.T) {
 	s := New()
-	ev := s.ScheduleAt(7.5, func() {})
-	if ev.Time() != 7.5 {
-		t.Fatalf("Time() = %v", ev.Time())
+	c := newCalls(s)
+	at := -1.0
+	c.at(7.5, func() { at = s.Now() })
+	s.Run()
+	if at != 7.5 {
+		t.Fatalf("Now() inside the event = %v", at)
 	}
 }
 
@@ -220,13 +263,14 @@ func TestRescheduleDuringExecution(t *testing.T) {
 	// A self-rescheduling event models a periodic process (the slotted-time
 	// clock); make sure the pattern works and terminates with RunUntil.
 	s := New()
+	c := newCalls(s)
 	ticks := 0
 	var tick func()
 	tick = func() {
 		ticks++
-		s.Schedule(1, tick)
+		c.after(1, tick)
 	}
-	s.Schedule(1, tick)
+	c.after(1, tick)
 	s.RunUntil(10.5)
 	if ticks != 10 {
 		t.Fatalf("ticks = %d", ticks)
@@ -237,9 +281,10 @@ func TestCancelAndRescheduleStress(t *testing.T) {
 	// Randomly schedule and cancel events and verify that only non-cancelled
 	// events fire, in non-decreasing time order.
 	s := New()
+	c := newCalls(s)
 	rng := xrand.New(1)
 	type rec struct {
-		ev        *Event
+		ref       EventRef
 		cancelled bool
 	}
 	var recs []*rec
@@ -248,7 +293,7 @@ func TestCancelAndRescheduleStress(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		tm := rng.Float64() * 1000
 		r := &rec{}
-		r.ev = s.ScheduleAt(tm, func() {
+		r.ref = c.cancellableAt(tm, func() {
 			fired++
 			if s.Now() < lastTime {
 				t.Errorf("time went backwards: %v after %v", s.Now(), lastTime)
@@ -264,7 +309,7 @@ func TestCancelAndRescheduleStress(t *testing.T) {
 	for _, r := range recs {
 		if rng.Bernoulli(0.3) {
 			r.cancelled = true
-			s.Cancel(r.ev)
+			s.CancelRef(r.ref)
 			cancelled++
 		}
 	}
@@ -279,10 +324,10 @@ func TestCancelAndRescheduleStress(t *testing.T) {
 func TestQuickFiringOrderIsSorted(t *testing.T) {
 	f := func(raw []uint16) bool {
 		s := New()
+		c := newCalls(s)
 		var fired []float64
 		for _, r := range raw {
-			tm := float64(r) / 16
-			s.ScheduleAt(tm, func() { fired = append(fired, s.Now()) })
+			c.at(float64(r)/16, func() { fired = append(fired, s.Now()) })
 		}
 		s.Run()
 		if len(fired) != len(raw) {
@@ -303,10 +348,10 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := New()
+		c := newCalls(New())
 		for _, tm := range times {
-			s.ScheduleAt(tm, func() {})
+			c.at(tm, func() {})
 		}
-		s.Run()
+		c.s.Run()
 	}
 }

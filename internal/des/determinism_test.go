@@ -11,7 +11,8 @@ import (
 // (time, seq) event order of the calendar it replaced. refSimulator below is
 // the old implementation — a container/heap binary heap of *refEvent with
 // lazy cancellation — kept verbatim as the reference. Both simulators are
-// driven through the same E1-style closure workload (per-source
+// driven through the same E1-style workload (on the typed calendar, each
+// event body runs through the calls test handler as a cancellable event) (per-source
 // self-rescheduling Poisson arrivals feeding unit-service FIFO queues, plus
 // random cancellations), and the recorded golden traces must match entry for
 // entry. Because every schedule call consumes one global sequence number and
@@ -65,18 +66,18 @@ type refSimulator struct {
 
 func (s *refSimulator) Now() float64 { return s.now }
 
-func (s *refSimulator) ScheduleAt(t float64, fn func()) *refEvent {
+func (s *refSimulator) at(t float64, fn func()) *refEvent {
 	ev := &refEvent{time: t, seq: s.seq, fn: fn}
 	s.seq++
 	heap.Push(&s.events, ev)
 	return ev
 }
 
-func (s *refSimulator) Schedule(delay float64, fn func()) *refEvent {
-	return s.ScheduleAt(s.now+delay, fn)
+func (s *refSimulator) after(delay float64, fn func()) *refEvent {
+	return s.at(s.now+delay, fn)
 }
 
-func (s *refSimulator) Cancel(ev *refEvent) { ev.cancelled = true }
+func (s *refSimulator) cancel(ev *refEvent) { ev.cancelled = true }
 
 func (s *refSimulator) RunUntil(horizon float64) {
 	for {
@@ -135,15 +136,17 @@ type calendar interface {
 }
 
 type newCal struct {
-	sim  *Simulator
-	last *Event
+	c    *calls
+	last EventRef
 }
 
-func (c *newCal) Now() float64                      { return c.sim.Now() }
-func (c *newCal) scheduleAt(t float64, fn func())   { c.last = c.sim.ScheduleAt(t, fn) }
-func (c *newCal) schedule(delay float64, fn func()) { c.last = c.sim.Schedule(delay, fn) }
-func (c *newCal) cancelLast()                       { c.sim.Cancel(c.last) }
-func (c *newCal) runUntil(h float64)                { c.sim.RunUntil(h) }
+func (n *newCal) Now() float64                    { return n.c.s.Now() }
+func (n *newCal) scheduleAt(t float64, fn func()) { n.last = n.c.cancellableAt(t, fn) }
+func (n *newCal) schedule(delay float64, fn func()) {
+	n.last = n.c.s.ScheduleCancellable(delay, n.c.h, 0, n.c.add(fn))
+}
+func (n *newCal) cancelLast()        { n.c.s.CancelRef(n.last) }
+func (n *newCal) runUntil(h float64) { n.c.s.RunUntil(h) }
 
 type refCal struct {
 	sim  *refSimulator
@@ -151,9 +154,9 @@ type refCal struct {
 }
 
 func (c *refCal) Now() float64                      { return c.sim.Now() }
-func (c *refCal) scheduleAt(t float64, fn func())   { c.last = c.sim.ScheduleAt(t, fn) }
-func (c *refCal) schedule(delay float64, fn func()) { c.last = c.sim.Schedule(delay, fn) }
-func (c *refCal) cancelLast()                       { c.sim.Cancel(c.last) }
+func (c *refCal) scheduleAt(t float64, fn func())   { c.last = c.sim.at(t, fn) }
+func (c *refCal) schedule(delay float64, fn func()) { c.last = c.sim.after(delay, fn) }
+func (c *refCal) cancelLast()                       { c.sim.cancel(c.last) }
 func (c *refCal) runUntil(h float64)                { c.sim.RunUntil(h) }
 
 // runE1StyleWorkload drives an E1-like simulation on the given calendar: n
@@ -226,7 +229,7 @@ func runE1StyleWorkload(cal calendar, seed uint64, horizon float64) []traceEntry
 
 func TestGoldenTraceMatchesReferenceCalendar(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 12345} {
-		newTrace := runE1StyleWorkload(&newCal{sim: New()}, seed, 200)
+		newTrace := runE1StyleWorkload(&newCal{c: newCalls(New())}, seed, 200)
 		refTrace := runE1StyleWorkload(&refCal{sim: &refSimulator{}}, seed, 200)
 		if len(newTrace) == 0 {
 			t.Fatalf("seed %d: empty trace", seed)

@@ -42,7 +42,7 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 }
 
 // appender writes a tag into a shared order slice on every dispatch, so
-// typed and closure events can be traced into one interleaving.
+// events of several handlers can be traced into one interleaving.
 type appender struct {
 	order *[]string
 	tag   string
@@ -51,13 +51,15 @@ type appender struct {
 func (a *appender) HandleEvent(_, _ int32) { *a.order = append(*a.order, a.tag) }
 
 func TestTypedAndClosureEventsInterleaveBySeq(t *testing.T) {
-	// Simultaneous typed and closure events must fire in scheduling order.
+	// Simultaneous events of two handlers — a recorder and the closure-running
+	// test handler — must fire in scheduling order.
 	s := New()
 	var order []string
 	h := s.RegisterHandler(&appender{order: &order, tag: "typed"})
-	s.ScheduleAt(1, func() { order = append(order, "closure1") })
+	c := newCalls(s)
+	c.at(1, func() { order = append(order, "closure1") })
 	s.ScheduleEventAt(1, h, 0, 0)
-	s.ScheduleAt(1, func() { order = append(order, "closure2") })
+	c.at(1, func() { order = append(order, "closure2") })
 	s.Run()
 	want := []string{"closure1", "typed", "closure2"}
 	if len(order) != len(want) {
@@ -303,23 +305,4 @@ func BenchmarkScheduleFireCancelMix(b *testing.B) {
 		r.owners = r.owners[:0]
 		r.times = r.times[:0]
 	}
-}
-
-// BenchmarkClosureScheduleFire measures the compatibility shim for
-// comparison with the typed path.
-func BenchmarkClosureScheduleFire(b *testing.B) {
-	s := New()
-	var fire func()
-	left := b.N
-	fire = func() {
-		if left == 0 {
-			return
-		}
-		left--
-		s.Schedule(1, fire)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	s.Schedule(1, fire)
-	s.Run()
 }

@@ -42,7 +42,7 @@ const panicAttempts = 2
 // process, so one poisoned shard cannot take down a long sweep; callers
 // inspect it with errors.As.
 type PanicError struct {
-	// Index is the ForEachCtx index (the shard or sweep-point index) that
+	// Index is the ForEach index (the shard or sweep-point index) that
 	// panicked.
 	Index int
 	// Attempts is the number of times the index was tried.
@@ -84,7 +84,7 @@ func tryIndex(fn func(i int), i, attempt int) (pe *PanicError) {
 }
 
 // Pool is a shared worker-slot budget spanning concurrent engine calls. A
-// single ForEachCtx call bounds its own concurrency, but a process running
+// single ForEach call bounds its own concurrency, but a process running
 // many sweeps or replicated scenarios at once (the simulation daemon serving
 // many clients) needs one global budget, or every concurrent job would bring
 // its own GOMAXPROCS workers and oversubscribe the machine. Every simulation
@@ -135,20 +135,19 @@ func (p *Pool) Acquire(ctx context.Context) error {
 // Release returns a previously acquired slot to the pool.
 func (p *Pool) Release() { p.slots <- struct{}{} }
 
-// Task is one replication of an experiment. It receives the replication's
-// global index and its deterministic seed, runs whatever simulation the
-// experiment needs, and returns named scalar measurements. Tasks run
-// concurrently and must not share mutable state.
-type Task func(rep int, seed uint64) map[string]float64
-
-// SketchTask is a Task that additionally returns named quantile sketches for
-// the replication. The engine merges sketches exactly as it merges tallies:
-// shard-locally in replication order, then across shards in shard-index
-// order. Because DDSketch.Merge is exact (integer bucket counts), the merged
-// sketch is bit-identical at any parallelism. Returned sketches are retained
-// and merged by the engine after the task returns, so a task drawing from a
-// pooled runner must Clone the sketch out before releasing the runner. A nil
-// sketch map (or nil entries) is allowed and contributes nothing.
+// SketchTask is one replication of an experiment. It receives the
+// replication's global index and its deterministic seed, runs whatever
+// simulation the experiment needs, and returns named scalar measurements plus
+// named quantile sketches. Tasks run concurrently and must not share mutable
+// state.
+//
+// The engine merges sketches exactly as it merges tallies: shard-locally in
+// replication order, then across shards in shard-index order. Because
+// DDSketch.Merge is exact (integer bucket counts), the merged sketch is
+// bit-identical at any parallelism. Returned sketches are retained and merged
+// by the engine after the task returns, so a task drawing from a pooled
+// runner must Clone the sketch out before releasing the runner. A nil sketch
+// map (or nil entries) is allowed and contributes nothing.
 type SketchTask func(rep int, seed uint64) (map[string]float64, map[string]*stats.DDSketch)
 
 // Progress observes shard completion. It is called once per completed shard,
@@ -203,8 +202,8 @@ type Result struct {
 	// Metrics maps each measurement name returned by the task to its merged
 	// streaming tally.
 	Metrics map[string]*stats.Tally
-	// Sketches maps each sketch name returned by a SketchTask to the merged
-	// sketch over all replications (empty for plain Tasks).
+	// Sketches maps each sketch name returned by the task to the merged
+	// sketch over all replications (empty when the task returns none).
 	Sketches map[string]*stats.DDSketch
 }
 
@@ -260,30 +259,16 @@ func Shards(cfg Config) []Shard {
 
 // Run executes the task for every replication and returns the merged result.
 // Shards run concurrently on at most cfg.Parallelism workers; within a shard,
-// replications run serially in index order and feed a shard-local tally per
-// metric. After all shards complete, the shard tallies are merged in shard
-// order, so the result is independent of scheduling.
-func Run(cfg Config, task Task) *Result {
-	res, _ := RunCtx(context.Background(), cfg, task)
-	return res
-}
-
-// RunCtx is Run with cooperative cancellation: when ctx is cancelled, no new
-// shard starts (in-flight shards finish their current replication block) and
-// RunCtx returns (nil, ctx.Err()) instead of a partial merge. Cancellation
-// never compromises determinism — a run either completes with the exact
-// result Run would produce, or reports the context error.
-func RunCtx(ctx context.Context, cfg Config, task Task) (*Result, error) {
-	return RunSketchCtx(ctx, cfg, func(rep int, seed uint64) (map[string]float64, map[string]*stats.DDSketch) {
-		return task(rep, seed), nil
-	})
-}
-
-// RunSketchCtx is RunCtx for tasks that also produce quantile sketches. The
-// sketch merge follows the tally merge exactly — shard-local in replication
-// order, then shard-index order after the barrier — and DDSketch.Merge is
-// exact, so the merged sketches are bit-identical at any parallelism.
-func RunSketchCtx(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
+// replications run serially in index order and feed a shard-local tally (and
+// sketch) per metric. After all shards complete, the shard states are merged
+// in shard order, so the result is independent of scheduling.
+//
+// When ctx is cancelled, no new shard starts (in-flight shards finish their
+// current replication block) and Run returns (nil, ctx.Err()) instead of a
+// partial merge; a shard that panics on every attempt is returned as a
+// *PanicError. Neither compromises determinism: a run either completes with
+// the exact result of an uninterrupted run, or reports the error.
+func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 	shards := Shards(cfg)
 	res := &Result{
 		Replications: cfg.Replications,
@@ -305,7 +290,7 @@ func RunSketchCtx(ctx context.Context, cfg Config, task SketchTask) (*Result, er
 	var progressMu sync.Mutex
 	doneShards, doneReps := 0, 0
 
-	err := ForEachCtxPool(ctx, cfg.Pool, len(shards), cfg.Parallelism, func(i int) {
+	err := forEach(ctx, cfg.Pool, len(shards), cfg.Parallelism, func(i int) {
 		sh := shards[i]
 		tallies := map[string]*stats.Tally{}
 		var sketches map[string]*stats.DDSketch
@@ -371,40 +356,29 @@ func RunSketchCtx(ctx context.Context, cfg Config, task SketchTask) (*Result, er
 }
 
 // ForEach runs fn(i) for every i in [0, n) using at most parallelism
-// concurrent workers (non-positive = GOMAXPROCS) and returns once every call
-// has completed. Iteration slots are claimed dynamically, so uneven work is
-// balanced across workers; callers that need deterministic output should have
-// fn(i) write only to the i-th slot of a result slice.
+// concurrent workers (non-positive = GOMAXPROCS) and returns once every
+// dispatched call has completed. Iteration slots are claimed dynamically, so
+// uneven work is balanced across workers; callers that need deterministic
+// output should have fn(i) write only to the i-th slot of a result slice.
 //
-// A panicking index is retried (see PanicError); if it keeps panicking,
-// ForEach re-panics with the *PanicError on the caller's goroutine, so legacy
-// callers keep crash-on-bug semantics while the worker goroutines themselves
-// never die. Callers that want the typed error instead use ForEachCtx.
-func ForEach(n, parallelism int, fn func(i int)) {
-	if err := ForEachCtx(context.Background(), n, parallelism, fn); err != nil {
-		panic(err)
-	}
-}
-
-// ForEachCtx is ForEach with cooperative cancellation and panic isolation:
-// once ctx is cancelled no further index is dispatched, in-flight fn calls
+// Once ctx is cancelled no further index is dispatched, in-flight fn calls
 // run to completion, and the context error is returned. A panic inside fn is
 // recovered and the index retried; an index that panics on every attempt
 // stops dispatch and is reported as a *PanicError (the process survives). A
 // nil return means fn ran for every index.
-func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int)) error {
-	return ForEachCtxPool(ctx, nil, n, parallelism, fn)
+func ForEach(ctx context.Context, n, parallelism int, fn func(i int)) error {
+	return forEach(ctx, nil, n, parallelism, fn)
 }
 
-// ForEachCtxPool is ForEachCtx drawing execution slots from a shared Pool:
-// each index acquires one pool slot for the duration of its fn call, so
-// concurrent ForEachCtxPool calls on the same pool never execute more than
-// the pool's worker count of simulations at once, however many callers there
+// forEach is ForEach drawing execution slots from a shared Pool (Run passes
+// Config.Pool): each index acquires one pool slot for the duration of its fn
+// call, so concurrent calls on the same pool never execute more than the
+// pool's worker count of simulations at once, however many callers there
 // are. A nil pool selects the un-pooled behaviour (each call brings its own
 // budget). parallelism bounds this call's in-flight indices on top of the
 // pool budget; non-positive selects the pool's worker count (or GOMAXPROCS
 // without a pool).
-func ForEachCtxPool(ctx context.Context, pool *Pool, n, parallelism int, fn func(i int)) error {
+func forEach(ctx context.Context, pool *Pool, n, parallelism int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}

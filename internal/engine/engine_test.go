@@ -17,7 +17,7 @@ import (
 // noisyTask is a deterministic-but-irregular task: the returned metrics are
 // pure functions of the replication seed, and the amount of work varies per
 // replication so that shards finish out of order under parallelism.
-func noisyTask(rep int, seed uint64) map[string]float64 {
+func noisyTask(rep int, seed uint64) (map[string]float64, map[string]*stats.DDSketch) {
 	r := xrand.New(seed)
 	spin := 1 + int(seed%97)
 	x := 0.0
@@ -28,6 +28,23 @@ func noisyTask(rep int, seed uint64) map[string]float64 {
 		"mean_uniform": x / float64(spin),
 		"exp":          r.Exp(1.5),
 		"rep":          float64(rep),
+	}, nil
+}
+
+// run is Run on a background context, failing the test on an error.
+func run(t testing.TB, cfg Config, task SketchTask) *Result {
+	t.Helper()
+	res, err := Run(context.Background(), cfg, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// scalar adapts a task without sketches to the SketchTask shape.
+func scalar(task func(rep int, seed uint64) map[string]float64) SketchTask {
+	return func(rep int, seed uint64) (map[string]float64, map[string]*stats.DDSketch) {
+		return task(rep, seed), nil
 	}
 }
 
@@ -102,7 +119,7 @@ func TestRunDeterminismAcrossParallelism(t *testing.T) {
 	var want string
 	for _, par := range levels {
 		cfg := Config{Replications: 63, ShardSize: 5, Parallelism: par, BaseSeed: 1234}
-		got := fingerprint(Run(cfg, noisyTask))
+		got := fingerprint(run(t, cfg, noisyTask))
 		if want == "" {
 			want = got
 			continue
@@ -117,14 +134,15 @@ func TestRunDeterminismAcrossParallelism(t *testing.T) {
 // merge against a plain serial loop over the same (rep, seed) pairs.
 func TestRunMatchesSerialReference(t *testing.T) {
 	cfg := Config{Replications: 40, ShardSize: 3, Parallelism: runtime.GOMAXPROCS(0), BaseSeed: 9}
-	got := Run(cfg, noisyTask)
+	got := run(t, cfg, noisyTask)
 
 	ref := map[string]*stats.Tally{}
 	var reps int
 	for _, sh := range Shards(cfg) {
 		for rep := sh.Start; rep < sh.End; rep++ {
 			reps++
-			for k, v := range noisyTask(rep, sh.RepSeed(rep)) {
+			metrics, _ := noisyTask(rep, sh.RepSeed(rep))
+			for k, v := range metrics {
 				if ref[k] == nil {
 					ref[k] = &stats.Tally{}
 				}
@@ -175,11 +193,11 @@ func TestRunRaceStress(t *testing.T) {
 			t.Errorf("bad progress: %d/%d shards, %d/%d reps", doneShards, totalShards, doneReps, totalReps)
 		}
 	}
-	res := Run(cfg, func(rep int, seed uint64) map[string]float64 {
+	res := run(t, cfg, scalar(func(rep int, seed uint64) map[string]float64 {
 		atomic.AddInt64(&calls, 1)
 		atomic.AddInt32(&seen[rep], 1)
 		return map[string]float64{"v": float64(seed % 1000)}
-	})
+	}))
 	if calls != int64(len(seen)) {
 		t.Fatalf("task ran %d times, want %d", calls, len(seen))
 	}
@@ -197,7 +215,7 @@ func TestRunRaceStress(t *testing.T) {
 }
 
 func TestRunZeroReplications(t *testing.T) {
-	res := Run(Config{Replications: 0}, noisyTask)
+	res := run(t, Config{Replications: 0}, noisyTask)
 	if res.Replications != 0 || res.Shards != 0 || len(res.Metrics) != 0 {
 		t.Fatalf("unexpected empty-run result: %+v", res)
 	}
@@ -216,9 +234,9 @@ func TestProgressIsMonotonic(t *testing.T) {
 		}
 		lastShards, lastReps = doneShards, doneReps
 	}
-	Run(cfg, func(rep int, seed uint64) map[string]float64 {
+	run(t, cfg, scalar(func(rep int, seed uint64) map[string]float64 {
 		return map[string]float64{"x": 1}
-	})
+	}))
 	if lastShards != 16 || lastReps != 64 {
 		t.Fatalf("final progress %d shards / %d reps, want 16 / 64", lastShards, lastReps)
 	}
@@ -228,42 +246,49 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, par := range []int{0, 1, 3, 64} {
 		n := 257
 		hits := make([]int32, n)
-		ForEach(n, par, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		if err := ForEach(context.Background(), n, par, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("parallelism %d: index %d visited %d times", par, i, h)
 			}
 		}
 	}
-	ForEach(0, 4, func(int) { t.Fatal("fn called for n = 0") })
+	if err := ForEach(context.Background(), 0, 4, func(int) { t.Fatal("fn called for n = 0") }); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func BenchmarkRunOverhead(b *testing.B) {
 	// Measures pure engine overhead (sharding, pool, merge) with a trivial
 	// task, the worst case for the engine-to-work ratio.
 	cfg := Config{Replications: 1024, ShardSize: 0, Parallelism: 0, BaseSeed: 1}
+	task := scalar(func(rep int, seed uint64) map[string]float64 {
+		return map[string]float64{"v": float64(seed & 0xff)}
+	})
 	for i := 0; i < b.N; i++ {
-		Run(cfg, func(rep int, seed uint64) map[string]float64 {
-			return map[string]float64{"v": float64(seed & 0xff)}
-		})
+		run(b, cfg, task)
 	}
 }
 
-// TestRunCtxMatchesRun checks that the context-aware entry point with a live
-// context is exactly Run.
+// TestRunCtxMatchesRun checks that a run under a live cancellable context,
+// whose dispatch loop selects on a real Done channel, is exactly the run
+// under context.Background, whose Done channel is nil.
 func TestRunCtxMatchesRun(t *testing.T) {
 	cfg := Config{Replications: 12, Parallelism: 3, BaseSeed: 9}
-	task := func(_ int, seed uint64) map[string]float64 {
+	task := scalar(func(_ int, seed uint64) map[string]float64 {
 		return map[string]float64{"v": float64(seed % 1009)}
-	}
-	want := Run(cfg, task)
-	got, err := RunCtx(context.Background(), cfg, task)
+	})
+	want := run(t, cfg, task)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := Run(ctx, cfg, task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Metrics["v"].Mean() != want.Metrics["v"].Mean() ||
-		got.Metrics["v"].Count() != want.Metrics["v"].Count() {
-		t.Fatalf("RunCtx diverged from Run: %+v vs %+v", got.Metrics["v"], want.Metrics["v"])
+	if fingerprint(got) != fingerprint(want) {
+		t.Fatalf("cancellable-context run diverged:\n%s\nvs\n%s", fingerprint(got), fingerprint(want))
 	}
 }
 
@@ -272,13 +297,13 @@ func TestRunCtxMatchesRun(t *testing.T) {
 func TestRunCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started int64
-	res, err := RunCtx(ctx, Config{Replications: 1000, Parallelism: 2, BaseSeed: 1},
-		func(_ int, _ uint64) map[string]float64 {
+	res, err := Run(ctx, Config{Replications: 1000, Parallelism: 2, BaseSeed: 1},
+		scalar(func(_ int, _ uint64) map[string]float64 {
 			if atomic.AddInt64(&started, 1) == 3 {
 				cancel()
 			}
 			return map[string]float64{"v": 1}
-		})
+		}))
 	if err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}
@@ -296,7 +321,7 @@ func TestRunCtxCancelled(t *testing.T) {
 func TestForEachCtxPanicIsolation(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		var attempts int64
-		err := ForEachCtx(context.Background(), 100, par, func(i int) {
+		err := ForEach(context.Background(), 100, par, func(i int) {
 			if i == 7 {
 				atomic.AddInt64(&attempts, 1)
 				panic("poisoned shard")
@@ -326,7 +351,7 @@ func TestForEachCtxPanicRetryRecovers(t *testing.T) {
 		var flaky int32
 		n := 50
 		ok := make([]int32, n)
-		err := ForEachCtx(context.Background(), n, par, func(i int) {
+		err := ForEach(context.Background(), n, par, func(i int) {
 			if i == 13 && atomic.CompareAndSwapInt32(&flaky, 0, 1) {
 				panic("transient glitch")
 			}
@@ -343,10 +368,11 @@ func TestForEachCtxPanicRetryRecovers(t *testing.T) {
 	}
 }
 
-// TestForEachRepanics checks that the non-context entry point preserves the
-// historical crash-on-bug contract by re-panicking with the typed error on
-// the caller's goroutine (where it can be recovered) rather than dying on an
-// unrecoverable worker-goroutine panic.
+// TestForEachRepanics checks the crash-on-bug contract callers such as the
+// experiment harness build on ForEach: a persistent panic on a worker
+// goroutine comes back on the caller's goroutine as a *PanicError, which the
+// caller re-panics with and which can be recovered there, rather than dying
+// as an unrecoverable worker-goroutine panic.
 func TestForEachRepanics(t *testing.T) {
 	defer func() {
 		pe, ok := recover().(*PanicError)
@@ -354,24 +380,26 @@ func TestForEachRepanics(t *testing.T) {
 			t.Fatalf("recovered %v, want *PanicError for index 2", pe)
 		}
 	}()
-	ForEach(8, 4, func(i int) {
+	if err := ForEach(context.Background(), 8, 4, func(i int) {
 		if i == 2 {
 			panic("boom")
 		}
-	})
-	t.Fatal("ForEach returned despite a persistent panic")
+	}); err != nil {
+		panic(err)
+	}
+	t.Fatal("ForEach returned no error despite a persistent panic")
 }
 
 // TestRunCtxPanicTyped checks that a shard panic inside a sharded run comes
 // back as a typed error with no partial result.
 func TestRunCtxPanicTyped(t *testing.T) {
-	res, err := RunCtx(context.Background(), Config{Replications: 40, ShardSize: 4, Parallelism: 4, BaseSeed: 2},
-		func(rep int, _ uint64) map[string]float64 {
+	res, err := Run(context.Background(), Config{Replications: 40, ShardSize: 4, Parallelism: 4, BaseSeed: 2},
+		scalar(func(rep int, _ uint64) map[string]float64 {
 			if rep == 21 {
 				panic(fmt.Sprintf("rep %d exploded", rep))
 			}
 			return map[string]float64{"v": 1}
-		})
+		}))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v (%T), want *PanicError", err, err)
@@ -390,7 +418,7 @@ func TestForEachCtxSerialAndParallel(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran int64
-		err := ForEachCtx(ctx, 100, par, func(i int) {
+		err := ForEach(ctx, 100, par, func(i int) {
 			if atomic.AddInt64(&ran, 1) == 5 {
 				cancel()
 			}
@@ -401,7 +429,7 @@ func TestForEachCtxSerialAndParallel(t *testing.T) {
 		if n := atomic.LoadInt64(&ran); n >= 100 {
 			t.Fatalf("parallelism %d: cancellation ignored (%d ran)", par, n)
 		}
-		if err := ForEachCtx(context.Background(), 10, par, func(int) {}); err != nil {
+		if err := ForEach(context.Background(), 10, par, func(int) {}); err != nil {
 			t.Fatalf("parallelism %d: uncancelled loop errored: %v", par, err)
 		}
 	}
@@ -419,7 +447,8 @@ func noisySketchTask(rep int, seed uint64) (map[string]float64, map[string]*stat
 	if seed%13 == 0 {
 		s.Add(0) // exercise the zero bucket in the merged state
 	}
-	return noisyTask(rep, seed), map[string]*stats.DDSketch{"delay": s}
+	metrics, _ := noisyTask(rep, seed)
+	return metrics, map[string]*stats.DDSketch{"delay": s}
 }
 
 // TestRunSketchDeterminismAcrossParallelism extends the engine's core
@@ -442,10 +471,7 @@ func TestRunSketchDeterminismAcrossParallelism(t *testing.T) {
 	var wantFP string
 	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		cfg.Parallelism = par
-		res, err := RunSketchCtx(context.Background(), cfg, noisySketchTask)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, cfg, noisySketchTask)
 		got := res.Sketches["delay"].AppendBinary(nil)
 		if string(got) != string(want) {
 			t.Fatalf("parallelism %d: merged sketch differs from serial reference", par)
@@ -462,13 +488,10 @@ func TestRunSketchDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRunCtxSketchlessHasEmptySketches pins that plain Tasks produce an empty
-// (non-nil) Sketches map.
+// TestRunCtxSketchlessHasEmptySketches pins that tasks returning no sketches
+// produce an empty (non-nil) Sketches map.
 func TestRunCtxSketchlessHasEmptySketches(t *testing.T) {
-	res, err := RunCtx(context.Background(), Config{Replications: 4, BaseSeed: 7}, noisyTask)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, Config{Replications: 4, BaseSeed: 7}, noisyTask)
 	if res.Sketches == nil || len(res.Sketches) != 0 {
 		t.Fatalf("Sketches = %v, want empty map", res.Sketches)
 	}

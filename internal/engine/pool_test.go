@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// TestPoolSharedBudget runs several concurrent ForEachCtxPool calls on one
+// TestPoolSharedBudget runs several concurrent pooled forEach calls on one
 // small pool and asserts the observed simulation concurrency never exceeds
 // the pool's slot count — the invariant the daemon's shared engine pool
 // depends on.
@@ -36,8 +36,8 @@ func TestPoolSharedBudget(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := ForEachCtxPool(context.Background(), pool, 10, 0, fn); err != nil {
-				t.Errorf("ForEachCtxPool: %v", err)
+			if err := forEach(context.Background(), pool, 10, 0, fn); err != nil {
+				t.Errorf("forEach: %v", err)
 			}
 		}()
 	}
@@ -59,7 +59,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		badErr = ForEachCtxPool(context.Background(), pool, 5, 0, func(i int) {
+		badErr = forEach(context.Background(), pool, 5, 0, func(i int) {
 			if i == 3 {
 				panic("poisoned index")
 			}
@@ -67,7 +67,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		goodErr = ForEachCtxPool(context.Background(), pool, 20, 0, func(i int) {
+		goodErr = forEach(context.Background(), pool, 20, 0, func(i int) {
 			time.Sleep(100 * time.Microsecond)
 			goodRan.Add(1)
 		})
@@ -100,7 +100,7 @@ func TestPoolCancellationSkipsCleanly(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Occupy the only slot until released.
-		_ = ForEachCtxPool(context.Background(), pool, 1, 1, func(int) {
+		_ = forEach(context.Background(), pool, 1, 1, func(int) {
 			close(holding)
 			<-release
 		})
@@ -109,7 +109,7 @@ func TestPoolCancellationSkipsCleanly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- ForEachCtxPool(ctx, pool, 4, 2, func(int) {})
+		done <- forEach(ctx, pool, 4, 2, func(int) {})
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiters block on the pool
 	cancel()
@@ -124,20 +124,14 @@ func TestPoolCancellationSkipsCleanly(t *testing.T) {
 // only: the merged metrics of a pooled replicated run are bit-identical to
 // the un-pooled run of the same config.
 func TestRunCtxOnPoolMatchesUnpooled(t *testing.T) {
-	task := func(rep int, seed uint64) map[string]float64 {
+	task := scalar(func(rep int, seed uint64) map[string]float64 {
 		return map[string]float64{"x": float64(seed%1000) / 7}
-	}
+	})
 	base := Config{Replications: 64, BaseSeed: 42}
-	want, err := RunCtx(context.Background(), base, task)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := run(t, base, task)
 	pooled := base
 	pooled.Pool = NewPool(2)
-	got, err := RunCtx(context.Background(), pooled, task)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := run(t, pooled, task)
 	for k, wt := range want.Metrics {
 		gt, ok := got.Metrics[k]
 		if !ok {

@@ -15,6 +15,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -154,12 +155,14 @@ type RunConfig struct {
 // engine's worker pool (bounded by cfg.Parallelism), reports per-point
 // progress through cfg.Progress, and appends the returned rows to the table
 // in point order. Each point writes only to its own result slot, so the
-// table is deterministic regardless of parallelism.
+// table is deterministic regardless of parallelism. A point that keeps
+// panicking is a bug in the experiment: it re-panics here with the engine's
+// *PanicError, on the caller's goroutine.
 func addGridRows(table *Table, cfg RunConfig, n int, body func(i int) []string) {
 	rows := make([][]string, n)
 	var mu sync.Mutex
 	done := 0
-	engine.ForEach(n, cfg.Parallelism, func(i int) {
+	err := engine.ForEach(context.Background(), n, cfg.Parallelism, func(i int) {
 		rows[i] = body(i)
 		if cfg.Progress != nil {
 			mu.Lock()
@@ -168,6 +171,9 @@ func addGridRows(table *Table, cfg RunConfig, n int, body func(i int) []string) 
 			mu.Unlock()
 		}
 	})
+	if err != nil {
+		panic(err)
+	}
 	for _, row := range rows {
 		table.AddRow(row...)
 	}

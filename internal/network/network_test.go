@@ -9,6 +9,17 @@ import (
 	"repro/internal/xrand"
 )
 
+// callback is a des.Handler that runs one test function.
+type callback func()
+
+func (f callback) HandleEvent(_, _ int32) { f() }
+
+// at schedules fn on sys's calendar at absolute time t, through a handler
+// registered for this one event.
+func at(sys *System, t float64, fn func()) {
+	sys.Sim.ScheduleEventAt(t, sys.Sim.RegisterHandler(callback(fn)), 0, 0)
+}
+
 // injectPoisson drives a single-arc system with Poisson arrivals of the given
 // rate, all packets following the same one-arc path.
 func runSingleArc(t *testing.T, rate float64, horizon float64, discipline Discipline) (*System, Metrics) {
@@ -22,7 +33,7 @@ func runSingleArc(t *testing.T, rate float64, horizon float64, discipline Discip
 			return
 		}
 		src.Advance()
-		sys.Sim.ScheduleAt(next, func() {
+		at(sys, next, func() {
 			sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{0}})
 			schedule()
 		})
@@ -89,7 +100,7 @@ func TestTandemConservationAndDelay(t *testing.T) {
 			return
 		}
 		src.Advance()
-		sys.Sim.ScheduleAt(next, func() {
+		at(sys, next, func() {
 			sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{0, 1}})
 			schedule()
 		})
@@ -123,7 +134,7 @@ func TestFIFOOrderPreserved(t *testing.T) {
 	sys.OnDeliver = func(p *Packet, now float64) { departures = append(departures, p.ID) }
 	for i := 0; i < 50; i++ {
 		id := int64(i)
-		sys.Sim.ScheduleAt(0, func() {
+		at(sys, 0, func() {
 			sys.Inject(&Packet{ID: id, Path: []int{0}})
 		})
 	}
@@ -147,7 +158,7 @@ func TestZeroHopPacketDeliveredImmediately(t *testing.T) {
 			t.Fatalf("zero-hop packet delivered at %v", now)
 		}
 	}
-	sys.Sim.ScheduleAt(0, func() {
+	at(sys, 0, func() {
 		sys.Inject(&Packet{ID: 1, Path: nil})
 	})
 	sys.Sim.Run()
@@ -166,7 +177,7 @@ func TestDeterministicBackToBackService(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 1})
 	var times []float64
 	sys.OnDeliver = func(p *Packet, now float64) { times = append(times, now) }
-	sys.Sim.ScheduleAt(0, func() {
+	at(sys, 0, func() {
 		for i := 0; i < 3; i++ {
 			sys.Inject(&Packet{ID: int64(i), Path: []int{0}})
 		}
@@ -191,7 +202,7 @@ func TestCustomServiceTime(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 1, ServiceTime: 0.25})
 	var deliveredAt float64
 	sys.OnDeliver = func(p *Packet, now float64) { deliveredAt = now }
-	sys.Sim.ScheduleAt(0, func() { sys.Inject(&Packet{ID: 1, Path: []int{0}}) })
+	at(sys, 0, func() { sys.Inject(&Packet{ID: 1, Path: []int{0}}) })
 	sys.Sim.Run()
 	if deliveredAt != 0.25 {
 		t.Fatalf("delivered at %v", deliveredAt)
@@ -210,7 +221,7 @@ func TestTotalQueuedMatchesInFlight(t *testing.T) {
 			return
 		}
 		src.Advance()
-		sys.Sim.ScheduleAt(next, func() {
+		at(sys, next, func() {
 			// Random 2-hop path among the 4 arcs.
 			a := rng.Intn(4)
 			b := rng.Intn(4)
@@ -244,7 +255,7 @@ func TestGroupStatistics(t *testing.T) {
 			return
 		}
 		src.Advance()
-		sys.Sim.ScheduleAt(next, func() {
+		at(sys, next, func() {
 			sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{1}})
 			schedule()
 		})
@@ -272,7 +283,7 @@ func TestGroupStatistics(t *testing.T) {
 func TestStartMeasurementDiscardsWarmup(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 1})
 	// Warm-up traffic: a large burst that causes long delays.
-	sys.Sim.ScheduleAt(0, func() {
+	at(sys, 0, func() {
 		for i := 0; i < 100; i++ {
 			sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{0}})
 		}
@@ -280,7 +291,7 @@ func TestStartMeasurementDiscardsWarmup(t *testing.T) {
 	sys.Sim.RunUntil(200)
 	sys.StartMeasurement()
 	// Measured traffic: single isolated packet, delay exactly 1.
-	sys.Sim.ScheduleAt(300, func() {
+	at(sys, 300, func() {
 		sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{0}})
 	})
 	sys.Sim.RunUntil(400)
@@ -296,7 +307,7 @@ func TestStartMeasurementDiscardsWarmup(t *testing.T) {
 func TestDelayQuantileAndClasses(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 1})
 	sys.EnableDelaySample()
-	sys.Sim.ScheduleAt(0, func() {
+	at(sys, 0, func() {
 		sys.Inject(&Packet{ID: 0, Path: []int{0}, Class: 1}) // delay 1
 		sys.Inject(&Packet{ID: 1, Path: []int{0}, Class: 2}) // delay 2
 	})
@@ -334,7 +345,7 @@ func TestPopulationTraceSlopeUnstableQueue(t *testing.T) {
 			return
 		}
 		src.Advance()
-		sys.Sim.ScheduleAt(next, func() {
+		at(sys, next, func() {
 			sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{0}})
 			schedule()
 		})
@@ -389,7 +400,7 @@ func TestBadPathPanics(t *testing.T) {
 			t.Fatal("expected panic for out-of-range arc index")
 		}
 	}()
-	sys.Sim.ScheduleAt(0, func() {
+	at(sys, 0, func() {
 		sys.Inject(&Packet{ID: 1, Path: []int{5}})
 	})
 	sys.Sim.Run()
@@ -430,7 +441,7 @@ func BenchmarkSingleArcSimulation(b *testing.B) {
 				return
 			}
 			src.Advance()
-			sys.Sim.ScheduleAt(next, func() {
+			at(sys, next, func() {
 				sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{0}})
 				schedule()
 			})
@@ -451,7 +462,7 @@ func TestPerHopWaitStatistics(t *testing.T) {
 		NumGroups: 2,
 	})
 	sys.EnablePerHopWait()
-	sys.Sim.ScheduleAt(0, func() {
+	at(sys, 0, func() {
 		for i := 0; i < 3; i++ {
 			sys.Inject(&Packet{ID: int64(i), Path: []int{0, 1}})
 		}
@@ -473,7 +484,7 @@ func TestPerHopWaitResetByStartMeasurement(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 1})
 	sys.EnablePerHopWait()
 	// Warm-up burst with heavy queueing.
-	sys.Sim.ScheduleAt(0, func() {
+	at(sys, 0, func() {
 		for i := 0; i < 10; i++ {
 			sys.Inject(&Packet{ID: int64(i), Path: []int{0}})
 		}
@@ -481,7 +492,7 @@ func TestPerHopWaitResetByStartMeasurement(t *testing.T) {
 	sys.Sim.RunUntil(50)
 	sys.StartMeasurement()
 	// One isolated packet after the reset: sojourn exactly 1.
-	sys.Sim.ScheduleAt(60, func() {
+	at(sys, 60, func() {
 		sys.Inject(&Packet{ID: 99, Path: []int{0}})
 	})
 	sys.Sim.RunUntil(100)
@@ -493,7 +504,7 @@ func TestPerHopWaitResetByStartMeasurement(t *testing.T) {
 
 func TestPerHopWaitAbsentWithoutFlag(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 1})
-	sys.Sim.ScheduleAt(0, func() { sys.Inject(&Packet{ID: 1, Path: []int{0}}) })
+	at(sys, 0, func() { sys.Inject(&Packet{ID: 1, Path: []int{0}}) })
 	sys.Sim.Run()
 	if sys.Snapshot().GroupMeanWait != nil {
 		t.Fatal("GroupMeanWait should be nil when tracking is disabled")

@@ -57,7 +57,7 @@ func TestAcquirePacketRecycling(t *testing.T) {
 	p1 := sys.AcquirePacket()
 	p1.ID = sys.NewPacketID()
 	p1.Path = append(p1.Path[:0], 0)
-	sys.Sim.ScheduleAt(0, func() { sys.Inject(p1) })
+	at(sys, 0, func() { sys.Inject(p1) })
 	sys.Sim.Run()
 	p2 := sys.AcquirePacket()
 	if p2 != p1 {
@@ -68,7 +68,7 @@ func TestAcquirePacketRecycling(t *testing.T) {
 	}
 
 	direct := &Packet{ID: 99, Path: []int{0}}
-	sys.Sim.ScheduleAt(sys.Sim.Now(), func() { sys.Inject(direct) })
+	at(sys, sys.Sim.Now(), func() { sys.Inject(direct) })
 	sys.Sim.Run()
 	p3 := sys.AcquirePacket()
 	if p3 == direct {

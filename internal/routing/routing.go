@@ -176,6 +176,13 @@ type PipelinedResult struct {
 	BacklogSlope float64
 }
 
+// roundStart is the des.Handler that injects one round's packets: each
+// round's network calendar fires it once, at time zero.
+type roundStart func()
+
+// HandleEvent runs the round's injection.
+func (f roundStart) HandleEvent(_, _ int32) { f() }
+
 // RunPipelined simulates the §2.3 baseline: packets accumulate at their
 // origin nodes; at the start of every round each node selects at most one
 // waiting packet; the selected packets are routed greedily (canonical paths)
@@ -243,7 +250,7 @@ func RunPipelined(cfg PipelinedConfig) PipelinedResult {
 		}
 		info := make(map[int64]inFlightInfo)
 		injected := 0
-		sys.Sim.ScheduleAt(0, func() {
+		inject := roundStart(func() {
 			for x := 0; x < n; x++ {
 				if heads[x] >= len(queues[x]) || queues[x][heads[x]].genTime > now {
 					continue
@@ -261,6 +268,7 @@ func RunPipelined(cfg PipelinedConfig) PipelinedResult {
 				injected++
 			}
 		})
+		sys.Sim.ScheduleEventAt(0, sys.Sim.RegisterHandler(inject), 0, 0)
 		sys.OnDeliver = func(p *network.Packet, t float64) {
 			gen := info[p.ID].genTime
 			deliveredAt := now + t

@@ -64,6 +64,13 @@ type PermutationResult struct {
 	Packets int64
 }
 
+// injectAll is the des.Handler that injects the whole permutation: the
+// network calendar fires it once, at time zero.
+type injectAll func()
+
+// HandleEvent runs the injection.
+func (f injectAll) HandleEvent(_, _ int32) { f() }
+
 // RoutePermutation routes one packet from every node x to perm[x] and returns
 // the completion-time statistics. perm must have length 2^d.
 func RoutePermutation(d int, perm []hypercube.Node, scheme Scheme, seed uint64) (*PermutationResult, error) {
@@ -109,7 +116,7 @@ func RoutePermutation(d int, perm []hypercube.Node, scheme Scheme, seed uint64) 
 		}
 	}
 
-	sys.Sim.ScheduleAt(0, func() {
+	inject := injectAll(func() {
 		for x := 0; x < cube.Nodes(); x++ {
 			origin := hypercube.Node(x)
 			dest := perm[x]
@@ -133,6 +140,7 @@ func RoutePermutation(d int, perm []hypercube.Node, scheme Scheme, seed uint64) 
 		}
 		trackMax()
 	})
+	sys.Sim.ScheduleEventAt(0, sys.Sim.RegisterHandler(inject), 0, 0)
 	sys.Sim.Run()
 	res.Makespan = sys.Sim.Now()
 	res.MeanDelay = delays.Mean()

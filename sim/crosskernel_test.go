@@ -1,8 +1,8 @@
-package core
+package sim_test
 
 import (
+	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/network"
@@ -10,20 +10,28 @@ import (
 	"repro/sim"
 )
 
-// floatEq compares floats bitwise (NaN equals NaN): cross-kernel identity is
-// exact, not approximate.
-func floatEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-func floatsEq(a, b []float64) bool {
+// bitsEqSlice compares float slices bitwise: cross-kernel identity is exact,
+// not approximate.
+func bitsEqSlice(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !floatEq(a[i], b[i]) {
+		if !bitsEq(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// run executes sc and fails the test on an error.
+func run(t *testing.T, sc sim.Scenario) *sim.Result {
+	t.Helper()
+	res, err := sim.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // compareMetrics fails the test with a field name if two snapshots differ in
@@ -47,7 +55,7 @@ func compareMetrics(t *testing.T, label string, a, b network.Metrics) {
 		{"LittleLawError", a.LittleLawError, b.LittleLawError},
 	}
 	for _, s := range scalars {
-		if !floatEq(s.x, s.y) {
+		if !bitsEq(s.x, s.y) {
 			t.Errorf("%s: %s differs: %v vs %v", label, s.name, s.x, s.y)
 		}
 	}
@@ -69,7 +77,7 @@ func compareMetrics(t *testing.T, label string, a, b network.Metrics) {
 		{"GroupMeanWait", a.GroupMeanWait, b.GroupMeanWait},
 	}
 	for _, v := range vectors {
-		if !floatsEq(v.x, v.y) {
+		if !bitsEqSlice(v.x, v.y) {
 			t.Errorf("%s: %s differs:\n%v\nvs\n%v", label, v.name, v.x, v.y)
 		}
 	}
@@ -77,43 +85,38 @@ func compareMetrics(t *testing.T, label string, a, b network.Metrics) {
 		t.Errorf("%s: class map sizes differ", label)
 	}
 	for cls, x := range a.MeanDelayByClass {
-		if y, ok := b.MeanDelayByClass[cls]; !ok || !floatEq(x, y) {
+		if y, ok := b.MeanDelayByClass[cls]; !ok || !bitsEq(x, y) {
 			t.Errorf("%s: class %d delay differs: %v vs %v", label, cls, x, y)
 		}
 	}
 }
 
-// checkHypercubeIdentity runs cfg on the slot-stepped kernel and on the
+// checkHypercubeIdentity runs sc on the slot-stepped kernel and on the
 // event-driven oracle and fails on any bit of difference in the metrics, the
 // per-packet delays, the quantiles or the per-dimension statistics.
-func checkHypercubeIdentity(t *testing.T, cfg HypercubeConfig) {
+func checkHypercubeIdentity(t *testing.T, sc sim.Scenario) {
 	t.Helper()
-	fast, err := RunHypercube(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := cfg
+	fast := run(t, sc)
+	slow := sc
 	slow.ForceEventDriven = true
-	ref, err := RunHypercube(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Kernel != KernelSlotStepped || ref.Kernel != KernelEventDriven {
+	ref := run(t, slow)
+	if fast.Kernel != sim.KernelSlotStepped || ref.Kernel != sim.KernelEventDriven {
 		t.Fatalf("kernels: %s vs %s", fast.Kernel, ref.Kernel)
 	}
 	compareMetrics(t, "metrics", fast.Metrics, ref.Metrics)
-	if !floatsEq(fast.Delays, ref.Delays) {
+	if !bitsEqSlice(fast.Delays, ref.Delays) {
 		t.Errorf("per-packet delays differ (%d vs %d samples)", len(fast.Delays), len(ref.Delays))
 	}
-	if !floatEq(fast.DelayP95, ref.DelayP95) || !floatEq(fast.DelayP99, ref.DelayP99) {
+	if !bitsEq(fast.DelayP95, ref.DelayP95) || !bitsEq(fast.DelayP99, ref.DelayP99) {
 		t.Errorf("quantiles differ: %v/%v vs %v/%v", fast.DelayP95, fast.DelayP99, ref.DelayP95, ref.DelayP99)
 	}
-	if !floatsEq(fast.PerDimensionMeanQueue, ref.PerDimensionMeanQueue) ||
-		!floatsEq(fast.PerDimensionUtilization, ref.PerDimensionUtilization) ||
-		!floatsEq(fast.PerDimensionMeanWait, ref.PerDimensionMeanWait) {
+	f, r := fast.Hypercube, ref.Hypercube
+	if !bitsEqSlice(f.PerDimensionMeanQueue, r.PerDimensionMeanQueue) ||
+		!bitsEqSlice(f.PerDimensionUtilization, r.PerDimensionUtilization) ||
+		!bitsEqSlice(f.PerDimensionMeanWait, r.PerDimensionMeanWait) {
 		t.Error("per-dimension statistics differ")
 	}
-	if cfg.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
+	if sc.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
 		t.Error("fault variant recorded no drops; the loss path was not exercised")
 	}
 }
@@ -122,22 +125,22 @@ func checkHypercubeIdentity(t *testing.T, cfg HypercubeConfig) {
 // golden tests run, under either arrival model: every router, the optional
 // observability hooks, an unstable load, custom weights and the three fault
 // variants (identity must hold for the loss accounting too).
-var sharedHypercubeVariants = []func(*HypercubeConfig){
-	func(c *HypercubeConfig) { c.Router = GreedyRandomOrder },
-	func(c *HypercubeConfig) { c.Router = ValiantTwoPhase; c.LoadFactor = 0.3 },
-	func(c *HypercubeConfig) { c.TrackPerDimensionWait = true },
-	func(c *HypercubeConfig) { c.PopulationTraceInterval = 25 },
-	func(c *HypercubeConfig) { c.LoadFactor = 1.2 }, // unstable: leftovers in flight
-	func(c *HypercubeConfig) {
+var sharedHypercubeVariants = []func(*sim.Scenario){
+	func(c *sim.Scenario) { c.Router = sim.GreedyRandomOrder },
+	func(c *sim.Scenario) { c.Router = sim.ValiantTwoPhase; c.LoadFactor = 0.3 },
+	func(c *sim.Scenario) { c.TrackPerDimensionWait = true },
+	func(c *sim.Scenario) { c.PopulationTraceInterval = 25 },
+	func(c *sim.Scenario) { c.LoadFactor = 1.2 }, // unstable: leftovers in flight
+	func(c *sim.Scenario) {
 		c.LoadFactor = 0
 		c.Lambda = 1.0
 		c.CustomWeights = []float64{0, 1, 1, 0.5, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 3}
 	},
 	// Fault-model variants: transient faults alone, finite buffers alone,
 	// and the full model with scheduled outages.
-	func(c *HypercubeConfig) { c.Faults = &sim.FaultSpec{ArcFailProb: 0.02} },
-	func(c *HypercubeConfig) { c.Faults = &sim.FaultSpec{BufferCapacity: 1}; c.LoadFactor = 0.9 },
-	func(c *HypercubeConfig) {
+	func(c *sim.Scenario) { c.Faults = &sim.FaultSpec{ArcFailProb: 0.02} },
+	func(c *sim.Scenario) { c.Faults = &sim.FaultSpec{BufferCapacity: 1}; c.LoadFactor = 0.9 },
+	func(c *sim.Scenario) {
 		c.Faults = &sim.FaultSpec{
 			ArcFailProb:    0.01,
 			BufferCapacity: 3,
@@ -152,11 +155,11 @@ var sharedHypercubeVariants = []func(*HypercubeConfig){
 
 // runHypercubeVariants runs checkHypercubeIdentity on base modified by each
 // variant, as subtests variant0, variant1, ...
-func runHypercubeVariants(t *testing.T, base HypercubeConfig, variants []func(*HypercubeConfig)) {
+func runHypercubeVariants(t *testing.T, base sim.Scenario, variants []func(*sim.Scenario)) {
 	for i, mod := range variants {
-		cfg := base
-		mod(&cfg)
-		t.Run(fmt.Sprintf("variant%d", i), func(t *testing.T) { checkHypercubeIdentity(t, cfg) })
+		sc := base
+		mod(&sc)
+		t.Run(fmt.Sprintf("variant%d", i), func(t *testing.T) { checkHypercubeIdentity(t, sc) })
 	}
 }
 
@@ -165,14 +168,14 @@ func runHypercubeVariants(t *testing.T, base HypercubeConfig, variants []func(*H
 // and the event-driven calendar produce byte-identical metrics and
 // byte-identical per-packet delays on the same seed.
 func TestCrossKernelGoldenHypercubeSlotted(t *testing.T) {
-	base := HypercubeConfig{
-		D: 4, P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
+	base := sim.Scenario{
+		Topology: sim.Hypercube(4), P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
 		Slotted: true, Tau: 0.5, TrackQuantiles: true, ReturnDelays: true,
 	}
-	variants := append([]func(*HypercubeConfig){
-		func(c *HypercubeConfig) {},
-		func(c *HypercubeConfig) { c.Tau = 1.0 },
-		func(c *HypercubeConfig) { c.Tau = 0.25; c.D = 5; c.Seed = 99 },
+	variants := append([]func(*sim.Scenario){
+		func(c *sim.Scenario) {},
+		func(c *sim.Scenario) { c.Tau = 1.0 },
+		func(c *sim.Scenario) { c.Tau = 0.25; c.Topology.D = 5; c.Seed = 99 },
 	}, sharedHypercubeVariants...)
 	runHypercubeVariants(t, base, variants)
 }
@@ -182,15 +185,15 @@ func TestCrossKernelGoldenHypercubeSlotted(t *testing.T) {
 // p = 1/2 runs the kernel's bulk arrival prefetch on its FillUint64 path;
 // other p run it on the scalar fallback; randomized routers run without it.
 func TestCrossKernelGoldenHypercubeContinuous(t *testing.T) {
-	base := HypercubeConfig{
-		D: 4, P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
+	base := sim.Scenario{
+		Topology: sim.Hypercube(4), P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
 		TrackQuantiles: true, ReturnDelays: true,
 	}
-	variants := append([]func(*HypercubeConfig){
-		func(c *HypercubeConfig) {},
-		func(c *HypercubeConfig) { c.P = 0.3; c.D = 5; c.Seed = 99 },
-		func(c *HypercubeConfig) { c.D = 10; c.LoadFactor = 0.8; c.Horizon = 40; c.Seed = 7 },
-		func(c *HypercubeConfig) { c.D = 10; c.P = 0.3; c.LoadFactor = 0.8; c.Horizon = 40; c.Seed = 8 },
+	variants := append([]func(*sim.Scenario){
+		func(c *sim.Scenario) {},
+		func(c *sim.Scenario) { c.P = 0.3; c.Topology.D = 5; c.Seed = 99 },
+		func(c *sim.Scenario) { c.Topology.D = 10; c.LoadFactor = 0.8; c.Horizon = 40; c.Seed = 7 },
+		func(c *sim.Scenario) { c.Topology.D = 10; c.P = 0.3; c.LoadFactor = 0.8; c.Horizon = 40; c.Seed = 8 },
 	}, sharedHypercubeVariants...)
 	runHypercubeVariants(t, base, variants)
 }
@@ -198,15 +201,15 @@ func TestCrossKernelGoldenHypercubeContinuous(t *testing.T) {
 // TestCrossKernelGoldenButterfly is the butterfly (continuous-time) half of
 // the golden contract.
 func TestCrossKernelGoldenButterfly(t *testing.T) {
-	cfgs := []ButterflyConfig{
-		{D: 4, P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 7, TrackQuantiles: true, ReturnDelays: true},
-		{D: 5, P: 0.3, LoadFactor: 0.6, Horizon: 300, Seed: 21, TrackQuantiles: true, ReturnDelays: true},
-		{D: 3, P: 0.7, Lambda: 1.9, Horizon: 500, Seed: 3, PopulationTraceInterval: 20},
-		{D: 4, P: 0.5, LoadFactor: 1.3, Horizon: 200, Seed: 5}, // unstable
+	scs := []sim.Scenario{
+		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 7, TrackQuantiles: true, ReturnDelays: true},
+		{Topology: sim.Butterfly(5), P: 0.3, LoadFactor: 0.6, Horizon: 300, Seed: 21, TrackQuantiles: true, ReturnDelays: true},
+		{Topology: sim.Butterfly(3), P: 0.7, Lambda: 1.9, Horizon: 500, Seed: 3, PopulationTraceInterval: 20},
+		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 1.3, Horizon: 200, Seed: 5}, // unstable
 		// Fault-model configs on the continuous-time (butterfly) path.
-		{D: 4, P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 11, TrackQuantiles: true, ReturnDelays: true,
+		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 11, TrackQuantiles: true, ReturnDelays: true,
 			Faults: &sim.FaultSpec{ArcFailProb: 0.03}},
-		{D: 3, P: 0.4, LoadFactor: 0.9, Horizon: 300, Seed: 13,
+		{Topology: sim.Butterfly(3), P: 0.4, LoadFactor: 0.9, Horizon: 300, Seed: 13,
 			Faults: &sim.FaultSpec{
 				BufferCapacity: 2,
 				Outages: []sim.Outage{
@@ -215,30 +218,24 @@ func TestCrossKernelGoldenButterfly(t *testing.T) {
 				},
 			}},
 	}
-	for i, cfg := range cfgs {
+	for i, sc := range scs {
 		t.Run(fmt.Sprintf("config%d", i), func(t *testing.T) {
-			fast, err := RunButterfly(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow := cfg
+			fast := run(t, sc)
+			slow := sc
 			slow.ForceEventDriven = true
-			ref, err := RunButterfly(slow)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fast.Kernel != KernelSlotStepped || ref.Kernel != KernelEventDriven {
+			ref := run(t, slow)
+			if fast.Kernel != sim.KernelSlotStepped || ref.Kernel != sim.KernelEventDriven {
 				t.Fatalf("kernels: %s vs %s", fast.Kernel, ref.Kernel)
 			}
 			compareMetrics(t, "metrics", fast.Metrics, ref.Metrics)
-			if !floatsEq(fast.Delays, ref.Delays) {
+			if !bitsEqSlice(fast.Delays, ref.Delays) {
 				t.Errorf("per-packet delays differ (%d vs %d samples)", len(fast.Delays), len(ref.Delays))
 			}
-			if !floatEq(fast.StraightUtilization, ref.StraightUtilization) ||
-				!floatEq(fast.VerticalUtilization, ref.VerticalUtilization) {
+			if !bitsEq(fast.Butterfly.StraightUtilization, ref.Butterfly.StraightUtilization) ||
+				!bitsEq(fast.Butterfly.VerticalUtilization, ref.Butterfly.VerticalUtilization) {
 				t.Error("per-kind utilisations differ")
 			}
-			if cfg.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
+			if sc.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
 				t.Error("fault config recorded no drops; the loss path was not exercised")
 			}
 		})
@@ -255,56 +252,41 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 	taus := []float64{0.125, 0.25, 0.5, 1.0}
 	for trial := 0; trial < 16; trial++ {
 		seed := rng.Uint64()
+		var sc sim.Scenario
 		if trial%2 == 0 {
 			// Hypercube trials h = 0..7 alternate slotted and continuous
 			// arrivals, use p = 1/2 (the bulk sampler's FillUint64 path) in
 			// half of them, and cycle the router every two trials, so each
 			// arrival model meets greedy routing at both kinds of p.
 			h := trial / 2
-			cfg := HypercubeConfig{
-				D:          2 + rng.Intn(4),
+			sc = sim.Scenario{
+				Topology:   sim.Hypercube(2 + rng.Intn(4)),
 				P:          0.2 + 0.6*rng.Float64(),
 				LoadFactor: 0.2 + 0.7*rng.Float64(),
 				Horizon:    100 + 50*float64(rng.Intn(4)),
 				Seed:       seed,
 				Slotted:    h%2 == 0,
-				Router:     RouterKind(h / 2 % 3),
+				Router:     sim.RouterKind(h / 2 % 3),
 			}
-			if cfg.Slotted {
-				cfg.Tau = taus[rng.Intn(len(taus))]
+			if sc.Slotted {
+				sc.Tau = taus[rng.Intn(len(taus))]
 			}
 			if h%4 < 2 {
-				cfg.P = 0.5
+				sc.P = 0.5
 			}
-			fast, err := RunHypercube(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ForceEventDriven = true
-			ref, err := RunHypercube(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareMetrics(t, fmt.Sprintf("hypercube trial %d (%+v)", trial, cfg), fast.Metrics, ref.Metrics)
 		} else {
-			cfg := ButterflyConfig{
-				D:          2 + rng.Intn(4),
+			sc = sim.Scenario{
+				Topology:   sim.Butterfly(2 + rng.Intn(4)),
 				P:          0.2 + 0.6*rng.Float64(),
 				LoadFactor: 0.2 + 0.7*rng.Float64(),
 				Horizon:    100 + 50*float64(rng.Intn(4)),
 				Seed:       seed,
 			}
-			fast, err := RunButterfly(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.ForceEventDriven = true
-			ref, err := RunButterfly(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareMetrics(t, fmt.Sprintf("butterfly trial %d (%+v)", trial, cfg), fast.Metrics, ref.Metrics)
 		}
+		fast := run(t, sc)
+		sc.ForceEventDriven = true
+		ref := run(t, sc)
+		compareMetrics(t, fmt.Sprintf("%s trial %d (%+v)", sc.Topology.Kind, trial, sc), fast.Metrics, ref.Metrics)
 	}
 }
 
@@ -314,63 +296,47 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 // sim's slotKernelEligible (RandomOrder, ForceEventDriven,
 // DisableFastKernel) keep a run on the event-driven calendar.
 func TestKernelSelection(t *testing.T) {
-	hyper := func(mod func(*HypercubeConfig)) HypercubeConfig {
-		cfg := HypercubeConfig{D: 3, P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
-		mod(&cfg)
-		return cfg
+	hyper := func(mod func(*sim.Scenario)) sim.Scenario {
+		sc := sim.Scenario{Topology: sim.Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
+		mod(&sc)
+		return sc
 	}
-	hyperCases := []struct {
+	butter := func(mod func(*sim.Scenario)) sim.Scenario {
+		sc := sim.Scenario{Topology: sim.Butterfly(3), P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
+		mod(&sc)
+		return sc
+	}
+	cases := []struct {
 		name string
-		cfg  HypercubeConfig
+		sc   sim.Scenario
 		want string
 	}{
-		{"poisson FIFO uses the slot kernel", hyper(func(c *HypercubeConfig) {}), KernelSlotStepped},
-		{"poisson random-order falls back", hyper(func(c *HypercubeConfig) { c.Discipline = network.RandomOrder }), KernelEventDriven},
-		{"poisson valiant eligible", hyper(func(c *HypercubeConfig) { c.Router = ValiantTwoPhase }), KernelSlotStepped},
-		{"poisson ForceEventDriven wins", hyper(func(c *HypercubeConfig) { c.ForceEventDriven = true }), KernelEventDriven},
-		{"slotted FIFO uses the slot kernel", hyper(func(c *HypercubeConfig) { c.Slotted = true; c.Tau = 0.5 }), KernelSlotStepped},
-		{"slotted random-order falls back", hyper(func(c *HypercubeConfig) {
+		{"poisson FIFO uses the slot kernel", hyper(func(c *sim.Scenario) {}), sim.KernelSlotStepped},
+		{"poisson random-order falls back", hyper(func(c *sim.Scenario) { c.Discipline = sim.RandomOrder }), sim.KernelEventDriven},
+		{"poisson valiant eligible", hyper(func(c *sim.Scenario) { c.Router = sim.ValiantTwoPhase }), sim.KernelSlotStepped},
+		{"poisson ForceEventDriven wins", hyper(func(c *sim.Scenario) { c.ForceEventDriven = true }), sim.KernelEventDriven},
+		{"slotted FIFO uses the slot kernel", hyper(func(c *sim.Scenario) { c.Slotted = true; c.Tau = 0.5 }), sim.KernelSlotStepped},
+		{"slotted random-order falls back", hyper(func(c *sim.Scenario) {
 			c.Slotted = true
 			c.Tau = 0.5
-			c.Discipline = network.RandomOrder
-		}), KernelEventDriven},
-		{"ForceEventDriven wins", hyper(func(c *HypercubeConfig) {
+			c.Discipline = sim.RandomOrder
+		}), sim.KernelEventDriven},
+		{"ForceEventDriven wins", hyper(func(c *sim.Scenario) {
 			c.Slotted = true
 			c.Tau = 0.5
 			c.ForceEventDriven = true
-		}), KernelEventDriven},
-		{"slotted valiant eligible", hyper(func(c *HypercubeConfig) {
+		}), sim.KernelEventDriven},
+		{"slotted valiant eligible", hyper(func(c *sim.Scenario) {
 			c.Slotted = true
 			c.Tau = 1
-			c.Router = ValiantTwoPhase
-		}), KernelSlotStepped},
+			c.Router = sim.ValiantTwoPhase
+		}), sim.KernelSlotStepped},
+		{"FIFO butterfly uses the slot kernel", butter(func(c *sim.Scenario) {}), sim.KernelSlotStepped},
+		{"random-order butterfly falls back", butter(func(c *sim.Scenario) { c.Discipline = sim.RandomOrder }), sim.KernelEventDriven},
+		{"butterfly ForceEventDriven wins", butter(func(c *sim.Scenario) { c.ForceEventDriven = true }), sim.KernelEventDriven},
 	}
-	for _, tc := range hyperCases {
-		res, err := RunHypercube(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if res.Kernel != tc.want {
-			t.Errorf("%s: kernel = %s, want %s", tc.name, res.Kernel, tc.want)
-		}
-	}
-
-	butter := func(mod func(*ButterflyConfig)) ButterflyConfig {
-		cfg := ButterflyConfig{D: 3, P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
-		mod(&cfg)
-		return cfg
-	}
-	butterCases := []struct {
-		name string
-		cfg  ButterflyConfig
-		want string
-	}{
-		{"FIFO butterfly uses the slot kernel", butter(func(c *ButterflyConfig) {}), KernelSlotStepped},
-		{"random-order butterfly falls back", butter(func(c *ButterflyConfig) { c.Discipline = network.RandomOrder }), KernelEventDriven},
-		{"ForceEventDriven wins", butter(func(c *ButterflyConfig) { c.ForceEventDriven = true }), KernelEventDriven},
-	}
-	for _, tc := range butterCases {
-		res, err := RunButterfly(tc.cfg)
+	for _, tc := range cases {
+		res, err := sim.Run(context.Background(), tc.sc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -382,11 +348,7 @@ func TestKernelSelection(t *testing.T) {
 	// The global test/benchmark escape hatch.
 	sim.DisableFastKernel = true
 	defer func() { sim.DisableFastKernel = false }()
-	res, err := RunButterfly(butter(func(c *ButterflyConfig) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel != KernelEventDriven {
+	if res := run(t, butter(func(c *sim.Scenario) {})); res.Kernel != sim.KernelEventDriven {
 		t.Errorf("DisableFastKernel ignored: kernel = %s", res.Kernel)
 	}
 }

@@ -238,7 +238,7 @@ func runSequential(ctx context.Context, sc *Scenario, n normalized) (*Result, er
 			BaseSeed:     xrand.SplitSeed(sc.Seed, uint64(pr.Batches)),
 			Pool:         sc.Pool,
 		}
-		merged, err := engine.RunSketchCtx(ctx, ecfg, task)
+		merged, err := engine.Run(ctx, ecfg, task)
 		if err != nil {
 			return nil, err
 		}

@@ -831,7 +831,7 @@ func runReplicated(ctx context.Context, sc *Scenario, n normalized) (*Result, er
 			progress(doneReps, totalReps)
 		}
 	}
-	merged, err := engine.RunSketchCtx(ctx, ecfg, replicationTask(sc, n))
+	merged, err := engine.Run(ctx, ecfg, replicationTask(sc, n))
 	if err != nil {
 		return nil, err
 	}

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"testing"
 
-	"repro/greedy"
 	"repro/internal/engine"
+	"repro/internal/stats"
 	"repro/sim"
 )
 
@@ -25,66 +25,64 @@ func checkField(t *testing.T, name string, a, b float64) {
 
 func checkSlice(t *testing.T, name string, a, b []float64) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Errorf("%s length differs: %d vs %d", name, len(a), len(b))
-		return
-	}
-	for i := range a {
-		if !bitsEq(a[i], b[i]) {
-			t.Errorf("%s[%d] differs: %v vs %v", name, i, a[i], b[i])
-			return
-		}
+	if !bitsEqSlice(a, b) {
+		t.Errorf("%s differs across APIs: %v vs %v", name, a, b)
 	}
 }
 
-// TestCrossAPIGoldenHypercube pins the compatibility contract of the greedy
-// facade: the same hypercube configuration run through greedy.RunHypercube
-// (the shim) and through sim.Run directly yields bit-identical results in
-// every reported field.
+// runSpec decodes a JSON scenario spec strictly, as cmd/run reads spec
+// files, and runs it.
+func runSpec(t *testing.T, spec string) *sim.Result {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(spec))
+	dec.DisallowUnknownFields()
+	var sc sim.Scenario
+	if err := dec.Decode(&sc); err != nil {
+		t.Fatal(err)
+	}
+	return run(t, sc)
+}
+
+// TestCrossAPIGoldenHypercube pins the contract between the two ways to
+// state a scenario: the same hypercube configuration built as a Go
+// sim.Scenario literal and decoded from its JSON spec yields bit-identical
+// results in every reported field.
 func TestCrossAPIGoldenHypercube(t *testing.T) {
 	for _, slotted := range []bool{false, true} {
-		cfg := greedy.HypercubeConfig{
-			D: 5, P: 0.5, LoadFactor: 0.7, Horizon: 800, Seed: 11,
-			TrackQuantiles: true, ReturnDelays: true, TrackPerDimensionWait: true,
-			PopulationTraceInterval: 10,
-		}
 		sc := sim.Scenario{
 			Topology: sim.Hypercube(5), P: 0.5, LoadFactor: 0.7, Horizon: 800, Seed: 11,
 			TrackQuantiles: true, ReturnDelays: true, TrackPerDimensionWait: true,
 			PopulationTraceInterval: 10,
 		}
+		spec := `{"topology": {"kind": "hypercube", "d": 5}, "p": 0.5, "load_factor": 0.7,
+			"horizon": 800, "seed": 11, "track_quantiles": true, "return_delays": true,
+			"track_per_dimension_wait": true, "population_trace_interval": 10`
 		if slotted {
-			cfg.Slotted, cfg.Tau = true, 0.5
 			sc.Slotted, sc.Tau = true, 0.5
+			spec += `, "slotted": true, "tau": 0.5`
 		}
-		old, err := greedy.RunHypercube(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.Run(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := res.Hypercube
-		if h == nil || res.Butterfly != nil {
+		old := runSpec(t, spec+"}")
+		res := run(t, sc)
+		h, oh := res.Hypercube, old.Hypercube
+		if h == nil || res.Butterfly != nil || oh == nil {
 			t.Fatal("hypercube scenario must fill exactly the hypercube block")
 		}
 		if old.Kernel != res.Kernel {
 			t.Errorf("kernel differs: %s vs %s", old.Kernel, res.Kernel)
 		}
-		if old.Params != h.Params {
-			t.Errorf("params differ: %+v vs %+v", old.Params, h.Params)
+		if oh.Params != h.Params {
+			t.Errorf("params differ: %+v vs %+v", oh.Params, h.Params)
 		}
 		checkField(t, "LoadFactor", old.LoadFactor, res.LoadFactor)
 		checkField(t, "MeanDelay", old.MeanDelay, res.MeanDelay)
 		checkField(t, "DelayP95", old.DelayP95, res.DelayP95)
 		checkField(t, "DelayP99", old.DelayP99, res.DelayP99)
 		checkField(t, "MeanPacketsPerNode", old.MeanPacketsPerNode, res.MeanPacketsPerNode)
-		checkField(t, "GreedyLowerBound", old.GreedyLowerBound, h.GreedyLowerBound)
-		checkField(t, "GreedyUpperBound", old.GreedyUpperBound, h.GreedyUpperBound)
-		checkField(t, "UniversalLowerBound", old.UniversalLowerBound, h.UniversalLowerBound)
-		checkField(t, "ObliviousLowerBound", old.ObliviousLowerBound, h.ObliviousLowerBound)
-		checkField(t, "SlottedUpperBound", old.SlottedUpperBound, h.SlottedUpperBound)
+		checkField(t, "GreedyLowerBound", oh.GreedyLowerBound, h.GreedyLowerBound)
+		checkField(t, "GreedyUpperBound", oh.GreedyUpperBound, h.GreedyUpperBound)
+		checkField(t, "UniversalLowerBound", oh.UniversalLowerBound, h.UniversalLowerBound)
+		checkField(t, "ObliviousLowerBound", oh.ObliviousLowerBound, h.ObliviousLowerBound)
+		checkField(t, "SlottedUpperBound", oh.SlottedUpperBound, h.SlottedUpperBound)
 		checkField(t, "Metrics.MeanDelay", old.Metrics.MeanDelay, res.Metrics.MeanDelay)
 		checkField(t, "Metrics.MeanHops", old.Metrics.MeanHops, res.Metrics.MeanHops)
 		checkField(t, "Metrics.MeanPopulation", old.Metrics.MeanPopulation, res.Metrics.MeanPopulation)
@@ -95,44 +93,40 @@ func TestCrossAPIGoldenHypercube(t *testing.T) {
 		if old.WithinPaperBounds != res.WithinPaperBounds {
 			t.Errorf("WithinPaperBounds differs")
 		}
-		checkSlice(t, "PerDimensionMeanQueue", old.PerDimensionMeanQueue, h.PerDimensionMeanQueue)
-		checkSlice(t, "PerDimensionUtilization", old.PerDimensionUtilization, h.PerDimensionUtilization)
-		checkSlice(t, "PerDimensionMeanWait", old.PerDimensionMeanWait, h.PerDimensionMeanWait)
-		checkSlice(t, "PerDimensionLoadFactor", old.PerDimensionLoadFactor, h.PerDimensionLoadFactor)
+		checkSlice(t, "PerDimensionMeanQueue", oh.PerDimensionMeanQueue, h.PerDimensionMeanQueue)
+		checkSlice(t, "PerDimensionUtilization", oh.PerDimensionUtilization, h.PerDimensionUtilization)
+		checkSlice(t, "PerDimensionMeanWait", oh.PerDimensionMeanWait, h.PerDimensionMeanWait)
+		checkSlice(t, "PerDimensionLoadFactor", oh.PerDimensionLoadFactor, h.PerDimensionLoadFactor)
 		checkSlice(t, "Delays", old.Delays, res.Delays)
+		if len(res.Delays) == 0 {
+			t.Error("ReturnDelays returned no delays")
+		}
 	}
 }
 
-// TestCrossAPIGoldenButterfly is the butterfly half of the facade contract.
+// TestCrossAPIGoldenButterfly is the butterfly half of the spec contract.
 func TestCrossAPIGoldenButterfly(t *testing.T) {
-	old, err := greedy.RunButterfly(greedy.ButterflyConfig{
-		D: 4, P: 0.3, LoadFactor: 0.8, Horizon: 600, Seed: 9, TrackQuantiles: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run(context.Background(), sim.Scenario{
+	old := runSpec(t, `{"topology": {"kind": "butterfly", "d": 4}, "p": 0.3,
+		"load_factor": 0.8, "horizon": 600, "seed": 9, "track_quantiles": true}`)
+	res := run(t, sim.Scenario{
 		Topology: sim.Butterfly(4), P: 0.3, LoadFactor: 0.8, Horizon: 600, Seed: 9,
 		TrackQuantiles: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := res.Butterfly
-	if b == nil || res.Hypercube != nil {
+	b, ob := res.Butterfly, old.Butterfly
+	if b == nil || res.Hypercube != nil || ob == nil {
 		t.Fatal("butterfly scenario must fill exactly the butterfly block")
 	}
-	if old.Params != b.Params || old.Kernel != res.Kernel {
-		t.Errorf("params/kernel differ: %+v/%s vs %+v/%s", old.Params, old.Kernel, b.Params, res.Kernel)
+	if ob.Params != b.Params || old.Kernel != res.Kernel {
+		t.Errorf("params/kernel differ: %+v/%s vs %+v/%s", ob.Params, old.Kernel, b.Params, res.Kernel)
 	}
 	checkField(t, "LoadFactor", old.LoadFactor, res.LoadFactor)
 	checkField(t, "MeanDelay", old.MeanDelay, res.MeanDelay)
 	checkField(t, "DelayP95", old.DelayP95, res.DelayP95)
-	checkField(t, "StraightUtilization", old.StraightUtilization, b.StraightUtilization)
-	checkField(t, "VerticalUtilization", old.VerticalUtilization, b.VerticalUtilization)
+	checkField(t, "StraightUtilization", ob.StraightUtilization, b.StraightUtilization)
+	checkField(t, "VerticalUtilization", ob.VerticalUtilization, b.VerticalUtilization)
 	checkField(t, "MeanPacketsPerNode", old.MeanPacketsPerNode, res.MeanPacketsPerNode)
-	checkField(t, "UniversalLowerBound", old.UniversalLowerBound, b.UniversalLowerBound)
-	checkField(t, "GreedyUpperBound", old.GreedyUpperBound, b.GreedyUpperBound)
+	checkField(t, "UniversalLowerBound", ob.UniversalLowerBound, b.UniversalLowerBound)
+	checkField(t, "GreedyUpperBound", ob.GreedyUpperBound, b.GreedyUpperBound)
 	if old.WithinPaperBounds != res.WithinPaperBounds {
 		t.Error("WithinPaperBounds differs")
 	}
@@ -155,17 +149,20 @@ func TestReplicatedMatchesManualEngineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	manual := engine.Run(engine.Config{Replications: reps, Parallelism: 2, BaseSeed: base.Seed},
-		func(_ int, seed uint64) map[string]float64 {
+	manual, err := engine.Run(context.Background(), engine.Config{Replications: reps, Parallelism: 2, BaseSeed: base.Seed},
+		func(_ int, seed uint64) (map[string]float64, map[string]*stats.DDSketch) {
 			one := base
 			one.Seed = seed
 			r, err := sim.Run(context.Background(), one)
 			if err != nil {
 				t.Error(err)
-				return nil
+				return nil, nil
 			}
-			return map[string]float64{"delay": r.MeanDelay, "hops": r.Metrics.MeanHops}
+			return map[string]float64{"delay": r.MeanDelay, "hops": r.Metrics.MeanHops}, nil
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	delay := res.Replicated[sim.MetricMeanDelay]
 	want := manual.Metrics["delay"]

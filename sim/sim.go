@@ -54,9 +54,7 @@
 //
 // The runnable godoc examples (Example functions of this package) cover the
 // single-run, replicated, spec round-trip and sweep paths and are asserted
-// by go test. The repro/greedy package remains as a thin compatibility
-// facade over this API (via internal/core), preserving the original
-// per-topology RunHypercube/RunButterfly entry points.
+// by go test.
 package sim
 
 import (
@@ -119,8 +117,8 @@ const (
 	Deflection
 )
 
-// routerNames maps each kind to its canonical JSON spelling. The JSON names
-// match the -router flag values of cmd/hyperroute.
+// routerNames maps each kind to its canonical JSON spelling (the spec
+// "router" field).
 var routerNames = map[RouterKind]string{
 	GreedyDimensionOrder: "greedy",
 	GreedyRandomOrder:    "random-order",

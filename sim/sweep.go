@@ -960,7 +960,7 @@ func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {
 	if sw.Pool != nil && dispatchPar <= 0 {
 		dispatchPar = sw.Pool.Workers()
 	}
-	forErr := engine.ForEachCtx(runCtx, len(pts), dispatchPar, func(i int) {
+	forErr := engine.ForEach(runCtx, len(pts), dispatchPar, func(i int) {
 		mu.Lock()
 		already := done[i]
 		mu.Unlock()
