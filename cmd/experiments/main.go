@@ -11,7 +11,6 @@
 //	experiments -quick            # shortened horizons, for a fast check
 //	experiments -only E5,E7       # run a subset
 //	experiments -list             # show the registry
-//	experiments -spec file.json   # run ad-hoc scenario (or sweep) spec files
 //	experiments -csv              # emit CSV instead of aligned text
 //	experiments -json             # emit machine-readable JSON artifacts
 //	experiments -artifacts out/   # also write one JSON artifact per experiment
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -32,14 +30,12 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/sim"
 )
 
 func main() {
 	var (
 		quick       = flag.Bool("quick", false, "use shortened horizons and fewer replications")
 		only        = flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-		spec        = flag.String("spec", "", "run ad-hoc scenarios (or an expanded sweep) from this JSON spec file instead of the registry")
 		list        = flag.Bool("list", false, "list the experiment registry and exit")
 		csv         = flag.Bool("csv", false, "emit CSV tables instead of aligned text")
 		jsonOut     = flag.Bool("json", false, "emit machine-readable JSON artifacts instead of text tables")
@@ -66,37 +62,6 @@ func main() {
 	// the exits below cannot truncate a live CPU profile.
 	var selected []harness.Experiment
 	switch {
-	case *spec != "":
-		if *only != "" {
-			fmt.Fprintf(os.Stderr, "experiments: -spec and -only are mutually exclusive\n")
-			os.Exit(2)
-		}
-		scs, sw, err := harness.LoadSpec(*spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		if sw != nil {
-			// A sweep spec expands to its point scenarios, each named
-			// uniquely so artifact IDs never collide (same policy as
-			// cmd/run).
-			scs, err = sw.Expand()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(2)
-			}
-			name := sw.Name
-			if name == "" {
-				name = sw.Base.Name
-			}
-			if name == "" {
-				name = "sweep"
-			}
-			for i := range scs {
-				scs[i].Name = fmt.Sprintf("%s-point-%03d", name, i)
-			}
-		}
-		selected = specExperiments(*spec, scs)
 	case *only == "":
 		selected = registry
 	default:
@@ -194,40 +159,6 @@ func main() {
 			fmt.Printf("   (%s)\n\n", elapsed.Round(time.Millisecond))
 		}
 	}
-}
-
-// specExperiments wraps the scenarios of a spec file as registry-shaped
-// experiments so the rendering, artifact and profiling paths below treat
-// them exactly like E1..E18. A scenario keeps the seed from its spec (the
-// -seed flag applies to registry experiments only); -parallelism bounds its
-// replication shards and -progress reports per-replication completion.
-func specExperiments(path string, scs []sim.Scenario) []harness.Experiment {
-	exps := make([]harness.Experiment, 0, len(scs))
-	for i, sc := range scs {
-		sc := sc
-		id := sc.Name
-		if id == "" {
-			id = fmt.Sprintf("scenario-%d", i+1)
-		}
-		exps = append(exps, harness.Experiment{
-			ID:    id,
-			Title: sc.Title(),
-			Claim: fmt.Sprintf("ad-hoc scenario from %s", path),
-			Run: func(cfg harness.RunConfig) *harness.Table {
-				sc.Parallelism = cfg.Parallelism
-				if cfg.Progress != nil {
-					sc.Progress = cfg.Progress
-				}
-				res, err := sim.Run(context.Background(), sc)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-					os.Exit(1)
-				}
-				return harness.ScenarioTable(sc, res)
-			},
-		})
-	}
-	return exps
 }
 
 func writeArtifact(dir string, artifact harness.Artifact) error {

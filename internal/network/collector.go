@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/stats"
@@ -54,13 +55,44 @@ type Collector struct {
 	lastTrace  float64
 }
 
+// Measurement selects the optional measurements of a run. Both kernels'
+// configs embed it (Config and slotsim.Config) and hand it to
+// Collector.Reset, which applies it; the zero value measures only the
+// always-on statistics.
+type Measurement struct {
+	// TrackQuantiles stores every measured delay so exact quantiles can be
+	// reported; it costs one float64 per delivered packet.
+	TrackQuantiles bool
+	// SketchAlpha, when positive, feeds every measured delay into a mergeable
+	// DDSketch with that relative-error bound, so tail quantiles can be
+	// reported with bounded memory (O(log(max delay)/alpha) buckets instead
+	// of one float per delivered packet). It is independent of
+	// TrackQuantiles; large-scale runs enable only the sketch.
+	SketchAlpha float64
+	// TrackPerHopWait records, for every arc traversal, the time from joining
+	// the arc's queue to finishing transmission, aggregated per statistics
+	// group (the per-dimension contention profile of §3.3).
+	TrackPerHopWait bool
+	// TraceInterval, when positive, records the total population every
+	// TraceInterval time units (the stability experiments' growth slope).
+	TraceInterval float64
+	// SkipGroupPopulation disables the per-group time-weighted population
+	// processes (two updates per hop on the hot path); Metrics then reports
+	// zero GroupMeanPopulation. The kernels test it before each update.
+	// Callers that never read the per-group populations (the butterfly
+	// experiments) set it on both kernels: cross-kernel identity requires
+	// the settings to match.
+	SkipGroupPopulation bool
+}
+
 // Reset re-initialises the collector for a run with numGroups statistics
-// groups, reusing all backing storage. Optional features (delay sampling,
-// per-hop waits, the population trace) are switched off and must be
-// re-enabled after the reset.
-func (c *Collector) Reset(numGroups int) {
+// groups and the measurements m selects, reusing all backing storage.
+func (c *Collector) Reset(numGroups int, m Measurement) {
 	if numGroups <= 0 {
 		numGroups = 1
+	}
+	if m.TraceInterval < 0 {
+		panic(fmt.Sprintf("network: negative trace interval %v", m.TraceInterval))
 	}
 	c.numGroups = numGroups
 	c.measureFrom = 0
@@ -75,9 +107,12 @@ func (c *Collector) Reset(numGroups int) {
 		}
 	}
 	c.hopCount = stats.Tally{}
-	c.sampleDelays = false
+	c.sampleDelays = m.TrackQuantiles
 	c.delaySample.Reset()
-	c.sketchOn = false
+	c.sketchOn = m.SketchAlpha > 0
+	if c.sketchOn {
+		c.sketch.Reset(m.SketchAlpha)
+	}
 	c.population.Reset(0, 0)
 	if cap(c.groupPop) < numGroups {
 		c.groupPop = make([]groupPopulation, numGroups)
@@ -85,56 +120,24 @@ func (c *Collector) Reset(numGroups int) {
 		c.groupPop = c.groupPop[:numGroups]
 		clear(c.groupPop)
 	}
-	c.perHopWait = false
-	c.groupWait = c.groupWait[:0]
+	c.perHopWait = m.TrackPerHopWait
+	switch {
+	case !c.perHopWait:
+		c.groupWait = c.groupWait[:0]
+	case cap(c.groupWait) < numGroups:
+		c.groupWait = make([]stats.Tally, numGroups)
+	default:
+		c.groupWait = c.groupWait[:numGroups]
+		clear(c.groupWait)
+	}
 	c.departures = 0
 	c.generated = 0
 	c.inFlight = 0
 	c.droppedFault = 0
 	c.droppedOverflow = 0
 	c.popTrace.Reset()
-	c.traceEvery = 0
+	c.traceEvery = m.TraceInterval
 	c.lastTrace = 0
-}
-
-// EnableDelaySample stores every measured delay so exact quantiles can be
-// reported; it costs one float64 per delivered packet.
-func (c *Collector) EnableDelaySample() {
-	c.sampleDelays = true
-	c.delaySample.Reset()
-}
-
-// EnableDelaySketch feeds every measured delay into a mergeable DDSketch
-// with relative-error bound alpha, so tail quantiles can be reported with
-// bounded memory (O(log(max delay)/alpha) buckets instead of one float per
-// delivered packet). The sketch and the exact sample are independent
-// features; large-scale runs enable only the sketch.
-func (c *Collector) EnableDelaySketch(alpha float64) {
-	c.sketchOn = true
-	c.sketch.Reset(alpha)
-}
-
-// EnablePerHopWait records, for every arc traversal, the time from joining
-// the arc's queue to finishing transmission, aggregated per statistics group.
-func (c *Collector) EnablePerHopWait() {
-	c.perHopWait = true
-	if cap(c.groupWait) < c.numGroups {
-		c.groupWait = make([]stats.Tally, c.numGroups)
-	} else {
-		c.groupWait = c.groupWait[:c.numGroups]
-		for g := range c.groupWait {
-			c.groupWait[g] = stats.Tally{}
-		}
-	}
-}
-
-// EnablePopulationTrace records the total population every interval time
-// units (used by the stability experiments to estimate the growth slope).
-func (c *Collector) EnablePopulationTrace(interval float64) {
-	if interval <= 0 {
-		panic("network: trace interval must be positive")
-	}
-	c.traceEvery = interval
 }
 
 // CountGenerated counts one injected packet.
@@ -299,7 +302,7 @@ func (c *Collector) MeasureFrom() float64 { return c.measureFrom }
 func (c *Collector) InFlight() int64 { return c.inFlight }
 
 // DelayQuantile returns the exact q-quantile of measured delays; it requires
-// EnableDelaySample and returns NaN otherwise.
+// Measurement.TrackQuantiles and returns NaN otherwise.
 func (c *Collector) DelayQuantile(q float64) float64 {
 	if !c.sampleDelays {
 		return math.NaN()
@@ -307,9 +310,9 @@ func (c *Collector) DelayQuantile(q float64) float64 {
 	return c.delaySample.Value(q)
 }
 
-// DelaySketch returns the delay quantile sketch when EnableDelaySketch was
-// called (nil otherwise). The pointer aliases collector state valid until the
-// next Reset: callers that outlive the run must Clone it.
+// DelaySketch returns the delay quantile sketch when Measurement.SketchAlpha
+// was set (nil otherwise). The pointer aliases collector state valid until
+// the next Reset: callers that outlive the run must Clone it.
 func (c *Collector) DelaySketch() *stats.DDSketch {
 	if !c.sketchOn {
 		return nil
@@ -317,12 +320,12 @@ func (c *Collector) DelaySketch() *stats.DDSketch {
 	return &c.sketch
 }
 
-// DelaySample returns the measured per-packet delays when delay sampling is
-// enabled (nil otherwise). The slice aliases internal storage and is valid
-// until the next run: treat it as read-only. Its order is the delivery order
-// until a quantile query partially reorders it; identical runs produce the
-// identical sequence either way, which is what the cross-kernel golden tests
-// compare.
+// DelaySample returns the measured per-packet delays when
+// Measurement.TrackQuantiles was set (nil otherwise). The slice aliases
+// internal storage and is valid until the next run: treat it as read-only.
+// Its order is the delivery order until a quantile query partially reorders
+// it; identical runs produce the identical sequence either way, which is
+// what the cross-kernel golden tests compare.
 func (c *Collector) DelaySample() []float64 {
 	if !c.sampleDelays {
 		return nil

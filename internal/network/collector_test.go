@@ -25,7 +25,7 @@ func TestGroupPopulationMatchesTimeWeighted(t *testing.T) {
 			measureAt = steps
 		}
 		var c Collector
-		c.Reset(groups)
+		c.Reset(groups, Measurement{})
 		want := make([]stats.TimeWeighted, groups)
 		for g := range want {
 			want[g].Reset(0, 0)

@@ -11,6 +11,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/des"
 	"repro/internal/ringbuf"
@@ -66,11 +67,9 @@ func (p *Packet) Hops() int { return len(p.Path) }
 type Config struct {
 	// NumArcs is the number of servers (arcs) in the network.
 	NumArcs int
-	// GroupOf maps an arc index to a statistics group (hypercube dimension,
-	// butterfly level/kind, ...). May be nil, in which case all arcs share
-	// group 0.
-	GroupOf func(arc int) int
-	// NumGroups is the number of distinct groups produced by GroupOf.
+	// NumGroups is the number of statistics groups (hypercube dimensions,
+	// butterfly level/kind pairs, ...), laid out as GroupShift describes.
+	// Zero means one group.
 	NumGroups int
 	// ServiceTime is the deterministic transmission time per arc; the paper
 	// uses 1 everywhere and that is the default when zero.
@@ -79,13 +78,29 @@ type Config struct {
 	Discipline Discipline
 	// Seed drives the randomness used by the RandomOrder discipline.
 	Seed uint64
-	// SkipGroupPopulation disables the per-group time-weighted population
-	// processes (two updates per hop on the hot path); Metrics then reports
-	// zero GroupMeanPopulation. Callers that never read the per-group
-	// populations (the butterfly experiments) set it on both kernels.
-	SkipGroupPopulation bool
+	// Measurement selects the optional measurements.
+	Measurement
 	// Faults is the fault model; the zero value means a faultless network.
 	Faults
+}
+
+// GroupShift returns the shift that maps an arc index to its statistics
+// group, group = arc >> shift. Groups are contiguous blocks of
+// numArcs/numGroups arcs, and the block must be a power of two: that is the
+// layout of both topologies' arc indices — a hypercube arc is
+// (dimension-1)·2^d + node, one group per dimension; a butterfly arc is
+// ((level-1)·2 + kind)·2^d + row, one group per level and arc kind. Both
+// kernels group arcs by it. A single group covers any number of arcs.
+func GroupShift(numArcs, numGroups int) uint {
+	if numGroups <= 1 {
+		return bits.UintSize - 1 // every arc index shifts to 0
+	}
+	block := numArcs / numGroups
+	if block*numGroups != numArcs || block&(block-1) != 0 {
+		panic(fmt.Sprintf("network: NumArcs=%d does not split into NumGroups=%d contiguous power-of-two blocks of arcs",
+			numArcs, numGroups))
+	}
+	return uint(bits.TrailingZeros(uint(block)))
 }
 
 // Faults is the fault model of both store-and-forward kernels: Config and
@@ -150,10 +165,9 @@ type System struct {
 	handler des.HandlerID
 	svcCh   des.ChannelID // completions all use the same fixed ServiceTime
 	arcs    []arcState
-	// groupOf is the arc -> statistics group table, precomputed once at
-	// NewSystem so the hot path never calls the cfg.GroupOf func.
-	groupOf []int32
-	rng     *xrand.Rand
+	// groupShift maps an arc to its statistics group (see GroupShift).
+	groupShift uint
+	rng        *xrand.Rand
 	// faultRNG is the dedicated transient-fault stream; it is consumed only
 	// when cfg.ArcFailProb > 0 (exactly one draw per service completion).
 	faultRNG *xrand.Rand
@@ -236,30 +250,15 @@ func (s *System) configure(cfg Config) {
 	if cfg.ServiceTime < 0 {
 		panic(fmt.Sprintf("network: negative service time %v", cfg.ServiceTime))
 	}
-	if cfg.GroupOf == nil {
-		cfg.GroupOf = func(int) int { return 0 }
-		cfg.NumGroups = 1
-	}
 	if cfg.NumGroups <= 0 {
 		cfg.NumGroups = 1
 	}
+	s.groupShift = GroupShift(cfg.NumArcs, cfg.NumGroups)
 	s.cfg = cfg
 	if cap(s.arcs) < cfg.NumArcs {
 		s.arcs = make([]arcState, cfg.NumArcs)
 	} else {
 		s.arcs = s.arcs[:cfg.NumArcs]
-	}
-	if cap(s.groupOf) < cfg.NumArcs {
-		s.groupOf = make([]int32, cfg.NumArcs)
-	} else {
-		s.groupOf = s.groupOf[:cfg.NumArcs]
-	}
-	for i := range s.groupOf {
-		g := cfg.GroupOf(i)
-		if g < 0 || g >= cfg.NumGroups {
-			panic(fmt.Sprintf("network: GroupOf(%d) = %d outside [0,%d)", i, g, cfg.NumGroups))
-		}
-		s.groupOf[i] = int32(g)
 	}
 	s.rng.SeedStream(cfg.Seed, 0xD15C)
 	s.faultRNG.SeedStream(cfg.Seed, xrand.StreamFault)
@@ -283,7 +282,7 @@ func (s *System) configure(cfg Config) {
 	} else {
 		s.arcDown = nil
 	}
-	s.col.Reset(cfg.NumGroups)
+	s.col.Reset(cfg.NumGroups, cfg.Measurement)
 }
 
 // HandleEvent dispatches the system's typed calendar events.
@@ -336,26 +335,6 @@ func (s *System) releasePacket(p *Packet) {
 // Config returns the configuration the system was built with.
 func (s *System) Config() Config { return s.cfg }
 
-// EnableDelaySample stores every measured delay so exact quantiles can be
-// reported; it costs one float64 per delivered packet.
-func (s *System) EnableDelaySample() { s.col.EnableDelaySample() }
-
-// EnableDelaySketch feeds every measured delay into a mergeable quantile
-// sketch with relative-error bound alpha; see Collector.EnableDelaySketch.
-func (s *System) EnableDelaySketch(alpha float64) { s.col.EnableDelaySketch(alpha) }
-
-// EnablePerHopWait records, for every arc traversal, the time from joining
-// the arc's queue to finishing transmission, aggregated per statistics group.
-// The hypercube experiments use it to measure the per-dimension contention
-// profile discussed at the end of §3.3.
-func (s *System) EnablePerHopWait() { s.col.EnablePerHopWait() }
-
-// EnablePopulationTrace records the total population every interval time
-// units (used by the stability experiments to estimate the growth slope).
-func (s *System) EnablePopulationTrace(interval float64) {
-	s.col.EnablePopulationTrace(interval)
-}
-
 // NewPacketID returns a fresh packet identifier.
 func (s *System) NewPacketID() int64 {
 	id := s.nextID
@@ -402,7 +381,7 @@ func (s *System) enqueue(p *Packet, now float64) {
 		s.startService(idx, p, now)
 	}
 	if !s.cfg.SkipGroupPopulation {
-		s.col.GroupPopulationAdd(s.groupOf[idx], now, +1)
+		s.col.GroupPopulationAdd(int32(idx>>s.groupShift), now, +1)
 	}
 }
 
@@ -449,10 +428,11 @@ func (s *System) completeService(idx int) {
 	}
 	a.inService = nil
 	a.busyTime += now - a.busySince
+	g := int32(idx >> s.groupShift)
 	if !s.cfg.SkipGroupPopulation {
-		s.col.GroupPopulationAdd(s.groupOf[idx], now, -1)
+		s.col.GroupPopulationAdd(g, now, -1)
 	}
-	s.col.ArcWait(s.groupOf[idx], now, p.enqueuedAt, p.GenTime)
+	s.col.ArcWait(g, now, p.enqueuedAt, p.GenTime)
 
 	// Start the next packet on this arc (never inside an outage window: the
 	// outage-end handler restarts the arc).
@@ -549,13 +529,14 @@ type Metrics struct {
 	// GroupArrivalRate is the mean arrival rate per arc in each group.
 	GroupArrivalRate []float64
 	// GroupMeanWait is the mean time from joining an arc's queue to
-	// finishing transmission, per group (populated only when EnablePerHopWait
-	// was called; the minimum possible value is the service time).
+	// finishing transmission, per group (populated only with
+	// Measurement.TrackPerHopWait; the minimum possible value is the service
+	// time).
 	GroupMeanWait []float64
 	// MeanDelayByClass reports mean delay per packet Class.
 	MeanDelayByClass map[int]float64
 	// PopulationSlope is the least-squares slope of the population trace
-	// (packets per unit time); requires EnablePopulationTrace.
+	// (packets per unit time); requires Measurement.TraceInterval.
 	PopulationSlope float64
 	// LittleLawError is the relative discrepancy |L - lambda*W|/L over the
 	// measurement window, an internal consistency check.
@@ -563,16 +544,16 @@ type Metrics struct {
 }
 
 // DelayQuantile returns the exact q-quantile of measured delays; it requires
-// EnableDelaySample and returns NaN otherwise.
+// Measurement.TrackQuantiles and returns NaN otherwise.
 func (s *System) DelayQuantile(q float64) float64 { return s.col.DelayQuantile(q) }
 
-// DelaySample returns the measured per-packet delays when EnableDelaySample
-// was called (nil otherwise); see Collector.DelaySample for the aliasing and
+// DelaySample returns the measured per-packet delays when
+// Measurement.TrackQuantiles was set (nil otherwise); see Collector.DelaySample for the aliasing and
 // ordering caveats.
 func (s *System) DelaySample() []float64 { return s.col.DelaySample() }
 
-// DelaySketch returns the delay quantile sketch when EnableDelaySketch was
-// called (nil otherwise); the pointer aliases collector state, so callers
+// DelaySketch returns the delay quantile sketch when Measurement.SketchAlpha
+// was set (nil otherwise); the pointer aliases collector state, so callers
 // that outlive the run must Clone it.
 func (s *System) DelaySketch() *stats.DDSketch { return s.col.DelaySketch() }
 
@@ -598,7 +579,7 @@ func (s *System) Snapshot() Metrics {
 		s.snapArrivals[g] = 0
 	}
 	for i := range s.arcs {
-		g := s.groupOf[i]
+		g := i >> s.groupShift
 		s.snapArcs[g]++
 		busy := s.arcs[i].busyTime
 		if s.arcs[i].inService != nil {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/butterfly"
+	"repro/internal/hypercube"
 	"repro/internal/queueing"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -243,7 +245,6 @@ func TestGroupStatistics(t *testing.T) {
 	// Two arcs in different groups; only group 1 receives traffic.
 	sys := NewSystem(Config{
 		NumArcs:   2,
-		GroupOf:   func(a int) int { return a },
 		NumGroups: 2,
 	})
 	src := workload.NewPoissonSource(0.5, 9, 0)
@@ -305,8 +306,7 @@ func TestStartMeasurementDiscardsWarmup(t *testing.T) {
 }
 
 func TestDelayQuantileAndClasses(t *testing.T) {
-	sys := NewSystem(Config{NumArcs: 1})
-	sys.EnableDelaySample()
+	sys := NewSystem(Config{NumArcs: 1, Measurement: Measurement{TrackQuantiles: true}})
 	at(sys, 0, func() {
 		sys.Inject(&Packet{ID: 0, Path: []int{0}, Class: 1}) // delay 1
 		sys.Inject(&Packet{ID: 1, Path: []int{0}, Class: 2}) // delay 2
@@ -327,15 +327,14 @@ func TestDelayQuantileAndClasses(t *testing.T) {
 func TestDelayQuantileWithoutSampleIsNaN(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 1})
 	if !math.IsNaN(sys.DelayQuantile(0.5)) {
-		t.Fatal("expected NaN without EnableDelaySample")
+		t.Fatal("expected NaN without TrackQuantiles")
 	}
 }
 
 func TestPopulationTraceSlopeUnstableQueue(t *testing.T) {
 	// A single arc overloaded at rho = 1.5 must show a clearly positive
 	// population slope (~0.5 packets per unit time).
-	sys := NewSystem(Config{NumArcs: 1})
-	sys.EnablePopulationTrace(10)
+	sys := NewSystem(Config{NumArcs: 1, Measurement: Measurement{TraceInterval: 10}})
 	src := workload.NewPoissonSource(1.5, 21, 0)
 	const horizon = 5000
 	var schedule func()
@@ -388,8 +387,7 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatal("expected panic for bad trace interval")
 			}
 		}()
-		s := NewSystem(Config{NumArcs: 1})
-		s.EnablePopulationTrace(0)
+		NewSystem(Config{NumArcs: 1, Measurement: Measurement{TraceInterval: -1}})
 	}()
 }
 
@@ -457,11 +455,10 @@ func TestPerHopWaitStatistics(t *testing.T) {
 	// at arc 1 they arrive one time unit apart and never wait, so each
 	// sojourn is exactly 1.
 	sys := NewSystem(Config{
-		NumArcs:   2,
-		GroupOf:   func(a int) int { return a },
-		NumGroups: 2,
+		NumArcs:     2,
+		NumGroups:   2,
+		Measurement: Measurement{TrackPerHopWait: true},
 	})
-	sys.EnablePerHopWait()
 	at(sys, 0, func() {
 		for i := 0; i < 3; i++ {
 			sys.Inject(&Packet{ID: int64(i), Path: []int{0, 1}})
@@ -481,8 +478,7 @@ func TestPerHopWaitStatistics(t *testing.T) {
 }
 
 func TestPerHopWaitResetByStartMeasurement(t *testing.T) {
-	sys := NewSystem(Config{NumArcs: 1})
-	sys.EnablePerHopWait()
+	sys := NewSystem(Config{NumArcs: 1, Measurement: Measurement{TrackPerHopWait: true}})
 	// Warm-up burst with heavy queueing.
 	at(sys, 0, func() {
 		for i := 0; i < 10; i++ {
@@ -509,4 +505,39 @@ func TestPerHopWaitAbsentWithoutFlag(t *testing.T) {
 	if sys.Snapshot().GroupMeanWait != nil {
 		t.Fatal("GroupMeanWait should be nil when tracking is disabled")
 	}
+}
+
+// TestGroupShiftMatchesTopologyArcLayout pins the block rule both kernels
+// group arcs by against the topologies' own arc indexing: a hypercube's
+// groups are its dimensions, a butterfly's its (level, arc kind) pairs.
+func TestGroupShiftMatchesTopologyArcLayout(t *testing.T) {
+	for d := 1; d <= 6; d++ {
+		cube := hypercube.New(d)
+		shift := GroupShift(cube.NumArcs(), d)
+		for a := 0; a < cube.NumArcs(); a++ {
+			if got, want := a>>shift, int(cube.DimensionOfArcIndex(a))-1; got != want {
+				t.Fatalf("hypercube d=%d arc %d: group %d, want dimension group %d", d, a, got, want)
+			}
+		}
+		bf := butterfly.New(d)
+		shift = GroupShift(bf.NumArcs(), 2*d)
+		for a := 0; a < bf.NumArcs(); a++ {
+			want := 2 * (int(bf.LevelOfArcIndex(a)) - 1)
+			if bf.KindOfArcIndex(a) == butterfly.Vertical {
+				want++
+			}
+			if got := a >> shift; got != want {
+				t.Fatalf("butterfly d=%d arc %d: group %d, want level/kind group %d", d, a, got, want)
+			}
+		}
+	}
+	if got := GroupShift(7, 1); 6>>got != 0 {
+		t.Errorf("one group: arc 6 shifts to %d", 6>>got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for groups that are not power-of-two blocks")
+		}
+	}()
+	GroupShift(12, 4)
 }

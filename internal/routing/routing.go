@@ -241,7 +241,6 @@ func RunPipelined(cfg PipelinedConfig) PipelinedResult {
 		// fresh system per round keeps the barrier semantics explicit.
 		sys := network.NewSystem(network.Config{
 			NumArcs:   cube.NumArcs(),
-			GroupOf:   func(a int) int { return int(cube.DimensionOfArcIndex(a)) - 1 },
 			NumGroups: cfg.D,
 			Seed:      cfg.Seed + uint64(result.Rounds),
 		})

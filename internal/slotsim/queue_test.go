@@ -123,8 +123,8 @@ func TestQueueCasesMatchEventDriven(t *testing.T) {
 	for _, tc := range queueCases {
 		for _, slotted := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/slotted=%v", tc.name, slotted), func(t *testing.T) {
-				sys := network.NewSystem(network.Config{NumArcs: tc.arcs, Seed: 7, Faults: tc.faults})
-				sys.EnablePerHopWait()
+				perHopWait := network.Measurement{TrackPerHopWait: true}
+				sys := network.NewSystem(network.Config{NumArcs: tc.arcs, Seed: 7, Measurement: perHopWait, Faults: tc.faults})
 				for _, r := range tc.routes {
 					sys.Inject(&network.Packet{Path: slices.Clone(r)})
 				}
@@ -134,15 +134,15 @@ func TestQueueCasesMatchEventDriven(t *testing.T) {
 				want := sys.Snapshot()
 
 				cfg := Config{
-					NumArcs:         tc.arcs,
-					Sources:         1,
-					MaxHops:         2,
-					Horizon:         horizon,
-					Seed:            7,
-					Lambda:          1e-300, // no drawn arrival falls inside the horizon
-					Traffic:         &scriptTraffic{routes: tc.routes},
-					TrackPerHopWait: true,
-					Faults:          tc.faults,
+					NumArcs:     tc.arcs,
+					Sources:     1,
+					MaxHops:     2,
+					Horizon:     horizon,
+					Seed:        7,
+					Lambda:      1e-300, // no drawn arrival falls inside the horizon
+					Traffic:     &scriptTraffic{routes: tc.routes},
+					Measurement: perHopWait,
+					Faults:      tc.faults,
 				}
 				if slotted {
 					cfg.Slotted, cfg.Tau = true, 1

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/butterfly"
 	"repro/internal/hypercube"
+	"repro/internal/network"
 	"repro/internal/routing"
 	"repro/internal/xrand"
 )
@@ -103,20 +104,20 @@ func TestSteppedRoutesMatchPathRecords(t *testing.T) {
 func millionNodeConfig() Config {
 	const d = 20
 	return Config{
-		NumArcs:             d * (1 << d),
-		NumGroups:           1,
-		Sources:             1 << d,
-		Horizon:             6,
-		Warmup:              2,
-		Seed:                99,
-		Lambda:              0.05,
-		Slotted:             true,
-		Tau:                 1,
-		Mode:                RouteHypercubeGreedy,
-		Dest:                uniformDest{mask: 1<<d - 1},
-		Batch:               &uniformBatch{mask: 1<<d - 1},
-		SkipGroupPopulation: true,
-		MaxBytes:            2 << 30,
+		NumArcs:     d * (1 << d),
+		NumGroups:   1,
+		Sources:     1 << d,
+		Horizon:     6,
+		Warmup:      2,
+		Seed:        99,
+		Lambda:      0.05,
+		Slotted:     true,
+		Tau:         1,
+		Mode:        RouteHypercubeGreedy,
+		Dest:        uniformDest{mask: 1<<d - 1},
+		Batch:       &uniformBatch{mask: 1<<d - 1},
+		Measurement: network.Measurement{SkipGroupPopulation: true},
+		MaxBytes:    2 << 30,
 	}
 }
 
@@ -167,18 +168,18 @@ func TestMaxBytesPreRunRejection(t *testing.T) {
 func TestMaxBytesGrowthRejection(t *testing.T) {
 	const d = 10
 	cfg := Config{
-		NumArcs:             d * (1 << d),
-		NumGroups:           1,
-		Sources:             1 << d,
-		Horizon:             50,
-		Warmup:              10,
-		Seed:                3,
-		Lambda:              8, // wildly unstable: in-flight grows past the initial pool
-		Slotted:             true,
-		Tau:                 1,
-		Mode:                RouteHypercubeGreedy,
-		Dest:                uniformDest{mask: 1<<d - 1},
-		SkipGroupPopulation: true,
+		NumArcs:     d * (1 << d),
+		NumGroups:   1,
+		Sources:     1 << d,
+		Horizon:     50,
+		Warmup:      10,
+		Seed:        3,
+		Lambda:      8, // wildly unstable: in-flight grows past the initial pool
+		Slotted:     true,
+		Tau:         1,
+		Mode:        RouteHypercubeGreedy,
+		Dest:        uniformDest{mask: 1<<d - 1},
+		Measurement: network.Measurement{SkipGroupPopulation: true},
 	}
 	cfg.MaxBytes = EstimateBytes(cfg) + 1024
 	defer func() {
@@ -205,18 +206,18 @@ func TestColdRunAllocations(t *testing.T) {
 	const d = 14
 	sampler := &uniformBatch{mask: 1<<d - 1}
 	cfg := Config{
-		NumArcs:             d << d,
-		NumGroups:           d,
-		Sources:             1 << d,
-		Horizon:             1,
-		Seed:                5,
-		Lambda:              1.4,
-		Slotted:             true,
-		Tau:                 1,
-		Mode:                RouteHypercubeGreedy,
-		Dest:                sampler,
-		Batch:               sampler,
-		SkipGroupPopulation: true,
+		NumArcs:     d << d,
+		NumGroups:   d,
+		Sources:     1 << d,
+		Horizon:     1,
+		Seed:        5,
+		Lambda:      1.4,
+		Slotted:     true,
+		Tau:         1,
+		Mode:        RouteHypercubeGreedy,
+		Dest:        sampler,
+		Batch:       sampler,
+		Measurement: network.Measurement{SkipGroupPopulation: true},
 	}
 	k := &Kernel{}
 	var before, after runtime.MemStats
@@ -296,18 +297,18 @@ func BenchmarkSlottedHypercubeScale(b *testing.B) {
 	const d = 16
 	sampler := &uniformBatch{mask: 1<<d - 1}
 	cfg := Config{
-		NumArcs:             d << d,
-		NumGroups:           d,
-		Sources:             1 << d,
-		Horizon:             4,
-		Seed:                11,
-		Lambda:              1.4, // ρ = λ·p with p = 1/2
-		Slotted:             true,
-		Tau:                 1,
-		Mode:                RouteHypercubeGreedy,
-		Dest:                sampler,
-		Batch:               sampler,
-		SkipGroupPopulation: true,
+		NumArcs:     d << d,
+		NumGroups:   d,
+		Sources:     1 << d,
+		Horizon:     4,
+		Seed:        11,
+		Lambda:      1.4, // ρ = λ·p with p = 1/2
+		Slotted:     true,
+		Tau:         1,
+		Mode:        RouteHypercubeGreedy,
+		Dest:        sampler,
+		Batch:       sampler,
+		Measurement: network.Measurement{SkipGroupPopulation: true},
 	}
 	packets := (&Kernel{}).Run(cfg).Generated // Warmup 0: every injected packet
 	for _, cold := range []bool{true, false} {

@@ -22,10 +22,11 @@
 //     end is marked in a stalled bitset, allocated only when the run has
 //     outages; finite buffers add a count of the waiting packets.
 //     Statistics groups are contiguous power-of-two blocks of arcs
-//     (group = arc >> shift, the layout both topologies already use), so no
-//     arc stores a group id, and arrivals are counted per group, not per
-//     arc. There is no per-arc queue buffer: queue memory scales with the
-//     in-flight population, not with the arc count.
+//     (network.GroupShift, the layout both topologies' arc indices have
+//     and both kernels use), so no arc stores a group id, and arrivals are
+//     counted per group, not per arc. There is no per-arc queue buffer:
+//     queue memory scales with the in-flight population, not with the arc
+//     count.
 //   - Packets live in a pooled slab of parallel arrays (generation time,
 //     bit-packed route state, hop counters, queue link), 28 bytes per packet.
 //     A packet keeps one pool slot for its whole life; per-arc FIFO queues
@@ -173,12 +174,9 @@ const (
 type Config struct {
 	// NumArcs is the number of servers (arcs) in the network.
 	NumArcs int
-	// NumGroups is the number of statistics groups. Groups are contiguous
-	// blocks of NumArcs/NumGroups arcs (group = arc / block), and the block
-	// must be a power of two that divides NumArcs — the layout of both
-	// topologies' arc indices: a hypercube arc is dim·2^d + node, a
-	// butterfly arc is (level, kind)·2^d + row. With NumGroups <= 1 every
-	// arc is in group 0, for any NumArcs.
+	// NumGroups is the number of statistics groups, laid out as
+	// network.GroupShift describes: contiguous power-of-two blocks of arcs.
+	// With NumGroups <= 1 every arc is in group 0, for any NumArcs.
 	NumGroups int
 	// Sources is the number of traffic sources (hypercube nodes or butterfly
 	// first-level rows); arrivals of the aggregate stream pick one uniformly.
@@ -219,21 +217,9 @@ type Config struct {
 	// clean error instead of a panic validate with EstimateBytes first
 	// (sim.Scenario.MaxBytes does).
 	MaxBytes int64
-	// TrackQuantiles stores every measured delay for exact quantiles.
-	TrackQuantiles bool
-	// SketchAlpha, when positive, feeds every measured delay into a
-	// mergeable DDSketch with that relative-error bound (bounded memory,
-	// independent of TrackQuantiles). Zero disables the sketch.
-	SketchAlpha float64
-	// TrackPerHopWait records per-group arc sojourn times.
-	TrackPerHopWait bool
-	// SkipGroupPopulation disables the per-group time-weighted population
-	// processes (two updates per hop); the butterfly experiments never read
-	// them. Must match the event-driven run's setting for cross-kernel
-	// identity.
-	SkipGroupPopulation bool
-	// TraceInterval enables the population trace (0 disables it).
-	TraceInterval float64
+	// Measurement selects the optional measurements, as for the event-driven
+	// kernel; the settings must match for cross-kernel identity.
+	network.Measurement
 	// Faults is the fault model, with exactly the event-driven kernel's
 	// semantics and fault-stream consumption (see network.Faults). Finite
 	// buffers disable the batched population updates, because an
@@ -496,7 +482,7 @@ func (k *Kernel) reset(cfg Config) {
 	if cfg.NumGroups <= 0 {
 		cfg.NumGroups = 1
 	}
-	k.groupShift = groupShift(cfg.NumArcs, cfg.NumGroups)
+	k.groupShift = network.GroupShift(cfg.NumArcs, cfg.NumGroups)
 	if cfg.MaxBytes > 0 {
 		if est := EstimateBytes(cfg); est > cfg.MaxBytes {
 			panic(fmt.Sprintf("slotsim: estimated kernel memory %d B exceeds MaxBytes %d (NumArcs=%d; see EstimateBytes)",
@@ -590,19 +576,7 @@ func (k *Kernel) reset(cfg Config) {
 		k.scheduleArrival()
 	}
 
-	k.col.Reset(cfg.NumGroups)
-	if cfg.TrackQuantiles {
-		k.col.EnableDelaySample()
-	}
-	if cfg.SketchAlpha > 0 {
-		k.col.EnableDelaySketch(cfg.SketchAlpha)
-	}
-	if cfg.TrackPerHopWait {
-		k.col.EnablePerHopWait()
-	}
-	if cfg.TraceInterval > 0 {
-		k.col.EnablePopulationTrace(cfg.TraceInterval)
-	}
+	k.col.Reset(cfg.NumGroups, cfg.Measurement)
 }
 
 // resize returns s with length n, reusing capacity when possible and
@@ -635,21 +609,6 @@ func resizeZero[T any](s []T, n int) []T {
 	}
 	clear(s)
 	return s
-}
-
-// groupShift returns the shift that maps an arc to its statistics group:
-// groups are contiguous power-of-two blocks of arcs, and a single group
-// covers any number of arcs.
-func groupShift(numArcs, numGroups int) uint {
-	if numGroups == 1 {
-		return bits.UintSize - 1 // every arc index shifts to 0
-	}
-	block := numArcs / numGroups
-	if block*numGroups != numArcs || block&(block-1) != 0 {
-		panic(fmt.Sprintf("slotsim: NumArcs=%d does not split into NumGroups=%d contiguous power-of-two blocks of arcs",
-			numArcs, numGroups))
-	}
-	return uint(bits.TrailingZeros(uint(block)))
 }
 
 // memFootprint sums the capacities of the kernel's long-lived arrays; it is

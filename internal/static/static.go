@@ -94,7 +94,6 @@ func RoutePermutation(d int, perm []hypercube.Node, scheme Scheme, seed uint64) 
 
 	sys := network.NewSystem(network.Config{
 		NumArcs:   cube.NumArcs(),
-		GroupOf:   func(a int) int { return int(cube.DimensionOfArcIndex(a)) - 1 },
 		NumGroups: d,
 		Seed:      seed,
 	})

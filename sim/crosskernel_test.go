@@ -293,7 +293,7 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 // TestKernelSelection pins which configurations route to which kernel and
 // that both escape hatches work. Every FIFO store-and-forward run is
 // eligible under either arrival model; only the three blockers named at
-// sim's slotKernelEligible (RandomOrder, ForceEventDriven,
+// sim's storeForwardKernel (RandomOrder, ForceEventDriven,
 // DisableFastKernel) keep a run on the event-driven calendar.
 func TestKernelSelection(t *testing.T) {
 	hyper := func(mod func(*sim.Scenario)) sim.Scenario {

@@ -1,3 +1,16 @@
+// The store-and-forward runner. Every hypercube and butterfly scenario —
+// the paper's unit-service FIFO arcs under Poisson or §3.4 slotted arrivals,
+// plus the RandomOrder ablation — normalizes to one storeForward config and
+// runs through one pooled runner on one of two kernels: the slot-stepped
+// kernel (internal/slotsim) or the event-driven calendar (internal/des +
+// internal/network). The topologies differ only in the config's netShape
+// (arc, group and source counts, route mode, destination distribution) and
+// in the runner's traffic sampler, which both kernels call directly: the
+// slot kernel through its Traffic/DestSampler/BatchSampler interfaces, the
+// event-driven sources through AppendRoute. Both consume the destination and
+// routing streams in the same order, which is what the cross-kernel golden
+// tests pin.
+
 package sim
 
 import (
@@ -33,11 +46,12 @@ const (
 // goroutine while no simulations are running.
 var DisableFastKernel bool
 
-// slotKernelEligible reports whether a store-and-forward run (hypercube or
-// butterfly) can use the slot-stepped kernel. Unit service on FIFO arcs makes
-// service completions a monotone stream under both arrival models — the §3.4
-// slot clock and continuous-time Poisson arrivals — and randomized routers
-// run on stored routes, so exactly three things block it:
+// storeForwardKernel chooses the kernel of a hypercube or butterfly scenario;
+// normalization calls it once and the choice travels in the config. Unit
+// service on FIFO arcs makes service completions a monotone stream under
+// both arrival models — the §3.4 slot clock and continuous-time Poisson
+// arrivals — and randomized routers run on stored routes, so exactly three
+// things keep a run off the slot-stepped kernel:
 //   - the RandomOrder discipline (ablation A2), whose random service order
 //     the kernel's FIFO completion ring cannot express;
 //   - Scenario.ForceEventDriven;
@@ -45,14 +59,11 @@ var DisableFastKernel bool
 //
 // The last two keep the event-driven calendar available as the cross-kernel
 // oracle.
-func slotKernelEligible(discipline network.Discipline, forceEventDriven bool) bool {
-	return discipline == network.FIFO && !forceEventDriven && !DisableFastKernel
-}
-
-// packetSink receives one generated packet; rng is the generating source's
-// payload stream, from which the sink samples the destination.
-type packetSink interface {
-	injectFrom(node int32, rng *xrand.Rand)
+func (s *Scenario) storeForwardKernel() string {
+	if s.Discipline == FIFO && !s.ForceEventDriven && !DisableFastKernel {
+		return KernelSlotStepped
+	}
+	return KernelEventDriven
 }
 
 // poissonNodeSources drives the per-node Poisson arrival processes through
@@ -69,14 +80,14 @@ type poissonNodeSources struct {
 	source     *workload.PoissonSource
 	nodes      uint64
 	horizon    float64
-	sink       packetSink
+	sink       *runner
 	handler    des.HandlerID
 	registered bool
 }
 
 // start seeds the aggregate source and schedules the first arrival.
 func (d *poissonNodeSources) start(sim *des.Simulator, nodes int, lambda, horizon float64,
-	seed uint64, sink packetSink) {
+	seed uint64, sink *runner) {
 	if !d.registered {
 		d.handler = sim.RegisterHandler(d)
 		d.registered = true
@@ -117,13 +128,13 @@ type slottedNodeSources struct {
 	nodes      uint64
 	tau        float64
 	horizon    float64
-	sink       packetSink
+	sink       *runner
 	handler    des.HandlerID
 	registered bool
 }
 
 func (d *slottedNodeSources) start(sim *des.Simulator, nodes int, lambda, tau, horizon float64,
-	seed uint64, sink packetSink) {
+	seed uint64, sink *runner) {
 	if !d.registered {
 		d.handler = sim.RegisterHandler(d)
 		d.registered = true
@@ -151,123 +162,51 @@ func (d *slottedNodeSources) HandleEvent(_, _ int32) {
 	}
 }
 
-// kernelFaults is the fault model handed to either kernel's config: the
-// resolved plan, or the zero value for a faultless run — runners recycle their
-// configs across pooled replications, so the faultless case must clear it.
-func kernelFaults(f *network.Faults) network.Faults {
-	if f == nil {
-		return network.Faults{}
+// sampler is a topology's packet sampler: the slot kernel's route and
+// destination callbacks, which the event-driven sources call too.
+type sampler interface {
+	slotsim.Traffic
+	slotsim.DestSampler
+	// prepare readies the sampler for a run of c, reseeding any private
+	// stream.
+	prepare(c *storeForward)
+}
+
+// hypercubeTraffic samples hypercube packets: destinations from the
+// scenario's distribution, routes from its router on the private routing
+// stream.
+type hypercubeTraffic struct {
+	cube     *hypercube.Cube
+	dist     workload.DestinationDist
+	router   routing.HypercubeRouter
+	routeRNG *xrand.Rand
+	rawBuf   []uint64 // bulk-sampling scratch (SampleDestBatch)
+}
+
+func (t *hypercubeTraffic) prepare(c *storeForward) {
+	if t.cube == nil || t.cube.Dimension() != c.Topology.D {
+		t.cube = hypercube.New(c.Topology.D)
 	}
-	return *f
-}
-
-// runOutcome bundles what result assembly needs from either kernel.
-type runOutcome struct {
-	m        network.Metrics
-	q95, q99 float64
-	delays   []float64
-	// sketch is the run's delay quantile sketch when the scenario set
-	// TailQuantiles (nil otherwise). It is cloned out of the pooled
-	// collector, so it stays valid after the runner is recycled.
-	sketch *stats.DDSketch
-}
-
-// delayStats is the delay-statistics view both kernels expose
-// (network.System and slotsim.Kernel).
-type delayStats interface {
-	DelayQuantile(q float64) float64
-	DelaySample() []float64
-	DelaySketch() *stats.DDSketch
-}
-
-// newOutcome copies a finished run's metrics and delay statistics out of the
-// pooled kernel state.
-func newOutcome(m network.Metrics, k delayStats, returnDelays bool, sketchAlpha float64) runOutcome {
-	out := runOutcome{m: m, q95: k.DelayQuantile(0.95), q99: k.DelayQuantile(0.99)}
-	if returnDelays {
-		out.delays = append([]float64(nil), k.DelaySample()...)
-	}
-	if sketchAlpha > 0 {
-		out.sketch = k.DelaySketch().Clone()
-	}
-	return out
-}
-
-// hyperRunner holds the reusable simulation state of one hypercube run —
-// topology, routing, the event-driven system and sources, and the
-// slot-stepped kernel. Runners are pooled per worker (sync.Pool), so in
-// steady state a replication performs no setup allocations: the cube, the
-// system's arcs and calendar, the kernel arena and every RNG are recycled.
-type hyperRunner struct {
-	cube        *hypercube.Cube
-	dist        workload.DestinationDist
-	bitflip     workload.BitFlip
-	bitflipDist workload.DestinationDist // cached boxing of bitflip
-	router      routing.HypercubeRouter
-	routeRNG    *xrand.Rand
-
-	// Event-driven state, built on first use.
-	sys     *network.System
-	netCfg  network.Config
-	poisson poissonNodeSources
-	slotted slottedNodeSources
-
-	// Slot-stepped state, built on first use.
-	kernel  *slotsim.Kernel
-	slotCfg slotsim.Config
-	rawBuf  []uint64 // bulk-sampling scratch (SampleDestBatch)
-}
-
-var hyperRunners = sync.Pool{New: func() any { return new(hyperRunner) }}
-
-// prepare sets up topology, destination distribution and routing for cfg.
-func (r *hyperRunner) prepare(cfg *hypercubeConfig) {
-	if r.cube == nil || r.cube.Dimension() != cfg.D {
-		r.cube = hypercube.New(cfg.D)
-	}
-	if cfg.CustomWeights != nil {
-		r.dist = workload.NewTranslationInvariant(cfg.D, cfg.CustomWeights)
+	t.dist = c.net.dist
+	t.router = c.net.router
+	if t.routeRNG == nil {
+		t.routeRNG = xrand.NewStream(c.Seed, 0xA11CE)
 	} else {
-		bf := workload.NewBitFlip(cfg.D, cfg.P)
-		if r.bitflipDist == nil || r.bitflip != bf {
-			r.bitflip = bf
-			r.bitflipDist = bf
-		}
-		r.dist = r.bitflipDist
-	}
-	r.router = cfg.Router.router()
-	if r.routeRNG == nil {
-		r.routeRNG = xrand.NewStream(cfg.Seed, 0xA11CE)
-	} else {
-		r.routeRNG.SeedStream(cfg.Seed, 0xA11CE)
+		t.routeRNG.SeedStream(c.Seed, 0xA11CE)
 	}
 }
 
-// injectFrom generates one packet on the event-driven path.
-func (r *hyperRunner) injectFrom(node int32, rng *xrand.Rand) {
-	origin := hypercube.Node(node)
-	dest := r.dist.Sample(origin, rng)
-	p := r.sys.AcquirePacket()
-	p.ID = r.sys.NewPacketID()
-	p.Origin = int(origin)
-	p.Dest = int(dest)
-	p.Path = r.router.AppendPath(p.Path[:0], r.cube, origin, dest, r.routeRNG)
-	r.sys.Inject(p)
-}
-
-// AppendRoute generates one packet route on the slot-stepped path; the
-// destination and routing streams are consumed exactly as injectFrom consumes
-// them, which the cross-kernel golden tests rely on.
-func (r *hyperRunner) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int {
-	dest := r.dist.Sample(hypercube.Node(origin), rng)
-	return r.router.AppendPath(dst, r.cube, hypercube.Node(origin), dest, r.routeRNG)
+// AppendRoute samples a packet's destination and appends its route.
+func (t *hypercubeTraffic) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int {
+	dest := t.dist.Sample(hypercube.Node(origin), rng)
+	return t.router.AppendPath(dst, t.cube, hypercube.Node(origin), dest, t.routeRNG)
 }
 
 // SampleDest serves the kernel's stepped greedy mode, which derives the
 // canonical dimension-order arcs arithmetically from (origin, dest); the
-// destination stream consumption matches injectFrom exactly.
-func (r *hyperRunner) SampleDest(origin int32, rng *xrand.Rand) uint32 {
-	return uint32(r.dist.Sample(hypercube.Node(origin), rng))
+// destination stream consumption matches AppendRoute exactly.
+func (t *hypercubeTraffic) SampleDest(origin int32, rng *xrand.Rand) uint32 {
+	return uint32(t.dist.Sample(hypercube.Node(origin), rng))
 }
 
 // SampleDestBatch serves the kernel's bulk arrival sampling, one block of at
@@ -279,15 +218,15 @@ func (r *hyperRunner) SampleDest(origin int32, rng *xrand.Rand) uint32 {
 // distributions fall back to that scalar sequence per packet, which is still
 // a correct BatchSampler: the contract is about stream consumption, not about
 // how the words are drawn.
-func (r *hyperRunner) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+func (t *hypercubeTraffic) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
 	n := len(origins)
-	if bf, ok := r.dist.(workload.BitFlip); ok && bf.P == 0.5 {
-		if cap(r.rawBuf) < 2*n {
-			r.rawBuf = make([]uint64, 2*n)
+	if bf, ok := t.dist.(workload.BitFlip); ok && bf.P == 0.5 {
+		if cap(t.rawBuf) < 2*n {
+			t.rawBuf = make([]uint64, 2*n)
 		}
-		raw := r.rawBuf[:2*n]
+		raw := t.rawBuf[:2*n]
 		rng.FillUint64(raw)
-		mask := uint32(r.cube.Nodes() - 1)
+		mask := uint32(t.cube.Nodes() - 1)
 		for i := 0; i < n; i++ {
 			o := uint32(raw[2*i]) & mask
 			origins[i] = o
@@ -295,206 +234,161 @@ func (r *hyperRunner) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) 
 		}
 		return
 	}
-	nodes := uint64(r.cube.Nodes())
+	nodes := uint64(t.cube.Nodes())
 	for i := 0; i < n; i++ {
 		node := int32(rng.Uint64n(nodes))
 		origins[i] = uint32(node)
-		dests[i] = uint32(r.dist.Sample(hypercube.Node(node), rng))
+		dests[i] = uint32(t.dist.Sample(hypercube.Node(node), rng))
 	}
 }
 
-// runEventDriven executes cfg on the des-based calendar.
-func (r *hyperRunner) runEventDriven(cfg *hypercubeConfig) runOutcome {
-	r.prepare(cfg)
-	r.netCfg.NumArcs = r.cube.NumArcs()
-	r.netCfg.NumGroups = cfg.D
-	r.netCfg.Discipline = cfg.Discipline
-	r.netCfg.ServiceTime = 1
-	r.netCfg.Seed = cfg.Seed
-	r.netCfg.SkipGroupPopulation = cfg.SkipPerDimensionStats
-	r.netCfg.Faults = kernelFaults(cfg.Faults)
-	if r.sys == nil {
-		r.netCfg.GroupOf = func(a int) int { return int(r.cube.DimensionOfArcIndex(a)) - 1 }
-		r.sys = network.NewSystem(r.netCfg)
-	} else {
-		r.sys.Reset(r.netCfg)
-	}
-	sys := r.sys
-	if cfg.TrackQuantiles {
-		sys.EnableDelaySample()
-	}
-	if cfg.SketchAlpha > 0 {
-		sys.EnableDelaySketch(cfg.SketchAlpha)
-	}
-	if cfg.TrackPerDimensionWait {
-		sys.EnablePerHopWait()
-	}
-	if cfg.PopulationTraceInterval > 0 {
-		sys.EnablePopulationTrace(cfg.PopulationTraceInterval)
-	}
-	if cfg.Slotted {
-		r.slotted.start(sys.Sim, r.cube.Nodes(), cfg.Lambda, cfg.Tau, cfg.Horizon, cfg.Seed, r)
-	} else {
-		r.poisson.start(sys.Sim, r.cube.Nodes(), cfg.Lambda, cfg.Horizon, cfg.Seed, r)
-	}
-	warmup := cfg.WarmupFraction * cfg.Horizon
-	sys.Sim.RunUntil(warmup)
-	sys.StartMeasurement()
-	sys.Sim.RunUntil(cfg.Horizon)
-	return newOutcome(sys.Snapshot(), sys, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
-}
-
-// runSlotStepped executes cfg on the slot-stepped kernel, under either
-// arrival model.
-func (r *hyperRunner) runSlotStepped(cfg *hypercubeConfig) runOutcome {
-	r.prepare(cfg)
-	if r.kernel == nil {
-		r.kernel = new(slotsim.Kernel)
-	}
-	r.slotCfg.NumArcs = r.cube.NumArcs()
-	r.slotCfg.NumGroups = cfg.D // arc = (dim-1)·2^d + node: one block of 2^d arcs per dimension
-	r.slotCfg.Sources = r.cube.Nodes()
-	r.slotCfg.MaxHops = 2 * cfg.D // Valiant routes use up to 2d hops
-	r.slotCfg.Horizon = cfg.Horizon
-	r.slotCfg.Warmup = cfg.WarmupFraction * cfg.Horizon
-	r.slotCfg.Seed = cfg.Seed
-	r.slotCfg.Lambda = cfg.Lambda
-	r.slotCfg.Slotted = cfg.Slotted
-	r.slotCfg.Tau = cfg.Tau
-	// The canonical dimension-order path is a pure function of
-	// (origin, dest), so the kernel steps it arithmetically; randomized
-	// routers need materialized routes.
-	if cfg.Router == GreedyDimensionOrder {
-		r.slotCfg.Mode = slotsim.RouteHypercubeGreedy
-		r.slotCfg.Batch = r // bulk arrival sampling (stepped greedy only)
-	} else {
-		r.slotCfg.Mode = slotsim.RouteStored
-		r.slotCfg.Batch = nil
-	}
-	r.slotCfg.Traffic = r
-	r.slotCfg.Dest = r
-	r.slotCfg.MaxBytes = cfg.MaxBytes
-	r.slotCfg.TrackQuantiles = cfg.TrackQuantiles
-	r.slotCfg.SketchAlpha = cfg.SketchAlpha
-	r.slotCfg.TrackPerHopWait = cfg.TrackPerDimensionWait
-	r.slotCfg.SkipGroupPopulation = cfg.SkipPerDimensionStats
-	r.slotCfg.TraceInterval = cfg.PopulationTraceInterval
-	r.slotCfg.Faults = kernelFaults(cfg.Faults)
-	return newOutcome(r.kernel.Run(r.slotCfg), r.kernel, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
-}
-
-// butterflyRunner is the butterfly counterpart of hyperRunner.
-type butterflyRunner struct {
+// butterflyTraffic samples butterfly packets: destination rows from the
+// row bit-flip distribution, and the unique path between the rows.
+type butterflyTraffic struct {
 	bf   *butterfly.Butterfly
 	dist workload.RowBitFlip
-
-	sys     *network.System
-	netCfg  network.Config
-	poisson poissonNodeSources
-
-	kernel  *slotsim.Kernel
-	slotCfg slotsim.Config
 }
 
-var butterflyRunners = sync.Pool{New: func() any { return new(butterflyRunner) }}
-
-func (r *butterflyRunner) prepare(cfg *butterflyConfig) {
-	if r.bf == nil || r.bf.Dimension() != cfg.D {
-		r.bf = butterfly.New(cfg.D)
+func (t *butterflyTraffic) prepare(c *storeForward) {
+	if t.bf == nil || t.bf.Dimension() != c.Topology.D {
+		t.bf = butterfly.New(c.Topology.D)
 	}
-	r.dist = workload.NewRowBitFlip(cfg.D, cfg.P)
+	t.dist = workload.NewRowBitFlip(c.Topology.D, c.P)
 }
 
-// groupOfArc groups arcs as (level-1)*2 + kind so per-level and per-kind
-// statistics can both be recovered.
-func (r *butterflyRunner) groupOfArc(a int) int {
-	level := int(r.bf.LevelOfArcIndex(a)) - 1
-	kind := 0
-	if r.bf.KindOfArcIndex(a) == butterfly.Vertical {
-		kind = 1
-	}
-	return level*2 + kind
-}
-
-func (r *butterflyRunner) injectFrom(node int32, rng *xrand.Rand) {
-	origin := butterfly.Row(node)
-	dest := r.dist.SampleRow(origin, rng)
-	p := r.sys.AcquirePacket()
-	p.ID = r.sys.NewPacketID()
-	p.Origin = int(origin)
-	p.Dest = int(dest)
-	p.Path = routing.AppendButterflyPath(p.Path[:0], r.bf, origin, dest)
-	r.sys.Inject(p)
-}
-
-func (r *butterflyRunner) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int {
-	dest := r.dist.SampleRow(butterfly.Row(origin), rng)
-	return routing.AppendButterflyPath(dst, r.bf, butterfly.Row(origin), dest)
+// AppendRoute samples a packet's destination row and appends its path.
+func (t *butterflyTraffic) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int {
+	dest := t.dist.SampleRow(butterfly.Row(origin), rng)
+	return routing.AppendButterflyPath(dst, t.bf, butterfly.Row(origin), dest)
 }
 
 // SampleDest serves the kernel's stepped butterfly mode (the unique path is a
 // pure function of the origin and destination rows).
-func (r *butterflyRunner) SampleDest(origin int32, rng *xrand.Rand) uint32 {
-	return uint32(r.dist.SampleRow(butterfly.Row(origin), rng))
+func (t *butterflyTraffic) SampleDest(origin int32, rng *xrand.Rand) uint32 {
+	return uint32(t.dist.SampleRow(butterfly.Row(origin), rng))
 }
 
-func (r *butterflyRunner) runEventDriven(cfg *butterflyConfig) runOutcome {
-	r.prepare(cfg)
-	r.netCfg.NumArcs = r.bf.NumArcs()
-	r.netCfg.NumGroups = 2 * cfg.D
-	r.netCfg.Discipline = cfg.Discipline
-	r.netCfg.ServiceTime = 1
-	r.netCfg.Seed = cfg.Seed
-	// The butterfly results never read per-group populations; skip them on
-	// both kernels (cross-kernel identity requires the settings to match).
-	r.netCfg.SkipGroupPopulation = true
-	r.netCfg.Faults = kernelFaults(cfg.Faults)
+// runner holds the reusable state of one store-and-forward run: both
+// topologies' samplers, the event-driven system and sources, and the
+// slot-stepped kernel, each built on first use. Runners are pooled per
+// worker (sync.Pool), so in steady state a replication performs no setup
+// allocations: the topology, the system's arcs and calendar, the kernel
+// arena and every RNG are recycled.
+type runner struct {
+	hyper hypercubeTraffic
+	fly   butterflyTraffic
+	// traffic is the current run's sampler, one of the two above.
+	traffic sampler
+
+	sys     *network.System
+	poisson poissonNodeSources
+	slotted slottedNodeSources
+
+	kernel *slotsim.Kernel
+}
+
+var runners = sync.Pool{New: func() any { return new(runner) }}
+
+// sampler returns the runner's sampler for c's topology, unprepared.
+func (r *runner) sampler(c *storeForward) sampler {
+	if c.Topology.Kind == TopologyButterfly {
+		return &r.fly
+	}
+	return &r.hyper
+}
+
+// slotConfig is the slot kernel's configuration of a run of c whose packets
+// t samples. It is the only place that configuration is built: the runner
+// runs it, and max_bytes validation prices it with an unprepared sampler.
+func (c *storeForward) slotConfig(t sampler) slotsim.Config {
+	cfg := slotsim.Config{
+		NumArcs:     c.net.arcs,
+		NumGroups:   c.net.groups,
+		Sources:     c.net.sources,
+		MaxHops:     c.net.maxHops,
+		Horizon:     c.Horizon,
+		Warmup:      c.WarmupFraction * c.Horizon,
+		Seed:        c.Seed,
+		Lambda:      c.Lambda,
+		Slotted:     c.Slotted,
+		Tau:         c.Tau,
+		Mode:        c.net.mode,
+		Traffic:     t,
+		Dest:        t,
+		MaxBytes:    c.MaxBytes,
+		Measurement: c.Measure,
+	}
+	if c.Faults != nil {
+		cfg.Faults = *c.Faults
+	}
+	if c.net.mode != slotsim.RouteStored {
+		// Stepped routes sample arrivals in bulk when the topology's
+		// sampler can.
+		cfg.Batch, _ = t.(slotsim.BatchSampler)
+	}
+	return cfg
+}
+
+// delayStats is the delay-statistics view both kernels expose
+// (network.System and slotsim.Kernel).
+type delayStats interface {
+	DelayQuantile(q float64) float64
+	DelaySample() []float64
+	DelaySketch() *stats.DDSketch
+}
+
+// run executes c once on its kernel and assembles the result while the
+// pooled runner still holds the kernel's delay statistics.
+func (c *storeForward) run() *Result {
+	r := runners.Get().(*runner)
+	defer runners.Put(r)
+	r.traffic = r.sampler(c)
+	r.traffic.prepare(c)
+	if c.Kernel == KernelSlotStepped {
+		if r.kernel == nil {
+			r.kernel = new(slotsim.Kernel)
+		}
+		return c.result(r.kernel.Run(c.slotConfig(r.traffic)), r.kernel)
+	}
+	sys := r.runEventDriven(c)
+	return c.result(sys.Snapshot(), sys)
+}
+
+// runEventDriven executes c on the des-based calendar.
+func (r *runner) runEventDriven(c *storeForward) *network.System {
+	cfg := network.Config{
+		NumArcs:     c.net.arcs,
+		NumGroups:   c.net.groups,
+		Discipline:  c.Discipline,
+		ServiceTime: 1,
+		Seed:        c.Seed,
+		Measurement: c.Measure,
+	}
+	if c.Faults != nil {
+		cfg.Faults = *c.Faults
+	}
 	if r.sys == nil {
-		r.netCfg.GroupOf = r.groupOfArc
-		r.sys = network.NewSystem(r.netCfg)
+		r.sys = network.NewSystem(cfg)
 	} else {
-		r.sys.Reset(r.netCfg)
+		r.sys.Reset(cfg)
 	}
 	sys := r.sys
-	if cfg.TrackQuantiles {
-		sys.EnableDelaySample()
+	if c.Slotted {
+		r.slotted.start(sys.Sim, c.net.sources, c.Lambda, c.Tau, c.Horizon, c.Seed, r)
+	} else {
+		r.poisson.start(sys.Sim, c.net.sources, c.Lambda, c.Horizon, c.Seed, r)
 	}
-	if cfg.SketchAlpha > 0 {
-		sys.EnableDelaySketch(cfg.SketchAlpha)
-	}
-	if cfg.PopulationTraceInterval > 0 {
-		sys.EnablePopulationTrace(cfg.PopulationTraceInterval)
-	}
-	r.poisson.start(sys.Sim, r.bf.Rows(), cfg.Lambda, cfg.Horizon, cfg.Seed, r)
-	warmup := cfg.WarmupFraction * cfg.Horizon
-	sys.Sim.RunUntil(warmup)
+	sys.Sim.RunUntil(c.WarmupFraction * c.Horizon)
 	sys.StartMeasurement()
-	sys.Sim.RunUntil(cfg.Horizon)
-	return newOutcome(sys.Snapshot(), sys, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
+	sys.Sim.RunUntil(c.Horizon)
+	return sys
 }
 
-func (r *butterflyRunner) runSlotStepped(cfg *butterflyConfig) runOutcome {
-	r.prepare(cfg)
-	if r.kernel == nil {
-		r.kernel = new(slotsim.Kernel)
-	}
-	r.slotCfg.NumArcs = r.bf.NumArcs()
-	r.slotCfg.NumGroups = 2 * cfg.D // groupOfArc's blocks: arc = ((level-1)·2 + kind)·2^d + row
-	r.slotCfg.Sources = r.bf.Rows()
-	r.slotCfg.Horizon = cfg.Horizon
-	r.slotCfg.Warmup = cfg.WarmupFraction * cfg.Horizon
-	r.slotCfg.Seed = cfg.Seed
-	r.slotCfg.Lambda = cfg.Lambda
-	r.slotCfg.Slotted = false
-	r.slotCfg.Tau = 0
-	r.slotCfg.Mode = slotsim.RouteButterfly
-	r.slotCfg.Dest = r
-	r.slotCfg.MaxBytes = cfg.MaxBytes
-	r.slotCfg.TrackQuantiles = cfg.TrackQuantiles
-	r.slotCfg.SketchAlpha = cfg.SketchAlpha
-	r.slotCfg.TrackPerHopWait = false
-	r.slotCfg.SkipGroupPopulation = true
-	r.slotCfg.TraceInterval = cfg.PopulationTraceInterval
-	r.slotCfg.Faults = kernelFaults(cfg.Faults)
-	return newOutcome(r.kernel.Run(r.slotCfg), r.kernel, cfg.TrackQuantiles && cfg.ReturnDelays, cfg.SketchAlpha)
+// injectFrom generates one packet on the event-driven path, routed by the
+// run's sampler exactly as the slot kernel's stored-route mode routes it.
+func (r *runner) injectFrom(node int32, rng *xrand.Rand) {
+	p := r.sys.AcquirePacket()
+	p.ID = r.sys.NewPacketID()
+	p.Path = r.traffic.AppendRoute(node, rng, p.Path[:0])
+	r.sys.Inject(p)
 }

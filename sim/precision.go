@@ -218,7 +218,7 @@ func (p *PrecisionResult) UnmarshalJSON(data []byte) error {
 // deterministic too.
 func runSequential(ctx context.Context, sc *Scenario, n normalized) (*Result, error) {
 	spec := sc.Precision.resolved()
-	res := analyticResult(sc, n)
+	res := n.analyticResult()
 	task := replicationTask(sc, n)
 
 	cum := &engine.Result{

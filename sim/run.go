@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bounds"
 	"repro/internal/deflection"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/hypercube"
 	"repro/internal/network"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Metrics is the raw measurement snapshot of one simulation run; see
@@ -529,11 +529,13 @@ var runTestHook func(Scenario)
 // independent replications on the sharded parallel engine with
 // deterministically split seeds.
 //
-// Every FIFO store-and-forward workload executes on the slot-stepped kernel;
-// the RandomOrder discipline and ForceEventDriven runs use the event-driven
-// calendar. The two kernels produce byte-identical results on the same
-// seed, and simulation state is pooled per worker, so repeated runs perform
-// no setup allocations in steady state.
+// Every hypercube and butterfly scenario executes through the one pooled
+// store-and-forward runner: FIFO runs on the slot-stepped kernel, the
+// RandomOrder discipline and ForceEventDriven runs on the event-driven
+// calendar (normalization makes the choice once, see storeForwardKernel).
+// The two kernels produce byte-identical results on the same seed, and the
+// runner's state is pooled per worker, so repeated runs perform no setup
+// allocations in steady state.
 //
 // Cancellation is cooperative at replication granularity: a cancelled ctx
 // stops unstarted replications and returns ctx.Err(); an individual
@@ -560,16 +562,38 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	return n.runOnce(), nil
 }
 
-// runOnce dispatches one normalized single run to its kernel.
+// runOnce executes one normalized single run.
 func (n normalized) runOnce() *Result {
-	switch {
-	case n.hc != nil:
-		return runHypercubeOnce(n.hc)
-	case n.bc != nil:
-		return runButterflyOnce(n.bc)
-	default:
+	if n.dc != nil {
 		return runDeflectionOnce(n.dc)
 	}
+	return n.sf.run()
+}
+
+// replica returns the normalized form of one replication on seed.
+// Replicated results never report per-packet delays, so the copy does not
+// pay the O(delivered-packets) delay copy either.
+func (n normalized) replica(seed uint64) normalized {
+	if n.dc != nil {
+		dc := *n.dc
+		dc.Seed = seed
+		return normalized{dc: &dc}
+	}
+	sf := *n.sf
+	sf.Seed = seed
+	sf.ReturnDelays = false
+	return normalized{sf: &sf}
+}
+
+// analyticResult assembles the pure-function part of a Result — parameters,
+// load factor, kernel selection and the paper's bounds — without running a
+// simulation. The replicated paths report it next to the merged tallies, and
+// a single run completes it with the measured fields.
+func (n normalized) analyticResult() *Result {
+	if n.dc != nil {
+		return deflectionAnalyticResult(n.dc)
+	}
+	return n.sf.analyticResult()
 }
 
 // boundOrNaN converts a (value, error) bound evaluation into a plain float
@@ -582,68 +606,34 @@ func boundOrNaN(f func() (float64, error)) float64 {
 	return v
 }
 
-// runHypercubeOnce executes one normalized hypercube run and assembles the
-// full result.
-func runHypercubeOnce(cfg *hypercubeConfig) *Result {
-	r := hyperRunners.Get().(*hyperRunner)
-	defer hyperRunners.Put(r)
-	var out runOutcome
-	kernel := KernelEventDriven
-	if slotKernelEligible(cfg.Discipline, cfg.ForceEventDriven) {
-		kernel = KernelSlotStepped
-		out = r.runSlotStepped(cfg)
-	} else {
-		out = r.runEventDriven(cfg)
+// analyticResult is the pure-function part of a hypercube or butterfly
+// result.
+func (c *storeForward) analyticResult() *Result {
+	d := c.Topology.D
+	res := &Result{Topology: c.Topology, Lambda: c.Lambda, Kernel: c.Kernel}
+	if c.Topology.Kind == TopologyButterfly {
+		b := &ButterflyStats{Params: ButterflyParams{D: d, Lambda: c.Lambda, P: c.P}}
+		b.UniversalLowerBound = boundOrNaN(b.Params.UniversalLowerBound)
+		b.GreedyUpperBound = boundOrNaN(b.Params.GreedyUpperBound)
+		res.LoadFactor = c.Lambda * math.Max(c.P, 1-c.P)
+		res.Butterfly = b
+		return res
 	}
-	m := out.m
-
 	h := &HypercubeStats{
-		Params: HypercubeParams{D: cfg.D, Lambda: cfg.Lambda, P: cfg.P},
+		Params:                 HypercubeParams{D: d, Lambda: c.Lambda, P: c.P},
+		PerDimensionLoadFactor: make([]float64, d),
 	}
-	res := &Result{
-		Topology:   Hypercube(cfg.D),
-		Lambda:     cfg.Lambda,
-		LoadFactor: cfg.Lambda * cfg.P,
-		Kernel:     kernel,
-		Metrics:    m,
-		MeanDelay:  m.MeanDelay,
-		DelayP95:   out.q95,
-		DelayP99:   out.q99,
-		Delays:     out.delays,
-		Hypercube:  h,
+	res.LoadFactor = c.Lambda * c.P
+	res.Hypercube = h
+	for j := range h.PerDimensionLoadFactor {
+		h.PerDimensionLoadFactor[j] = c.Lambda * c.net.dist.FlipProbability(hypercube.Dimension(j+1))
 	}
-	if out.sketch != nil {
-		res.sketch = out.sketch
-		res.Tail = tailStatsFromSketch(out.sketch)
-	}
-	if cfg.Faults != nil {
-		res.Faults = faultStatsFromMetrics(&m)
-	}
-	nodes := float64(r.cube.Nodes())
-	res.MeanPacketsPerNode = m.MeanPopulation / nodes
-	h.PerDimensionMeanQueue = make([]float64, cfg.D)
-	h.PerDimensionUtilization = make([]float64, cfg.D)
-	h.PerDimensionLoadFactor = make([]float64, cfg.D)
-	for j := 0; j < cfg.D; j++ {
-		h.PerDimensionMeanQueue[j] = m.GroupMeanPopulation[j] / nodes
-		h.PerDimensionUtilization[j] = m.GroupArcUtilization[j]
-		h.PerDimensionLoadFactor[j] = cfg.Lambda * r.dist.FlipProbability(hypercube.Dimension(j+1))
-	}
-	if cfg.TrackPerDimensionWait {
-		h.PerDimensionMeanWait = append([]float64(nil), m.GroupMeanWait...)
-	}
-	if cfg.CustomWeights != nil {
+	if c.CustomWeights != nil {
 		// The paper's closed-form greedy bounds are proved for the bit-flip
 		// distribution; for general translation-invariant traffic only the
 		// per-dimension load factors (and hence the stability condition of
 		// §2.2) are reported.
-		maxLoad := 0.0
-		for _, l := range h.PerDimensionLoadFactor {
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
-		res.LoadFactor = maxLoad
+		res.LoadFactor = slices.Max(h.PerDimensionLoadFactor)
 		h.Params.P = 0
 		h.GreedyLowerBound = math.NaN()
 		h.GreedyUpperBound = math.NaN()
@@ -655,77 +645,66 @@ func runHypercubeOnce(cfg *hypercubeConfig) *Result {
 	h.GreedyUpperBound = boundOrNaN(h.Params.GreedyUpperBound)
 	h.UniversalLowerBound = boundOrNaN(h.Params.UniversalLowerBound)
 	h.ObliviousLowerBound = boundOrNaN(h.Params.ObliviousLowerBound)
-	if cfg.Slotted {
-		if b, err := h.Params.SlottedUpperBound(cfg.Tau); err == nil {
-			h.SlottedUpperBound = b
-		} else {
-			h.SlottedUpperBound = math.NaN()
-		}
-	}
-	upper := h.GreedyUpperBound
-	if cfg.Slotted && !math.IsNaN(h.SlottedUpperBound) {
-		upper = h.SlottedUpperBound
-	}
-	if !math.IsNaN(h.GreedyLowerBound) && !math.IsNaN(upper) {
-		tol := 3 * m.DelayCI95
-		res.WithinPaperBounds = m.MeanDelay >= h.GreedyLowerBound-tol-1e-9 &&
-			m.MeanDelay <= upper+tol+1e-9
+	if c.Slotted {
+		h.SlottedUpperBound = boundOrNaN(func() (float64, error) { return h.Params.SlottedUpperBound(c.Tau) })
 	}
 	return res
 }
 
-// runButterflyOnce executes one normalized butterfly run and assembles the
-// full result. The butterfly admits only greedy routing.
-func runButterflyOnce(cfg *butterflyConfig) *Result {
-	r := butterflyRunners.Get().(*butterflyRunner)
-	defer butterflyRunners.Put(r)
-	var out runOutcome
-	kernel := KernelEventDriven
-	if slotKernelEligible(cfg.Discipline, cfg.ForceEventDriven) {
-		kernel = KernelSlotStepped
-		out = r.runSlotStepped(cfg)
-	} else {
-		out = r.runEventDriven(cfg)
+// result assembles one run's Result: the analytic part plus the measured
+// fields, read from the kernel that ran it.
+func (c *storeForward) result(m network.Metrics, k delayStats) *Result {
+	res := c.analyticResult()
+	res.Metrics = m
+	res.MeanDelay = m.MeanDelay
+	res.DelayP95 = k.DelayQuantile(0.95)
+	res.DelayP99 = k.DelayQuantile(0.99)
+	if c.ReturnDelays {
+		res.Delays = append([]float64(nil), k.DelaySample()...)
 	}
-	m := out.m
-
-	b := &ButterflyStats{
-		Params: ButterflyParams{D: cfg.D, Lambda: cfg.Lambda, P: cfg.P},
+	if s := k.DelaySketch(); s != nil {
+		// Cloned out of the pooled kernel, so it outlives the runner.
+		res.sketch = s.Clone()
+		res.Tail = tailStatsFromSketch(res.sketch)
 	}
-	res := &Result{
-		Topology:   Butterfly(cfg.D),
-		Lambda:     cfg.Lambda,
-		LoadFactor: cfg.Lambda * math.Max(cfg.P, 1-cfg.P),
-		Kernel:     kernel,
-		Metrics:    m,
-		MeanDelay:  m.MeanDelay,
-		DelayP95:   out.q95,
-		DelayP99:   out.q99,
-		Delays:     out.delays,
-		Butterfly:  b,
-	}
-	if out.sketch != nil {
-		res.sketch = out.sketch
-		res.Tail = tailStatsFromSketch(out.sketch)
-	}
-	if cfg.Faults != nil {
+	if c.Faults != nil {
 		res.Faults = faultStatsFromMetrics(&m)
 	}
-	// Aggregate per-kind utilisation across levels.
-	var straight, vertical float64
-	for level := 0; level < cfg.D; level++ {
-		straight += m.GroupArcUtilization[level*2]
-		vertical += m.GroupArcUtilization[level*2+1]
+	d := c.Topology.D
+	var lower, upper float64
+	if h := res.Hypercube; h != nil {
+		nodes := float64(c.net.sources)
+		res.MeanPacketsPerNode = m.MeanPopulation / nodes
+		h.PerDimensionMeanQueue = make([]float64, d)
+		h.PerDimensionUtilization = make([]float64, d)
+		for j := 0; j < d; j++ {
+			h.PerDimensionMeanQueue[j] = m.GroupMeanPopulation[j] / nodes
+			h.PerDimensionUtilization[j] = m.GroupArcUtilization[j]
+		}
+		if c.Measure.TrackPerHopWait {
+			h.PerDimensionMeanWait = append([]float64(nil), m.GroupMeanWait...)
+		}
+		lower, upper = h.GreedyLowerBound, h.GreedyUpperBound
+		if c.Slotted && !math.IsNaN(h.SlottedUpperBound) {
+			upper = h.SlottedUpperBound
+		}
+	} else {
+		// Groups alternate straight and vertical arcs level by level; average
+		// each kind across levels.
+		b := res.Butterfly
+		var straight, vertical float64
+		for level := 0; level < d; level++ {
+			straight += m.GroupArcUtilization[level*2]
+			vertical += m.GroupArcUtilization[level*2+1]
+		}
+		b.StraightUtilization = straight / float64(d)
+		b.VerticalUtilization = vertical / float64(d)
+		res.MeanPacketsPerNode = m.MeanPopulation / float64(d*c.net.sources)
+		lower, upper = b.UniversalLowerBound, b.GreedyUpperBound
 	}
-	b.StraightUtilization = straight / float64(cfg.D)
-	b.VerticalUtilization = vertical / float64(cfg.D)
-	res.MeanPacketsPerNode = m.MeanPopulation / float64(cfg.D*r.bf.Rows())
-	b.UniversalLowerBound = boundOrNaN(b.Params.UniversalLowerBound)
-	b.GreedyUpperBound = boundOrNaN(b.Params.GreedyUpperBound)
-	if !math.IsNaN(b.UniversalLowerBound) && !math.IsNaN(b.GreedyUpperBound) {
+	if !math.IsNaN(lower) && !math.IsNaN(upper) {
 		tol := 3 * m.DelayCI95
-		res.WithinPaperBounds = m.MeanDelay >= b.UniversalLowerBound-tol-1e-9 &&
-			m.MeanDelay <= b.GreedyUpperBound+tol+1e-9
+		res.WithinPaperBounds = m.MeanDelay >= lower-tol-1e-9 && m.MeanDelay <= upper+tol+1e-9
 	}
 	return res
 }
@@ -818,7 +797,7 @@ func deflectionAnalyticResult(cfg *deflectionConfig) *Result {
 // splitting (never from scheduling), so the merged tallies are identical at
 // any parallelism.
 func runReplicated(ctx context.Context, sc *Scenario, n normalized) (*Result, error) {
-	res := analyticResult(sc, n)
+	res := n.analyticResult()
 	ecfg := engine.Config{
 		Replications: sc.Replications,
 		Parallelism:  sc.Parallelism,
@@ -850,25 +829,7 @@ const sketchMetricName = "delay"
 // out of the pooled runner, so it is safe for the engine to retain.
 func replicationTask(sc *Scenario, n normalized) engine.SketchTask {
 	return func(_ int, seed uint64) (map[string]float64, map[string]*stats.DDSketch) {
-		var rep *Result
-		switch {
-		case n.hc != nil:
-			c := *n.hc
-			c.Seed = seed
-			// Replicated results never report per-packet delays, so don't
-			// pay the O(delivered-packets) copy in every replication.
-			c.ReturnDelays = false
-			rep = runHypercubeOnce(&c)
-		case n.bc != nil:
-			c := *n.bc
-			c.Seed = seed
-			c.ReturnDelays = false
-			rep = runButterflyOnce(&c)
-		default:
-			c := *n.dc
-			c.Seed = seed
-			rep = runDeflectionOnce(&c)
-		}
+		rep := n.replica(seed).runOnce()
 		m := map[string]float64{
 			MetricMeanDelay:          rep.MeanDelay,
 			MetricMeanHops:           rep.Metrics.MeanHops,
@@ -916,84 +877,4 @@ func finishMergedResult(res *Result, merged *engine.Result) {
 		res.sketch = s
 		res.Tail = tailStatsFromSketch(s)
 	}
-}
-
-// analyticResult assembles the pure-function part of a Result — parameters,
-// load factor, kernel selection and the paper's bounds — without running a
-// simulation. It is what the replicated path reports next to the merged
-// tallies.
-func analyticResult(sc *Scenario, n normalized) *Result {
-	hc, bc := n.hc, n.bc
-	if n.dc != nil {
-		return deflectionAnalyticResult(n.dc)
-	}
-	if bc != nil {
-		b := &ButterflyStats{
-			Params: ButterflyParams{D: bc.D, Lambda: bc.Lambda, P: bc.P},
-		}
-		b.UniversalLowerBound = boundOrNaN(b.Params.UniversalLowerBound)
-		b.GreedyUpperBound = boundOrNaN(b.Params.GreedyUpperBound)
-		kernel := KernelEventDriven
-		if slotKernelEligible(bc.Discipline, bc.ForceEventDriven) {
-			kernel = KernelSlotStepped
-		}
-		return &Result{
-			Topology:   Butterfly(bc.D),
-			Lambda:     bc.Lambda,
-			LoadFactor: bc.Lambda * math.Max(bc.P, 1-bc.P),
-			Kernel:     kernel,
-			Butterfly:  b,
-		}
-	}
-	h := &HypercubeStats{
-		Params: HypercubeParams{D: hc.D, Lambda: hc.Lambda, P: hc.P},
-	}
-	kernel := KernelEventDriven
-	if slotKernelEligible(hc.Discipline, hc.ForceEventDriven) {
-		kernel = KernelSlotStepped
-	}
-	res := &Result{
-		Topology:   Hypercube(hc.D),
-		Lambda:     hc.Lambda,
-		LoadFactor: hc.Lambda * hc.P,
-		Kernel:     kernel,
-		Hypercube:  h,
-	}
-	h.PerDimensionLoadFactor = make([]float64, hc.D)
-	var dist workload.DestinationDist
-	if hc.CustomWeights != nil {
-		dist = workload.NewTranslationInvariant(hc.D, hc.CustomWeights)
-	} else {
-		dist = workload.NewBitFlip(hc.D, hc.P)
-	}
-	for j := 0; j < hc.D; j++ {
-		h.PerDimensionLoadFactor[j] = hc.Lambda * dist.FlipProbability(hypercube.Dimension(j+1))
-	}
-	if hc.CustomWeights != nil {
-		maxLoad := 0.0
-		for _, l := range h.PerDimensionLoadFactor {
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
-		res.LoadFactor = maxLoad
-		h.Params.P = 0
-		h.GreedyLowerBound = math.NaN()
-		h.GreedyUpperBound = math.NaN()
-		h.UniversalLowerBound = math.NaN()
-		h.ObliviousLowerBound = math.NaN()
-		return res
-	}
-	h.GreedyLowerBound = boundOrNaN(h.Params.GreedyLowerBound)
-	h.GreedyUpperBound = boundOrNaN(h.Params.GreedyUpperBound)
-	h.UniversalLowerBound = boundOrNaN(h.Params.UniversalLowerBound)
-	h.ObliviousLowerBound = boundOrNaN(h.Params.ObliviousLowerBound)
-	if hc.Slotted {
-		if b, err := h.Params.SlottedUpperBound(hc.Tau); err == nil {
-			h.SlottedUpperBound = b
-		} else {
-			h.SlottedUpperBound = math.NaN()
-		}
-	}
-	return res
 }

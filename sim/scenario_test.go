@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/slotsim"
 )
 
 // valid returns a minimal runnable hypercube scenario that each error case
@@ -94,7 +96,7 @@ func TestScenarioValidationErrors(t *testing.T) {
 		}, "hypercube feature"},
 		{"negative max bytes", func(s *Scenario) { s.MaxBytes = -1 }, "negative max_bytes"},
 		{"max bytes below the continuous hypercube estimate", func(s *Scenario) {
-			s.MaxBytes = slotEstimateHypercube(s) - 1
+			s.MaxBytes = slotEstimate(s) - 1
 		}, "exceeding max_bytes"},
 		{"max bytes with the event-driven kernel forced", func(s *Scenario) {
 			s.Slotted = true
@@ -282,7 +284,7 @@ func TestContinuousMaxBytes(t *testing.T) {
 	continuous := valid()
 	slotted := valid()
 	slotted.Slotted, slotted.Tau = true, 1
-	if extra := slotEstimateHypercube(&continuous) - slotEstimateHypercube(&slotted); extra != 256*8 {
+	if extra := slotEstimate(&continuous) - slotEstimate(&slotted); extra != 256*8 {
 		t.Errorf("continuous estimate exceeds the slotted one by %d B, want the 2048 B prefetch block", extra)
 	}
 	want, err := Run(context.Background(), continuous)
@@ -297,4 +299,66 @@ func TestContinuousMaxBytes(t *testing.T) {
 	if got.Metrics.MeanDelay != want.Metrics.MeanDelay || got.Kernel != KernelSlotStepped {
 		t.Errorf("budgeted run: %s kernel, mean delay %v; want slot-stepped, %v", got.Kernel, got.Metrics.MeanDelay, want.Metrics.MeanDelay)
 	}
+}
+
+// TestMaxBytesPricesTheFaultPlan checks that max_bytes prices the kernel the
+// run actually builds, faults included: finite buffers add a per-arc queue
+// length and outages add transition records and bitsets. For each topology
+// and fault feature it finds the smallest budget validation accepts and runs
+// at it and around it: below it validation must fail naming max_bytes, and
+// from it up the run must complete — the kernel must never panic on a
+// budget validation let through. The load is light enough that the dynamic
+// pools never grow past their initial capacities.
+func TestMaxBytesPricesTheFaultPlan(t *testing.T) {
+	faults := []struct {
+		name string
+		spec *FaultSpec
+	}{
+		{"buffer_capacity", &FaultSpec{BufferCapacity: 4}},
+		{"outages", &FaultSpec{Outages: []Outage{{From: 5, Until: 10, Fraction: 0.25}}}},
+	}
+	for _, topo := range []Topology{Hypercube(8), Butterfly(6)} {
+		for _, f := range faults {
+			t.Run(topo.String()+"/"+f.name, func(t *testing.T) {
+				sc := Scenario{Topology: topo, P: 0.5, LoadFactor: 0.01, Horizon: 20, Seed: 1, Faults: f.spec}
+				budget := func(b int64) Scenario { s := sc; s.MaxBytes = b; return s }
+				lo, hi := int64(1), int64(1<<30)
+				for lo < hi {
+					mid := lo + (hi-lo)/2
+					if s := budget(mid); s.Validate() == nil {
+						hi = mid
+					} else {
+						lo = mid + 1
+					}
+				}
+				for _, b := range []int64{lo - 1, lo, lo + 1, 2 * lo} {
+					var err error
+					func() {
+						defer func() {
+							if p := recover(); p != nil {
+								t.Fatalf("max_bytes = %d: run panicked: %v", b, p)
+							}
+						}()
+						_, err = Run(context.Background(), budget(b))
+					}()
+					switch {
+					case b < lo && (err == nil || !strings.Contains(err.Error(), "max_bytes")):
+						t.Errorf("max_bytes = %d: error %v, want one naming max_bytes", b, err)
+					case b >= lo && err != nil:
+						t.Errorf("max_bytes = %d: %v", b, err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// slotEstimate is the memory estimate max_bytes validation compares: the
+// price of the slot kernel configuration the scenario's run builds.
+func slotEstimate(s *Scenario) int64 {
+	n, err := s.normalize()
+	if err != nil {
+		panic(err)
+	}
+	return slotsim.EstimateBytes(n.sf.slotConfig(new(runner).sampler(n.sf)))
 }

@@ -9,18 +9,20 @@
 // small sum type (hypercube or butterfly today, with room for more), shares
 // one validation/normalization pass across topologies, and round-trips
 // through JSON so scenarios can be stored as declarative spec files and
-// executed by cmd/run or cmd/experiments -spec (the full schema is
-// documented in docs/SPEC.md).
+// executed by cmd/run (the full schema is documented in docs/SPEC.md).
 //
 // Normalization also selects the simulation kernel from the scenario's
-// shape: every FIFO store-and-forward scenario — hypercube under either
-// arrival model, or butterfly — runs on the slot-stepped kernel
-// (internal/slotsim, byte-identical to the event calendar on the same seed),
-// deflection scenarios (Router == Deflection, the hot-potato related-work
-// baseline) run on their own slotted bufferless kernel (internal/deflection),
-// and only the RandomOrder discipline and ForceEventDriven runs use the
-// general event-driven calendar (internal/des + internal/network).
-// Result.Kernel reports the choice.
+// shape. Deflection scenarios (Router == Deflection, the hot-potato
+// related-work baseline) run on their own slotted bufferless kernel
+// (internal/deflection). Every other scenario — hypercube under either
+// arrival model, or butterfly — is store-and-forward: it normalizes to one
+// config whose small per-topology part (arc, group and source counts, route
+// mode, samplers) is all that differs between the topologies, and runs
+// through one pooled runner. FIFO runs use the slot-stepped kernel
+// (internal/slotsim, byte-identical to the event calendar on the same seed);
+// only the RandomOrder discipline and ForceEventDriven runs use the general
+// event-driven calendar (internal/des + internal/network). Result.Kernel
+// reports the choice.
 //
 // Replication is first-class: setting Scenario.Replications runs the
 // scenario N times on the sharded parallel engine (internal/engine) with
@@ -240,7 +242,7 @@ func (d *Discipline) UnmarshalJSON(data []byte) error {
 //
 // A Scenario round-trips through JSON (the struct tags below define the spec
 // schema), so ad-hoc scenarios can be stored as declarative files and
-// executed with cmd/run or cmd/experiments -spec. The execution-policy
+// executed with cmd/run. The execution-policy
 // fields (Parallelism, Progress) are deliberately excluded from the spec:
 // they affect how fast a scenario runs, never what it computes.
 type Scenario struct {

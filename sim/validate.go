@@ -8,34 +8,51 @@ import (
 	"repro/internal/butterfly"
 	"repro/internal/hypercube"
 	"repro/internal/network"
+	"repro/internal/routing"
 	"repro/internal/slotsim"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
-// hypercubeConfig is the normalized internal form of a hypercube scenario:
-// every default filled, Lambda derived. It is what the runners consume.
-type hypercubeConfig struct {
-	D                       int
-	P                       float64
-	Lambda                  float64
-	Router                  RouterKind
-	Discipline              network.Discipline
-	Horizon                 float64
-	WarmupFraction          float64
-	Seed                    uint64
-	Slotted                 bool
-	Tau                     float64
-	TrackQuantiles          bool
-	SketchAlpha             float64
-	ReturnDelays            bool
-	TrackPerDimensionWait   bool
-	PopulationTraceInterval float64
-	CustomWeights           []float64
-	SkipPerDimensionStats   bool
-	ForceEventDriven        bool
-	MaxBytes                int64
-	Faults                  *network.Faults
+// storeForward is the normalized form of a hypercube or butterfly scenario:
+// every default filled, Lambda derived, the fault plan resolved and the
+// kernel chosen. One pooled runner executes it on either kernel (see
+// kernels.go); net holds what differs between the topologies.
+type storeForward struct {
+	Topology       Topology
+	P              float64
+	Lambda         float64
+	CustomWeights  []float64
+	Discipline     network.Discipline
+	Horizon        float64
+	WarmupFraction float64
+	Seed           uint64
+	Slotted        bool
+	Tau            float64
+	ReturnDelays   bool
+	MaxBytes       int64
+	Measure        network.Measurement
+	Faults         *network.Faults
+	// Kernel is KernelSlotStepped or KernelEventDriven (storeForwardKernel).
+	Kernel string
+	net    netShape
+}
+
+// netShape is the per-topology part of a storeForward config.
+type netShape struct {
+	// arcs, groups and sources size both kernels: the arcs form groups as
+	// network.GroupShift lays them out, and each arrival picks one of the
+	// sources (hypercube nodes, butterfly first-level rows) as its origin.
+	arcs, groups, sources int
+	// maxHops bounds a stored route; mode selects how the slot kernel steps
+	// routes.
+	maxHops int
+	mode    slotsim.RouteMode
+	// dist and router sample hypercube destinations and routes (both nil on
+	// the butterfly, whose sampler owns its row distribution and unique
+	// paths). They are immutable, so replications share them.
+	dist   workload.DestinationDist
+	router routing.HypercubeRouter
 }
 
 // deflectionConfig is the normalized internal form of a hot-potato scenario:
@@ -52,29 +69,10 @@ type deflectionConfig struct {
 	SketchAlpha    float64
 }
 
-// butterflyConfig is the normalized internal form of a butterfly scenario.
-type butterflyConfig struct {
-	D                       int
-	P                       float64
-	Lambda                  float64
-	Discipline              network.Discipline
-	Horizon                 float64
-	WarmupFraction          float64
-	Seed                    uint64
-	TrackQuantiles          bool
-	SketchAlpha             float64
-	ReturnDelays            bool
-	PopulationTraceInterval float64
-	ForceEventDriven        bool
-	MaxBytes                int64
-	Faults                  *network.Faults
-}
-
 // normalized is the result of one validation/normalization pass: exactly one
-// of the per-kernel configs is non-nil.
+// of the configs is non-nil.
 type normalized struct {
-	hc *hypercubeConfig
-	bc *butterflyConfig
+	sf *storeForward
 	dc *deflectionConfig
 }
 
@@ -298,35 +296,13 @@ func (s *Scenario) normalize() (normalized, error) {
 			}
 			lambda = workload.RequiredLambdaButterfly(s.LoadFactor, s.P)
 		}
-		if s.MaxBytes > 0 {
-			if s.ForceEventDriven || s.Discipline != FIFO {
-				return none, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; it requires the FIFO discipline without force_event_driven")
-			}
-			if est := slotEstimateButterfly(s.Topology.D); est > s.MaxBytes {
-				return none, fmt.Errorf("sim: butterfly d=%d needs an estimated %s of kernel memory, exceeding max_bytes = %s",
-					s.Topology.D, formatBytes(est), formatBytes(s.MaxBytes))
-			}
-		}
-		plan, err := s.resolveFaults(2 * s.Topology.D * (1 << uint(s.Topology.D)))
-		if err != nil {
-			return none, err
-		}
-		return normalized{bc: &butterflyConfig{
-			D:                       s.Topology.D,
-			P:                       s.P,
-			Lambda:                  lambda,
-			Discipline:              network.Discipline(s.Discipline),
-			Horizon:                 s.Horizon,
-			WarmupFraction:          warmup,
-			Seed:                    s.Seed,
-			TrackQuantiles:          s.TrackQuantiles,
-			SketchAlpha:             s.sketchAlpha(),
-			ReturnDelays:            s.ReturnDelays,
-			PopulationTraceInterval: s.PopulationTraceInterval,
-			ForceEventDriven:        s.ForceEventDriven,
-			MaxBytes:                s.MaxBytes,
-			Faults:                  plan,
-		}}, nil
+		d := s.Topology.D
+		return s.storeForward(lambda, warmup, netShape{
+			arcs:    2 * d << d,
+			groups:  2 * d, // one per level and arc kind
+			sources: 1 << d,
+			mode:    slotsim.RouteButterfly,
+		})
 	}
 
 	switch s.Router {
@@ -409,74 +385,73 @@ func (s *Scenario) normalize() (normalized, error) {
 			return none, fmt.Errorf("sim: CustomWeights sum to zero")
 		}
 	}
-	if s.MaxBytes > 0 {
-		if s.ForceEventDriven || s.Discipline != FIFO {
-			return none, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; it requires the FIFO discipline without force_event_driven")
-		}
-		if est := slotEstimateHypercube(s); est > s.MaxBytes {
-			return none, fmt.Errorf("sim: hypercube d=%d needs an estimated %s of kernel memory, exceeding max_bytes = %s",
-				s.Topology.D, formatBytes(est), formatBytes(s.MaxBytes))
-		}
-	}
-	plan, err := s.resolveFaults(s.Topology.D * (1 << uint(s.Topology.D)))
-	if err != nil {
-		return none, err
-	}
-	return normalized{hc: &hypercubeConfig{
-		D:                       s.Topology.D,
-		P:                       s.P,
-		Lambda:                  lambda,
-		Router:                  s.Router,
-		Discipline:              network.Discipline(s.Discipline),
-		Horizon:                 s.Horizon,
-		WarmupFraction:          warmup,
-		Seed:                    s.Seed,
-		Slotted:                 s.Slotted,
-		Tau:                     s.Tau,
-		TrackQuantiles:          s.TrackQuantiles,
-		SketchAlpha:             s.sketchAlpha(),
-		ReturnDelays:            s.ReturnDelays,
-		TrackPerDimensionWait:   s.TrackPerDimensionWait,
-		PopulationTraceInterval: s.PopulationTraceInterval,
-		CustomWeights:           s.CustomWeights,
-		SkipPerDimensionStats:   s.SkipPerDimensionStats,
-		ForceEventDriven:        s.ForceEventDriven,
-		MaxBytes:                s.MaxBytes,
-		Faults:                  plan,
-	}}, nil
-}
-
-// slotEstimateHypercube prices the slotsim configuration runSlotStepped
-// builds for a hypercube run: d·2^d arcs, the kernel's initial dynamic
-// capacities and, for greedy routing under continuous-time arrivals, the
-// arrival prefetch block. Kept next to the validation that quotes it; the
-// runner-side config construction lives in kernels.go.
-func slotEstimateHypercube(s *Scenario) int64 {
 	d := s.Topology.D
-	cfg := slotsim.Config{
-		NumArcs:             d * (1 << uint(d)),
-		NumGroups:           d,
-		Slotted:             s.Slotted,
-		SkipGroupPopulation: s.SkipPerDimensionStats,
-		TrackPerHopWait:     s.TrackPerDimensionWait,
+	net := netShape{
+		arcs:    d << d,
+		groups:  d, // one per dimension
+		sources: 1 << d,
+		maxHops: 2 * d, // Valiant routes use up to 2d hops
+		mode:    slotsim.RouteStored,
+		router:  s.Router.router(),
 	}
 	if s.Router == GreedyDimensionOrder {
-		// As in runSlotStepped; the sampler is only priced, never called.
-		cfg.Mode = slotsim.RouteHypercubeGreedy
-		cfg.Batch = (*hyperRunner)(nil)
+		// The canonical dimension-order path is a pure function of
+		// (origin, dest), so the slot kernel steps it arithmetically;
+		// randomized routers need materialized routes.
+		net.mode = slotsim.RouteHypercubeGreedy
 	}
-	return slotsim.EstimateBytes(cfg)
+	if s.CustomWeights != nil {
+		net.dist = workload.NewTranslationInvariant(d, s.CustomWeights)
+	} else {
+		net.dist = workload.NewBitFlip(d, s.P)
+	}
+	return s.storeForward(lambda, warmup, net)
 }
 
-// slotEstimateButterfly prices the slotsim configuration for a butterfly run:
-// 2·d·2^d arcs, with per-group populations always off (matching
-// butterflyRunner.runSlotStepped).
-func slotEstimateButterfly(d int) int64 {
-	return slotsim.EstimateBytes(slotsim.Config{
-		NumArcs:             2 * d * (1 << uint(d)),
-		NumGroups:           2 * d,
-		SkipGroupPopulation: true,
-	})
+// storeForward finishes normalizing a hypercube or butterfly scenario: it
+// resolves the fault plan, chooses the kernel and prices max_bytes against
+// the slot kernel configuration the run builds, faults included.
+func (s *Scenario) storeForward(lambda, warmup float64, net netShape) (normalized, error) {
+	if s.MaxBytes > 0 && (s.ForceEventDriven || s.Discipline != FIFO) {
+		return normalized{}, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; it requires the FIFO discipline without force_event_driven")
+	}
+	plan, err := s.resolveFaults(net.arcs)
+	if err != nil {
+		return normalized{}, err
+	}
+	c := &storeForward{
+		Topology:       s.Topology,
+		P:              s.P,
+		Lambda:         lambda,
+		CustomWeights:  s.CustomWeights,
+		Discipline:     network.Discipline(s.Discipline),
+		Horizon:        s.Horizon,
+		WarmupFraction: warmup,
+		Seed:           s.Seed,
+		Slotted:        s.Slotted,
+		Tau:            s.Tau,
+		ReturnDelays:   s.ReturnDelays,
+		MaxBytes:       s.MaxBytes,
+		Measure: network.Measurement{
+			TrackQuantiles:  s.TrackQuantiles,
+			SketchAlpha:     s.sketchAlpha(),
+			TrackPerHopWait: s.TrackPerDimensionWait,
+			TraceInterval:   s.PopulationTraceInterval,
+			// The butterfly results never read per-group populations.
+			SkipGroupPopulation: s.SkipPerDimensionStats || s.Topology.Kind == TopologyButterfly,
+		},
+		Faults: plan,
+		Kernel: s.storeForwardKernel(),
+		net:    net,
+	}
+	if s.MaxBytes > 0 {
+		r := new(runner)
+		if est := slotsim.EstimateBytes(c.slotConfig(r.sampler(c))); est > s.MaxBytes {
+			return normalized{}, fmt.Errorf("sim: %s d=%d needs an estimated %s of kernel memory, exceeding max_bytes = %s",
+				s.Topology.Kind, s.Topology.D, formatBytes(est), formatBytes(s.MaxBytes))
+		}
+	}
+	return normalized{sf: c}, nil
 }
 
 // formatBytes renders a byte count in binary units for validation errors.
