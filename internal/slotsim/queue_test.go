@@ -174,8 +174,8 @@ func TestQueueCasesMatchEventDriven(t *testing.T) {
 // TestEstimateBytesMatchesFootprint pins EstimateBytes' arc term to the
 // arrays reset really allocates, so a per-arc array added to only one of the
 // two fails: straight after reset on a fresh kernel, the arc-indexed part of
-// memFootprint equals the estimate's arc term, at 16 bytes per arc plus the
-// buffer lengths and the outage bitsets.
+// memFootprint equals the estimate's arc term, at 12 bytes per arc plus the
+// buffer lengths and, with outages, the stalled-head array and the bitsets.
 func TestEstimateBytesMatchesFootprint(t *testing.T) {
 	outage := []network.Outage{{From: 1, Until: 2, Arcs: []int32{3}}}
 	for _, tc := range []struct {
@@ -183,8 +183,8 @@ func TestEstimateBytesMatchesFootprint(t *testing.T) {
 		faults network.Faults
 		perArc int64
 	}{
-		{"plain", network.Faults{}, 16},
-		{"buffered", network.Faults{BufferCapacity: 2}, 20},
+		{"plain", network.Faults{}, 12},
+		{"buffered", network.Faults{BufferCapacity: 2}, 16},
 		{"outages", network.Faults{Outages: outage}, 16},
 		{"buffered outages", network.Faults{BufferCapacity: 2, Outages: outage}, 20},
 	} {

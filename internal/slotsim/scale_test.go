@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/butterfly"
 	"repro/internal/hypercube"
@@ -64,9 +66,9 @@ func TestSteppedRoutesMatchPathRecords(t *testing.T) {
 		bf := butterfly.New(d)
 		n := uint64(1) << uint(d)
 		hk := &Kernel{mode: RouteHypercubeGreedy, srcN: 1 << d,
-			pUV: make([]uint64, 1), pAux: make([]uint64, 1)}
+			pUV: make([]uint64, 1), pAux: make([]uint32, 1)}
 		bk := &Kernel{mode: RouteButterfly, srcN: 1 << d, bfHops: int32(d),
-			pUV: make([]uint64, 1), pAux: make([]uint64, 1)}
+			pUV: make([]uint64, 1), pAux: make([]uint32, 1)}
 		for trial := 0; trial < 64; trial++ {
 			src := uint32(rng.Uint64n(n))
 			dst := uint32(rng.Uint64n(n))
@@ -74,7 +76,7 @@ func TestSteppedRoutesMatchPathRecords(t *testing.T) {
 			want := routing.DimensionOrder{}.AppendPath(nil, cube,
 				hypercube.Node(src), hypercube.Node(dst), nil)
 			hk.pUV[0] = uint64(src)<<32 | uint64(src^dst)
-			hk.pAux[0] = uint64(noSlot)<<32 | uint64(uint16(bits.OnesCount32(src^dst)))
+			hk.pAux[0] = uint32(bits.OnesCount32(src ^ dst))
 			var got []int
 			for uint32(hk.pUV[0]) != 0 {
 				got = append(got, hk.nextArc(0))
@@ -87,7 +89,7 @@ func TestSteppedRoutesMatchPathRecords(t *testing.T) {
 			bk.pUV[0] = uint64(src)<<32 | uint64(dst)
 			got = got[:0]
 			for hop := 0; hop < d; hop++ {
-				bk.pAux[0] = uint64(noSlot)<<32 | uint64(hop)<<16 | uint64(uint16(d))
+				bk.pAux[0] = uint32(hop)<<16 | uint32(d)
 				got = append(got, bk.nextArc(0))
 			}
 			if !slices.Equal(got, wantBf) {
@@ -191,14 +193,91 @@ func TestMaxBytesGrowthRejection(t *testing.T) {
 	(&Kernel{}).Run(cfg)
 }
 
+// TestReusedKernelMeetsFreshBudget is the regression test for a pooled
+// kernel failing a MaxBytes budget that a fresh kernel meets: reset used to
+// keep the per-hop wait times of an earlier run, and memFootprint charged
+// them to a run that never tracks waits. A kernel must meet the budget a
+// fresh one meets on the same configuration, whatever it ran before.
+func TestReusedKernelMeetsFreshBudget(t *testing.T) {
+	cube := func(d int, lambda float64) Config {
+		return Config{
+			NumArcs:   d << d,
+			NumGroups: d,
+			Sources:   1 << d,
+			Horizon:   60,
+			Warmup:    10,
+			Seed:      17,
+			Lambda:    lambda,
+			Mode:      RouteHypercubeGreedy,
+			Dest:      uniformDest{mask: 1<<d - 1},
+		}
+	}
+	before := cube(4, 3) // overloaded: the pool, and its wait times, grow
+	before.TrackPerHopWait = true
+	cfg := cube(10, 1)
+	fresh := &Kernel{}
+	want := fresh.Run(cfg)
+	cfg.MaxBytes = fresh.memFootprint()
+
+	k := &Kernel{}
+	k.Run(before)
+	if got := k.Run(cfg); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused kernel diverges from fresh kernel:\n%+v\nvs\n%+v", got, want)
+	}
+	if foot := k.memFootprint(); foot != cfg.MaxBytes {
+		t.Errorf("reused kernel ends at %d B, fresh kernel at %d B", foot, cfg.MaxBytes)
+	}
+}
+
+// TestRecordAndSlabSizes pins the per-element sizes the memory budget
+// charges to the storage that really holds them: a completion record is
+// compBytes, and straight after growPool the pool's part of memFootprint is
+// its capacity times Config.pktSize. A field added to the ring record or the
+// packet slab then fails here instead of growing memory unpriced.
+func TestRecordAndSlabSizes(t *testing.T) {
+	if got := unsafe.Sizeof(completion{}); got != compBytes {
+		t.Errorf("completion record is %d B, compBytes is %d", got, compBytes)
+	}
+	waits := continuousGreedyConfig()
+	waits.TrackPerHopWait = true
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		perPkt int64
+	}{
+		{"stepped", continuousGreedyConfig(), 24},
+		{"stored routes", slottedConfig(), 28},
+		{"per-hop waits", waits, 32},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := &Kernel{}
+			k.reset(tc.cfg)
+			k.growPool(3 * poolChunk)
+			if got := k.cfg.pktSize(); got != tc.perPkt {
+				t.Fatalf("pktSize %d B, want %d B", got, tc.perPkt)
+			}
+			if got, want := k.poolFootprint(), int64(len(k.pGen))*tc.perPkt; got != want {
+				t.Fatalf("pool of %d slots takes %d B, want %d B", len(k.pGen), got, want)
+			}
+		})
+	}
+}
+
 // TestColdRunAllocations pins the cold-start cost of one slotted d = 14 run
 // at the benchmark's load (τ = 1, ρ = 0.7) on a fresh Kernel: everything it
-// allocates stays within 1.25× the kernel's final footprint. The tick grows
-// the packet pool and completion ring once, straight to their final size,
-// and samples its batch through one fixed block, so neither doubling copies
-// nor batch-sized scratch add to the arrays the run keeps. The horizon spans
-// two ticks: across more ticks of a still-filling network each tick grows
-// the pool again, and those geometric copies are outside this bound.
+// allocates stays within 1.25× the kernel's final footprint. Each tick
+// samples its batch through one fixed block, so no batch-sized scratch adds
+// to the arrays the run keeps, and grows the packet pool and completion ring
+// in one step to the size their doubling would reach. The horizon spans two
+// ticks and both grow the pool and ring, so the first tick's pool and ring,
+// each about half its final size, are what the run allocates beyond its
+// footprint. The bound therefore holds only while the final pool plus ring
+// (64Ki slots each here: 1.5 MiB + 1 MiB) stay within the arc arrays
+// (2.6 MiB at 12 B/arc). Measured ratios: 1.221 with 16 B arcs and 28 B
+// packets, 1.257 (over) with 12 B arcs and 28 B packets, 1.245 with 12 B
+// arcs and 24 B packets. Across more ticks of a still-filling network each
+// tick grows the pool again, and those geometric copies are outside this
+// bound.
 func TestColdRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under the race detector")

@@ -14,13 +14,14 @@
 // so a d = 20 hypercube — 2^20 nodes, d·2^d ≈ 21M arcs — fits in a few GiB
 // and a hop touches a handful of cache lines:
 //
-//   - Arc state is three parallel arrays indexed by arc (queue head/tail,
-//     busy time), 16 bytes per arc. The packet in service is not stored per
-//     arc: while a completion is pending for an arc, its packet in service
-//     is the head of the arc's queue, and the service's start rides in the
-//     pending completion record. An arc whose head waits for an outage to
-//     end is marked in a stalled bitset, allocated only when the run has
-//     outages; finite buffers add a count of the waiting packets.
+//   - Arc state is two parallel arrays indexed by arc (queue tail, busy
+//     time), 12 bytes per arc. Neither the queue head nor the packet in
+//     service is stored per arc: while a completion is pending for an arc,
+//     its record carries the packet in service — the head of the arc's
+//     queue — and the service's start. An arc whose head waits for an
+//     outage to end is marked in a stalled bitset and keeps that head in a
+//     per-arc head array, both allocated only when the run has outages;
+//     finite buffers add a count of the waiting packets.
 //     Statistics groups are contiguous power-of-two blocks of arcs
 //     (network.GroupShift, the layout both topologies' arc indices have
 //     and both kernels use), so no arc stores a group id, and arrivals are
@@ -28,7 +29,8 @@
 //     queue memory scales with the in-flight population, not with the arc
 //     count.
 //   - Packets live in a pooled slab of parallel arrays (generation time,
-//     bit-packed route state, hop counters, queue link), 28 bytes per packet.
+//     bit-packed route state, hop counters, queue link), 24 bytes per packet,
+//     plus 4 for the route-slab slot with stored routes.
 //     A packet keeps one pool slot for its whole life; per-arc FIFO queues
 //     are intrusive linked lists threaded through the pool's link array, so
 //     a hop writes an index instead of copying a record.
@@ -38,9 +40,10 @@
 //     bits.TrailingZeros64 and clears it with a single XOR. Butterfly routes
 //     step the unique path the same way; only randomized routers store routes
 //     (in a fixed-stride slab referenced by packet-held slots).
-//   - Service completions form a flat FIFO ring of (service start, arc)
-//     records; a record falls due one time unit after its start, and the
-//     pending records are exactly the busy arcs. The hop steps — the greedy
+//   - Service completions form a flat FIFO ring of (service start, arc,
+//     packet) records; a record falls due one time unit after its start, and
+//     the pending records are exactly the busy arcs. A completion thus finds
+//     its packet without a per-arc load. The hop steps — the greedy
 //     arc step, head pop, service start and ring push — are small enough
 //     for the compiler to inline into the completion handler.
 //
@@ -242,29 +245,26 @@ type transition struct {
 // Per-element sizes of the structure-of-arrays storage, in bytes. They are
 // the coefficients of EstimateBytes and of the growth-time budget checks.
 const (
-	arcBytes      = 4 + 4 + 8     // aHead+aTail+aBusyTime
+	arcBytes      = 4 + 8         // aTail+aBusyTime
 	groupBytes    = 8 + 8 + 8 + 8 // gArrivals + snapshot scratch, per group
-	pktBytes      = 8 + 8 + 8 + 4 // pGen+pUV+pAux+pNext
+	pktBytes      = 8 + 8 + 4 + 4 // pGen+pUV+pAux+pNext
 	pktWaitBytes  = 8             // pEnqAt, only with per-hop waits
-	compBytes     = 16            // one completion record: 8+4, padded
+	pktSlotBytes  = 4             // pSlot, only with stored routes
+	compBytes     = 16            // one completion record: 8+4+4
 	poolChunk     = 256           // initial packet-pool capacity (slots)
 	compChunk     = 64            // initial completion-ring capacity
 	prefetchPairs = 256           // arrival sampling block (pairs)
 	pairBytes     = 4 + 4         // batchOrigins+batchDests
 )
 
-// completion is one pending service completion in the ring: the service on
-// arc started at start and falls due at start+1, recomputed at each
-// comparison. That sum is the time the event-driven calendar schedules the
-// completion at, so the two kernels order events alike.
+// completion is one pending service completion in the ring: the service of
+// pool slot pkt on arc started at start and falls due at start+1, recomputed
+// at each comparison. That sum is the time the event-driven calendar
+// schedules the completion at, so the two kernels order events alike.
 type completion struct {
-	start float64
-	arc   int32
+	start    float64
+	arc, pkt int32
 }
-
-// noSlot marks a stepped-route packet (no stored-route slab slot) in the
-// packed auxiliary word.
-const noSlot = ^uint32(0)
 
 // EstimateBytes returns the kernel's pre-run memory estimate for cfg: the
 // arc-indexed arrays — the deterministic term that dominates at scale (a
@@ -274,11 +274,7 @@ const noSlot = ^uint32(0)
 // Config.MaxBytes, so the estimate is a floor, not a ceiling; it is what
 // sim's max_bytes validation prices before a run starts.
 func EstimateBytes(cfg Config) int64 {
-	perPkt := int64(pktBytes)
-	if cfg.TrackPerHopWait {
-		perPkt += pktWaitBytes
-	}
-	est := arcTermBytes(cfg) + poolChunk*perPkt + compChunk*compBytes
+	est := arcTermBytes(cfg) + poolChunk*cfg.pktSize() + compChunk*compBytes
 	if cfg.prefetch() {
 		est += prefetchPairs * pairBytes
 	}
@@ -289,17 +285,32 @@ func EstimateBytes(cfg Config) int64 {
 }
 
 // arcTermBytes is EstimateBytes' arc-indexed term: the per-arc arrays, plus
-// the down and stalled bitsets of a run with outages.
+// the stalled-head array and the down and stalled bitsets of a run with
+// outages.
 func arcTermBytes(cfg Config) int64 {
 	perArc := int64(arcBytes)
 	if cfg.BufferCapacity > 0 {
 		perArc += 4 // aQLen
 	}
-	est := int64(cfg.NumArcs) * perArc
+	var bitsets int64
 	if len(cfg.Outages) > 0 {
-		est += 2 * int64((cfg.NumArcs+63)/64) * 8 // downWords + stalled
+		perArc += 4                                  // aHead
+		bitsets = 2 * int64((cfg.NumArcs+63)/64) * 8 // downWords + stalled
 	}
-	return est
+	return int64(cfg.NumArcs)*perArc + bitsets
+}
+
+// pktSize is the packet pool's size per slot: the per-hop wait and the
+// stored-route slot arrays exist only in the runs that use them.
+func (cfg *Config) pktSize() int64 {
+	b := int64(pktBytes)
+	if cfg.TrackPerHopWait {
+		b += pktWaitBytes
+	}
+	if cfg.Mode == RouteStored {
+		b += pktSlotBytes
+	}
+	return b
 }
 
 // prefetch reports whether continuous-mode arrivals are sampled in blocks.
@@ -332,25 +343,26 @@ type Kernel struct {
 	// Fault state. faultRNG is the dedicated transient-fault stream, consumed
 	// only when failProb > 0 (exactly one draw per completion). downWords is
 	// the down-arc bitset and stalled marks the arcs whose queue head waits
-	// for the outage to end instead of being in service; both are nil when
-	// the run has no outages, so the faultless hot path costs one nil check.
-	// trans is the flattened, time-ordered outage boundary list with
+	// for the outage to end instead of being in service; aHead holds that
+	// head's pool slot, and is read only for stalled arcs. All three are nil
+	// when the run has no outages, so the faultless hot path costs one nil
+	// check. trans is the flattened, time-ordered outage boundary list with
 	// transNext the next unfired boundary.
 	faultRNG  *xrand.Rand
 	downWords []uint64
 	stalled   []uint64
+	aHead     []int32
 	trans     []transition
 	transNext int
 
-	// Arc state, one entry per arc: intrusive FIFO queue head/tail pool
-	// indices and the busy-time accumulators, 16 bytes per arc. The head of
-	// a non-empty queue is the packet in service — the arc has a pending
-	// completion — unless the arc is stalled. The two index arrays are
-	// biased by one — 0 means empty, s+1 means pool slot s — so an all-zero
-	// array is a valid initial state and reset needs nothing but
-	// resizeZero's clear, which faults every page in by write, once and in
-	// order.
-	aHead     []int32
+	// Arc state, one entry per arc: the intrusive FIFO queue's tail pool
+	// index and the busy-time accumulator, 12 bytes per arc. The head of a
+	// non-empty queue is the packet in service — the arc has a pending
+	// completion, whose record names it — unless the arc is stalled. The
+	// tail index is biased by one — 0 means empty, s+1 means pool slot s —
+	// so an all-zero array is a valid initial state and reset needs nothing
+	// but resizeZero's clear, which faults every page in by write, once and
+	// in order.
 	aTail     []int32
 	aBusyTime []float64 // service time inside the measurement window
 	aQLen     []int32   // waiting packets (an in-service head excluded), only with finite buffers
@@ -369,14 +381,16 @@ type Kernel struct {
 	// reset is O(1) in the pool size.
 	pGen     []float64
 	pUV      []uint64  // current identity (high 32) | mask or dest row (low 32)
-	pAux     []uint64  // route slot (high 32) | hop (16) | total hops (16)
+	pAux     []uint32  // hop (high 16) | total hops (low 16)
 	pNext    []int32   // queue / free-list link, -1 = end
+	pSlot    []int32   // stored-route slab slot, allocated only in RouteStored
 	pEnqAt   []float64 // queue-join time, allocated only for per-hop waits
 	freeHead int32
 	poolBump int32
 	live     int // occupied slots
 
-	// Stored-route slab: MaxHops ints per slot, with a slot free list.
+	// Stored-route slab: MaxHops ints per slot, with a slot free list; nil
+	// outside RouteStored.
 	paths    []int
 	pathFree []int32
 	numSlots int
@@ -503,11 +517,15 @@ func (k *Kernel) reset(cfg Config) {
 		k.faultRNG = xrand.New(0)
 	}
 	k.faultRNG.SeedStream(cfg.Seed, xrand.StreamFault)
-	k.trans = k.trans[:0]
 	k.transNext = 0
+	// Every optional array the run does not use is released, so that
+	// memFootprint — what MaxBytes is checked against — counts only this
+	// run's arrays, whatever a pooled kernel ran before.
 	if len(cfg.Outages) > 0 {
 		k.downWords = resizeZero(k.downWords, (cfg.NumArcs+63)/64)
 		k.stalled = resizeZero(k.stalled, (cfg.NumArcs+63)/64)
+		k.aHead = resize(k.aHead, cfg.NumArcs) // written before it is read
+		k.trans = k.trans[:0]
 		last := 0.0
 		for i := range cfg.Outages {
 			o := &cfg.Outages[i]
@@ -518,15 +536,16 @@ func (k *Kernel) reset(cfg Config) {
 			k.trans = append(k.trans, transition{o.From, int32(i), true}, transition{o.Until, int32(i), false})
 		}
 	} else {
-		k.downWords, k.stalled = nil, nil
+		k.downWords, k.stalled, k.aHead, k.trans = nil, nil, nil, nil
 	}
 
-	k.aHead = resizeZero(k.aHead, cfg.NumArcs)
 	k.aTail = resizeZero(k.aTail, cfg.NumArcs)
 	k.aBusyTime = resizeZero(k.aBusyTime, cfg.NumArcs)
 	k.busyFrom = cfg.Warmup
 	if k.bufCap > 0 {
 		k.aQLen = resizeZero(k.aQLen, cfg.NumArcs)
+	} else {
+		k.aQLen = nil
 	}
 	k.gArrivals = resizeZero(k.gArrivals, cfg.NumGroups)
 
@@ -536,18 +555,29 @@ func (k *Kernel) reset(cfg Config) {
 	k.live = 0
 	if k.hopWait {
 		k.pEnqAt = resize(k.pEnqAt, len(k.pGen))
+	} else {
+		k.pEnqAt = nil
 	}
 
 	// Stored-route slab: every slot is free again; re-stride for the
 	// (possibly changed) MaxHops.
-	k.pathFree = k.pathFree[:0]
-	for i := k.numSlots - 1; i >= 0; i-- {
-		k.pathFree = append(k.pathFree, int32(i))
-	}
-	if need := k.numSlots * cfg.MaxHops; cap(k.paths) >= need {
-		k.paths = k.paths[:need]
+	if cfg.Mode == RouteStored {
+		k.pSlot = resize(k.pSlot, len(k.pGen))
+		k.pathFree = k.pathFree[:0]
+		for i := k.numSlots - 1; i >= 0; i-- {
+			k.pathFree = append(k.pathFree, int32(i))
+		}
+		if need := k.numSlots * cfg.MaxHops; cap(k.paths) >= need {
+			k.paths = k.paths[:need]
+		} else {
+			k.paths = make([]int, need)
+		}
 	} else {
-		k.paths = make([]int, need)
+		k.pSlot, k.paths, k.pathFree, k.numSlots = nil, nil, nil, 0
+	}
+
+	if cfg.Batch == nil || cfg.Mode == RouteStored {
+		k.batchOrigins, k.batchDests = nil, nil
 	}
 
 	k.compHead, k.compTail = 0, 0
@@ -615,9 +645,7 @@ func resizeZero[T any](s []T, n int) []T {
 // the "in use" figure of the growth-time budget checks.
 func (k *Kernel) memFootprint() int64 {
 	b := k.arcFootprint() + int64(cap(k.gArrivals))*8 + int64(cap(k.trans))*16
-	b += int64(cap(k.pGen))*8 + int64(cap(k.pUV))*8 + int64(cap(k.pAux))*8 +
-		int64(cap(k.pNext))*4 + int64(cap(k.pEnqAt))*8
-	b += int64(cap(k.comp)) * compBytes
+	b += k.poolFootprint() + int64(cap(k.comp))*compBytes
 	b += int64(cap(k.paths))*8 + int64(cap(k.pathFree))*4
 	b += int64(cap(k.batchOrigins))*4 + int64(cap(k.batchDests))*4
 	return b
@@ -626,16 +654,15 @@ func (k *Kernel) memFootprint() int64 {
 // arcFootprint is memFootprint's arc-indexed part, the counterpart of
 // arcTermBytes.
 func (k *Kernel) arcFootprint() int64 {
-	return int64(cap(k.aHead))*4 + int64(cap(k.aTail))*4 + int64(cap(k.aBusyTime))*8 +
-		int64(cap(k.aQLen))*4 + int64(cap(k.downWords))*8 + int64(cap(k.stalled))*8
+	return int64(cap(k.aTail))*4 + int64(cap(k.aBusyTime))*8 + int64(cap(k.aQLen))*4 +
+		int64(cap(k.aHead))*4 + int64(cap(k.downWords))*8 + int64(cap(k.stalled))*8
 }
 
-// pktSize is the pool's size per packet slot.
-func (k *Kernel) pktSize() int64 {
-	if k.hopWait {
-		return pktBytes + pktWaitBytes
-	}
-	return pktBytes
+// poolFootprint is memFootprint's packet-pool part, the counterpart of
+// Config.pktSize.
+func (k *Kernel) poolFootprint() int64 {
+	return int64(cap(k.pGen))*8 + int64(cap(k.pUV))*8 + int64(cap(k.pAux))*4 +
+		int64(cap(k.pNext))*4 + int64(cap(k.pSlot))*4 + int64(cap(k.pEnqAt))*8
 }
 
 // fits reports whether growing by extra bytes stays within MaxBytes.
@@ -671,7 +698,7 @@ func grownCap(have, need, chunk int) int {
 // and pushCompletion then fails only if the packets really need the room.
 func (k *Kernel) reserve(n int) {
 	if need := k.live + n; need > len(k.pGen) {
-		if c := grownCap(len(k.pGen), need, poolChunk); k.fits(int64(c-len(k.pGen)) * k.pktSize()) {
+		if c := grownCap(len(k.pGen), need, poolChunk); k.fits(int64(c-len(k.pGen)) * k.cfg.pktSize()) {
 			k.growPool(need)
 		}
 	}
@@ -711,7 +738,7 @@ func (k *Kernel) fireTransition(now float64) {
 		if k.stalled[w]&bit != 0 {
 			k.stalled[w] &^= bit
 			k.makeRoom()
-			k.startHead(int(arc), now)
+			k.startHead(int(arc), now, k.aHead[arc])
 		}
 	}
 }
@@ -722,14 +749,17 @@ func (k *Kernel) arcDown(idx int) bool {
 	return k.downWords[uint32(idx)>>6]>>(uint32(idx)&63)&1 != 0
 }
 
-// stall marks arc idx's queue head as waiting for the outage to end.
-func (k *Kernel) stall(idx int) {
+// stall marks arc idx's queue head, pool slot s, as waiting for the outage
+// to end.
+func (k *Kernel) stall(idx int, s int32) {
+	k.aHead[idx] = s
 	k.stalled[uint32(idx)>>6] |= 1 << (uint32(idx) & 63)
 }
 
-// startHead starts the service of arc idx's queue head, which was waiting.
-func (k *Kernel) startHead(idx int, now float64) {
-	k.pushCompletion(now, int32(idx))
+// startHead starts the service of pool slot s, arc idx's queue head, which
+// was waiting.
+func (k *Kernel) startHead(idx int, now float64, s int32) {
+	k.pushCompletion(now, int32(idx), s)
 	if k.bufCap > 0 {
 		k.aQLen[idx]--
 	}
@@ -741,8 +771,8 @@ func (k *Kernel) startHead(idx int, now float64) {
 func (k *Kernel) dropPkt(s int32, now float64, overflow bool) {
 	k.packetLeft(now)
 	k.col.Drop(k.pGen[s], overflow)
-	if slot := uint32(k.pAux[s] >> 32); slot != noSlot {
-		k.pathFree = append(k.pathFree, int32(slot))
+	if k.mode == RouteStored {
+		k.pathFree = append(k.pathFree, k.pSlot[s])
 	}
 	k.freePkt(s)
 }
@@ -853,7 +883,7 @@ func (k *Kernel) runContinuous() {
 				break
 			}
 			k.compHead++
-			k.complete(int(c.arc), c.start)
+			k.complete(int(c.arc), c.start, c.pkt)
 		}
 
 		var next float64
@@ -987,7 +1017,8 @@ func (k *Kernel) inject(node int32, rng *xrand.Rand, now float64) {
 		s := k.allocPkt()
 		k.pGen[s] = now
 		k.pUV[s] = 0
-		k.pAux[s] = uint64(uint32(slot))<<32 | uint64(uint16(len(route)))
+		k.pAux[s] = uint32(uint16(len(route)))
+		k.pSlot[s] = slot
 		k.enqueue(s, k.nextArc(s), now)
 	}
 }
@@ -1014,7 +1045,7 @@ func (k *Kernel) injectTo(origin, dest uint32, now float64) {
 	s := k.allocPkt()
 	k.pGen[s] = now
 	k.pUV[s] = uv
-	k.pAux[s] = uint64(noSlot)<<32 | uint64(uint16(hops))
+	k.pAux[s] = uint32(hops)
 	k.enqueue(s, k.nextArc(s), now)
 }
 
@@ -1026,7 +1057,7 @@ func (k *Kernel) nextArc(s int32) int {
 	case RouteHypercubeGreedy:
 		return k.greedyArc(s)
 	case RouteButterfly:
-		hop := uint64(uint16(k.pAux[s] >> 16))
+		hop := uint64(k.pAux[s] >> 16)
 		uv := k.pUV[s]
 		idx := int(hop) * 2 * k.srcN
 		if ((uv>>32)^uv)>>hop&1 != 0 {
@@ -1037,8 +1068,7 @@ func (k *Kernel) nextArc(s int32) int {
 		}
 		return idx
 	}
-	aux := k.pAux[s]
-	idx := k.paths[int(uint32(aux>>32))*k.maxHops+int(uint16(aux>>16))]
+	idx := k.paths[int(k.pSlot[s])*k.maxHops+int(k.pAux[s]>>16)]
 	if idx < 0 || idx >= k.numArcs {
 		panic(fmt.Sprintf("slotsim: route refers to arc %d outside [0,%d)", idx, k.numArcs))
 	}
@@ -1066,8 +1096,7 @@ func (k *Kernel) enqueue(s int32, idx int, now float64) {
 	t := k.aTail[idx]
 	if t == 0 && (k.downWords == nil || !k.arcDown(idx)) {
 		k.makeRoom()
-		k.pushCompletion(now, int32(idx))
-		k.aHead[idx] = s + 1
+		k.pushCompletion(now, int32(idx), s)
 	} else {
 		if k.bufCap > 0 && int(k.aQLen[idx]) >= k.bufCap {
 			k.dropPkt(s, now, true)
@@ -1076,8 +1105,7 @@ func (k *Kernel) enqueue(s int32, idx int, now float64) {
 		if t != 0 {
 			k.pNext[t-1] = s
 		} else {
-			k.aHead[idx] = s + 1
-			k.stall(idx)
+			k.stall(idx, s)
 		}
 		if k.bufCap > 0 {
 			k.aQLen[idx]++
@@ -1103,15 +1131,12 @@ func (k *Kernel) addBusy(idx int, start, now float64) {
 	}
 }
 
-// complete finishes the transmission begun at start on arc idx; it mirrors
-// System.completeService (FIFO discipline). The packet in service is the
-// queue head, which is popped; pNext stores raw slots with a -1 end sentinel,
-// so the next slot plus one is exactly the biased head encoding.
-func (k *Kernel) complete(idx int, start float64) {
+// complete finishes the transmission of pool slot s begun at start on arc
+// idx; it mirrors System.completeService (FIFO discipline). s is the queue
+// head, which is popped: its link is the new head, -1 when the queue empties.
+func (k *Kernel) complete(idx int, start float64, s int32) {
 	now := start + 1
-	s := k.aHead[idx] - 1
-	nh := k.pNext[s] + 1
-	k.aHead[idx] = nh
+	nh := k.pNext[s]
 	k.addBusy(idx, start, now)
 	if k.trackGrp || k.hopWait {
 		g := int32(idx >> k.groupShift)
@@ -1126,12 +1151,12 @@ func (k *Kernel) complete(idx int, start float64) {
 	// The new head, if any, starts service — or stalls inside an outage
 	// window, until the outage-end transition restarts it. The ring has room:
 	// this arc's completion was just popped.
-	if nh == 0 {
+	if nh < 0 {
 		k.aTail[idx] = 0
 	} else if k.downWords != nil && k.arcDown(idx) {
-		k.stall(idx)
+		k.stall(idx, nh)
 	} else {
-		k.startHead(idx, now)
+		k.startHead(idx, now, nh)
 	}
 
 	// Transient fault: one dedicated-stream draw per completed transmission
@@ -1145,8 +1170,8 @@ func (k *Kernel) complete(idx int, start float64) {
 	if uint16(aux>>16) >= uint16(aux) {
 		k.packetLeft(now)
 		k.col.Deliver(now, k.pGen[s], int(uint16(aux)), 0)
-		if slot := uint32(aux >> 32); slot != noSlot {
-			k.pathFree = append(k.pathFree, int32(slot))
+		if k.mode == RouteStored {
+			k.pathFree = append(k.pathFree, k.pSlot[s])
 		}
 		k.freePkt(s)
 		return
@@ -1224,11 +1249,14 @@ func (k *Kernel) freePkt(s int32) {
 // population, not the arc count) to hold need slots.
 func (k *Kernel) growPool(need int) {
 	newCap := grownCap(len(k.pGen), need, poolChunk)
-	k.checkBudget("packet pool", int64(newCap-len(k.pGen))*k.pktSize())
+	k.checkBudget("packet pool", int64(newCap-len(k.pGen))*k.cfg.pktSize())
 	k.pGen = resize(k.pGen, newCap)
 	k.pUV = resize(k.pUV, newCap)
 	k.pAux = resize(k.pAux, newCap)
 	k.pNext = resize(k.pNext, newCap)
+	if k.mode == RouteStored {
+		k.pSlot = resize(k.pSlot, newCap)
+	}
 	if k.hopWait {
 		k.pEnqAt = resize(k.pEnqAt, newCap)
 	}
@@ -1311,22 +1339,22 @@ func (k *Kernel) makeRoom() {
 	}
 }
 
-// pushCompletion appends the service begun at start on arc to the completion
-// ring, which has room (makeRoom).
-func (k *Kernel) pushCompletion(start float64, arc int32) {
+// pushCompletion appends the service of pool slot pkt begun at start on arc
+// to the completion ring, which has room (makeRoom).
+func (k *Kernel) pushCompletion(start float64, arc, pkt int32) {
 	if k.compTail-k.compHead == uint64(len(k.comp)) {
 		panic("slotsim: completion ring overflow")
 	}
-	k.comp[k.compTail&k.compMask] = completion{start, arc}
+	k.comp[k.compTail&k.compMask] = completion{start, arc, pkt}
 	k.compTail++
 }
 
-// popCompletion removes the head completion and returns its arc and service
-// start; the caller has checked that one is pending.
-func (k *Kernel) popCompletion() (arc int, start float64) {
+// popCompletion removes the head completion and returns its arc, service
+// start and packet; the caller has checked that one is pending.
+func (k *Kernel) popCompletion() (arc int, start float64, pkt int32) {
 	c := k.comp[k.compHead&k.compMask]
 	k.compHead++
-	return int(c.arc), c.start
+	return int(c.arc), c.start, c.pkt
 }
 
 // growComp moves the pending completions, in order, into a ring that holds

@@ -2,8 +2,10 @@ package slotsim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/network"
 	"repro/internal/xrand"
 )
 
@@ -145,23 +147,38 @@ func TestKernelBasicConservation(t *testing.T) {
 
 // TestKernelReusedAcrossConfigs checks that one kernel instance can alternate
 // between unrelated configurations (the pooled-usage pattern) and still
-// reproduce the results a fresh kernel gives.
+// reproduce the results a fresh kernel gives. The sequence varies sizes, so
+// every reset path (grow, shrink, re-stride) runs, and switches each optional
+// array on, off and on again: the outage arrays (stalled heads and bitsets,
+// here with a finite buffer's lengths too), the stored-route slots and slab,
+// and the per-hop wait times. An array reset drops, keeps or reallocates
+// wrongly then shows up as a diverging run.
 func TestKernelReusedAcrossConfigs(t *testing.T) {
-	shared := &Kernel{}
-	configs := []Config{slottedConfig(), continuousConfig()}
-	// Vary sizes so every reset path (grow, shrink, re-stride) is exercised.
 	big := slottedConfig()
 	big.NumArcs = 64
 	big.Sources = 64
 	big.MaxHops = 6
 	big.Traffic = chainTraffic{numArcs: 64, hops: 6}
-	configs = append(configs, big, slottedConfig(), continuousConfig())
+	outages := slottedConfig()
+	outages.Faults = network.Faults{
+		BufferCapacity: 3,
+		Outages: []network.Outage{
+			{From: 50, Until: 80, Arcs: []int32{0, 1, 2, 3, 4, 5, 6, 7}},
+			{From: 120, Until: 125, Arcs: []int32{9, 17}},
+		},
+	}
+	waits := continuousGreedyConfig()
+	waits.TrackPerHopWait = true
+	configs := []Config{
+		slottedConfig(), continuousConfig(), big, slottedConfig(), continuousConfig(),
+		outages, slottedConfig(), outages, // outages on, off, on
+		continuousGreedyConfig(), slottedConfig(), // stored routes off, on
+		waits, continuousGreedyConfig(), waits, // per-hop waits on, off, on
+	}
+	shared := &Kernel{}
 	for i, cfg := range configs {
-		fresh := &Kernel{}
-		want := fresh.Run(cfg)
-		got := shared.Run(cfg)
-		if got.MeanDelay != want.MeanDelay || got.Delivered != want.Delivered ||
-			got.MeanPopulation != want.MeanPopulation || got.InFlight != want.InFlight {
+		want := (&Kernel{}).Run(cfg)
+		if got := shared.Run(cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("config %d: reused kernel diverges from fresh kernel:\n%+v\nvs\n%+v", i, got, want)
 		}
 	}
