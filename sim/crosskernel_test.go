@@ -180,6 +180,21 @@ func TestCrossKernelGoldenHypercubeSlotted(t *testing.T) {
 	runHypercubeVariants(t, base, variants)
 }
 
+// TestCrossKernelSlotScale pins the kernel contract at scale: the perfbench
+// slot-scale point, a slotted 16-cube with 2^20 arcs, runs the slot kernel
+// with its cache prefetches on, and must still match the event-driven
+// calendar in every metric. The event-driven side takes about a second, so
+// the test skips in -short mode and under the race detector.
+func TestCrossKernelSlotScale(t *testing.T) {
+	if testing.Short() || sim.RaceEnabled {
+		t.Skip("skipping the 2^20-arc cross-kernel run in -short mode and under -race")
+	}
+	checkHypercubeIdentity(t, sim.Scenario{
+		Topology: sim.Hypercube(16), P: 0.5, LoadFactor: 0.7, Horizon: 4, Seed: 1,
+		Slotted: true, Tau: 1, SkipPerDimensionStats: true,
+	})
+}
+
 // TestCrossKernelGoldenHypercubeContinuous is the same contract on the
 // paper's headline model, continuous-time Poisson arrivals. Greedy routing at
 // p = 1/2 runs the kernel's bulk arrival prefetch on its FillUint64 path;
