@@ -8,7 +8,8 @@
 //   - Every job — a submitted scenario is wrapped into a one-point sweep — runs
 //     through sim.RunSweep with a CheckpointPath journal under the state
 //     directory, so a SIGKILL'd daemon restarts, rescans the journals, and
-//     resumes incomplete jobs byte-identically (the journal fsyncs each point).
+//     resumes incomplete jobs byte-identically (a row streams only once its
+//     point's journal record is fsync'd).
 //   - Job identity is the sweep's spec fingerprint (sim.Sweep.Fingerprint):
 //     resubmitting a spec attaches to the existing job instead of re-running
 //     it, and the journal header refuses to resume a different spec.
@@ -41,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/sim"
@@ -49,9 +51,11 @@ import (
 // Job states. Queued and Running are non-terminal: a daemon killed while a
 // job is in either state re-enqueues it on restart. Done jobs are also
 // re-enqueued on restart — their journal is complete, so the "run" replays
-// the row stream without executing a single simulation. Failed and Cancelled
-// are terminal: they are never re-run without an explicit resubmission after
-// deleting the job.
+// the row stream without executing a single simulation. That is why reaching
+// Done writes nothing to disk: recovery would treat a done record exactly
+// like the admission record already there. Failed and Cancelled are
+// terminal and persisted: they are never re-run without an explicit
+// resubmission after deleting the job.
 const (
 	StateQueued    = "queued"
 	StateRunning   = "running"
@@ -117,6 +121,10 @@ type Config struct {
 	RetryAfter time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
+
+	// runSweep, when non-nil, replaces sim.RunSweep for every job, recovered
+	// ones included (tests observe or fake runs with it).
+	runSweep func(ctx context.Context, sw sim.Sweep, sinks ...sim.RowSink) ([]sim.Row, error)
 }
 
 // Manager owns the job table, the per-client queues and the scheduler.
@@ -193,9 +201,10 @@ type Status struct {
 }
 
 // record is the on-disk form of a job (jobs/<id>.json), written atomically
-// and fsync'd. Only admission and terminal transitions persist: a job that
-// is "running" on disk is simply one that was admitted and not yet finished,
-// which is exactly what recovery needs to know.
+// and fsync'd. Only admission and the failed/cancelled transitions persist —
+// the states recovery tells apart: a job that is "queued" on disk was
+// admitted and not failed or cancelled, and recovery runs it (a done job's
+// complete journal makes that run a replay).
 type record struct {
 	ID        string          `json:"id"`
 	Client    string          `json:"client"`
@@ -243,6 +252,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
+	if cfg.runSweep == nil {
+		cfg.runSweep = sim.RunSweep
+	}
 	for _, sub := range []string{"jobs", "journals"} {
 		if err := os.MkdirAll(filepath.Join(cfg.StateDir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("jobs: creating state dir: %w", err)
@@ -252,7 +264,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:        cfg,
 		cache:      newLRUCache(cfg.CacheEntries),
-		runSweep:   sim.RunSweep,
+		runSweep:   cfg.runSweep,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       map[string]*job{},
@@ -620,7 +632,8 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 }
 
 // finishJob records the job's terminal state (or leaves it resumable when
-// the daemon itself is shutting down) and frees its scheduler slot.
+// the daemon itself is shutting down) and frees its scheduler slot. Only
+// failed and cancelled are written to disk; see the state constants.
 func (m *Manager) finishJob(j *job, jctx context.Context, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -647,10 +660,12 @@ func (m *Manager) finishJob(j *job, jctx context.Context, err error) {
 		j.err = err
 		m.cfg.Logf("jobs: job %s failed: %v", shortID(j.id), err)
 	}
-	if j.state != StateQueued {
+	if j.state == StateFailed || j.state == StateCancelled {
 		if perr := m.persistLocked(j); perr != nil {
 			m.cfg.Logf("jobs: persisting job %s record: %v", shortID(j.id), perr)
 		}
+	}
+	if j.state != StateQueued {
 		close(j.done)
 	}
 	m.changedLocked(j)
@@ -825,49 +840,12 @@ func (m *Manager) persistLocked(j *job) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(m.cfg.StateDir, "jobs", j.id+".json")
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
+	return atomicfile.WriteFile(filepath.Join(m.cfg.StateDir, "jobs", j.id+".json"), append(data, '\n'))
 }
 
 // journalPath is the job's checkpoint journal location.
 func (m *Manager) journalPath(id string) string {
 	return filepath.Join(m.cfg.StateDir, "journals", id+".ckpt")
-}
-
-// writeFileSync writes data and fsyncs before closing (mirrors the sim
-// package's journal durability).
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory, persisting renames inside it; best-effort.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	_ = d.Sync()
 }
 
 // shortID abbreviates a fingerprint for log lines.

@@ -1,10 +1,15 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,7 +322,7 @@ func TestDrain(t *testing.T) {
 	}
 	// The queued job never started and survives on disk: a new manager on
 	// the same state dir recovers it and runs it for real (the specs are
-	// tiny simulations; a fake cannot be installed before recovery starts).
+	// tiny simulations).
 	m2 := newTestManager(t, Config{StateDir: dir, MaxActiveJobs: 1, QueueLimit: 10, PerClientCap: 10})
 	waitState(t, m2, stQueued.ID, StateDone)
 }
@@ -329,5 +334,65 @@ func TestScenarioSeedTooLarge(t *testing.T) {
 	spec := []byte(`{"topology": {"kind": "hypercube", "d": 3}, "p": 0.5, "load_factor": 0.5, "horizon": 200, "seed": 9007199254740993}`)
 	if _, _, err := m.Submit("alice", spec); err == nil {
 		t.Fatal("2^53+1 seed admitted; the wrapping axis would round it")
+	}
+}
+
+// TestDoneJobReplaysFromJournal pins how a done job survives a restart:
+// reaching done rewrites no record, and a second manager on the same state
+// directory brings the job back done with byte-identical rows by replaying
+// its complete journal — no simulation runs and Progress never fires.
+func TestDoneJobReplaysFromJournal(t *testing.T) {
+	dir := t.TempDir()
+	m1 := newTestManager(t, Config{StateDir: dir})
+	st, _, err := m1.Submit("alice", testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m1, st.ID, StateDone)
+	want, _, _, err := m1.watch(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m1.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", st.ID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateQueued {
+		t.Fatalf("record state on disk %q, want the admission record's %q", rec.State, StateQueued)
+	}
+
+	var runs, progress atomic.Int64
+	m2 := newTestManager(t, Config{StateDir: dir, runSweep: func(ctx context.Context, sw sim.Sweep, sinks ...sim.RowSink) ([]sim.Row, error) {
+		runs.Add(1)
+		report := sw.Progress
+		sw.Progress = func(done, total int) {
+			progress.Add(1)
+			report(done, total)
+		}
+		return sim.RunSweep(ctx, sw, sinks...)
+	}})
+	final := waitState(t, m2, st.ID, StateDone)
+	got, _, _, err := m2.watch(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bytes.Join(got, nil), bytes.Join(want, nil)) {
+		t.Fatalf("replayed rows differ:\n%s\nvs\n%s", bytes.Join(got, nil), bytes.Join(want, nil))
+	}
+	if final.Completed != final.Points || final.Rows != final.Points {
+		t.Fatalf("replayed job = %+v, want every point completed and streamed", final)
+	}
+	if runs.Load() != 1 || progress.Load() != 0 {
+		t.Fatalf("replay: %d runs, %d Progress calls; want 1 run and no Progress", runs.Load(), progress.Load())
+	}
+	if hits, misses, size := m2.CacheStats(); hits+misses != 0 || size != 0 {
+		t.Fatalf("replay consulted the result cache (%d hits, %d misses, %d held): a point was dispatched", hits, misses, size)
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"path/filepath"
+	"strconv"
+
+	"repro/internal/atomicfile"
 )
 
 // This file implements the sweep checkpoint journal behind
@@ -28,6 +30,12 @@ import (
 // bit-exactly (Result's UnmarshalJSON shadows reverse the NaN-as-null
 // encoding, and Go prints float64 at shortest round-trip precision), so a
 // resumed sweep streams byte-identical rows to an uninterrupted one.
+//
+// RunSweep journals off its points' critical path: one writer goroutine per
+// journal (groupCommit) creates a fresh journal while the first points
+// simulate, then appends every record waiting in its queue and fsyncs once
+// per batch. A point's row reaches the sinks, and Sweep.Progress counts it,
+// only after that fsync, so every streamed row survives a power cut.
 
 // ckHeader is the journal's first line.
 type ckHeader struct {
@@ -149,17 +157,20 @@ func sweepFingerprint(sw Sweep) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// checkpoint is an open journal ready for appends.
+// checkpoint is a journal, open for appends once create has run.
 type checkpoint struct {
 	path string
 	f    *os.File
+	init []byte // header and restored records, until create writes them
 }
 
-// openCheckpoint creates the journal at path (or resumes an existing one)
-// for a sweep expanding to n points. It returns the restored results indexed
+// openCheckpoint resumes the journal at path for a sweep expanding to n
+// points, or prepares a fresh one. It returns the restored results indexed
 // by point (nil entries were never journaled; for a ranged sweep indices are
 // local to the range), the number of unreadable records skipped and dropped
-// by compaction, and the journal opened for appending.
+// by compaction, and the journal. An existing journal is compacted and open
+// for appends on return; a fresh one is not on disk until create runs, which
+// lets RunSweep create it while the first points simulate.
 func openCheckpoint(sw Sweep, path string, n int) ([]*Result, int, *checkpoint, error) {
 	fp, err := sweepFingerprint(sw)
 	if err != nil {
@@ -211,87 +222,128 @@ func openCheckpoint(sw Sweep, path string, n int) ([]*Result, int, *checkpoint, 
 		}
 	}
 
-	// Compact through an atomic rename so the journal is never left with the
-	// torn tail, then append from a clean end-of-file.
-	var buf bytes.Buffer
 	hdrLine, err := json.Marshal(ckHeader{SweepSHA256: fp, Points: n})
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("sim: sweep checkpoint %s: %w", path, err)
 	}
-	buf.Write(hdrLine)
-	buf.WriteByte('\n')
+	init := append(hdrLine, '\n')
 	for _, line := range keep {
-		buf.Write(line)
-		buf.WriteByte('\n')
+		init = append(append(init, line...), '\n')
 	}
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf.Bytes()); err != nil {
-		return nil, 0, nil, fmt.Errorf("sim: writing sweep checkpoint %s: %w", tmp, err)
+	c := &checkpoint{path: path, init: init}
+	if data != nil {
+		if err := c.create(); err != nil {
+			return nil, 0, nil, err
+		}
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return nil, 0, nil, fmt.Errorf("sim: replacing sweep checkpoint %s: %w", path, err)
-	}
-	// Persist the rename itself: without the directory fsync a crash right
-	// after compaction could resurrect the pre-compaction file, torn tail
-	// included. Restore tolerates that (it re-compacts), so a directory that
-	// does not support fsync (some network mounts) only weakens durability,
-	// never correctness — the error is deliberately ignored.
-	syncDir(filepath.Dir(path))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("sim: opening sweep checkpoint %s for append: %w", path, err)
-	}
-	return restored, skipped, &checkpoint{path: path, f: f}, nil
+	return restored, skipped, c, nil
 }
 
-// writeFileSync writes data and fsyncs the file before closing, so the
-// following rename never publishes a file whose contents are still only in
-// the page cache.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// create writes the journal's header and restored records through an atomic
+// replace — so a compaction never leaves the torn tail behind — and opens
+// the journal for appends at a clean end-of-file. It does nothing once the
+// journal is open.
+func (c *checkpoint) create() error {
+	if c.f != nil {
+		return nil
+	}
+	if err := atomicfile.WriteFile(c.path, c.init); err != nil {
+		return fmt.Errorf("sim: writing sweep checkpoint %s: %w", c.path, err)
+	}
+	f, err := os.OpenFile(c.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return fmt.Errorf("sim: opening sweep checkpoint %s for append: %w", c.path, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	c.f, c.init = f, nil
+	return nil
 }
 
-// syncDir fsyncs a directory, persisting renames inside it; best-effort.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	_ = d.Sync()
-}
-
-// record appends one completed point and fsyncs the journal, so a point that
-// was reported as checkpointed survives a power cut, not just a process kill.
-// RunSweep serializes calls under its row mutex, so the journal needs no
-// locking of its own.
-func (c *checkpoint) record(point int, res *Result) error {
+// appendRecord appends one completed point's journal line, newline
+// included, to buf. The bytes are those of json.Marshal(ckEntry{...}),
+// built without a second pass over the encoded result.
+func appendRecord(buf []byte, point int, res *Result) ([]byte, error) {
 	resJSON, err := json.Marshal(res)
 	if err != nil {
-		return err
+		return buf, err
 	}
-	line, err := json.Marshal(ckEntry{Point: point, Result: resJSON})
-	if err != nil {
-		return err
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
+	buf = append(buf, `{"point":`...)
+	buf = strconv.AppendInt(buf, int64(point), 10)
+	buf = append(buf, `,"result":`...)
+	buf = append(buf, resJSON...)
+	return append(buf, "}\n"...), nil
+}
+
+// write appends whole journal lines and fsyncs once: when it returns, every
+// record in lines survives a power cut, not just a process kill.
+func (c *checkpoint) write(lines []byte) error {
+	if _, err := c.f.Write(lines); err != nil {
 		return err
 	}
 	return c.f.Sync()
 }
 
-// close releases the journal file handle. The journal itself is left in
-// place — deleting it after a completed sweep is the caller's choice.
-func (c *checkpoint) close() error { return c.f.Close() }
+// record appends one completed point and fsyncs the journal.
+func (c *checkpoint) record(point int, res *Result) error {
+	line, err := appendRecord(nil, point, res)
+	if err != nil {
+		return err
+	}
+	return c.write(line)
+}
+
+// ckRecord is one completed point queued for the journal writer.
+type ckRecord struct {
+	point int
+	res   *Result
+}
+
+// groupCommit is RunSweep's journal writer; it runs on its own goroutine
+// until queue is closed and drained. It creates the journal if it is not on
+// disk yet, then repeatedly takes every record waiting in queue, appends
+// them, fsyncs once and hands the batch's points to commit. The first error
+// goes to commit instead, the failed batch's points unjournaled; from then
+// on the writer only drains the queue.
+func (c *checkpoint) groupCommit(queue <-chan ckRecord, commit func(points []int, err error)) {
+	err := c.create()
+	if err != nil {
+		commit(nil, err)
+	}
+	var (
+		buf    []byte
+		points []int
+	)
+	for rec := range queue {
+		if err != nil {
+			continue // journaling stopped: drain only
+		}
+		buf, points = buf[:0], points[:0]
+		for more := true; more && err == nil; {
+			points = append(points, rec.point)
+			buf, err = appendRecord(buf, rec.point, rec.res)
+			select {
+			case rec, more = <-queue:
+			default:
+				more = false
+			}
+		}
+		if err == nil {
+			err = c.write(buf)
+		}
+		if err != nil {
+			err = fmt.Errorf("sim: sweep checkpoint %s: %w", c.path, err)
+			commit(nil, err)
+			continue
+		}
+		commit(points, nil)
+	}
+}
+
+// close releases the journal file handle, if create opened one. The journal
+// itself is left in place — deleting it after a completed sweep is the
+// caller's choice.
+func (c *checkpoint) close() error {
+	if c.f == nil {
+		return nil
+	}
+	return c.f.Close()
+}

@@ -42,6 +42,9 @@ func OpenSweepJournal(sw Sweep, path string) (*SweepJournal, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := ck.create(); err != nil {
+		return nil, err
+	}
 	return &SweepJournal{ck: ck, restored: restored, skipped: skipped}, nil
 }
 

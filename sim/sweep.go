@@ -399,7 +399,10 @@ type Sweep struct {
 	// completed point's result. A sweep started with an existing journal for
 	// the same spec resumes: journaled points are not re-run, yet the sinks
 	// still receive every row in point order, so the resumed output is
-	// byte-identical to an uninterrupted run. See the checkpoint file format
+	// byte-identical to an uninterrupted run. Records are group-committed by
+	// a writer goroutine while later points simulate; a row reaches the
+	// sinks (and Progress counts its point) only once its record is fsync'd,
+	// so a power cut costs no streamed row. See the checkpoint file format
 	// in checkpoint.go. Execution policy: not part of the JSON spec.
 	CheckpointPath string `json:"-"`
 	// Pool, when non-nil, draws every simulation's execution slot from a
@@ -882,9 +885,10 @@ func (s *JSONLSink) WriteRow(r Row) error {
 //
 // Cancellation is cooperative between points (and between a point's
 // replications): once ctx is cancelled no new point starts, in-flight points
-// finish or abort, RunSweep returns ctx.Err(), and the sinks are left with a
-// clean prefix of the row stream — never a partial or out-of-order record. A
-// sink write error likewise stops the sweep and is returned.
+// finish or abort, every finished point is journaled, RunSweep returns
+// ctx.Err(), and the sinks are left with a clean prefix of the row stream —
+// never a partial or out-of-order record. A sink or journal write error
+// likewise stops the sweep and is returned.
 //
 // Robustness: Sweep.PointTimeout bounds each point's wall-clock time
 // (*PointTimeoutError on expiry), a panic inside a point surfaces as a typed
@@ -945,6 +949,42 @@ func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {
 			}
 			next++
 		}
+	}
+	// streamLocked marks finished points done, reports them and streams what
+	// became streamable; mu must be held.
+	streamLocked := func(points ...int) {
+		for _, i := range points {
+			done[i] = true
+			finished++
+			if sw.Progress != nil {
+				sw.Progress(finished, len(pts))
+			}
+		}
+		flushLocked()
+	}
+	// With a journal, a finished point goes to the writer's queue and turns
+	// done only once its record is fsync'd (see groupCommit), so the sinks
+	// never hold a row the journal could lose. The queue holds every point,
+	// so a send never blocks a worker.
+	var (
+		queue       chan ckRecord
+		journalDone chan struct{}
+	)
+	if ck != nil {
+		queue, journalDone = make(chan ckRecord, len(pts)), make(chan struct{})
+		go func() {
+			defer close(journalDone)
+			ck.groupCommit(queue, func(points []int, err error) {
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil {
+					ckErr = err
+					cancel()
+					return
+				}
+				streamLocked(points...)
+			})
+		}()
 	}
 	// Restored rows stream before any point runs, so a resumed sweep feeds
 	// the sinks the exact row sequence of an uninterrupted one.
@@ -1032,25 +1072,23 @@ func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {
 			return
 		}
 		rows[i].Result = res
-		done[i] = true
-		finished++
-		if ck != nil && ckErr == nil {
-			if err := ck.record(i, res); err != nil {
-				ckErr = err
-				cancel()
-				return
-			}
+		if queue != nil {
+			queue <- ckRecord{point: i, res: res}
+			return
 		}
-		if sw.Progress != nil {
-			sw.Progress(finished, len(pts))
-		}
-		flushLocked()
+		streamLocked(i)
 	})
+	if queue != nil {
+		// Records already queued are still written, so a cancelled sweep
+		// keeps every point it finished.
+		close(queue)
+		<-journalDone
+	}
 	if sinkErr != nil {
 		return nil, fmt.Errorf("sim: sweep sink failed at point %d: %w", next, sinkErr)
 	}
 	if ckErr != nil {
-		return nil, fmt.Errorf("sim: sweep checkpoint %s: %w", sw.CheckpointPath, ckErr)
+		return nil, ckErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
