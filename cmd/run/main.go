@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					return fail(cli.ExitTimeout,
 						fmt.Errorf("%s: %s: timed out after %v (-timeout)", path, sc.Title(), *timeout))
 				}
-				return fail(cli.RunCode(err), fmt.Errorf("%s: %w", path, err))
+				return fail(cli.ExitRuntime, fmt.Errorf("%s: %w", path, err))
 			}
 			elapsed := time.Since(start)
 			table := harness.ScenarioTable(sc, res)

@@ -44,10 +44,6 @@ func (h HypercubeParams) Validate() error {
 // LoadFactor returns rho = lambda*p (eq. (2)).
 func (h HypercubeParams) LoadFactor() float64 { return h.Lambda * h.P }
 
-// Stable reports whether the necessary condition for stability rho < 1 holds
-// strictly; by Proposition 6 it is also sufficient for greedy routing.
-func (h HypercubeParams) Stable() bool { return h.LoadFactor() < 1 }
-
 // MeanHops returns the mean number of arcs a packet must traverse, d*p.
 func (h HypercubeParams) MeanHops() float64 { return float64(h.D) * h.P }
 
@@ -212,15 +208,6 @@ func (b ButterflyParams) Validate() error {
 	return nil
 }
 
-// LoadFactor returns rho = lambda*max{p, 1-p} (eq. (17)).
-func (b ButterflyParams) LoadFactor() float64 {
-	return b.Lambda * math.Max(b.P, 1-b.P)
-}
-
-// Stable reports whether rho < 1, which by Prop. 16 is also sufficient for
-// greedy routing on the butterfly.
-func (b ButterflyParams) Stable() bool { return b.LoadFactor() < 1 }
-
 // UniversalLowerBound returns the Proposition 14 lower bound valid under any
 // routing scheme:
 //
@@ -254,30 +241,4 @@ func (b ButterflyParams) GreedyUpperBound() (float64, error) {
 		return math.Inf(1), ErrUnstable
 	}
 	return float64(b.D)*b.P/(1-lv) + float64(b.D)*(1-b.P)/(1-ls), nil
-}
-
-// MeanPacketsPerNodeEstimate returns the §4.3 overall estimate of the average
-// queue size per butterfly node: lambda*p/(1-lambda*p) + lambda*(1-p)/(1-lambda*(1-p)).
-func (b ButterflyParams) MeanPacketsPerNodeEstimate() (float64, error) {
-	if err := b.Validate(); err != nil {
-		return 0, err
-	}
-	lv := b.Lambda * b.P
-	ls := b.Lambda * (1 - b.P)
-	if lv >= 1 || ls >= 1 {
-		return math.Inf(1), ErrUnstable
-	}
-	return lv/(1-lv) + ls/(1-ls), nil
-}
-
-// HeavyTrafficLimitLowerBound returns max{p,1-p}/2, the lower end of the
-// interval for lim_{rho->1}(1-rho)T on the butterfly (end of §4.3).
-func (b ButterflyParams) HeavyTrafficLimitLowerBound() float64 {
-	return math.Max(b.P, 1-b.P) / 2
-}
-
-// HeavyTrafficLimitUpperBound returns d*max{p,1-p}, the upper end of that
-// interval.
-func (b ButterflyParams) HeavyTrafficLimitUpperBound() float64 {
-	return float64(b.D) * math.Max(b.P, 1-b.P)
 }

@@ -46,13 +46,6 @@ func TestHypercubeLoadFactorAndStability(t *testing.T) {
 	if !almostEqual(h.LoadFactor(), 0.8, 1e-12) {
 		t.Fatalf("load factor %v", h.LoadFactor())
 	}
-	if !h.Stable() {
-		t.Fatal("rho=0.8 should be stable")
-	}
-	unstable := HypercubeParams{D: 7, Lambda: 2.2, P: 0.5}
-	if unstable.Stable() {
-		t.Fatal("rho=1.1 should be unstable")
-	}
 	if !almostEqual(h.MeanHops(), 3.5, 1e-12) {
 		t.Fatalf("mean hops %v", h.MeanHops())
 	}
@@ -234,26 +227,6 @@ func TestButterflyValidate(t *testing.T) {
 		if _, err := b.UniversalLowerBound(); err == nil {
 			t.Fatalf("case %d: UniversalLowerBound accepted invalid params", i)
 		}
-		if _, err := b.MeanPacketsPerNodeEstimate(); err == nil {
-			t.Fatalf("case %d: MeanPacketsPerNodeEstimate accepted invalid params", i)
-		}
-	}
-}
-
-func TestButterflyLoadFactorSymmetry(t *testing.T) {
-	a := ButterflyParams{D: 4, Lambda: 1.2, P: 0.3}
-	b := ButterflyParams{D: 4, Lambda: 1.2, P: 0.7}
-	if !almostEqual(a.LoadFactor(), b.LoadFactor(), 1e-12) {
-		t.Fatal("load factor should be symmetric in p <-> 1-p")
-	}
-	if !almostEqual(a.LoadFactor(), 1.2*0.7, 1e-12) {
-		t.Fatalf("load factor %v", a.LoadFactor())
-	}
-	if !a.Stable() {
-		t.Fatal("should be stable")
-	}
-	if (ButterflyParams{D: 4, Lambda: 2.1, P: 0.5}).Stable() {
-		t.Fatal("lambda=2.1, p=0.5 gives rho=1.05, unstable")
 	}
 }
 
@@ -273,10 +246,6 @@ func TestButterflyBoundsKnownValues(t *testing.T) {
 	if lo > up {
 		t.Fatal("lower bound exceeds upper bound")
 	}
-	est, err := b.MeanPacketsPerNodeEstimate()
-	if err != nil || !almostEqual(est, 8, 1e-9) {
-		t.Fatalf("per-node estimate %v err %v", est, err)
-	}
 }
 
 func TestButterflyBoundsUnstable(t *testing.T) {
@@ -287,26 +256,10 @@ func TestButterflyBoundsUnstable(t *testing.T) {
 	if _, err := b.UniversalLowerBound(); err != ErrUnstable {
 		t.Fatal("expected ErrUnstable")
 	}
-	if _, err := b.MeanPacketsPerNodeEstimate(); err != ErrUnstable {
-		t.Fatal("expected ErrUnstable")
-	}
 	// Asymmetric p: only one arc type saturates but that is enough.
 	c := ButterflyParams{D: 4, Lambda: 1.3, P: 0.8}
-	if c.Stable() {
-		t.Fatal("lambda*max{p,1-p} = 1.04 should be unstable")
-	}
 	if _, err := c.GreedyUpperBound(); err != ErrUnstable {
 		t.Fatal("expected ErrUnstable for asymmetric saturation")
-	}
-}
-
-func TestButterflyHeavyTrafficLimits(t *testing.T) {
-	b := ButterflyParams{D: 6, Lambda: 1.9, P: 0.3}
-	if !almostEqual(b.HeavyTrafficLimitLowerBound(), 0.35, 1e-12) {
-		t.Fatalf("lower %v", b.HeavyTrafficLimitLowerBound())
-	}
-	if !almostEqual(b.HeavyTrafficLimitUpperBound(), 4.2, 1e-12) {
-		t.Fatalf("upper %v", b.HeavyTrafficLimitUpperBound())
 	}
 }
 

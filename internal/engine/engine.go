@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 
 	"repro/internal/stats"
@@ -186,9 +185,6 @@ type Shard struct {
 	Seed       uint64
 }
 
-// Size returns the number of replications in the shard.
-func (s Shard) Size() int { return s.End - s.Start }
-
 // RepSeed returns the deterministic seed of the rep-th replication of the
 // shard (rep is the global replication index, Start <= rep < End).
 func (s Shard) RepSeed(rep int) uint64 {
@@ -205,16 +201,6 @@ type Result struct {
 	// Sketches maps each sketch name returned by the task to the merged
 	// sketch over all replications (empty when the task returns none).
 	Sketches map[string]*stats.DDSketch
-}
-
-// Keys returns the metric names in sorted order, for deterministic iteration.
-func (r *Result) Keys() []string {
-	keys := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // DefaultShardSize returns the shard size used when Config.ShardSize is not
@@ -323,7 +309,7 @@ func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 		if cfg.Progress != nil {
 			progressMu.Lock()
 			doneShards++
-			doneReps += sh.Size()
+			doneReps += sh.End - sh.Start
 			cfg.Progress(doneShards, len(shards), doneReps, cfg.Replications)
 			progressMu.Unlock()
 		}

@@ -46,10 +46,3 @@ func NewArtifact(e Experiment, cfg RunConfig, table *Table, elapsed time.Duratio
 func (a Artifact) JSON() ([]byte, error) {
 	return json.MarshalIndent(a, "", "  ")
 }
-
-// JSON renders the table alone as indented JSON (title, columns, rows and
-// notes). The cmd binaries that report a single table use this for their
-// -json mode.
-func (t *Table) JSON() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
-}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/bounds"
+	"repro/internal/queueing"
 	"repro/internal/queuenet"
 	"repro/internal/routing"
 	"repro/sim"
@@ -29,24 +30,12 @@ func run(sc sim.Scenario) *sim.Result {
 	return res
 }
 
-// scenarioGrid renders one table row per scenario: the scenarios execute
-// concurrently on the engine's worker pool (bounded by cfg.Parallelism) and
-// rows land in grid order regardless of which point finishes first. It is
-// the data-driven form most experiments take: declare the scenario list,
-// then map each result to its row.
-func scenarioGrid(table *Table, cfg RunConfig, scs []sim.Scenario, row func(i int, res *sim.Result) []string) {
-	addGridRows(table, cfg, len(scs), func(i int) []string {
-		return row(i, run(scs[i]))
-	})
-}
-
 // sweepGrid renders one table row per sweep point: the sweep's declarative
 // axes expand into the scenario grid, every point executes on sim.RunSweep's
 // shared engine pool (bounded by cfg.Parallelism), per-point completion
 // reports through cfg.Progress, and rows land in point order regardless of
-// which point finishes first. It is the declarative counterpart of
-// scenarioGrid: experiments that are parameter grids state their axes once
-// instead of hand-rolling nested loops.
+// which point finishes first. Experiments that are parameter grids state
+// their axes once instead of hand-rolling nested loops.
 func sweepGrid(table *Table, cfg RunConfig, sw sim.Sweep, row func(r sim.Row) []string) {
 	sw.Parallelism = cfg.Parallelism
 	sw.Progress = cfg.Progress
@@ -318,7 +307,7 @@ func runE6(cfg RunConfig) *Table {
 	res := run(sim.Scenario{
 		Topology: sim.Hypercube(d), P: 0.5, LoadFactor: rho, Horizon: horizon, Seed: cfg.Seed,
 	})
-	md1 := rho + rho*rho/(2*(1-rho))
+	md1, _ := queueing.MD1{Lambda: rho}.MeanNumber() // rho < 1, so no error
 	for j := 0; j < d; j++ {
 		pred := ""
 		if j == 0 {

@@ -205,11 +205,4 @@ func TestArtifactJSON(t *testing.T) {
 			t.Fatalf("artifact JSON missing %q:\n%s", want, s)
 		}
 	}
-	tj, err := tb.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(tj), `"title": "demo"`) {
-		t.Fatalf("table JSON wrong:\n%s", tj)
-	}
 }

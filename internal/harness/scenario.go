@@ -12,20 +12,11 @@ import (
 	"repro/sim"
 )
 
-// LoadScenarios reads a declarative scenario spec file: either a single JSON
+// loadScenariosData parses a declarative scenario spec: either a single JSON
 // scenario object or a JSON array of them (see sim.Scenario for the schema).
 // Unknown fields are rejected so typos in spec files fail loudly, and every
-// scenario is validated before the slice is returned.
-func LoadScenarios(path string) ([]sim.Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return loadScenariosData(path, data)
-}
-
-// loadScenariosData is LoadScenarios over already-read spec bytes (path is
-// used only for error messages).
+// scenario is validated before the slice is returned. path is used only for
+// error messages.
 func loadScenariosData(path string, data []byte) ([]sim.Scenario, error) {
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
 	var scs []sim.Scenario

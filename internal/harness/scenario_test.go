@@ -38,13 +38,17 @@ func writeSpec(t *testing.T, content string) string {
 	return path
 }
 
+// loadScenarios parses spec content as a file named spec.json would be.
+func loadScenarios(content string) ([]sim.Scenario, error) {
+	return loadScenariosData("spec.json", []byte(content))
+}
+
 func TestLoadScenariosSingleAndArray(t *testing.T) {
-	single := writeSpec(t, `{
+	scs, err := loadScenarios(`{
 		"name": "one",
 		"topology": {"kind": "hypercube", "d": 4},
 		"p": 0.5, "load_factor": 0.6, "horizon": 100
 	}`)
-	scs, err := LoadScenarios(single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +56,10 @@ func TestLoadScenariosSingleAndArray(t *testing.T) {
 		t.Fatalf("single spec parsed as %+v", scs)
 	}
 
-	array := writeSpec(t, `[
+	scs, err = loadScenarios(`[
 		{"topology": {"kind": "hypercube", "d": 3}, "p": 0.5, "load_factor": 0.5, "horizon": 50},
 		{"topology": {"kind": "butterfly", "d": 3}, "p": 0.5, "load_factor": 0.5, "horizon": 50}
 	]`)
-	scs, err = LoadScenarios(array)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +77,9 @@ func TestLoadScenariosRejectsBadSpecs(t *testing.T) {
 		"not json":         `hello`,
 	}
 	for name, content := range cases {
-		if _, err := LoadScenarios(writeSpec(t, content)); err == nil {
+		if _, err := loadScenarios(content); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
-	}
-	if _, err := LoadScenarios(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Error("missing file: expected error")
 	}
 }
 
@@ -132,13 +132,13 @@ func TestScenarioTableSingleAndReplicated(t *testing.T) {
 
 func TestLoadScenariosRejectsTrailingContentAndBadNames(t *testing.T) {
 	obj := `{"topology": {"kind": "hypercube", "d": 4}, "p": 0.5, "load_factor": 0.6, "horizon": 100}`
-	if _, err := LoadScenarios(writeSpec(t, obj+"\n"+obj)); err == nil ||
+	if _, err := loadScenarios(obj + "\n" + obj); err == nil ||
 		!strings.Contains(err.Error(), "array") {
 		t.Errorf("two bare objects: err = %v, want a wrap-in-array hint", err)
 	}
 	for _, name := range []string{"a/b", `a\b`, "../escape"} {
 		spec := `{"name": "` + strings.ReplaceAll(name, `\`, `\\`) + `", "topology": {"kind": "hypercube", "d": 4}, "p": 0.5, "load_factor": 0.6, "horizon": 100}`
-		if _, err := LoadScenarios(writeSpec(t, spec)); err == nil ||
+		if _, err := loadScenarios(spec); err == nil ||
 			!strings.Contains(err.Error(), "path separators") {
 			t.Errorf("name %q: err = %v, want path-separator rejection", name, err)
 		}

@@ -1,10 +1,9 @@
 // Package hypercube models the directed d-dimensional binary hypercube used
 // by the paper: 2^d nodes numbered 0..2^d-1, with a unidirectional arc from x
 // to x XOR e_m for every node x and every dimension m in 1..d. The package
-// provides node/arc identities, Hamming distances, neighbour enumeration,
-// canonical (increasing dimension-order) paths, shortest-path utilities and a
-// dense arc indexing scheme used by the simulator to keep per-arc queues in a
-// flat slice.
+// provides node/arc identities, Hamming distances, the dimensions a packet
+// must cross and a dense arc indexing scheme used by the simulator to keep
+// per-arc queues in a flat slice.
 package hypercube
 
 import (
@@ -25,11 +24,6 @@ type Arc struct {
 	From Node
 	To   Node
 	Dim  Dimension
-}
-
-// String renders the arc in the (x, x⊕e_m) form used by the paper.
-func (a Arc) String() string {
-	return fmt.Sprintf("(%d->%d dim %d)", a.From, a.To, a.Dim)
 }
 
 // MaxDimension is the largest supported cube dimension. 2^20 nodes times d
@@ -61,9 +55,6 @@ func (c *Cube) Nodes() int { return c.n }
 // NumArcs returns the number of directed arcs, d * 2^d.
 func (c *Cube) NumArcs() int { return c.d * c.n }
 
-// Diameter returns the network diameter, which equals d.
-func (c *Cube) Diameter() int { return c.d }
-
 // Contains reports whether x is a valid node of the cube.
 func (c *Cube) Contains(x Node) bool { return int(x) < c.n }
 
@@ -74,12 +65,6 @@ func (c *Cube) Unit(m Dimension) Node {
 	return Node(1) << uint(m-1)
 }
 
-// Bit returns bit m (1-based) of node x as 0 or 1.
-func (c *Cube) Bit(x Node, m Dimension) int {
-	c.checkDim(m)
-	return int(x>>uint(m-1)) & 1
-}
-
 // Flip returns x XOR e_m.
 func (c *Cube) Flip(x Node, m Dimension) Node {
 	return x ^ c.Unit(m)
@@ -88,18 +73,6 @@ func (c *Cube) Flip(x Node, m Dimension) Node {
 // Hamming returns the Hamming distance between nodes x and y.
 func Hamming(x, y Node) int {
 	return bits.OnesCount32(uint32(x ^ y))
-}
-
-// Hamming returns the Hamming distance between two nodes of the cube.
-func (c *Cube) Hamming(x, y Node) int { return Hamming(x, y) }
-
-// Neighbors returns the d out-neighbours of x in increasing dimension order.
-func (c *Cube) Neighbors(x Node) []Node {
-	out := make([]Node, c.d)
-	for m := 1; m <= c.d; m++ {
-		out[m-1] = c.Flip(x, Dimension(m))
-	}
-	return out
 }
 
 // Arc returns the arc leaving x along dimension m.
@@ -154,100 +127,6 @@ func (c *Cube) DiffDimensions(x, z Node) []Dimension {
 		diff &= diff - 1
 	}
 	return dims
-}
-
-// CanonicalPath returns the canonical (greedy, increasing dimension-order)
-// path from x to z as the sequence of arcs traversed. The empty slice is
-// returned when x == z.
-func (c *Cube) CanonicalPath(x, z Node) []Arc {
-	dims := c.DiffDimensions(x, z)
-	path := make([]Arc, 0, len(dims))
-	cur := x
-	for _, m := range dims {
-		a := c.Arc(cur, m)
-		path = append(path, a)
-		cur = a.To
-	}
-	return path
-}
-
-// PathInOrder returns the path from x to z that crosses the required
-// dimensions in the supplied order. It panics if order is not a permutation
-// of the dimensions in which x and z differ. This generalisation supports the
-// random-dimension-order ablation.
-func (c *Cube) PathInOrder(x, z Node, order []Dimension) []Arc {
-	need := c.DiffDimensions(x, z)
-	if len(order) != len(need) {
-		panic("hypercube: PathInOrder order has wrong length")
-	}
-	seen := make(map[Dimension]bool, len(order))
-	for _, m := range order {
-		seen[m] = true
-	}
-	for _, m := range need {
-		if !seen[m] {
-			panic(fmt.Sprintf("hypercube: PathInOrder order missing dimension %d", m))
-		}
-	}
-	path := make([]Arc, 0, len(order))
-	cur := x
-	for _, m := range order {
-		a := c.Arc(cur, m)
-		path = append(path, a)
-		cur = a.To
-	}
-	return path
-}
-
-// ShortestPathLength returns the length of any shortest path between x and z,
-// which equals their Hamming distance.
-func (c *Cube) ShortestPathLength(x, z Node) int { return Hamming(x, z) }
-
-// BFSDistances returns the BFS distance from src to every node. It exists to
-// cross-check the Hamming-distance shortcut in tests and for generic graph
-// experiments; distances are returned indexed by node number.
-func (c *Cube) BFSDistances(src Node) []int {
-	dist := make([]int, c.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]Node, 0, c.n)
-	queue = append(queue, src)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for m := 1; m <= c.d; m++ {
-			v := c.Flip(u, Dimension(m))
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// Translate renames node x to x XOR y; the routing problem is invariant under
-// this translation (remark after eq. (1) in the paper).
-func (c *Cube) Translate(x, y Node) Node { return x ^ y }
-
-// AllNodes returns the node set 0..2^d-1.
-func (c *Cube) AllNodes() []Node {
-	nodes := make([]Node, c.n)
-	for i := range nodes {
-		nodes[i] = Node(i)
-	}
-	return nodes
-}
-
-// AllArcs returns every directed arc in dense-index order.
-func (c *Cube) AllArcs() []Arc {
-	arcs := make([]Arc, c.NumArcs())
-	for i := range arcs {
-		arcs[i] = c.ArcAt(i)
-	}
-	return arcs
 }
 
 func (c *Cube) checkDim(m Dimension) {

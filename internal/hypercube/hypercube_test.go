@@ -32,9 +32,6 @@ func TestBasicCounts(t *testing.T) {
 		if c.NumArcs() != d*(1<<uint(d)) {
 			t.Fatalf("NumArcs() = %d for d=%d", c.NumArcs(), d)
 		}
-		if c.Diameter() != d {
-			t.Fatalf("Diameter() = %d for d=%d", c.Diameter(), d)
-		}
 	}
 }
 
@@ -42,10 +39,6 @@ func TestUnitAndBit(t *testing.T) {
 	c := New(4)
 	if c.Unit(1) != 1 || c.Unit(2) != 2 || c.Unit(3) != 4 || c.Unit(4) != 8 {
 		t.Fatal("Unit values wrong")
-	}
-	x := Node(0b1010)
-	if c.Bit(x, 1) != 0 || c.Bit(x, 2) != 1 || c.Bit(x, 3) != 0 || c.Bit(x, 4) != 1 {
-		t.Fatal("Bit extraction wrong")
 	}
 }
 
@@ -82,37 +75,16 @@ func TestHammingKnownValues(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	c := New(3)
-	nb := c.Neighbors(0)
-	want := []Node{1, 2, 4}
-	if len(nb) != 3 {
-		t.Fatalf("neighbour count = %d", len(nb))
-	}
-	for i := range nb {
-		if nb[i] != want[i] {
-			t.Fatalf("Neighbors(0) = %v, want %v", nb, want)
-		}
-	}
-	// Every neighbour is at Hamming distance 1, all distinct.
-	for _, x := range c.AllNodes() {
-		seen := map[Node]bool{}
-		for _, y := range c.Neighbors(x) {
-			if Hamming(x, y) != 1 {
-				t.Fatalf("neighbour %d of %d at distance %d", y, x, Hamming(x, y))
-			}
-			if seen[y] {
-				t.Fatalf("duplicate neighbour %d of %d", y, x)
-			}
-			seen[y] = true
-		}
-	}
-}
-
 func TestArcIndexRoundTrip(t *testing.T) {
 	c := New(5)
 	seen := make([]bool, c.NumArcs())
-	for _, a := range c.AllArcs() {
+	var arcs []Arc
+	for m := Dimension(1); int(m) <= c.Dimension(); m++ {
+		for x := Node(0); int(x) < c.Nodes(); x++ {
+			arcs = append(arcs, c.Arc(x, m))
+		}
+	}
+	for _, a := range arcs {
 		idx := c.ArcIndex(a)
 		if idx < 0 || idx >= c.NumArcs() {
 			t.Fatalf("index %d out of range", idx)
@@ -191,20 +163,19 @@ func TestDiffDimensionsIncreasingOrder(t *testing.T) {
 }
 
 func TestCanonicalPathMatchesPaperExample(t *testing.T) {
-	// Paper example (§1.1): (0,0,0,0) -> (1,0,1,1) crosses dimensions 1, 3, 4
-	// through (0001) and (0101).
+	// Paper example (§1.1): the greedy path (0,0,0,0) -> (1,0,1,1) crosses
+	// dimensions 1, 2, 4 in increasing order: (0000)->(0001)->(0011)->(1011).
 	c := New(4)
-	path := c.CanonicalPath(0b0000, 0b1011)
-	wantNodes := []Node{0b0001, 0b0101, 0b1101}
-	_ = wantNodes
-	// The paper's example destination is (1,0,1,1) = 0b1011; dimensions
-	// crossed are 1, 2, 4: (0000)->(0001)->(0011)->(1011).
-	path = c.CanonicalPath(0b0000, 0b1011)
-	if len(path) != 3 {
-		t.Fatalf("path length %d", len(path))
+	var seq []Node
+	cur := Node(0b0000)
+	for _, m := range c.DiffDimensions(cur, 0b1011) {
+		cur = c.Flip(cur, m)
+		seq = append(seq, cur)
 	}
-	seq := []Node{path[0].To, path[1].To, path[2].To}
 	want := []Node{0b0001, 0b0011, 0b1011}
+	if len(seq) != len(want) {
+		t.Fatalf("path length %d", len(seq))
+	}
 	for i := range seq {
 		if seq[i] != want[i] {
 			t.Fatalf("canonical path nodes %v, want %v", seq, want)
@@ -212,92 +183,33 @@ func TestCanonicalPathMatchesPaperExample(t *testing.T) {
 	}
 }
 
-func TestCanonicalPathProperties(t *testing.T) {
-	c := New(7)
-	rng := xrand.New(3)
-	for i := 0; i < 2000; i++ {
-		x := Node(rng.Intn(c.Nodes()))
-		z := Node(rng.Intn(c.Nodes()))
-		path := c.CanonicalPath(x, z)
-		if len(path) != Hamming(x, z) {
-			t.Fatalf("canonical path not shortest: len %d vs Hamming %d", len(path), Hamming(x, z))
-		}
-		cur := x
-		lastDim := Dimension(0)
-		for _, a := range path {
-			if a.From != cur {
-				t.Fatal("path arcs not contiguous")
+// bfsDistances returns the graph distance from src to every node, walking
+// the cube's arcs with Flip.
+func bfsDistances(c *Cube, src Node) []int {
+	dist := make([]int, c.Nodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []Node{src}
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		for m := Dimension(1); int(m) <= c.Dimension(); m++ {
+			if y := c.Flip(x, m); dist[y] < 0 {
+				dist[y] = dist[x] + 1
+				queue = append(queue, y)
 			}
-			if a.Dim <= lastDim {
-				t.Fatalf("dimensions not increasing along path: %v", path)
-			}
-			if a.To != c.Flip(a.From, a.Dim) {
-				t.Fatal("arc To inconsistent with dimension")
-			}
-			lastDim = a.Dim
-			cur = a.To
-		}
-		if cur != z {
-			t.Fatal("canonical path does not end at destination")
 		}
 	}
-}
-
-func TestCanonicalPathSelfIsEmpty(t *testing.T) {
-	c := New(5)
-	if len(c.CanonicalPath(13, 13)) != 0 {
-		t.Fatal("path from a node to itself should be empty")
-	}
-}
-
-func TestPathInOrder(t *testing.T) {
-	c := New(4)
-	x, z := Node(0b0000), Node(0b1011)
-	order := []Dimension{4, 1, 2}
-	path := c.PathInOrder(x, z, order)
-	if len(path) != 3 {
-		t.Fatalf("path length %d", len(path))
-	}
-	cur := x
-	for i, a := range path {
-		if a.Dim != order[i] {
-			t.Fatalf("dimension order not respected: %v", path)
-		}
-		if a.From != cur {
-			t.Fatal("arcs not contiguous")
-		}
-		cur = a.To
-	}
-	if cur != z {
-		t.Fatal("path does not reach destination")
-	}
-}
-
-func TestPathInOrderPanicsOnBadOrder(t *testing.T) {
-	c := New(4)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for wrong length")
-			}
-		}()
-		c.PathInOrder(0, 3, []Dimension{1})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for wrong dimensions")
-			}
-		}()
-		c.PathInOrder(0, 3, []Dimension{3, 4})
-	}()
+	return dist
 }
 
 func TestBFSMatchesHamming(t *testing.T) {
 	for d := 1; d <= 7; d++ {
 		c := New(d)
-		dist := c.BFSDistances(0)
-		for _, z := range c.AllNodes() {
+		dist := bfsDistances(c, 0)
+		for z := Node(0); int(z) < c.Nodes(); z++ {
 			if dist[z] != Hamming(0, z) {
 				t.Fatalf("d=%d node %d: BFS %d vs Hamming %d", d, z, dist[z], Hamming(0, z))
 			}
@@ -308,68 +220,11 @@ func TestBFSMatchesHamming(t *testing.T) {
 func TestBFSFromNonZeroSource(t *testing.T) {
 	c := New(5)
 	src := Node(21)
-	dist := c.BFSDistances(src)
-	for _, z := range c.AllNodes() {
+	dist := bfsDistances(c, src)
+	for z := Node(0); int(z) < c.Nodes(); z++ {
 		if dist[z] != Hamming(src, z) {
 			t.Fatalf("node %d: BFS %d vs Hamming %d", z, dist[z], Hamming(src, z))
 		}
-	}
-}
-
-func TestTranslateInvariance(t *testing.T) {
-	c := New(6)
-	rng := xrand.New(4)
-	for i := 0; i < 1000; i++ {
-		x := Node(rng.Intn(c.Nodes()))
-		z := Node(rng.Intn(c.Nodes()))
-		y := Node(rng.Intn(c.Nodes()))
-		if Hamming(x, z) != Hamming(c.Translate(x, y), c.Translate(z, y)) {
-			t.Fatal("Hamming distance not invariant under translation")
-		}
-	}
-}
-
-func TestAllNodesAndArcs(t *testing.T) {
-	c := New(3)
-	if len(c.AllNodes()) != 8 {
-		t.Fatalf("AllNodes length %d", len(c.AllNodes()))
-	}
-	if len(c.AllArcs()) != 24 {
-		t.Fatalf("AllArcs length %d", len(c.AllArcs()))
-	}
-	if !c.Contains(7) || c.Contains(8) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestArcString(t *testing.T) {
-	c := New(3)
-	s := c.Arc(0, 2).String()
-	if s == "" {
-		t.Fatal("empty arc string")
-	}
-}
-
-// Property: the canonical path length always equals the Hamming distance, and
-// every prefix of the path stays inside the cube.
-func TestQuickCanonicalPathLength(t *testing.T) {
-	c := New(10)
-	f := func(xr, zr uint16) bool {
-		x := Node(xr) & Node(c.Nodes()-1)
-		z := Node(zr) & Node(c.Nodes()-1)
-		path := c.CanonicalPath(x, z)
-		if len(path) != Hamming(x, z) {
-			return false
-		}
-		for _, a := range path {
-			if !c.Contains(a.From) || !c.Contains(a.To) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -385,21 +240,6 @@ func TestQuickArcIndexBijective(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkCanonicalPath(b *testing.B) {
-	c := New(10)
-	rng := xrand.New(5)
-	xs := make([]Node, 1024)
-	zs := make([]Node, 1024)
-	for i := range xs {
-		xs[i] = Node(rng.Intn(c.Nodes()))
-		zs[i] = Node(rng.Intn(c.Nodes()))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.CanonicalPath(xs[i&1023], zs[i&1023])
 	}
 }
 

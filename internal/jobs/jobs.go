@@ -136,12 +136,20 @@ type Manager struct {
 	// production; tests swap in fakes to exercise scheduling, admission and
 	// retry without running simulations.
 	runSweep func(ctx context.Context, sw sim.Sweep, sinks ...sim.RowSink) ([]sim.Row, error)
+	// writeRecord durably replaces a job record file. It is
+	// atomicfile.WriteFile in production; tests swap in a fake to stall an
+	// admission's record write.
+	writeRecord func(path string, data []byte) error
 
 	// baseCtx parents every job context; baseCancel is the hard stop used
 	// when a drain deadline expires (jobs checkpoint at point granularity,
 	// so a hard stop loses at most the points in flight).
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
+
+	// admitMu serialises admissions. It is taken before mu and held across
+	// the new job's record write, during which mu is released.
+	admitMu sync.Mutex
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -262,13 +270,14 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:        cfg,
-		cache:      newLRUCache(cfg.CacheEntries),
-		runSweep:   cfg.runSweep,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		jobs:       map[string]*job{},
-		queues:     map[string][]*job{},
+		cfg:         cfg,
+		cache:       newLRUCache(cfg.CacheEntries),
+		runSweep:    cfg.runSweep,
+		writeRecord: atomicfile.WriteFile,
+		baseCtx:     ctx,
+		baseCancel:  cancel,
+		jobs:        map[string]*job{},
+		queues:      map[string][]*job{},
 	}
 	if err := m.recover(); err != nil {
 		cancel()
@@ -425,26 +434,23 @@ func (m *Manager) submitSweep(client string, sw sim.Sweep) (Status, bool, error)
 		return Status{}, false, err
 	}
 
+	// The checks run under mu, which is then dropped for the record write
+	// (a temp file, two fsyncs and a rename) so running jobs keep streaming
+	// rows and answering status calls meanwhile. admitMu keeps the checks
+	// valid until the job is inserted: no other admission can add a job in
+	// between, and nothing removes one. The job is acknowledged only once
+	// its record is durable.
+	m.admitMu.Lock()
+	defer m.admitMu.Unlock()
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok {
-		// Idempotent resubmission: same spec, same job, whatever its state.
-		return m.statusLocked(j), false, nil
+	existing, err := m.admissionLocked(id, client)
+	var st Status
+	if existing != nil {
+		st = m.statusLocked(existing)
 	}
-	if m.draining {
-		return Status{}, false, ErrDraining
-	}
-	inFlight := 0
-	for _, j := range m.jobs {
-		if j.client == client && (j.state == StateQueued || j.state == StateRunning) {
-			inFlight++
-		}
-	}
-	if inFlight >= m.cfg.PerClientCap {
-		return Status{}, false, fmt.Errorf("%w (%d in flight)", ErrClientBusy, inFlight)
-	}
-	if m.queued >= m.cfg.QueueLimit {
-		return Status{}, false, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.queued)
+	m.mu.Unlock()
+	if existing != nil || err != nil {
+		return st, false, err
 	}
 
 	j := &job{
@@ -459,14 +465,44 @@ func (m *Manager) submitSweep(client string, sw sim.Sweep) (Status, bool, error)
 		notify:    make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	if err := m.persistLocked(j); err != nil {
+	if err := m.persist(j); err != nil {
 		return Status{}, false, fmt.Errorf("jobs: persisting job record: %w", err)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	// A drain that began during the write leaves the job queued: like every
+	// queued job of a draining manager, it is persisted and the next boot
+	// runs it.
 	m.jobs[id] = j
 	m.enqueueLocked(j)
 	m.cfg.Logf("jobs: admitted job %s (%d points, client %s)", shortID(id), j.points, client)
 	m.scheduleLocked()
 	return m.statusLocked(j), true, nil
+}
+
+// admissionLocked returns the existing job for an idempotent resubmission
+// of the same spec, or the error that refuses a new job: a draining
+// manager, the client's in-flight cap or the queue limit.
+func (m *Manager) admissionLocked(id, client string) (*job, error) {
+	if j, ok := m.jobs[id]; ok {
+		return j, nil
+	}
+	if m.draining {
+		return nil, ErrDraining
+	}
+	inFlight := 0
+	for _, j := range m.jobs {
+		if j.client == client && (j.state == StateQueued || j.state == StateRunning) {
+			inFlight++
+		}
+	}
+	if inFlight >= m.cfg.PerClientCap {
+		return nil, fmt.Errorf("%w (%d in flight)", ErrClientBusy, inFlight)
+	}
+	if m.queued >= m.cfg.QueueLimit {
+		return nil, fmt.Errorf("%w (%d queued)", ErrQueueFull, m.queued)
+	}
+	return nil, nil
 }
 
 // enqueueLocked appends the job to its client's FIFO and registers the
@@ -661,7 +697,7 @@ func (m *Manager) finishJob(j *job, jctx context.Context, err error) {
 		m.cfg.Logf("jobs: job %s failed: %v", shortID(j.id), err)
 	}
 	if j.state == StateFailed || j.state == StateCancelled {
-		if perr := m.persistLocked(j); perr != nil {
+		if perr := m.persist(j); perr != nil {
 			m.cfg.Logf("jobs: persisting job %s record: %v", shortID(j.id), perr)
 		}
 	}
@@ -694,7 +730,7 @@ func (m *Manager) Cancel(id string) (Status, error) {
 		}
 		j.cancelled = true
 		j.state = StateCancelled
-		if err := m.persistLocked(j); err != nil {
+		if err := m.persist(j); err != nil {
 			m.cfg.Logf("jobs: persisting job %s record: %v", shortID(j.id), err)
 		}
 		close(j.done)
@@ -822,9 +858,11 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 }
 
-// persistLocked writes the job's record atomically (write + fsync + rename +
+// persist writes the job's record atomically (write + fsync + rename +
 // directory fsync), so a record survives the same kills the journal does.
-func (m *Manager) persistLocked(j *job) error {
+// It reads j's fields, so callers hold mu, except submitSweep, which calls
+// it before any other goroutine can see j.
+func (m *Manager) persist(j *job) error {
 	rec := record{
 		ID:        j.id,
 		Client:    j.client,
@@ -840,7 +878,7 @@ func (m *Manager) persistLocked(j *job) error {
 	if err != nil {
 		return err
 	}
-	return atomicfile.WriteFile(filepath.Join(m.cfg.StateDir, "jobs", j.id+".json"), append(data, '\n'))
+	return m.writeRecord(filepath.Join(m.cfg.StateDir, "jobs", j.id+".json"), append(data, '\n'))
 }
 
 // journalPath is the job's checkpoint journal location.

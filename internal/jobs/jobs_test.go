@@ -327,6 +327,79 @@ func TestDrain(t *testing.T) {
 	waitState(t, m2, stQueued.ID, StateDone)
 }
 
+// TestAdmissionWriteDoesNotBlockRunningJobs pins that a new job's record
+// write runs outside the manager lock: while one admission's write is
+// stalled, a running job still streams rows and Status still answers, and
+// the stalled submission is acknowledged only once its write completes.
+func TestAdmissionWriteDoesNotBlockRunningJobs(t *testing.T) {
+	m := newTestManager(t, Config{MaxActiveJobs: 1, QueueLimit: 10, PerClientCap: 10})
+	writing := make(chan struct{})
+	release := make(chan struct{})
+	var writes atomic.Int32
+	write := m.writeRecord
+	m.writeRecord = func(path string, data []byte) error {
+		if writes.Add(1) == 2 { // the second admission's record
+			close(writing)
+			<-release
+		}
+		return write(path, data)
+	}
+	emit := make(chan int)
+	m.runSweep = func(ctx context.Context, sw sim.Sweep, sinks ...sim.RowSink) ([]sim.Row, error) {
+		for {
+			select {
+			case p := <-emit:
+				if err := sinks[0].WriteRow(sim.Row{Point: p}); err != nil {
+					return nil, err
+				}
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+	}
+	running, _, err := m.Submit("alice", testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, running.ID, StateRunning)
+
+	admitted := make(chan error, 1)
+	go func() {
+		_, _, err := m.Submit("bob", testSpec(2))
+		admitted <- err
+	}()
+	<-writing
+
+	streamed := make(chan Status, 1)
+	go func() {
+		emit <- 0
+		emit <- 1 // taken only after row 0's WriteRow returned
+		st, err := m.Status(running.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		streamed <- st
+	}()
+	select {
+	case st := <-streamed:
+		if st.Rows < 1 {
+			t.Errorf("running job shows %d rows after streaming one", st.Rows)
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("a running job's rows and status stalled behind another job's record write")
+	}
+	select {
+	case err := <-admitted:
+		t.Fatalf("submission returned before its record write finished (err %v)", err)
+	default:
+	}
+	close(release)
+	if err := <-admitted; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScenarioSeedTooLarge pins the exactness guard on the wrapping seed
 // axis.
 func TestScenarioSeedTooLarge(t *testing.T) {

@@ -295,12 +295,6 @@ func (c *Collector) StartMeasurement(now float64) {
 	c.lastTrace = now
 }
 
-// MeasureFrom returns the start of the measurement window.
-func (c *Collector) MeasureFrom() float64 { return c.measureFrom }
-
-// InFlight returns the current number of packets in the network.
-func (c *Collector) InFlight() int64 { return c.inFlight }
-
 // DelayQuantile returns the exact q-quantile of measured delays; it requires
 // Measurement.TrackQuantiles and returns NaN otherwise.
 func (c *Collector) DelayQuantile(q float64) float64 {

@@ -46,7 +46,7 @@ func TestGroupPopulationMatchesTimeWeighted(t *testing.T) {
 				delta = -1
 			}
 			c.GroupPopulationAdd(g, now, delta)
-			want[g].Add(now, delta)
+			want[g].Set(now, want[g].Current()+delta)
 		}
 		if measureAt == steps {
 			c.StartMeasurement(now)

@@ -60,9 +60,6 @@ type Packet struct {
 	pooled bool
 }
 
-// Hops returns the total number of arcs on the packet's path.
-func (p *Packet) Hops() int { return len(p.Path) }
-
 // Config describes a System.
 type Config struct {
 	// NumArcs is the number of servers (arcs) in the network.
@@ -332,9 +329,6 @@ func (s *System) releasePacket(p *Packet) {
 	s.pool = append(s.pool, p)
 }
 
-// Config returns the configuration the system was built with.
-func (s *System) Config() Config { return s.cfg }
-
 // NewPacketID returns a fresh packet identifier.
 func (s *System) NewPacketID() int64 {
 	id := s.nextID
@@ -600,28 +594,4 @@ func (s *System) QueueLength(idx int) int {
 		n++
 	}
 	return n
-}
-
-// InFlight returns the current number of packets in the network.
-func (s *System) InFlight() int64 { return s.col.InFlight() }
-
-// TotalQueued returns the total number of packets across all arcs (queued or
-// in service); it must equal InFlight and exists as an invariant check for
-// tests.
-func (s *System) TotalQueued() int64 {
-	var total int64
-	for i := range s.arcs {
-		total += int64(s.QueueLength(i))
-	}
-	return total
-}
-
-// Drain runs the simulation until no packets remain in flight or until the
-// event calendar empties. It returns the time at which the network drained.
-// Sources must not schedule further injections for Drain to terminate.
-// RunWhile already runs until the condition fails or the calendar empties, so
-// no extra stepping is needed afterwards.
-func (s *System) Drain() float64 {
-	s.Sim.RunWhile(func() bool { return s.col.InFlight() > 0 })
-	return s.Sim.Now()
 }

@@ -109,7 +109,8 @@ func TestTandemConservationAndDelay(t *testing.T) {
 	}
 	schedule()
 	sys.Sim.RunUntil(horizon)
-	drainTime := sys.Drain()
+	sys.Sim.Run()
+	drainTime := sys.Sim.Now()
 	m := sys.Snapshot()
 	if m.InFlight != 0 {
 		t.Fatalf("packets still in flight after drain: %d", m.InFlight)
@@ -228,17 +229,26 @@ func TestTotalQueuedMatchesInFlight(t *testing.T) {
 			a := rng.Intn(4)
 			b := rng.Intn(4)
 			sys.Inject(&Packet{ID: sys.NewPacketID(), Path: []int{a, b}})
-			if sys.TotalQueued() != sys.InFlight() {
-				t.Errorf("queued %d != in flight %d", sys.TotalQueued(), sys.InFlight())
+			if q := totalQueued(sys); q != sys.col.inFlight {
+				t.Errorf("queued %d != in flight %d", q, sys.col.inFlight)
 			}
 			schedule()
 		})
 	}
 	schedule()
 	sys.Sim.RunUntil(horizon)
-	if sys.TotalQueued() != sys.InFlight() {
-		t.Fatalf("final queued %d != in flight %d", sys.TotalQueued(), sys.InFlight())
+	if q := totalQueued(sys); q != sys.col.inFlight {
+		t.Fatalf("final queued %d != in flight %d", q, sys.col.inFlight)
 	}
+}
+
+// totalQueued sums the packets queued or in service over every arc.
+func totalQueued(sys *System) int64 {
+	var total int64
+	for i := range sys.arcs {
+		total += int64(sys.QueueLength(i))
+	}
+	return total
 }
 
 func TestGroupStatistics(t *testing.T) {
@@ -410,20 +420,6 @@ func TestDisciplineString(t *testing.T) {
 	}
 	if Discipline(42).String() == "" {
 		t.Fatal("unknown discipline name empty")
-	}
-}
-
-func TestPacketHops(t *testing.T) {
-	p := &Packet{Path: []int{1, 2, 3}}
-	if p.Hops() != 3 {
-		t.Fatalf("Hops = %d", p.Hops())
-	}
-}
-
-func TestConfigAccessor(t *testing.T) {
-	sys := NewSystem(Config{NumArcs: 3, ServiceTime: 2})
-	if sys.Config().NumArcs != 3 || sys.Config().ServiceTime != 2 {
-		t.Fatal("Config accessor wrong")
 	}
 }
 

@@ -36,14 +36,14 @@ func TestPacketTraversalZeroAllocs(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		l.inject()
 	}
-	sys.Drain()
+	sys.Sim.Run()
 
 	allocs := testing.AllocsPerRun(100, func() {
 		l.left = 64
 		for i := 0; i < 8; i++ {
 			l.inject()
 		}
-		sys.Drain()
+		sys.Sim.Run()
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state packet traversal allocates %v per run, want 0", allocs)
@@ -76,20 +76,19 @@ func TestAcquirePacketRecycling(t *testing.T) {
 	}
 }
 
-// TestDrainStopsWhenEmpty covers the simplified Drain: with packets in
-// flight it must run the calendar dry and report the drain time, with no
-// trailing event stepping.
+// TestDrainStopsWhenEmpty checks that running the calendar dry delivers every
+// packet and stops at the last departure.
 func TestDrainStopsWhenEmpty(t *testing.T) {
 	sys := NewSystem(Config{NumArcs: 2})
 	sys.Inject(&Packet{ID: 1, Path: []int{0, 1}})
 	sys.Inject(&Packet{ID: 2, Path: []int{0, 1}})
-	at := sys.Drain()
-	if sys.InFlight() != 0 {
-		t.Fatalf("in flight after drain: %d", sys.InFlight())
+	sys.Sim.Run()
+	if m := sys.Snapshot(); m.InFlight != 0 {
+		t.Fatalf("in flight after drain: %d", m.InFlight)
 	}
 	// Two packets share arc 0 then arc 1: second finishes at time 3.
-	if at != 3 {
-		t.Fatalf("drain time = %v, want 3", at)
+	if end := sys.Sim.Now(); end != 3 {
+		t.Fatalf("drain time = %v, want 3", end)
 	}
 }
 
@@ -117,10 +116,7 @@ func BenchmarkSingleArcServiceLoop(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	sys.Drain()
-	if sys.Sim.Processed() == 0 {
-		b.Fatal("no events processed")
-	}
+	sys.Sim.Run()
 }
 
 // BenchmarkEightArcPipeline measures a packet crossing an 8-arc pipeline,
@@ -149,5 +145,5 @@ func BenchmarkEightArcPipeline(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	sys.Drain()
+	sys.Sim.Run()
 }

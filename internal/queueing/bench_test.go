@@ -16,32 +16,11 @@ func BenchmarkMD1MeanDelay(b *testing.B) {
 	}
 }
 
-func BenchmarkMMmErlangC(b *testing.B) {
-	q := MMm{Lambda: 48, Servers: 64}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := q.ErlangC(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBrumelleLowerBound(b *testing.B) {
 	q := MDm{Lambda: 48, Servers: 64}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.BrumelleLowerBound(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProductFormNetworkMeanTotal(b *testing.B) {
-	n := NewUniformNetwork(6*64, 0.9) // d*2^d stations at rho, the Q-tilde shape
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.MeanTotalNumber(); err != nil {
 			b.Fatal(err)
 		}
 	}

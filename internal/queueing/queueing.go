@@ -1,10 +1,9 @@
 // Package queueing collects the closed-form queueing results the paper's
-// bounds are built from: the M/M/1 and M/D/1 queues (Pollaczek–Khinchine),
-// Brumelle's lower bound for the M/D/m queue, the geometric queue-length
-// distribution of a product-form (processor-sharing) station, and open
-// product-form networks evaluated station by station. All formulas are for
-// unit service time unless stated otherwise, matching the paper's convention
-// that packets have unit transmission time.
+// bounds are built from: the M/D/1 queue (Pollaczek–Khinchine), Brumelle's
+// lower bound for the M/D/m queue, and the geometric queue-length
+// distribution of a product-form (processor-sharing) station. All formulas
+// are for unit service time, matching the paper's convention that packets
+// have unit transmission time.
 package queueing
 
 import (
@@ -17,40 +16,11 @@ import (
 // stability boundary (utilisation >= 1).
 var ErrUnstable = errors.New("queueing: utilisation at or above 1, system unstable")
 
-// MM1 describes an M/M/1 queue with the given arrival rate and service rate.
-type MM1 struct {
-	Lambda float64 // arrival rate
-	Mu     float64 // service rate
-}
-
-// Utilization returns lambda/mu.
-func (q MM1) Utilization() float64 { return q.Lambda / q.Mu }
-
-// MeanNumber returns the steady-state mean number in system, rho/(1-rho).
-func (q MM1) MeanNumber() (float64, error) {
-	rho := q.Utilization()
-	if rho >= 1 {
-		return math.Inf(1), ErrUnstable
-	}
-	return rho / (1 - rho), nil
-}
-
-// MeanDelay returns the mean sojourn time 1/(mu - lambda).
-func (q MM1) MeanDelay() (float64, error) {
-	if q.Utilization() >= 1 {
-		return math.Inf(1), ErrUnstable
-	}
-	return 1 / (q.Mu - q.Lambda), nil
-}
-
 // MD1 describes an M/D/1 queue with unit (deterministic) service time and
 // the given arrival rate, which is also its utilisation.
 type MD1 struct {
 	Lambda float64
 }
-
-// Utilization returns the utilisation, which equals Lambda for unit service.
-func (q MD1) Utilization() float64 { return q.Lambda }
 
 // MeanDelay returns the mean sojourn time (waiting plus the unit service),
 // 1 + rho/(2(1-rho)) — the Pollaczek–Khinchine formula specialised to
@@ -62,15 +32,6 @@ func (q MD1) MeanDelay() (float64, error) {
 		return math.Inf(1), ErrUnstable
 	}
 	return 1 + rho/(2*(1-rho)), nil
-}
-
-// MeanWait returns the mean time spent waiting before service begins.
-func (q MD1) MeanWait() (float64, error) {
-	d, err := q.MeanDelay()
-	if err != nil {
-		return d, err
-	}
-	return d - 1, nil
 }
 
 // MeanNumber returns the steady-state mean number in system,
@@ -108,81 +69,6 @@ func (q MDm) BrumelleLowerBound() (float64, error) {
 	return 1 + rho/(2*float64(q.Servers)*(1-rho)), nil
 }
 
-// CosmetatosApproxDelay returns the Cosmetatos closed-form approximation of
-// the M/D/m mean sojourn time, built by scaling the M/M/m waiting time. It
-// is provided for reference curves only; the paper's proofs use only the
-// Brumelle lower bound.
-func (q MDm) CosmetatosApproxDelay() (float64, error) {
-	if q.Servers <= 0 {
-		return 0, fmt.Errorf("queueing: MDm requires at least one server, got %d", q.Servers)
-	}
-	m := float64(q.Servers)
-	rho := q.Utilization()
-	if rho >= 1 {
-		return math.Inf(1), ErrUnstable
-	}
-	wMMm, err := MMm{Lambda: q.Lambda, Servers: q.Servers}.MeanWait()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	correction := 0.5 * (1 + (1-rho)*(m-1)*(math.Sqrt(4+5*m)-2)/(16*rho*m))
-	if rho == 0 {
-		return 1, nil
-	}
-	return 1 + wMMm*correction, nil
-}
-
-// MMm describes an M/M/m queue with unit-mean service and total arrival rate
-// Lambda; it is used only to anchor the Cosmetatos approximation.
-type MMm struct {
-	Lambda  float64
-	Servers int
-}
-
-// Utilization returns Lambda/m.
-func (q MMm) Utilization() float64 { return q.Lambda / float64(q.Servers) }
-
-// ErlangC returns the probability that an arriving customer must wait.
-func (q MMm) ErlangC() (float64, error) {
-	m := q.Servers
-	if m <= 0 {
-		return 0, fmt.Errorf("queueing: MMm requires at least one server, got %d", m)
-	}
-	a := q.Lambda // offered load with unit-mean service
-	rho := q.Utilization()
-	if rho >= 1 {
-		return 1, ErrUnstable
-	}
-	// Compute with the numerically stable iterative Erlang-B recursion, then
-	// convert B -> C.
-	b := 1.0
-	for k := 1; k <= m; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	c := b / (1 - rho*(1-b))
-	return c, nil
-}
-
-// MeanWait returns the mean waiting time (excluding service).
-func (q MMm) MeanWait() (float64, error) {
-	c, err := q.ErlangC()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	m := float64(q.Servers)
-	rho := q.Utilization()
-	return c / (m * (1 - rho)), nil
-}
-
-// MeanDelay returns the mean sojourn time (waiting plus unit-mean service).
-func (q MMm) MeanDelay() (float64, error) {
-	w, err := q.MeanWait()
-	if err != nil {
-		return w, err
-	}
-	return w + 1, nil
-}
-
 // ProductFormStation is one station of an open product-form network under a
 // symmetric service discipline (processor sharing in the paper's Q̃ and R̃
 // networks). With utilisation rho its queue-length distribution is geometric:
@@ -200,81 +86,6 @@ func (s ProductFormStation) MeanNumber() (float64, error) {
 		return 0, fmt.Errorf("queueing: negative utilisation %v", s.Utilization)
 	}
 	return s.Utilization / (1 - s.Utilization), nil
-}
-
-// QueueLengthPMF returns P[N = n] = (1-rho) rho^n.
-func (s ProductFormStation) QueueLengthPMF(n int) float64 {
-	if n < 0 || s.Utilization < 0 || s.Utilization >= 1 {
-		return 0
-	}
-	return (1 - s.Utilization) * math.Pow(s.Utilization, float64(n))
-}
-
-// QueueLengthTail returns P[N >= n] = rho^n.
-func (s ProductFormStation) QueueLengthTail(n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	if s.Utilization < 0 || s.Utilization >= 1 {
-		return 1
-	}
-	return math.Pow(s.Utilization, float64(n))
-}
-
-// ProductFormNetwork is an open network of product-form stations. The paper's
-// Q̃ network consists of d·2^d stations each with utilisation rho; the R̃
-// (butterfly) network has d·2^d stations at utilisation lambda·p and d·2^d at
-// lambda·(1-p).
-type ProductFormNetwork struct {
-	Stations []ProductFormStation
-}
-
-// NewUniformNetwork builds a network of count identical stations.
-func NewUniformNetwork(count int, utilization float64) *ProductFormNetwork {
-	st := make([]ProductFormStation, count)
-	for i := range st {
-		st[i] = ProductFormStation{Utilization: utilization}
-	}
-	return &ProductFormNetwork{Stations: st}
-}
-
-// MeanTotalNumber returns the steady-state mean total population, the sum of
-// the per-station geometric means.
-func (n *ProductFormNetwork) MeanTotalNumber() (float64, error) {
-	total := 0.0
-	for _, s := range n.Stations {
-		m, err := s.MeanNumber()
-		if err != nil {
-			return math.Inf(1), err
-		}
-		total += m
-	}
-	return total, nil
-}
-
-// MeanDelay applies Little's law: mean sojourn time = mean population divided
-// by the external arrival rate into the network.
-func (n *ProductFormNetwork) MeanDelay(externalArrivalRate float64) (float64, error) {
-	if externalArrivalRate <= 0 {
-		return 0, fmt.Errorf("queueing: non-positive external arrival rate %v", externalArrivalRate)
-	}
-	total, err := n.MeanTotalNumber()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	return total / externalArrivalRate, nil
-}
-
-// Little returns L = lambda * W; it is exposed for clarity at call sites that
-// convert between populations and delays.
-func Little(lambda, w float64) float64 { return lambda * w }
-
-// DelayFromPopulation inverts Little's law, W = L / lambda.
-func DelayFromPopulation(population, lambda float64) (float64, error) {
-	if lambda <= 0 {
-		return 0, fmt.Errorf("queueing: non-positive arrival rate %v", lambda)
-	}
-	return population / lambda, nil
 }
 
 // GeometricSumMeanTail bounds the tail of a sum of k independent geometric

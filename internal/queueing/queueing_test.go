@@ -8,40 +8,11 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMM1KnownValues(t *testing.T) {
-	q := MM1{Lambda: 0.5, Mu: 1}
-	if q.Utilization() != 0.5 {
-		t.Fatalf("utilization = %v", q.Utilization())
-	}
-	n, err := q.MeanNumber()
-	if err != nil || !almostEqual(n, 1, 1e-12) {
-		t.Fatalf("mean number = %v err %v", n, err)
-	}
-	w, err := q.MeanDelay()
-	if err != nil || !almostEqual(w, 2, 1e-12) {
-		t.Fatalf("mean delay = %v err %v", w, err)
-	}
-}
-
-func TestMM1Unstable(t *testing.T) {
-	q := MM1{Lambda: 1.5, Mu: 1}
-	if _, err := q.MeanNumber(); err != ErrUnstable {
-		t.Fatal("expected ErrUnstable")
-	}
-	if _, err := q.MeanDelay(); err != ErrUnstable {
-		t.Fatal("expected ErrUnstable")
-	}
-}
-
 func TestMD1KnownValues(t *testing.T) {
 	q := MD1{Lambda: 0.5}
 	d, err := q.MeanDelay()
 	if err != nil || !almostEqual(d, 1.5, 1e-12) {
 		t.Fatalf("MD1 delay = %v err %v", d, err)
-	}
-	w, err := q.MeanWait()
-	if err != nil || !almostEqual(w, 0.5, 1e-12) {
-		t.Fatalf("MD1 wait = %v", w)
 	}
 	n, err := q.MeanNumber()
 	if err != nil || !almostEqual(n, 0.75, 1e-12) {
@@ -61,16 +32,13 @@ func TestMD1Unstable(t *testing.T) {
 	if _, err := q.MeanNumber(); err != ErrUnstable {
 		t.Fatal("expected ErrUnstable at rho=1")
 	}
-	if _, err := q.MeanWait(); err != ErrUnstable {
-		t.Fatal("expected ErrUnstable at rho=1")
-	}
 }
 
 func TestMD1DelayLessThanMM1(t *testing.T) {
 	// Deterministic service halves the waiting time relative to exponential.
 	for _, rho := range []float64{0.1, 0.5, 0.9, 0.99} {
 		md1, _ := MD1{Lambda: rho}.MeanDelay()
-		mm1, _ := MM1{Lambda: rho, Mu: 1}.MeanDelay()
+		mm1 := 1 / (1 - rho) // M/M/1 sojourn with unit-mean service
 		if md1 >= mm1 {
 			t.Fatalf("rho=%v: M/D/1 delay %v >= M/M/1 delay %v", rho, md1, mm1)
 		}
@@ -115,126 +83,11 @@ func TestBrumelleUnstableAndBadServers(t *testing.T) {
 	}
 }
 
-func TestErlangCProperties(t *testing.T) {
-	// Single server: C equals rho.
-	for _, rho := range []float64{0.1, 0.5, 0.9} {
-		c, err := MMm{Lambda: rho, Servers: 1}.ErlangC()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(c, rho, 1e-9) {
-			t.Fatalf("Erlang C for m=1, rho=%v: %v", rho, c)
-		}
-	}
-	// Probability of waiting decreases with more servers at fixed utilisation.
-	prev := 1.1
-	for _, m := range []int{1, 2, 4, 8, 32} {
-		c, err := MMm{Lambda: 0.7 * float64(m), Servers: m}.ErlangC()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c < 0 || c > 1 {
-			t.Fatalf("Erlang C out of [0,1]: %v", c)
-		}
-		if c > prev {
-			t.Fatalf("Erlang C not decreasing in m")
-		}
-		prev = c
-	}
-}
-
-func TestErlangCUnstable(t *testing.T) {
-	if _, err := (MMm{Lambda: 3, Servers: 2}).ErlangC(); err != ErrUnstable {
-		t.Fatal("expected ErrUnstable")
-	}
-	if _, err := (MMm{Lambda: 1, Servers: 0}).ErlangC(); err == nil {
-		t.Fatal("expected error for zero servers")
-	}
-}
-
-func TestMMmDelayMatchesMM1(t *testing.T) {
-	for _, rho := range []float64{0.3, 0.6, 0.9} {
-		d1, err := MMm{Lambda: rho, Servers: 1}.MeanDelay()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := MM1{Lambda: rho, Mu: 1}.MeanDelay()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(d1, d2, 1e-9) {
-			t.Fatalf("M/M/m(m=1) delay %v vs M/M/1 %v", d1, d2)
-		}
-	}
-}
-
-func TestCosmetatosApproxReasonable(t *testing.T) {
-	// At m = 1 the approximation collapses to the exact M/D/1 sojourn; for
-	// m > 1 it must stay between the bare service time and the equivalent
-	// single-server M/D/1 sojourn (more servers can only reduce waiting).
-	for _, rho := range []float64{0.3, 0.7, 0.9} {
-		q := MDm{Lambda: rho, Servers: 1}
-		approx, err := q.CosmetatosApproxDelay()
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, _ := MD1{Lambda: rho}.MeanDelay()
-		if !almostEqual(approx, exact, 1e-6) {
-			t.Fatalf("rho=%v: m=1 approximation %v differs from exact %v", rho, approx, exact)
-		}
-	}
-	for _, m := range []int{2, 8, 64} {
-		for _, rho := range []float64{0.3, 0.7, 0.9} {
-			q := MDm{Lambda: rho * float64(m), Servers: m}
-			approx, err := q.CosmetatosApproxDelay()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if approx < 1-1e-9 {
-				t.Fatalf("m=%d rho=%v: approximation %v below the service time", m, rho, approx)
-			}
-			single, _ := MD1{Lambda: rho}.MeanDelay()
-			if approx > single+0.05 {
-				t.Fatalf("m=%d rho=%v: approximation %v above single-server delay %v", m, rho, approx, single)
-			}
-		}
-	}
-	if _, err := (MDm{Lambda: 0.5, Servers: 0}).CosmetatosApproxDelay(); err == nil {
-		t.Fatal("expected error for zero servers")
-	}
-	if _, err := (MDm{Lambda: 5, Servers: 2}).CosmetatosApproxDelay(); err == nil {
-		t.Fatal("expected error for unstable queue")
-	}
-}
-
 func TestProductFormStation(t *testing.T) {
 	s := ProductFormStation{Utilization: 0.5}
 	n, err := s.MeanNumber()
 	if err != nil || !almostEqual(n, 1, 1e-12) {
 		t.Fatalf("mean number = %v", n)
-	}
-	if !almostEqual(s.QueueLengthPMF(0), 0.5, 1e-12) {
-		t.Fatal("PMF(0) wrong")
-	}
-	if !almostEqual(s.QueueLengthPMF(2), 0.125, 1e-12) {
-		t.Fatal("PMF(2) wrong")
-	}
-	if !almostEqual(s.QueueLengthTail(3), 0.125, 1e-12) {
-		t.Fatal("Tail(3) wrong")
-	}
-	if s.QueueLengthTail(0) != 1 {
-		t.Fatal("Tail(0) should be 1")
-	}
-	if s.QueueLengthPMF(-1) != 0 {
-		t.Fatal("PMF(-1) should be 0")
-	}
-	// PMF sums to ~1.
-	sum := 0.0
-	for n := 0; n < 200; n++ {
-		sum += s.QueueLengthPMF(n)
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Fatalf("PMF sums to %v", sum)
 	}
 }
 
@@ -244,56 +97,6 @@ func TestProductFormStationUnstable(t *testing.T) {
 	}
 	if _, err := (ProductFormStation{Utilization: -0.1}).MeanNumber(); err == nil {
 		t.Fatal("expected error for negative utilisation")
-	}
-}
-
-func TestProductFormNetworkHypercubeFormula(t *testing.T) {
-	// The paper's Q̃ for the d-cube: d*2^d stations at utilisation rho.
-	d := 6
-	rho := 0.8
-	lambda := rho / 0.5 // p = 1/2
-	count := d * (1 << uint(d))
-	net := NewUniformNetwork(count, rho)
-	total, err := net.MeanTotalNumber()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := float64(count) * rho / (1 - rho)
-	if !almostEqual(total, want, 1e-6) {
-		t.Fatalf("total = %v want %v", total, want)
-	}
-	// Little's law with external rate lambda*2^d gives T = d*p/(1-rho).
-	delay, err := net.MeanDelay(lambda * float64(int(1)<<uint(d)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDelay := float64(d) * 0.5 / (1 - rho)
-	if !almostEqual(delay, wantDelay, 1e-9) {
-		t.Fatalf("delay = %v want %v", delay, wantDelay)
-	}
-}
-
-func TestProductFormNetworkErrors(t *testing.T) {
-	net := NewUniformNetwork(4, 1.0)
-	if _, err := net.MeanTotalNumber(); err != ErrUnstable {
-		t.Fatal("expected ErrUnstable")
-	}
-	net2 := NewUniformNetwork(4, 0.5)
-	if _, err := net2.MeanDelay(0); err == nil {
-		t.Fatal("expected error for zero arrival rate")
-	}
-}
-
-func TestLittleHelpers(t *testing.T) {
-	if Little(2, 3) != 6 {
-		t.Fatal("Little wrong")
-	}
-	w, err := DelayFromPopulation(6, 2)
-	if err != nil || w != 3 {
-		t.Fatalf("DelayFromPopulation = %v err %v", w, err)
-	}
-	if _, err := DelayFromPopulation(6, 0); err == nil {
-		t.Fatal("expected error")
 	}
 }
 
@@ -347,23 +150,5 @@ func TestQuickMD1Monotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: the product-form tail rho^n is decreasing in n.
-func TestQuickProductFormTailDecreasing(t *testing.T) {
-	f := func(util uint16, n uint8) bool {
-		rho := float64(util) / (math.MaxUint16 + 1)
-		s := ProductFormStation{Utilization: rho}
-		return s.QueueLengthTail(int(n)+1) <= s.QueueLengthTail(int(n))+1e-15
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkErlangC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = MMm{Lambda: 100, Servers: 128}.ErlangC()
 	}
 }

@@ -1,26 +1,25 @@
 // Package queuenet implements the paper's central proof device: the
 // equivalent queueing network. Under greedy dimension-order routing the
 // d-cube behaves as a levelled network Q of deterministic unit-service FIFO
-// servers (one per arc) with Markovian routing (§3.1, Properties A-C), and
-// the butterfly behaves as the analogous network R (§4.3). The paper bounds
-// the delay of Q by replacing every FIFO server with a Processor-Sharing
-// server, obtaining a product-form network Q̃ whose population stochastically
-// dominates that of Q (Lemmas 7-10, Proposition 11).
+// servers (one per arc) with Markovian routing (§3.1, Properties A-C). The
+// paper bounds the delay of Q by replacing every FIFO server with a
+// Processor-Sharing server, obtaining a product-form network Q̃ whose
+// population stochastically dominates that of Q (Lemmas 7-10, Proposition
+// 11).
 //
-// This package builds the specifications of Q and R from the model
-// parameters, solves their traffic equations and product-form solutions
-// analytically, and simulates both the FIFO and the PS versions on a common
-// sample path (identical external arrivals and identical per-server routing
-// decision sequences), which is exactly the coupling used in the paper's
-// sample-path lemmas. The experiments use it to verify the domination
-// B_FIFO(t) >= B_PS(t) and the product-form prediction for Q̃.
+// This package builds the specification of Q from the model parameters,
+// solves its traffic equations and product-form solutions analytically, and
+// simulates both the FIFO and the PS versions on a common sample path
+// (identical external arrivals and identical per-server routing decision
+// sequences), which is exactly the coupling used in the paper's sample-path
+// lemmas. The experiments use it to verify the domination B_FIFO(t) >=
+// B_PS(t) and the product-form prediction for Q̃.
 package queuenet
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/butterfly"
 	"repro/internal/des"
 	"repro/internal/hypercube"
 	"repro/internal/queueing"
@@ -94,19 +93,6 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// ExitProb returns the probability of leaving the network after service at
-// server s.
-func (s *Spec) ExitProb(server int) float64 {
-	sum := 0.0
-	for _, tr := range s.Transitions[server] {
-		sum += tr.Prob
-	}
-	if sum > 1 {
-		return 0
-	}
-	return 1 - sum
-}
-
 // TotalExternalRate returns the sum of external arrival rates.
 func (s *Spec) TotalExternalRate() float64 {
 	total := 0.0
@@ -152,18 +138,6 @@ func (s *Spec) Utilizations() []float64 {
 		util[i] = r * s.ServiceTime
 	}
 	return util
-}
-
-// MaxUtilization returns the largest per-server utilisation, the quantity
-// whose being below one is the paper's stability condition (Props 6 and 16).
-func (s *Spec) MaxUtilization() float64 {
-	m := 0.0
-	for _, u := range s.Utilizations() {
-		if u > m {
-			m = u
-		}
-	}
-	return m
 }
 
 // ProductFormMeanPopulation returns the steady-state mean total population of
@@ -234,52 +208,6 @@ func HypercubeSpec(d int, lambda, p float64) *Spec {
 	return spec
 }
 
-// ButterflySpec builds the equivalent network R of the d-dimensional
-// butterfly under greedy routing (§4.3, Properties A-B): external Poisson
-// arrivals of rate lambda·p into each level-1 vertical arc and lambda·(1-p)
-// into each level-1 straight arc; after any level-j arc the customer
-// continues straight with probability 1-p and vertically with probability p,
-// and exits after level d.
-func ButterflySpec(d int, lambda, p float64) *Spec {
-	bf := butterfly.New(d)
-	n := bf.NumArcs()
-	spec := &Spec{
-		NumServers:   n,
-		ServiceTime:  1,
-		ExternalRate: make([]float64, n),
-		Transitions:  make([][]Transition, n),
-		Level:        make([]int, n),
-	}
-	for idx := 0; idx < n; idx++ {
-		arc := bf.ArcAt(idx)
-		j := int(arc.Level)
-		spec.Level[idx] = j
-		if j == 1 {
-			if arc.Kind == butterfly.Vertical {
-				spec.ExternalRate[idx] = lambda * p
-			} else {
-				spec.ExternalRate[idx] = lambda * (1 - p)
-			}
-		}
-		if j == d {
-			spec.Transitions[idx] = nil
-			continue
-		}
-		dest := bf.Dest(arc)
-		straight := bf.ArcIndex(bf.Arc(dest.Row, dest.Level, butterfly.Straight))
-		vertical := bf.ArcIndex(bf.Arc(dest.Row, dest.Level, butterfly.Vertical))
-		var ts []Transition
-		if 1-p > 0 {
-			ts = append(ts, Transition{To: straight, Prob: 1 - p})
-		}
-		if p > 0 {
-			ts = append(ts, Transition{To: vertical, Prob: p})
-		}
-		spec.Transitions[idx] = ts
-	}
-	return spec
-}
-
 // SamplePath is the common randomness shared by the FIFO and PS simulations:
 // the external arrival times into every server and, for every server, the
 // sequence of routing decisions indexed by service-completion order (-1 means
@@ -340,15 +268,6 @@ func (sp *SamplePath) Decision(s, k int) int {
 		sp.decisions[s] = append(sp.decisions[s], drawDecision(sp.spec, s, sp.decRNG[s]))
 	}
 	return sp.decisions[s][k]
-}
-
-// TotalArrivals returns the number of external arrivals on the sample path.
-func (sp *SamplePath) TotalArrivals() int {
-	total := 0
-	for _, a := range sp.Arrivals {
-		total += len(a)
-	}
-	return total
 }
 
 // drawDecision samples the next server (or -1 for exit) after a service

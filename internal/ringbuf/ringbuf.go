@@ -20,9 +20,6 @@ type Ring[T any] struct {
 // Len returns the number of buffered elements.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the current capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Push appends v at the tail.
 func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
@@ -45,15 +42,6 @@ func (r *Ring[T]) PopFront() T {
 	return v
 }
 
-// At returns the element at logical index i (0 is the head). It panics when
-// i is out of range.
-func (r *Ring[T]) At(i int) T {
-	if i < 0 || i >= r.n {
-		panic("ringbuf: index out of range")
-	}
-	return r.buf[(r.head+i)&(len(r.buf)-1)]
-}
-
 // RemoveSwap removes and returns the element at logical index i by moving the
 // tail element into its place (the swap-remove idiom; relative order of the
 // remaining elements is not preserved). It panics when i is out of range.
@@ -70,18 +58,6 @@ func (r *Ring[T]) RemoveSwap(i int) T {
 	r.buf[last] = zero
 	r.n--
 	return v
-}
-
-// Clear empties the ring in place, zeroing the occupied slots so that any
-// references they held are released, and keeps the allocated capacity for
-// reuse.
-func (r *Ring[T]) Clear() {
-	var zero T
-	mask := len(r.buf) - 1
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)&mask] = zero
-	}
-	r.head, r.n = 0, 0
 }
 
 // grow doubles the capacity (starting at 8) and linearises the contents so

@@ -52,25 +52,6 @@ func TestWrapAround(t *testing.T) {
 	}
 }
 
-func TestAt(t *testing.T) {
-	var r Ring[int]
-	// Force a wrapped layout: fill past one growth, pop a few, push more.
-	for i := 0; i < 10; i++ {
-		r.Push(i)
-	}
-	for i := 0; i < 5; i++ {
-		r.PopFront()
-	}
-	for i := 10; i < 14; i++ {
-		r.Push(i)
-	}
-	for i := 0; i < r.Len(); i++ {
-		if v := r.At(i); v != 5+i {
-			t.Fatalf("At(%d) = %d, want %d", i, v, 5+i)
-		}
-	}
-}
-
 func TestRemoveSwapMatchesSliceSwapRemove(t *testing.T) {
 	// RemoveSwap must behave exactly like the slice idiom the random-order
 	// discipline used: q[i] = q[len-1]; q = q[:len-1]. Run both against the
@@ -99,8 +80,8 @@ func TestRemoveSwapMatchesSliceSwapRemove(t *testing.T) {
 		}
 	}
 	for i := range ref {
-		if r.At(i) != ref[i] {
-			t.Fatalf("final contents diverge at %d: %d vs %d", i, r.At(i), ref[i])
+		if v := r.PopFront(); v != ref[i] {
+			t.Fatalf("final contents diverge at %d: %d vs %d", i, v, ref[i])
 		}
 	}
 }
@@ -113,17 +94,6 @@ func TestPopEmptyPanics(t *testing.T) {
 	}()
 	var r Ring[int]
 	r.PopFront()
-}
-
-func TestAtOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var r Ring[int]
-	r.Push(1)
-	r.At(1)
 }
 
 func TestSteadyStateZeroAllocs(t *testing.T) {

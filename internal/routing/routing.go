@@ -40,8 +40,6 @@ type HypercubeRouter interface {
 	// this with the packet's truncated Path so steady-state routing does
 	// not allocate.
 	AppendPath(dst []int, c *hypercube.Cube, origin, dest hypercube.Node, rng *xrand.Rand) []int
-	// Name identifies the scheme in reports.
-	Name() string
 }
 
 // Path returns the arc-index path from origin to dest in a fresh slice; it is
@@ -69,9 +67,6 @@ func (DimensionOrder) AppendPath(dst []int, c *hypercube.Cube, origin, dest hype
 	return dst
 }
 
-// Name identifies the scheme.
-func (DimensionOrder) Name() string { return "greedy-dimension-order" }
-
 // RandomDimensionOrder crosses the required dimensions in a uniformly random
 // order; like DimensionOrder it is oblivious and uses shortest paths, but the
 // levelled-network structure of §3.1 no longer holds. It is the ablation for
@@ -93,9 +88,6 @@ func (RandomDimensionOrder) AppendPath(dst []int, c *hypercube.Cube, origin, des
 	return dst
 }
 
-// Name identifies the scheme.
-func (RandomDimensionOrder) Name() string { return "greedy-random-order" }
-
 // ValiantTwoPhase sends every packet greedily to a uniformly random
 // intermediate node and then greedily to its destination. Both phases use
 // canonical dimension-order paths, as in [VaB81]. The scheme doubles the
@@ -110,9 +102,6 @@ func (v ValiantTwoPhase) AppendPath(dst []int, c *hypercube.Cube, origin, dest h
 	dst = DimensionOrder{}.AppendPath(dst, c, origin, inter, nil)
 	return DimensionOrder{}.AppendPath(dst, c, inter, dest, nil)
 }
-
-// Name identifies the scheme.
-func (ValiantTwoPhase) Name() string { return "valiant-two-phase" }
 
 // AppendButterflyPath appends the unique butterfly path from origin row to
 // destination row as dense arc indices.
@@ -130,12 +119,6 @@ func AppendButterflyPath(dst []int, b *butterfly.Butterfly, origin, dest butterf
 		}
 	}
 	return dst
-}
-
-// ButterflyPath returns the unique butterfly path from origin row to
-// destination row as dense arc indices in a fresh slice.
-func ButterflyPath(b *butterfly.Butterfly, origin, dest butterfly.Row) []int {
-	return AppendButterflyPath(nil, b, origin, dest)
 }
 
 // PipelinedConfig parameterises the non-greedy batch scheme of §2.3.

@@ -6,11 +6,6 @@
 // measures the building block itself — the completion time (makespan) of one
 // instance — whose concentration around R·d with R a small constant is the
 // property the batch schemes rely on.
-//
-// The package also provides a batch-of-permutations task (route k
-// permutations back to back with a barrier between them), the structure used
-// by the pipelined baselines, so their round length can be studied in
-// isolation from the dynamic arrival process.
 package static
 
 import (
@@ -207,34 +202,4 @@ func RunTrials(d int, scheme Scheme, trials int, multipliers []float64, seed uin
 		sum.FractionWithin[m] = float64(within[m]) / float64(trials)
 	}
 	return sum, nil
-}
-
-// BatchResult reports routing k permutations back to back with a barrier.
-type BatchResult struct {
-	// Rounds is the number of permutations routed.
-	Rounds int
-	// TotalTime is the sum of the per-round makespans (the barrier model of
-	// §2.3 — a new round starts only when the previous one has drained).
-	TotalTime float64
-	// MeanRound is TotalTime / Rounds, the effective service time of the
-	// per-node M/G/1 queue in the pipelined baseline.
-	MeanRound float64
-}
-
-// RouteBatch routes `rounds` independent random permutations sequentially
-// with a barrier after each, as the §2.3 pipelined baseline does.
-func RouteBatch(d int, scheme Scheme, rounds int, seed uint64) (*BatchResult, error) {
-	if rounds <= 0 {
-		return nil, fmt.Errorf("static: rounds must be positive, got %d", rounds)
-	}
-	out := &BatchResult{Rounds: rounds}
-	for i := 0; i < rounds; i++ {
-		r, err := RouteRandomPermutation(d, scheme, seed+uint64(i)*7919)
-		if err != nil {
-			return nil, err
-		}
-		out.TotalTime += r.Makespan
-	}
-	out.MeanRound = out.TotalTime / float64(rounds)
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package static
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -38,9 +37,6 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := RunTrials(3, Greedy, 0, nil, 1); err == nil {
 		t.Fatal("expected error for zero trials")
-	}
-	if _, err := RouteBatch(3, Greedy, 0, 1); err == nil {
-		t.Fatal("expected error for zero rounds")
 	}
 }
 
@@ -155,25 +151,6 @@ func TestPermutationDelayAtLeastHammingAverage(t *testing.T) {
 	}
 	if float64(res.TotalHops) != totalH {
 		t.Fatalf("total hops %d, want %v", res.TotalHops, totalH)
-	}
-}
-
-func TestRouteBatch(t *testing.T) {
-	d := 5
-	res, err := RouteBatch(d, Greedy, 4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != 4 {
-		t.Fatalf("rounds = %d", res.Rounds)
-	}
-	if math.Abs(res.MeanRound*4-res.TotalTime) > 1e-9 {
-		t.Fatal("mean round inconsistent with total")
-	}
-	// Each round of a random permutation takes at least a few steps and at
-	// most O(d).
-	if res.MeanRound < 2 || res.MeanRound > 4*float64(d) {
-		t.Fatalf("mean round %v out of the expected range", res.MeanRound)
 	}
 }
 

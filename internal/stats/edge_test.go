@@ -131,40 +131,3 @@ func TestQuantilesEdgeCases(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramEdgeCases covers the empty histogram and single-observation
-// quantiles.
-func TestHistogramEdgeCases(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram Quantile = %v, want 0", got)
-	}
-	if got := h.TailFraction(3); got != 0 {
-		t.Errorf("empty histogram TailFraction = %v, want 0", got)
-	}
-	h.Add(4)
-	if got := h.Quantile(1); got != 10 {
-		t.Errorf("Quantile(1) = %v, want hi", got)
-	}
-	if got := h.TailFraction(0); got != 1 {
-		t.Errorf("TailFraction(0) = %v, want 1", got)
-	}
-}
-
-// TestBatchMeansEdgeCases covers the collector before any batch completes and
-// with a single batch (no confidence interval is defined until two).
-func TestBatchMeansEdgeCases(t *testing.T) {
-	b := NewBatchMeans(4)
-	if b.NumBatches() != 0 || b.Mean() != 0 || b.HalfWidth(0.95) != 0 {
-		t.Fatalf("fresh collector: batches=%d mean=%v hw=%v", b.NumBatches(), b.Mean(), b.HalfWidth(0.95))
-	}
-	for i := 0; i < 4; i++ {
-		b.Add(2)
-	}
-	if b.NumBatches() != 1 || b.Mean() != 2 {
-		t.Fatalf("one batch: batches=%d mean=%v", b.NumBatches(), b.Mean())
-	}
-	if hw := b.HalfWidth(0.95); hw != 0 || math.IsNaN(hw) {
-		t.Fatalf("one batch: half width %v, want 0", hw)
-	}
-}

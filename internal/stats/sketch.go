@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -33,8 +32,7 @@ const sketchGrowPad = 16
 //     delivery hot path next to the Welford tallies.
 //   - Merge adds integer bucket counts, so it is exact, associative and
 //     commutative: merging shard sketches in any order yields bit-identical
-//     state, which MarshalBinary exposes in a canonical form the property
-//     tests compare.
+//     state, which the property tests compare.
 //   - Quantile walks integer counts; for a given set of observations the
 //     answer is a pure function of the multiset, never of arrival or merge
 //     order.
@@ -93,10 +91,6 @@ func (s *DDSketch) Alpha() float64 { return s.alpha }
 
 // Count returns the number of observations recorded.
 func (s *DDSketch) Count() int64 { return int64(s.count) }
-
-// Min and Max return the exact extreme observations (0 if none).
-func (s *DDSketch) Min() float64 { return s.min }
-func (s *DDSketch) Max() float64 { return s.max }
 
 // key returns the bucket key of a value above SketchMinValue.
 func (s *DDSketch) key(x float64) int32 {
@@ -229,7 +223,7 @@ func (s *DDSketch) nonZeroRange() (lo, hi int, ok bool) {
 // Alpha*x for the exact empirical quantile x (the order statistic of rank
 // floor(q*(Count-1))) whenever x > SketchMinValue; ranks that fall in the
 // zero bucket return the exact minimum. The estimate is clamped to the exact
-// observed [Min, Max]. An empty sketch returns NaN.
+// observed [min, max]. An empty sketch returns NaN.
 func (s *DDSketch) Quantile(q float64) float64 {
 	if s.count == 0 {
 		return math.NaN()
@@ -262,78 +256,4 @@ func (s *DDSketch) Quantile(q float64) float64 {
 		}
 	}
 	return s.max
-}
-
-// MarshalBinary serialises the sketch in a canonical little-endian form:
-// leading and trailing empty buckets are trimmed, so two sketches holding the
-// same observation multiset — however they were split, added and merged —
-// produce byte-identical encodings. The property tests pin exactly this.
-func (s *DDSketch) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(nil), nil
-}
-
-// AppendBinary appends the canonical encoding to dst (see MarshalBinary).
-func (s *DDSketch) AppendBinary(dst []byte) []byte {
-	var u [8]byte
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(u[:], v)
-		dst = append(dst, u[:]...)
-	}
-	put64(math.Float64bits(s.alpha))
-	put64(s.count)
-	put64(s.zeros)
-	put64(math.Float64bits(s.min))
-	put64(math.Float64bits(s.max))
-	lo, hi, ok := s.nonZeroRange()
-	if !ok {
-		put64(0) // firstKey
-		put64(0) // bucket count
-		return dst
-	}
-	put64(uint64(int64(s.minKey) + int64(lo)))
-	put64(uint64(hi - lo + 1))
-	for i := lo; i <= hi; i++ {
-		put64(s.buckets[i])
-	}
-	return dst
-}
-
-// UnmarshalBinary restores a sketch from its MarshalBinary encoding.
-func (s *DDSketch) UnmarshalBinary(data []byte) error {
-	const header = 7 * 8
-	if len(data) < header {
-		return fmt.Errorf("stats: DDSketch encoding too short (%d bytes)", len(data))
-	}
-	get64 := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
-	alpha := math.Float64frombits(get64(0))
-	if !(alpha > 0 && alpha < 0.5) {
-		return fmt.Errorf("stats: DDSketch encoding has alpha %v outside (0, 0.5)", alpha)
-	}
-	n := get64(6)
-	if uint64(len(data)-header) != 8*n {
-		return fmt.Errorf("stats: DDSketch encoding length %d does not match %d buckets", len(data), n)
-	}
-	s.Reset(alpha)
-	s.count = get64(1)
-	s.zeros = get64(2)
-	s.min = math.Float64frombits(get64(3))
-	s.max = math.Float64frombits(get64(4))
-	if n == 0 {
-		return nil
-	}
-	s.minKey = int32(int64(get64(5)))
-	if cap(s.buckets) < int(n) {
-		s.buckets = make([]uint64, n)
-	} else {
-		s.buckets = s.buckets[:n]
-	}
-	for i := range s.buckets {
-		s.buckets[i] = binary.LittleEndian.Uint64(data[header+8*i:])
-	}
-	return nil
-}
-
-// String summarises the sketch for human-readable reports.
-func (s *DDSketch) String() string {
-	return fmt.Sprintf("ddsketch(alpha=%g n=%d min=%g max=%g)", s.alpha, s.count, s.min, s.max)
 }

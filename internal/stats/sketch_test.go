@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -122,11 +122,23 @@ func TestDDSketchMergePartitionInvariance(t *testing.T) {
 			}
 			list = next
 		}
-		return bytes.Equal(list[0].AppendBinary(nil), whole.AppendBinary(nil))
+		return sketchState(list[0]) == sketchState(whole)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sketchState renders a sketch's full state with empty edge buckets trimmed,
+// so two sketches holding the same observation multiset render identically
+// however they were split, added and merged.
+func sketchState(s *DDSketch) string {
+	head := fmt.Sprintf("alpha=%v n=%d zeros=%d min=%v max=%v", s.alpha, s.count, s.zeros, s.min, s.max)
+	lo, hi, ok := s.nonZeroRange()
+	if !ok {
+		return head
+	}
+	return fmt.Sprintf("%s first=%d buckets=%v", head, int(s.minKey)+lo, s.buckets[lo:hi+1])
 }
 
 // TestDDSketchMergeEmptyAndUnconfigured pins the edge semantics: merging an
@@ -135,10 +147,10 @@ func TestDDSketchMergePartitionInvariance(t *testing.T) {
 func TestDDSketchMergeEmptyAndUnconfigured(t *testing.T) {
 	a := NewDDSketch(0.01)
 	a.Add(3)
-	before := a.AppendBinary(nil)
+	before := sketchState(a)
 	a.Merge(NewDDSketch(0.01))
 	a.Merge(nil)
-	if !bytes.Equal(a.AppendBinary(nil), before) {
+	if sketchState(a) != before {
 		t.Fatal("merging an empty or nil sketch changed the state")
 	}
 
@@ -147,7 +159,7 @@ func TestDDSketchMergeEmptyAndUnconfigured(t *testing.T) {
 	if adopt.Alpha() != 0.01 || adopt.Count() != 1 {
 		t.Fatalf("unconfigured merge: alpha=%v count=%d", adopt.Alpha(), adopt.Count())
 	}
-	if !bytes.Equal(adopt.AppendBinary(nil), before) {
+	if sketchState(&adopt) != before {
 		t.Fatal("unconfigured merge is not byte-identical to the source")
 	}
 
@@ -159,39 +171,6 @@ func TestDDSketchMergeEmptyAndUnconfigured(t *testing.T) {
 	b := NewDDSketch(0.05)
 	b.Add(1)
 	a.Merge(b)
-}
-
-// TestDDSketchBinaryRoundTrip checks UnmarshalBinary(MarshalBinary(s))
-// restores byte-identical state across the test distributions.
-func TestDDSketchBinaryRoundTrip(t *testing.T) {
-	for _, dist := range sketchTestDistributions {
-		rng := xrand.NewStream(3, 17)
-		s := NewDDSketch(0.01)
-		for i := 0; i < 2000; i++ {
-			s.Add(dist.gen(rng))
-		}
-		enc, err := s.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back DDSketch
-		if err := back.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("%s: %v", dist.name, err)
-		}
-		if !bytes.Equal(back.AppendBinary(nil), enc) {
-			t.Fatalf("%s: round trip is not byte-identical", dist.name)
-		}
-		for _, q := range []float64{0, 0.5, 0.99, 1} {
-			if got, want := back.Quantile(q), s.Quantile(q); got != want {
-				t.Fatalf("%s: quantile %v differs after round trip: %v vs %v", dist.name, q, got, want)
-			}
-		}
-	}
-
-	var s DDSketch
-	if err := s.UnmarshalBinary([]byte("short")); err == nil {
-		t.Fatal("truncated encoding did not error")
-	}
 }
 
 // TestDDSketchEmptyAndClear pins the empty-sketch contract (NaN quantiles,
@@ -208,8 +187,8 @@ func TestDDSketchEmptyAndClear(t *testing.T) {
 		t.Fatalf("Clear left count=%d alpha=%v", s.Count(), s.Alpha())
 	}
 	empty := NewDDSketch(0.01)
-	if !bytes.Equal(s.AppendBinary(nil), empty.AppendBinary(nil)) {
-		t.Fatal("cleared sketch encoding differs from a fresh sketch")
+	if sketchState(s) != sketchState(empty) {
+		t.Fatal("cleared sketch state differs from a fresh sketch")
 	}
 }
 

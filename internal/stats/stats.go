@@ -1,9 +1,8 @@
 // Package stats provides the streaming statistics used by the routing
 // simulator: running means and variances (Welford's algorithm), time-weighted
-// averages for queue-length processes, histograms, exact stored-sample
-// quantiles (Quantiles), a mergeable relative-error quantile sketch
-// (DDSketch), batch-means confidence intervals and a Little's-law
-// consistency checker.
+// averages for queue-length processes, exact stored-sample quantiles
+// (Quantiles), a mergeable relative-error quantile sketch (DDSketch) and
+// (x, y) series with a least-squares slope.
 //
 // All collectors are plain value types with pointer receivers; none of them
 // allocate per observation, so they can be updated on the simulator's hot
@@ -49,9 +48,6 @@ func (t *Tally) Count() int64 { return t.n }
 
 // Mean returns the sample mean, or 0 if no observations were recorded.
 func (t *Tally) Mean() float64 { return t.mean }
-
-// Sum returns the sum of all observations.
-func (t *Tally) Sum() float64 { return t.mean * float64(t.n) }
 
 // Variance returns the unbiased sample variance (n-1 denominator), or 0 for
 // fewer than two observations. The result is clamped at zero: Welford's m2
@@ -113,12 +109,6 @@ func (t *Tally) Merge(o *Tally) {
 	}
 }
 
-// String summarises the tally for human-readable reports.
-func (t *Tally) String() string {
-	return fmt.Sprintf("n=%d mean=%.4f sd=%.4f min=%.4f max=%.4f",
-		t.n, t.Mean(), t.StdDev(), t.min, t.max)
-}
-
 // TimeWeighted tracks a piecewise-constant process (for example a queue
 // length) and reports its time-averaged value. Observations are pushed as
 // (time, newValue) pairs; the value is assumed to hold until the next update.
@@ -159,22 +149,6 @@ func (e timeWentBackwards) Error() string {
 	return fmt.Sprintf("stats: TimeWeighted.Set time went backwards: %v < %v", e.now, e.last)
 }
 
-// Advance extends the current value to time now without changing it.
-func (w *TimeWeighted) Advance(now float64) { w.Set(now, w.lastValue) }
-
-// Add shifts the tracked value by delta at time now; it is the fused
-// Set(now, Current()+delta) used on the simulator's per-hop hot path.
-func (w *TimeWeighted) Add(now, delta float64) { w.Set(now, w.lastValue+delta) }
-
-// Mean returns the time-average of the process over [start, lastTime].
-func (w *TimeWeighted) Mean() float64 {
-	elapsed := w.lastTime - w.startTime
-	if elapsed <= 0 {
-		return w.lastValue
-	}
-	return w.area / elapsed
-}
-
 // MeanAt returns the time-average including the segment up to time now.
 func (w *TimeWeighted) MeanAt(now float64) float64 {
 	if !w.started || now <= w.startTime {
@@ -190,9 +164,6 @@ func (w *TimeWeighted) Current() float64 { return w.lastValue }
 // Max returns the largest value observed.
 func (w *TimeWeighted) Max() float64 { return w.maxValue }
 
-// Elapsed returns the observation window length.
-func (w *TimeWeighted) Elapsed() float64 { return w.lastTime - w.startTime }
-
 // Reset restarts the collector at time now with value v, discarding history.
 // It is used to discard the warm-up transient.
 func (w *TimeWeighted) Reset(now, v float64) {
@@ -202,104 +173,6 @@ func (w *TimeWeighted) Reset(now, v float64) {
 	w.lastValue = v
 	w.area = 0
 	w.maxValue = v
-}
-
-// Histogram is a fixed-width bucket histogram over [lo, hi) with overflow and
-// underflow buckets.
-type Histogram struct {
-	lo, hi    float64
-	width     float64
-	buckets   []int64
-	underflow int64
-	overflow  int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with n equal buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: NewHistogram requires n > 0 and hi > lo")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(n), buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.underflow++
-	case x >= h.hi:
-		h.overflow++
-	default:
-		i := int((x - h.lo) / h.width)
-		if i >= len(h.buckets) {
-			i = len(h.buckets) - 1
-		}
-		h.buckets[i]++
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// NumBuckets returns the number of regular buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// Underflow and Overflow return the out-of-range counts.
-func (h *Histogram) Underflow() int64 { return h.underflow }
-func (h *Histogram) Overflow() int64  { return h.overflow }
-
-// Quantile returns an approximation of the q-quantile (0 <= q <= 1) by
-// linear interpolation within the containing bucket. Underflow mass is
-// attributed to lo and overflow mass to hi.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.lo
-	}
-	if q >= 1 {
-		return h.hi
-	}
-	target := q * float64(h.total)
-	cum := float64(h.underflow)
-	if target <= cum {
-		return h.lo
-	}
-	for i, c := range h.buckets {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		cum = next
-	}
-	return h.hi
-}
-
-// TailFraction returns the fraction of observations that are >= x.
-func (h *Histogram) TailFraction(x float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var count int64
-	if x < h.lo {
-		return 1
-	}
-	count += h.overflow
-	start := int((x - h.lo) / h.width)
-	for i := start; i < len(h.buckets); i++ {
-		if i < 0 {
-			continue
-		}
-		count += h.buckets[i]
-	}
-	return float64(count) / float64(h.total)
 }
 
 // Quantiles computes exact empirical quantiles from a stored sample. It is
@@ -315,9 +188,6 @@ func (q *Quantiles) Add(x float64) {
 	q.xs = append(q.xs, x)
 	q.sorted = false
 }
-
-// Count returns the number of stored observations.
-func (q *Quantiles) Count() int { return len(q.xs) }
 
 // Values returns the stored observations. The slice aliases internal storage:
 // treat it as read-only, and note that quantile queries may partially reorder
@@ -413,75 +283,6 @@ func (q *Quantiles) orderStat(k int) float64 {
 	return xs[lo]
 }
 
-// BatchMeans builds non-overlapping batch means from a stream of
-// observations and reports a confidence interval that accounts for the
-// serial correlation typical of queueing simulations.
-type BatchMeans struct {
-	batchSize int64
-	current   Tally
-	batches   Tally
-}
-
-// NewBatchMeans creates a collector with the given batch size.
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize <= 0 {
-		panic("stats: NewBatchMeans requires a positive batch size")
-	}
-	return &BatchMeans{batchSize: int64(batchSize)}
-}
-
-// Add records one observation, closing a batch whenever batchSize
-// observations have accumulated.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if b.current.Count() >= b.batchSize {
-		b.batches.Add(b.current.Mean())
-		b.current = Tally{}
-	}
-}
-
-// NumBatches returns the number of completed batches.
-func (b *BatchMeans) NumBatches() int64 { return b.batches.Count() }
-
-// Mean returns the grand mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// HalfWidth returns the half-width of the level confidence interval computed
-// from the batch means.
-func (b *BatchMeans) HalfWidth(level float64) float64 {
-	return b.batches.ConfidenceInterval(level)
-}
-
-// LittleLaw accumulates the three quantities related by Little's law
-// (L = lambda * W) and reports the relative discrepancy between the measured
-// time-average population and the product of measured throughput and mean
-// delay. It is the simulator's primary internal consistency check.
-type LittleLaw struct {
-	Population TimeWeighted // time-averaged number in system
-	Delay      Tally        // per-packet sojourn times
-	Departures int64        // packets that completed
-}
-
-// RecordDeparture notes a completed packet with the given sojourn time.
-func (l *LittleLaw) RecordDeparture(sojourn float64) {
-	l.Delay.Add(sojourn)
-	l.Departures++
-}
-
-// RelativeError returns |L - lambda*W| / max(L, tiny) over the observation
-// window ending at time now; lambda is computed as departures per unit time.
-func (l *LittleLaw) RelativeError(now float64) float64 {
-	elapsed := now - l.Population.startTime
-	if elapsed <= 0 || l.Departures == 0 {
-		return 0
-	}
-	lambda := float64(l.Departures) / elapsed
-	lw := lambda * l.Delay.Mean()
-	L := l.Population.MeanAt(now)
-	denom := math.Max(math.Abs(L), 1e-12)
-	return math.Abs(L-lw) / denom
-}
-
 // normalQuantile returns the p-quantile of the standard normal distribution
 // using the Acklam rational approximation (relative error < 1.15e-9).
 func normalQuantile(p float64) float64 {
@@ -525,28 +326,6 @@ func normalQuantile(p float64) float64 {
 // the harness when sizing confidence intervals for reports.
 func NormalQuantile(p float64) float64 { return normalQuantile(p) }
 
-// Counter is a simple named event counter.
-type Counter struct {
-	n int64
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn increments the counter by delta.
-func (c *Counter) Addn(delta int64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Rate returns the counter value divided by the elapsed time.
-func (c *Counter) Rate(elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.n) / elapsed
-}
-
 // Series is an ordered collection of (x, y) points used by the harness to
 // report sweeps (for example delay versus dimension).
 type Series struct {
@@ -561,24 +340,10 @@ func (s *Series) AddPoint(x, y float64) {
 	s.Y = append(s.Y, y)
 }
 
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
 // Reset discards the points, keeping the backing arrays for reuse.
 func (s *Series) Reset() {
 	s.X = s.X[:0]
 	s.Y = s.Y[:0]
-}
-
-// MaxY returns the largest y value (0 for an empty series).
-func (s *Series) MaxY() float64 {
-	m := 0.0
-	for i, y := range s.Y {
-		if i == 0 || y > m {
-			m = y
-		}
-	}
-	return m
 }
 
 // LinearSlope returns the least-squares slope of y against x. The stability

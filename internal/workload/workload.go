@@ -2,8 +2,7 @@
 // node (hypercube) or first-level row (butterfly) generates packets according
 // to an independent Poisson process with rate lambda, and each packet picks
 // its destination by flipping each origin bit independently with probability
-// p (eq. (1) of the paper). The package also provides the uniform and
-// uniform-excluding-self distributions discussed in §1.1, arbitrary
+// p (eq. (1) of the paper). The package also provides arbitrary
 // translation-invariant distributions (§2.2), slotted batch arrivals (§3.4)
 // and permutation workloads for the non-greedy baseline of §2.3.
 package workload
@@ -11,7 +10,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/butterfly"
 	"repro/internal/hypercube"
@@ -27,11 +25,6 @@ type DestinationDist interface {
 	// must cross that dimension (the p_j of §2.2); for the bit-flip
 	// distribution it is the same for every dimension.
 	FlipProbability(dim hypercube.Dimension) float64
-	// MeanDistance returns the expected Hamming distance between origin and
-	// destination.
-	MeanDistance() float64
-	// String names the distribution for reports.
-	String() string
 }
 
 // BitFlip is the paper's destination distribution: each of the d origin bits
@@ -72,55 +65,6 @@ func (b BitFlip) Sample(origin hypercube.Node, rng *xrand.Rand) hypercube.Node {
 
 // FlipProbability returns P for every dimension.
 func (b BitFlip) FlipProbability(hypercube.Dimension) float64 { return b.P }
-
-// MeanDistance returns d*P.
-func (b BitFlip) MeanDistance() float64 { return float64(b.D) * b.P }
-
-// String names the distribution.
-func (b BitFlip) String() string { return fmt.Sprintf("bitflip(p=%g)", b.P) }
-
-// Uniform is the uniform destination distribution over all 2^d nodes
-// (including the origin); it coincides with BitFlip at p = 1/2.
-func Uniform(d int) BitFlip { return NewBitFlip(d, 0.5) }
-
-// UniformExcludingSelf chooses the destination uniformly among the 2^d - 1
-// nodes other than the origin, the variant most often used in the prior work
-// surveyed in §1.2. Its per-dimension flip probability is
-// 2^(d-1)/(2^d - 1) (slightly above 1/2).
-type UniformExcludingSelf struct {
-	D int
-}
-
-// NewUniformExcludingSelf validates and returns the distribution.
-func NewUniformExcludingSelf(d int) UniformExcludingSelf {
-	if d < 1 {
-		panic(fmt.Sprintf("workload: UniformExcludingSelf requires d >= 1, got %d", d))
-	}
-	return UniformExcludingSelf{D: d}
-}
-
-// Sample draws a uniform non-origin destination.
-func (u UniformExcludingSelf) Sample(origin hypercube.Node, rng *xrand.Rand) hypercube.Node {
-	n := 1 << uint(u.D)
-	// Draw a non-zero offset and XOR it onto the origin; the offset is the
-	// difference vector, uniform over the 2^d - 1 non-zero patterns.
-	offset := hypercube.Node(rng.Intn(n-1) + 1)
-	return origin ^ offset
-}
-
-// FlipProbability returns 2^(d-1) / (2^d - 1) for every dimension.
-func (u UniformExcludingSelf) FlipProbability(hypercube.Dimension) float64 {
-	n := float64(int(1) << uint(u.D))
-	return (n / 2) / (n - 1)
-}
-
-// MeanDistance returns d * 2^(d-1) / (2^d - 1).
-func (u UniformExcludingSelf) MeanDistance() float64 {
-	return float64(u.D) * u.FlipProbability(1)
-}
-
-// String names the distribution.
-func (u UniformExcludingSelf) String() string { return "uniform-excluding-self" }
 
 // TranslationInvariant is the general destination distribution of §2.2: the
 // probability that a packet from x goes to z depends only on the difference
@@ -189,39 +133,6 @@ func (t *TranslationInvariant) FlipProbability(dim hypercube.Dimension) float64 
 	return total
 }
 
-// MeanDistance returns the expected Hamming distance of the difference.
-func (t *TranslationInvariant) MeanDistance() float64 {
-	total := 0.0
-	for v, w := range t.weights {
-		total += w * float64(bits.OnesCount32(uint32(v)))
-	}
-	return total
-}
-
-// MaxFlipProbability returns max_j p_j, the quantity that defines the load
-// factor for general translation-invariant traffic (§2.2).
-func (t *TranslationInvariant) MaxFlipProbability() float64 {
-	m := 0.0
-	for j := 1; j <= t.D; j++ {
-		if p := t.FlipProbability(hypercube.Dimension(j)); p > m {
-			m = p
-		}
-	}
-	return m
-}
-
-// String names the distribution.
-func (t *TranslationInvariant) String() string { return "translation-invariant" }
-
-// RowDist chooses a destination row for a butterfly packet entering at the
-// given origin row (both rows are level identities; the packet enters at
-// level 1 and exits at level d+1).
-type RowDist interface {
-	SampleRow(origin butterfly.Row, rng *xrand.Rand) butterfly.Row
-	FlipProbability() float64
-	String() string
-}
-
 // RowBitFlip is the butterfly analogue of BitFlip (§4.2).
 type RowBitFlip struct {
 	D int
@@ -253,12 +164,6 @@ func (b RowBitFlip) SampleRow(origin butterfly.Row, rng *xrand.Rand) butterfly.R
 	}
 	return dest
 }
-
-// FlipProbability returns P.
-func (b RowBitFlip) FlipProbability() float64 { return b.P }
-
-// String names the distribution.
-func (b RowBitFlip) String() string { return fmt.Sprintf("row-bitflip(p=%g)", b.P) }
 
 // timingStreamOffset separates the stream that drives a source's arrival
 // timing (inter-arrival gaps, batch sizes) from the stream that drives its
@@ -412,24 +317,6 @@ func Permutation(d int, rng *xrand.Rand) []hypercube.Node {
 		dest[i] = hypercube.Node(p[i])
 	}
 	return dest
-}
-
-// LoadFactorHypercube returns the paper's load factor rho = lambda * p for
-// bit-flip traffic on the hypercube (eq. (2)).
-func LoadFactorHypercube(lambda, p float64) float64 { return lambda * p }
-
-// LoadFactorButterfly returns rho = lambda * max{p, 1-p} (eq. (17)).
-func LoadFactorButterfly(lambda, p float64) float64 {
-	return lambda * math.Max(p, 1-p)
-}
-
-// RequiredLambdaHypercube returns the lambda that achieves the target load
-// factor rho for the given p on the hypercube.
-func RequiredLambdaHypercube(rho, p float64) float64 {
-	if p <= 0 {
-		panic("workload: p must be positive to set a load factor")
-	}
-	return rho / p
 }
 
 // RequiredLambdaButterfly returns the lambda that achieves the target load

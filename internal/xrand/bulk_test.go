@@ -71,28 +71,10 @@ func TestFillPoissonMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestFillGeometricMatchesScalar checks bulk geometric draws, including the
-// degenerate p = 1 case.
-func TestFillGeometricMatchesScalar(t *testing.T) {
-	for _, p := range []float64{0.01, 0.5, 0.99, 1} {
-		bulk := NewStream(3, 1)
-		scalar := NewStream(3, 1)
-		dst := make([]int, 300)
-		bulk.FillGeometric(dst, p)
-		for i, v := range dst {
-			if w := scalar.Geometric(p); v != w {
-				t.Fatalf("p %v: FillGeometric[%d] = %d, Geometric = %d", p, i, v, w)
-			}
-		}
-	}
-}
-
 func TestFillPanics(t *testing.T) {
 	r := New(1)
 	for name, fn := range map[string]func(){
-		"FillExp rate 0":      func() { r.FillExp(make([]float64, 1), 0) },
-		"FillGeometric p 0":   func() { r.FillGeometric(make([]int, 1), 0) },
-		"FillGeometric p 1.5": func() { r.FillGeometric(make([]int, 1), 1.5) },
+		"FillExp rate 0": func() { r.FillExp(make([]float64, 1), 0) },
 	} {
 		func() {
 			defer func() {
@@ -138,15 +120,5 @@ func BenchmarkFillPoissonSmallMean(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += len(dst) {
 		r.FillPoisson(dst, 0.35)
-	}
-}
-
-func BenchmarkFillGeometric(b *testing.B) {
-	r := New(1)
-	dst := make([]int, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(dst) {
-		r.FillGeometric(dst, 0.3)
 	}
 }

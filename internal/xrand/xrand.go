@@ -5,9 +5,8 @@
 // identical sample path), cheap creation of many statistically independent
 // streams (one per traffic source, one per routing decision stream), and a
 // handful of distributions: exponential inter-arrival times, Poisson batch
-// sizes, Bernoulli bit flips and geometric queue-length draws. The package is
-// self-contained so that the rest of the repository does not depend on the
-// global state of math/rand.
+// sizes and Bernoulli bit flips. The package is self-contained so that the
+// rest of the repository does not depend on the global state of math/rand.
 //
 // The core generator is xoshiro256** seeded through SplitMix64, the
 // combination recommended by Blackman and Vigna. Streams are derived by
@@ -270,28 +269,6 @@ func (r *Rand) FillPoisson(dst []int, mean float64) {
 	}
 }
 
-// FillGeometric fills dst with independent Geometric(p) draws (failures
-// before the first success), exactly the values len(dst) successive Geometric
-// calls would return; the log(1-p) denominator is computed once for the whole
-// batch. It rounds out the bulk-sampler set for workloads that draw
-// geometric queue lengths or retrial counts in batches. It panics if p <= 0
-// or p > 1.
-func (r *Rand) FillGeometric(dst []int, p float64) {
-	if p <= 0 || p > 1 {
-		panic("xrand: FillGeometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	lnQ := math.Log(1 - p)
-	for i := range dst {
-		dst[i] = int(math.Floor(math.Log(1-r.Float64()) / lnQ))
-	}
-}
-
 // poissonKnuth draws one Poisson variate given limit = exp(-mean).
 func (r *Rand) poissonKnuth(limit float64) int {
 	k := 0
@@ -346,65 +323,6 @@ func (r *Rand) poissonPTRS(p *ptrsParams) int {
 func logGamma(x float64) float64 {
 	lg, _ := math.Lgamma(x)
 	return lg
-}
-
-// Binomial returns a Binomial(n, p) draw: the number of successes in n
-// independent Bernoulli(p) trials. For small n it draws trials directly;
-// for large n·min(p,1-p) it uses the Poisson/normal-free inversion by
-// repeated geometric skips, which stays exact.
-func (r *Rand) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// For moderate n a direct loop is both exact and fast enough for the
-	// simulator's use (n = d <= 20 bits in destination sampling).
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	// Geometric-skip method (BG algorithm): expected time O(np).
-	q := p
-	flipped := false
-	if q > 0.5 {
-		q = 1 - q
-		flipped = true
-	}
-	lnQ := math.Log(1 - q)
-	k := 0
-	pos := 0
-	for {
-		step := int(math.Floor(math.Log(1-r.Float64())/lnQ)) + 1
-		pos += step
-		if pos > n {
-			break
-		}
-		k++
-	}
-	if flipped {
-		return n - k
-	}
-	return k
-}
-
-// Geometric returns a draw of the number of failures before the first
-// success in Bernoulli(p) trials (support {0, 1, 2, ...}). It panics if
-// p <= 0 or p > 1.
-func (r *Rand) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
 }
 
 // Perm returns a uniformly random permutation of {0, ..., n-1}.

@@ -243,82 +243,6 @@ func TestPoissonZeroAndNegativeMean(t *testing.T) {
 	}
 }
 
-func TestBinomialMoments(t *testing.T) {
-	r := New(14)
-	cases := []struct {
-		n int
-		p float64
-	}{{10, 0.5}, {10, 0.1}, {64, 0.3}, {200, 0.7}, {1000, 0.02}}
-	for _, c := range cases {
-		const draws = 50000
-		sum, sumSq := 0.0, 0.0
-		for i := 0; i < draws; i++ {
-			k := r.Binomial(c.n, c.p)
-			if k < 0 || k > c.n {
-				t.Fatalf("Binomial(%d,%v) = %d out of range", c.n, c.p, k)
-			}
-			x := float64(k)
-			sum += x
-			sumSq += x * x
-		}
-		mean := sum / draws
-		variance := sumSq/draws - mean*mean
-		wantMean := float64(c.n) * c.p
-		wantVar := float64(c.n) * c.p * (1 - c.p)
-		if math.Abs(mean-wantMean) > 0.05*math.Max(wantMean, 1) {
-			t.Fatalf("Binomial(%d,%v) mean %v, want %v", c.n, c.p, mean, wantMean)
-		}
-		if math.Abs(variance-wantVar) > 0.12*math.Max(wantVar, 1) {
-			t.Fatalf("Binomial(%d,%v) variance %v, want %v", c.n, c.p, variance, wantVar)
-		}
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	r := New(15)
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Fatalf("Binomial(0, 0.5) = %d", got)
-	}
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Fatalf("Binomial(10, 0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Fatalf("Binomial(10, 1) = %d", got)
-	}
-	if got := r.Binomial(-5, 0.5); got != 0 {
-		t.Fatalf("Binomial(-5, 0.5) = %d", got)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(16)
-	for _, p := range []float64{0.1, 0.3, 0.7, 1.0} {
-		const n = 100000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			g := r.Geometric(p)
-			if g < 0 {
-				t.Fatalf("Geometric(%v) negative: %d", p, g)
-			}
-			sum += float64(g)
-		}
-		want := (1 - p) / p
-		got := sum / n
-		if math.Abs(got-want) > 0.05*math.Max(want, 0.2) {
-			t.Fatalf("Geometric(%v) mean %v, want %v", p, got, want)
-		}
-	}
-}
-
-func TestGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	New(1).Geometric(0)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(17)
 	for _, n := range []int{0, 1, 2, 5, 17, 100} {
@@ -387,19 +311,6 @@ func TestQuickUint64nInRange(t *testing.T) {
 			n = 1
 		}
 		return r.Uint64n(n) < n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Binomial(n, p) is always within [0, n].
-func TestQuickBinomialRange(t *testing.T) {
-	r := New(22)
-	f := func(n uint8, pRaw uint16) bool {
-		p := float64(pRaw) / math.MaxUint16
-		k := r.Binomial(int(n), p)
-		return k >= 0 && k <= int(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

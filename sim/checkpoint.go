@@ -90,11 +90,6 @@ type CheckpointInfo struct {
 	RecordsSkipped int
 }
 
-// Complete reports whether every point of the sweep is journaled: resuming a
-// complete journal replays the whole row stream without running a single
-// simulation.
-func (ci CheckpointInfo) Complete() bool { return ci.Completed == ci.Points }
-
 // ScanCheckpoint reads a checkpoint journal's header and counts its valid
 // completed points without restoring results or mutating the file. The
 // daemon uses it on restart to decide which recovered jobs still need work.

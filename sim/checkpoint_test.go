@@ -92,7 +92,7 @@ func TestScanCheckpoint(t *testing.T) {
 	if info.SweepSHA256 != fp {
 		t.Fatalf("scanned fingerprint %s, want %s", info.SweepSHA256, fp)
 	}
-	if info.Points != 4 || info.Completed != 4 || !info.Complete() {
+	if info.Points != 4 || info.Completed != 4 || info.Completed != info.Points {
 		t.Fatalf("scan = %+v, want 4/4 complete", info)
 	}
 	before, err := os.ReadFile(path)
@@ -114,7 +114,7 @@ func TestScanCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Completed != 4 || !info.Complete() {
+	if info.Completed != 4 || info.Completed != info.Points {
 		t.Fatalf("scan after torn tail = %+v, want still 4/4", info)
 	}
 
@@ -140,7 +140,7 @@ func TestScanCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Points != 4 || info.Completed != 1 || info.Complete() {
+	if info.Points != 4 || info.Completed != 1 || info.Completed == info.Points {
 		t.Fatalf("partial scan = %+v, want 1/4 incomplete", info)
 	}
 }

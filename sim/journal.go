@@ -48,27 +48,11 @@ func OpenSweepJournal(sw Sweep, path string) (*SweepJournal, error) {
 	return &SweepJournal{ck: ck, restored: restored, skipped: skipped}, nil
 }
 
-// Points returns the sweep's executed point count (the Range's size for a
-// ranged sweep) — the length of Restored and the exclusive bound on Record
-// indices.
-func (j *SweepJournal) Points() int { return len(j.restored) }
-
 // Restored returns the journaled results indexed by point, nil where no
 // valid record exists. For a ranged sweep the indices are local to the
 // range, matching RunSweep's journal. The slice is the journal's own;
 // callers must not mutate it.
 func (j *SweepJournal) Restored() []*Result { return j.restored }
-
-// Completed counts the points Restored holds a result for.
-func (j *SweepJournal) Completed() int {
-	n := 0
-	for _, res := range j.restored {
-		if res != nil {
-			n++
-		}
-	}
-	return n
-}
 
 // RecordsSkipped reports how many unreadable records the open dropped — a
 // torn tail from a mid-write kill, or corruption. The affected points

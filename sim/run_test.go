@@ -278,40 +278,83 @@ func TestRunValidationErrorPropagates(t *testing.T) {
 
 // TestResultMarshalsWithNaNFields pins the fix for the JSON contract: a
 // Result whose unavailable metrics are NaN (quantiles untracked, bounds
-// undefined on an unstable system) must still marshal, emitting null.
+// undefined on an unstable system, loss ratios with no decided packet) must
+// still marshal, emitting null, and must read back exactly: null becomes NaN
+// again and a second marshal is byte-identical, which checkpoint resume and
+// simc's merge rely on.
 func TestResultMarshalsWithNaNFields(t *testing.T) {
-	// No quantiles tracked -> DelayP95/P99 are NaN; rho > 1 -> bounds NaN.
-	res, err := sim.Run(context.Background(), sim.Scenario{
-		Topology: sim.Hypercube(3), P: 0.5, LoadFactor: 1.2, Horizon: 100, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		sc    sim.Scenario
+		nulls []string
+		nans  func(r *sim.Result) []float64
+	}{
+		{
+			// No quantiles tracked -> DelayP95 is NaN; rho > 1 -> bounds NaN.
+			name:  "unstable hypercube",
+			sc:    sim.Scenario{Topology: sim.Hypercube(3), P: 0.5, LoadFactor: 1.2, Horizon: 100, Seed: 1},
+			nulls: []string{`"delay_p95":null`, `"greedy_upper_bound":null`, `"kernel":"slot-stepped"`},
+			nans:  func(r *sim.Result) []float64 { return []float64{r.DelayP95, r.Hypercube.GreedyUpperBound} },
+		},
+		{
+			name:  "unstable butterfly",
+			sc:    sim.Scenario{Topology: sim.Butterfly(3), P: 0.5, LoadFactor: 1.2, Horizon: 100, Seed: 1},
+			nulls: []string{`"greedy_upper_bound":null`, `"universal_lower_bound":null`},
+			nans: func(r *sim.Result) []float64 {
+				return []float64{r.Butterfly.GreedyUpperBound, r.Butterfly.UniversalLowerBound}
+			},
+		},
+		{
+			name: "deflection above the bound's range",
+			sc: sim.Scenario{Topology: sim.Hypercube(3), P: 0.5, LoadFactor: 1.2, Horizon: 100, Seed: 1,
+				Router: sim.Deflection},
+			nulls: []string{`"universal_lower_bound":null`},
+			nans:  func(r *sim.Result) []float64 { return []float64{r.Deflection.UniversalLowerBound} },
+		},
+		{
+			// Every arc is down for the whole run and, at p = 1, every packet
+			// needs one, so no packet's fate is decided: the ratio is NaN.
+			name: "faults with no decided packet",
+			sc: sim.Scenario{Topology: sim.Hypercube(3), P: 1, LoadFactor: 0.5, Horizon: 100, Seed: 1,
+				Faults: &sim.FaultSpec{Outages: []sim.Outage{{From: 0, Until: 200, Fraction: 1}}}},
+			nulls: []string{`"delivery_ratio":null`},
+			nans:  func(r *sim.Result) []float64 { return []float64{r.Faults.DeliveryRatio} },
+		},
 	}
-	if !math.IsNaN(res.DelayP95) || !math.IsNaN(res.Hypercube.GreedyUpperBound) {
-		t.Fatal("test premise broken: expected NaN quantiles and bounds")
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatalf("marshal with NaN fields: %v", err)
-	}
-	s := string(data)
-	for _, want := range []string{`"delay_p95":null`, `"greedy_upper_bound":null`, `"kernel":"slot-stepped"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("result JSON missing %s:\n%s", want, s)
+	for _, c := range cases {
+		res, err := sim.Run(context.Background(), c.sc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-
-	// An unstable butterfly marshals too.
-	bres, err := sim.Run(context.Background(), sim.Scenario{
-		Topology: sim.Butterfly(3), P: 0.5, LoadFactor: 1.2, Horizon: 100, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, err = json.Marshal(bres); err != nil {
-		t.Fatalf("butterfly marshal: %v", err)
-	}
-	if !strings.Contains(string(data), `"greedy_upper_bound":null`) {
-		t.Errorf("butterfly JSON missing null bound:\n%s", data)
+		for i, v := range c.nans(res) {
+			if !math.IsNaN(v) {
+				t.Fatalf("%s: test premise broken: field %d is %v, want NaN", c.name, i, v)
+			}
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%s: marshal with NaN fields: %v", c.name, err)
+		}
+		for _, want := range c.nulls {
+			if !strings.Contains(string(data), want) {
+				t.Errorf("%s: result JSON missing %s:\n%s", c.name, want, data)
+			}
+		}
+		var back sim.Result
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("%s: unmarshal: %v", c.name, err)
+		}
+		for i, v := range c.nans(&back) {
+			if !math.IsNaN(v) {
+				t.Errorf("%s: field %d read back as %v, want NaN", c.name, i, v)
+			}
+		}
+		again, err := json.Marshal(&back)
+		if err != nil {
+			t.Fatalf("%s: re-marshal: %v", c.name, err)
+		}
+		if string(again) != string(data) {
+			t.Errorf("%s: round trip changed the JSON:\n%s\n%s", c.name, data, again)
+		}
 	}
 }
