@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
-	"sort"
 	"strings"
 
 	"repro/sim"
@@ -18,18 +16,13 @@ import (
 // scenario is validated before the slice is returned. path is used only for
 // error messages.
 func loadScenariosData(path string, data []byte) ([]sim.Scenario, error) {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	var scs []sim.Scenario
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := decodeStrict(data, &scs); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-	} else {
-		var sc sim.Scenario
-		if err := decodeStrict(data, &sc); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		scs = []sim.Scenario{sc}
+	scs := make([]sim.Scenario, 1)
+	var target any = &scs[0]
+	if trimmed := bytes.TrimLeft(data, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
+		target = &scs
+	}
+	if err := sim.DecodeStrict(data, target); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(scs) == 0 {
 		return nil, fmt.Errorf("%s: no scenarios in spec", path)
@@ -58,19 +51,19 @@ func LoadSweep(path string) (*sim.Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	return loadSweepData(path, data)
-}
-
-// loadSweepData is LoadSweep over already-read spec bytes (path is used only
-// for error messages).
-func loadSweepData(path string, data []byte) (*sim.Sweep, error) {
 	// Classify before the strict decode so a scenario spec gets the
 	// redirection hint instead of a misleading unknown-field error.
 	if !isSweepSpec(data) {
 		return nil, fmt.Errorf("%s: not a sweep spec (no \"axes\" key); scenario specs run through cmd/run", path)
 	}
+	return loadSweepData(path, data)
+}
+
+// loadSweepData is LoadSweep over already-read sweep spec bytes (path is
+// used only for error messages).
+func loadSweepData(path string, data []byte) (*sim.Sweep, error) {
 	var sw sim.Sweep
-	if err := decodeStrict(data, &sw); err != nil {
+	if err := sim.DecodeStrict(data, &sw); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	// Both names can end up in artifact filenames (the sweep's directly,
@@ -121,117 +114,12 @@ func LoadSpecData(name string, data []byte) ([]sim.Scenario, *sim.Sweep, error) 
 // JSON object with an "axes" key. Scenario objects have no such field, so
 // the test cannot misclassify a valid spec of either kind.
 func isSweepSpec(data []byte) bool {
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) == 0 || trimmed[0] != '{' {
-		return false
-	}
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
 		return false
 	}
 	_, ok := probe["axes"]
 	return ok
-}
-
-// decodeStrict unmarshals JSON rejecting unknown fields and trailing
-// content (a second top-level value would otherwise be silently dropped —
-// the classic forgotten-array-brackets mistake). Unknown keys are diagnosed
-// by checkUnknownKeys first, which names the offending key, the nested block
-// it sits in and the block's valid keys; the decoder's own
-// DisallowUnknownFields remains as a backstop.
-func decodeStrict(data []byte, v any) error {
-	if err := checkUnknownKeys(data, reflect.TypeOf(v).Elem(), ""); err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing content after the first JSON value (wrap multiple scenarios in an array)")
-	}
-	return nil
-}
-
-// checkUnknownKeys walks the spec JSON alongside the target Go type and
-// reports the first unknown object key, depth-first in sorted key order. The
-// error names the key, the block it appears in ("faults", "topology", ...)
-// and the block's valid keys, so a spec typo comes back with its fix attached
-// rather than as a bare rejection. Non-object JSON where an object is
-// expected is left for the real decoder to report.
-func checkUnknownKeys(data []byte, t reflect.Type, block string) error {
-	switch t.Kind() {
-	case reflect.Pointer:
-		return checkUnknownKeys(data, t.Elem(), block)
-	case reflect.Slice, reflect.Array:
-		var elems []json.RawMessage
-		if err := json.Unmarshal(data, &elems); err != nil {
-			return nil
-		}
-		for _, e := range elems {
-			if err := checkUnknownKeys(e, t.Elem(), block); err != nil {
-				return err
-			}
-		}
-		return nil
-	case reflect.Struct:
-		fields := jsonFields(t)
-		if len(fields) == 0 {
-			return nil // opaque type with its own UnmarshalJSON (e.g. axis values)
-		}
-		var obj map[string]json.RawMessage
-		if err := json.Unmarshal(data, &obj); err != nil {
-			return nil
-		}
-		keys := make([]string, 0, len(obj))
-		for k := range obj {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			ft, ok := fields[key]
-			if !ok {
-				valid := make([]string, 0, len(fields))
-				for name := range fields {
-					valid = append(valid, name)
-				}
-				sort.Strings(valid)
-				loc := ""
-				if block != "" {
-					loc = fmt.Sprintf(" in %q block", block)
-				}
-				return fmt.Errorf("unknown field %q%s (valid: %s)", key, loc, strings.Join(valid, ", "))
-			}
-			if err := checkUnknownKeys(obj[key], ft, key); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return nil
-	}
-}
-
-// jsonFields maps a struct's JSON key names to their field types, skipping
-// fields tagged `json:"-"` (execution policy, not part of the spec).
-func jsonFields(t reflect.Type) map[string]reflect.Type {
-	fields := map[string]reflect.Type{}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		switch name {
-		case "-":
-			continue
-		case "":
-			name = f.Name
-		}
-		fields[name] = f.Type
-	}
-	return fields
 }
 
 // ScenarioTable renders one executed scenario as a report table: the common

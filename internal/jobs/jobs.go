@@ -400,23 +400,21 @@ func (m *Manager) Submit(client string, spec []byte) (st Status, created bool, e
 
 // wrapScenario lifts a scenario into a one-point sweep (a seed axis pinned
 // to the scenario's own seed), so every job — scenario or sweep — shares the
-// journaling, caching and row-streaming machinery.
+// journaling, caching and row-streaming machinery. submitSweep's expansion
+// validates the result.
 func wrapScenario(sc sim.Scenario) (sim.Sweep, error) {
 	if sc.Seed > maxExactSeed {
 		return sim.Sweep{}, fmt.Errorf("jobs: scenario seed %d exceeds 2^53 and cannot be represented exactly in a sweep axis; pick a smaller seed", sc.Seed)
 	}
-	sw := sim.Sweep{
+	return sim.Sweep{
 		Name: sc.Name,
 		Base: sc,
 		Axes: []sim.Axis{{Field: "seed", Values: []sim.Value{sim.Num(float64(sc.Seed))}}},
-	}
-	if err := sw.Validate(); err != nil {
-		return sim.Sweep{}, err
-	}
-	return sw, nil
+	}, nil
 }
 
-// submitSweep admits a validated sweep under the client's queue.
+// submitSweep admits a sweep under the client's queue; the sweep is
+// validated by its expansion here.
 func (m *Manager) submitSweep(client string, sw sim.Sweep) (Status, bool, error) {
 	if client == "" {
 		client = "anonymous"

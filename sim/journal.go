@@ -34,11 +34,11 @@ func OpenSweepJournal(sw Sweep, path string) (*SweepJournal, error) {
 	if path == "" {
 		return nil, errors.New("sim: sweep journal path must be non-empty")
 	}
-	pts, err := sw.expand()
+	rows, err := sw.ExpandRows()
 	if err != nil {
 		return nil, err
 	}
-	restored, skipped, ck, err := openCheckpoint(sw, path, len(pts))
+	restored, skipped, ck, err := openCheckpoint(sw, path, len(rows))
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/stats"
@@ -83,7 +84,7 @@ func (p *PrecisionSpec) validate(tailQuantiles bool) error {
 	if p.TargetCI == 0 && p.RankError == 0 {
 		return fmt.Errorf("sim: precision block must set target_ci and/or rank_error")
 	}
-	if math.IsNaN(p.TargetCI) || p.TargetCI < 0 {
+	if p.TargetCI < 0 {
 		return fmt.Errorf("sim: precision target_ci = %v must be positive", p.TargetCI)
 	}
 	if p.TargetCI == 0 && p.Relative {
@@ -93,19 +94,12 @@ func (p *PrecisionSpec) validate(tailQuantiles bool) error {
 		if p.TargetCI == 0 {
 			return fmt.Errorf("sim: precision metric requires target_ci")
 		}
-		ok := false
-		for _, m := range precisionMetrics {
-			if p.Metric == m {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(precisionMetrics, p.Metric) {
 			return fmt.Errorf("sim: precision metric %q unknown (valid: %v)", p.Metric, precisionMetrics)
 		}
 	}
 	if p.RankError != 0 {
-		if math.IsNaN(p.RankError) || p.RankError < 0 || p.RankError >= 0.5 {
+		if p.RankError < 0 || p.RankError >= 0.5 {
 			return fmt.Errorf("sim: precision rank_error = %v outside (0, 0.5)", p.RankError)
 		}
 		if !tailQuantiles {
@@ -116,7 +110,7 @@ func (p *PrecisionSpec) validate(tailQuantiles bool) error {
 		if p.RankError == 0 {
 			return fmt.Errorf("sim: precision quantile requires rank_error")
 		}
-		if math.IsNaN(p.Quantile) || p.Quantile <= 0 || p.Quantile >= 1 {
+		if p.Quantile <= 0 || p.Quantile >= 1 {
 			return fmt.Errorf("sim: precision quantile = %v outside (0, 1)", p.Quantile)
 		}
 	}
@@ -132,7 +126,7 @@ func (p *PrecisionSpec) validate(tailQuantiles bool) error {
 			return fmt.Errorf("sim: precision max_replications = %d is below the batch size %d", p.MaxReplications, batch)
 		}
 	}
-	if p.Level != 0 && (math.IsNaN(p.Level) || p.Level <= 0 || p.Level >= 1) {
+	if p.Level != 0 && (p.Level <= 0 || p.Level >= 1) {
 		return fmt.Errorf("sim: precision level = %v outside (0, 1)", p.Level)
 	}
 	return nil

@@ -134,7 +134,7 @@ type FaultStats struct {
 	DeliveryRatio float64 `json:"delivery_ratio"`
 	// ConditionalMeanDelay is the mean delay over delivered packets only
 	// (identical to Result.MeanDelay, restated because under loss the
-	// unconditional delay is undefined).
+	// unconditional delay is undefined). NaN when no packet was delivered.
 	ConditionalMeanDelay float64 `json:"conditional_mean_delay"`
 }
 
@@ -147,6 +147,9 @@ func faultStatsFromMetrics(m *Metrics) *FaultStats {
 		DroppedOverflow:      m.DroppedOverflow,
 		ConditionalMeanDelay: m.MeanDelay,
 		DeliveryRatio:        math.NaN(),
+	}
+	if f.Delivered == 0 {
+		f.ConditionalMeanDelay = math.NaN()
 	}
 	if decided := f.Delivered + f.DroppedFault + f.DroppedOverflow; decided > 0 {
 		f.DeliveryRatio = float64(f.Delivered) / float64(decided)
@@ -397,7 +400,8 @@ func (t *TailStats) MarshalJSON() ([]byte, error) {
 }
 
 // MarshalJSON shadows the NaN-able ratio and delay fields with their
-// null-safe form (both are NaN when no packet's fate was decided).
+// null-safe form (the ratio is NaN when no packet's fate was decided, the
+// delay when no packet was delivered).
 func (f *FaultStats) MarshalJSON() ([]byte, error) {
 	type alias FaultStats
 	return json.Marshal(struct {
@@ -764,6 +768,9 @@ func runDeflectionOnce(cfg *deflectionConfig) *Result {
 			DroppedFault:         out.Dropped,
 			ConditionalMeanDelay: out.MeanDelay,
 			DeliveryRatio:        math.NaN(),
+		}
+		if out.Delivered == 0 {
+			f.ConditionalMeanDelay = math.NaN()
 		}
 		if decided := out.Delivered + out.Dropped; decided > 0 {
 			f.DeliveryRatio = float64(out.Delivered) / float64(decided)

@@ -313,12 +313,13 @@ func TestResultMarshalsWithNaNFields(t *testing.T) {
 		},
 		{
 			// Every arc is down for the whole run and, at p = 1, every packet
-			// needs one, so no packet's fate is decided: the ratio is NaN.
+			// needs one, so no packet's fate is decided and none is
+			// delivered: the ratio and the conditional delay are NaN.
 			name: "faults with no decided packet",
 			sc: sim.Scenario{Topology: sim.Hypercube(3), P: 1, LoadFactor: 0.5, Horizon: 100, Seed: 1,
 				Faults: &sim.FaultSpec{Outages: []sim.Outage{{From: 0, Until: 200, Fraction: 1}}}},
-			nulls: []string{`"delivery_ratio":null`},
-			nans:  func(r *sim.Result) []float64 { return []float64{r.Faults.DeliveryRatio} },
+			nulls: []string{`"delivery_ratio":null`, `"conditional_mean_delay":null`},
+			nans:  func(r *sim.Result) []float64 { return []float64{r.Faults.DeliveryRatio, r.Faults.ConditionalMeanDelay} },
 		},
 	}
 	for _, c := range cases {

@@ -69,12 +69,51 @@ func TestScenarioValidationErrors(t *testing.T) {
 			w := make([]float64, 16)
 			w[3] = math.NaN()
 			s.CustomWeights = w
-		}, "is invalid"},
+		}, "custom_weights[3] = NaN must be a finite number"},
 		{"custom weights all zero", func(s *Scenario) {
 			s.LoadFactor = 0
 			s.Lambda = 1
 			s.CustomWeights = make([]float64, 16)
 		}, "sum to zero"},
+		// Every float of the spec must be finite: NaN and ±Inf pass each
+		// range check written as a comparison.
+		{"NaN p", func(s *Scenario) { s.P = math.NaN() }, "p = NaN must be a finite number"},
+		{"infinite lambda", func(s *Scenario) { s.LoadFactor = 0; s.Lambda = math.Inf(1) }, "lambda = +Inf must be a finite number"},
+		{"NaN load factor", func(s *Scenario) { s.LoadFactor = math.NaN() }, "load_factor = NaN must be a finite number"},
+		{"NaN slotted tau", func(s *Scenario) { s.Slotted = true; s.Tau = math.NaN() }, "tau = NaN must be a finite number"},
+		{"infinite horizon", func(s *Scenario) { s.Horizon = math.Inf(1) }, "horizon = +Inf must be a finite number"},
+		{"NaN warmup fraction", func(s *Scenario) { s.WarmupFraction = math.NaN() }, "warmup_fraction = NaN must be a finite number"},
+		{"NaN sketch alpha", func(s *Scenario) { s.TailQuantiles = true; s.SketchAlpha = math.NaN() }, "sketch_alpha = NaN must be a finite number"},
+		{"NaN trace interval", func(s *Scenario) { s.PopulationTraceInterval = math.NaN() }, "population_trace_interval = NaN must be a finite number"},
+		{"infinite custom weight", func(s *Scenario) {
+			s.LoadFactor = 0
+			s.Lambda = 1
+			w := make([]float64, 16)
+			w[5] = math.Inf(1)
+			s.CustomWeights = w
+		}, "custom_weights[5] = +Inf must be a finite number"},
+		{"NaN arc fail prob", func(s *Scenario) { s.Faults = &FaultSpec{ArcFailProb: math.NaN()} }, "faults.arc_fail_prob = NaN must be a finite number"},
+		{"NaN outage start", func(s *Scenario) {
+			s.Faults = &FaultSpec{Outages: []Outage{{From: math.NaN(), Until: 10, Fraction: 0.5}}}
+		}, "faults.outages[0].from = NaN must be a finite number"},
+		{"infinite outage end", func(s *Scenario) {
+			s.Faults = &FaultSpec{Outages: []Outage{{From: 0, Until: 10, Fraction: 0.5}, {From: 20, Until: math.Inf(1), Fraction: 0.5}}}
+		}, "faults.outages[1].until = +Inf must be a finite number"},
+		{"NaN outage fraction", func(s *Scenario) {
+			s.Faults = &FaultSpec{Outages: []Outage{{From: 0, Until: 10, Fraction: math.NaN()}}}
+		}, "faults.outages[0].fraction = NaN must be a finite number"},
+		{"infinite precision target", func(s *Scenario) { s.Precision = &PrecisionSpec{TargetCI: math.Inf(1)} }, "precision.target_ci = +Inf must be a finite number"},
+		{"NaN precision rank error", func(s *Scenario) {
+			s.TailQuantiles = true
+			s.Precision = &PrecisionSpec{RankError: math.NaN()}
+		}, "precision.rank_error = NaN must be a finite number"},
+		{"NaN precision quantile", func(s *Scenario) {
+			s.TailQuantiles = true
+			s.Precision = &PrecisionSpec{RankError: 0.01, Quantile: math.NaN()}
+		}, "precision.quantile = NaN must be a finite number"},
+		{"negative infinite precision level", func(s *Scenario) {
+			s.Precision = &PrecisionSpec{TargetCI: 0.1, Level: math.Inf(-1)}
+		}, "precision.level = -Inf must be a finite number"},
 		{"butterfly with non-greedy router", func(s *Scenario) {
 			s.Topology = Butterfly(4)
 			s.Router = ValiantTwoPhase

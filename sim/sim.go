@@ -169,17 +169,6 @@ func (k RouterKind) MarshalJSON() ([]byte, error) {
 	return json.Marshal(name)
 }
 
-// routerFromName resolves a router's short spec name ("greedy",
-// "random-order", "valiant", "deflection") or long String() name.
-func routerFromName(name string) (RouterKind, bool) {
-	for kind, short := range routerNames {
-		if name == short || name == kind.String() {
-			return kind, true
-		}
-	}
-	return 0, false
-}
-
 // UnmarshalJSON accepts both the short spec names ("greedy", "random-order",
 // "valiant", "deflection") and the long String() names.
 func (k *RouterKind) UnmarshalJSON(data []byte) error {
@@ -187,12 +176,13 @@ func (k *RouterKind) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &name); err != nil {
 		return fmt.Errorf("sim: router must be a string: %w", err)
 	}
-	kind, ok := routerFromName(name)
-	if !ok {
-		return fmt.Errorf("sim: unknown router %q (valid: greedy, random-order, valiant, deflection)", name)
+	for kind, short := range routerNames {
+		if name == short || name == kind.String() {
+			*k = kind
+			return nil
+		}
 	}
-	*k = kind
-	return nil
+	return fmt.Errorf("sim: unknown router %q (valid: greedy, random-order, valiant, deflection)", name)
 }
 
 // Discipline selects the per-arc queueing discipline.
@@ -224,15 +214,13 @@ func (d *Discipline) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &name); err != nil {
 		return fmt.Errorf("sim: discipline must be a string: %w", err)
 	}
-	switch name {
-	case FIFO.String():
-		*d = FIFO
-	case RandomOrder.String():
-		*d = RandomOrder
-	default:
-		return fmt.Errorf("sim: unknown discipline %q (valid: fifo, random-order)", name)
+	for _, known := range []Discipline{FIFO, RandomOrder} {
+		if name == known.String() {
+			*d = known
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("sim: unknown discipline %q (valid: fifo, random-order)", name)
 }
 
 // Scenario is the unified description of one simulation: topology, traffic,

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,8 +19,8 @@ import (
 )
 
 // This file is the declarative sweep layer over the Scenario API: a Sweep
-// names axes over scalar Scenario fields, expands them (cross product or
-// zipped) into a list of scenarios, and RunSweep executes every point on the
+// names axes over scalar Scenario key paths, expands them (cross product or
+// zipped) into a list of scenarios by patching the base, and RunSweep executes every point on the
 // shared engine worker pool, streaming one Row per point — measured delays
 // next to the paper's bound columns — to CSV / JSON Lines sinks in point
 // order at any parallelism.
@@ -38,34 +40,22 @@ const (
 // million simulations.
 const maxSweepPoints = 100000
 
-// valueKind discriminates the scalar payload of a Value.
-type valueKind uint8
-
-const (
-	valueNumber valueKind = iota
-	valueString
-	valueBool
-)
-
-// Value is one scalar axis value: a JSON number, string or bool. Numbers
-// serve the numeric scenario fields (d, lambda, load_factor, ...), strings
-// the enumerations (router, discipline, topology) and bools the flags
-// (slotted).
+// Value is one scalar axis value — a JSON number, string or bool — kept as
+// written for CSV settings cells, JSON Lines "axes" objects and sweep
+// fingerprints. Which kind a field accepts is for the spec decoder to say
+// (see Axis). The zero Value is the number 0.
 type Value struct {
-	kind valueKind
-	num  float64
-	str  string
-	b    bool
+	v any
 }
 
 // Num wraps a number as an axis value.
-func Num(v float64) Value { return Value{kind: valueNumber, num: v} }
+func Num(v float64) Value { return Value{v} }
 
 // Str wraps a string as an axis value.
-func Str(s string) Value { return Value{kind: valueString, str: s} }
+func Str(s string) Value { return Value{s} }
 
 // Bool wraps a bool as an axis value.
-func Bool(b bool) Value { return Value{kind: valueBool, b: b} }
+func Bool(b bool) Value { return Value{b} }
 
 // Nums wraps a list of numbers as axis values.
 func Nums(vs ...float64) []Value {
@@ -97,237 +87,157 @@ func Strs(ss ...string) []Value {
 // String renders the value the way it appears in CSV cells and error
 // messages.
 func (v Value) String() string {
-	switch v.kind {
-	case valueString:
-		return v.str
-	case valueBool:
-		return strconv.FormatBool(v.b)
-	default:
-		return strconv.FormatFloat(v.num, 'g', -1, 64)
+	switch x := v.v.(type) {
+	case string:
+		return x
+	case bool:
+		return strconv.FormatBool(x)
+	case float64:
+		return strconv.FormatFloat(x, 'g', -1, 64)
 	}
+	return "0"
 }
 
 // MarshalJSON renders the value as the JSON scalar it wraps.
 func (v Value) MarshalJSON() ([]byte, error) {
-	switch v.kind {
-	case valueString:
-		return json.Marshal(v.str)
-	case valueBool:
-		return json.Marshal(v.b)
-	default:
-		return json.Marshal(v.num)
+	if v.v == nil {
+		return []byte("0"), nil
 	}
+	return json.Marshal(v.v)
 }
 
 // UnmarshalJSON accepts a JSON number, string or bool. null is rejected —
 // json.Unmarshal would silently read it as 0, hiding a templating mistake.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	trimmed := strings.TrimSpace(string(data))
-	switch {
-	case strings.HasPrefix(trimmed, `"`):
-		v.kind = valueString
-		return json.Unmarshal(data, &v.str)
-	case trimmed == "true" || trimmed == "false":
-		v.kind = valueBool
-		return json.Unmarshal(data, &v.b)
-	case trimmed == "null":
-		return fmt.Errorf("sim: axis value null is not a number, string or bool")
-	default:
-		if err := json.Unmarshal(data, &v.num); err != nil {
-			return fmt.Errorf("sim: axis value %s must be a number, string or bool", trimmed)
+	var x any
+	if err := json.Unmarshal(data, &x); err == nil {
+		switch x.(type) {
+		case float64, string, bool:
+			v.v = x
+			return nil
+		case nil:
+			return fmt.Errorf("sim: axis value null is not a number, string or bool")
 		}
-		v.kind = valueNumber
-		return nil
 	}
-}
-
-// number returns the numeric payload or an error naming the field.
-func (v Value) number(field string) (float64, error) {
-	if v.kind != valueNumber {
-		return 0, fmt.Errorf("sim: axis %q needs numeric values, got %s", field, v)
-	}
-	return v.num, nil
-}
-
-// integer returns the payload as an exact integer or an error.
-func (v Value) integer(field string) (int, error) {
-	f, err := v.number(field)
-	if err != nil {
-		return 0, err
-	}
-	if f != math.Trunc(f) || math.IsInf(f, 0) || math.IsNaN(f) {
-		return 0, fmt.Errorf("sim: axis %q needs integer values, got %s", field, v)
-	}
-	return int(f), nil
-}
-
-// text returns the string payload or an error naming the field.
-func (v Value) text(field string) (string, error) {
-	if v.kind != valueString {
-		return "", fmt.Errorf("sim: axis %q needs string values, got %s", field, v)
-	}
-	return v.str, nil
+	return fmt.Errorf("sim: axis value %s must be a number, string or bool", data)
 }
 
 // Axis is one sweep axis: the scenario field it drives and the values the
-// field takes. Valid fields are d, p, lambda, load_factor (aliases load,
-// rho), tau, horizon, warmup_fraction, seed, replications, router,
-// discipline, slotted, topology, arc_fail_prob, tail_quantiles and
-// sketch_alpha.
+// field takes. Field is any scalar key path of the scenario's JSON ("p",
+// "topology.d", "faults.buffer_capacity", ...) or an alias (axisAliases).
+// Each value is applied as a spec patch ({"topology":{"d":4}}) through the
+// spec decoder, so it takes exactly the types and names a spec file does.
+// A lambda value zeroes load_factor and the other way round, and a point
+// whose faults block the axes leave all-zero drops the block.
 type Axis struct {
 	Field  string  `json:"field"`
 	Values []Value `json:"values"`
 }
 
-// axisFields lists the canonical axis field names, sorted, for error messages.
-var axisFields = []string{
-	"arc_fail_prob", "d", "discipline", "horizon", "lambda", "load_factor",
-	"p", "replications", "router", "seed", "sketch_alpha", "slotted",
-	"tail_quantiles", "tau", "topology", "warmup_fraction",
+// axisAliases maps the axis names that are not key paths of the scenario to
+// the paths they drive.
+var axisAliases = map[string]string{
+	"load":          "load_factor",
+	"rho":           "load_factor",
+	"d":             "topology.d",
+	"topology":      "topology.kind",
+	"arc_fail_prob": "faults.arc_fail_prob",
 }
 
-// canonicalField maps accepted field spellings to the canonical name.
-func canonicalField(field string) string {
-	switch field {
-	case "load", "rho":
-		return "load_factor"
-	default:
-		return field
+// otherRate names the rate field an axis on either rate patches to zero.
+var otherRate = map[string]string{"lambda": "load_factor", "load_factor": "lambda"}
+
+// scenarioPaths maps every key path of the scenario's JSON to its kind; built
+// on first use, so a process that expands no sweep skips the walk.
+var scenarioPaths = sync.OnceValue(func() map[string]pathKind {
+	return specPaths(reflect.TypeOf(Scenario{}), "", map[string]pathKind{})
+})
+
+// scalarPaths lists, sorted, the scenario's scalar key paths that start with
+// prefix: the sweepable ones.
+func scalarPaths(prefix string) []string {
+	var paths []string
+	for path, kind := range scenarioPaths() {
+		if kind == scalarPath && strings.HasPrefix(path, prefix) {
+			paths = append(paths, path)
+		}
 	}
+	sort.Strings(paths)
+	return paths
 }
 
-// applyAxis sets one scenario field from an axis value. Setting lambda clears
-// load_factor and vice versa, so an axis can re-rate a base scenario that
-// fixed the other one.
-func applyAxis(sc *Scenario, field string, v Value) error {
-	switch canonicalField(field) {
-	case "d":
-		n, err := v.integer(field)
-		if err != nil {
-			return err
-		}
-		sc.Topology.D = n
-	case "p":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		sc.P = f
-	case "lambda":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		sc.Lambda, sc.LoadFactor = f, 0
-	case "load_factor":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		sc.LoadFactor, sc.Lambda = f, 0
-	case "tau":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		sc.Tau = f
-	case "horizon":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		sc.Horizon = f
-	case "warmup_fraction":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		sc.WarmupFraction = f
-	case "seed":
-		n, err := v.integer(field)
-		if err != nil {
-			return err
-		}
-		if n < 0 {
-			return fmt.Errorf("sim: axis %q needs non-negative values, got %s", field, v)
-		}
-		sc.Seed = uint64(n)
-	case "replications":
-		n, err := v.integer(field)
-		if err != nil {
-			return err
-		}
-		sc.Replications = n
-	case "router":
-		s, err := v.text(field)
-		if err != nil {
-			return err
-		}
-		k, ok := routerFromName(s)
-		if !ok {
-			return fmt.Errorf("sim: axis %q: unknown router %q (valid: greedy, random-order, valiant, deflection)", field, s)
-		}
-		sc.Router = k
-	case "discipline":
-		s, err := v.text(field)
-		if err != nil {
-			return err
-		}
-		switch s {
-		case FIFO.String():
-			sc.Discipline = FIFO
-		case RandomOrder.String():
-			sc.Discipline = RandomOrder
-		default:
-			return fmt.Errorf("sim: axis %q: unknown discipline %q (valid: fifo, random-order)", field, s)
-		}
-	case "slotted":
-		if v.kind != valueBool {
-			return fmt.Errorf("sim: axis %q needs bool values, got %s", field, v)
-		}
-		sc.Slotted = v.b
-	case "tail_quantiles":
-		if v.kind != valueBool {
-			return fmt.Errorf("sim: axis %q needs bool values, got %s", field, v)
-		}
-		sc.TailQuantiles = v.b
-	case "sketch_alpha":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		sc.SketchAlpha = f
-	case "topology":
-		s, err := v.text(field)
-		if err != nil {
-			return err
-		}
-		sc.Topology.Kind = TopologyKind(s)
-	case "arc_fail_prob":
-		f, err := v.number(field)
-		if err != nil {
-			return err
-		}
-		// The axis edits a copy of the base fault spec: sweep points share the
-		// base's *FaultSpec pointer, so mutating it in place would leak one
-		// point's rate into every other. An axis value of 0 with no other
-		// fault feature drops the block entirely, so the zero point of a fault
-		// sweep is a genuinely faultless run (fast kernels, byte-identical to
-		// the same scenario without a "faults" block).
-		var fs FaultSpec
-		if sc.Faults != nil {
-			fs = *sc.Faults
-		}
-		fs.ArcFailProb = f
-		if f == 0 && fs.BufferCapacity == 0 && len(fs.Outages) == 0 {
-			sc.Faults = nil
-		} else {
-			sc.Faults = &fs
-		}
-	default:
-		return fmt.Errorf("sim: unknown sweep axis field %q (valid: %s)", field, strings.Join(axisFields, ", "))
+// keyPath returns the key path an axis field names: its alias target, or
+// the field itself.
+func keyPath(field string) string {
+	if path, ok := axisAliases[field]; ok {
+		return path
 	}
-	return nil
+	return field
+}
+
+// axisPath resolves an axis field to the scenario key path it drives. Only
+// scalar paths are sweepable: a block or list path is rejected with the
+// reason.
+func axisPath(field string) (string, error) {
+	path := keyPath(field)
+	switch kind, ok := scenarioPaths()[path]; {
+	case !ok:
+		valid := scalarPaths("")
+		for alias := range axisAliases {
+			valid = append(valid, alias)
+		}
+		sort.Strings(valid)
+		return "", fmt.Errorf("sim: unknown sweep axis field %q (valid: %s)", field, strings.Join(valid, ", "))
+	case kind == blockPath:
+		return "", fmt.Errorf("sim: sweep axis field %q is a block, not a scalar; sweep one of its keys (%s)",
+			field, strings.Join(scalarPaths(path+"."), ", "))
+	case kind == listPath:
+		return "", fmt.Errorf("sim: sweep axis field %q is a list, not a scalar; set it in the base scenario", field)
+	}
+	return path, nil
+}
+
+// axisPatches builds the spec patch of each of the axis's values: the value
+// nested under the axis's key path, plus a zeroed other rate.
+func axisPatches(ax Axis, path string) ([][]byte, error) {
+	// Spec keys are plain identifiers, so they need no JSON escaping.
+	head := `{"` + strings.ReplaceAll(path, ".", `":{"`) + `":`
+	tail := strings.Repeat("}", strings.Count(path, ".")+1)
+	if other, ok := otherRate[path]; ok {
+		tail = `,"` + other + `":0` + tail
+	}
+	patches := make([][]byte, len(ax.Values))
+	for i, v := range ax.Values {
+		val, err := v.MarshalJSON()
+		if err != nil { // only a NaN or ±Inf number has no JSON form
+			return nil, fmt.Errorf("sim: axis %q needs finite values, got %s", ax.Field, v)
+		}
+		patches[i] = []byte(head + string(val) + tail)
+	}
+	return patches, nil
+}
+
+// axisValueError restates a patch's decode error in the axis's terms: a type
+// mismatch names the kind of value the field needs.
+func axisValueError(field string, v Value, err error) error {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return fmt.Errorf("sim: axis %q: %s", field, strings.TrimPrefix(err.Error(), "sim: "))
+	}
+	need := "string"
+	num, isNum := v.v.(float64)
+	switch k := te.Type.Kind(); {
+	case k == reflect.Bool:
+		need = "bool"
+	case k == reflect.String:
+	case !isNum:
+		need = "numeric"
+	case num < 0 && num == math.Trunc(num) && k >= reflect.Uint && k <= reflect.Uintptr:
+		need = "non-negative"
+	default:
+		need = "integer"
+	}
+	return fmt.Errorf("sim: axis %q needs %s values, got %s", field, need, v)
 }
 
 // PointRange restricts a sweep to a contiguous block of its expansion:
@@ -341,9 +251,12 @@ type PointRange struct {
 func (r PointRange) End() int { return r.Start + r.Count }
 
 // Sweep is a declarative family of scenarios: a base Scenario plus named
-// axes over its scalar fields. Like Scenario it round-trips through JSON, so
-// sweeps can live in spec files and run through cmd/sweep -spec (or expand
-// inside cmd/run).
+// axes over its scalar fields. Every scalar key path of the scenario's JSON
+// is sweepable, and each point is the base with its axis values applied as
+// spec patches (see Axis), so the scenario's struct tags alone decide what
+// a sweep can vary. Like Scenario it round-trips through JSON, so sweeps can
+// live in spec files and run through cmd/sweep -spec (or expand inside
+// cmd/run).
 type Sweep struct {
 	// Name is an optional label for reports and artifact IDs.
 	Name string `json:"name,omitempty"`
@@ -520,36 +433,34 @@ func settingsString(settings []AxisSetting) string {
 // Validate checks the sweep — axes, mode, every value's type and every
 // expanded scenario — without running anything.
 func (sw Sweep) Validate() error {
-	_, err := sw.expand()
+	_, err := sw.ExpandRows()
 	return err
 }
 
 // Expand materializes the sweep as its scenario list, in point order. Every
 // returned scenario has passed Scenario.Validate.
 func (sw Sweep) Expand() ([]Scenario, error) {
-	pts, err := sw.expand()
+	rows, err := sw.ExpandRows()
 	if err != nil {
 		return nil, err
 	}
-	scs := make([]Scenario, len(pts))
-	for i, pt := range pts {
-		scs[i] = pt.sc
+	scs := make([]Scenario, len(rows))
+	for i, r := range rows {
+		scs[i] = r.Scenario
 	}
 	return scs, nil
 }
 
-// point is one expanded sweep point: the concrete scenario plus the axis
-// assignments that produced it.
-type point struct {
-	sc       Scenario
-	settings []AxisSetting
-}
-
-// expand validates and materializes the sweep: the full expansion, then the
-// Range restriction. Out-of-range points are still validated — a ranged
-// sweep is legal exactly when its parent is, so a bad spec fails the same
-// way on every shard of a cluster run.
-func (sw Sweep) expand() ([]point, error) {
+// ExpandRows validates and materializes the sweep as skeleton rows — Point
+// (the absolute expansion index), Settings and Scenario filled in, Result
+// nil — in point order: the full expansion, then the Range restriction.
+// Out-of-range points are still validated — a ranged sweep is legal exactly
+// when its parent is, so a bad spec fails the same way on every shard of a
+// cluster run. This is exactly the row sequence RunSweep streams; it is
+// exported so callers that obtain Results elsewhere (the cluster coordinator
+// merging worker streams, journal replay) can render rows byte-identical to
+// a local run.
+func (sw Sweep) ExpandRows() ([]Row, error) {
 	total, err := sw.points()
 	if err != nil {
 		return nil, err
@@ -564,78 +475,88 @@ func (sw Sweep) expand() ([]point, error) {
 			return nil, fmt.Errorf("sim: sweep range [%d, %d) exceeds the %d-point expansion", r.Start, r.Start+r.Count, total)
 		}
 	}
-	seen := map[string]bool{}
-	for i, ax := range sw.Axes {
-		canon := canonicalField(ax.Field)
-		if seen[canon] {
-			return nil, fmt.Errorf("sim: duplicate sweep axis %q", canon)
-		}
-		seen[canon] = true
-		if sw.SplitSeeds && canon == "seed" {
-			return nil, fmt.Errorf("sim: split_seeds conflicts with a %q axis (pick one seed policy)", "seed")
-		}
-		_ = i
+	patches, faults, err := sw.plan()
+	if err != nil {
+		return nil, err
 	}
-	zip := sw.Mode == ExpandZip
-	pts := make([]point, total)
-	for i := 0; i < total; i++ {
-		sc := sw.Base
-		settings := make([]AxisSetting, len(sw.Axes))
-		rem := i
-		for j := len(sw.Axes) - 1; j >= 0; j-- {
-			ax := sw.Axes[j]
-			var v Value
-			if zip {
-				v = ax.Values[i]
-			} else {
-				v = ax.Values[rem%len(ax.Values)]
-				rem /= len(ax.Values)
-			}
-			settings[j] = AxisSetting{Field: ax.Field, Value: v}
-			if err := applyAxis(&sc, ax.Field, v); err != nil {
-				return nil, err
-			}
-		}
-		if sw.SplitSeeds {
-			sc.Seed = xrand.SplitSeed(sw.Base.Seed, uint64(i))
+	rows := make([]Row, total)
+	for i := range rows {
+		sc, settings, err := sw.patchPoint(patches, faults, i)
+		if err != nil {
+			return nil, err
 		}
 		if err := sc.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: sweep point %d (%s): %w", i, settingsString(settings), err)
 		}
-		pts[i] = point{sc: sc, settings: settings}
+		rows[i] = Row{Point: i, Settings: settings, Scenario: sc}
 	}
 	if r := sw.Range; r != nil {
-		pts = pts[r.Start:r.End()]
-	}
-	return pts, nil
-}
-
-// offset is the absolute expansion index of the sweep's first executed
-// point: Range.Start for a ranged sweep, 0 otherwise.
-func (sw Sweep) offset() int {
-	if sw.Range != nil {
-		return sw.Range.Start
-	}
-	return 0
-}
-
-// ExpandRows materializes the sweep as skeleton rows — Point (the absolute
-// expansion index, Range-aware), Settings and Scenario filled in, Result
-// nil — in point order. This is exactly the row sequence RunSweep streams;
-// it is exported so callers that obtain Results elsewhere (the cluster
-// coordinator merging worker streams, journal replay) can render rows
-// byte-identical to a local run.
-func (sw Sweep) ExpandRows() ([]Row, error) {
-	pts, err := sw.expand()
-	if err != nil {
-		return nil, err
-	}
-	offset := sw.offset()
-	rows := make([]Row, len(pts))
-	for i, pt := range pts {
-		rows[i] = Row{Point: offset + i, Settings: pt.settings, Scenario: pt.sc}
+		rows = rows[r.Start:r.End()]
 	}
 	return rows, nil
+}
+
+// plan resolves every axis to its key path, rejecting unknown, non-scalar
+// and duplicate paths, and builds the spec patch of every axis value;
+// faults reports whether any axis drives the faults block.
+func (sw Sweep) plan() (patches [][][]byte, faults bool, err error) {
+	patches = make([][][]byte, len(sw.Axes))
+	seen := map[string]bool{}
+	for j, ax := range sw.Axes {
+		path, err := axisPath(ax.Field)
+		if err != nil {
+			return nil, false, err
+		}
+		if seen[path] {
+			return nil, false, fmt.Errorf("sim: duplicate sweep axis %q", path)
+		}
+		seen[path] = true
+		if sw.SplitSeeds && path == "seed" {
+			return nil, false, fmt.Errorf("sim: split_seeds conflicts with a %q axis (pick one seed policy)", "seed")
+		}
+		faults = faults || strings.HasPrefix(path, "faults.")
+		if patches[j], err = axisPatches(ax, path); err != nil {
+			return nil, false, err
+		}
+	}
+	return patches, faults, nil
+}
+
+// patchPoint builds expansion point i, unvalidated: a copy of the base with
+// each axis's value decoded onto it, and the axis settings that produced it.
+func (sw Sweep) patchPoint(patches [][][]byte, faults bool, i int) (Scenario, []AxisSetting, error) {
+	sc := sw.Base
+	// The patches decode into the pointed-to blocks, so every point patches
+	// its own copy of the base's.
+	if sc.Faults != nil {
+		f := *sc.Faults
+		sc.Faults = &f
+	}
+	if sc.Precision != nil {
+		p := *sc.Precision
+		sc.Precision = &p
+	}
+	settings := make([]AxisSetting, len(sw.Axes))
+	rem := i
+	for j := len(sw.Axes) - 1; j >= 0; j-- {
+		ax := sw.Axes[j]
+		k := i
+		if sw.Mode != ExpandZip {
+			k = rem % len(ax.Values)
+			rem /= len(ax.Values)
+		}
+		settings[j] = AxisSetting{Field: ax.Field, Value: ax.Values[k]}
+		if err := DecodeStrict(patches[j][k], &sc); err != nil {
+			return sc, nil, axisValueError(ax.Field, ax.Values[k], err)
+		}
+	}
+	if faults && sc.Faults != nil && sc.Faults.empty() {
+		sc.Faults = nil
+	}
+	if sw.SplitSeeds {
+		sc.Seed = xrand.SplitSeed(sw.Base.Seed, uint64(i))
+	}
+	return sc, settings, nil
 }
 
 // Row is one executed sweep point: its index, the axis assignments that
@@ -809,18 +730,17 @@ func (s *CSVSink) WriteRow(r Row) error {
 		b.WriteByte('\n')
 	}
 	if !s.wroteHeader {
-		axisFields := map[string]bool{}
-		for _, st := range r.Settings {
-			axisFields[canonicalField(st.Field)] = true
-		}
 		s.skip = make([]bool, len(rowColumns))
 		header := make([]string, 0, 1+len(r.Settings)+len(rowColumns))
 		header = append(header, "point")
+		// An axis supersedes the fixed column of the key path it drives.
+		swept := map[string]bool{}
 		for _, st := range r.Settings {
 			header = append(header, st.Field)
+			swept[keyPath(st.Field)] = true
 		}
 		for i, col := range rowColumns {
-			if axisFields[col] {
+			if swept[keyPath(col)] {
 				s.skip[i] = true
 				continue
 			}
@@ -896,30 +816,25 @@ func (s *JSONLSink) WriteRow(r Row) error {
 // and Sweep.CheckpointPath journals completed points so a killed sweep
 // resumes without re-running them — with byte-identical sink output.
 func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {
-	pts, err := sw.expand()
+	rows, err := sw.ExpandRows()
 	if err != nil {
 		return nil, err
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	offset := sw.offset()
-	rows := make([]Row, len(pts))
-	for i, pt := range pts {
-		rows[i] = Row{Point: offset + i, Settings: pt.settings, Scenario: pt.sc}
-	}
 	var (
 		mu       sync.Mutex
 		next     int // first row not yet streamed
-		done     = make([]bool, len(pts))
-		pointErr = make([]error, len(pts))
+		done     = make([]bool, len(rows))
+		pointErr = make([]error, len(rows))
 		sinkErr  error
 		ckErr    error
 		finished int
 	)
 	var ck *checkpoint
 	if sw.CheckpointPath != "" {
-		restored, _, c, err := openCheckpoint(sw, sw.CheckpointPath, len(pts))
+		restored, _, c, err := openCheckpoint(sw, sw.CheckpointPath, len(rows))
 		if err != nil {
 			return nil, err
 		}
@@ -957,7 +872,7 @@ func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {
 			done[i] = true
 			finished++
 			if sw.Progress != nil {
-				sw.Progress(finished, len(pts))
+				sw.Progress(finished, len(rows))
 			}
 		}
 		flushLocked()
@@ -971,7 +886,7 @@ func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {
 		journalDone chan struct{}
 	)
 	if ck != nil {
-		queue, journalDone = make(chan ckRecord, len(pts)), make(chan struct{})
+		queue, journalDone = make(chan ckRecord, len(rows)), make(chan struct{})
 		go func() {
 			defer close(journalDone)
 			ck.groupCommit(queue, func(points []int, err error) {
@@ -1000,7 +915,7 @@ func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {
 	if sw.Pool != nil && dispatchPar <= 0 {
 		dispatchPar = sw.Pool.Workers()
 	}
-	forErr := engine.ForEach(runCtx, len(pts), dispatchPar, func(i int) {
+	forErr := engine.ForEach(runCtx, len(rows), dispatchPar, func(i int) {
 		mu.Lock()
 		already := done[i]
 		mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -156,6 +157,21 @@ func TestSweepValidationErrors(t *testing.T) {
 			Axes: []Axis{{Field: "d", Values: Ints(3, 99)}}}, "sweep point 1 (d=99)"},
 		{"invalid topology value", Sweep{Base: base,
 			Axes: []Axis{{Field: "topology", Values: Strs("torus")}}}, "unknown topology kind"},
+		{"alias and key path of one field", Sweep{Base: base,
+			Axes: []Axis{
+				{Field: "d", Values: Ints(3)},
+				{Field: "topology.d", Values: Ints(4)},
+			}}, `duplicate sweep axis "topology.d"`},
+		{"NaN value", Sweep{Base: base,
+			Axes: []Axis{{Field: "p", Values: Nums(0.5, math.NaN())}}}, `axis "p" needs finite values, got NaN`},
+		{"string for a nested integer", Sweep{Base: base,
+			Axes: []Axis{{Field: "faults.buffer_capacity", Values: Strs("big")}}}, `axis "faults.buffer_capacity" needs numeric values`},
+		{"number for a nested bool", Sweep{Base: base,
+			Axes: []Axis{{Field: "precision.relative", Values: Ints(1)}}}, `axis "precision.relative" needs bool values`},
+		{"block field", Sweep{Base: base,
+			Axes: []Axis{{Field: "faults", Values: Nums(0.1)}}}, "is a block, not a scalar"},
+		{"list field", Sweep{Base: base,
+			Axes: []Axis{{Field: "custom_weights", Values: Nums(0.1)}}}, "is a list, not a scalar"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -481,6 +497,161 @@ func TestSweepUnknownAxisNamesAlternatives(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unknown sweep axis field "fail_prob"`) ||
 		!strings.Contains(err.Error(), "arc_fail_prob") || !strings.Contains(err.Error(), "load_factor") {
 		t.Fatalf("unknown-axis error must list the valid fields, got %v", err)
+	}
+}
+
+// sampleAxisValue returns an axis value for a scalar field of type t and the
+// field value it must decode to: a non-zero value of t's kind, or for an
+// enumeration with its own JSON names, the name of its value 1.
+func sampleAxisValue(t *testing.T, typ reflect.Type) (Value, reflect.Value) {
+	want := reflect.New(typ).Elem()
+	if reflect.PointerTo(typ).Implements(reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()) {
+		want.SetInt(1)
+		name, err := json.Marshal(want.Interface())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s string
+		if err := json.Unmarshal(name, &s); err != nil {
+			t.Fatalf("%s: JSON name %s is not a string", typ, name)
+		}
+		return Str(s), want
+	}
+	switch typ.Kind() {
+	case reflect.Bool:
+		want.SetBool(true)
+		return Bool(true), want
+	case reflect.String:
+		want.SetString("x")
+		return Str("x"), want
+	case reflect.Int, reflect.Int64:
+		want.SetInt(3)
+		return Num(3), want
+	case reflect.Uint64:
+		want.SetUint(3)
+		return Num(3), want
+	case reflect.Float64:
+		want.SetFloat(0.375)
+		return Num(0.375), want
+	}
+	t.Fatalf("no sample value for scalar type %s", typ)
+	return Value{}, want
+}
+
+// TestSweepAxesFollowTheSchema walks the scenario's JSON schema: every scalar
+// key path is an axis whose value lands in that field of the patched point,
+// and every list or block path is rejected with its reason. So a scalar
+// field added to Scenario later is sweepable with no edit to the sweep layer.
+func TestSweepAxesFollowTheSchema(t *testing.T) {
+	base := Scenario{Topology: Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 100, Seed: 1}
+	scalars := 0
+	var walk func(typ reflect.Type, prefix string, get func(*Scenario) reflect.Value)
+	walk = func(typ reflect.Type, prefix string, get func(*Scenario) reflect.Value) {
+		for _, f := range jsonFields(typ) {
+			path, f := prefix+f.key, f
+			field := func(sc *Scenario) reflect.Value {
+				v := get(sc)
+				if v.Kind() == reflect.Pointer {
+					if v.IsNil() {
+						return reflect.Value{}
+					}
+					v = v.Elem()
+				}
+				return v.Field(f.index)
+			}
+			ft := f.typ
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			sw := Sweep{Base: base, Axes: []Axis{{Field: path, Values: Nums(1)}}}
+			_, _, err := sw.plan()
+			switch ft.Kind() {
+			case reflect.Struct:
+				if _, aliased := axisAliases[path]; !aliased &&
+					(err == nil || !strings.Contains(err.Error(), "is a block, not a scalar; sweep one of its keys")) {
+					t.Errorf("block %q: got %v, want the block rejection", path, err)
+				}
+				walk(ft, path+".", field)
+				continue
+			case reflect.Slice:
+				if err == nil || !strings.Contains(err.Error(), "is a list, not a scalar") {
+					t.Errorf("list %q: got %v, want the list rejection", path, err)
+				}
+				continue
+			}
+			scalars++
+			v, want := sampleAxisValue(t, f.typ)
+			sw.Axes[0].Values = []Value{v}
+			patches, faults, err := sw.plan()
+			if err != nil {
+				t.Errorf("scalar %q is not an axis: %v", path, err)
+				continue
+			}
+			sc, settings, err := sw.patchPoint(patches, faults, 0)
+			if err != nil {
+				t.Errorf("axis %q = %s: %v", path, v, err)
+				continue
+			}
+			if got := field(&sc); !got.IsValid() || !reflect.DeepEqual(got.Interface(), want.Interface()) {
+				t.Errorf("axis %q = %s did not land: field holds %v", path, v, got)
+			}
+			if len(settings) != 1 || settings[0].Field != path {
+				t.Errorf("axis %q: settings %+v", path, settings)
+			}
+		}
+	}
+	walk(reflect.TypeOf(Scenario{}), "", func(sc *Scenario) reflect.Value { return reflect.ValueOf(sc).Elem() })
+	if want := len(scalarPaths("")); scalars != want {
+		t.Fatalf("walked %d scalar paths, the sweep layer knows %d", scalars, want)
+	}
+}
+
+// TestSweepBlockAxesCopyTheBase checks that faults.* and precision.* axes
+// patch each point's own copy of the base's blocks: the base and every other
+// point keep their values, and a faults axis that leaves the block all-zero
+// drops it.
+func TestSweepBlockAxesCopyTheBase(t *testing.T) {
+	base := Scenario{Topology: Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 100, Seed: 1, TailQuantiles: true,
+		Faults:    &FaultSpec{ArcFailProb: 0.01, BufferCapacity: 4},
+		Precision: &PrecisionSpec{TargetCI: 0.5, Batch: 2, MaxReplications: 8}}
+	wantFaults, wantPrecision := *base.Faults, *base.Precision
+	sw := Sweep{Base: base, Axes: []Axis{
+		{Field: "faults.buffer_capacity", Values: Ints(2, 8)},
+		{Field: "precision.batch", Values: Ints(2, 4)},
+	}}
+	scs, err := sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*base.Faults, wantFaults) || *base.Precision != wantPrecision {
+		t.Fatalf("axes wrote through the base's blocks: %+v %+v", *base.Faults, *base.Precision)
+	}
+	faults := map[*FaultSpec]bool{base.Faults: true}
+	precision := map[*PrecisionSpec]bool{base.Precision: true}
+	for i, sc := range scs {
+		wantCap, wantBatch := []int{2, 2, 8, 8}[i], []int{2, 4, 2, 4}[i]
+		if faults[sc.Faults] || precision[sc.Precision] {
+			t.Fatalf("point %d shares a block with the base or another point", i)
+		}
+		faults[sc.Faults], precision[sc.Precision] = true, true
+		if got := *sc.Faults; got.BufferCapacity != wantCap || got.ArcFailProb != 0.01 {
+			t.Errorf("point %d: faults %+v, want buffer_capacity %d and the base's arc_fail_prob", i, got, wantCap)
+		}
+		if got := *sc.Precision; got.Batch != wantBatch || got.TargetCI != 0.5 || got.MaxReplications != 8 {
+			t.Errorf("point %d: precision %+v, want batch %d and the base's other keys", i, got, wantBatch)
+		}
+	}
+
+	// Any faults axis, not only arc_fail_prob, drops a block it leaves
+	// all-zero, so its zero point is a faultless run.
+	sw = Sweep{Base: Scenario{Topology: Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 100, Seed: 1},
+		Axes: []Axis{{Field: "faults.buffer_capacity", Values: Ints(0, 3)}}}
+	scs, err = sw.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scs[0].Faults != nil || scs[1].Faults == nil || scs[1].Faults.BufferCapacity != 3 {
+		t.Fatalf("faults blocks %+v, %+v: want none at 0, buffer_capacity 3 at 1", scs[0].Faults, scs[1].Faults)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 
 	"repro/internal/butterfly"
@@ -89,6 +90,11 @@ func (s *Scenario) sketchAlpha() float64 {
 	return DefaultSketchAlpha
 }
 
+// empty reports whether the block sets no fault feature.
+func (f *FaultSpec) empty() bool {
+	return f.ArcFailProb == 0 && f.BufferCapacity == 0 && len(f.Outages) == 0
+}
+
 // resolveFaults validates the scenario's faults block and resolves it into
 // the kernel-ready fault model over a topology with numArcs directed arcs:
 // the probability and capacity range-checked, every outage arc set resolved
@@ -101,10 +107,10 @@ func (s *Scenario) resolveFaults(numArcs int) (*network.Faults, error) {
 	if f == nil {
 		return nil, nil
 	}
-	if f.ArcFailProb == 0 && f.BufferCapacity == 0 && len(f.Outages) == 0 {
+	if f.empty() {
 		return nil, fmt.Errorf("sim: faults block is empty; set arc_fail_prob, buffer_capacity or outages (or drop the block)")
 	}
-	if math.IsNaN(f.ArcFailProb) || f.ArcFailProb < 0 || f.ArcFailProb >= 1 {
+	if f.ArcFailProb < 0 || f.ArcFailProb >= 1 {
 		return nil, fmt.Errorf("sim: arc_fail_prob = %v outside [0,1)", f.ArcFailProb)
 	}
 	if f.BufferCapacity < 0 {
@@ -116,7 +122,7 @@ func (s *Scenario) resolveFaults(numArcs int) (*network.Faults, error) {
 	}
 	outages := make([]network.Outage, len(f.Outages))
 	for i, o := range f.Outages {
-		if math.IsNaN(o.From) || math.IsNaN(o.Until) || o.From < 0 || o.Until <= o.From {
+		if o.From < 0 || o.Until <= o.From {
 			return nil, fmt.Errorf("sim: outage %d: window [%v,%v) is invalid (need 0 <= from < until)", i, o.From, o.Until)
 		}
 		if (len(o.Arcs) == 0) == (o.Fraction == 0) {
@@ -137,7 +143,7 @@ func (s *Scenario) resolveFaults(numArcs int) (*network.Faults, error) {
 				arcs[j] = int32(a)
 			}
 		} else {
-			if math.IsNaN(o.Fraction) || o.Fraction < 0 || o.Fraction > 1 {
+			if o.Fraction < 0 || o.Fraction > 1 {
 				return nil, fmt.Errorf("sim: outage %d: fraction = %v outside (0,1]", i, o.Fraction)
 			}
 			arcs = sampleArcs(s.Seed, uint64(i), o.Fraction, numArcs)
@@ -196,6 +202,9 @@ func (s *Scenario) Validate() error {
 // form.
 func (s *Scenario) normalize() (normalized, error) {
 	var none normalized
+	if path, f, found := nonFinite(reflect.ValueOf(s).Elem()); found {
+		return none, fmt.Errorf("sim: %s = %v must be a finite number", path[1:], f)
+	}
 	switch s.Topology.Kind {
 	case TopologyHypercube, TopologyButterfly:
 	case "":
@@ -253,7 +262,7 @@ func (s *Scenario) normalize() (normalized, error) {
 		if !s.TailQuantiles {
 			return none, fmt.Errorf("sim: sketch_alpha requires tail_quantiles")
 		}
-		if math.IsNaN(s.SketchAlpha) || s.SketchAlpha <= 0 || s.SketchAlpha >= 0.5 {
+		if s.SketchAlpha <= 0 || s.SketchAlpha >= 0.5 {
 			return none, fmt.Errorf("sim: sketch_alpha = %v outside (0, 0.5)", s.SketchAlpha)
 		}
 	}
@@ -376,7 +385,7 @@ func (s *Scenario) normalize() (normalized, error) {
 		}
 		sum := 0.0
 		for i, w := range s.CustomWeights {
-			if w < 0 || math.IsNaN(w) {
+			if w < 0 {
 				return none, fmt.Errorf("sim: CustomWeights[%d] = %v is invalid", i, w)
 			}
 			sum += w
