@@ -94,13 +94,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(cli.ExitSpec, err)
 		}
+		if *validate {
+			// Loading already validated everything (sweeps including every
+			// expanded point); report the spec's shape and move on.
+			switch {
+			case sw == nil:
+				fmt.Fprintf(stdout, "%s: %d valid scenario(s)\n", path, len(scs))
+			case sw.Name == "":
+				// The generated title counts the points.
+				fmt.Fprintf(stdout, "%s: valid sweep %q\n", path, sw.Title())
+			default:
+				n, _ := sw.Points() // loading checked the sweep's shape
+				unit := "points"
+				if n == 1 {
+					unit = "point"
+				}
+				fmt.Fprintf(stdout, "%s: valid sweep %q (%d %s)\n", path, sw.Name, n, unit)
+			}
+			continue
+		}
 		if sw != nil {
 			// A sweep spec expands to its point scenarios; every point gets
 			// a unique name (point index appended) so artifact IDs and
 			// titles never collide, whatever the sweep or base was called.
-			scs, err = sw.Expand()
+			rows, err := sw.ExpandRows()
 			if err != nil {
 				return fail(cli.ExitSpec, err)
+			}
+			scs = make([]sim.Scenario, len(rows))
+			for i, r := range rows {
+				scs[i] = r.Scenario
 			}
 			name := sw.Name
 			if name == "" {
@@ -112,16 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for i := range scs {
 				scs[i].Name = fmt.Sprintf("%s-point-%03d", name, i)
 			}
-		}
-		if *validate {
-			// Loading already validated everything (sweeps including every
-			// expanded point); report the spec's shape and move on.
-			if sw != nil {
-				fmt.Fprintf(stdout, "%s: valid sweep %q (%d points)\n", path, sw.Title(), len(scs))
-			} else {
-				fmt.Fprintf(stdout, "%s: %d valid scenario(s)\n", path, len(scs))
-			}
-			continue
 		}
 		for i, sc := range scs {
 			n++

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -260,6 +261,23 @@ func TestRunValidateFlag(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "(2 points)") {
 		t.Fatalf("validate output missing point count: %q", stdout.String())
+	}
+	// A ranged sweep reports the points it runs, once, in the right number.
+	for _, tc := range []struct{ name, want string }{
+		{"", `valid sweep "sweep over d, p (1 point)"`},
+		{"zipped", `valid sweep "zipped" (1 point)`},
+	} {
+		ranged := write(t, "ranged.json", fmt.Sprintf(
+			`{"name": %q, "base": {"topology": {"kind": "hypercube", "d": 3}, "p": 0.5, "load_factor": 0.5, "horizon": 100, "seed": 1},
+			  "mode": "zip", "range": {"start": 1, "count": 1},
+			  "axes": [{"field": "d", "values": [2, 3]}, {"field": "p", "values": [0.25, 0.75]}]}`, tc.name))
+		stdout.Reset()
+		if code := run([]string{"-validate", ranged}, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit code %d for ranged sweep, stderr: %s", code, stderr.String())
+		}
+		if want := ranged + ": " + tc.want + "\n"; stdout.String() != want {
+			t.Fatalf("ranged sweep validate output = %q, want %q", stdout.String(), want)
+		}
 	}
 	bad := write(t, "bad.json",
 		`{"base": {"topology": {"kind": "hypercube", "d": 3}, "p": 0.5, "horizon": 100},

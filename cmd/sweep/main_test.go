@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -197,15 +199,13 @@ func TestQuantileSmokeSpecMatchesGolden(t *testing.T) {
 }
 
 // TestGoldensReproducedByEventDrivenOracle gives every committed golden an
-// independent check: each golden spec is rerun with sim.DisableFastKernel,
-// so every store-and-forward row comes from the event-driven calendar, and
-// the output must equal the golden byte for byte once the golden's
-// slot-stepped kernel labels are mapped back to event-driven.
+// independent check: each golden spec is rerun with force_event_driven set on
+// its base, so every store-and-forward row comes from the event-driven
+// calendar, and the output must equal the golden byte for byte once the
+// golden's slot-stepped kernel labels are mapped back to event-driven.
 func TestGoldensReproducedByEventDrivenOracle(t *testing.T) {
-	sim.DisableFastKernel = true
-	defer func() { sim.DisableFastKernel = false }()
 	for _, name := range []string{"sweep-smoke", "quantile-smoke", "fault-sweep"} {
-		spec := filepath.Join("..", "..", "specs", name+".json")
+		spec := eventDrivenSpec(t, filepath.Join("..", "..", "specs", name+".json"))
 		for _, format := range []struct {
 			ext  string
 			args []string
@@ -226,6 +226,32 @@ func TestGoldensReproducedByEventDrivenOracle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// eventDrivenSpec writes a copy of the sweep spec at path whose base sets
+// force_event_driven, and returns the copy's path.
+func eventDrivenSpec(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber() // keeps every number's text, seeds included
+	var spec map[string]any
+	if err := dec.Decode(&spec); err != nil {
+		t.Fatal(err)
+	}
+	base, ok := spec["base"].(map[string]any)
+	if !ok {
+		t.Fatalf("%s has no base object", path)
+	}
+	base["force_event_driven"] = true
+	patched, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return write(t, filepath.Base(path), string(patched))
 }
 
 // TestSweepTimeoutFlag pins the -timeout UX for -spec runs: an expired

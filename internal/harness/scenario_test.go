@@ -159,12 +159,12 @@ func TestLoadSweepAndLoadSpec(t *testing.T) {
 	if sw.Name != "tiny" || len(sw.Axes) != 1 {
 		t.Fatalf("loaded sweep malformed: %+v", sw)
 	}
-	scs, err := sw.Expand()
+	rows, err := sw.ExpandRows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scs) != 2 {
-		t.Fatalf("expanded %d points, want 2", len(scs))
+	if len(rows) != 2 {
+		t.Fatalf("expanded %d points, want 2", len(rows))
 	}
 
 	// LoadSpec classifies by the "axes" key: sweep specs come back as

@@ -400,8 +400,9 @@ func (m *Manager) Submit(client string, spec []byte) (st Status, created bool, e
 
 // wrapScenario lifts a scenario into a one-point sweep (a seed axis pinned
 // to the scenario's own seed), so every job — scenario or sweep — shares the
-// journaling, caching and row-streaming machinery. submitSweep's expansion
-// validates the result.
+// journaling, caching and row-streaming machinery. The sweep's one point is
+// the scenario itself, so a scenario that passed validation wraps into a
+// valid sweep.
 func wrapScenario(sc sim.Scenario) (sim.Sweep, error) {
 	if sc.Seed > maxExactSeed {
 		return sim.Sweep{}, fmt.Errorf("jobs: scenario seed %d exceeds 2^53 and cannot be represented exactly in a sweep axis; pick a smaller seed", sc.Seed)
@@ -413,8 +414,10 @@ func wrapScenario(sc sim.Scenario) (sim.Sweep, error) {
 	}, nil
 }
 
-// submitSweep admits a sweep under the client's queue; the sweep is
-// validated by its expansion here.
+// submitSweep admits a sweep under the client's queue. The sweep is already
+// valid: LoadSpecData expanded and validated every point of a sweep spec, and
+// validated a wrapped scenario as a scenario. Admission only counts the
+// points; the job's run expands the sweep once more.
 func (m *Manager) submitSweep(client string, sw sim.Sweep) (Status, bool, error) {
 	if client == "" {
 		client = "anonymous"
@@ -423,7 +426,7 @@ func (m *Manager) submitSweep(client string, sw sim.Sweep) (Status, bool, error)
 	if err != nil {
 		return Status{}, false, err
 	}
-	pts, err := sw.Expand()
+	points, err := sw.Points()
 	if err != nil {
 		return Status{}, false, err
 	}
@@ -457,7 +460,7 @@ func (m *Manager) submitSweep(client string, sw sim.Sweep) (Status, bool, error)
 		name:      sw.Name,
 		sweep:     sw,
 		specJSON:  specJSON,
-		points:    len(pts),
+		points:    points,
 		submitted: time.Now().Unix(),
 		state:     StateQueued,
 		notify:    make(chan struct{}),

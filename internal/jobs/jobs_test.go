@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/sim"
 )
 
@@ -467,5 +468,47 @@ func TestDoneJobReplaysFromJournal(t *testing.T) {
 	}
 	if hits, misses, size := m2.CacheStats(); hits+misses != 0 || size != 0 {
 		t.Fatalf("replay consulted the result cache (%d hits, %d misses, %d held): a point was dispatched", hits, misses, size)
+	}
+}
+
+// TestAdmissionExpandsOnce pins that admitting a sweep expands it only once,
+// inside LoadSpecData's validation. Expansions are counted by their
+// allocations: beyond loading the spec, an admission must allocate less
+// than half of one more expansion. The 40-point sweep makes one expansion
+// outweigh the fingerprint, the spec encoding and the admission checks many
+// times over. Resubmissions of a known spec are measured, so no job record
+// is written while counting.
+func TestAdmissionExpandsOnce(t *testing.T) {
+	m := newTestManager(t, Config{})
+	m.runSweep = func(ctx context.Context, sw sim.Sweep, sinks ...sim.RowSink) ([]sim.Row, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	spec := []byte(`{
+		"base": {"topology": {"kind": "hypercube", "d": 3}, "p": 0.5, "load_factor": 0.5, "horizon": 200},
+		"axes": [{"field": "load_factor", "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9]},
+		         {"field": "seed", "values": [1, 2, 3, 4]}]
+	}`)
+	st, _, err := m.Submit("alice", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st.ID, StateRunning)
+	_, sw, err := harness.LoadSpecData("spec", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := testing.AllocsPerRun(5, func() { harness.LoadSpecData("spec", spec) })
+	expand := testing.AllocsPerRun(5, func() { sw.ExpandRows() })
+	submit := testing.AllocsPerRun(5, func() { m.Submit("alice", spec) })
+	t.Logf("load %.0f, expand %.0f, submit %.0f allocs", load, expand, submit)
+	if extra := submit - load; extra > expand/2 {
+		t.Fatalf("admission allocates %.0f beyond loading the spec; one more expansion is %.0f: the sweep is expanded again", extra, expand)
+	}
+
+	// A scenario spec is still validated before it is wrapped and admitted.
+	bad := []byte(`{"topology": {"kind": "hypercube", "d": 3}, "p": 0.5, "load_factor": -1, "horizon": 200}`)
+	if _, _, err := m.Submit("alice", bad); err == nil {
+		t.Fatal("invalid scenario admitted")
 	}
 }

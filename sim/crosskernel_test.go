@@ -306,10 +306,10 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 }
 
 // TestKernelSelection pins which configurations route to which kernel and
-// that both escape hatches work. Every FIFO store-and-forward run is
-// eligible under either arrival model; only the three blockers named at
-// sim's storeForwardKernel (RandomOrder, ForceEventDriven,
-// DisableFastKernel) keep a run on the event-driven calendar.
+// that the escape hatch works. Every FIFO store-and-forward run is eligible
+// under either arrival model; only the two blockers named at sim's
+// storeForwardKernel (RandomOrder, ForceEventDriven) keep a run on the
+// event-driven calendar.
 func TestKernelSelection(t *testing.T) {
 	hyper := func(mod func(*sim.Scenario)) sim.Scenario {
 		sc := sim.Scenario{Topology: sim.Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
@@ -358,12 +358,5 @@ func TestKernelSelection(t *testing.T) {
 		if res.Kernel != tc.want {
 			t.Errorf("%s: kernel = %s, want %s", tc.name, res.Kernel, tc.want)
 		}
-	}
-
-	// The global test/benchmark escape hatch.
-	sim.DisableFastKernel = true
-	defer func() { sim.DisableFastKernel = false }()
-	if res := run(t, butter(func(c *sim.Scenario) {})); res.Kernel != sim.KernelEventDriven {
-		t.Errorf("DisableFastKernel ignored: kernel = %s", res.Kernel)
 	}
 }

@@ -133,13 +133,13 @@ func ExampleSweep_spec() {
 	if err := json.Unmarshal([]byte(spec), &sw); err != nil {
 		log.Fatal(err)
 	}
-	scs, err := sw.Expand()
+	rows, err := sw.ExpandRows()
 	if err != nil {
 		log.Fatal(err)
 	}
-	titles := make([]string, len(scs))
-	for i, sc := range scs {
-		titles[i] = fmt.Sprintf("p=%.2f", sc.P)
+	titles := make([]string, len(rows))
+	for i, r := range rows {
+		titles[i] = fmt.Sprintf("p=%.2f", r.Scenario.P)
 	}
 	fmt.Printf("%s: %s\n", sw.Title(), strings.Join(titles, " "))
 	// Output:

@@ -40,27 +40,18 @@ const (
 	KernelDeflection = "deflection-slotted"
 )
 
-// DisableFastKernel forces every run onto the event-driven calendar
-// regardless of eligibility. It exists for the cross-kernel golden tests and
-// for benchmarking the event-driven path; set it only from a single
-// goroutine while no simulations are running.
-var DisableFastKernel bool
-
 // storeForwardKernel chooses the kernel of a hypercube or butterfly scenario;
 // normalization calls it once and the choice travels in the config. Unit
 // service on FIFO arcs makes service completions a monotone stream under
 // both arrival models — the §3.4 slot clock and continuous-time Poisson
-// arrivals — and randomized routers run on stored routes, so exactly three
+// arrivals — and randomized routers run on stored routes, so exactly two
 // things keep a run off the slot-stepped kernel:
 //   - the RandomOrder discipline (ablation A2), whose random service order
 //     the kernel's FIFO completion ring cannot express;
-//   - Scenario.ForceEventDriven;
-//   - DisableFastKernel.
-//
-// The last two keep the event-driven calendar available as the cross-kernel
-// oracle.
+//   - Scenario.ForceEventDriven, which keeps the event-driven calendar
+//     available as the cross-kernel oracle.
 func (s *Scenario) storeForwardKernel() string {
-	if s.Discipline == FIFO && !s.ForceEventDriven && !DisableFastKernel {
+	if s.Discipline == FIFO && !s.ForceEventDriven {
 		return KernelSlotStepped
 	}
 	return KernelEventDriven

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -159,44 +158,25 @@ type PrecisionResult struct {
 	Replications int `json:"replications"`
 	// Batches is the number of stopping checks performed.
 	Batches int `json:"batches"`
+	// TargetMet reports whether every requested target held when the run
+	// stopped; false means MaxReplications was exhausted first.
+	TargetMet bool `json:"target_met"`
 	// HalfWidth is the final confidence-interval half-width on the target
 	// metric's mean (absolute, even for a relative target); NaN when the
-	// spec set no target_ci.
+	// spec set no target_ci. Declared after TargetMet because JSON keys
+	// follow declaration order and the result rows have always written
+	// half_width and rank_error last.
 	HalfWidth float64 `json:"half_width"`
 	// RankError is the final rank standard error of the target quantile; NaN
 	// when the spec set no rank_error.
 	RankError float64 `json:"rank_error"`
-	// TargetMet reports whether every requested target held when the run
-	// stopped; false means MaxReplications was exhausted first.
-	TargetMet bool `json:"target_met"`
 }
 
-// MarshalJSON shadows the NaN-able fields with their null-safe form (each is
-// NaN when the corresponding target was not requested).
-func (p *PrecisionResult) MarshalJSON() ([]byte, error) {
-	type alias PrecisionResult
-	return json.Marshal(struct {
-		*alias
-		HalfWidth nanNull `json:"half_width"`
-		RankError nanNull `json:"rank_error"`
-	}{(*alias)(p), nanNull(p.HalfWidth), nanNull(p.RankError)})
-}
+// MarshalJSON writes the block under the NaN-as-null rule.
+func (p *PrecisionResult) MarshalJSON() ([]byte, error) { return marshalNullSafe(p) }
 
-// UnmarshalJSON reads back the null-safe fields.
-func (p *PrecisionResult) UnmarshalJSON(data []byte) error {
-	type alias PrecisionResult
-	aux := struct {
-		*alias
-		HalfWidth nanNull `json:"half_width"`
-		RankError nanNull `json:"rank_error"`
-	}{alias: (*alias)(p)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	p.HalfWidth = float64(aux.HalfWidth)
-	p.RankError = float64(aux.RankError)
-	return nil
-}
+// UnmarshalJSON reads the block under the NaN-as-null rule.
+func (p *PrecisionResult) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, p) }
 
 // runSequential executes the scenario with sequential stopping: batches of
 // replications on the sharded engine, merged into cumulative tallies and a

@@ -95,11 +95,7 @@ func TestSweepRangeJSONRoundTrip(t *testing.T) {
 // assignments included.
 func TestSweepRangeShardConcatenationByteIdentical(t *testing.T) {
 	_, want := runToSinks(t, rangeSweep())
-	scs, err := rangeSweep().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(scs)
+	n := len(expandScenarios(t, rangeSweep()))
 	for _, shards := range []int{1, 2, 3} {
 		var got strings.Builder
 		for s := 0; s < shards; s++ {

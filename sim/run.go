@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"sync"
 
 	"repro/internal/bounds"
 	"repro/internal/deflection"
@@ -138,21 +140,23 @@ type FaultStats struct {
 	ConditionalMeanDelay float64 `json:"conditional_mean_delay"`
 }
 
-// faultStatsFromMetrics assembles the loss summary of one faulty run.
-func faultStatsFromMetrics(m *Metrics) *FaultStats {
+// newFaultStats assembles the loss summary of one faulty run from the
+// window's offered, delivered and dropped packet counts and the mean delay
+// of the delivered packets.
+func newFaultStats(offered, delivered, droppedFault, droppedOverflow int64, meanDelay float64) *FaultStats {
 	f := &FaultStats{
-		Offered:              m.Generated,
-		Delivered:            m.Delivered,
-		DroppedFault:         m.DroppedFault,
-		DroppedOverflow:      m.DroppedOverflow,
-		ConditionalMeanDelay: m.MeanDelay,
+		Offered:              offered,
+		Delivered:            delivered,
+		DroppedFault:         droppedFault,
+		DroppedOverflow:      droppedOverflow,
+		ConditionalMeanDelay: meanDelay,
 		DeliveryRatio:        math.NaN(),
 	}
-	if f.Delivered == 0 {
+	if delivered == 0 {
 		f.ConditionalMeanDelay = math.NaN()
 	}
-	if decided := f.Delivered + f.DroppedFault + f.DroppedOverflow; decided > 0 {
-		f.DeliveryRatio = float64(f.Delivered) / float64(decided)
+	if decided := delivered + droppedFault + droppedOverflow; decided > 0 {
+		f.DeliveryRatio = float64(delivered) / float64(decided)
 	}
 	return f
 }
@@ -268,10 +272,6 @@ type Result struct {
 	Metrics Metrics `json:"metrics"`
 	// MeanDelay is the measured average delay per packet (the paper's T).
 	MeanDelay float64 `json:"mean_delay"`
-	// DelayP95 and DelayP99 are exact delay quantiles when TrackQuantiles
-	// was set (NaN otherwise).
-	DelayP95 float64 `json:"delay_p95,omitempty"`
-	DelayP99 float64 `json:"delay_p99,omitempty"`
 	// MeanPacketsPerNode is the time-averaged population divided by the
 	// number of (switching) nodes.
 	MeanPacketsPerNode float64 `json:"mean_packets_per_node"`
@@ -312,16 +312,34 @@ type Result struct {
 	// runs.
 	Replicated map[string]Replication `json:"replicated,omitempty"`
 
+	// DelayP95 and DelayP99 are exact delay quantiles when TrackQuantiles
+	// was set (NaN otherwise). They are declared last because JSON keys
+	// follow declaration order and result rows have always written them
+	// after every other key.
+	DelayP95 float64 `json:"delay_p95,omitempty"`
+	DelayP99 float64 `json:"delay_p99,omitempty"`
+
 	// sketch is the run's delay sketch (single runs) or the exact merge over
 	// all replications; the replicated and sequential paths read it.
 	sketch *stats.DDSketch
 }
 
-// nanNull is a float64 that marshals NaN as null (and reads null back as
-// NaN). The quantile and bound fields use NaN for "not available" — exact
-// quantiles not tracked, bounds undefined on an unstable system — and
-// encoding/json rejects raw NaN, so without this a Result with any
-// unavailable metric could not be marshalled at all.
+// Result blocks — Result and the HypercubeStats, ButterflyStats,
+// DeflectionStats, FaultStats, TailStats and PrecisionResult blocks it
+// carries — use NaN for "not available": a paper bound undefined past
+// saturation, exact quantiles not tracked, a loss ratio with no decided
+// packet, a precision target not requested. encoding/json rejects raw NaN,
+// so every block goes through one rule: each exported float64 field writes
+// NaN as null and reads null back as NaN. Go prints a float64 in its
+// shortest round-trip form, so a marshalled block reads back bit for bit;
+// the sweep checkpoint journal and simc's row verification depend on this.
+//
+// Each block's MarshalJSON/UnmarshalJSON copies the block through a shadow
+// struct type built once per block type by reflection (nullSafeOf): the
+// block's exported fields and tags, with float64 retyped to nanNull. Nested
+// blocks keep their pointer types, so they run through their own methods.
+
+// nanNull is a float64 that marshals NaN as null and reads null back as NaN.
 type nanNull float64
 
 // MarshalJSON renders NaN as null.
@@ -341,186 +359,120 @@ func (f *nanNull) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*float64)(f))
 }
 
-// MarshalJSON shadows the NaN-able quantile fields with their null-safe
-// form; every other field marshals as usual.
-func (r *Result) MarshalJSON() ([]byte, error) {
-	type alias Result // drops the method, avoiding recursion
-	return json.Marshal(struct {
-		*alias
-		DelayP95 nanNull `json:"delay_p95,omitempty"`
-		DelayP99 nanNull `json:"delay_p99,omitempty"`
-	}{(*alias)(r), nanNull(r.DelayP95), nanNull(r.DelayP99)})
+// nullSafe is the JSON shadow of one block type: shadow field i copies
+// block field index[i].
+type nullSafe struct {
+	shadow reflect.Type
+	index  []int
 }
 
-// MarshalJSON shadows the NaN-able bound fields with their null-safe form.
-func (h *HypercubeStats) MarshalJSON() ([]byte, error) {
-	type alias HypercubeStats
-	return json.Marshal(struct {
-		*alias
-		GreedyLowerBound    nanNull `json:"greedy_lower_bound"`
-		GreedyUpperBound    nanNull `json:"greedy_upper_bound"`
-		UniversalLowerBound nanNull `json:"universal_lower_bound"`
-		ObliviousLowerBound nanNull `json:"oblivious_lower_bound"`
-		SlottedUpperBound   nanNull `json:"slotted_upper_bound,omitempty"`
-	}{(*alias)(h), nanNull(h.GreedyLowerBound), nanNull(h.GreedyUpperBound),
-		nanNull(h.UniversalLowerBound), nanNull(h.ObliviousLowerBound),
-		nanNull(h.SlottedUpperBound)})
+// nullSafeTypes caches the shadow of every block type (reflect.Type →
+// *nullSafe).
+var nullSafeTypes sync.Map
+
+// nullSafeOf returns the shadow of block struct type t: its exported fields
+// not tagged json:"-", in declaration order with their tags, every float64
+// retyped to nanNull. encoding/json writes keys in field order, so the
+// shadow's keys come out exactly as the block declares them.
+func nullSafeOf(t reflect.Type) *nullSafe {
+	if s, ok := nullSafeTypes.Load(t); ok {
+		return s.(*nullSafe)
+	}
+	s := &nullSafe{}
+	var fields []reflect.StructField
+	for i := range t.NumField() {
+		f := t.Field(i)
+		if !f.IsExported() || f.Tag.Get("json") == "-" {
+			continue
+		}
+		if f.Type == reflect.TypeFor[float64]() {
+			f.Type = reflect.TypeFor[nanNull]()
+		}
+		fields = append(fields, reflect.StructField{Name: f.Name, Type: f.Type, Tag: f.Tag})
+		s.index = append(s.index, i)
+	}
+	s.shadow = reflect.StructOf(fields)
+	cached, _ := nullSafeTypes.LoadOrStore(t, s)
+	return cached.(*nullSafe)
 }
 
-// MarshalJSON shadows the NaN-able bound field with its null-safe form.
-func (d *DeflectionStats) MarshalJSON() ([]byte, error) {
-	type alias DeflectionStats
-	return json.Marshal(struct {
-		*alias
-		UniversalLowerBound nanNull `json:"universal_lower_bound"`
-	}{(*alias)(d), nanNull(d.UniversalLowerBound)})
+// setField copies one field between a block and its shadow.
+func setField(to, from reflect.Value) {
+	if from.Kind() == reflect.Float64 {
+		to.SetFloat(from.Float())
+		return
+	}
+	to.Set(from)
 }
 
-// MarshalJSON shadows the NaN-able bound fields with their null-safe form.
-func (b *ButterflyStats) MarshalJSON() ([]byte, error) {
-	type alias ButterflyStats
-	return json.Marshal(struct {
-		*alias
-		UniversalLowerBound nanNull `json:"universal_lower_bound"`
-		GreedyUpperBound    nanNull `json:"greedy_upper_bound"`
-	}{(*alias)(b), nanNull(b.UniversalLowerBound), nanNull(b.GreedyUpperBound)})
+// marshalNullSafe marshals the block that block points to under the
+// NaN-as-null rule.
+func marshalNullSafe(block any) ([]byte, error) {
+	src := reflect.ValueOf(block).Elem()
+	s := nullSafeOf(src.Type())
+	aux := reflect.New(s.shadow)
+	dst := aux.Elem()
+	for i, j := range s.index {
+		setField(dst.Field(i), src.Field(j))
+	}
+	return json.Marshal(aux.Interface())
 }
 
-// MarshalJSON shadows the NaN-able quantile fields with their null-safe form
-// (all NaN when no packet was delivered).
-func (t *TailStats) MarshalJSON() ([]byte, error) {
-	type alias TailStats
-	return json.Marshal(struct {
-		*alias
-		P50  nanNull `json:"p50"`
-		P90  nanNull `json:"p90"`
-		P99  nanNull `json:"p99"`
-		P999 nanNull `json:"p999"`
-	}{(*alias)(t), nanNull(t.P50), nanNull(t.P90), nanNull(t.P99), nanNull(t.P999)})
-}
-
-// MarshalJSON shadows the NaN-able ratio and delay fields with their
-// null-safe form (the ratio is NaN when no packet's fate was decided, the
-// delay when no packet was delivered).
-func (f *FaultStats) MarshalJSON() ([]byte, error) {
-	type alias FaultStats
-	return json.Marshal(struct {
-		*alias
-		DeliveryRatio        nanNull `json:"delivery_ratio"`
-		ConditionalMeanDelay nanNull `json:"conditional_mean_delay"`
-	}{(*alias)(f), nanNull(f.DeliveryRatio), nanNull(f.ConditionalMeanDelay)})
-}
-
-// The Unmarshal methods below mirror the Marshal shadows field for field, so
-// a marshalled Result reads back exactly (Go prints float64 values in their
-// shortest round-trip form, so every float survives bit-for-bit). The sweep
-// checkpoint journal depends on this: a resumed sweep re-emits cached points
-// from their journalled JSON and must stay byte-identical to the
-// uninterrupted run.
-
-// UnmarshalJSON reads back the null-safe quantile fields.
-func (r *Result) UnmarshalJSON(data []byte) error {
-	type alias Result
-	aux := struct {
-		*alias
-		DelayP95 nanNull `json:"delay_p95"`
-		DelayP99 nanNull `json:"delay_p99"`
-	}{alias: (*alias)(r)}
-	if err := json.Unmarshal(data, &aux); err != nil {
+// unmarshalNullSafe decodes data into the block that block points to under
+// the NaN-as-null rule. It overwrites every exported field, so a key the
+// data lacks reads as the field's zero value; every caller decodes into a
+// zero block anyway.
+func unmarshalNullSafe(data []byte, block any) error {
+	dst := reflect.ValueOf(block).Elem()
+	s := nullSafeOf(dst.Type())
+	aux := reflect.New(s.shadow)
+	if err := json.Unmarshal(data, aux.Interface()); err != nil {
 		return err
 	}
-	r.DelayP95 = float64(aux.DelayP95)
-	r.DelayP99 = float64(aux.DelayP99)
+	src := aux.Elem()
+	for i, j := range s.index {
+		setField(dst.Field(j), src.Field(i))
+	}
 	return nil
 }
 
-// UnmarshalJSON reads back the null-safe bound fields.
-func (h *HypercubeStats) UnmarshalJSON(data []byte) error {
-	type alias HypercubeStats
-	aux := struct {
-		*alias
-		GreedyLowerBound    nanNull `json:"greedy_lower_bound"`
-		GreedyUpperBound    nanNull `json:"greedy_upper_bound"`
-		UniversalLowerBound nanNull `json:"universal_lower_bound"`
-		ObliviousLowerBound nanNull `json:"oblivious_lower_bound"`
-		SlottedUpperBound   nanNull `json:"slotted_upper_bound"`
-	}{alias: (*alias)(h)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	h.GreedyLowerBound = float64(aux.GreedyLowerBound)
-	h.GreedyUpperBound = float64(aux.GreedyUpperBound)
-	h.UniversalLowerBound = float64(aux.UniversalLowerBound)
-	h.ObliviousLowerBound = float64(aux.ObliviousLowerBound)
-	h.SlottedUpperBound = float64(aux.SlottedUpperBound)
-	return nil
-}
+// MarshalJSON writes the result under the NaN-as-null rule.
+func (r *Result) MarshalJSON() ([]byte, error) { return marshalNullSafe(r) }
 
-// UnmarshalJSON reads back the null-safe bound field.
-func (d *DeflectionStats) UnmarshalJSON(data []byte) error {
-	type alias DeflectionStats
-	aux := struct {
-		*alias
-		UniversalLowerBound nanNull `json:"universal_lower_bound"`
-	}{alias: (*alias)(d)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	d.UniversalLowerBound = float64(aux.UniversalLowerBound)
-	return nil
-}
+// UnmarshalJSON reads the result under the NaN-as-null rule. Like every
+// block's UnmarshalJSON it sets every exported field, a key the data lacks
+// to its zero value.
+func (r *Result) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, r) }
 
-// UnmarshalJSON reads back the null-safe bound fields.
-func (b *ButterflyStats) UnmarshalJSON(data []byte) error {
-	type alias ButterflyStats
-	aux := struct {
-		*alias
-		UniversalLowerBound nanNull `json:"universal_lower_bound"`
-		GreedyUpperBound    nanNull `json:"greedy_upper_bound"`
-	}{alias: (*alias)(b)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	b.UniversalLowerBound = float64(aux.UniversalLowerBound)
-	b.GreedyUpperBound = float64(aux.GreedyUpperBound)
-	return nil
-}
+// MarshalJSON writes the block under the NaN-as-null rule.
+func (h *HypercubeStats) MarshalJSON() ([]byte, error) { return marshalNullSafe(h) }
 
-// UnmarshalJSON reads back the null-safe quantile fields.
-func (t *TailStats) UnmarshalJSON(data []byte) error {
-	type alias TailStats
-	aux := struct {
-		*alias
-		P50  nanNull `json:"p50"`
-		P90  nanNull `json:"p90"`
-		P99  nanNull `json:"p99"`
-		P999 nanNull `json:"p999"`
-	}{alias: (*alias)(t)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	t.P50 = float64(aux.P50)
-	t.P90 = float64(aux.P90)
-	t.P99 = float64(aux.P99)
-	t.P999 = float64(aux.P999)
-	return nil
-}
+// UnmarshalJSON reads the block under the NaN-as-null rule.
+func (h *HypercubeStats) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, h) }
 
-// UnmarshalJSON reads back the null-safe ratio and delay fields.
-func (f *FaultStats) UnmarshalJSON(data []byte) error {
-	type alias FaultStats
-	aux := struct {
-		*alias
-		DeliveryRatio        nanNull `json:"delivery_ratio"`
-		ConditionalMeanDelay nanNull `json:"conditional_mean_delay"`
-	}{alias: (*alias)(f)}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	f.DeliveryRatio = float64(aux.DeliveryRatio)
-	f.ConditionalMeanDelay = float64(aux.ConditionalMeanDelay)
-	return nil
-}
+// MarshalJSON writes the block under the NaN-as-null rule.
+func (b *ButterflyStats) MarshalJSON() ([]byte, error) { return marshalNullSafe(b) }
+
+// UnmarshalJSON reads the block under the NaN-as-null rule.
+func (b *ButterflyStats) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, b) }
+
+// MarshalJSON writes the block under the NaN-as-null rule.
+func (d *DeflectionStats) MarshalJSON() ([]byte, error) { return marshalNullSafe(d) }
+
+// UnmarshalJSON reads the block under the NaN-as-null rule.
+func (d *DeflectionStats) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, d) }
+
+// MarshalJSON writes the block under the NaN-as-null rule.
+func (f *FaultStats) MarshalJSON() ([]byte, error) { return marshalNullSafe(f) }
+
+// UnmarshalJSON reads the block under the NaN-as-null rule.
+func (f *FaultStats) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, f) }
+
+// MarshalJSON writes the block under the NaN-as-null rule.
+func (t *TailStats) MarshalJSON() ([]byte, error) { return marshalNullSafe(t) }
+
+// UnmarshalJSON reads the block under the NaN-as-null rule.
+func (t *TailStats) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, t) }
 
 // runTestHook, when non-nil, observes every validated scenario entering Run.
 // Tests use it to count executions (cache-hit assertions) and to inject
@@ -672,7 +624,7 @@ func (c *storeForward) result(m network.Metrics, k delayStats) *Result {
 		res.Tail = tailStatsFromSketch(res.sketch)
 	}
 	if c.Faults != nil {
-		res.Faults = faultStatsFromMetrics(&m)
+		res.Faults = newFaultStats(m.Generated, m.Delivered, m.DroppedFault, m.DroppedOverflow, m.MeanDelay)
 	}
 	d := c.Topology.D
 	var lower, upper float64
@@ -762,20 +714,9 @@ func runDeflectionOnce(cfg *deflectionConfig) *Result {
 	d.MaxNodeOccupancy = out.MaxNodeOccupancy
 	if cfg.ArcFailProb > 0 {
 		res.Metrics.DroppedFault = out.Dropped
-		f := &FaultStats{
-			Offered:              out.Delivered + out.Dropped,
-			Delivered:            out.Delivered,
-			DroppedFault:         out.Dropped,
-			ConditionalMeanDelay: out.MeanDelay,
-			DeliveryRatio:        math.NaN(),
-		}
-		if out.Delivered == 0 {
-			f.ConditionalMeanDelay = math.NaN()
-		}
-		if decided := out.Delivered + out.Dropped; decided > 0 {
-			f.DeliveryRatio = float64(out.Delivered) / float64(decided)
-		}
-		res.Faults = f
+		// The kernel reports no generation count, so the offered packets
+		// are the accounted ones: delivered plus dropped.
+		res.Faults = newFaultStats(out.Delivered+out.Dropped, out.Delivered, out.Dropped, 0, out.MeanDelay)
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -357,5 +358,90 @@ func TestResultMarshalsWithNaNFields(t *testing.T) {
 		if string(again) != string(data) {
 			t.Errorf("%s: round trip changed the JSON:\n%s\n%s", c.name, data, again)
 		}
+	}
+}
+
+// TestResultBlocksWriteNaNAsNull tests the NaN-as-null rule on every field it
+// covers, found by reflection rather than listed: the Result and each block
+// it points to. Each exported float64 field, set to NaN on its own, must
+// marshal as null, read back as NaN and re-marshal to identical bytes.
+func TestResultBlocksWriteNaNAsNull(t *testing.T) {
+	jsonName := func(f reflect.StructField) string {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			return f.Name
+		}
+		return name
+	}
+	resultType := reflect.TypeFor[sim.Result]()
+	blocks := []*reflect.StructField{nil} // nil: the Result itself
+	for i := range resultType.NumField() {
+		f := resultType.Field(i)
+		if f.IsExported() && f.Type.Kind() == reflect.Pointer && f.Type.Elem().Kind() == reflect.Struct {
+			blocks = append(blocks, &f)
+		}
+	}
+	// block returns the tested block of res, allocating it when asked.
+	block := func(res *sim.Result, b *reflect.StructField, alloc bool) reflect.Value {
+		v := reflect.ValueOf(res).Elem()
+		if b == nil {
+			return v
+		}
+		if alloc {
+			v.FieldByIndex(b.Index).Set(reflect.New(b.Type.Elem()))
+		}
+		return v.FieldByIndex(b.Index).Elem()
+	}
+	tested := 0
+	for _, b := range blocks {
+		bt := resultType
+		if b != nil {
+			bt = b.Type.Elem()
+		}
+		for i := range bt.NumField() {
+			f := bt.Field(i)
+			if !f.IsExported() || f.Type != reflect.TypeFor[float64]() || jsonName(f) == "-" {
+				continue
+			}
+			tested++
+			t.Run(bt.Name()+"."+f.Name, func(t *testing.T) {
+				t.Parallel() // the shadow cache is shared by concurrent encoders
+				var res sim.Result
+				block(&res, b, true).Field(i).SetFloat(math.NaN())
+				data, err := json.Marshal(&res)
+				if err != nil {
+					t.Fatalf("marshal: %v", err)
+				}
+				var obj map[string]json.RawMessage
+				if err := json.Unmarshal(data, &obj); err != nil {
+					t.Fatal(err)
+				}
+				if b != nil {
+					if err := json.Unmarshal(obj[jsonName(*b)], &obj); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := string(obj[jsonName(f)]); got != "null" {
+					t.Fatalf("NaN %s marshals as %q, want null:\n%s", jsonName(f), got, data)
+				}
+				var back sim.Result
+				if err := json.Unmarshal(data, &back); err != nil {
+					t.Fatalf("unmarshal: %v", err)
+				}
+				if got := block(&back, b, false).Field(i).Float(); !math.IsNaN(got) {
+					t.Fatalf("null %s reads back as %v, want NaN", jsonName(f), got)
+				}
+				again, err := json.Marshal(&back)
+				if err != nil {
+					t.Fatalf("re-marshal: %v", err)
+				}
+				if string(again) != string(data) {
+					t.Fatalf("round trip changed the JSON:\n%s\n%s", data, again)
+				}
+			})
+		}
+	}
+	if len(blocks) < 7 || tested < 30 {
+		t.Fatalf("walked %d blocks and %d float fields; the walk missed the result blocks", len(blocks), tested)
 	}
 }

@@ -361,7 +361,8 @@ func (e *PointTimeoutError) Error() string {
 }
 
 // Title returns the sweep's display name: Name when set, otherwise a
-// generated summary like "sweep over d, load_factor (12 points)".
+// generated summary like "sweep over d, load_factor (12 points)" that counts
+// the points the sweep runs (the Range's, when set).
 func (sw Sweep) Title() string {
 	if sw.Name != "" {
 		return sw.Name
@@ -370,21 +371,36 @@ func (sw Sweep) Title() string {
 	for i, ax := range sw.Axes {
 		fields[i] = ax.Field
 	}
-	n, err := sw.points()
+	n, err := sw.Points()
 	if err != nil {
 		return fmt.Sprintf("sweep over %s", strings.Join(fields, ", "))
+	}
+	if n == 1 {
+		return fmt.Sprintf("sweep over %s (1 point)", strings.Join(fields, ", "))
 	}
 	return fmt.Sprintf("sweep over %s (%d points)", strings.Join(fields, ", "), n)
 }
 
-// points computes the expansion size without expanding.
+// Points returns the number of points the sweep runs — the Range's count
+// when set, the full expansion's size otherwise — without expanding it. It
+// checks the axes' shape, the mode and the range; Validate checks the points.
+func (sw Sweep) Points() (int, error) {
+	total, err := sw.points()
+	if err != nil || sw.Range == nil {
+		return total, err
+	}
+	return sw.Range.Count, nil
+}
+
+// points returns the full expansion's size, checking the Range against it,
+// without expanding.
 func (sw Sweep) points() (int, error) {
 	if len(sw.Axes) == 0 {
 		return 0, fmt.Errorf("sim: sweep needs at least one axis")
 	}
+	total := 1
 	switch sw.Mode {
 	case "", ExpandProduct:
-		total := 1
 		for i, ax := range sw.Axes {
 			if len(ax.Values) == 0 {
 				return 0, fmt.Errorf("sim: sweep axis %d (%q) has no values", i+1, ax.Field)
@@ -394,25 +410,34 @@ func (sw Sweep) points() (int, error) {
 			}
 			total *= len(ax.Values)
 		}
-		return total, nil
 	case ExpandZip:
-		n := len(sw.Axes[0].Values)
-		if n == 0 {
+		total = len(sw.Axes[0].Values)
+		if total == 0 {
 			return 0, fmt.Errorf("sim: sweep axis 1 (%q) has no values", sw.Axes[0].Field)
 		}
-		if n > maxSweepPoints {
+		if total > maxSweepPoints {
 			return 0, fmt.Errorf("sim: sweep expands to more than %d points", maxSweepPoints)
 		}
 		for i, ax := range sw.Axes[1:] {
-			if len(ax.Values) != n {
+			if len(ax.Values) != total {
 				return 0, fmt.Errorf("sim: zip mode needs equal-length axes: axis 1 (%q) has %d values, axis %d (%q) has %d",
-					sw.Axes[0].Field, n, i+2, ax.Field, len(ax.Values))
+					sw.Axes[0].Field, total, i+2, ax.Field, len(ax.Values))
 			}
 		}
-		return n, nil
 	default:
 		return 0, fmt.Errorf("sim: unknown sweep mode %q (valid: product, zip)", sw.Mode)
 	}
+	if r := sw.Range; r != nil {
+		switch {
+		case r.Start < 0:
+			return 0, fmt.Errorf("sim: sweep range start %d must be non-negative", r.Start)
+		case r.Count < 1:
+			return 0, fmt.Errorf("sim: sweep range count %d must be at least 1", r.Count)
+		case r.Start+r.Count > total:
+			return 0, fmt.Errorf("sim: sweep range [%d, %d) exceeds the %d-point expansion", r.Start, r.Start+r.Count, total)
+		}
+	}
+	return total, nil
 }
 
 // AxisSetting is one (field, value) assignment of a sweep point.
@@ -437,20 +462,6 @@ func (sw Sweep) Validate() error {
 	return err
 }
 
-// Expand materializes the sweep as its scenario list, in point order. Every
-// returned scenario has passed Scenario.Validate.
-func (sw Sweep) Expand() ([]Scenario, error) {
-	rows, err := sw.ExpandRows()
-	if err != nil {
-		return nil, err
-	}
-	scs := make([]Scenario, len(rows))
-	for i, r := range rows {
-		scs[i] = r.Scenario
-	}
-	return scs, nil
-}
-
 // ExpandRows validates and materializes the sweep as skeleton rows — Point
 // (the absolute expansion index), Settings and Scenario filled in, Result
 // nil — in point order: the full expansion, then the Range restriction.
@@ -464,16 +475,6 @@ func (sw Sweep) ExpandRows() ([]Row, error) {
 	total, err := sw.points()
 	if err != nil {
 		return nil, err
-	}
-	if r := sw.Range; r != nil {
-		switch {
-		case r.Start < 0:
-			return nil, fmt.Errorf("sim: sweep range start %d must be non-negative", r.Start)
-		case r.Count < 1:
-			return nil, fmt.Errorf("sim: sweep range count %d must be at least 1", r.Count)
-		case r.Start+r.Count > total:
-			return nil, fmt.Errorf("sim: sweep range [%d, %d) exceeds the %d-point expansion", r.Start, r.Start+r.Count, total)
-		}
 	}
 	patches, faults, err := sw.plan()
 	if err != nil {

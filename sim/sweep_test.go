@@ -25,10 +25,7 @@ func smallSweep() Sweep {
 }
 
 func TestSweepExpandProductOrder(t *testing.T) {
-	scs, err := smallSweep().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := expandScenarios(t, smallSweep())
 	if len(scs) != 4 {
 		t.Fatalf("expanded %d scenarios, want 4", len(scs))
 	}
@@ -57,10 +54,7 @@ func TestSweepExpandZip(t *testing.T) {
 		},
 		Mode: ExpandZip,
 	}
-	scs, err := sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := expandScenarios(t, sw)
 	if len(scs) != 2 {
 		t.Fatalf("zip expanded %d scenarios, want 2", len(scs))
 	}
@@ -72,10 +66,7 @@ func TestSweepExpandZip(t *testing.T) {
 func TestSweepExpandSplitSeeds(t *testing.T) {
 	sw := smallSweep()
 	sw.SplitSeeds = true
-	scs, err := sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := expandScenarios(t, sw)
 	seen := map[uint64]bool{}
 	for _, sc := range scs {
 		if seen[sc.Seed] {
@@ -90,10 +81,7 @@ func TestSweepLambdaAndLoadFactorAxesClearEachOther(t *testing.T) {
 		Base: Scenario{Topology: Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 100, Seed: 1},
 		Axes: []Axis{{Field: "lambda", Values: Nums(0.4, 0.8)}},
 	}
-	scs, err := sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := expandScenarios(t, sw)
 	for _, sc := range scs {
 		if sc.LoadFactor != 0 {
 			t.Fatalf("lambda axis did not clear base LoadFactor: %+v", sc)
@@ -103,10 +91,7 @@ func TestSweepLambdaAndLoadFactorAxesClearEachOther(t *testing.T) {
 		Base: Scenario{Topology: Hypercube(3), P: 0.5, Lambda: 1, Horizon: 100, Seed: 1},
 		Axes: []Axis{{Field: "rho", Values: Nums(0.4, 0.8)}}, // alias of load_factor
 	}
-	scs, err = sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs = expandScenarios(t, sw)
 	for _, sc := range scs {
 		if sc.Lambda != 0 || sc.LoadFactor == 0 {
 			t.Fatalf("load_factor axis did not clear base Lambda: %+v", sc)
@@ -289,10 +274,7 @@ func TestSweepRowsMatchIndependentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scs, err := sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := expandScenarios(t, sw)
 	for i, row := range rows {
 		want, err := Run(context.Background(), scs[i])
 		if err != nil {
@@ -450,10 +432,7 @@ func TestSweepArcFailProbAxis(t *testing.T) {
 		Base: Scenario{Topology: Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 200, Seed: 1},
 		Axes: []Axis{{Field: "arc_fail_prob", Values: Nums(0, 0.02, 0.1)}},
 	}
-	scs, err := sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := expandScenarios(t, sw)
 	if scs[0].Faults != nil {
 		t.Fatalf("arc_fail_prob=0 with no other fault feature must stay faultless, got %+v", scs[0].Faults)
 	}
@@ -466,10 +445,7 @@ func TestSweepArcFailProbAxis(t *testing.T) {
 	// A base with other fault features keeps them at rate 0, and the axis
 	// must never mutate the base's shared FaultSpec.
 	sw.Base.Faults = &FaultSpec{BufferCapacity: 2}
-	scs, err = sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs = expandScenarios(t, sw)
 	if scs[0].Faults == nil || scs[0].Faults.BufferCapacity != 2 || scs[0].Faults.ArcFailProb != 0 {
 		t.Fatalf("rate-0 point dropped the base buffer capacity: %+v", scs[0].Faults)
 	}
@@ -619,10 +595,7 @@ func TestSweepBlockAxesCopyTheBase(t *testing.T) {
 		{Field: "faults.buffer_capacity", Values: Ints(2, 8)},
 		{Field: "precision.batch", Values: Ints(2, 4)},
 	}}
-	scs, err := sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs := expandScenarios(t, sw)
 	if !reflect.DeepEqual(*base.Faults, wantFaults) || *base.Precision != wantPrecision {
 		t.Fatalf("axes wrote through the base's blocks: %+v %+v", *base.Faults, *base.Precision)
 	}
@@ -646,10 +619,7 @@ func TestSweepBlockAxesCopyTheBase(t *testing.T) {
 	// all-zero, so its zero point is a faultless run.
 	sw = Sweep{Base: Scenario{Topology: Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 100, Seed: 1},
 		Axes: []Axis{{Field: "faults.buffer_capacity", Values: Ints(0, 3)}}}
-	scs, err = sw.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
+	scs = expandScenarios(t, sw)
 	if scs[0].Faults != nil || scs[1].Faults == nil || scs[1].Faults.BufferCapacity != 3 {
 		t.Fatalf("faults blocks %+v, %+v: want none at 0, buffer_capacity 3 at 1", scs[0].Faults, scs[1].Faults)
 	}
@@ -816,4 +786,18 @@ func TestSweepDeflectionPoints(t *testing.T) {
 	if rows[1].Result.Deflection == nil || rows[1].Result.Hypercube != nil {
 		t.Fatal("deflection point lacks its result block")
 	}
+}
+
+// expandScenarios expands sw and returns its point scenarios in order.
+func expandScenarios(t *testing.T, sw Sweep) []Scenario {
+	t.Helper()
+	rows, err := sw.ExpandRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scs := make([]Scenario, len(rows))
+	for i, r := range rows {
+		scs[i] = r.Scenario
+	}
+	return scs
 }
