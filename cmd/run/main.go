@@ -114,17 +114,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		if sw != nil {
-			// A sweep spec expands to its point scenarios; every point gets
-			// a unique name (point index appended) so artifact IDs and
-			// titles never collide, whatever the sweep or base was called.
-			rows, err := sw.ExpandRows()
-			if err != nil {
-				return fail(cli.ExitSpec, err)
-			}
-			scs = make([]sim.Scenario, len(rows))
-			for i, r := range rows {
-				scs[i] = r.Scenario
-			}
+			// A sweep spec loads as its point scenarios, expanded once;
+			// every point gets a unique name (point index appended) so
+			// artifact IDs and titles never collide, whatever the sweep or
+			// base was called.
 			name := sw.Name
 			if name == "" {
 				name = sw.Base.Name

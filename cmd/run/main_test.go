@@ -1,13 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
+	"repro/internal/harness"
+	"repro/sim"
 )
 
 // write places a spec file in a temp dir and returns its path.
@@ -286,5 +290,56 @@ func TestRunValidateFlag(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"-validate", bad}, &stdout, &stderr); code != cli.ExitSpec {
 		t.Fatalf("exit code %d for invalid spec, want %d (ExitSpec)", code, cli.ExitSpec)
+	}
+}
+
+// TestRunExpandsSweepOnce pins that running a sweep spec expands it once,
+// inside the loader's validation. Expansions are counted by their
+// allocations. The sweep's 40 points are also written out as a scenario
+// array under the names the sweep path gives them, so both specs run the
+// same scenarios and print the same tables, and the difference between the
+// two runs, less the difference between loading the two specs, is what
+// running a sweep adds: it must stay below half of one more expansion.
+func TestRunExpandsSweepOnce(t *testing.T) {
+	sweep := write(t, "sweep.json", `{
+		"name": "once",
+		"base": {"topology": {"kind": "hypercube", "d": 3}, "p": 0.5, "load_factor": 0.5, "horizon": 2},
+		"axes": [{"field": "load_factor", "values": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9]},
+		         {"field": "seed", "values": [1, 2, 3, 4]}]
+	}`)
+	_, sw, err := harness.LoadSpec(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sw.ExpandRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := make([]sim.Scenario, len(rows))
+	for i, r := range rows {
+		points[i] = r.Scenario
+		points[i].Name = fmt.Sprintf("once-point-%03d", i)
+	}
+	data, err := json.Marshal(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	array := write(t, "array.json", string(data))
+
+	runAllocs := func(path string) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if code := run([]string{path}, io.Discard, io.Discard); code != cli.ExitOK {
+				t.Fatalf("%s: exit code %d", path, code)
+			}
+		})
+	}
+	loadAllocs := func(path string) float64 {
+		return testing.AllocsPerRun(5, func() { harness.LoadSpec(path) })
+	}
+	expand := testing.AllocsPerRun(5, func() { sw.ExpandRows() })
+	extra := (runAllocs(sweep) - runAllocs(array)) - (loadAllocs(sweep) - loadAllocs(array))
+	t.Logf("a sweep run allocates %.0f beyond its load; one expansion is %.0f", extra, expand)
+	if extra > expand/2 {
+		t.Fatalf("running the sweep allocates %.0f beyond loading it; one more expansion is %.0f: the sweep is expanded again", extra, expand)
 	}
 }

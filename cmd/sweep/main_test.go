@@ -1,15 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
-	"repro/sim"
 )
 
 func write(t *testing.T, name, content string) string {
@@ -198,62 +195,6 @@ func TestQuantileSmokeSpecMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestGoldensReproducedByEventDrivenOracle gives every committed golden an
-// independent check: each golden spec is rerun with force_event_driven set on
-// its base, so every store-and-forward row comes from the event-driven
-// calendar, and the output must equal the golden byte for byte once the
-// golden's slot-stepped kernel labels are mapped back to event-driven.
-func TestGoldensReproducedByEventDrivenOracle(t *testing.T) {
-	for _, name := range []string{"sweep-smoke", "quantile-smoke", "fault-sweep"} {
-		spec := eventDrivenSpec(t, filepath.Join("..", "..", "specs", name+".json"))
-		for _, format := range []struct {
-			ext  string
-			args []string
-		}{{"csv", nil}, {"jsonl", []string{"-json"}}} {
-			t.Run(name+"/"+format.ext, func(t *testing.T) {
-				var stdout, stderr strings.Builder
-				if code := run(append([]string{"-spec", spec}, format.args...), &stdout, &stderr); code != 0 {
-					t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
-				}
-				committed := golden(t, "golden/"+name+"."+format.ext)
-				want := strings.ReplaceAll(committed, sim.KernelSlotStepped, sim.KernelEventDriven)
-				if want == committed {
-					t.Fatal("golden has no slot-stepped rows; the oracle checks nothing")
-				}
-				if got := stdout.String(); got != want {
-					t.Fatalf("event-driven output differs from the golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-				}
-			})
-		}
-	}
-}
-
-// eventDrivenSpec writes a copy of the sweep spec at path whose base sets
-// force_event_driven, and returns the copy's path.
-func eventDrivenSpec(t *testing.T, path string) string {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber() // keeps every number's text, seeds included
-	var spec map[string]any
-	if err := dec.Decode(&spec); err != nil {
-		t.Fatal(err)
-	}
-	base, ok := spec["base"].(map[string]any)
-	if !ok {
-		t.Fatalf("%s has no base object", path)
-	}
-	base["force_event_driven"] = true
-	patched, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return write(t, filepath.Base(path), string(patched))
-}
-
 // TestSweepTimeoutFlag pins the -timeout UX for -spec runs: an expired
 // deadline exits 1 with a message naming the flag.
 func TestSweepTimeoutFlag(t *testing.T) {
@@ -333,5 +274,31 @@ func TestSweepSmokeSpecDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatalf("output at parallelism %s differs from serial:\n%s\nvs\n%s",
 				par, got.String(), want.String())
 		}
+	}
+}
+
+// TestReplicatedPointWithUndecidedReplications runs a replicated faulty
+// point in which no replication decides a packet: every arc of a
+// hypercube(3) is down for the whole run and, at p = 1, every packet needs
+// one. The JSON row must still be written, with the undecided metrics'
+// summaries counting no replication and reading null.
+func TestReplicatedPointWithUndecidedReplications(t *testing.T) {
+	spec := write(t, "undecided.json", `{
+		"name": "undecided",
+		"base": {
+			"topology": {"kind": "hypercube", "d": 3},
+			"p": 1, "load_factor": 0.5, "horizon": 100, "seed": 1,
+			"replications": 2,
+			"faults": {"outages": [{"from": 0, "until": 200, "fraction": 1}]}
+		},
+		"axes": [{"field": "seed", "values": [1]}]
+	}`)
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-spec", spec, "-json"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	want := `"delivery_ratio":{"n":0,"mean":null,"std_dev":null,"ci95":null,"min":null,"max":null}`
+	if !strings.Contains(stdout.String(), want) {
+		t.Fatalf("row lacks %s:\n%s", want, stdout.String())
 	}
 }

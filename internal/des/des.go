@@ -1,7 +1,7 @@
 // Package des is a small discrete-event simulation core: a simulation clock,
 // an allocation-free event calendar with deterministic tie-breaking, event
-// cancellation, and run-until controls. Both the packet-level network
-// simulator and the equivalent-queueing-network simulator are built on it.
+// cancellation, and run-until controls. The equivalent queueing network Q
+// (internal/queuenet) is built on it.
 //
 // # Typed events and the free-list calendar
 //
@@ -148,23 +148,6 @@ func New() *Simulator {
 // Now returns the current simulation time.
 func (s *Simulator) Now() float64 { return s.now }
 
-// Reset returns the simulator to a pristine time-zero state — empty calendar,
-// zero clock and sequence counter — while keeping registered handlers,
-// channels and all backing storage. Handler and channel ids issued before the
-// reset remain valid, so a pooled simulator can run many replications without
-// re-registering or reallocating its calendar.
-func (s *Simulator) Reset() {
-	s.now = 0
-	s.seq = 0
-	s.heap = s.heap[:0]
-	for i := range s.channels {
-		c := &s.channels[i]
-		c.head, c.n, c.last = 0, 0, 0
-	}
-	s.slots = s.slots[:0]
-	s.slotFree = s.slotFree[:0]
-}
-
 // RegisterHandler registers a typed-event handler and returns its id.
 // Handlers are expected to be registered during setup, before the run starts.
 func (s *Simulator) RegisterHandler(h Handler) HandlerID {
@@ -273,17 +256,6 @@ func (s *Simulator) CancelRef(ref EventRef) {
 	sl.cancelled = true
 }
 
-// Step executes the next non-cancelled event and returns true, or returns
-// false if the calendar is empty.
-func (s *Simulator) Step() bool {
-	it, src := s.liveHead()
-	if it == nil {
-		return false
-	}
-	s.fire(src)
-	return true
-}
-
 // RunUntil executes events in order until the calendar is empty or the next
 // event would fire strictly after horizon. The clock is advanced to horizon
 // when the run ends (so time-weighted statistics can be closed at a
@@ -304,12 +276,6 @@ func (s *Simulator) RunUntil(horizon float64) {
 	}
 	if s.now < horizon {
 		s.now = horizon
-	}
-}
-
-// Run executes events until the calendar is empty.
-func (s *Simulator) Run() {
-	for s.Step() {
 	}
 }
 

@@ -43,6 +43,23 @@ func (c *calls) cancellableAt(t float64, fn func()) EventRef {
 	return c.s.ScheduleCancellableAt(t, c.h, 0, c.add(fn))
 }
 
+// step fires the next live event and reports whether there was one.
+func step(s *Simulator) bool {
+	it, src := s.liveHead()
+	if it == nil {
+		return false
+	}
+	s.fire(src)
+	return true
+}
+
+// run fires events until the calendar is empty, leaving the clock at the
+// last event's time.
+func run(s *Simulator) {
+	for step(s) {
+	}
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
 	c := newCalls(s)
@@ -51,7 +68,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	for _, tm := range times {
 		c.at(tm, func() { fired = append(fired, tm) })
 	}
-	s.Run()
+	run(s)
 	if len(fired) != len(times) {
 		t.Fatalf("fired %d events", len(fired))
 	}
@@ -70,7 +87,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.at(1.0, func() { order = append(order, i) })
 	}
-	s.Run()
+	run(s)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("simultaneous events not in scheduling order: %v", order[:10])
@@ -86,7 +103,7 @@ func TestScheduleRelative(t *testing.T) {
 		hit = append(hit, s.Now())
 		c.after(3, func() { hit = append(hit, s.Now()) })
 	})
-	s.Run()
+	run(s)
 	if len(hit) != 2 || hit[0] != 2 || hit[1] != 5 {
 		t.Fatalf("hit = %v", hit)
 	}
@@ -96,7 +113,7 @@ func TestSchedulePastPanics(t *testing.T) {
 	s := New()
 	c := newCalls(s)
 	c.at(5, func() {})
-	s.Run()
+	run(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling in the past")
@@ -138,7 +155,7 @@ func TestCancel(t *testing.T) {
 	keep := 0
 	c.at(2, func() { keep++ })
 	s.CancelRef(ref)
-	s.Run()
+	run(s)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -181,8 +198,11 @@ func TestRunUntilEmptyCalendarAdvancesClock(t *testing.T) {
 
 func TestStepOnEmptyCalendar(t *testing.T) {
 	s := New()
-	if s.Step() {
-		t.Fatal("Step on empty calendar returned true")
+	if step(s) {
+		t.Fatal("a step on an empty calendar fired an event")
+	}
+	if s.Now() != 0 {
+		t.Fatalf("clock = %v", s.Now())
 	}
 }
 
@@ -193,7 +213,7 @@ func TestEventTimeAccessor(t *testing.T) {
 	c := newCalls(s)
 	at := -1.0
 	c.at(7.5, func() { at = s.Now() })
-	s.Run()
+	run(s)
 	if at != 7.5 {
 		t.Fatalf("Now() inside the event = %v", at)
 	}
@@ -253,7 +273,7 @@ func TestCancelAndRescheduleStress(t *testing.T) {
 			cancelled++
 		}
 	}
-	s.Run()
+	run(s)
 	if fired != len(recs)-cancelled {
 		t.Fatalf("fired %d, want %d", fired, len(recs)-cancelled)
 	}
@@ -269,7 +289,7 @@ func TestQuickFiringOrderIsSorted(t *testing.T) {
 		for _, r := range raw {
 			c.at(float64(r)/16, func() { fired = append(fired, s.Now()) })
 		}
-		s.Run()
+		run(s)
 		if len(fired) != len(raw) {
 			return false
 		}
@@ -292,6 +312,6 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		for _, tm := range times {
 			c.at(tm, func() {})
 		}
-		c.s.Run()
+		run(c.s)
 	}
 }

@@ -25,7 +25,7 @@ func TestTypedEventsDispatchInOrder(t *testing.T) {
 	s.ScheduleEventAt(3, h, 1, 30)
 	s.ScheduleEventAt(1, h, 2, 10)
 	s.ScheduleEventAt(2, h, 3, 20)
-	s.Run()
+	run(s)
 	if len(r.kinds) != 3 {
 		t.Fatalf("dispatched %d events", len(r.kinds))
 	}
@@ -60,7 +60,7 @@ func TestTypedAndClosureEventsInterleaveBySeq(t *testing.T) {
 	c.at(1, func() { order = append(order, "closure1") })
 	s.ScheduleEventAt(1, h, 0, 0)
 	c.at(1, func() { order = append(order, "closure2") })
-	s.Run()
+	run(s)
 	want := []string{"closure1", "typed", "closure2"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)
@@ -76,7 +76,7 @@ func TestScheduleEventPastPanics(t *testing.T) {
 	s := New()
 	h := s.RegisterHandler(&recorder{sim: s})
 	s.ScheduleEventAt(5, h, 0, 0)
-	s.Run()
+	run(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling typed event in the past")
@@ -102,7 +102,7 @@ func TestCancelRef(t *testing.T) {
 	ref := s.ScheduleCancellableAt(1, h, 1, 0)
 	s.ScheduleCancellableAt(2, h, 2, 0)
 	s.CancelRef(ref)
-	s.Run()
+	run(s)
 	if len(r.kinds) != 1 || r.kinds[0] != 2 {
 		t.Fatalf("kinds = %v, want [2]", r.kinds)
 	}
@@ -117,10 +117,10 @@ func TestCancelRefStaleGenerationDoesNotCancelRecycledSlot(t *testing.T) {
 	r := &recorder{sim: s}
 	h := s.RegisterHandler(r)
 	ref1 := s.ScheduleCancellableAt(1, h, 1, 0)
-	s.Run() // fires and recycles the slot
+	run(s) // fires and recycles the slot
 	ref2 := s.ScheduleCancellableAt(2, h, 2, 0)
 	s.CancelRef(ref1) // stale: must not cancel ref2's event in the same slot
-	s.Run()
+	run(s)
 	if len(r.kinds) != 2 {
 		t.Fatalf("kinds = %v, want both events fired", r.kinds)
 	}
@@ -139,7 +139,7 @@ func TestChannelEventsMergeWithHeapInSeqOrder(t *testing.T) {
 	s.ScheduleEventAt(1, h, 0, 2)       // seq 2, heap
 	s.ScheduleChannelAt(ch, 2, h, 0, 3) // seq 3, channel
 	s.ScheduleEventAt(1.5, h, 0, 4)     // seq 4, heap
-	s.Run()
+	run(s)
 	want := []int32{0, 1, 2, 4, 3}
 	if len(r.owners) != len(want) {
 		t.Fatalf("owners = %v", r.owners)
@@ -198,12 +198,12 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 	// Warm up so heap, channel ring and slot free list reach capacity.
 	d.left = 64
 	s.ScheduleEventAt(s.Now()+1, d.h, 0, 0)
-	s.Run()
+	run(s)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		d.left = 64
 		s.ScheduleEventAt(s.Now(), d.h, 0, 0)
-		s.Run()
+		run(s)
 	})
 	if allocs != 0 {
 		t.Fatalf("typed schedule/fire allocates %v per run, want 0", allocs)
@@ -213,7 +213,7 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 	allocs = testing.AllocsPerRun(100, func() {
 		d.left = 64
 		s.ScheduleChannel(d.ch, 0, d.h, 0, 0)
-		s.Run()
+		run(s)
 	})
 	if allocs != 0 {
 		t.Fatalf("channel schedule/fire allocates %v per run, want 0", allocs)
@@ -230,13 +230,13 @@ func TestCancellableScheduleCancelZeroAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.CancelRef(s.ScheduleCancellableAt(1, h, 0, 0))
 	}
-	s.Run()
+	run(s)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 32; i++ {
 			ref := s.ScheduleCancellable(1, h, 0, 0)
 			s.CancelRef(ref)
 		}
-		s.Run()
+		run(s)
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule/cancel churn allocates %v per run, want 0", allocs)
@@ -256,7 +256,7 @@ func BenchmarkTypedScheduleFire(b *testing.B) {
 	d.left = b.N
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.Run()
+	run(s)
 }
 
 // BenchmarkChannelScheduleFire measures the monotone-channel cycle used by
@@ -270,7 +270,7 @@ func BenchmarkChannelScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.ScheduleChannel(d.ch, 1, d.h, 0, 0)
-	s.Run()
+	run(s)
 }
 
 // BenchmarkScheduleFireCancelMix exercises the cancellable path: schedule
@@ -285,7 +285,7 @@ func BenchmarkScheduleFireCancelMix(b *testing.B) {
 		ref := s.ScheduleCancellable(1, h, 0, 0)
 		s.ScheduleCancellable(1.5, h, 0, 0)
 		s.CancelRef(ref)
-		s.Step()
+		step(s)
 		r.kinds = r.kinds[:0]
 		r.owners = r.owners[:0]
 		r.times = r.times[:0]

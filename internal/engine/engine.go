@@ -21,6 +21,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -288,7 +289,12 @@ func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 					t = &stats.Tally{}
 					tallies[k] = t
 				}
-				t.Add(v)
+				// NaN marks a metric this replication could not measure
+				// (a ratio over no decided packet): the metric's tally
+				// counts only the replications that measured it.
+				if !math.IsNaN(v) {
+					t.Add(v)
+				}
 			}
 			for k, s := range reps {
 				if s == nil {

@@ -223,6 +223,27 @@ func TestRunZeroReplications(t *testing.T) {
 	}
 }
 
+// TestRunSkipsNaNMetrics pins the merge rule for unmeasured metrics: a NaN
+// value is left out of its metric's tally, so the count is the replications
+// that measured it, and a metric no replication measured still appears, with
+// a count of zero.
+func TestRunSkipsNaNMetrics(t *testing.T) {
+	task := func(rep int, _ uint64) (map[string]float64, map[string]*stats.DDSketch) {
+		ratio := math.NaN()
+		if rep%3 == 0 {
+			ratio = float64(rep)
+		}
+		return map[string]float64{"ratio": ratio, "never": math.NaN()}, nil
+	}
+	res := run(t, Config{Replications: 9, ShardSize: 2, Parallelism: 2}, task)
+	if got := res.Metrics["ratio"]; got.Count() != 3 || got.Mean() != 3 {
+		t.Errorf("ratio: count %d, mean %v; want 3 replications (0, 3, 6) with mean 3", got.Count(), got.Mean())
+	}
+	if got, ok := res.Metrics["never"]; !ok || got.Count() != 0 {
+		t.Errorf("never: tally %+v (present %v), want an empty tally", got, ok)
+	}
+}
+
 func TestProgressIsMonotonic(t *testing.T) {
 	var mu sync.Mutex
 	lastShards, lastReps := 0, 0

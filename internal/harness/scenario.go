@@ -56,34 +56,43 @@ func LoadSweep(path string) (*sim.Sweep, error) {
 	if !isSweepSpec(data) {
 		return nil, fmt.Errorf("%s: not a sweep spec (no \"axes\" key); scenario specs run through cmd/run", path)
 	}
-	return loadSweepData(path, data)
+	sw, _, err := loadSweepData(path, data)
+	return sw, err
 }
 
 // loadSweepData is LoadSweep over already-read sweep spec bytes (path is
-// used only for error messages).
-func loadSweepData(path string, data []byte) (*sim.Sweep, error) {
+// used only for error messages). It validates the sweep by expanding it and
+// returns the expansion's point scenarios (the Range's, for a ranged sweep)
+// with it.
+func loadSweepData(path string, data []byte) (*sim.Sweep, []sim.Scenario, error) {
 	var sw sim.Sweep
 	if err := sim.DecodeStrict(data, &sw); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	// Both names can end up in artifact filenames (the sweep's directly,
 	// the base's through every expanded point), so neither may escape the
 	// artifacts directory.
 	if strings.ContainsAny(sw.Name, `/\`) {
-		return nil, fmt.Errorf("%s: sweep name %q must not contain path separators", path, sw.Name)
+		return nil, nil, fmt.Errorf("%s: sweep name %q must not contain path separators", path, sw.Name)
 	}
 	if strings.ContainsAny(sw.Base.Name, `/\`) {
-		return nil, fmt.Errorf("%s: base scenario name %q must not contain path separators", path, sw.Base.Name)
+		return nil, nil, fmt.Errorf("%s: base scenario name %q must not contain path separators", path, sw.Base.Name)
 	}
-	if err := sw.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	rows, err := sw.ExpandRows()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &sw, nil
+	points := make([]sim.Scenario, len(rows))
+	for i, r := range rows {
+		points[i] = r.Scenario
+	}
+	return &sw, points, nil
 }
 
 // LoadSpec reads any spec file: a scenario object, an array of scenarios, or
-// a sweep object (recognised by its "axes" key). Exactly one of the results
-// is non-empty.
+// a sweep object (recognised by its "axes" key). A sweep comes back non-nil,
+// with its validated point scenarios, in expansion order, as the scenarios;
+// a scenario spec comes back as its scenarios and a nil sweep.
 func LoadSpec(path string) ([]sim.Scenario, *sim.Sweep, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -97,11 +106,11 @@ func LoadSpec(path string) ([]sim.Scenario, *sim.Sweep, error) {
 // validation a spec file does. The name appears only in error messages.
 func LoadSpecData(name string, data []byte) ([]sim.Scenario, *sim.Sweep, error) {
 	if isSweepSpec(data) {
-		sw, err := loadSweepData(name, data)
+		sw, points, err := loadSweepData(name, data)
 		if err != nil {
 			return nil, nil, err
 		}
-		return nil, sw, nil
+		return points, sw, nil
 	}
 	scs, err := loadScenariosData(name, data)
 	if err != nil {

@@ -168,12 +168,12 @@ func TestLoadSweepAndLoadSpec(t *testing.T) {
 	}
 
 	// LoadSpec classifies by the "axes" key: sweep specs come back as
-	// sweeps, scenario specs as scenario lists.
+	// sweeps with their expanded points, scenario specs as scenario lists.
 	scs2, sw2, err := LoadSpec(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scs2 != nil || sw2 == nil {
+	if sw2 == nil || len(scs2) != len(rows) || scs2[1].Topology != rows[1].Scenario.Topology {
 		t.Fatalf("LoadSpec misclassified a sweep: scenarios=%v sweep=%v", scs2, sw2)
 	}
 	scenarioPath := writeSpec(t,

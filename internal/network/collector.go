@@ -8,14 +8,11 @@ import (
 )
 
 // Collector owns the measurement state of one packet-level simulation run:
-// delay and hop tallies, per-class and per-group statistics, time-weighted
-// population processes, the optional exact delay sample and the population
-// trace. It is the single statistics sink shared by the event-driven System
-// and the slot-stepped fast-path kernel (internal/slotsim): both kernels feed
-// the same collector operations in the same order, which is what makes their
-// results byte-identical — float accumulation is order-sensitive, so sharing
-// the arithmetic (and not just the schema) is load-bearing for the
-// cross-kernel golden tests.
+// delay and hop tallies, per-group statistics, time-weighted population
+// processes, the optional exact delay sample and delay sketch, and the
+// population trace. The store-and-forward kernel (internal/slotsim) feeds
+// it; the reference simulator (internal/oracle) keeps its own counts
+// instead, so the tests comparing the two do not trust this code.
 //
 // All state is reusable in place: Reset re-initialises the collector for a
 // new run without discarding backing storage, so pooled simulators perform no
@@ -24,14 +21,7 @@ type Collector struct {
 	numGroups   int
 	measureFrom float64
 	delay       stats.Tally
-	// mixed is false while every measured delivery has class 0 — the common
-	// case, where the class-0 tally would be a bit-for-bit copy of delay and
-	// is therefore elided from the hot path. The first non-zero class
-	// snapshots delay into clsDense[0] and switches to per-class tallies.
-	mixed      bool
-	clsDense   [maxDenseClass]stats.Tally
-	delayByCls map[int]*stats.Tally // classes outside [0, maxDenseClass)
-	hopCount   stats.Tally
+	hopCount    stats.Tally
 
 	sampleDelays bool
 	delaySample  stats.Quantiles
@@ -55,10 +45,9 @@ type Collector struct {
 	lastTrace  float64
 }
 
-// Measurement selects the optional measurements of a run. Both kernels'
-// configs embed it (Config and slotsim.Config) and hand it to
-// Collector.Reset, which applies it; the zero value measures only the
-// always-on statistics.
+// Measurement selects the optional measurements of a run. slotsim.Config
+// embeds it and hands it to Collector.Reset, which applies it; the zero
+// value measures only the always-on statistics.
 type Measurement struct {
 	// TrackQuantiles stores every measured delay so exact quantiles can be
 	// reported; it costs one float64 per delivered packet.
@@ -78,10 +67,9 @@ type Measurement struct {
 	TraceInterval float64
 	// SkipGroupPopulation disables the per-group time-weighted population
 	// processes (two updates per hop on the hot path); Metrics then reports
-	// zero GroupMeanPopulation. The kernels test it before each update.
+	// zero GroupMeanPopulation. The kernel tests it before each update.
 	// Callers that never read the per-group populations (the butterfly
-	// experiments) set it on both kernels: cross-kernel identity requires
-	// the settings to match.
+	// experiments) set it.
 	SkipGroupPopulation bool
 }
 
@@ -97,15 +85,6 @@ func (c *Collector) Reset(numGroups int, m Measurement) {
 	c.numGroups = numGroups
 	c.measureFrom = 0
 	c.delay = stats.Tally{}
-	c.mixed = false
-	c.clsDense = [maxDenseClass]stats.Tally{}
-	if c.delayByCls == nil {
-		c.delayByCls = make(map[int]*stats.Tally)
-	} else {
-		for k := range c.delayByCls {
-			delete(c.delayByCls, k)
-		}
-	}
 	c.hopCount = stats.Tally{}
 	c.sampleDelays = m.TrackQuantiles
 	c.delaySample.Reset()
@@ -208,20 +187,13 @@ func (c *Collector) ArcWait(g int32, now, enqueuedAt, genTime float64) {
 }
 
 // Deliver records the delivery at time now of a packet generated at genTime
-// with the given total path length and class. Packets generated before the
+// with the given total path length. Packets generated before the
 // measurement window are ignored.
-func (c *Collector) Deliver(now, genTime float64, hops, class int) {
+func (c *Collector) Deliver(now, genTime float64, hops int) {
 	if genTime < c.measureFrom {
 		return
 	}
 	d := now - genTime
-	if class != 0 && !c.mixed {
-		// Every measured delivery so far was class 0, so the class-0 tally
-		// equals the delay tally bit for bit; materialise it and switch to
-		// explicit per-class tracking.
-		c.clsDense[0] = c.delay
-		c.mixed = true
-	}
 	c.delay.Add(d)
 	c.hopCount.Add(float64(hops))
 	if c.sampleDelays {
@@ -229,18 +201,6 @@ func (c *Collector) Deliver(now, genTime float64, hops, class int) {
 	}
 	if c.sketchOn {
 		c.sketch.Add(d)
-	}
-	if c.mixed {
-		if class >= 0 && class < maxDenseClass {
-			c.clsDense[class].Add(d)
-		} else {
-			t, ok := c.delayByCls[class]
-			if !ok {
-				t = &stats.Tally{}
-				c.delayByCls[class] = t
-			}
-			t.Add(d)
-		}
 	}
 	c.departures++
 }
@@ -267,11 +227,6 @@ func (c *Collector) StartMeasurement(now float64) {
 	c.measureFrom = now
 	c.delay = stats.Tally{}
 	c.hopCount = stats.Tally{}
-	c.mixed = false
-	c.clsDense = [maxDenseClass]stats.Tally{}
-	for k := range c.delayByCls {
-		delete(c.delayByCls, k)
-	}
 	if c.sampleDelays {
 		c.delaySample.Reset()
 	}
@@ -318,8 +273,7 @@ func (c *Collector) DelaySketch() *stats.DDSketch {
 // Measurement.TrackQuantiles was set (nil otherwise). The slice aliases
 // internal storage and is valid until the next run: treat it as read-only.
 // Its order is the delivery order until a quantile query partially reorders
-// it; identical runs produce the identical sequence either way, which is
-// what the cross-kernel golden tests compare.
+// it; identical runs produce the identical sequence either way.
 func (c *Collector) DelaySample() []float64 {
 	if !c.sampleDelays {
 		return nil
@@ -350,7 +304,7 @@ func (c *Collector) Snapshot(now float64, groupArcs []int, groupBusy, groupArriv
 		GroupMeanPopulation: make([]float64, len(c.groupPop)),
 		GroupArcUtilization: make([]float64, len(c.groupPop)),
 		GroupArrivalRate:    make([]float64, len(c.groupPop)),
-		MeanDelayByClass:    make(map[int]float64, len(c.delayByCls)),
+		MeanDelayByClass:    make(map[int]float64, 1),
 	}
 	if elapsed > 0 {
 		m.Throughput = float64(c.departures) / elapsed
@@ -368,21 +322,9 @@ func (c *Collector) Snapshot(now float64, groupArcs []int, groupBusy, groupArriv
 			m.GroupArrivalRate[g] = groupArrivals[g] / (float64(groupArcs[g]) * elapsed)
 		}
 	}
-	if !c.mixed {
-		// All measured deliveries were class 0: the class tally is the delay
-		// tally (bit for bit), so it was never materialised.
-		if c.departures > 0 {
-			m.MeanDelayByClass[0] = c.delay.Mean()
-		}
-	} else {
-		for cls := range c.clsDense {
-			if c.clsDense[cls].Count() > 0 {
-				m.MeanDelayByClass[cls] = c.clsDense[cls].Mean()
-			}
-		}
-		for cls, t := range c.delayByCls {
-			m.MeanDelayByClass[cls] = t.Mean()
-		}
+	if c.departures > 0 {
+		// Every packet is of class 0.
+		m.MeanDelayByClass[0] = c.delay.Mean()
 	}
 	if c.perHopWait {
 		m.GroupMeanWait = make([]float64, len(c.groupWait))

@@ -1,8 +1,8 @@
 // Package ringbuf provides a head-indexed growable ring buffer used for the
-// per-arc FIFO queues of the simulators. The previous queues were plain
-// slices whose dequeue did an O(n) copy; at heavy traffic (rho close to 1,
+// station FIFO queues of the equivalent queueing network (internal/queuenet).
+// Plain slices whose dequeue does an O(n) copy would not do: at heavy traffic (rho close to 1,
 // the regime the paper's bounds are about) queue lengths grow like
-// 1/(1-rho), which made dequeue cost quadratic in the backlog. The ring
+// 1/(1-rho), which makes dequeue cost quadratic in the backlog. The ring
 // dequeues in O(1), never copies on pop, and only allocates when it doubles
 // its power-of-two capacity, so a steady-state service loop is
 // allocation-free.
@@ -38,24 +38,6 @@ func (r *Ring[T]) PopFront() T {
 	var zero T
 	r.buf[r.head] = zero // release the reference for the GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
-}
-
-// RemoveSwap removes and returns the element at logical index i by moving the
-// tail element into its place (the swap-remove idiom; relative order of the
-// remaining elements is not preserved). It panics when i is out of range.
-func (r *Ring[T]) RemoveSwap(i int) T {
-	if i < 0 || i >= r.n {
-		panic("ringbuf: index out of range")
-	}
-	mask := len(r.buf) - 1
-	pos := (r.head + i) & mask
-	last := (r.head + r.n - 1) & mask
-	v := r.buf[pos]
-	r.buf[pos] = r.buf[last]
-	var zero T
-	r.buf[last] = zero
 	r.n--
 	return v
 }

@@ -1,10 +1,6 @@
 package ringbuf
 
-import (
-	"testing"
-
-	"repro/internal/xrand"
-)
+import "testing"
 
 func TestPushPopFIFOOrder(t *testing.T) {
 	var r Ring[int]
@@ -49,40 +45,6 @@ func TestWrapAround(t *testing.T) {
 	}
 	if expect != next {
 		t.Fatalf("popped %d values, pushed %d", expect, next)
-	}
-}
-
-func TestRemoveSwapMatchesSliceSwapRemove(t *testing.T) {
-	// RemoveSwap must behave exactly like the slice idiom the random-order
-	// discipline used: q[i] = q[len-1]; q = q[:len-1]. Run both against the
-	// same random operation sequence and compare contents at every step.
-	rng := xrand.New(7)
-	var r Ring[int]
-	var ref []int
-	next := 0
-	for op := 0; op < 5000; op++ {
-		if r.Len() == 0 || rng.Bernoulli(0.6) {
-			r.Push(next)
-			ref = append(ref, next)
-			next++
-			continue
-		}
-		k := rng.Intn(len(ref))
-		got := r.RemoveSwap(k)
-		want := ref[k]
-		ref[k] = ref[len(ref)-1]
-		ref = ref[:len(ref)-1]
-		if got != want {
-			t.Fatalf("op %d: RemoveSwap(%d) = %d, want %d", op, k, got, want)
-		}
-		if r.Len() != len(ref) {
-			t.Fatalf("op %d: Len = %d, want %d", op, r.Len(), len(ref))
-		}
-	}
-	for i := range ref {
-		if v := r.PopFront(); v != ref[i] {
-			t.Fatalf("final contents diverge at %d: %d vs %d", i, v, ref[i])
-		}
 	}
 }
 

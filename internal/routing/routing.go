@@ -25,7 +25,7 @@ import (
 
 	"repro/internal/butterfly"
 	"repro/internal/hypercube"
-	"repro/internal/network"
+	"repro/internal/oracle"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -159,13 +159,6 @@ type PipelinedResult struct {
 	BacklogSlope float64
 }
 
-// roundStart is the des.Handler that injects one round's packets: each
-// round's network calendar fires it once, at time zero.
-type roundStart func()
-
-// HandleEvent runs the round's injection.
-func (f roundStart) HandleEvent(_, _ int32) { f() }
-
 // RunPipelined simulates the §2.3 baseline: packets accumulate at their
 // origin nodes; at the start of every round each node selects at most one
 // waiting packet; the selected packets are routed greedily (canonical paths)
@@ -193,7 +186,7 @@ func RunPipelined(cfg PipelinedConfig) PipelinedResult {
 	router := DimensionOrder{}
 
 	// Pre-generate each node's arrival times and destinations up to the
-	// horizon; the batch structure makes event-driven generation awkward and
+	// horizon; the batch structure makes on-line generation awkward and
 	// the totals are modest.
 	type pending struct {
 		genTime float64
@@ -220,47 +213,32 @@ func RunPipelined(cfg PipelinedConfig) PipelinedResult {
 	var backlogTrace []float64
 	var backlogTimes []float64
 	for now < cfg.Horizon {
-		// Build the network for this round only; rounds do not overlap, so a
-		// fresh system per round keeps the barrier semantics explicit.
-		sys := network.NewSystem(network.Config{
-			NumArcs:   cube.NumArcs(),
-			NumGroups: cfg.D,
-			Seed:      cfg.Seed + uint64(result.Rounds),
-		})
-		type inFlightInfo struct {
-			genTime float64
+		// Each round routes its packets through an empty network (rounds do
+		// not overlap), which keeps the barrier semantics explicit.
+		var routes [][]int
+		var gens []float64
+		for x := 0; x < n; x++ {
+			if heads[x] >= len(queues[x]) || queues[x][heads[x]].genTime > now {
+				continue
+			}
+			pkt := queues[x][heads[x]]
+			heads[x]++
+			routes = append(routes, Path(router, cube, hypercube.Node(x), pkt.dest, routeRNG))
+			gens = append(gens, pkt.genTime)
 		}
-		info := make(map[int64]inFlightInfo)
-		injected := 0
-		inject := roundStart(func() {
-			for x := 0; x < n; x++ {
-				if heads[x] >= len(queues[x]) || queues[x][heads[x]].genTime > now {
-					continue
+		injected := len(routes)
+		roundLength := 0.0
+		if injected > 0 {
+			deliveries := oracle.Batch(cube.NumArcs(), routes)
+			for _, d := range deliveries {
+				deliveredAt := now + d.Time
+				if gen := gens[d.Packet]; gen >= measureFrom && deliveredAt <= cfg.Horizon {
+					result.Delivered++
+					delaySum += deliveredAt - gen
 				}
-				pkt := queues[x][heads[x]]
-				heads[x]++
-				id := sys.NewPacketID()
-				info[id] = inFlightInfo{genTime: pkt.genTime}
-				sys.Inject(&network.Packet{
-					ID:     id,
-					Origin: x,
-					Dest:   int(pkt.dest),
-					Path:   Path(router, cube, hypercube.Node(x), pkt.dest, routeRNG),
-				})
-				injected++
 			}
-		})
-		sys.Sim.ScheduleEventAt(0, sys.Sim.RegisterHandler(inject), 0, 0)
-		sys.OnDeliver = func(p *network.Packet, t float64) {
-			gen := info[p.ID].genTime
-			deliveredAt := now + t
-			if gen >= measureFrom && deliveredAt <= cfg.Horizon {
-				result.Delivered++
-				delaySum += deliveredAt - gen
-			}
+			roundLength = deliveries[len(deliveries)-1].Time
 		}
-		sys.Sim.Run()
-		roundLength := sys.Sim.Now()
 		if injected == 0 {
 			// Nothing to send: advance to the next arrival (or the horizon).
 			next := cfg.Horizon

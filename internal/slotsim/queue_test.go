@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/oracle"
 	"repro/internal/xrand"
 )
 
@@ -115,23 +116,17 @@ var queueCases = []queueCase{
 	},
 }
 
-// TestQueueCasesMatchEventDriven checks every queue case, under both arrival
-// models, against the event-driven network.System on the same seed: every
-// metric must be identical, and the outcome must be the hand-computed one.
-func TestQueueCasesMatchEventDriven(t *testing.T) {
+// TestQueueCasesMatchOracle checks every queue case, under both arrival
+// models, against the reference simulator (internal/oracle) on the same
+// seed: the packet counts and every delay, in delivery order, must be
+// identical, and the outcome must be the hand-computed one.
+func TestQueueCasesMatchOracle(t *testing.T) {
 	const horizon = 10
 	for _, tc := range queueCases {
 		for _, slotted := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/slotted=%v", tc.name, slotted), func(t *testing.T) {
-				perHopWait := network.Measurement{TrackPerHopWait: true}
-				sys := network.NewSystem(network.Config{NumArcs: tc.arcs, Seed: 7, Measurement: perHopWait, Faults: tc.faults})
-				for _, r := range tc.routes {
-					sys.Inject(&network.Packet{Path: slices.Clone(r)})
-				}
-				sys.Sim.RunUntil(0)
-				sys.StartMeasurement()
-				sys.Sim.RunUntil(horizon)
-				want := sys.Snapshot()
+				ref := oracle.Run(oracle.Config{NumArcs: tc.arcs, Horizon: horizon, Seed: 7,
+					Faults: tc.faults, Initial: tc.routes})
 
 				cfg := Config{
 					NumArcs:     tc.arcs,
@@ -141,7 +136,7 @@ func TestQueueCasesMatchEventDriven(t *testing.T) {
 					Seed:        7,
 					Lambda:      1e-300, // no drawn arrival falls inside the horizon
 					Traffic:     &scriptTraffic{routes: tc.routes},
-					Measurement: perHopWait,
+					Measurement: network.Measurement{TrackQuantiles: true, TrackPerHopWait: true},
 					Faults:      tc.faults,
 				}
 				if slotted {
@@ -159,8 +154,11 @@ func TestQueueCasesMatchEventDriven(t *testing.T) {
 				}
 				got := k.snapshot()
 
-				if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", want); g != w {
-					t.Fatalf("slot kernel diverges from the event-driven System:\n%s\nvs\n%s", g, w)
+				g := [5]int64{got.Generated, got.Delivered, got.DroppedFault, got.DroppedOverflow, got.InFlight}
+				w := [5]int64{ref.Generated, ref.Delivered, ref.DroppedFault, ref.DroppedOverflow, ref.InFlight}
+				if g != w || !slices.Equal(k.DelaySample(), ref.Delays) {
+					t.Fatalf("slot kernel diverges from the oracle: counts %v, delays %v\nvs counts %v, delays %v",
+						g, k.DelaySample(), w, ref.Delays)
 				}
 				out := queueOutcome{got.Delivered, got.DroppedOverflow, got.MaxDelay}
 				if out != tc.want {

@@ -1,12 +1,12 @@
-// Package slotsim is the store-and-forward kernel for unit-service FIFO
-// workloads: every FIFO hypercube run — the paper's continuous-time Poisson
-// model as well as the slotted model of §3.4 — and every FIFO butterfly. On
-// these workloads every transmission takes exactly one time unit, so the
-// general event calendar of internal/des — heap pushes, handler dispatch,
-// cancellation slots — is pure overhead: the only event sources are the slot
-// clock (or the aggregate Poisson arrival stream) and a single monotone
-// stream of service completions. The event-driven calendar remains the
-// cross-kernel oracle and runs only the RandomOrder discipline.
+// Package slotsim is the store-and-forward kernel: every hypercube run —
+// the paper's continuous-time Poisson model as well as the slotted model of
+// §3.4 — and every butterfly, under the FIFO discipline or the RandomOrder
+// ablation. Every transmission takes exactly one time unit, so a general
+// event calendar — heap pushes, handler dispatch, cancellation slots — is
+// pure overhead: the only event sources are the slot clock (or the
+// aggregate Poisson arrival stream), the outage boundaries and a single
+// monotone stream of service completions. internal/oracle is the naive
+// reference its tests compare it with.
 //
 // # Memory layout: structure of arrays, sized for the million-node regime
 //
@@ -23,8 +23,8 @@
 //     per-arc head array, both allocated only when the run has outages;
 //     finite buffers add a count of the waiting packets.
 //     Statistics groups are contiguous power-of-two blocks of arcs
-//     (network.GroupShift, the layout both topologies' arc indices have
-//     and both kernels use), so no arc stores a group id, and arrivals are
+//     (network.GroupShift, the layout both topologies' arc indices have),
+//     so no arc stores a group id, and arrivals are
 //     counted per group, not per arc. There is no per-arc queue buffer:
 //     queue memory scales with the in-flight population, not with the arc
 //     count.
@@ -113,31 +113,30 @@
 // reconstructs — performs zero allocations. Only the Metrics snapshot handed
 // to the caller is freshly allocated, because the caller owns it.
 //
-// # Event-order equivalence with the event-driven calendar
+// # Event order
 //
-// Results are pinned to the des-based path exactly, not statistically: for
-// any eligible configuration the kernel fires the same events at the same
-// (bit-identical) times in the same order, performs the same statistics
-// updates in the same order against the shared network.Collector, and
-// consumes the same random streams in the same per-stream order, so every
-// metric — per-packet delays included — is byte-identical to the event-driven
-// kernel on the same seed. The ordering argument:
+// The kernel fires the events of the reference simulator (internal/oracle)
+// at the same (bit-identical) times in the same order and consumes the same
+// random streams in the same per-stream order, so the packet counts and
+// every per-packet delay, in delivery order, equal the reference's on the
+// same seed. The reference fires simultaneous events in schedule order; the
+// kernel reproduces that order without a calendar:
 //
-//   - The des calendar fires simultaneous events in schedule (sequence)
-//     order.
+//   - Outage boundaries are scheduled before anything else, so at equal
+//     times they fire first, a window's end before the next one's start.
 //   - Slotted mode: every service starts at a slot instant and completes one
 //     unit later, so completion due-times are non-decreasing in scheduling
 //     order — a FIFO ring replays them exactly. A slot tick at time t is
-//     scheduled at the end of the previous tick's handler, after every
-//     service start that can complete at t, so at equal times completions
-//     precede the tick; the kernel hard-codes that rule.
+//     scheduled at the end of the previous tick, after every service start
+//     that can complete at t, so at equal times completions precede the
+//     tick; the kernel hard-codes that rule.
 //   - Continuous mode (aggregate Poisson arrivals): completions still form a
-//     monotone FIFO stream. On the des calendar a completion and the single
-//     pending arrival that fall due at the same instant (measure zero, but
-//     possible in floating point) fire in the order they were scheduled. The
-//     kernel records how many completions had been pushed when the arrival
-//     was scheduled; since the ring pops in push order, the head completion
-//     was scheduled first exactly when fewer completions than that have been
+//     monotone FIFO stream. A completion and the single pending arrival
+//     that fall due at the same instant (measure zero, but possible in
+//     floating point) fire in the order they were scheduled. The kernel
+//     records how many completions had been pushed when the arrival was
+//     scheduled; since the ring pops in push order, the head completion was
+//     scheduled first exactly when fewer completions than that have been
 //     popped — so even exact time ties break identically.
 //     Prefetching arrival pairs (Config.Batch) reorders draws only across
 //     random streams, never within one.
@@ -156,10 +155,7 @@ import (
 
 // Traffic samples a packet's destination and appends its arc-index route.
 // Implementations are provided by sim (hypercube routing schemes,
-// the unique butterfly path); they must consume rng (the aggregate source's
-// payload stream) and any private routing stream exactly as the event-driven
-// path does, because stream consumption order is part of the cross-kernel
-// contract.
+// the unique butterfly path); rng is the aggregate source's payload stream.
 type Traffic interface {
 	// AppendRoute appends the route of a new packet from origin to dst and
 	// returns the extended slice. dst has the kernel's MaxHops capacity;
@@ -168,8 +164,8 @@ type Traffic interface {
 }
 
 // DestSampler draws a packet's destination identity (hypercube node or
-// butterfly row) for the stepped route modes, consuming rng exactly as the
-// event-driven path's destination sampling does.
+// butterfly row) for the stepped route modes, consuming rng exactly as
+// Traffic.AppendRoute's destination sampling does.
 type DestSampler interface {
 	SampleDest(origin int32, rng *xrand.Rand) uint32
 }
@@ -177,7 +173,7 @@ type DestSampler interface {
 // BatchSampler bulk-samples a block of arrivals' origins and destinations
 // for the stepped route modes. Implementations must consume rng exactly as
 // len(origins) successive (uniform origin pick; DestSampler.SampleDest) pairs
-// would — stream consumption order is part of the cross-kernel contract — but
+// would — stream consumption order is what the oracle tests pin — but
 // are free to draw the underlying uniform words in bulk (xrand.FillUint64)
 // when each pair costs exactly two raw draws, as it does for uniform traffic
 // on 2^d sources.
@@ -221,11 +217,10 @@ type Config struct {
 	// MaxHops is the per-packet route capacity (the route-slab stride).
 	MaxHops int
 	// Horizon is the simulated time span; Warmup is the absolute time at
-	// which measurement starts (events at exactly Warmup still precede it,
-	// matching des.RunUntil semantics).
+	// which measurement starts (events at exactly Warmup still precede it).
 	Horizon, Warmup float64
-	// Seed drives all randomness; the aggregate source's streams are derived
-	// exactly as the event-driven drivers derive them.
+	// Seed drives all randomness: the aggregate source's streams, the fault
+	// stream and the RandomOrder draws.
 	Seed uint64
 	// Lambda is the per-source generation rate (the aggregate stream runs at
 	// Sources*Lambda).
@@ -254,22 +249,23 @@ type Config struct {
 	// clean error instead of a panic validate with EstimateBytes first
 	// (sim.Scenario.MaxBytes does).
 	MaxBytes int64
-	// Measurement selects the optional measurements, as for the event-driven
-	// kernel; the settings must match for cross-kernel identity.
+	// Measurement selects the optional measurements.
 	network.Measurement
-	// Faults is the fault model, with exactly the event-driven kernel's
-	// semantics and fault-stream consumption (see network.Faults). Finite
-	// buffers disable the batched population updates, because an
-	// injection-time drop breaks the monotone down-then-up order within a
-	// slot instant that batching relies on.
+	// Faults is the fault model (see network.Faults). Finite buffers
+	// disable the batched population updates, because an injection-time
+	// drop breaks the monotone down-then-up order within a slot instant that
+	// batching relies on.
 	network.Faults
+	// Discipline selects which waiting packet an arc serves next: FIFO (the
+	// zero value) or RandomOrder (see pickRandom).
+	Discipline network.Discipline
 }
 
 // transition is one flattened outage boundary. The list is built in
 // (From, Until) pairs over the sorted, non-overlapping Config.Outages, which
 // makes it time-ordered with ends preceding starts at equal times — exactly
-// the (time, sequence) order in which the event-driven calendar fires the
-// outage events it schedules during configuration.
+// the (time, sequence) order in which the reference simulator fires the
+// outage events it schedules first.
 type transition struct {
 	at     float64
 	outage int32
@@ -303,8 +299,8 @@ const (
 
 // completion is one pending service completion in the ring: the service of
 // pool slot pkt on arc started at start and falls due at start+1, recomputed
-// at each comparison. That sum is the time the event-driven calendar
-// schedules the completion at, so the two kernels order events alike.
+// at each comparison. That sum is the time the reference simulator schedules
+// the completion at, so the two order events alike.
 type completion struct {
 	start    float64
 	arc, pkt int32
@@ -399,6 +395,12 @@ type Kernel struct {
 	aHead     []int32
 	trans     []transition
 	transNext int
+
+	// RandomOrder state: the discipline's draw stream and pickRandom's
+	// buffer of an arc's waiting packets. Unused under FIFO.
+	randomOrder bool
+	discRNG     *xrand.Rand
+	waiting     []int32
 
 	// Arc state, one entry per arc: the intrusive FIFO queue's tail pool
 	// index and the busy-time accumulator, 12 bytes per arc. The head of a
@@ -563,6 +565,18 @@ func (k *Kernel) reset(cfg Config) {
 		k.faultRNG = xrand.New(0)
 	}
 	k.faultRNG.SeedStream(cfg.Seed, xrand.StreamFault)
+	switch cfg.Discipline {
+	case network.FIFO:
+		k.randomOrder = false
+	case network.RandomOrder:
+		k.randomOrder = true
+		if k.discRNG == nil {
+			k.discRNG = xrand.New(0)
+		}
+		k.discRNG.SeedStream(cfg.Seed, xrand.StreamDiscipline)
+	default:
+		panic(fmt.Sprintf("slotsim: unknown discipline %d", int(cfg.Discipline)))
+	}
 	k.transNext = 0
 	// Every optional array the run does not use is released, so that
 	// memFootprint — what MaxBytes is checked against — counts only this
@@ -632,10 +646,9 @@ func (k *Kernel) reset(cfg Config) {
 	k.popDelta = 0
 	k.popDirty = false
 
-	// Aggregate sources, seeded exactly as the event-driven drivers seed
-	// theirs: one stream of rate Sources*Lambda whose arrivals pick a
-	// uniformly random origin (Poisson superposition/splitting — the same
-	// process in law as independent per-node streams).
+	// Aggregate sources: one stream of rate Sources*Lambda whose arrivals
+	// pick a uniformly random origin (Poisson superposition/splitting — the
+	// same process in law as independent per-node streams).
 	rate := float64(cfg.Sources) * cfg.Lambda
 	if cfg.Slotted {
 		if k.slotSrc == nil {
@@ -766,7 +779,7 @@ const (
 
 // fireTransition applies the next outage boundary at time now: a start marks
 // its arcs down; an end marks them up again and — in ascending arc order,
-// matching the event-driven handler — restarts the stalled ones, exactly the
+// matching the reference simulator — restarts the stalled ones, exactly the
 // idle arcs with queued work.
 func (k *Kernel) fireTransition(now float64) {
 	tr := k.trans[k.transNext]
@@ -784,7 +797,11 @@ func (k *Kernel) fireTransition(now float64) {
 		if k.stalled[w]&bit != 0 {
 			k.stalled[w] &^= bit
 			k.makeRoom()
-			k.startHead(int(arc), now, k.aHead[arc])
+			s := k.aHead[arc]
+			if k.randomOrder {
+				s = k.pickRandom(int(arc), s)
+			}
+			k.startHead(int(arc), now, s)
 		}
 	}
 }
@@ -811,9 +828,38 @@ func (k *Kernel) startHead(idx int, now float64, s int32) {
 	}
 }
 
+// pickRandom serves arc idx under the RandomOrder discipline: it draws one of
+// the arc's waiting packets — the chain from head to the arc's tail —
+// uniformly, moves it to the head and returns it. The packet drawn leaves a
+// hole that the old tail fills (swap-remove), so the chain stays the
+// sequence a slice with swap-remove would hold and every later draw indexes
+// the same packets. One draw per service start from a non-empty waiting
+// queue: at a completion, and at an outage end's restart.
+//
+//go:noinline
+func (k *Kernel) pickRandom(idx int, head int32) int32 {
+	w := k.waiting[:0]
+	for s := head; s >= 0; s = k.pNext[s] {
+		w = append(w, s)
+	}
+	i := k.discRNG.Intn(len(w))
+	chosen, last := w[i], len(w)-1
+	w[i] = w[last]
+	w = w[:last]
+	prev := chosen
+	for _, s := range w {
+		k.pNext[prev] = s
+		prev = s
+	}
+	k.pNext[prev] = -1
+	k.aTail[idx] = prev + 1
+	k.waiting = w
+	return chosen
+}
+
 // dropPkt discards pool slot s mid-network — a transient transmission fault
-// (overflow = false) or a full finite buffer (overflow = true) — mirroring
-// System.drop: the packet leaves the population and is counted per cause.
+// (overflow = false) or a full finite buffer (overflow = true): the packet
+// leaves the population and is counted per cause.
 func (k *Kernel) dropPkt(s int32, now float64, overflow bool) {
 	k.packetLeft(now)
 	k.col.Drop(k.pGen[s], overflow)
@@ -828,15 +874,15 @@ func (k *Kernel) dropPkt(s int32, now float64, overflow bool) {
 // injects the network-wide Poisson batch.
 func (k *Kernel) runSlotted() {
 	horizon, warmup, tau := k.cfg.Horizon, k.cfg.Warmup, k.cfg.Tau
-	tick := 0.0 // next tick time, accumulated exactly like the des driver
+	tick := 0.0 // next tick time, accumulated as the reference accumulates it
 	tickPending := true
 	measuring := false
 	cur := 0.0 // instant the batched population delta accumulated over
 	for {
 		// Pick the next event among outage transitions, due completions and
-		// the slot tick. At equal times transitions fire first (the des path
-		// schedules them during configuration, so they hold the lowest
-		// sequence numbers), then completions, then the tick: completions
+		// the slot tick. At equal times transitions fire first (the reference
+		// schedules them before anything else), then completions, then the
+		// tick: completions
 		// due at the tick instant were scheduled no later than the end of
 		// the previous tick's handler, which is also where the tick itself
 		// was scheduled.
@@ -950,9 +996,8 @@ func (k *Kernel) runContinuous() {
 		case k.arrPending:
 			next, kind = k.arrTime, evArr
 		}
-		// Outage transitions carry the lowest sequence numbers on the des
-		// calendar (scheduled during configuration), so at equal times they
-		// precede both completions and arrivals.
+		// Outage transitions are scheduled before anything else, so at equal
+		// times they precede both completions and arrivals.
 		if k.transNext < len(k.trans) {
 			if tt := k.trans[k.transNext].at; kind == evNone || tt <= next {
 				next, kind = tt, evTrans
@@ -1046,7 +1091,7 @@ func (k *Kernel) batchBuffers(n int, what string) (origins, dests []uint32) {
 	return k.batchOrigins, k.batchDests
 }
 
-// inject creates one packet at time now; it mirrors network.System.Inject.
+// inject creates one packet at time now.
 func (k *Kernel) inject(node int32, rng *xrand.Rand, now float64) {
 	switch k.mode {
 	case RouteHypercubeGreedy, RouteButterfly:
@@ -1064,7 +1109,7 @@ func (k *Kernel) inject(node int32, rng *xrand.Rand, now float64) {
 		}
 		k.col.CountGenerated()
 		if len(route) == 0 {
-			k.col.Deliver(now, now, 0, 0)
+			k.col.Deliver(now, now, 0)
 			k.pathFree = append(k.pathFree, slot)
 			return
 		}
@@ -1093,7 +1138,7 @@ func (k *Kernel) injectTo(origin, dest uint32, now float64) {
 	}
 	k.col.CountGenerated()
 	if hops == 0 {
-		k.col.Deliver(now, now, 0, 0)
+		k.col.Deliver(now, now, 0)
 		return
 	}
 	k.packetEntered(now)
@@ -1169,7 +1214,7 @@ func (k *Kernel) prefetchAhead() {
 }
 
 // enqueue places pool slot s at the tail of arc idx's intrusive FIFO list,
-// its current hop; it mirrors System.enqueue. On an empty queue s is the new
+// its current hop. On an empty queue s is the new
 // head and starts service at once — unless the arc is inside an outage
 // window, where it stalls. A packet that would wait behind a full finite
 // buffer is dropped instead, before any statistic is touched.
@@ -1213,8 +1258,8 @@ func (k *Kernel) addBusy(idx int, start, now float64) {
 }
 
 // complete finishes the transmission of pool slot s begun at start on arc
-// idx; it mirrors System.completeService (FIFO discipline). s is the queue
-// head, which is popped: its link is the new head, -1 when the queue empties.
+// idx. s is the queue head, which is popped: its link is the new head, -1
+// when the queue empties.
 func (k *Kernel) complete(idx int, start float64, s int32) {
 	now := start + 1
 	nh := k.pNext[s]
@@ -1237,6 +1282,9 @@ func (k *Kernel) complete(idx int, start float64, s int32) {
 	} else if k.downWords != nil && k.arcDown(idx) {
 		k.stall(idx, nh)
 	} else {
+		if k.randomOrder {
+			nh = k.pickRandom(idx, nh)
+		}
 		k.startHead(idx, now, nh)
 	}
 
@@ -1250,7 +1298,7 @@ func (k *Kernel) complete(idx int, start float64, s int32) {
 	aux := k.pAux[s] + 1<<16 // hop++
 	if uint16(aux>>16) >= uint16(aux) {
 		k.packetLeft(now)
-		k.col.Deliver(now, k.pGen[s], int(uint16(aux)), 0)
+		k.col.Deliver(now, k.pGen[s], int(uint16(aux)))
 		if k.mode == RouteStored {
 			k.pathFree = append(k.pathFree, k.pSlot[s])
 		}
@@ -1272,13 +1320,11 @@ func (k *Kernel) startMeasurement(now float64) {
 	clear(k.gArrivals)
 }
 
-// snapshot closes the run at the horizon, aggregating per-arc busy time in
-// arc-index order exactly as System.Snapshot does. The pending completions
-// are exactly the busy arcs, so one pass over the ring credits each with its
-// partial service before the per-group sums; every arc sees the same two
-// float additions, in the same order, as System.Snapshot performs. Arrival
-// counts are summed per group in integers; System.Snapshot sums their
-// float64 values, which is the same number below 2^53.
+// snapshot closes the run at the horizon, summing per-arc busy time per
+// group in arc-index order. The pending completions are exactly the busy
+// arcs, so one pass over the ring credits each with its partial service
+// before the per-group sums. Arrival counts are summed per group in
+// integers.
 func (k *Kernel) snapshot() network.Metrics {
 	n := k.cfg.NumGroups
 	k.snapArcs = resize(k.snapArcs, n)

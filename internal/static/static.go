@@ -10,9 +10,10 @@ package static
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hypercube"
-	"repro/internal/network"
+	"repro/internal/oracle"
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -59,13 +60,6 @@ type PermutationResult struct {
 	Packets int64
 }
 
-// injectAll is the des.Handler that injects the whole permutation: the
-// network calendar fires it once, at time zero.
-type injectAll func()
-
-// HandleEvent runs the injection.
-func (f injectAll) HandleEvent(_, _ int32) { f() }
-
 // RoutePermutation routes one packet from every node x to perm[x] and returns
 // the completion-time statistics. perm must have length 2^d.
 func RoutePermutation(d int, perm []hypercube.Node, scheme Scheme, seed uint64) (*PermutationResult, error) {
@@ -87,58 +81,41 @@ func RoutePermutation(d int, perm []hypercube.Node, scheme Scheme, seed uint64) 
 		seen[z] = true
 	}
 
-	sys := network.NewSystem(network.Config{
-		NumArcs:   cube.NumArcs(),
-		NumGroups: d,
-		Seed:      seed,
-	})
 	rng := xrand.NewStream(seed, 0x57A71C)
-	var greedyRouter routing.HypercubeRouter = routing.DimensionOrder{}
-	var valiantRouter routing.HypercubeRouter = routing.ValiantTwoPhase{}
+	var router routing.HypercubeRouter
+	switch scheme {
+	case Greedy:
+		router = routing.DimensionOrder{}
+	case Valiant:
+		router = routing.ValiantTwoPhase{}
+	default:
+		panic(fmt.Sprintf("static: unknown scheme %d", int(scheme)))
+	}
 
 	res := &PermutationResult{}
+	routes := make([][]int, cube.Nodes())
+	firstArc := make([]int, cube.NumArcs())
+	var slab []int // every route, back to back
+	for x := range routes {
+		start := len(slab)
+		slab = router.AppendPath(slab, cube, hypercube.Node(x), perm[x], rng)
+		routes[x] = slab[start:len(slab):len(slab)]
+		res.TotalHops += int64(len(routes[x]))
+		res.Packets++
+		// Every packet starts at time zero, so an arc's longest queue is the
+		// one it starts with: every packet whose route begins there.
+		if len(routes[x]) > 0 {
+			firstArc[routes[x][0]]++
+		}
+	}
 	var delays stats.Tally
-	sys.OnDeliver = func(p *network.Packet, now float64) {
-		delays.Add(now)
+	deliveries := oracle.Batch(cube.NumArcs(), routes)
+	for _, d := range deliveries {
+		delays.Add(d.Time)
 	}
-	maxQueue := 0
-	trackMax := func() {
-		for a := 0; a < cube.NumArcs(); a++ {
-			if q := sys.QueueLength(a); q > maxQueue {
-				maxQueue = q
-			}
-		}
-	}
-
-	inject := injectAll(func() {
-		for x := 0; x < cube.Nodes(); x++ {
-			origin := hypercube.Node(x)
-			dest := perm[x]
-			var path []int
-			switch scheme {
-			case Greedy:
-				path = routing.Path(greedyRouter, cube, origin, dest, rng)
-			case Valiant:
-				path = routing.Path(valiantRouter, cube, origin, dest, rng)
-			default:
-				panic(fmt.Sprintf("static: unknown scheme %d", int(scheme)))
-			}
-			res.TotalHops += int64(len(path))
-			res.Packets++
-			sys.Inject(&network.Packet{
-				ID:     sys.NewPacketID(),
-				Origin: x,
-				Dest:   int(dest),
-				Path:   path,
-			})
-		}
-		trackMax()
-	})
-	sys.Sim.ScheduleEventAt(0, sys.Sim.RegisterHandler(inject), 0, 0)
-	sys.Sim.Run()
-	res.Makespan = sys.Sim.Now()
+	res.Makespan = deliveries[len(deliveries)-1].Time
 	res.MeanDelay = delays.Mean()
-	res.MaxQueueLength = maxQueue
+	res.MaxQueueLength = slices.Max(firstArc)
 	return res, nil
 }
 

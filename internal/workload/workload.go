@@ -165,7 +165,7 @@ func (b RowBitFlip) SampleRow(origin butterfly.Row, rng *xrand.Rand) butterfly.R
 	return dest
 }
 
-// timingStreamOffset separates the stream that drives a source's arrival
+// TimingStream separates the stream that drives a source's arrival
 // timing (inter-arrival gaps, batch sizes) from the stream that drives its
 // per-packet payload sampling (destinations). Payload streams use the node
 // index directly (0..N-1) and the simulators' auxiliary streams use small
@@ -173,7 +173,7 @@ func (b RowBitFlip) SampleRow(origin butterfly.Row, rng *xrand.Rand) butterfly.R
 // two processes on separate streams is what lets the timing draws be buffered
 // in bulk (xrand.FillExp / FillPoisson) without the interleaved destination
 // draws changing the sample path.
-const timingStreamOffset = uint64(1) << 40
+const TimingStream = uint64(1) << 40
 
 // sourceGapBuffer is the number of timing draws a source buffers ahead. The
 // values are identical to scalar draws (the bulk fillers are bit-exact), so
@@ -201,7 +201,7 @@ type PoissonSource struct {
 func NewPoissonSource(rate float64, seed, stream uint64) *PoissonSource {
 	s := &PoissonSource{
 		rng:  xrand.NewStream(seed, stream),
-		gaps: xrand.NewStream(seed, stream+timingStreamOffset),
+		gaps: xrand.NewStream(seed, stream+TimingStream),
 	}
 	s.reset(rate)
 	return s
@@ -212,7 +212,7 @@ func NewPoissonSource(rate float64, seed, stream uint64) *PoissonSource {
 // generators; pooled simulators call it once per replication.
 func (s *PoissonSource) Reseed(rate float64, seed, stream uint64) {
 	s.rng.SeedStream(seed, stream)
-	s.gaps.SeedStream(seed, stream+timingStreamOffset)
+	s.gaps.SeedStream(seed, stream+TimingStream)
 	s.reset(rate)
 }
 
@@ -270,7 +270,7 @@ func NewSlottedSource(rate, tau float64, seed, stream uint64) *SlottedSource {
 		Rate:   rate,
 		Tau:    tau,
 		rng:    xrand.NewStream(seed, stream),
-		counts: xrand.NewStream(seed, stream+timingStreamOffset),
+		counts: xrand.NewStream(seed, stream+TimingStream),
 	}
 	s.pos = len(s.buf)
 	return s
@@ -285,7 +285,7 @@ func (s *SlottedSource) Reseed(rate, tau float64, seed, stream uint64) {
 	}
 	s.Rate, s.Tau = rate, tau
 	s.rng.SeedStream(seed, stream)
-	s.counts.SeedStream(seed, stream+timingStreamOffset)
+	s.counts.SeedStream(seed, stream+TimingStream)
 	s.pos = len(s.buf)
 }
 

@@ -34,6 +34,11 @@ const (
 	// StreamOutage is the base stream for resolving fractional outage arc
 	// subsets; outage i draws from StreamOutage + i.
 	StreamOutage uint64 = 0xFA17_0001_0000
+	// StreamDiscipline seeds the RandomOrder discipline's draws, one per
+	// service start from a non-empty waiting queue. It predates the rule
+	// above: it is below 2^32, and the sample paths of random-order runs
+	// depend on its value.
+	StreamDiscipline uint64 = 0xD15C
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.

@@ -8,7 +8,7 @@ import (
 
 // TestPooledRunSteadyStateAllocs pins what a single run allocates once the
 // pooled runner is warm: the Result, its per-topology block and slices, and
-// the Metrics snapshot the caller owns — never a rebuilt kernel, system,
+// the Metrics snapshot the caller owns — never a rebuilt kernel,
 // topology or sampler. The counts are independent of the horizon, so a run
 // ten times longer must not allocate more.
 func TestPooledRunSteadyStateAllocs(t *testing.T) {
@@ -23,8 +23,6 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 		return sc
 	}
 	fly := Scenario{Topology: Butterfly(4), P: 0.5, LoadFactor: 0.5, Seed: 3}
-	flyEvent := fly
-	flyEvent.ForceEventDriven = true
 	cases := []struct {
 		name   string
 		sc     Scenario
@@ -34,9 +32,8 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 		{"hypercube/greedy", hyper(func(*Scenario) {}), KernelSlotStepped, 10},
 		{"hypercube/valiant", hyper(func(s *Scenario) { s.Router = ValiantTwoPhase }), KernelSlotStepped, 10},
 		{"hypercube/slotted", hyper(func(s *Scenario) { s.Slotted, s.Tau = true, 0.5 }), KernelSlotStepped, 10},
-		{"hypercube/event-driven", hyper(func(s *Scenario) { s.ForceEventDriven = true }), KernelEventDriven, 10},
+		{"hypercube/random-order", hyper(func(s *Scenario) { s.Discipline = RandomOrder }), KernelSlotStepped, 10},
 		{"butterfly/slot-stepped", fly, KernelSlotStepped, 7},
-		{"butterfly/event-driven", flyEvent, KernelEventDriven, 7},
 	}
 	for _, c := range cases {
 		for _, horizon := range []float64{200, 2000} {

@@ -90,6 +90,10 @@ type CheckpointInfo struct {
 	RecordsSkipped int
 }
 
+// errEmptyCheckpoint reports a journal whose first line, the header, is
+// blank.
+var errEmptyCheckpoint = errors.New("journal has no header")
+
 // ScanCheckpoint reads a checkpoint journal's header and counts its valid
 // completed points without restoring results or mutating the file. The
 // daemon uses it on restart to decide which recovered jobs still need work.
@@ -101,7 +105,7 @@ func ScanCheckpoint(path string) (CheckpointInfo, error) {
 	}
 	lines := bytes.Split(data, []byte("\n"))
 	if len(bytes.TrimSpace(lines[0])) == 0 {
-		return CheckpointInfo{}, fmt.Errorf("sim: sweep checkpoint %s is empty", path)
+		return CheckpointInfo{}, fmt.Errorf("sim: sweep checkpoint %s: %w", path, errEmptyCheckpoint)
 	}
 	var hdr ckHeader
 	if err := json.Unmarshal(lines[0], &hdr); err != nil {

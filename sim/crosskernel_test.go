@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/network"
 	"repro/internal/xrand"
 	"repro/sim"
 )
 
-// bitsEqSlice compares float slices bitwise: cross-kernel identity is exact,
-// not approximate.
+// bitsEqSlice compares float slices bitwise: agreement with the oracle is
+// exact, not approximate.
 func bitsEqSlice(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -34,97 +33,56 @@ func run(t *testing.T, sc sim.Scenario) *sim.Result {
 	return res
 }
 
-// compareMetrics fails the test with a field name if two snapshots differ in
-// any bit.
-func compareMetrics(t *testing.T, label string, a, b network.Metrics) {
+// checkOracle runs sc on the slot kernel, with the exact delay sample on,
+// and on the reference simulator (internal/oracle), and fails on any
+// difference in the packet counts or in any bit of any delay, compared in
+// delivery order.
+func checkOracle(t *testing.T, sc sim.Scenario) {
 	t.Helper()
-	scalars := []struct {
-		name string
-		x, y float64
-	}{
-		{"Elapsed", a.Elapsed, b.Elapsed},
-		{"MeanDelay", a.MeanDelay, b.MeanDelay},
-		{"DelayStdDev", a.DelayStdDev, b.DelayStdDev},
-		{"DelayCI95", a.DelayCI95, b.DelayCI95},
-		{"MaxDelay", a.MaxDelay, b.MaxDelay},
-		{"MeanHops", a.MeanHops, b.MeanHops},
-		{"Throughput", a.Throughput, b.Throughput},
-		{"MeanPopulation", a.MeanPopulation, b.MeanPopulation},
-		{"MaxPopulation", a.MaxPopulation, b.MaxPopulation},
-		{"PopulationSlope", a.PopulationSlope, b.PopulationSlope},
-		{"LittleLawError", a.LittleLawError, b.LittleLawError},
+	sc.TrackQuantiles, sc.ReturnDelays = true, true
+	res := run(t, sc)
+	ref, err := sim.RunOracle(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range scalars {
-		if !bitsEq(s.x, s.y) {
-			t.Errorf("%s: %s differs: %v vs %v", label, s.name, s.x, s.y)
+	m := res.Metrics
+	got := [5]int64{m.Generated, m.Delivered, m.DroppedFault, m.DroppedOverflow, m.InFlight}
+	want := [5]int64{ref.Generated, ref.Delivered, ref.DroppedFault, ref.DroppedOverflow, ref.InFlight}
+	if got != want {
+		t.Errorf("generated/delivered/fault/overflow/in-flight: kernel %v, oracle %v", got, want)
+	}
+	if !bitsEqSlice(res.Delays, ref.Delays) {
+		i := 0
+		for i < min(len(res.Delays), len(ref.Delays)) && bitsEq(res.Delays[i], ref.Delays[i]) {
+			i++
 		}
+		t.Errorf("per-packet delays differ from delivery %d on (%d vs %d delays)", i, len(res.Delays), len(ref.Delays))
 	}
-	if a.Delivered != b.Delivered || a.Generated != b.Generated || a.InFlight != b.InFlight {
-		t.Errorf("%s: counters differ: %d/%d/%d vs %d/%d/%d", label,
-			a.Delivered, a.Generated, a.InFlight, b.Delivered, b.Generated, b.InFlight)
-	}
-	if a.DroppedFault != b.DroppedFault || a.DroppedOverflow != b.DroppedOverflow {
-		t.Errorf("%s: drop counters differ: %d/%d vs %d/%d", label,
-			a.DroppedFault, a.DroppedOverflow, b.DroppedFault, b.DroppedOverflow)
-	}
-	vectors := []struct {
-		name string
-		x, y []float64
-	}{
-		{"GroupMeanPopulation", a.GroupMeanPopulation, b.GroupMeanPopulation},
-		{"GroupArcUtilization", a.GroupArcUtilization, b.GroupArcUtilization},
-		{"GroupArrivalRate", a.GroupArrivalRate, b.GroupArrivalRate},
-		{"GroupMeanWait", a.GroupMeanWait, b.GroupMeanWait},
-	}
-	for _, v := range vectors {
-		if !bitsEqSlice(v.x, v.y) {
-			t.Errorf("%s: %s differs:\n%v\nvs\n%v", label, v.name, v.x, v.y)
-		}
-	}
-	if len(a.MeanDelayByClass) != len(b.MeanDelayByClass) {
-		t.Errorf("%s: class map sizes differ", label)
-	}
-	for cls, x := range a.MeanDelayByClass {
-		if y, ok := b.MeanDelayByClass[cls]; !ok || !bitsEq(x, y) {
-			t.Errorf("%s: class %d delay differs: %v vs %v", label, cls, x, y)
-		}
-	}
-}
-
-// checkHypercubeIdentity runs sc on the slot-stepped kernel and on the
-// event-driven oracle and fails on any bit of difference in the metrics, the
-// per-packet delays, the quantiles or the per-dimension statistics.
-func checkHypercubeIdentity(t *testing.T, sc sim.Scenario) {
-	t.Helper()
-	fast := run(t, sc)
-	slow := sc
-	slow.ForceEventDriven = true
-	ref := run(t, slow)
-	if fast.Kernel != sim.KernelSlotStepped || ref.Kernel != sim.KernelEventDriven {
-		t.Fatalf("kernels: %s vs %s", fast.Kernel, ref.Kernel)
-	}
-	compareMetrics(t, "metrics", fast.Metrics, ref.Metrics)
-	if !bitsEqSlice(fast.Delays, ref.Delays) {
-		t.Errorf("per-packet delays differ (%d vs %d samples)", len(fast.Delays), len(ref.Delays))
-	}
-	if !bitsEq(fast.DelayP95, ref.DelayP95) || !bitsEq(fast.DelayP99, ref.DelayP99) {
-		t.Errorf("quantiles differ: %v/%v vs %v/%v", fast.DelayP95, fast.DelayP99, ref.DelayP95, ref.DelayP99)
-	}
-	f, r := fast.Hypercube, ref.Hypercube
-	if !bitsEqSlice(f.PerDimensionMeanQueue, r.PerDimensionMeanQueue) ||
-		!bitsEqSlice(f.PerDimensionUtilization, r.PerDimensionUtilization) ||
-		!bitsEqSlice(f.PerDimensionMeanWait, r.PerDimensionMeanWait) {
-		t.Error("per-dimension statistics differ")
-	}
-	if sc.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
+	if sc.Faults != nil && ref.DroppedFault+ref.DroppedOverflow == 0 {
 		t.Error("fault variant recorded no drops; the loss path was not exercised")
 	}
 }
 
+// fullFaults is the whole fault model: transient faults, finite buffers and
+// scheduled outages, one of them over explicit arcs and one ending off the
+// slot grid.
+func fullFaults() *sim.FaultSpec {
+	return &sim.FaultSpec{
+		ArcFailProb:    0.01,
+		BufferCapacity: 3,
+		Outages: []sim.Outage{
+			{From: 80, Until: 160, Fraction: 0.25},
+			{From: 160, Until: 170, Arcs: []int{0, 1, 2, 5}},
+			{From: 200.25, Until: 233.5, Fraction: 0.5},
+		},
+	}
+}
+
 // sharedHypercubeVariants are the configuration variants both hypercube
-// golden tests run, under either arrival model: every router, the optional
-// observability hooks, an unstable load, custom weights and the three fault
-// variants (identity must hold for the loss accounting too).
+// oracle tests run, under either arrival model: every router, the optional
+// observability hooks, an unstable load, custom weights, the three fault
+// variants (the loss accounting must agree too) and the RandomOrder
+// discipline, alone, unstable and under the full fault model.
 var sharedHypercubeVariants = []func(*sim.Scenario){
 	func(c *sim.Scenario) { c.Router = sim.GreedyRandomOrder },
 	func(c *sim.Scenario) { c.Router = sim.ValiantTwoPhase; c.LoadFactor = 0.3 },
@@ -140,37 +98,30 @@ var sharedHypercubeVariants = []func(*sim.Scenario){
 	// and the full model with scheduled outages.
 	func(c *sim.Scenario) { c.Faults = &sim.FaultSpec{ArcFailProb: 0.02} },
 	func(c *sim.Scenario) { c.Faults = &sim.FaultSpec{BufferCapacity: 1}; c.LoadFactor = 0.9 },
-	func(c *sim.Scenario) {
-		c.Faults = &sim.FaultSpec{
-			ArcFailProb:    0.01,
-			BufferCapacity: 3,
-			Outages: []sim.Outage{
-				{From: 80, Until: 160, Fraction: 0.25},
-				{From: 160, Until: 170, Arcs: []int{0, 1, 2, 5}},
-				{From: 200.25, Until: 233.5, Fraction: 0.5},
-			},
-		}
-	},
+	func(c *sim.Scenario) { c.Faults = fullFaults() },
+	func(c *sim.Scenario) { c.Discipline = sim.RandomOrder },
+	func(c *sim.Scenario) { c.Discipline = sim.RandomOrder; c.LoadFactor = 1.2 },
+	func(c *sim.Scenario) { c.Discipline = sim.RandomOrder; c.Faults = fullFaults() },
 }
 
-// runHypercubeVariants runs checkHypercubeIdentity on base modified by each
-// variant, as subtests variant0, variant1, ...
+// runHypercubeVariants runs checkOracle on base modified by each variant, as
+// subtests variant0, variant1, ...
 func runHypercubeVariants(t *testing.T, base sim.Scenario, variants []func(*sim.Scenario)) {
 	for i, mod := range variants {
 		sc := base
 		mod(&sc)
-		t.Run(fmt.Sprintf("variant%d", i), func(t *testing.T) { checkHypercubeIdentity(t, sc) })
+		t.Run(fmt.Sprintf("variant%d", i), func(t *testing.T) { checkOracle(t, sc) })
 	}
 }
 
-// TestCrossKernelGoldenHypercubeSlotted pins the kernel contract on the §3.4
-// slotted model: for every eligible configuration, the slot-stepped kernel
-// and the event-driven calendar produce byte-identical metrics and
-// byte-identical per-packet delays on the same seed.
+// TestCrossKernelGoldenHypercubeSlotted pins the slot kernel to the
+// reference simulator on the §3.4 slotted model: for every configuration the
+// two count the same packets and measure bit-identical per-packet delays, in
+// the same delivery order, on the same seed.
 func TestCrossKernelGoldenHypercubeSlotted(t *testing.T) {
 	base := sim.Scenario{
 		Topology: sim.Hypercube(4), P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
-		Slotted: true, Tau: 0.5, TrackQuantiles: true, ReturnDelays: true,
+		Slotted: true, Tau: 0.5,
 	}
 	variants := append([]func(*sim.Scenario){
 		func(c *sim.Scenario) {},
@@ -180,29 +131,27 @@ func TestCrossKernelGoldenHypercubeSlotted(t *testing.T) {
 	runHypercubeVariants(t, base, variants)
 }
 
-// TestCrossKernelSlotScale pins the kernel contract at scale: the perfbench
-// slot-scale point, a slotted 16-cube with 2^20 arcs, runs the slot kernel
-// with its cache prefetches on, and must still match the event-driven
-// calendar in every metric. The event-driven side takes about a second, so
-// the test skips in -short mode and under the race detector.
+// TestCrossKernelSlotScale pins the slot kernel to the oracle at scale: the
+// perfbench slot-scale point, a slotted 16-cube with 2^20 arcs, runs the
+// kernel with its cache prefetches on. The oracle takes a few seconds there,
+// so the test skips in -short mode and under the race detector.
 func TestCrossKernelSlotScale(t *testing.T) {
 	if testing.Short() || sim.RaceEnabled {
-		t.Skip("skipping the 2^20-arc cross-kernel run in -short mode and under -race")
+		t.Skip("skipping the 2^20-arc oracle run in -short mode and under -race")
 	}
-	checkHypercubeIdentity(t, sim.Scenario{
+	checkOracle(t, sim.Scenario{
 		Topology: sim.Hypercube(16), P: 0.5, LoadFactor: 0.7, Horizon: 4, Seed: 1,
 		Slotted: true, Tau: 1, SkipPerDimensionStats: true,
 	})
 }
 
-// TestCrossKernelGoldenHypercubeContinuous is the same contract on the
-// paper's headline model, continuous-time Poisson arrivals. Greedy routing at
+// TestCrossKernelGoldenHypercubeContinuous is the same check on the paper's
+// headline model, continuous-time Poisson arrivals. Greedy routing at
 // p = 1/2 runs the kernel's bulk arrival prefetch on its FillUint64 path;
 // other p run it on the scalar fallback; randomized routers run without it.
 func TestCrossKernelGoldenHypercubeContinuous(t *testing.T) {
 	base := sim.Scenario{
 		Topology: sim.Hypercube(4), P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
-		TrackQuantiles: true, ReturnDelays: true,
 	}
 	variants := append([]func(*sim.Scenario){
 		func(c *sim.Scenario) {},
@@ -214,15 +163,15 @@ func TestCrossKernelGoldenHypercubeContinuous(t *testing.T) {
 }
 
 // TestCrossKernelGoldenButterfly is the butterfly (continuous-time) half of
-// the golden contract.
+// the oracle check.
 func TestCrossKernelGoldenButterfly(t *testing.T) {
 	scs := []sim.Scenario{
-		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 7, TrackQuantiles: true, ReturnDelays: true},
-		{Topology: sim.Butterfly(5), P: 0.3, LoadFactor: 0.6, Horizon: 300, Seed: 21, TrackQuantiles: true, ReturnDelays: true},
+		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 7},
+		{Topology: sim.Butterfly(5), P: 0.3, LoadFactor: 0.6, Horizon: 300, Seed: 21},
 		{Topology: sim.Butterfly(3), P: 0.7, Lambda: 1.9, Horizon: 500, Seed: 3, PopulationTraceInterval: 20},
 		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 1.3, Horizon: 200, Seed: 5}, // unstable
 		// Fault-model configs on the continuous-time (butterfly) path.
-		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 11, TrackQuantiles: true, ReturnDelays: true,
+		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 11,
 			Faults: &sim.FaultSpec{ArcFailProb: 0.03}},
 		{Topology: sim.Butterfly(3), P: 0.4, LoadFactor: 0.9, Horizon: 300, Seed: 13,
 			Faults: &sim.FaultSpec{
@@ -232,33 +181,17 @@ func TestCrossKernelGoldenButterfly(t *testing.T) {
 					{From: 150, Until: 151, Arcs: []int{3, 4}},
 				},
 			}},
+		{Topology: sim.Butterfly(4), P: 0.5, LoadFactor: 0.8, Horizon: 400, Seed: 7,
+			Discipline: sim.RandomOrder, Faults: &sim.FaultSpec{BufferCapacity: 2, ArcFailProb: 0.01}},
 	}
 	for i, sc := range scs {
-		t.Run(fmt.Sprintf("config%d", i), func(t *testing.T) {
-			fast := run(t, sc)
-			slow := sc
-			slow.ForceEventDriven = true
-			ref := run(t, slow)
-			if fast.Kernel != sim.KernelSlotStepped || ref.Kernel != sim.KernelEventDriven {
-				t.Fatalf("kernels: %s vs %s", fast.Kernel, ref.Kernel)
-			}
-			compareMetrics(t, "metrics", fast.Metrics, ref.Metrics)
-			if !bitsEqSlice(fast.Delays, ref.Delays) {
-				t.Errorf("per-packet delays differ (%d vs %d samples)", len(fast.Delays), len(ref.Delays))
-			}
-			if !bitsEq(fast.Butterfly.StraightUtilization, ref.Butterfly.StraightUtilization) ||
-				!bitsEq(fast.Butterfly.VerticalUtilization, ref.Butterfly.VerticalUtilization) {
-				t.Error("per-kind utilisations differ")
-			}
-			if sc.Faults != nil && ref.Metrics.DroppedFault+ref.Metrics.DroppedOverflow == 0 {
-				t.Error("fault config recorded no drops; the loss path was not exercised")
-			}
-		})
+		t.Run(fmt.Sprintf("config%d", i), func(t *testing.T) { checkOracle(t, sc) })
 	}
 }
 
-// TestCrossKernelRandomConfigs is the property-test half of the contract:
-// pseudo-random eligible configurations must agree across kernels too.
+// TestCrossKernelRandomConfigs is the property-test half of the oracle
+// check: pseudo-random configurations must agree with the oracle too. Every
+// third trial serves its arcs in random order.
 func TestCrossKernelRandomConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping property test in -short mode")
@@ -298,26 +231,19 @@ func TestCrossKernelRandomConfigs(t *testing.T) {
 				Seed:       seed,
 			}
 		}
-		fast := run(t, sc)
-		sc.ForceEventDriven = true
-		ref := run(t, sc)
-		compareMetrics(t, fmt.Sprintf("%s trial %d (%+v)", sc.Topology.Kind, trial, sc), fast.Metrics, ref.Metrics)
+		if trial%3 == 0 {
+			sc.Discipline = sim.RandomOrder
+		}
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) { checkOracle(t, sc) })
 	}
 }
 
-// TestKernelSelection pins which configurations route to which kernel and
-// that the escape hatch works. Every FIFO store-and-forward run is eligible
-// under either arrival model; only the two blockers named at sim's
-// storeForwardKernel (RandomOrder, ForceEventDriven) keep a run on the
-// event-driven calendar.
+// TestKernelSelection pins which kernel runs what: every store-and-forward
+// scenario, under either arrival model and either discipline, runs on the
+// slot kernel, and deflection routing on its own kernel.
 func TestKernelSelection(t *testing.T) {
 	hyper := func(mod func(*sim.Scenario)) sim.Scenario {
 		sc := sim.Scenario{Topology: sim.Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
-		mod(&sc)
-		return sc
-	}
-	butter := func(mod func(*sim.Scenario)) sim.Scenario {
-		sc := sim.Scenario{Topology: sim.Butterfly(3), P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1}
 		mod(&sc)
 		return sc
 	}
@@ -326,29 +252,17 @@ func TestKernelSelection(t *testing.T) {
 		sc   sim.Scenario
 		want string
 	}{
-		{"poisson FIFO uses the slot kernel", hyper(func(c *sim.Scenario) {}), sim.KernelSlotStepped},
-		{"poisson random-order falls back", hyper(func(c *sim.Scenario) { c.Discipline = sim.RandomOrder }), sim.KernelEventDriven},
-		{"poisson valiant eligible", hyper(func(c *sim.Scenario) { c.Router = sim.ValiantTwoPhase }), sim.KernelSlotStepped},
-		{"poisson ForceEventDriven wins", hyper(func(c *sim.Scenario) { c.ForceEventDriven = true }), sim.KernelEventDriven},
-		{"slotted FIFO uses the slot kernel", hyper(func(c *sim.Scenario) { c.Slotted = true; c.Tau = 0.5 }), sim.KernelSlotStepped},
-		{"slotted random-order falls back", hyper(func(c *sim.Scenario) {
+		{"poisson FIFO", hyper(func(c *sim.Scenario) {}), sim.KernelSlotStepped},
+		{"poisson random-order", hyper(func(c *sim.Scenario) { c.Discipline = sim.RandomOrder }), sim.KernelSlotStepped},
+		{"poisson valiant", hyper(func(c *sim.Scenario) { c.Router = sim.ValiantTwoPhase }), sim.KernelSlotStepped},
+		{"slotted random-order", hyper(func(c *sim.Scenario) {
 			c.Slotted = true
 			c.Tau = 0.5
 			c.Discipline = sim.RandomOrder
-		}), sim.KernelEventDriven},
-		{"ForceEventDriven wins", hyper(func(c *sim.Scenario) {
-			c.Slotted = true
-			c.Tau = 0.5
-			c.ForceEventDriven = true
-		}), sim.KernelEventDriven},
-		{"slotted valiant eligible", hyper(func(c *sim.Scenario) {
-			c.Slotted = true
-			c.Tau = 1
-			c.Router = sim.ValiantTwoPhase
 		}), sim.KernelSlotStepped},
-		{"FIFO butterfly uses the slot kernel", butter(func(c *sim.Scenario) {}), sim.KernelSlotStepped},
-		{"random-order butterfly falls back", butter(func(c *sim.Scenario) { c.Discipline = sim.RandomOrder }), sim.KernelEventDriven},
-		{"butterfly ForceEventDriven wins", butter(func(c *sim.Scenario) { c.ForceEventDriven = true }), sim.KernelEventDriven},
+		{"butterfly random-order", sim.Scenario{Topology: sim.Butterfly(3), P: 0.5, LoadFactor: 0.5, Horizon: 50, Seed: 1,
+			Discipline: sim.RandomOrder}, sim.KernelSlotStepped},
+		{"deflection", hyper(func(c *sim.Scenario) { c.Router = sim.Deflection }), sim.KernelDeflection},
 	}
 	for _, tc := range cases {
 		res, err := sim.Run(context.Background(), tc.sc)

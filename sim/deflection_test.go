@@ -148,14 +148,14 @@ func TestDeflectionValidationRejections(t *testing.T) {
 }
 
 // TestDeflectionIgnoresPerformanceToggles pins the documented exception: the
-// toggles that never change what a run computes stay accepted.
+// toggle that never changes what a run computes stays accepted.
 func TestDeflectionIgnoresPerformanceToggles(t *testing.T) {
 	sc := Scenario{
 		Topology: Hypercube(3), P: 0.5, LoadFactor: 0.5, Horizon: 200, Seed: 1,
-		Router: Deflection, SkipPerDimensionStats: true, ForceEventDriven: true,
+		Router: Deflection, SkipPerDimensionStats: true,
 	}
 	if err := sc.Validate(); err != nil {
-		t.Fatalf("performance toggles must be ignored, got %v", err)
+		t.Fatalf("the performance toggle must be ignored, got %v", err)
 	}
 }
 

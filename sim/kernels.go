@@ -1,15 +1,13 @@
 // The store-and-forward runner. Every hypercube and butterfly scenario —
-// the paper's unit-service FIFO arcs under Poisson or §3.4 slotted arrivals,
-// plus the RandomOrder ablation — normalizes to one storeForward config and
-// runs through one pooled runner on one of two kernels: the slot-stepped
-// kernel (internal/slotsim) or the event-driven calendar (internal/des +
-// internal/network). The topologies differ only in the config's netShape
+// the paper's unit-service arcs under Poisson or §3.4 slotted arrivals, FIFO
+// or the RandomOrder ablation — normalizes to one storeForward config and
+// runs through one pooled runner on the one store-and-forward kernel,
+// internal/slotsim. The topologies differ only in the config's netShape
 // (arc, group and source counts, route mode, destination distribution) and
-// in the runner's traffic sampler, which both kernels call directly: the
-// slot kernel through its Traffic/DestSampler/BatchSampler interfaces, the
-// event-driven sources through AppendRoute. Both consume the destination and
-// routing streams in the same order, which is what the cross-kernel golden
-// tests pin.
+// in the runner's traffic sampler, which the kernel calls through its
+// Traffic/DestSampler/BatchSampler interfaces. The reference simulator
+// (internal/oracle) that the tests compare the kernel with draws its routes
+// from the same sampler's AppendRoute, one packet at a time.
 
 package sim
 
@@ -17,144 +15,24 @@ import (
 	"sync"
 
 	"repro/internal/butterfly"
-	"repro/internal/des"
 	"repro/internal/hypercube"
-	"repro/internal/network"
 	"repro/internal/routing"
 	"repro/internal/slotsim"
-	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
 // Kernel identifiers reported in Result.Kernel.
 const (
-	// KernelEventDriven is the general discrete-event calendar
-	// (internal/des + internal/network).
-	KernelEventDriven = "event-driven"
-	// KernelSlotStepped is the synchronous unit-service fast path
-	// (internal/slotsim).
+	// KernelSlotStepped is the store-and-forward kernel (internal/slotsim).
 	KernelSlotStepped = "slot-stepped"
 	// KernelDeflection is the slotted bufferless hot-potato kernel
 	// (internal/deflection), selected by Scenario.Router == Deflection.
 	KernelDeflection = "deflection-slotted"
 )
 
-// storeForwardKernel chooses the kernel of a hypercube or butterfly scenario;
-// normalization calls it once and the choice travels in the config. Unit
-// service on FIFO arcs makes service completions a monotone stream under
-// both arrival models — the §3.4 slot clock and continuous-time Poisson
-// arrivals — and randomized routers run on stored routes, so exactly two
-// things keep a run off the slot-stepped kernel:
-//   - the RandomOrder discipline (ablation A2), whose random service order
-//     the kernel's FIFO completion ring cannot express;
-//   - Scenario.ForceEventDriven, which keeps the event-driven calendar
-//     available as the cross-kernel oracle.
-func (s *Scenario) storeForwardKernel() string {
-	if s.Discipline == FIFO && !s.ForceEventDriven {
-		return KernelSlotStepped
-	}
-	return KernelEventDriven
-}
-
-// poissonNodeSources drives the per-node Poisson arrival processes through
-// the typed calendar as their superposition: one aggregate Poisson stream of
-// rate nodes*lambda whose arrivals pick a uniformly random origin node. By
-// Poisson splitting this is exactly the same process in law as N independent
-// per-node streams, but it keeps a single pending calendar event instead of
-// N, samples one exponential per arrival (buffered in bulk by the source via
-// xrand.FillExp) and reseeds in place across replications. The slot-stepped
-// kernel consumes the identical stream in the identical order, which is what
-// the cross-kernel golden tests pin.
-type poissonNodeSources struct {
-	sim        *des.Simulator
-	source     *workload.PoissonSource
-	nodes      uint64
-	horizon    float64
-	sink       *runner
-	handler    des.HandlerID
-	registered bool
-}
-
-// start seeds the aggregate source and schedules the first arrival.
-func (d *poissonNodeSources) start(sim *des.Simulator, nodes int, lambda, horizon float64,
-	seed uint64, sink *runner) {
-	if !d.registered {
-		d.handler = sim.RegisterHandler(d)
-		d.registered = true
-	}
-	d.sim, d.nodes, d.horizon, d.sink = sim, uint64(nodes), horizon, sink
-	if d.source == nil {
-		d.source = workload.NewPoissonSource(float64(nodes)*lambda, seed, 0)
-	} else {
-		d.source.Reseed(float64(nodes)*lambda, seed, 0)
-	}
-	if next := d.source.NextArrival(); next <= horizon {
-		d.source.Advance()
-		sim.ScheduleEventAt(next, d.handler, 0, 0)
-	}
-}
-
-// HandleEvent fires one arrival: pick the origin node, inject, reschedule.
-func (d *poissonNodeSources) HandleEvent(_, _ int32) {
-	src := d.source
-	node := int32(src.RNG().Uint64n(d.nodes))
-	d.sink.injectFrom(node, src.RNG())
-	if next := src.NextArrival(); next <= d.horizon {
-		src.Advance()
-		d.sim.ScheduleEventAt(next, d.handler, 0, 0)
-	}
-}
-
-// slottedNodeSources drives the §3.4 arrival model on the event calendar: at
-// every slot start the network generates a Poisson(nodes*lambda*tau) batch
-// whose packets pick uniformly random origin nodes — the splitting-equivalent
-// of one Poisson(lambda*tau) batch per node, sampled as one bulk-buffered
-// draw (xrand.FillPoisson) instead of N. The tick is a single
-// self-rescheduling typed event; like poissonNodeSources the driver is
-// reusable across replications.
-type slottedNodeSources struct {
-	sim        *des.Simulator
-	source     *workload.SlottedSource
-	nodes      uint64
-	tau        float64
-	horizon    float64
-	sink       *runner
-	handler    des.HandlerID
-	registered bool
-}
-
-func (d *slottedNodeSources) start(sim *des.Simulator, nodes int, lambda, tau, horizon float64,
-	seed uint64, sink *runner) {
-	if !d.registered {
-		d.handler = sim.RegisterHandler(d)
-		d.registered = true
-	}
-	d.sim, d.nodes, d.tau, d.horizon, d.sink = sim, uint64(nodes), tau, horizon, sink
-	if d.source == nil {
-		d.source = workload.NewSlottedSource(float64(nodes)*lambda, tau, seed, 0)
-	} else {
-		d.source.Reseed(float64(nodes)*lambda, tau, seed, 0)
-	}
-	sim.ScheduleEventAt(0, d.handler, 0, 0)
-}
-
-// HandleEvent fires one slot tick.
-func (d *slottedNodeSources) HandleEvent(_, _ int32) {
-	src := d.source
-	batch := src.BatchSize()
-	for k := 0; k < batch; k++ {
-		node := int32(src.RNG().Uint64n(d.nodes))
-		d.sink.injectFrom(node, src.RNG())
-	}
-	next := d.sim.Now() + d.tau
-	if next <= d.horizon {
-		d.sim.ScheduleEventAt(next, d.handler, 0, 0)
-	}
-}
-
 // sampler is a topology's packet sampler: the slot kernel's route and
-// destination callbacks, which the event-driven sources call too.
+// destination callbacks.
 type sampler interface {
 	slotsim.Traffic
 	slotsim.DestSampler
@@ -260,20 +138,15 @@ func (t *butterflyTraffic) SampleDest(origin int32, rng *xrand.Rand) uint32 {
 }
 
 // runner holds the reusable state of one store-and-forward run: both
-// topologies' samplers, the event-driven system and sources, and the
-// slot-stepped kernel, each built on first use. Runners are pooled per
-// worker (sync.Pool), so in steady state a replication performs no setup
-// allocations: the topology, the system's arcs and calendar, the kernel
-// arena and every RNG are recycled.
+// topologies' samplers and the kernel, each built on first use. Runners are
+// pooled per worker (sync.Pool), so in steady state a replication performs
+// no setup allocations: the topology, the kernel arena and every RNG are
+// recycled.
 type runner struct {
 	hyper hypercubeTraffic
 	fly   butterflyTraffic
 	// traffic is the current run's sampler, one of the two above.
 	traffic sampler
-
-	sys     *network.System
-	poisson poissonNodeSources
-	slotted slottedNodeSources
 
 	kernel *slotsim.Kernel
 }
@@ -308,6 +181,7 @@ func (c *storeForward) slotConfig(t sampler) slotsim.Config {
 		Dest:        t,
 		MaxBytes:    c.MaxBytes,
 		Measurement: c.Measure,
+		Discipline:  c.Discipline,
 	}
 	if c.Faults != nil {
 		cfg.Faults = *c.Faults
@@ -320,66 +194,15 @@ func (c *storeForward) slotConfig(t sampler) slotsim.Config {
 	return cfg
 }
 
-// delayStats is the delay-statistics view both kernels expose
-// (network.System and slotsim.Kernel).
-type delayStats interface {
-	DelayQuantile(q float64) float64
-	DelaySample() []float64
-	DelaySketch() *stats.DDSketch
-}
-
-// run executes c once on its kernel and assembles the result while the
+// run executes c once on the kernel and assembles the result while the
 // pooled runner still holds the kernel's delay statistics.
 func (c *storeForward) run() *Result {
 	r := runners.Get().(*runner)
 	defer runners.Put(r)
 	r.traffic = r.sampler(c)
 	r.traffic.prepare(c)
-	if c.Kernel == KernelSlotStepped {
-		if r.kernel == nil {
-			r.kernel = new(slotsim.Kernel)
-		}
-		return c.result(r.kernel.Run(c.slotConfig(r.traffic)), r.kernel)
+	if r.kernel == nil {
+		r.kernel = new(slotsim.Kernel)
 	}
-	sys := r.runEventDriven(c)
-	return c.result(sys.Snapshot(), sys)
-}
-
-// runEventDriven executes c on the des-based calendar.
-func (r *runner) runEventDriven(c *storeForward) *network.System {
-	cfg := network.Config{
-		NumArcs:     c.net.arcs,
-		NumGroups:   c.net.groups,
-		Discipline:  c.Discipline,
-		ServiceTime: 1,
-		Seed:        c.Seed,
-		Measurement: c.Measure,
-	}
-	if c.Faults != nil {
-		cfg.Faults = *c.Faults
-	}
-	if r.sys == nil {
-		r.sys = network.NewSystem(cfg)
-	} else {
-		r.sys.Reset(cfg)
-	}
-	sys := r.sys
-	if c.Slotted {
-		r.slotted.start(sys.Sim, c.net.sources, c.Lambda, c.Tau, c.Horizon, c.Seed, r)
-	} else {
-		r.poisson.start(sys.Sim, c.net.sources, c.Lambda, c.Horizon, c.Seed, r)
-	}
-	sys.Sim.RunUntil(c.WarmupFraction * c.Horizon)
-	sys.StartMeasurement()
-	sys.Sim.RunUntil(c.Horizon)
-	return sys
-}
-
-// injectFrom generates one packet on the event-driven path, routed by the
-// run's sampler exactly as the slot kernel's stored-route mode routes it.
-func (r *runner) injectFrom(node int32, rng *xrand.Rand) {
-	p := r.sys.AcquirePacket()
-	p.ID = r.sys.NewPacketID()
-	p.Path = r.traffic.AppendRoute(node, rng, p.Path[:0])
-	r.sys.Inject(p)
+	return c.result(r.kernel.Run(c.slotConfig(r.traffic)), r.kernel)
 }

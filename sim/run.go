@@ -14,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hypercube"
 	"repro/internal/network"
+	"repro/internal/slotsim"
 	"repro/internal/stats"
 )
 
@@ -220,7 +221,11 @@ func tailStatsFromSketch(s *stats.DDSketch) *TailStats {
 	}
 }
 
-// Replication summarises one metric over independent replications.
+// Replication summarises one metric over independent replications. A
+// replication that could not measure the metric (NaN, e.g. a delivery ratio
+// with no packet decided) is left out, so N counts the replications that
+// measured it; when none did, N is 0 and the other fields are NaN, written
+// as null.
 type Replication struct {
 	N      int     `json:"n"`
 	Mean   float64 `json:"mean"`
@@ -232,8 +237,9 @@ type Replication struct {
 
 // replicationFromTally converts a merged engine tally into the report form.
 func replicationFromTally(t *stats.Tally) Replication {
-	if t == nil {
-		return Replication{}
+	if t.Count() == 0 {
+		nan := math.NaN()
+		return Replication{Mean: nan, StdDev: nan, CI95: nan, Min: nan, Max: nan}
 	}
 	return Replication{
 		N:      int(t.Count()),
@@ -265,7 +271,7 @@ type Result struct {
 	// butterfly.
 	LoadFactor float64 `json:"load_factor"`
 	// Kernel names the simulation kernel the run executed on
-	// (KernelEventDriven or KernelSlotStepped).
+	// (KernelSlotStepped or KernelDeflection).
 	Kernel string `json:"kernel"`
 
 	// Metrics is the raw measurement snapshot from the simulator.
@@ -280,9 +286,9 @@ type Result struct {
 	// tolerance); it is meaningful only for greedy routing on a stable
 	// system.
 	WithinPaperBounds bool `json:"within_paper_bounds"`
-	// Delays holds the measured per-packet delays when ReturnDelays was set
-	// (nil otherwise). The order is deterministic for a given seed but
-	// unspecified; the cross-kernel golden tests compare it bitwise.
+	// Delays holds the measured per-packet delays, in delivery order, when
+	// ReturnDelays was set (nil otherwise); the oracle tests compare it
+	// bitwise.
 	Delays []float64 `json:"-"`
 
 	// Hypercube carries the hypercube-specific measurements and bounds.
@@ -436,6 +442,13 @@ func unmarshalNullSafe(data []byte, block any) error {
 	return nil
 }
 
+// MarshalJSON writes the summary under the NaN-as-null rule. The receiver
+// is a value, because Result.Replicated holds summaries by value.
+func (r Replication) MarshalJSON() ([]byte, error) { return marshalNullSafe(&r) }
+
+// UnmarshalJSON reads the summary under the NaN-as-null rule.
+func (r *Replication) UnmarshalJSON(data []byte) error { return unmarshalNullSafe(data, r) }
+
 // MarshalJSON writes the result under the NaN-as-null rule.
 func (r *Result) MarshalJSON() ([]byte, error) { return marshalNullSafe(r) }
 
@@ -486,12 +499,9 @@ var runTestHook func(Scenario)
 // deterministically split seeds.
 //
 // Every hypercube and butterfly scenario executes through the one pooled
-// store-and-forward runner: FIFO runs on the slot-stepped kernel, the
-// RandomOrder discipline and ForceEventDriven runs on the event-driven
-// calendar (normalization makes the choice once, see storeForwardKernel).
-// The two kernels produce byte-identical results on the same seed, and the
-// runner's state is pooled per worker, so repeated runs perform no setup
-// allocations in steady state.
+// store-and-forward runner on the slot-stepped kernel; the runner's state is
+// pooled per worker, so repeated runs perform no setup allocations in steady
+// state.
 //
 // Cancellation is cooperative at replication granularity: a cancelled ctx
 // stops unstarted replications and returns ctx.Err(); an individual
@@ -566,7 +576,7 @@ func boundOrNaN(f func() (float64, error)) float64 {
 // result.
 func (c *storeForward) analyticResult() *Result {
 	d := c.Topology.D
-	res := &Result{Topology: c.Topology, Lambda: c.Lambda, Kernel: c.Kernel}
+	res := &Result{Topology: c.Topology, Lambda: c.Lambda, Kernel: KernelSlotStepped}
 	if c.Topology.Kind == TopologyButterfly {
 		b := &ButterflyStats{Params: ButterflyParams{D: d, Lambda: c.Lambda, P: c.P}}
 		b.UniversalLowerBound = boundOrNaN(b.Params.UniversalLowerBound)
@@ -609,15 +619,16 @@ func (c *storeForward) analyticResult() *Result {
 
 // result assembles one run's Result: the analytic part plus the measured
 // fields, read from the kernel that ran it.
-func (c *storeForward) result(m network.Metrics, k delayStats) *Result {
+func (c *storeForward) result(m network.Metrics, k *slotsim.Kernel) *Result {
 	res := c.analyticResult()
 	res.Metrics = m
 	res.MeanDelay = m.MeanDelay
-	res.DelayP95 = k.DelayQuantile(0.95)
-	res.DelayP99 = k.DelayQuantile(0.99)
 	if c.ReturnDelays {
+		// Copied before the quantile queries reorder the sample.
 		res.Delays = append([]float64(nil), k.DelaySample()...)
 	}
+	res.DelayP95 = k.DelayQuantile(0.95)
+	res.DelayP99 = k.DelayQuantile(0.99)
 	if s := k.DelaySketch(); s != nil {
 		// Cloned out of the pooled kernel, so it outlives the runner.
 		res.sketch = s.Clone()

@@ -441,7 +441,44 @@ func TestResultBlocksWriteNaNAsNull(t *testing.T) {
 			})
 		}
 	}
-	if len(blocks) < 7 || tested < 30 {
+	// Result.Replicated holds its summaries by value, in a map.
+	repType := reflect.TypeFor[sim.Replication]()
+	for i := range repType.NumField() {
+		f := repType.Field(i)
+		if f.Type != reflect.TypeFor[float64]() {
+			continue
+		}
+		tested++
+		t.Run("Replication."+f.Name, func(t *testing.T) {
+			t.Parallel()
+			var rep sim.Replication
+			reflect.ValueOf(&rep).Elem().Field(i).SetFloat(math.NaN())
+			data, err := json.Marshal(&sim.Result{Replicated: map[string]sim.Replication{"m": rep}})
+			if err != nil {
+				t.Fatalf("marshal: %v", err)
+			}
+			var obj struct {
+				Replicated map[string]map[string]json.RawMessage `json:"replicated"`
+			}
+			if err := json.Unmarshal(data, &obj); err != nil {
+				t.Fatal(err)
+			}
+			if got := string(obj.Replicated["m"][jsonName(f)]); got != "null" {
+				t.Fatalf("NaN %s marshals as %q, want null:\n%s", jsonName(f), got, data)
+			}
+			var back sim.Result
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatalf("unmarshal: %v", err)
+			}
+			if got := reflect.ValueOf(back.Replicated["m"]).Field(i).Float(); !math.IsNaN(got) {
+				t.Fatalf("null %s reads back as %v, want NaN", jsonName(f), got)
+			}
+			if again, err := json.Marshal(&back); err != nil || string(again) != string(data) {
+				t.Fatalf("round trip changed the JSON (%v):\n%s\n%s", err, data, again)
+			}
+		})
+	}
+	if len(blocks) < 7 || tested < 35 {
 		t.Fatalf("walked %d blocks and %d float fields; the walk missed the result blocks", len(blocks), tested)
 	}
 }

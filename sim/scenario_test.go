@@ -137,12 +137,6 @@ func TestScenarioValidationErrors(t *testing.T) {
 		{"max bytes below the continuous hypercube estimate", func(s *Scenario) {
 			s.MaxBytes = slotEstimate(s) - 1
 		}, "exceeding max_bytes"},
-		{"max bytes with the event-driven kernel forced", func(s *Scenario) {
-			s.Slotted = true
-			s.Tau = 1
-			s.ForceEventDriven = true
-			s.MaxBytes = 1 << 30
-		}, "without force_event_driven"},
 		{"max bytes below the hypercube estimate", func(s *Scenario) {
 			s.Slotted = true
 			s.Tau = 1
@@ -235,7 +229,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 			Horizon: 250, WarmupFraction: 0.3, Seed: 42,
 			Replications: 6, TrackQuantiles: true, ReturnDelays: true,
 			TrackPerDimensionWait: true, PopulationTraceInterval: 5,
-			SkipPerDimensionStats: false, ForceEventDriven: true,
+			SkipPerDimensionStats: false, MaxBytes: 1 << 30,
 		},
 		{
 			Name:     "slotted",

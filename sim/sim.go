@@ -18,11 +18,10 @@
 // arrival model, or butterfly — is store-and-forward: it normalizes to one
 // config whose small per-topology part (arc, group and source counts, route
 // mode, samplers) is all that differs between the topologies, and runs
-// through one pooled runner. FIFO runs use the slot-stepped kernel
-// (internal/slotsim, byte-identical to the event calendar on the same seed);
-// only the RandomOrder discipline and ForceEventDriven runs use the general
-// event-driven calendar (internal/des + internal/network). Result.Kernel
-// reports the choice.
+// through one pooled runner on the slot-stepped kernel (internal/slotsim),
+// under either queueing discipline. Its tests compare it, packet by packet,
+// with a naive reference simulator of the §2 model (internal/oracle).
+// Result.Kernel reports the kernel that ran.
 //
 // Replication is first-class: setting Scenario.Replications runs the
 // scenario N times on the sharded parallel engine (internal/engine) with
@@ -317,9 +316,6 @@ type Scenario struct {
 	// PerDimensionMeanQueue. Ignored on the butterfly, which never tracks
 	// per-group populations.
 	SkipPerDimensionStats bool `json:"skip_per_dimension_stats,omitempty"`
-	// ForceEventDriven disables the slot-stepped fast kernel for eligible
-	// workloads; results are byte-identical either way.
-	ForceEventDriven bool `json:"force_event_driven,omitempty"`
 	// Faults, when non-nil, injects link faults into the scenario: a per-arc
 	// transient fault probability, scheduled link outages, and/or a finite
 	// per-arc buffer capacity with drop accounting. All fault randomness is
@@ -336,9 +332,8 @@ type Scenario struct {
 	// scenarios that cannot fit with a clean error; the kernel re-checks the
 	// budget whenever its dynamic pools grow mid-run, so a run whose
 	// in-flight population outgrows the budget fails loudly instead of being
-	// OOM-killed. It requires a FIFO hypercube (slotted or continuous-time)
-	// or a FIFO butterfly, without force_event_driven: the runs the
-	// slot-stepped kernel executes.
+	// OOM-killed. Deflection routing, which runs on its own kernel, rejects
+	// it.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
 
 	// Parallelism bounds the number of concurrently executing replication
@@ -362,8 +357,7 @@ type Scenario struct {
 // synonymous). Every fault mechanism is deterministic given Scenario.Seed:
 // transient faults draw from a dedicated xrand stream consumed only at
 // transmission completions, and outage arc sets are resolved once during
-// validation. Both the event-driven and the slot-stepped kernel honour the
-// same fault model with byte-identical results.
+// validation.
 type FaultSpec struct {
 	// ArcFailProb is the probability, in [0, 1), that any single packet
 	// transmission over an arc fails; a failed transmission drops the packet

@@ -9,10 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/stats"
 	"repro/sim"
 )
 
-// checkTailEq compares two tail-quantile blocks bitwise: cross-kernel and
+// checkTailEq compares two tail-quantile blocks bitwise: oracle and
 // cross-parallelism identity of the sketch is exact, not approximate.
 func checkTailEq(t *testing.T, label string, a, b *sim.TailStats) {
 	t.Helper()
@@ -36,11 +37,10 @@ func checkTailEq(t *testing.T, label string, a, b *sim.TailStats) {
 	}
 }
 
-// TestTailCrossKernelIdentity extends the cross-kernel golden contract to the
-// delay sketch: for a slot-kernel-eligible scenario, the slot-stepped kernel
-// and the event-driven calendar must report bit-identical tail quantiles —
-// both feed the collector the same delays in the same order, so the sketches
-// are the same object state.
+// TestTailCrossKernelIdentity extends the oracle check to the delay sketch:
+// the slot kernel's tail quantiles must be bit-identical to those of a
+// sketch fed the reference simulator's delays in delivery order, since the
+// sketch's state depends only on the delays it absorbed.
 func TestTailCrossKernelIdentity(t *testing.T) {
 	scenarios := []sim.Scenario{
 		{Topology: sim.Hypercube(4), P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,
@@ -57,16 +57,17 @@ func TestTailCrossKernelIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow := sc
-		slow.ForceEventDriven = true
-		ref, err := sim.Run(context.Background(), slow)
+		ref, err := sim.RunOracle(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fast.Kernel != sim.KernelSlotStepped || ref.Kernel != sim.KernelEventDriven {
-			t.Fatalf("scenario %d kernels: %s vs %s", i, fast.Kernel, ref.Kernel)
+		sketch := stats.NewDDSketch(fast.Tail.Alpha)
+		for _, d := range ref.Delays {
+			sketch.Add(d)
 		}
-		checkTailEq(t, sc.Title(), fast.Tail, ref.Tail)
+		want := &sim.TailStats{Alpha: sketch.Alpha(), Count: sketch.Count(), P50: sketch.Quantile(0.50),
+			P90: sketch.Quantile(0.90), P99: sketch.Quantile(0.99), P999: sketch.Quantile(0.999)}
+		checkTailEq(t, sc.Title(), fast.Tail, want)
 		if fast.Tail.Count != fast.Metrics.Delivered {
 			t.Errorf("scenario %d: sketch count %d != delivered %d", i, fast.Tail.Count, fast.Metrics.Delivered)
 		}

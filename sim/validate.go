@@ -17,8 +17,8 @@ import (
 
 // storeForward is the normalized form of a hypercube or butterfly scenario:
 // every default filled, Lambda derived, the fault plan resolved and the
-// kernel chosen. One pooled runner executes it on either kernel (see
-// kernels.go); net holds what differs between the topologies.
+// One pooled runner executes it on the slot kernel (see kernels.go); net
+// holds what differs between the topologies.
 type storeForward struct {
 	Topology       Topology
 	P              float64
@@ -34,14 +34,12 @@ type storeForward struct {
 	MaxBytes       int64
 	Measure        network.Measurement
 	Faults         *network.Faults
-	// Kernel is KernelSlotStepped or KernelEventDriven (storeForwardKernel).
-	Kernel string
-	net    netShape
+	net            netShape
 }
 
 // netShape is the per-topology part of a storeForward config.
 type netShape struct {
-	// arcs, groups and sources size both kernels: the arcs form groups as
+	// arcs, groups and sources size the kernel: the arcs form groups as
 	// network.GroupShift lays them out, and each arrival picks one of the
 	// sources (hypercube nodes, butterfly first-level rows) as its origin.
 	arcs, groups, sources int
@@ -330,9 +328,9 @@ func (s *Scenario) normalize() (normalized, error) {
 		// Hot-potato routing runs on its own slotted kernel with none of the
 		// store-and-forward observability hooks; reject the settings it
 		// cannot honour so spec files fail loudly instead of silently
-		// reporting different semantics. (The pure performance toggles
-		// SkipPerDimensionStats and ForceEventDriven are ignored: they never
-		// change what a run computes.)
+		// reporting different semantics. (The performance toggle
+		// SkipPerDimensionStats is ignored: it never changes what a run
+		// computes.)
 		switch {
 		case s.Discipline != FIFO:
 			return none, fmt.Errorf("sim: deflection routing has no arc queues, so the discipline must stay FIFO (the default)")
@@ -418,12 +416,9 @@ func (s *Scenario) normalize() (normalized, error) {
 }
 
 // storeForward finishes normalizing a hypercube or butterfly scenario: it
-// resolves the fault plan, chooses the kernel and prices max_bytes against
-// the slot kernel configuration the run builds, faults included.
+// resolves the fault plan and prices max_bytes against the slot kernel
+// configuration the run builds, faults included.
 func (s *Scenario) storeForward(lambda, warmup float64, net netShape) (normalized, error) {
-	if s.MaxBytes > 0 && (s.ForceEventDriven || s.Discipline != FIFO) {
-		return normalized{}, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel; it requires the FIFO discipline without force_event_driven")
-	}
 	plan, err := s.resolveFaults(net.arcs)
 	if err != nil {
 		return normalized{}, err
@@ -450,7 +445,6 @@ func (s *Scenario) storeForward(lambda, warmup float64, net netShape) (normalize
 			SkipGroupPopulation: s.SkipPerDimensionStats || s.Topology.Kind == TopologyButterfly,
 		},
 		Faults: plan,
-		Kernel: s.storeForwardKernel(),
 		net:    net,
 	}
 	if s.MaxBytes > 0 {
