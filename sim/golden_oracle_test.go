@@ -1,21 +1,24 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/sim"
 )
 
 // TestGoldenPointsMatchOracle gives every committed golden an independent
-// check: each store-and-forward point of each golden sweep spec is run once
-// on its own seed on the slot kernel and on the reference simulator
-// (internal/oracle), and checkOracle requires equal packet counts and
-// bit-identical delays. Replication and precision settings are dropped, so
-// the check covers the kernel configuration of every golden row; the
-// goldens' own bytes are pinned by cmd/sweep's golden tests.
+// check. Each golden sweep spec is run once through both sinks, and the
+// csv and jsonl subtests require the committed goldens byte for byte. Each
+// store-and-forward point of the sweep is then run once on its own seed on
+// the slot kernel and on the reference simulator (internal/oracle), and
+// checkOracle requires equal packet counts and bit-identical delays.
+// Replication and precision settings are dropped for the oracle runs, so
+// the point subtests cover the kernel configuration of every golden row.
 func TestGoldenPointsMatchOracle(t *testing.T) {
 	for _, name := range []string{"sweep-smoke", "quantile-smoke", "fault-sweep"} {
 		t.Run(name, func(t *testing.T) {
@@ -27,9 +30,25 @@ func TestGoldenPointsMatchOracle(t *testing.T) {
 			if err := sim.DecodeStrict(data, &sw); err != nil {
 				t.Fatal(err)
 			}
-			rows, err := sw.ExpandRows()
+			var csv, jsonl strings.Builder
+			rows, err := sim.RunSweep(context.Background(), sw, sim.NewCSVSink(&csv), sim.NewJSONLSink(&jsonl))
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, out := range []struct {
+				ext string
+				got *strings.Builder
+			}{{"csv", &csv}, {"jsonl", &jsonl}} {
+				t.Run(out.ext, func(t *testing.T) {
+					path := filepath.Join("..", "specs", "golden", name+"."+out.ext)
+					want, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := out.got.String(); got != string(want) {
+						t.Fatalf("sweep output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+					}
+				})
 			}
 			checked := 0
 			for _, row := range rows {
