@@ -367,28 +367,16 @@ func TestBlockGroups(t *testing.T) {
 // BenchmarkSlottedHypercubeScale runs the slotted 16-cube point of the
 // end-to-end slot-scale workload (2^20 arcs, τ = 1, horizon 4, ρ = 0.7) on a
 // fresh kernel per run (cold) and on one reused kernel (warm), reporting the
-// kernel's time and allocated bytes per injected packet. Before each cold
-// run, outside the timer, the heap is returned to the OS, so the run faults
-// its pages in afresh as a new process would; where getrusage reports minor
-// faults, cold runs also report them per page of the kernel's footprint
-// (faults/page: 1 when every page faults exactly once).
+// kernel's time and bytes per injected packet: heap bytes allocated
+// (B/packet) and, apart, bytes committed to OS-backed arrays
+// (committed-B/packet), which the heap statistics do not see. Before each
+// cold run, outside the timer, the heap is returned to the OS, so the run
+// faults its pages in afresh as a new process would; where getrusage
+// reports minor faults, cold runs also report them per 4 KiB-page of the
+// kernel's footprint (faults/page: 1 when every page faults exactly once,
+// far less when huge pages back the arrays).
 func BenchmarkSlottedHypercubeScale(b *testing.B) {
-	const d = 16
-	sampler := &uniformBatch{mask: 1<<d - 1}
-	cfg := Config{
-		NumArcs:     d << d,
-		NumGroups:   d,
-		Sources:     1 << d,
-		Horizon:     4,
-		Seed:        11,
-		Lambda:      1.4, // ρ = λ·p with p = 1/2
-		Slotted:     true,
-		Tau:         1,
-		Mode:        RouteHypercubeGreedy,
-		Dest:        sampler,
-		Batch:       sampler,
-		Measurement: network.Measurement{SkipGroupPopulation: true},
-	}
+	cfg := slotScaleConfig(16)
 	packets := (&Kernel{}).Run(cfg).Generated // Warmup 0: every injected packet
 	for _, cold := range []bool{true, false} {
 		name := "warm"
@@ -401,7 +389,7 @@ func BenchmarkSlottedHypercubeScale(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, faultsOK := minorFaults()
-			var faults int64
+			var faults, committed int64
 			b.ResetTimer()
 			for range b.N {
 				if cold {
@@ -411,15 +399,18 @@ func BenchmarkSlottedHypercubeScale(b *testing.B) {
 					b.StartTimer()
 				}
 				f0, _ := minorFaults()
+				c0 := committedBytes(k)
 				k.Run(cfg)
 				f1, _ := minorFaults()
 				faults += f1 - f0
+				committed += committedBytes(k) - c0
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			n := float64(int64(b.N) * packets)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/packet")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/packet")
+			b.ReportMetric(float64(committed)/n, "committed-B/packet")
 			if cold && faultsOK {
 				pages := float64(k.memFootprint()) / float64(os.Getpagesize())
 				b.ReportMetric(float64(faults)/(float64(b.N)*pages), "faults/page")

@@ -113,6 +113,44 @@
 // reconstructs — performs zero allocations. Only the Metrics snapshot handed
 // to the caller is freshly allocated, because the caller owns it.
 //
+// # OS-backed arrays
+//
+// At scale the cost that dominates a cold run is page faults, not hops. So
+// every array that reaches hugePage (2 MiB, the PMD size) lives outside the
+// Go heap: the arc arrays (aTail, aBusyTime, aQLen, aHead and the outage
+// bitsets), the packet pool (pGen, pUV, pAux, pNext, pSlot, pEnqAt), the
+// completion ring and the stored-route slab. Each is a slice over its own
+// anonymous reservation (PROT_NONE, MAP_NORESERVE), advised MADV_HUGEPAGE and
+// committed with mprotect in 2 MiB steps. A reservation is sized by what
+// bounds its array: the arc count for the arc arrays, the next power of two
+// above it for the ring (each pending completion is one busy arc), an int32
+// slot index for the pool, and maxReserve (64 GiB of address space) for the
+// slab. Growth commits more of the same reservation: nothing is copied, no
+// dead array is left behind, and the slice never moves. Only growth past a
+// reservation (a pooled kernel's next run with more arcs) takes a new region
+// and releases the old one. Fresh commitments read as zero, so resizeZero
+// clears only memory the array held before. resize, resizeWithin,
+// resizeZero and growComp are the only places that decide; the hop path
+// sees plain slices.
+//
+// The regions belong to the Kernel. reset releases those of an optional
+// array the run does not use, and a cleanup (runtime.AddCleanup) releases the
+// rest once the kernel is unreachable, as when sim's sync.Pool drops a
+// runner. max_bytes counts committed bytes, whole 2 MiB steps included;
+// EstimateBytes stays a floor.
+//
+// Measured on a 2-vCPU Linux VM whose transparent huge pages are in madvise
+// mode (enabled and defrag both madvise; thp_fault_fallback stayed 0): one
+// slot-scale sweep process (d = 16) went from 12.1k to 1.6k minor faults and
+// from ~30 to ~5 ms of system time, its max RSS from 49 to 39 MB; the d = 20
+// scale-smoke spec went from 181k to about 0.6k faults and from 711 to
+// 436 MB of max RSS. With huge pages off the regions fault in base pages:
+// growth still copies nothing, but the faults come back. Arrays below a huge
+// page stay on make: a huge page each would cost its zeroing on every small
+// run. Where no region can be reserved or committed — off Linux (build
+// tags), on a 32-bit address space, on an mmap or mprotect error — the array
+// takes the make+copy path, and the output is the same either way.
+//
 // # Event order
 //
 // The kernel fires the events of the reference simulator (internal/oracle)
@@ -144,7 +182,10 @@ package slotsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"runtime"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/network"
@@ -310,9 +351,10 @@ type completion struct {
 // arc-indexed arrays — the deterministic term that dominates at scale (a
 // d = 20 hypercube has d·2^d ≈ 21M arcs) — plus the initial capacities of the
 // dynamically growing packet pool and completion ring. The dynamic structures
-// grow with the in-flight population, and every growth re-checks
-// Config.MaxBytes, so the estimate is a floor, not a ceiling; it is what
-// sim's max_bytes validation prices before a run starts.
+// grow with the in-flight population (every growth re-checks
+// Config.MaxBytes), and OS-backed arrays commit whole huge pages, so the
+// estimate is a floor, not a ceiling; it is what sim's max_bytes validation
+// prices before a run starts.
 func EstimateBytes(cfg Config) int64 {
 	est := arcTermBytes(cfg) + poolChunk*cfg.pktSize() + compChunk*compBytes
 	if cfg.sampleAhead() {
@@ -362,7 +404,8 @@ func (cfg *Config) sampleAhead() bool {
 
 // Kernel is a reusable slot-stepped simulator. The zero value is ready for
 // use; Run may be called repeatedly (with differing configs) and reuses all
-// internal storage.
+// internal storage. A Kernel must not be copied: its large arrays are
+// OS-backed regions that it owns and releases.
 type Kernel struct {
 	cfg        Config
 	col        network.Collector
@@ -408,8 +451,7 @@ type Kernel struct {
 	// completion, whose record names it — unless the arc is stalled. The
 	// tail index is biased by one — 0 means empty, s+1 means pool slot s —
 	// so an all-zero array is a valid initial state and reset needs nothing
-	// but resizeZero's clear, which faults every page in by write, once and
-	// in order.
+	// but resizeZero.
 	aTail     []int32
 	aBusyTime []float64 // service time inside the measurement window
 	aQLen     []int32   // waiting packets (an in-service head excluded), only with finite buffers
@@ -476,6 +518,10 @@ type Kernel struct {
 	snapArcs     []int
 	snapBusy     []float64
 	snapArrivals []float64
+
+	// mem holds the regions of the OS-backed arrays above, nil until an
+	// array first reaches a huge page.
+	mem *osMem
 }
 
 // Run executes one replication described by cfg and returns the measurement
@@ -488,7 +534,12 @@ func (k *Kernel) Run(cfg Config) network.Metrics {
 	} else {
 		k.runContinuous()
 	}
-	return k.snapshot()
+	m := k.snapshot()
+	// The kernel's cleanup unmaps its OS-backed arrays, which the methods
+	// above may still address through local slices after their last use of
+	// k; the kernel must outlive the run.
+	runtime.KeepAlive(k)
+	return m
 }
 
 // DelayQuantile returns the exact q-quantile of the delays measured by the
@@ -582,9 +633,9 @@ func (k *Kernel) reset(cfg Config) {
 	// memFootprint — what MaxBytes is checked against — counts only this
 	// run's arrays, whatever a pooled kernel ran before.
 	if len(cfg.Outages) > 0 {
-		k.downWords = resizeZero(k.downWords, (cfg.NumArcs+63)/64)
-		k.stalled = resizeZero(k.stalled, (cfg.NumArcs+63)/64)
-		k.aHead = resize(k.aHead, cfg.NumArcs) // written before it is read
+		k.downWords = resizeZero(k, k.downWords, (cfg.NumArcs+63)/64)
+		k.stalled = resizeZero(k, k.stalled, (cfg.NumArcs+63)/64)
+		k.aHead = resize(k, k.aHead, cfg.NumArcs) // written before it is read
 		k.trans = k.trans[:0]
 		last := 0.0
 		for i := range cfg.Outages {
@@ -596,44 +647,42 @@ func (k *Kernel) reset(cfg Config) {
 			k.trans = append(k.trans, transition{o.From, int32(i), true}, transition{o.Until, int32(i), false})
 		}
 	} else {
-		k.downWords, k.stalled, k.aHead, k.trans = nil, nil, nil, nil
+		k.downWords, k.stalled, k.aHead = drop(k, k.downWords), drop(k, k.stalled), drop(k, k.aHead)
+		k.trans = nil
 	}
 
-	k.aTail = resizeZero(k.aTail, cfg.NumArcs)
-	k.aBusyTime = resizeZero(k.aBusyTime, cfg.NumArcs)
+	k.aTail = resizeZero(k, k.aTail, cfg.NumArcs)
+	k.aBusyTime = resizeZero(k, k.aBusyTime, cfg.NumArcs)
 	k.busyFrom = cfg.Warmup
 	if k.bufCap > 0 {
-		k.aQLen = resizeZero(k.aQLen, cfg.NumArcs)
+		k.aQLen = resizeZero(k, k.aQLen, cfg.NumArcs)
 	} else {
-		k.aQLen = nil
+		k.aQLen = drop(k, k.aQLen)
 	}
-	k.gArrivals = resizeZero(k.gArrivals, cfg.NumGroups)
+	k.gArrivals = resizeZero(k, k.gArrivals, cfg.NumGroups)
 
 	// Packet pool: every slot is free again (bump allocation restarts).
 	k.freeHead = -1
 	k.poolBump = 0
 	k.live = 0
 	if k.hopWait {
-		k.pEnqAt = resize(k.pEnqAt, len(k.pGen))
+		k.pEnqAt = resizeWithin(k, k.pEnqAt, len(k.pGen), poolSlots)
 	} else {
-		k.pEnqAt = nil
+		k.pEnqAt = drop(k, k.pEnqAt)
 	}
 
 	// Stored-route slab: every slot is free again; re-stride for the
 	// (possibly changed) MaxHops.
 	if cfg.Mode == RouteStored {
-		k.pSlot = resize(k.pSlot, len(k.pGen))
+		k.pSlot = resizeWithin(k, k.pSlot, len(k.pGen), poolSlots)
 		k.pathFree = k.pathFree[:0]
 		for i := k.numSlots - 1; i >= 0; i-- {
 			k.pathFree = append(k.pathFree, int32(i))
 		}
-		if need := k.numSlots * cfg.MaxHops; cap(k.paths) >= need {
-			k.paths = k.paths[:need]
-		} else {
-			k.paths = make([]int, need)
-		}
+		k.paths = resizeWithin(k, k.paths, k.numSlots*cfg.MaxHops, math.MaxInt)
 	} else {
-		k.pSlot, k.paths, k.pathFree, k.numSlots = nil, nil, nil, 0
+		k.pSlot, k.paths = drop(k, k.pSlot), drop(k, k.paths)
+		k.pathFree, k.numSlots = nil, 0
 	}
 
 	if cfg.Batch == nil || cfg.Mode == RouteStored {
@@ -669,35 +718,226 @@ func (k *Kernel) reset(cfg Config) {
 }
 
 // resize returns s with length n, reusing capacity when possible and
-// preserving the existing contents otherwise. The explicit make+copy (rather
-// than append with a zeroed tail) keeps growth to a single allocation and a
-// single pass over memory — at million-arc sizes the redundant temporary
-// would double the first-touch page-fault cost.
-func resize[T any](s []T, n int) []T {
+// preserving the existing contents otherwise. An array that reaches a huge
+// page is OS-backed (see the package doc) and grows in place; below that, or
+// where no region can be had, growth is an explicit make+copy (rather than
+// append with a zeroed tail), one allocation and one pass over memory.
+func resize[T any](k *Kernel, s []T, n int) []T { return resizeWithin(k, s, n, n) }
+
+// resizeWithin is resize for an array expected to grow up to limit
+// elements: an OS-backed one reserves room for them, so that growth never
+// moves it.
+func resizeWithin[T any](k *Kernel, s []T, n, limit int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	ns := make([]T, n)
+	ns, inPlace := mapArray(k, s, n, limit)
+	if inPlace {
+		return ns
+	}
+	if ns == nil {
+		ns = make([]T, n)
+	}
 	copy(ns, s)
+	drop(k, s)
 	return ns
 }
 
 // resizeZero returns a zeroed slice of length n, reusing capacity when
-// possible. A fresh allocation is cleared too, although make's pages are
-// already zero: the clear writes every page once, in order, so each faults in
-// once. Left untouched, the hop path's first access to a page is usually a
-// read, which maps the shared zero page, and the write that follows faults
-// the page a second time. The price is that a sparse run faults in arc pages
-// it never visits; every shipped scale workload is dense, and max_bytes
-// already prices the full arrays.
-func resizeZero[T any](s []T, n int) []T {
+// possible. Memory the slice held before is cleared; freshly committed
+// OS-backed memory is zero already and is left untouched, so its huge pages
+// fault in (and are zeroed by the OS) on first use. A heap allocation is
+// cleared although make's pages are already zero: on base pages the clear
+// writes every page once, in order, so each faults in once, where the hop
+// path's first access would usually be a read that maps the shared zero page
+// and the write that follows would fault the page a second time.
+func resizeZero[T any](k *Kernel, s []T, n int) []T {
 	if cap(s) >= n {
 		s = s[:n]
-	} else {
-		s = make([]T, n)
+		clear(s)
+		return s
 	}
-	clear(s)
-	return s
+	held := cap(s)
+	ns, inPlace := mapArray(k, s, n, n)
+	switch {
+	case inPlace:
+		clear(ns[:held])
+	case ns == nil:
+		ns = make([]T, n)
+		clear(ns)
+		drop(k, s)
+	default:
+		drop(k, s)
+	}
+	return ns
+}
+
+// hugePage is the PMD size with 4 KiB base pages (amd64, arm64): the
+// transparent huge page, the size from which an array is OS-backed, and the
+// step in which its region is committed.
+const hugePage = 2 << 20
+
+// Bounds of the OS-backed regions' reservations: a pool slot is an int32,
+// and no region reserves more than maxReserve bytes of address space (the
+// stored-route slab, MaxHops ints per slot, is bounded by it alone).
+const (
+	poolSlots  = math.MaxInt32
+	maxReserve = 1 << 36
+)
+
+// forceHeap keeps every array on the Go heap; tests set it to compare the
+// two storage paths.
+var forceHeap bool
+
+// mappedBytes is the committed size of every kernel's OS-backed regions.
+var mappedBytes atomic.Int64
+
+// region is one OS-backed array: a reservation whose first committed bytes
+// are readable and writable.
+type region struct {
+	whole     []byte // the mapping as made, for releaseRegion
+	data      []byte // the hugePage-aligned usable bytes
+	committed int
+}
+
+// osMem holds a kernel's OS-backed regions. It is an object of its own, so
+// the cleanup that releases them once the kernel is unreachable does not
+// keep the kernel reachable.
+type osMem struct {
+	regions []*region
+}
+
+// osRegions returns the kernel's region set, made on first use together
+// with the cleanup that releases it: a kernel dropped by its owner (sim's
+// sync.Pool) leaves no mapping behind.
+func (k *Kernel) osRegions() *osMem {
+	if k.mem == nil {
+		k.mem = new(osMem)
+		runtime.AddCleanup(k, (*osMem).release, k.mem)
+	}
+	return k.mem
+}
+
+// mapArray returns storage for n elements of s's type in OS-backed memory
+// when they take at least a huge page: s's own region grown in place
+// (inPlace: the contents kept, the extension zero), or else a fresh, zero
+// region with room for limit elements. It returns nil where the array stays
+// on the heap: below a huge page, with forceHeap, or when no region can be
+// reserved or committed.
+func mapArray[T any](k *Kernel, s []T, n, limit int) (ns []T, inPlace bool) {
+	size := int(unsafe.Sizeof(*new(T)))
+	if !canReserve || forceHeap || n*size < hugePage {
+		return nil, false
+	}
+	m := k.osRegions()
+	if r := m.find(unsafe.Pointer(unsafe.SliceData(s))); r != nil && m.commit(r, n*size) {
+		return regionSlice[T](r, n), true
+	}
+	r := m.reserve(max(int64(n), min(int64(limit), maxReserve/int64(size))) * int64(size))
+	if r == nil {
+		return nil, false
+	}
+	if !m.commit(r, n*size) {
+		m.free(r)
+		return nil, false
+	}
+	return regionSlice[T](r, n), false
+}
+
+// regionSlice views r's committed bytes as a slice of length n.
+func regionSlice[T any](r *region, n int) []T {
+	size := int(unsafe.Sizeof(*new(T)))
+	return unsafe.Slice((*T)(unsafe.Pointer(&r.data[0])), r.committed/size)[:n]
+}
+
+// drop releases s's region if it has one; the caller drops s.
+func drop[T any](k *Kernel, s []T) []T {
+	if k.mem != nil {
+		if r := k.mem.find(unsafe.Pointer(unsafe.SliceData(s))); r != nil {
+			k.mem.free(r)
+		}
+	}
+	return nil
+}
+
+// find returns the region whose data starts at p, or nil: p is a slice's
+// array, and a heap slice has none.
+func (m *osMem) find(p unsafe.Pointer) *region {
+	for _, r := range m.regions {
+		if unsafe.Pointer(&r.data[0]) == p {
+			return r
+		}
+	}
+	return nil
+}
+
+// reserve adds a region of size bytes, or returns nil.
+func (m *osMem) reserve(size int64) *region {
+	size = (size + hugePage - 1) &^ (hugePage - 1)
+	whole, data, ok := reserveRegion(int(size))
+	if !ok {
+		return nil
+	}
+	r := &region{whole: whole, data: data}
+	m.regions = append(m.regions, r)
+	return r
+}
+
+// commit makes r's first n bytes, rounded up to whole huge pages, usable.
+// It fails when they exceed the reservation or the OS refuses them.
+func (m *osMem) commit(r *region, n int) bool {
+	want := (n + hugePage - 1) &^ (hugePage - 1)
+	if want > len(r.data) {
+		return false
+	}
+	if want > r.committed {
+		if !commitRegion(r.data[r.committed:want]) {
+			return false
+		}
+		mappedBytes.Add(int64(want - r.committed))
+		r.committed = want
+	}
+	return true
+}
+
+// free unmaps r and forgets it.
+func (m *osMem) free(r *region) {
+	releaseRegion(r.whole)
+	mappedBytes.Add(-int64(r.committed))
+	for i, q := range m.regions {
+		if q == r {
+			m.regions = append(m.regions[:i], m.regions[i+1:]...)
+			break
+		}
+	}
+}
+
+// release unmaps every region; it is the kernel's cleanup.
+func (m *osMem) release() {
+	for len(m.regions) > 0 {
+		m.free(m.regions[0])
+	}
+}
+
+// arrayBytes is what an array of n elements of size bytes takes once grown
+// to n: its committed region, whole huge pages, when it is OS-backed.
+func arrayBytes(n int, size int64) int64 {
+	b := int64(n) * size
+	if canReserve && !forceHeap && b >= hugePage {
+		b = (b + hugePage - 1) &^ (hugePage - 1)
+	}
+	return b
+}
+
+// growthBytes is what resize(k, s, n) adds to the kernel's footprint: the
+// figure the budget checks charge a growth. Where a region cannot be had,
+// the heap array it falls back to takes up to a huge page less.
+func growthBytes[T any](s []T, n int) int64 {
+	if cap(s) >= n {
+		return 0
+	}
+	size := int64(unsafe.Sizeof(*new(T)))
+	return arrayBytes(n, size) - int64(cap(s))*size
 }
 
 // memFootprint sums the capacities of the kernel's long-lived arrays; it is
@@ -757,12 +997,12 @@ func grownCap(have, need, chunk int) int {
 // and pushCompletion then fails only if the packets really need the room.
 func (k *Kernel) reserve(n int) {
 	if need := k.live + n; need > len(k.pGen) {
-		if c := grownCap(len(k.pGen), need, poolChunk); k.fits(int64(c-len(k.pGen)) * k.cfg.pktSize()) {
+		if c := grownCap(len(k.pGen), need, poolChunk); k.fits(k.poolGrowth(c)) {
 			k.growPool(need)
 		}
 	}
 	if need := min(int(k.compTail-k.compHead)+n, k.numArcs); need > len(k.comp) {
-		if c := grownCap(len(k.comp), need, compChunk); k.fits(int64(c-len(k.comp)) * compBytes) {
+		if c := grownCap(len(k.comp), need, compChunk); k.fits(growthBytes(k.comp, c)) {
 			k.growComp(need)
 		}
 	}
@@ -1086,8 +1326,8 @@ func (k *Kernel) batchBuffers(n int, what string) (origins, dests []uint32) {
 	if cap(k.batchOrigins) < n {
 		k.checkBudget(what, int64(n-cap(k.batchOrigins))*pairBytes)
 	}
-	k.batchOrigins = resize(k.batchOrigins, n)
-	k.batchDests = resize(k.batchDests, n)
+	k.batchOrigins = resize(k, k.batchOrigins, n)
+	k.batchDests = resize(k, k.batchDests, n)
 	return k.batchOrigins, k.batchDests
 }
 
@@ -1327,9 +1567,9 @@ func (k *Kernel) startMeasurement(now float64) {
 // integers.
 func (k *Kernel) snapshot() network.Metrics {
 	n := k.cfg.NumGroups
-	k.snapArcs = resize(k.snapArcs, n)
-	k.snapBusy = resize(k.snapBusy, n)
-	k.snapArrivals = resize(k.snapArrivals, n)
+	k.snapArcs = resize(k, k.snapArcs, n)
+	k.snapBusy = resize(k, k.snapBusy, n)
+	k.snapArrivals = resize(k, k.snapArrivals, n)
 	now := k.cfg.Horizon
 	for i := k.compHead; i != k.compTail; i++ {
 		c := k.comp[i&k.compMask]
@@ -1376,17 +1616,30 @@ func (k *Kernel) freePkt(s int32) {
 // population, not the arc count) to hold need slots.
 func (k *Kernel) growPool(need int) {
 	newCap := grownCap(len(k.pGen), need, poolChunk)
-	k.checkBudget("packet pool", int64(newCap-len(k.pGen))*k.cfg.pktSize())
-	k.pGen = resize(k.pGen, newCap)
-	k.pUV = resize(k.pUV, newCap)
-	k.pAux = resize(k.pAux, newCap)
-	k.pNext = resize(k.pNext, newCap)
+	k.checkBudget("packet pool", k.poolGrowth(newCap))
+	k.pGen = resizeWithin(k, k.pGen, newCap, poolSlots)
+	k.pUV = resizeWithin(k, k.pUV, newCap, poolSlots)
+	k.pAux = resizeWithin(k, k.pAux, newCap, poolSlots)
+	k.pNext = resizeWithin(k, k.pNext, newCap, poolSlots)
 	if k.mode == RouteStored {
-		k.pSlot = resize(k.pSlot, newCap)
+		k.pSlot = resizeWithin(k, k.pSlot, newCap, poolSlots)
 	}
 	if k.hopWait {
-		k.pEnqAt = resize(k.pEnqAt, newCap)
+		k.pEnqAt = resizeWithin(k, k.pEnqAt, newCap, poolSlots)
 	}
+}
+
+// poolGrowth is what growing the packet pool to c slots adds to the
+// kernel's footprint, the counterpart of Config.pktSize.
+func (k *Kernel) poolGrowth(c int) int64 {
+	b := growthBytes(k.pGen, c) + growthBytes(k.pUV, c) + growthBytes(k.pAux, c) + growthBytes(k.pNext, c)
+	if k.mode == RouteStored {
+		b += growthBytes(k.pSlot, c)
+	}
+	if k.hopWait {
+		b += growthBytes(k.pEnqAt, c)
+	}
+	return b
 }
 
 // allocPathSlot takes a stored-route slab slot from the free list, growing
@@ -1401,14 +1654,9 @@ func (k *Kernel) allocPathSlot() int32 {
 	k.numSlots++
 	need := k.numSlots * k.maxHops
 	if need > cap(k.paths) {
-		newCap := 2 * cap(k.paths)
-		if newCap < need {
-			newCap = need
-		}
-		k.checkBudget("route slab", int64(newCap-cap(k.paths))*8)
-		np := make([]int, need, newCap)
-		copy(np, k.paths)
-		k.paths = np
+		newCap := max(2*cap(k.paths), need)
+		k.checkBudget("route slab", growthBytes(k.paths, newCap))
+		k.paths = resizeWithin(k, k.paths, newCap, math.MaxInt)[:need]
 	} else {
 		k.paths = k.paths[:need]
 	}
@@ -1484,15 +1732,21 @@ func (k *Kernel) popCompletion() (arc int, start float64, pkt int32) {
 	return int(c.arc), c.start, c.pkt
 }
 
-// growComp moves the pending completions, in order, into a ring that holds
-// need records.
+// growComp grows the ring to hold need records, keeping the pending
+// completions in order. Growth keeps every record at its index, so only the
+// pending records whose index changes under the new mask move; they move
+// into the added part of the ring, which holds none of the others. The ring
+// never holds more records than there are arcs, so an OS-backed ring
+// reserves the power of two that holds them all.
 func (k *Kernel) growComp(need int) {
 	newCap := grownCap(len(k.comp), need, compChunk)
-	k.checkBudget("completion ring", int64(newCap-len(k.comp))*compBytes)
-	nc := make([]completion, newCap)
+	k.checkBudget("completion ring", growthBytes(k.comp, newCap))
+	k.comp = resizeWithin(k, k.comp, newCap, 1<<bits.Len(uint(k.numArcs-1)))
+	oldMask, newMask := k.compMask, uint64(newCap-1)
 	for i := k.compHead; i != k.compTail; i++ {
-		nc[i&uint64(newCap-1)] = k.comp[i&k.compMask]
+		if i&newMask != i&oldMask {
+			k.comp[i&newMask] = k.comp[i&oldMask]
+		}
 	}
-	k.comp = nc
-	k.compMask = uint64(newCap - 1)
+	k.compMask = newMask
 }

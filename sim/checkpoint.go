@@ -83,8 +83,9 @@ type CheckpointInfo struct {
 	// result (a torn tail from a mid-write kill is not counted).
 	Completed int
 	// RecordsSkipped counts the journal lines dropped during replay: the
-	// first line that fails to parse (a torn tail from a mid-write kill, or
-	// corruption) and everything after it. Skipped records are discarded by
+	// first line that is not a valid record — it fails to parse or its
+	// result does not decode (a torn tail from a mid-write kill, or
+	// corruption) — and everything after it. Skipped records are discarded by
 	// the next resume's compaction and their points re-run; a non-zero count
 	// after a clean shutdown indicates journal corruption worth surfacing.
 	RecordsSkipped int
@@ -95,8 +96,10 @@ type CheckpointInfo struct {
 var errEmptyCheckpoint = errors.New("journal has no header")
 
 // ScanCheckpoint reads a checkpoint journal's header and counts its valid
-// completed points without restoring results or mutating the file. The
-// daemon uses it on restart to decide which recovered jobs still need work.
+// completed points without mutating the file. It walks the records as a
+// resume does (replayRecords), so it counts exactly what a resume restores
+// and skips. The daemon uses it on restart to decide which recovered jobs
+// still need work.
 // A missing file returns an error wrapping fs.ErrNotExist.
 func ScanCheckpoint(path string) (CheckpointInfo, error) {
 	data, err := os.ReadFile(path)
@@ -113,22 +116,38 @@ func ScanCheckpoint(path string) (CheckpointInfo, error) {
 	}
 	info := CheckpointInfo{SweepSHA256: hdr.SweepSHA256, Points: hdr.Points}
 	seen := make(map[int]bool)
-	body := lines[1:]
+	info.RecordsSkipped = replayRecords(lines[1:], hdr.Points, func(point int, _ *Result, _ []byte) {
+		if !seen[point] {
+			seen[point] = true
+			info.Completed++
+		}
+	})
+	return info, nil
+}
+
+// replayRecords is the record walk of both journal readers, so a scan counts
+// exactly the records a resume restores. It hands each record of a journal
+// body (the lines after the header) to restore, with its decoded result and
+// its line verbatim, up to the first line that is not a record of one of n
+// points with a result that decodes: a torn tail from a mid-write kill, or
+// corruption. It returns the number of records from that line on, which a
+// resume drops and re-runs.
+func replayRecords(body [][]byte, n int, restore func(point int, res *Result, line []byte)) (skipped int) {
 	for li, line := range body {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var e ckEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.Point < 0 || e.Point >= hdr.Points || len(e.Result) == 0 {
-			info.RecordsSkipped = countRecords(body[li:]) // torn tail
-			break
+		if err := json.Unmarshal(line, &e); err != nil || e.Point < 0 || e.Point >= n || len(e.Result) == 0 {
+			return countRecords(body[li:])
 		}
-		if !seen[e.Point] {
-			seen[e.Point] = true
-			info.Completed++
+		res := new(Result)
+		if err := json.Unmarshal(e.Result, res); err != nil {
+			return countRecords(body[li:])
 		}
+		restore(e.Point, res, line)
 	}
-	return info, nil
+	return 0
 }
 
 // countRecords counts the non-blank lines of a journal suffix — the records
@@ -201,24 +220,10 @@ func openCheckpoint(sw Sweep, path string, n int) ([]*Result, int, *checkpoint, 
 				SpecPoints:    n,
 			}
 		}
-		body := lines[1:]
-		for li, line := range body {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var e ckEntry
-			if err := json.Unmarshal(line, &e); err != nil || e.Point < 0 || e.Point >= n || len(e.Result) == 0 {
-				skipped = countRecords(body[li:])
-				break // torn tail from a mid-write kill: re-run from here
-			}
-			res := new(Result)
-			if err := json.Unmarshal(e.Result, res); err != nil {
-				skipped = countRecords(body[li:])
-				break
-			}
-			restored[e.Point] = res
+		skipped = replayRecords(lines[1:], n, func(point int, res *Result, line []byte) {
+			restored[point] = res
 			keep = append(keep, line)
-		}
+		})
 	}
 
 	hdrLine, err := json.Marshal(ckHeader{SweepSHA256: fp, Points: n})

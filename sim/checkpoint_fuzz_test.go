@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +27,9 @@ func journalError(err error) bool {
 // error (journalError) or a valid restore, never panic or hang. The seed
 // corpus under testdata/fuzz/FuzzCheckpointJournal holds the golden sweeps'
 // journals, so the restore path runs, and torn, truncated and corrupted
-// copies of them; plain `go test` replays it.
+// copies of them; plain `go test` replays it. Where both readers accept the
+// journal, the scan counts exactly the points the open restores and the
+// records it skips.
 func FuzzCheckpointJournal(f *testing.F) {
 	var sweeps []Sweep
 	for _, name := range []string{"sweep-smoke", "quantile-smoke", "fault-sweep"} {
@@ -79,12 +83,68 @@ func FuzzCheckpointJournal(f *testing.F) {
 					t.Fatalf("restored point %d does not marshal: %v", p, err)
 				}
 			}
-			if scanErr == nil && info.Points == n && restored > info.Completed {
-				t.Fatalf("restored %d points, the scan counted %d", restored, info.Completed)
+			if scanErr == nil && (restored != info.Completed || j.RecordsSkipped() != info.RecordsSkipped) {
+				t.Fatalf("restored %d points and skipped %d records, the scan counted %d and %d",
+					restored, j.RecordsSkipped(), info.Completed, info.RecordsSkipped)
 			}
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
+}
+
+// TestCheckpointScanAgreesWithOpen replays the fuzz seed bad-result-type: a
+// sweep-smoke journal whose only record parses but whose result does not
+// decode ("Delivered":"many"). The resume drops that record and re-runs its
+// point, so the scan must count no completed point and one skipped record;
+// it used to count the record as completed without decoding its result.
+func TestCheckpointScanAgreesWithOpen(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointJournal", "bad-result-type"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(seed)), "go test fuzz v1\n[]byte(")
+	if !ok {
+		t.Fatalf("seed is not a single []byte corpus entry:\n%s", seed)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := ScanCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Completed != 0 || info.RecordsSkipped != 1 {
+		t.Errorf("scan: %d completed, %d skipped; want 0 and 1", info.Completed, info.RecordsSkipped)
+	}
+
+	spec, err := os.ReadFile(filepath.Join("..", "specs", "sweep-smoke.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sw Sweep
+	if err := DecodeStrict(spec, &sw); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenSweepJournal(sw, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	restored := 0
+	for _, res := range j.Restored() {
+		if res != nil {
+			restored++
+		}
+	}
+	if restored != info.Completed || j.RecordsSkipped() != info.RecordsSkipped {
+		t.Errorf("open: %d restored, %d skipped; the scan counted %d and %d",
+			restored, j.RecordsSkipped(), info.Completed, info.RecordsSkipped)
+	}
 }
