@@ -27,6 +27,7 @@ func TestGroupPopulationMatchesTimeWeighted(t *testing.T) {
 		var c Collector
 		c.Reset(groups, Measurement{})
 		want := make([]stats.TimeWeighted, groups)
+		cur := make([]float64, groups) // each group's current population
 		for g := range want {
 			want[g].Reset(0, 0)
 		}
@@ -37,7 +38,7 @@ func TestGroupPopulationMatchesTimeWeighted(t *testing.T) {
 			if i == measureAt {
 				c.StartMeasurement(now)
 				for g := range want {
-					want[g].Reset(now, want[g].Current())
+					want[g].Reset(now, cur[g])
 				}
 			}
 			g := int32(rng.Uint64n(groups))
@@ -46,12 +47,13 @@ func TestGroupPopulationMatchesTimeWeighted(t *testing.T) {
 				delta = -1
 			}
 			c.GroupPopulationAdd(g, now, delta)
-			want[g].Set(now, want[g].Current()+delta)
+			cur[g] += delta
+			want[g].Set(now, cur[g])
 		}
 		if measureAt == steps {
 			c.StartMeasurement(now)
 			for g := range want {
-				want[g].Reset(now, want[g].Current())
+				want[g].Reset(now, cur[g])
 			}
 		}
 		end := now

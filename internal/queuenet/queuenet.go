@@ -20,10 +20,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/des"
 	"repro/internal/hypercube"
 	"repro/internal/queueing"
-	"repro/internal/ringbuf"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -58,8 +56,8 @@ func (s *Spec) Validate() error {
 	if s.NumServers <= 0 {
 		return fmt.Errorf("queuenet: NumServers must be positive, got %d", s.NumServers)
 	}
-	if s.ServiceTime <= 0 {
-		return fmt.Errorf("queuenet: ServiceTime must be positive, got %v", s.ServiceTime)
+	if !(s.ServiceTime > 0) || math.IsInf(s.ServiceTime, 1) {
+		return fmt.Errorf("queuenet: ServiceTime must be positive and finite, got %v", s.ServiceTime)
 	}
 	if len(s.ExternalRate) != s.NumServers {
 		return fmt.Errorf("queuenet: ExternalRate has %d entries, want %d", len(s.ExternalRate), s.NumServers)
@@ -67,9 +65,12 @@ func (s *Spec) Validate() error {
 	if len(s.Transitions) != s.NumServers {
 		return fmt.Errorf("queuenet: Transitions has %d entries, want %d", len(s.Transitions), s.NumServers)
 	}
+	if s.Level != nil && len(s.Level) != s.NumServers {
+		return fmt.Errorf("queuenet: Level has %d entries, want %d", len(s.Level), s.NumServers)
+	}
 	for i, r := range s.ExternalRate {
-		if r < 0 || math.IsNaN(r) {
-			return fmt.Errorf("queuenet: negative external rate %v at server %d", r, i)
+		if !(r >= 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("queuenet: external rate %v at server %d must be finite and non-negative", r, i)
 		}
 	}
 	for i, ts := range s.Transitions {
@@ -78,8 +79,8 @@ func (s *Spec) Validate() error {
 			if tr.To < 0 || tr.To >= s.NumServers {
 				return fmt.Errorf("queuenet: server %d routes to invalid server %d", i, tr.To)
 			}
-			if tr.Prob < 0 {
-				return fmt.Errorf("queuenet: negative transition probability at server %d", i)
+			if !(tr.Prob >= 0) {
+				return fmt.Errorf("queuenet: transition probability %v at server %d must be non-negative", tr.Prob, i)
 			}
 			if s.Level != nil && s.Level[tr.To] <= s.Level[i] {
 				return fmt.Errorf("queuenet: transition %d->%d does not go up a level", i, tr.To)
@@ -231,8 +232,8 @@ func GenerateSamplePath(spec *Spec, horizon float64, seed uint64) *SamplePath {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	if horizon <= 0 {
-		panic("queuenet: horizon must be positive")
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		panic("queuenet: horizon must be positive and finite")
 	}
 	sp := &SamplePath{
 		Arrivals:  make([][]float64, spec.NumServers),
@@ -297,17 +298,13 @@ type Result struct {
 	// triples, at the times requested in RunOptions.
 	Observations []Observation
 	// MeanDelay is the average time from external arrival to network exit
-	// for customers that left the network before the horizon.
+	// over the Departed customers.
 	MeanDelay float64
-	// DelayCount is the number of customers in that average.
-	DelayCount int64
 	// MeanPopulation is the time-averaged total population over
 	// [warmup, horizon].
 	MeanPopulation float64
-	// PerServerMeanNumber is the time-averaged number of customers at each
-	// server over the same window.
-	PerServerMeanNumber []float64
-	// Departed is the total number of customers that left the network.
+	// Departed is the total number of customers that left the network
+	// before the horizon.
 	Departed int64
 }
 
@@ -325,7 +322,8 @@ type RunOptions struct {
 // simulation does not allocate per arrival.
 type customer struct {
 	arrival   float64
-	remaining float64 // PS only
+	remaining float64   // PS only
+	next      *customer // FIFO only: the next customer in the server's queue
 }
 
 // RunFIFO simulates the network with FIFO servers on the given sample path.
@@ -340,51 +338,145 @@ func RunPS(spec *Spec, sp *SamplePath, opts RunOptions) Result {
 }
 
 type serverState struct {
-	// FIFO state.
-	queue     ringbuf.Ring[*customer]
-	inService *customer
-	// PS state.
+	// FIFO state: the customer in service heads a queue linked through
+	// customer.next.
+	head, tail *customer
+	// PS state. gen counts the server's completion reschedules; a completion
+	// event scheduled under an older gen has been superseded.
 	customers  []*customer
 	lastUpdate float64
-	completion des.EventRef
-	// Shared.
+	gen        uint32
+	// Shared. The pending external arrival is sp.Arrivals[s][nextArrival];
+	// its seq is arrSeq+nextArrival.
 	decisionsUsed int
-	occupancy     stats.TimeWeighted
+	nextArrival   int
+	arrSeq        uint64
 }
 
-// Typed-event kinds of the runner; owner is the server index (unused for
-// observations and the warmup reset).
+// Event kinds of the runner.
 const (
-	kArrival int32 = iota
+	kArrival uint8 = iota
 	kComplete
 	kObserve
 	kWarmup
 )
 
-// runner holds the state of one simulation run over a sample path. All event
-// dispatch goes through the typed calendar: one value event per external
-// arrival, service completion, observation and warmup reset, so the run is
-// allocation-free in steady state apart from the memoised routing decisions.
+// event is one calendar entry. owner is the server index (unused for
+// observations and the warmup reset); gen is the server's gen when a PS
+// completion was scheduled.
+type event struct {
+	time  float64
+	seq   uint64
+	owner int32
+	gen   uint32
+	kind  uint8
+}
+
+// before orders events by (time, seq). Seqs are unique, so this is a total
+// order and the pop sequence does not depend on the heap's layout.
+func (e *event) before(o *event) bool {
+	return e.time < o.time || (e.time == o.time && e.seq < o.seq)
+}
+
+// calendar is a binary min-heap of events under before.
+type calendar []event
+
+func (c *calendar) push(e event) {
+	h := append(*c, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	*c = h
+}
+
+func (c *calendar) pop() event {
+	h := *c
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	*c = h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
+}
+
+// runner holds the state of one simulation run over a sample path.
+//
+// Every event carries a seq, and simultaneous events fire in seq order. The
+// seqs are those of a calendar that schedules every external arrival up
+// front in server order (server s's j-th arrival gets arrSeq+j), then the
+// observations, then the warmup reset, and numbers each later event in
+// scheduling order. Arrivals are pushed lazily, one pending arrival per
+// server, so the heap holds about two events per server; since the pending
+// arrival is always its server's earliest, events still fire in exactly
+// that calendar's order.
 type runner struct {
 	spec *Spec
 	sp   *SamplePath
-	sim  *des.Simulator
 	ps   bool
-	h    des.HandlerID
-	// svcCh carries the FIFO completions; they all use the same fixed
-	// ServiceTime, so they fire in schedule order. PS completions have
-	// variable residual times and must stay on the heap (cancellable).
-	svcCh des.ChannelID
+	cal  calendar
+	now  float64
+	seq  uint64 // seq of the next scheduled event
 
 	servers    []serverState
 	population stats.TimeWeighted
 	inNetwork  int64
 	departed   int64
 	delaySum   float64
-	delayCount int64
 	free       []*customer // recycled customers
-	res        *Result
-	warmupAt   float64
+	obs        []Observation
+}
+
+func (r *runner) schedule(t float64, kind uint8, owner int32, gen uint32) {
+	r.cal.push(event{time: t, seq: r.seq, owner: owner, gen: gen, kind: kind})
+	r.seq++
+}
+
+// pushArrival schedules server s's next external arrival, if any.
+func (r *runner) pushArrival(s int) {
+	st := &r.servers[s]
+	if j := st.nextArrival; j < len(r.sp.Arrivals[s]) {
+		r.cal.push(event{time: r.sp.Arrivals[s][j], seq: st.arrSeq + uint64(j), owner: int32(s), kind: kArrival})
+	}
+}
+
+// run fires events in (time, seq) order until the calendar is empty or the
+// next event is after horizon, skipping superseded PS completions, and ends
+// with the clock at horizon.
+func (r *runner) run(horizon float64) {
+	for len(r.cal) > 0 && r.cal[0].time <= horizon {
+		e := r.cal.pop()
+		if e.kind == kComplete && e.gen != r.servers[e.owner].gen {
+			continue
+		}
+		r.now = e.time
+		r.handle(e)
+	}
+	r.now = horizon
 }
 
 func (r *runner) newCustomer(arrival float64) *customer {
@@ -407,77 +499,90 @@ func (r *runner) nextDecision(s int) int {
 }
 
 func (r *runner) departNetwork(c *customer) {
-	now := r.sim.Now()
 	r.inNetwork--
-	r.population.Set(now, float64(r.inNetwork))
+	r.population.Set(r.now, float64(r.inNetwork))
 	r.departed++
-	r.delaySum += now - c.arrival
-	r.delayCount++
+	r.delaySum += r.now - c.arrival
 	r.free = append(r.free, c)
 }
 
-// HandleEvent dispatches one typed calendar event.
-func (r *runner) HandleEvent(kind, owner int32) {
-	switch kind {
+// handle dispatches one live event.
+func (r *runner) handle(e event) {
+	switch e.kind {
 	case kArrival:
-		now := r.sim.Now()
-		c := r.newCustomer(now)
+		s := int(e.owner)
+		r.servers[s].nextArrival++
+		r.pushArrival(s)
+		c := r.newCustomer(r.now)
 		r.inNetwork++
-		r.population.Set(now, float64(r.inNetwork))
-		r.enqueue(int(owner), c)
+		r.population.Set(r.now, float64(r.inNetwork))
+		r.enqueue(s, c)
 	case kComplete:
 		if r.ps {
-			r.psComplete(int(owner))
+			r.psComplete(int(e.owner))
 		} else {
-			r.fifoComplete(int(owner))
+			r.fifoComplete(int(e.owner))
 		}
 	case kObserve:
-		r.res.Observations = append(r.res.Observations, Observation{
-			Time:       r.sim.Now(),
+		r.obs = append(r.obs, Observation{
+			Time:       r.now,
 			Departures: r.departed,
 			Population: r.inNetwork,
 		})
 	case kWarmup:
-		r.population.Reset(r.warmupAt, float64(r.inNetwork))
-		for i := range r.servers {
-			r.servers[i].occupancy.Reset(r.warmupAt, r.servers[i].occupancy.Current())
-		}
+		r.population.Reset(r.now, float64(r.inNetwork))
 	default:
-		panic(fmt.Sprintf("queuenet: unknown event kind %d", kind))
+		panic(fmt.Sprintf("queuenet: unknown event kind %d", e.kind))
 	}
 }
 
-// FIFO machinery ---------------------------------------------------------
-
-func (r *runner) fifoStart(s int, c *customer) {
-	r.servers[s].inService = c
-	r.sim.ScheduleChannel(r.svcCh, r.spec.ServiceTime, r.h, kComplete, int32(s))
-}
-
-func (r *runner) fifoComplete(s int) {
-	now := r.sim.Now()
-	st := &r.servers[s]
-	c := st.inService
-	st.inService = nil
-	st.occupancy.Set(now, float64(st.queue.Len()))
-	if st.queue.Len() > 0 {
-		r.fifoStart(s, st.queue.PopFront())
-	}
-	to := r.nextDecision(s)
-	if to < 0 {
+// route sends a customer that finished service at server s to its next
+// server or out of the network.
+func (r *runner) route(s int, c *customer) {
+	if to := r.nextDecision(s); to < 0 {
 		r.departNetwork(c)
 	} else {
 		r.enqueue(to, c)
 	}
 }
 
+func (r *runner) enqueue(s int, c *customer) {
+	st := &r.servers[s]
+	if r.ps {
+		r.psUpdateWork(s)
+		c.remaining = r.spec.ServiceTime
+		st.customers = append(st.customers, c)
+		r.psReschedule(s)
+		return
+	}
+	if st.head == nil {
+		st.head, st.tail = c, c
+		r.schedule(r.now+r.spec.ServiceTime, kComplete, int32(s), 0)
+	} else {
+		st.tail.next = c
+		st.tail = c
+	}
+}
+
+// FIFO machinery ---------------------------------------------------------
+
+func (r *runner) fifoComplete(s int) {
+	st := &r.servers[s]
+	c := st.head
+	st.head, c.next = c.next, nil
+	if st.head != nil {
+		r.schedule(r.now+r.spec.ServiceTime, kComplete, int32(s), 0)
+	}
+	r.route(s, c)
+}
+
 // PS machinery -----------------------------------------------------------
 
-func (r *runner) psUpdateWork(s int, now float64) {
+func (r *runner) psUpdateWork(s int) {
 	st := &r.servers[s]
 	n := len(st.customers)
 	if n > 0 {
-		elapsed := now - st.lastUpdate
+		elapsed := r.now - st.lastUpdate
 		if elapsed > 0 {
 			share := elapsed / float64(n)
 			for _, c := range st.customers {
@@ -485,13 +590,12 @@ func (r *runner) psUpdateWork(s int, now float64) {
 			}
 		}
 	}
-	st.lastUpdate = now
+	st.lastUpdate = r.now
 }
 
 func (r *runner) psComplete(s int) {
-	now := r.sim.Now()
 	st := &r.servers[s]
-	r.psUpdateWork(s, now)
+	r.psUpdateWork(s)
 	// Find the customer with the least remaining work (ties: first in
 	// slice order, which is arrival order).
 	best := -1
@@ -505,21 +609,15 @@ func (r *runner) psComplete(s int) {
 	}
 	c := st.customers[best]
 	st.customers = append(st.customers[:best], st.customers[best+1:]...)
-	st.occupancy.Set(now, float64(len(st.customers)))
-	st.completion = des.EventRef{}
 	r.psReschedule(s)
-	to := r.nextDecision(s)
-	if to < 0 {
-		r.departNetwork(c)
-	} else {
-		r.enqueue(to, c)
-	}
+	r.route(s, c)
 }
 
+// psReschedule supersedes server s's pending completion, if any, and
+// schedules the completion of its customer with the least remaining work.
 func (r *runner) psReschedule(s int) {
 	st := &r.servers[s]
-	r.sim.CancelRef(st.completion) // no-op for the zero ref
-	st.completion = des.EventRef{}
+	st.gen++
 	if len(st.customers) == 0 {
 		return
 	}
@@ -532,82 +630,38 @@ func (r *runner) psReschedule(s int) {
 	if minRemaining < 0 {
 		minRemaining = 0
 	}
-	delay := minRemaining * float64(len(st.customers))
-	st.completion = r.sim.ScheduleCancellable(delay, r.h, kComplete, int32(s))
-}
-
-func (r *runner) enqueue(s int, c *customer) {
-	now := r.sim.Now()
-	st := &r.servers[s]
-	if r.ps {
-		r.psUpdateWork(s, now)
-		c.remaining = r.spec.ServiceTime
-		st.customers = append(st.customers, c)
-		st.occupancy.Set(now, float64(len(st.customers)))
-		r.psReschedule(s)
-		return
-	}
-	if st.inService == nil {
-		r.fifoStart(s, c)
-	} else {
-		st.queue.Push(c)
-	}
-	n := st.queue.Len()
-	if st.inService != nil {
-		n++
-	}
-	st.occupancy.Set(now, float64(n))
+	r.schedule(r.now+minRemaining*float64(len(st.customers)), kComplete, int32(s), st.gen)
 }
 
 func runDiscipline(spec *Spec, sp *SamplePath, opts RunOptions, ps bool) Result {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	res := Result{PerServerMeanNumber: make([]float64, spec.NumServers)}
 	r := &runner{
 		spec:    spec,
 		sp:      sp,
-		sim:     des.New(),
 		ps:      ps,
 		servers: make([]serverState, spec.NumServers),
-		res:     &res,
-	}
-	r.h = r.sim.RegisterHandler(r)
-	r.svcCh = r.sim.NewChannel()
-	for i := range r.servers {
-		r.servers[i].occupancy.Set(0, 0)
 	}
 	r.population.Set(0, 0)
-
-	// Schedule external arrivals.
-	for s := 0; s < spec.NumServers; s++ {
-		for _, t := range sp.Arrivals[s] {
-			r.sim.ScheduleEventAt(t, r.h, kArrival, int32(s))
-		}
+	for s := range r.servers {
+		r.servers[s].arrSeq = r.seq
+		r.seq += uint64(len(sp.Arrivals[s]))
+		r.pushArrival(s)
 	}
-
-	// Observation schedule.
 	if opts.ObserveEvery > 0 {
 		for t := opts.ObserveEvery; t <= sp.Horizon+1e-9; t += opts.ObserveEvery {
-			r.sim.ScheduleEventAt(t, r.h, kObserve, 0)
+			r.schedule(t, kObserve, 0, 0)
 		}
 	}
-
 	if opts.Warmup > 0 {
-		r.warmupAt = opts.Warmup
-		r.sim.ScheduleEventAt(opts.Warmup, r.h, kWarmup, 0)
+		r.schedule(opts.Warmup, kWarmup, 0, 0)
 	}
 
-	r.sim.RunUntil(sp.Horizon)
-	now := r.sim.Now()
-	res.MeanPopulation = r.population.MeanAt(now)
-	for i := range r.servers {
-		res.PerServerMeanNumber[i] = r.servers[i].occupancy.MeanAt(now)
+	r.run(sp.Horizon)
+	res := Result{Observations: r.obs, MeanPopulation: r.population.MeanAt(r.now), Departed: r.departed}
+	if r.departed > 0 {
+		res.MeanDelay = r.delaySum / float64(r.departed)
 	}
-	if r.delayCount > 0 {
-		res.MeanDelay = r.delaySum / float64(r.delayCount)
-	}
-	res.DelayCount = r.delayCount
-	res.Departed = r.departed
 	return res
 }

@@ -52,6 +52,19 @@ func TestSpecValidate(t *testing.T) {
 			Transitions: [][]Transition{{{To: 1, Prob: 0.7}, {To: 1, Prob: 0.7}}, nil}},
 		{NumServers: 2, ServiceTime: 1, ExternalRate: []float64{1, 0},
 			Transitions: [][]Transition{nil, {{To: 0, Prob: 0.5}}}, Level: []int{1, 2}},
+		{NumServers: 1, ServiceTime: math.NaN(), ExternalRate: []float64{1}, Transitions: [][]Transition{nil}},
+		{NumServers: 1, ServiceTime: math.Inf(1), ExternalRate: []float64{1}, Transitions: [][]Transition{nil}},
+		{NumServers: 1, ServiceTime: math.Inf(-1), ExternalRate: []float64{1}, Transitions: [][]Transition{nil}},
+		// A +Inf rate would make GenerateSamplePath append arrivals at t = 0
+		// forever.
+		{NumServers: 1, ServiceTime: 1, ExternalRate: []float64{math.Inf(1)}, Transitions: [][]Transition{nil}},
+		{NumServers: 1, ServiceTime: 1, ExternalRate: []float64{math.NaN()}, Transitions: [][]Transition{nil}},
+		{NumServers: 2, ServiceTime: 1, ExternalRate: []float64{1, 0},
+			Transitions: [][]Transition{{{To: 1, Prob: math.NaN()}}, nil}},
+		// A Level shorter than NumServers must be an error, not an index
+		// panic.
+		{NumServers: 2, ServiceTime: 1, ExternalRate: []float64{1, 0},
+			Transitions: [][]Transition{{{To: 1, Prob: 0.5}}, nil}, Level: []int{1}},
 	}
 	for i, bad := range cases {
 		if err := bad.Validate(); err == nil {
@@ -189,14 +202,17 @@ func TestGenerateSamplePathValidation(t *testing.T) {
 		}()
 		GenerateSamplePath(&Spec{NumServers: 0}, 10, 1)
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for bad horizon")
-			}
+	// A NaN or +Inf horizon would never end the arrival loop.
+	for _, horizon := range []float64{0, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for horizon %v", horizon)
+				}
+			}()
+			GenerateSamplePath(singleServerSpec(0.5), horizon, 1)
 		}()
-		GenerateSamplePath(singleServerSpec(0.5), 0, 1)
-	}()
+	}
 }
 
 func TestFIFOSingleServerMatchesMD1(t *testing.T) {

@@ -284,12 +284,12 @@ func (f flipDest) SampleDest(origin int32, rng *xrand.Rand) uint32 {
 }
 
 // TestContinuousTieBreak pins the continuous-mode rule for a completion and
-// an arrival due at the same instant: they fire in des schedule order. A
-// packet injected at t = 0 completes its last hop at t = hops, and the
-// pending arrival is forced to that instant. Scheduled before that completion
-// (mark 0), the arrival fires first, so both packets are in flight together;
-// scheduled after it (mark = hops, the completions pushed by then), the
-// first packet has left by then. With one hop the tie is the run's first
+// an arrival due at the same instant: they fire in the order they were
+// scheduled. A packet injected at t = 0 completes its last hop at t = hops,
+// and the pending arrival is forced to that instant. Scheduled before that
+// completion (mark 0), the arrival fires first, so both packets are in
+// flight together; scheduled after it (mark = hops, the completions pushed
+// by then), the first packet has left by then. With one hop the tie is the run's first
 // event; with two it comes after the measurement start, where completions
 // due strictly before the arrival drain without the merge.
 func TestContinuousTieBreak(t *testing.T) {

@@ -158,9 +158,6 @@ func (w *TimeWeighted) MeanAt(now float64) float64 {
 	return area / (now - w.startTime)
 }
 
-// Current returns the most recently set value.
-func (w *TimeWeighted) Current() float64 { return w.lastValue }
-
 // Max returns the largest value observed.
 func (w *TimeWeighted) Max() float64 { return w.maxValue }
 
