@@ -78,6 +78,186 @@ func TestCalendarEqualTimesPopInPushOrder(t *testing.T) {
 	}
 }
 
+// Pop on an empty calendar panics rather than returning a zero event, which
+// would read as an arrival at time 0.
+func TestCalendarPopEmptyPanics(t *testing.T) {
+	var c calendar
+	c.push(event{time: 1})
+	c.pop()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pop on an empty calendar returned an event")
+		}
+	}()
+	c.pop()
+}
+
+// observeAt returns a bare runner with an observation scheduled at each of
+// times, in that order. Observations touch no server, so the runner needs no
+// spec or sample path.
+func observeAt(times ...float64) *runner {
+	r := &runner{}
+	for _, tm := range times {
+		r.schedule(tm, kObserve, 0, 0)
+	}
+	return r
+}
+
+// observedTimes lists the clock readings of the observations that fired.
+func observedTimes(r *runner) []float64 {
+	var out []float64
+	for _, o := range r.obs {
+		out = append(out, o.Time)
+	}
+	return out
+}
+
+// The run loop fires events in time order whatever the scheduling order, and
+// leaves the clock at the horizon, here the last event's time.
+func TestRunFiresEventsInTimeOrder(t *testing.T) {
+	r := observeAt(5, 1, 3, 2, 4)
+	r.run(5)
+	if got := observedTimes(r); !slices.Equal(got, []float64{1, 2, 3, 4, 5}) {
+		t.Fatalf("events fired at %v, want 1..5 in order", got)
+	}
+	if r.now != 5 {
+		t.Fatalf("clock = %v, want 5", r.now)
+	}
+}
+
+// A run stops before the first event after the horizon with the clock at the
+// horizon; the events left on the calendar fire on a later run.
+func TestRunStopsAtHorizon(t *testing.T) {
+	r := observeAt(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	r.run(5.5)
+	if n := len(r.obs); n != 5 {
+		t.Fatalf("%d events fired by 5.5, want 5", n)
+	}
+	if r.now != 5.5 {
+		t.Fatalf("clock = %v, want the horizon 5.5", r.now)
+	}
+	r.run(100)
+	if got := observedTimes(r); !slices.Equal(got, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
+		t.Fatalf("events fired at %v, want 1..10 in order", got)
+	}
+}
+
+// A run over an empty calendar still moves the clock to the horizon.
+func TestRunEmptyCalendarAdvancesClock(t *testing.T) {
+	var r runner
+	r.run(42)
+	if r.now != 42 {
+		t.Fatalf("clock = %v, want 42", r.now)
+	}
+}
+
+// A NaN service time would put completions at NaN times, which compare false
+// with everything and break the calendar's order. Both disciplines refuse
+// such a spec before scheduling anything.
+func TestRunNaNServiceTimePanics(t *testing.T) {
+	spec := singleServerSpec(0.5)
+	sp := GenerateSamplePath(spec, 100, 1)
+	bad := *spec
+	bad.ServiceTime = math.NaN()
+	for name, run := range map[string]func(*Spec, *SamplePath, RunOptions) Result{"FIFO": RunFIFO, "PS": RunPS} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s ran a spec with a NaN service time", name)
+				}
+			}()
+			run(&bad, sp, RunOptions{})
+		}()
+	}
+}
+
+// fifoRunner is a runner over one unit-service FIFO server whose customers
+// leave the network after service. The server's first n routing decisions
+// are drawn in advance.
+func fifoRunner(n int) *runner {
+	spec, sp := singleServerPath(1)
+	sp.Decision(0, n)
+	return &runner{spec: spec, sp: sp, servers: make([]serverState, 1)}
+}
+
+// arrive puts a customer that arrived at time a into server 0's queue.
+func (r *runner) arrive(a float64) {
+	r.inNetwork++
+	r.enqueue(0, r.newCustomer(a))
+}
+
+// A FIFO server serves its queue in arrival order.
+func TestFIFOQueueServesInArrivalOrder(t *testing.T) {
+	r := fifoRunner(100)
+	for i := 0; i < 100; i++ {
+		r.arrive(float64(i))
+	}
+	r.run(100)
+	if r.departed != 100 || r.servers[0].head != nil {
+		t.Fatalf("%d departures by t = 100, want 100 and an empty queue", r.departed)
+	}
+	// departNetwork recycles customers in departure order.
+	for i, c := range r.free {
+		if c.arrival != float64(i) {
+			t.Fatalf("departure %d arrived at %v, want %d", i, c.arrival, i)
+		}
+	}
+}
+
+// Interleaved arrivals and completions keep FIFO order, through queues
+// that drain to empty and refill with recycled customers.
+func TestFIFOQueueEmptiesAndRefills(t *testing.T) {
+	r := fifoRunner(1000)
+	next, expect := 0, 0
+	complete := func() {
+		if got := r.servers[0].head.arrival; got != float64(expect) {
+			t.Fatalf("customer %v served, want %d", got, expect)
+		}
+		expect++
+		r.run(r.cal[0].time) // the server's one pending completion
+	}
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 3; i++ {
+			r.arrive(float64(next))
+			next++
+		}
+		for i := 0; i < 2; i++ {
+			complete()
+		}
+		if round%50 == 49 {
+			for r.servers[0].head != nil {
+				complete()
+			}
+		}
+	}
+	for r.servers[0].head != nil {
+		complete()
+	}
+	if expect != next || r.departed != int64(next) || len(r.cal) != 0 {
+		t.Fatalf("served %d, departed %d of %d customers; %d events pending",
+			expect, r.departed, next, len(r.cal))
+	}
+}
+
+// Once the calendar, the free list and the routing decisions have grown, a
+// FIFO cycle of arrivals, services and departures allocates nothing.
+func TestFIFOSteadyStateZeroAllocs(t *testing.T) {
+	r := fifoRunner(16 * 110)
+	cycle := func() {
+		for i := 0; i < 16; i++ {
+			r.arrive(r.now)
+		}
+		r.run(r.now + 16)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a steady-state FIFO cycle allocates %v times, want 0", allocs)
+	}
+	if r.departed != 16*102 {
+		t.Fatalf("%d departures, want %d", r.departed, 16*102)
+	}
+}
+
 // singleServerPath is a sample path of a one-server network with the given
 // external arrival times.
 func singleServerPath(horizon float64, arrivals ...float64) (*Spec, *SamplePath) {
