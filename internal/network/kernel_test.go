@@ -14,26 +14,47 @@ import (
 // queues: the slot kernel runs a small network of arcs fed by one Poisson
 // source whose packets follow scripted routes.
 
+// traffic samples a one-source network's packets and routes them.
+type traffic interface {
+	slotsim.BatchSampler
+	slotsim.Traffic
+}
+
 // fixedRoute gives every packet the same route.
 type fixedRoute []int
 
-func (r fixedRoute) AppendRoute(_ int32, _ *xrand.Rand, dst []int) []int { return append(dst, r...) }
+func (r fixedRoute) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+	for i := range origins {
+		origins[i], dests[i] = uint32(rng.Uint64n(1)), 0 // the one source's pick
+	}
+}
 
-// randomPairs routes every packet over two arcs drawn uniformly from arcs.
+func (r fixedRoute) AppendRoute(_, _ uint32, dst []int) []int { return append(dst, r...) }
+
+// randomPairs routes every packet over two arcs drawn uniformly from arcs,
+// which its pair carries in place of a destination.
 type randomPairs struct{ arcs int }
 
-func (r randomPairs) AppendRoute(_ int32, rng *xrand.Rand, dst []int) []int {
-	return append(dst, rng.Intn(r.arcs), rng.Intn(r.arcs))
+func (r randomPairs) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+	for i := range origins {
+		origins[i] = uint32(rng.Uint64n(1)) // the one source's pick
+		first := rng.Intn(r.arcs)
+		dests[i] = uint32(first*r.arcs + rng.Intn(r.arcs))
+	}
+}
+
+func (r randomPairs) AppendRoute(_, arcs uint32, dst []int) []int {
+	return append(dst, int(arcs)/r.arcs, int(arcs)%r.arcs)
 }
 
 // queueConfig is a run of arcs arcs in groups groups, fed at rate lambda by
-// one source routing its packets with traffic; measurement starts at a tenth
-// of the horizon.
-func queueConfig(arcs, groups int, traffic slotsim.Traffic, lambda, horizon float64) slotsim.Config {
+// one source routing its packets with t; measurement starts at a tenth of the
+// horizon.
+func queueConfig(arcs, groups int, t traffic, lambda, horizon float64) slotsim.Config {
 	return slotsim.Config{
 		NumArcs: arcs, NumGroups: groups, Sources: 1, MaxHops: 2,
 		Horizon: horizon, Warmup: horizon / 10, Seed: 1234, Lambda: lambda,
-		Traffic: traffic,
+		Traffic: t, Batch: t,
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 // d = 16 its arc arrays, packet pool and completion ring all reach a huge
 // page, so they are OS-backed where the platform allows it.
 func slotScaleConfig(d int) Config {
-	sampler := &uniformBatch{mask: 1<<d - 1}
 	return Config{
 		NumArcs:     d << d,
 		NumGroups:   d,
@@ -28,8 +27,7 @@ func slotScaleConfig(d int) Config {
 		Slotted:     true,
 		Tau:         1,
 		Mode:        RouteHypercubeGreedy,
-		Dest:        sampler,
-		Batch:       sampler,
+		Batch:       &uniformBatch{mask: 1<<d - 1},
 		Measurement: network.Measurement{SkipGroupPopulation: true},
 	}
 }

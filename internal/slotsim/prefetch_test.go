@@ -10,11 +10,10 @@ import (
 // greedyPrefetchConfig is a slotted greedy d-cube config, above the prefetch
 // gate for d >= 14.
 func greedyPrefetchConfig(d int) Config {
-	sampler := &uniformBatch{mask: 1<<d - 1}
 	return Config{
 		NumArcs: d << d, NumGroups: d, Sources: 1 << d,
 		Horizon: 6, Warmup: 2, Seed: 5, Lambda: 0.6, Slotted: true, Tau: 1,
-		Mode: RouteHypercubeGreedy, Dest: sampler, Batch: sampler,
+		Mode: RouteHypercubeGreedy, Batch: &uniformBatch{mask: 1<<d - 1},
 	}
 }
 
@@ -60,11 +59,11 @@ func TestPrefetchGate(t *testing.T) {
 	butterfly := Config{
 		NumArcs: bfD * 2 << bfD, NumGroups: 2 * bfD, Sources: 1 << bfD,
 		Horizon: 24, Slotted: true, Tau: 1,
-		Mode: RouteButterfly, Dest: uniformDest{mask: 1<<bfD - 1},
+		Mode: RouteButterfly, Batch: uniformDest{mask: 1<<bfD - 1},
 	}
 	stored := slottedConfig()
 	stored.NumArcs, stored.NumGroups = prefetchMinArcs, 1
-	stored.Traffic = chainTraffic{numArcs: prefetchMinArcs, hops: 4}
+	routeChain(&stored, chainTraffic{sources: stored.Sources, numArcs: prefetchMinArcs, hops: 4})
 	below, at := greedyPrefetchConfig(14), greedyPrefetchConfig(14)
 	below.NumArcs, below.NumGroups = prefetchMinArcs-1, 1
 	at.NumArcs, at.NumGroups = prefetchMinArcs, 1

@@ -10,14 +10,20 @@ import (
 	"repro/internal/xrand"
 )
 
-// scriptTraffic hands out fixed routes in order, ignoring the origin and the
-// random stream.
+// scriptTraffic hands out fixed routes in order, ignoring the packets'
+// pairs. Its sampler draws only the origin pick of the network's one source.
 type scriptTraffic struct {
 	routes [][]int
 	next   int
 }
 
-func (s *scriptTraffic) AppendRoute(_ int32, _ *xrand.Rand, dst []int) []int {
+func (s *scriptTraffic) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+	for i := range origins {
+		origins[i], dests[i] = uint32(rng.Uint64n(1)), 0
+	}
+}
+
+func (s *scriptTraffic) AppendRoute(_, _ uint32, dst []int) []int {
 	r := s.routes[s.next]
 	s.next++
 	return append(dst, r...)
@@ -128,6 +134,7 @@ func TestQueueCasesMatchOracle(t *testing.T) {
 				ref := oracle.Run(oracle.Config{NumArcs: tc.arcs, Horizon: horizon, Seed: 7,
 					Faults: tc.faults, Initial: tc.routes})
 
+				script := &scriptTraffic{routes: tc.routes}
 				cfg := Config{
 					NumArcs:     tc.arcs,
 					Sources:     1,
@@ -135,7 +142,8 @@ func TestQueueCasesMatchOracle(t *testing.T) {
 					Horizon:     horizon,
 					Seed:        7,
 					Lambda:      1e-300, // no drawn arrival falls inside the horizon
-					Traffic:     &scriptTraffic{routes: tc.routes},
+					Traffic:     script,
+					Batch:       script,
 					Measurement: network.Measurement{TrackQuantiles: true, TrackPerHopWait: true},
 					Faults:      tc.faults,
 				}
@@ -145,7 +153,7 @@ func TestQueueCasesMatchOracle(t *testing.T) {
 				k := &Kernel{}
 				k.reset(cfg)
 				for range tc.routes {
-					k.inject(0, nil, 0)
+					k.injectTo(0, 0, 0)
 				}
 				if slotted {
 					k.runSlotted()
@@ -191,7 +199,7 @@ func TestEstimateBytesMatchesFootprint(t *testing.T) {
 				cfg := slottedConfig()
 				cfg.NumArcs = 100 // not a multiple of 64: bitsets round up to whole words
 				cfg.NumGroups = 1
-				cfg.Traffic = chainTraffic{numArcs: 100, hops: 4}
+				routeChain(&cfg, chainTraffic{sources: cfg.Sources, numArcs: 100, hops: 4})
 				cfg.Slotted = slotted
 				if !slotted {
 					cfg.Tau = 0
@@ -228,6 +236,7 @@ func TestRingGrowsOnlyOnIdleArcStart(t *testing.T) {
 	routes = append(routes, []int{0}, []int{busy}) // a busy arc, then an idle one
 	for _, slotted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("slotted=%v", slotted), func(t *testing.T) {
+			script := &scriptTraffic{routes: routes}
 			cfg := Config{
 				NumArcs: busy + 1,
 				Sources: 1,
@@ -235,7 +244,8 @@ func TestRingGrowsOnlyOnIdleArcStart(t *testing.T) {
 				Horizon: 10,
 				Seed:    7,
 				Lambda:  1e-300, // no drawn arrival falls inside the horizon
-				Traffic: &scriptTraffic{routes: routes},
+				Traffic: script,
+				Batch:   script,
 			}
 			if slotted {
 				cfg.Slotted, cfg.Tau = true, 1
@@ -243,16 +253,16 @@ func TestRingGrowsOnlyOnIdleArcStart(t *testing.T) {
 			k := &Kernel{}
 			k.reset(cfg)
 			for range busy {
-				k.inject(0, nil, 0)
+				k.injectTo(0, 0, 0)
 			}
 			if pending, size := k.compTail-k.compHead, len(k.comp); pending != uint64(size) {
 				t.Fatalf("%d completions pending in a ring of %d, want it exactly full", pending, size)
 			}
-			k.inject(0, nil, 0) // joins arc 0 behind its packet in service
+			k.injectTo(0, 0, 0) // joins arc 0 behind its packet in service
 			if len(k.comp) != busy {
 				t.Fatalf("a join to a busy arc grew the full ring to %d records", len(k.comp))
 			}
-			k.inject(0, nil, 0) // starts service on the idle arc
+			k.injectTo(0, 0, 0) // starts service on the idle arc
 			if len(k.comp) != 2*busy {
 				t.Fatalf("an idle-arc start on a full ring left it at %d records, want %d", len(k.comp), 2*busy)
 			}

@@ -19,27 +19,25 @@ import (
 	"repro/internal/xrand"
 )
 
-// uniformDest samples destinations uniformly over the 2^d identities — the
+// uniformDest samples pairs uniformly over the 2^d identities one at a time:
+// the origin pick, then a destination drawn independently of it — the
 // bit-flip distribution at p = 1/2, without importing internal/workload's
 // wrappers.
 type uniformDest struct{ mask uint32 }
 
-func (u uniformDest) SampleDest(origin int32, rng *xrand.Rand) uint32 {
-	return uint32(rng.Uint64()) & u.mask
+func (u uniformDest) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+	for i := range origins {
+		origins[i] = uint32(rng.Uint64n(uint64(u.mask) + 1))
+		dests[i] = uint32(rng.Uint64()) & u.mask
+	}
 }
 
-// uniformBatch is the bulk counterpart of uniformDest: one raw word for the
-// origin pick, one for the destination, drawn via FillUint64 like the
-// production BatchSampler in sim.
+// uniformBatch samples uniform pairs in bulk: one raw word for the origin
+// pick, one for the destination's flip mask, drawn via FillUint64 like the
+// production samplers in sim.
 type uniformBatch struct {
 	mask uint32
 	raw  []uint64
-}
-
-// SampleDest is the scalar counterpart the batch must reproduce draw for
-// draw: dest = origin XOR one masked word, as sim's bit-flip sampler at p = 1/2.
-func (u *uniformBatch) SampleDest(origin int32, rng *xrand.Rand) uint32 {
-	return uint32(origin) ^ uint32(rng.Uint64())&u.mask
 }
 
 func (u *uniformBatch) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
@@ -116,7 +114,6 @@ func millionNodeConfig() Config {
 		Slotted:     true,
 		Tau:         1,
 		Mode:        RouteHypercubeGreedy,
-		Dest:        uniformDest{mask: 1<<d - 1},
 		Batch:       &uniformBatch{mask: 1<<d - 1},
 		Measurement: network.Measurement{SkipGroupPopulation: true},
 		MaxBytes:    2 << 30,
@@ -180,7 +177,7 @@ func TestMaxBytesGrowthRejection(t *testing.T) {
 		Slotted:     true,
 		Tau:         1,
 		Mode:        RouteHypercubeGreedy,
-		Dest:        uniformDest{mask: 1<<d - 1},
+		Batch:       uniformDest{mask: 1<<d - 1},
 		Measurement: network.Measurement{SkipGroupPopulation: true},
 	}
 	cfg.MaxBytes = EstimateBytes(cfg) + 1024
@@ -209,7 +206,7 @@ func TestReusedKernelMeetsFreshBudget(t *testing.T) {
 			Seed:      17,
 			Lambda:    lambda,
 			Mode:      RouteHypercubeGreedy,
-			Dest:      uniformDest{mask: 1<<d - 1},
+			Batch:     uniformDest{mask: 1<<d - 1},
 		}
 	}
 	before := cube(4, 3) // overloaded: the pool, and its wait times, grow
@@ -294,7 +291,6 @@ func TestColdRunAllocations(t *testing.T) {
 		Slotted:     true,
 		Tau:         1,
 		Mode:        RouteHypercubeGreedy,
-		Dest:        sampler,
 		Batch:       sampler,
 		Measurement: network.Measurement{SkipGroupPopulation: true},
 	}
@@ -337,7 +333,7 @@ func TestBlockGroups(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := slottedConfig()
 			cfg.NumArcs, cfg.NumGroups = tc.arcs, tc.groups
-			cfg.Traffic = chainTraffic{numArcs: tc.arcs, hops: 4}
+			routeChain(&cfg, chainTraffic{sources: cfg.Sources, numArcs: tc.arcs, hops: 4})
 			defer func() {
 				r := recover()
 				switch {

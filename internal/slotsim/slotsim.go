@@ -89,13 +89,14 @@
 // event merge. Joining a queue and restarting an arc take the same path as
 // in slotted runs.
 //
-// Arrival sampling is batched: when Config.Batch is set in a stepped route
-// mode, (origin, destination) pairs are drawn in bulk (backed by
-// xrand.FillUint64) with no per-packet sampler dispatch, in blocks of at most
-// prefetchPairs — a slot's Poisson(N·λ·τ) batch block by block in slotted
+// Every run takes one arrival path. Config.Batch draws the (origin,
+// destination) pairs in blocks of at most prefetchPairs, with no per-packet
+// sampler dispatch — a slot's Poisson(N·λ·τ) batch block by block in slotted
 // mode (at 2^20 nodes the dominant per-tick work), and blocks of upcoming
 // arrivals in continuous mode — so the sampling scratch never grows with the
-// batch.
+// batch. injectTo then creates each packet from its pair: stepped routes
+// derive their arcs from it arithmetically, and stored routes come from
+// Config.Traffic, a pure function of the pair.
 //
 // Config.MaxBytes puts an explicit budget on all of this: EstimateBytes
 // prices the arc-indexed arrays up front (the deterministic, dominant term),
@@ -176,7 +177,7 @@
 //     scheduled; since the ring pops in push order, the head completion was
 //     scheduled first exactly when fewer completions than that have been
 //     popped — so even exact time ties break identically.
-//     Prefetching arrival pairs (Config.Batch) reorders draws only across
+//     Sampling arrival pairs ahead (Config.Batch) reorders draws only across
 //     random streams, never within one.
 package slotsim
 
@@ -194,30 +195,25 @@ import (
 	"repro/internal/xrand"
 )
 
-// Traffic samples a packet's destination and appends its arc-index route.
-// Implementations are provided by sim (hypercube routing schemes,
-// the unique butterfly path); rng is the aggregate source's payload stream.
+// Traffic appends a stored-route packet's arc-index route. Implementations
+// are provided by sim (the randomized hypercube routers); a route is a pure
+// function of the packet's (origin, destination) pair and of any stream the
+// implementation owns, never of the kernel's streams.
 type Traffic interface {
-	// AppendRoute appends the route of a new packet from origin to dst and
-	// returns the extended slice. dst has the kernel's MaxHops capacity;
-	// routes must not exceed it.
-	AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int
+	// AppendRoute appends the route of a new packet from origin to dest to
+	// dst and returns the extended slice. dst has the kernel's MaxHops
+	// capacity; routes must not exceed it.
+	AppendRoute(origin, dest uint32, dst []int) []int
 }
 
-// DestSampler draws a packet's destination identity (hypercube node or
-// butterfly row) for the stepped route modes, consuming rng exactly as
-// Traffic.AppendRoute's destination sampling does.
-type DestSampler interface {
-	SampleDest(origin int32, rng *xrand.Rand) uint32
-}
-
-// BatchSampler bulk-samples a block of arrivals' origins and destinations
-// for the stepped route modes. Implementations must consume rng exactly as
-// len(origins) successive (uniform origin pick; DestSampler.SampleDest) pairs
-// would — stream consumption order is what the oracle tests pin — but
-// are free to draw the underlying uniform words in bulk (xrand.FillUint64)
-// when each pair costs exactly two raw draws, as it does for uniform traffic
-// on 2^d sources.
+// BatchSampler samples a block of arrivals' origins and destinations: the
+// kernel's only reader of the aggregate source's payload stream rng. Each
+// pair is a uniform origin pick over the Config.Sources origins followed by
+// the destination draw for that origin. Implementations must consume rng
+// exactly as len(origins) successive such pairs drawn one at a time would —
+// stream consumption order is what the oracle tests pin — but are free to
+// draw the underlying uniform words in bulk (xrand.FillUint64) when each pair
+// costs exactly two raw draws, as it does for uniform traffic on 2^d sources.
 type BatchSampler interface {
 	SampleDestBatch(rng *xrand.Rand, origins, dests []uint32)
 }
@@ -228,7 +224,7 @@ type RouteMode int
 const (
 	// RouteStored materializes every route into the flat route slab via
 	// Traffic.AppendRoute — the general mode, needed for randomized
-	// hypercube routers whose paths depend on a routing stream.
+	// hypercube routers whose paths depend on a routing stream of their own.
 	RouteStored RouteMode = iota
 	// RouteHypercubeGreedy steps the canonical dimension-order path
 	// arithmetically: the packet state is (current node, remaining
@@ -273,16 +269,14 @@ type Config struct {
 	Tau float64
 	// Mode selects stored or stepped routing.
 	Mode RouteMode
-	// Traffic builds packet routes; required in RouteStored mode.
+	// Traffic builds packet routes from their (origin, dest) pairs; required
+	// in RouteStored mode.
 	Traffic Traffic
-	// Dest samples destinations; required in the stepped route modes.
-	Dest DestSampler
-	// Batch, when non-nil, bulk-samples arrivals' (origin, dest) pairs
-	// instead of dispatching Dest per packet, in blocks of at most
-	// prefetchPairs: a slot batch block by block under slotted arrivals, the
-	// upcoming arrivals under continuous ones. Used only by the stepped route
-	// modes; it must produce exactly the (origin, dest) sequence the scalar
-	// path would, however the sequence is cut into blocks.
+	// Batch samples every arrival's (origin, dest) pair, in blocks of at
+	// most prefetchPairs: a slot batch block by block under slotted
+	// arrivals, the upcoming arrivals under continuous ones; required. It
+	// must produce the same pair sequence however that sequence is cut into
+	// blocks.
 	Batch BatchSampler
 	// MaxBytes caps the kernel's memory: reset panics when the pre-run
 	// estimate (EstimateBytes) exceeds it, and every growth of the dynamic
@@ -357,7 +351,10 @@ type completion struct {
 // prices before a run starts.
 func EstimateBytes(cfg Config) int64 {
 	est := arcTermBytes(cfg) + poolChunk*cfg.pktSize() + compChunk*compBytes
-	if cfg.sampleAhead() {
+	if !cfg.Slotted {
+		// Continuous arrivals are sampled a whole block ahead. Slotted
+		// batches sample through the same block, but only as large as the
+		// batches they meet; that growth is charged when it happens.
 		est += prefetchPairs * pairBytes
 	}
 	if len(cfg.Outages) > 0 {
@@ -393,13 +390,6 @@ func (cfg *Config) pktSize() int64 {
 		b += pktSlotBytes
 	}
 	return b
-}
-
-// sampleAhead reports whether continuous-mode arrivals are sampled in
-// blocks. Slotted batches sample through the same block, but only as large as
-// the batches they meet; that growth is charged when it happens.
-func (cfg *Config) sampleAhead() bool {
-	return cfg.Batch != nil && !cfg.Slotted && cfg.Mode != RouteStored
 }
 
 // Kernel is a reusable slot-stepped simulator. The zero value is ready for
@@ -509,7 +499,7 @@ type Kernel struct {
 	slotSrc *workload.SlottedSource
 	poisSrc *workload.PoissonSource
 
-	// Bulk-sampling scratch (Config.Batch): one block of at most
+	// Arrival sampling scratch (Config.Batch): one block of at most
 	// prefetchPairs pairs.
 	batchOrigins []uint32
 	batchDests   []uint32
@@ -572,6 +562,9 @@ func (k *Kernel) reset(cfg Config) {
 	if cfg.Slotted && (cfg.Tau <= 0 || cfg.Tau > 1) {
 		panic(fmt.Sprintf("slotsim: slotted mode requires 0 < tau <= 1, got %v", cfg.Tau))
 	}
+	if cfg.Batch == nil {
+		panic("slotsim: Batch is required")
+	}
 	switch cfg.Mode {
 	case RouteStored:
 		if cfg.Traffic == nil {
@@ -581,9 +574,6 @@ func (k *Kernel) reset(cfg Config) {
 			panic(fmt.Sprintf("slotsim: RouteStored requires positive MaxHops, got %d", cfg.MaxHops))
 		}
 	case RouteHypercubeGreedy, RouteButterfly:
-		if cfg.Dest == nil {
-			panic("slotsim: stepped route modes require Dest")
-		}
 		if cfg.Sources&(cfg.Sources-1) != 0 {
 			panic(fmt.Sprintf("slotsim: stepped route modes require 2^d sources, got %d", cfg.Sources))
 		}
@@ -683,10 +673,6 @@ func (k *Kernel) reset(cfg Config) {
 	} else {
 		k.pSlot, k.paths = drop(k, k.pSlot), drop(k, k.paths)
 		k.pathFree, k.numSlots = nil, 0
-	}
-
-	if cfg.Batch == nil || cfg.Mode == RouteStored {
-		k.batchOrigins, k.batchDests = nil, nil
 	}
 
 	k.compHead, k.compTail = 0, 0
@@ -1180,22 +1166,19 @@ func (k *Kernel) runSlotted() {
 // runContinuous merges the aggregate arrival stream with the completion
 // stream in exact (time, seq) order.
 //
-// With Config.Batch set in a stepped route mode, the (origin, dest) pairs of
-// upcoming arrivals are prefetched in blocks of prefetchPairs. The sample
-// path is unchanged: inter-arrival gaps come from the source's separate
-// timing stream, and the payload stream feeds nothing but these pairs, so
-// drawing them early only reorders draws across streams, never within one.
-// Pairs prefetched past the horizon are discarded unused.
+// The (origin, dest) pairs of upcoming arrivals are sampled ahead in blocks
+// of prefetchPairs. The sample path does not depend on it: inter-arrival
+// gaps come from the source's separate timing stream, the payload stream
+// feeds nothing but these pairs, and routes draw from streams of their own
+// at injection, in injection order; so drawing the pairs early only reorders
+// draws across streams, never within one. Pairs sampled past the horizon are
+// discarded unused.
 func (k *Kernel) runContinuous() {
 	horizon, warmup := k.cfg.Horizon, k.cfg.Warmup
-	nodes := uint64(k.srcN)
 	rng := k.poisSrc.RNG()
 	measuring := false
-	var origins, dests []uint32
-	if k.cfg.sampleAhead() {
-		origins, dests = k.batchBuffers(prefetchPairs, "arrival prefetch buffers")
-	}
-	pos := len(origins) // index of the next unused prefetched pair; starts drained
+	origins, dests := k.batchBuffers(prefetchPairs, "arrival prefetch buffers")
+	pos := len(origins) // index of the next unused sampled pair; starts drained
 	for {
 		// Completions due strictly before every other event source fire
 		// without the merge: before the pending arrival, the next outage
@@ -1264,16 +1247,12 @@ func (k *Kernel) runContinuous() {
 		default:
 			t := k.arrTime
 			k.arrPending = false
-			if origins == nil {
-				k.inject(int32(rng.Uint64n(nodes)), rng, t)
-			} else {
-				if pos == len(origins) {
-					k.cfg.Batch.SampleDestBatch(rng, origins, dests)
-					pos = 0
-				}
-				k.injectTo(origins[pos], dests[pos], t)
-				pos++
+			if pos == len(origins) {
+				k.cfg.Batch.SampleDestBatch(rng, origins, dests)
+				pos = 0
 			}
+			k.injectTo(origins[pos], dests[pos], t)
+			pos++
 			k.scheduleArrival()
 		}
 	}
@@ -1282,44 +1261,34 @@ func (k *Kernel) runContinuous() {
 	}
 }
 
-// fireTick injects the network-wide slot batch at time now; each packet picks
-// a uniformly random origin node from the aggregate source's payload stream.
-// With a BatchSampler configured the batch's (origin, dest) pairs are drawn
-// in bulk, one block of at most prefetchPairs at a time, with no per-packet
-// sampler dispatch; the sample path is identical either way, because only
-// the sampler reads the payload stream.
+// fireTick injects the network-wide slot batch at time now. Its (origin,
+// dest) pairs are sampled from the aggregate source's payload stream one
+// block of at most prefetchPairs at a time, so the scratch never grows with
+// the batch.
 func (k *Kernel) fireTick(now float64) {
 	src := k.slotSrc
 	batch := src.BatchSize()
 	rng := src.RNG()
 	k.reserve(batch)
-	if k.cfg.Batch != nil && k.mode != RouteStored {
-		origins, dests := k.batchBuffers(min(batch, prefetchPairs), "slot batch buffers")
-		for left := batch; left > 0; left -= len(origins) {
-			if left < len(origins) {
-				origins, dests = origins[:left], dests[:left]
-			}
-			k.cfg.Batch.SampleDestBatch(rng, origins, dests)
-			for j := range origins {
-				if k.prefetch && j+prefetchInject < len(origins) {
-					o, d := origins[j+prefetchInject], dests[j+prefetchInject]
-					if o != d {
-						prefetch(unsafe.Pointer(&k.aTail[k.greedyNext(uint64(o)<<32|uint64(o^d))]))
-					}
-				}
-				k.injectTo(origins[j], dests[j], now)
-			}
+	origins, dests := k.batchBuffers(min(batch, prefetchPairs), "slot batch buffers")
+	for left := batch; left > 0; left -= len(origins) {
+		if left < len(origins) {
+			origins, dests = origins[:left], dests[:left]
 		}
-		return
-	}
-	nodes := uint64(k.srcN)
-	for j := 0; j < batch; j++ {
-		node := int32(rng.Uint64n(nodes))
-		k.inject(node, rng, now)
+		k.cfg.Batch.SampleDestBatch(rng, origins, dests)
+		for j := range origins {
+			if k.prefetch && j+prefetchInject < len(origins) {
+				o, d := origins[j+prefetchInject], dests[j+prefetchInject]
+				if o != d {
+					prefetch(unsafe.Pointer(&k.aTail[k.greedyNext(uint64(o)<<32|uint64(o^d))]))
+				}
+			}
+			k.injectTo(origins[j], dests[j], now)
+		}
 	}
 }
 
-// batchBuffers returns the bulk-sampling scratch sized to n <= prefetchPairs
+// batchBuffers returns the arrival sampling scratch sized to n <= prefetchPairs
 // pairs, charging any growth (named what) to the memory budget first. The two
 // buffers are always resized together, so they share one capacity.
 func (k *Kernel) batchBuffers(n int, what string) (origins, dests []uint32) {
@@ -1331,15 +1300,25 @@ func (k *Kernel) batchBuffers(n int, what string) (origins, dests []uint32) {
 	return k.batchOrigins, k.batchDests
 }
 
-// inject creates one packet at time now.
-func (k *Kernel) inject(node int32, rng *xrand.Rand, now float64) {
+// injectTo creates the packet of a sampled (origin, dest) pair at time now;
+// every arrival funnels through it. Stepped routes keep the pair as their
+// route state; a stored route is built from it into a slab slot.
+func (k *Kernel) injectTo(origin, dest uint32, now float64) {
+	var uv uint64
+	var hops int
+	var slot int32
 	switch k.mode {
-	case RouteHypercubeGreedy, RouteButterfly:
-		k.injectTo(uint32(node), k.cfg.Dest.SampleDest(node, rng), now)
+	case RouteHypercubeGreedy:
+		mask := origin ^ dest
+		uv = uint64(origin)<<32 | uint64(mask)
+		hops = bits.OnesCount32(mask)
+	case RouteButterfly:
+		uv = uint64(origin)<<32 | uint64(dest)
+		hops = int(k.bfHops)
 	default:
-		slot := k.allocPathSlot()
+		slot = k.allocPathSlot()
 		base := int(slot) * k.maxHops
-		route := k.cfg.Traffic.AppendRoute(node, rng, k.paths[base:base:base+k.maxHops])
+		route := k.cfg.Traffic.AppendRoute(origin, dest, k.paths[base:base:base+k.maxHops])
 		if len(route) > k.maxHops {
 			panic(fmt.Sprintf("slotsim: route of %d hops exceeds MaxHops %d", len(route), k.maxHops))
 		}
@@ -1347,45 +1326,24 @@ func (k *Kernel) inject(node int32, rng *xrand.Rand, now float64) {
 			// A Traffic implementation that did not append in place still works.
 			copy(k.paths[base:base+len(route)], route)
 		}
-		k.col.CountGenerated()
-		if len(route) == 0 {
-			k.col.Deliver(now, now, 0)
-			k.pathFree = append(k.pathFree, slot)
-			return
-		}
-		k.packetEntered(now)
-		s := k.allocPkt()
-		k.pGen[s] = now
-		k.pUV[s] = 0
-		k.pAux[s] = uint32(uint16(len(route)))
-		k.pSlot[s] = slot
-		k.enqueue(s, k.nextArc(s), now)
-	}
-}
-
-// injectTo creates one stepped-route packet with a presampled destination
-// identity; both the scalar and the bulk injection paths funnel through it.
-func (k *Kernel) injectTo(origin, dest uint32, now float64) {
-	var uv uint64
-	var hops int
-	if k.mode == RouteHypercubeGreedy {
-		mask := origin ^ dest
-		uv = uint64(origin)<<32 | uint64(mask)
-		hops = bits.OnesCount32(mask)
-	} else {
-		uv = uint64(origin)<<32 | uint64(dest)
-		hops = int(k.bfHops)
+		hops = len(route)
 	}
 	k.col.CountGenerated()
 	if hops == 0 {
 		k.col.Deliver(now, now, 0)
+		if k.mode == RouteStored {
+			k.pathFree = append(k.pathFree, slot)
+		}
 		return
 	}
 	k.packetEntered(now)
 	s := k.allocPkt()
 	k.pGen[s] = now
 	k.pUV[s] = uv
-	k.pAux[s] = uint32(hops)
+	k.pAux[s] = uint32(uint16(hops))
+	if k.mode == RouteStored {
+		k.pSlot[s] = slot
+	}
 	k.enqueue(s, k.nextArc(s), now)
 }
 

@@ -10,25 +10,36 @@ import (
 )
 
 // chainTraffic routes every packet along a fixed chain of hops arcs starting
-// at the origin's arc, wrapping modulo numArcs — enough structure to exercise
-// queueing, handoffs and delivery.
+// at a uniformly drawn arc, wrapping modulo numArcs — enough structure to
+// exercise queueing, handoffs and delivery. A packet's pair is its origin,
+// uniform over sources, and the chain's first arc in place of a destination.
 type chainTraffic struct {
+	sources int
 	numArcs int
 	hops    int
 }
 
-func (c chainTraffic) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int {
-	// Consume one payload draw like a real destination sampler would.
-	start := int(rng.Uint64n(uint64(c.numArcs)))
-	_ = origin
+func (c chainTraffic) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+	for i := range origins {
+		origins[i] = uint32(rng.Uint64n(uint64(c.sources)))
+		dests[i] = uint32(rng.Uint64n(uint64(c.numArcs)))
+	}
+}
+
+func (c chainTraffic) AppendRoute(_, start uint32, dst []int) []int {
 	for h := 0; h < c.hops; h++ {
-		dst = append(dst, (start+h)%c.numArcs)
+		dst = append(dst, (int(start)+h)%c.numArcs)
 	}
 	return dst
 }
 
+// routeChain makes cfg route its packets along c's chains.
+func routeChain(cfg *Config, c chainTraffic) {
+	cfg.Traffic, cfg.Batch = c, c
+}
+
 func slottedConfig() Config {
-	return Config{
+	cfg := Config{
 		NumArcs:   32,
 		NumGroups: 4, // blocks of 8 arcs
 		Sources:   16,
@@ -39,8 +50,9 @@ func slottedConfig() Config {
 		Lambda:    0.4,
 		Slotted:   true,
 		Tau:       0.5,
-		Traffic:   chainTraffic{numArcs: 32, hops: 4},
 	}
+	routeChain(&cfg, chainTraffic{sources: 16, numArcs: 32, hops: 4})
+	return cfg
 }
 
 func continuousConfig() Config {
@@ -55,7 +67,6 @@ func continuousConfig() Config {
 // greedy routing, per-dimension statistics and bulk arrival prefetch.
 func continuousGreedyConfig() Config {
 	const d = 6
-	sampler := &uniformBatch{mask: 1<<d - 1}
 	return Config{
 		NumArcs:   d << d,
 		NumGroups: d, // arc = dim*2^d + node
@@ -65,61 +76,7 @@ func continuousGreedyConfig() Config {
 		Seed:      42,
 		Lambda:    1.4,
 		Mode:      RouteHypercubeGreedy,
-		Dest:      sampler,
-		Batch:     sampler,
-	}
-}
-
-// TestContinuousPrefetchMatchesScalar pins the continuous-mode prefetch as a
-// pure sampling optimisation: with and without Config.Batch the run is the
-// same, and only the estimate grows, by exactly the prefetch block.
-func TestContinuousPrefetchMatchesScalar(t *testing.T) {
-	bulk := continuousGreedyConfig()
-	scalar := bulk
-	scalar.Batch = nil
-	want := (&Kernel{}).Run(scalar)
-	got := (&Kernel{}).Run(bulk)
-	if got.Generated <= prefetchPairs {
-		t.Fatalf("only %d packets: the run never refills the prefetch block", got.Generated)
-	}
-	if got.MeanDelay != want.MeanDelay || got.Generated != want.Generated ||
-		got.Delivered != want.Delivered || got.MeanPopulation != want.MeanPopulation ||
-		got.InFlight != want.InFlight || got.MaxDelay != want.MaxDelay {
-		t.Fatalf("prefetched run diverges from the scalar run:\n%+v\nvs\n%+v", got, want)
-	}
-	if extra := EstimateBytes(bulk) - EstimateBytes(scalar); extra != prefetchPairs*pairBytes {
-		t.Errorf("prefetch buffers priced at %d B, want %d", extra, prefetchPairs*pairBytes)
-	}
-}
-
-// TestSlottedBlocksMatchScalar pins the block-wise sampling of slot batches
-// as a pure sampling optimisation: batches that span several blocks give the
-// run the scalar sampler gives.
-func TestSlottedBlocksMatchScalar(t *testing.T) {
-	const d = 8
-	sampler := &uniformBatch{mask: 1<<d - 1}
-	bulk := Config{
-		NumArcs:   d << d,
-		NumGroups: d,
-		Sources:   1 << d,
-		Horizon:   60,
-		Warmup:    10,
-		Seed:      8,
-		Lambda:    1.4, // ~358 packets a tick
-		Slotted:   true,
-		Tau:       1,
-		Mode:      RouteHypercubeGreedy,
-		Dest:      sampler,
-		Batch:     sampler,
-	}
-	scalar := bulk
-	scalar.Batch = nil
-	want := (&Kernel{}).Run(scalar)
-	got := (&Kernel{}).Run(bulk)
-	if got.MeanDelay != want.MeanDelay || got.Generated != want.Generated ||
-		got.Delivered != want.Delivered || got.MeanPopulation != want.MeanPopulation ||
-		got.InFlight != want.InFlight || got.MaxDelay != want.MaxDelay {
-		t.Fatalf("block-sampled run diverges from the scalar run:\n%+v\nvs\n%+v", got, want)
+		Batch:     &uniformBatch{mask: 1<<d - 1},
 	}
 }
 
@@ -158,7 +115,7 @@ func TestKernelReusedAcrossConfigs(t *testing.T) {
 	big.NumArcs = 64
 	big.Sources = 64
 	big.MaxHops = 6
-	big.Traffic = chainTraffic{numArcs: 64, hops: 6}
+	routeChain(&big, chainTraffic{sources: 64, numArcs: 64, hops: 6})
 	outages := slottedConfig()
 	outages.Faults = network.Faults{
 		BufferCapacity: 3,
@@ -272,15 +229,23 @@ func BenchmarkContinuousHypercubeReplication(b *testing.B) {
 	}
 }
 
-// flipDest sends every packet across dimension 0 only (a one-hop route), or
-// across dimensions 0 and 1 when two is set.
-type flipDest struct{ two bool }
+// flipDest sends every packet from a uniform origin among sources across
+// dimension 0 only (a one-hop route), or across dimensions 0 and 1 when two
+// is set.
+type flipDest struct {
+	sources int
+	two     bool
+}
 
-func (f flipDest) SampleDest(origin int32, rng *xrand.Rand) uint32 {
+func (f flipDest) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+	flip := uint32(1)
 	if f.two {
-		return uint32(origin) ^ 3
+		flip = 3
 	}
-	return uint32(origin) ^ 1
+	for i := range origins {
+		origins[i] = uint32(rng.Uint64n(uint64(f.sources)))
+		dests[i] = origins[i] ^ flip
+	}
 }
 
 // TestContinuousTieBreak pins the continuous-mode rule for a completion and
@@ -315,7 +280,7 @@ func TestContinuousTieBreak(t *testing.T) {
 				Seed:      1,
 				Lambda:    1e-300, // no drawn arrival falls inside the horizon
 				Mode:      RouteHypercubeGreedy,
-				Dest:      flipDest{two: tc.hops == 2},
+				Batch:     flipDest{sources: 1 << d, two: tc.hops == 2},
 			})
 			if k.arrPending {
 				t.Fatal("an arrival was drawn inside the horizon")

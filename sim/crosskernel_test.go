@@ -146,9 +146,10 @@ func TestCrossKernelSlotScale(t *testing.T) {
 }
 
 // TestCrossKernelGoldenHypercubeContinuous is the same check on the paper's
-// headline model, continuous-time Poisson arrivals. Greedy routing at
-// p = 1/2 runs the kernel's bulk arrival prefetch on its FillUint64 path;
-// other p run it on the scalar fallback; randomized routers run without it.
+// headline model, continuous-time Poisson arrivals. At p = 1/2 the kernel's
+// block sampler takes its FillUint64 path; other p and custom weights take
+// the scalar fallback; every router, randomized ones included, samples its
+// arrivals ahead in blocks.
 func TestCrossKernelGoldenHypercubeContinuous(t *testing.T) {
 	base := sim.Scenario{
 		Topology: sim.Hypercube(4), P: 0.5, LoadFactor: 0.7, Horizon: 400, Seed: 12345,

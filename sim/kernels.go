@@ -4,10 +4,12 @@
 // runs through one pooled runner on the one store-and-forward kernel,
 // internal/slotsim. The topologies differ only in the config's netShape
 // (arc, group and source counts, route mode, destination distribution) and
-// in the runner's traffic sampler, which the kernel calls through its
-// Traffic/DestSampler/BatchSampler interfaces. The reference simulator
-// (internal/oracle) that the tests compare the kernel with draws its routes
-// from the same sampler's AppendRoute, one packet at a time.
+// in the runner's traffic sampler. The kernel draws every arrival's (origin,
+// destination) pair in blocks through the sampler's SampleDestBatch, and
+// builds stored routes from those pairs through its AppendRoute. The
+// reference simulator (internal/oracle) that the tests compare the kernel
+// with draws each pair one packet at a time from internal/workload's scalar
+// samplers, and its routes from the same AppendRoute.
 
 package sim
 
@@ -31,11 +33,11 @@ const (
 	KernelDeflection = "deflection-slotted"
 )
 
-// sampler is a topology's packet sampler: the slot kernel's route and
-// destination callbacks.
+// sampler is a topology's packet sampler: the slot kernel's arrival and
+// route callbacks.
 type sampler interface {
+	slotsim.BatchSampler
 	slotsim.Traffic
-	slotsim.DestSampler
 	// prepare readies the sampler for a run of c, reseeding any private
 	// stream.
 	prepare(c *storeForward)
@@ -49,7 +51,7 @@ type hypercubeTraffic struct {
 	dist     workload.DestinationDist
 	router   routing.HypercubeRouter
 	routeRNG *xrand.Rand
-	rawBuf   []uint64 // bulk-sampling scratch (SampleDestBatch)
+	uniform  uniformPairs
 }
 
 func (t *hypercubeTraffic) prepare(c *storeForward) {
@@ -65,57 +67,60 @@ func (t *hypercubeTraffic) prepare(c *storeForward) {
 	}
 }
 
-// AppendRoute samples a packet's destination and appends its route.
-func (t *hypercubeTraffic) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int {
-	dest := t.dist.Sample(hypercube.Node(origin), rng)
-	return t.router.AppendPath(dst, t.cube, hypercube.Node(origin), dest, t.routeRNG)
+// AppendRoute appends the route its router takes from origin to dest,
+// drawing any randomness from the private routing stream.
+func (t *hypercubeTraffic) AppendRoute(origin, dest uint32, dst []int) []int {
+	return t.router.AppendPath(dst, t.cube, hypercube.Node(origin), hypercube.Node(dest), t.routeRNG)
 }
 
-// SampleDest serves the kernel's stepped greedy mode, which derives the
-// canonical dimension-order arcs arithmetically from (origin, dest); the
-// destination stream consumption matches AppendRoute exactly.
-func (t *hypercubeTraffic) SampleDest(origin int32, rng *xrand.Rand) uint32 {
-	return uint32(t.dist.Sample(hypercube.Node(origin), rng))
-}
-
-// SampleDestBatch serves the kernel's bulk arrival sampling, one block of at
-// most a few hundred arrivals at a time under either arrival model. For uniform
-// traffic (bit-flip with p = 1/2) every packet costs exactly two raw
-// generator words — origin pick on 2^d nodes and destination mask — so the
-// whole batch is one xrand.FillUint64 over 2·n words plus masking, with a
-// sample path identical to the scalar (origin; SampleDest) sequence. Other
-// distributions fall back to that scalar sequence per packet, which is still
-// a correct BatchSampler: the contract is about stream consumption, not about
-// how the words are drawn.
+// SampleDestBatch serves the kernel's arrival sampling, one block of at most
+// a few hundred arrivals at a time under either arrival model: each pair is
+// a uniform origin node and a destination from the scenario's distribution,
+// drawn exactly as workload's scalar Sample draws it.
 func (t *hypercubeTraffic) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
-	n := len(origins)
 	if bf, ok := t.dist.(workload.BitFlip); ok && bf.P == 0.5 {
-		if cap(t.rawBuf) < 2*n {
-			t.rawBuf = make([]uint64, 2*n)
-		}
-		raw := t.rawBuf[:2*n]
-		rng.FillUint64(raw)
-		mask := uint32(t.cube.Nodes() - 1)
-		for i := 0; i < n; i++ {
-			o := uint32(raw[2*i]) & mask
-			origins[i] = o
-			dests[i] = o ^ (uint32(raw[2*i+1]) & mask)
-		}
+		t.uniform.fill(rng, uint32(t.cube.Nodes()-1), origins, dests)
 		return
 	}
 	nodes := uint64(t.cube.Nodes())
-	for i := 0; i < n; i++ {
-		node := int32(rng.Uint64n(nodes))
-		origins[i] = uint32(node)
-		dests[i] = uint32(t.dist.Sample(hypercube.Node(node), rng))
+	for i := range origins {
+		o := rng.Uint64n(nodes)
+		origins[i] = uint32(o)
+		dests[i] = uint32(t.dist.Sample(hypercube.Node(o), rng))
+	}
+}
+
+// uniformPairs samples blocks of uniform-traffic pairs (bit flips with
+// p = 1/2 on 2^d origins), the paper's default on both topologies. Each pair
+// costs exactly two raw generator words — the origin pick and the flip mask,
+// as Uint64n and the scalar samplers draw them on a power of two — so a block
+// is one xrand.FillUint64 over 2·n words plus masking, with the scalar
+// sequence's sample path.
+type uniformPairs struct {
+	raw []uint64 // scratch of two words per pair
+}
+
+// fill fills origins and dests with uniform pairs on the origins 0..mask.
+func (u *uniformPairs) fill(rng *xrand.Rand, mask uint32, origins, dests []uint32) {
+	n := len(origins)
+	if cap(u.raw) < 2*n {
+		u.raw = make([]uint64, 2*n)
+	}
+	raw := u.raw[:2*n]
+	rng.FillUint64(raw)
+	for i := range origins {
+		o := uint32(raw[2*i]) & mask
+		origins[i] = o
+		dests[i] = o ^ (uint32(raw[2*i+1]) & mask)
 	}
 }
 
 // butterflyTraffic samples butterfly packets: destination rows from the
 // row bit-flip distribution, and the unique path between the rows.
 type butterflyTraffic struct {
-	bf   *butterfly.Butterfly
-	dist workload.RowBitFlip
+	bf      *butterfly.Butterfly
+	dist    workload.RowBitFlip
+	uniform uniformPairs
 }
 
 func (t *butterflyTraffic) prepare(c *storeForward) {
@@ -125,16 +130,26 @@ func (t *butterflyTraffic) prepare(c *storeForward) {
 	t.dist = workload.NewRowBitFlip(c.Topology.D, c.P)
 }
 
-// AppendRoute samples a packet's destination row and appends its path.
-func (t *butterflyTraffic) AppendRoute(origin int32, rng *xrand.Rand, dst []int) []int {
-	dest := t.dist.SampleRow(butterfly.Row(origin), rng)
-	return routing.AppendButterflyPath(dst, t.bf, butterfly.Row(origin), dest)
+// AppendRoute appends the unique path from row origin to row dest. The
+// kernel steps that path itself; the reference simulator stores it.
+func (t *butterflyTraffic) AppendRoute(origin, dest uint32, dst []int) []int {
+	return routing.AppendButterflyPath(dst, t.bf, butterfly.Row(origin), butterfly.Row(dest))
 }
 
-// SampleDest serves the kernel's stepped butterfly mode (the unique path is a
-// pure function of the origin and destination rows).
-func (t *butterflyTraffic) SampleDest(origin int32, rng *xrand.Rand) uint32 {
-	return uint32(t.dist.SampleRow(butterfly.Row(origin), rng))
+// SampleDestBatch serves the kernel's arrival sampling: each pair is a
+// uniform first-level row and a destination row drawn exactly as
+// workload's scalar SampleRow draws it.
+func (t *butterflyTraffic) SampleDestBatch(rng *xrand.Rand, origins, dests []uint32) {
+	if t.dist.P == 0.5 {
+		t.uniform.fill(rng, uint32(1)<<t.dist.D-1, origins, dests)
+		return
+	}
+	rows := uint64(1) << t.dist.D
+	for i := range origins {
+		o := rng.Uint64n(rows)
+		origins[i] = uint32(o)
+		dests[i] = uint32(t.dist.SampleRow(butterfly.Row(o), rng))
+	}
 }
 
 // runner holds the reusable state of one store-and-forward run: both
@@ -178,18 +193,13 @@ func (c *storeForward) slotConfig(t sampler) slotsim.Config {
 		Tau:         c.Tau,
 		Mode:        c.net.mode,
 		Traffic:     t,
-		Dest:        t,
+		Batch:       t,
 		MaxBytes:    c.MaxBytes,
 		Measurement: c.Measure,
 		Discipline:  c.Discipline,
 	}
 	if c.Faults != nil {
 		cfg.Faults = *c.Faults
-	}
-	if c.net.mode != slotsim.RouteStored {
-		// Stepped routes sample arrivals in bulk when the topology's
-		// sampler can.
-		cfg.Batch, _ = t.(slotsim.BatchSampler)
 	}
 	return cfg
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # contractcov.sh measures contract coverage: which functions the committed
 # outputs reach. The contract is the goldens under specs/golden/, the
-# experiment tables (`experiments -quick`), every specs/*.json through
-# cmd/run, every examples/* program at -quick, and the simd/simc smoke
-# sequences that CI replays against real processes.
+# experiment tables (`experiments -quick`, whose CSV form has its own
+# golden), every specs/*.json through cmd/run, every examples/* program at
+# -quick, and the simd/simc smoke sequences that CI replays against real
+# processes.
 #
 # It builds every binary with `go build -cover -coverpkg=./...`, runs the
 # contract against those builds (diffing every golden), then prints the
@@ -83,6 +84,8 @@ stopd() {
 
 echo "== experiments -quick" >&2
 "$bin/experiments" -quick >/dev/null
+"$bin/experiments" -quick -csv | sed -E '/^   \([0-9.hmsµn]+\)$/d' >"$work/out/experiments-quick.csv"
+golden experiments-quick.csv "$work/out/experiments-quick.csv"
 "$bin/experiments" -quick -only E1 >/dev/null
 
 echo "== golden sweeps (CSV and JSON Lines)" >&2
