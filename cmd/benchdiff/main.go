@@ -14,12 +14,12 @@
 // artifact (selected by the .json extension):
 //
 //	benchdiff -base bench-base.txt -head bench-head.txt -filter '^BenchmarkE' -threshold 1.10
-//	benchdiff -base BENCH_6.json -head bench-head.txt
+//	benchdiff -base BENCH_7.json -head bench-head.txt
 //
 // Verify that a checked-in baseline artifact exists, parses, and covers the
 // gate (at least one benchmark matching -filter), exiting 2 otherwise:
 //
-//	benchdiff -check BENCH_6.json
+//	benchdiff -check BENCH_7.json
 //
 // A missing or empty baseline is always a hard error, never a silent pass:
 // a perf gate with nothing to compare against would approve any regression.

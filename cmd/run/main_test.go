@@ -159,6 +159,25 @@ func TestRunExitCodeTable(t *testing.T) {
 	}
 }
 
+// TestRunMidRunBudgetOverrun pins the UX of a run that passes max_bytes
+// validation but whose in-flight population outgrows the budget: a runtime
+// failure (exit 1) naming the overrun, with no panic trace.
+func TestRunMidRunBudgetOverrun(t *testing.T) {
+	spec := write(t, "overrun.json", `{"topology": {"kind": "hypercube", "d": 7}, "p": 0.5,
+		"load_factor": 0.5, "horizon": 200, "seed": 5, "max_bytes": 40000}`)
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-validate", spec}, &stdout, &stderr); code != cli.ExitOK {
+		t.Fatalf("-validate exit code %d, want 0; stderr: %s", code, stderr.String())
+	}
+	stderr.Reset()
+	if code := run([]string{spec}, &stdout, &stderr); code != cli.ExitRuntime {
+		t.Fatalf("exit code %d, want %d (ExitRuntime); stderr: %s", code, cli.ExitRuntime, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "memory budget exceeded growing") || strings.Contains(msg, "goroutine") {
+		t.Fatalf("stderr %q: want the budget overrun and no panic trace", msg)
+	}
+}
+
 // TestRunProgressScenarioLevel pins -progress on a sweep spec: besides the
 // per-replication lines, each expanded scenario announces its position in
 // the spec, so a long multi-point run shows where it is.

@@ -59,6 +59,13 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("engine: task %d panicked after %d attempts: %v", e.Index, e.Attempts, e.Value)
 }
 
+// Unwrap returns the panic value when it is an error, so errors.Is and
+// errors.As reach a typed error a task panicked with.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // runIsolated executes fn(i) with panic isolation: a panic is recovered and
 // the index retried up to panicAttempts total attempts. It returns nil on
 // success, or the PanicError of the final attempt.

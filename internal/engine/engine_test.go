@@ -366,6 +366,25 @@ func TestForEachCtxPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestPanicErrorUnwrap checks that a task that panics with an error value
+// surfaces it through errors.Is/As on the *PanicError, and that any other
+// panic value unwraps to nothing.
+func TestPanicErrorUnwrap(t *testing.T) {
+	cause := errors.New("typed cause")
+	err := ForEach(context.Background(), 3, 1, func(i int) {
+		if i == 1 {
+			panic(fmt.Errorf("wrapped: %w", cause))
+		}
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || !errors.Is(err, cause) {
+		t.Fatalf("err = %v: want a *PanicError that unwraps to its cause", err)
+	}
+	if (&PanicError{Value: "text"}).Unwrap() != nil {
+		t.Fatal("a non-error panic value unwraps to an error")
+	}
+}
+
 // TestForEachCtxPanicRetryRecovers checks the transient-failure half of the
 // retry contract: an index that panics once and then succeeds must not error,
 // and every index must still run exactly once (successfully).

@@ -190,11 +190,12 @@ func TestMaxBytesGrowthRejection(t *testing.T) {
 	(&Kernel{}).Run(cfg)
 }
 
-// TestReusedKernelMeetsFreshBudget is the regression test for a pooled
-// kernel failing a MaxBytes budget that a fresh kernel meets: reset used to
-// keep the per-hop wait times of an earlier run, and memFootprint charged
-// them to a run that never tracks waits. A kernel must meet the budget a
-// fresh one meets on the same configuration, whatever it ran before.
+// TestReusedKernelMeetsFreshBudget pins "a pooled kernel is a fresh one":
+// after any earlier run, a kernel meets the MaxBytes budget a fresh one meets
+// on the same configuration — its final footprint — with the fresh kernel's
+// metrics, and ends at that footprint. Each earlier run leaves state the next
+// run must not be charged for: per-hop wait times, or a packet pool,
+// completion ring or route slab grown past what the next run needs.
 func TestReusedKernelMeetsFreshBudget(t *testing.T) {
 	cube := func(d int, lambda float64) Config {
 		return Config{
@@ -209,20 +210,43 @@ func TestReusedKernelMeetsFreshBudget(t *testing.T) {
 			Batch:     uniformDest{mask: 1<<d - 1},
 		}
 	}
-	before := cube(4, 3) // overloaded: the pool, and its wait times, grow
-	before.TrackPerHopWait = true
-	cfg := cube(10, 1)
-	fresh := &Kernel{}
-	want := fresh.Run(cfg)
-	cfg.MaxBytes = fresh.memFootprint()
-
-	k := &Kernel{}
-	k.Run(before)
-	if got := k.Run(cfg); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reused kernel diverges from fresh kernel:\n%+v\nvs\n%+v", got, want)
+	slotted := func(cfg Config) Config {
+		cfg.Slotted, cfg.Tau = true, 1
+		return cfg
 	}
-	if foot := k.memFootprint(); foot != cfg.MaxBytes {
-		t.Errorf("reused kernel ends at %d B, fresh kernel at %d B", foot, cfg.MaxBytes)
+	waits := cube(4, 3) // overloaded: the pool, and its wait times, grow
+	waits.TrackPerHopWait = true
+	for _, tc := range []struct {
+		name          string
+		before, after Config
+	}{
+		{"wait times, then a 10-cube", waits, cube(10, 1)},
+		{"overloaded 4-cube, then a slotted 6-cube", cube(4, 1), slotted(cube(6, 0.5))},
+		{"ring of an overloaded 4-cube, then a 6-cube", cube(4, 6), cube(6, 0.8)},
+		{"pool of an overloaded 6-cube, then a light one", cube(6, 4), cube(6, 0.3)},
+		{"overloaded 6-cube, then stored routes", cube(6, 4), slottedConfig()},
+		{"stored routes, then a slotted 5-cube", slottedConfig(), slotted(cube(5, 0.9))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.after
+			fresh := &Kernel{}
+			want := fresh.Run(cfg)
+			cfg.MaxBytes = fresh.memFootprint()
+
+			k := &Kernel{}
+			k.Run(tc.before)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("reused kernel fails the %d B a fresh kernel meets: %v", cfg.MaxBytes, r)
+				}
+			}()
+			if got := k.Run(cfg); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reused kernel diverges from fresh kernel:\n%+v\nvs\n%+v", got, want)
+			}
+			if foot := k.memFootprint(); foot != cfg.MaxBytes {
+				t.Errorf("reused kernel ends at %d B, fresh kernel at %d B", foot, cfg.MaxBytes)
+			}
+		})
 	}
 }
 

@@ -101,18 +101,21 @@
 // Config.MaxBytes puts an explicit budget on all of this: EstimateBytes
 // prices the arc-indexed arrays up front (the deterministic, dominant term),
 // reset refuses configurations that cannot fit, and every growth of the
-// dynamic pools re-checks the budget so a run fails loudly with a diagnostic
-// instead of dying to the OOM killer. Before a slot tick injects its batch,
-// the packet pool and the completion ring grow once, straight to the size
-// their doubling would reach for the live population plus the batch, instead
-// of doubling packet by packet.
+// dynamic pools re-checks the budget so a run fails loudly with a
+// *BudgetError instead of dying to the OOM killer. Before a slot tick injects
+// its batch, the packet pool and the completion ring grow once, straight to
+// the size their doubling would reach for the live population plus the
+// batch, instead of doubling packet by packet.
 //
-// There is no handler indirection and no per-event allocation; once the pool,
-// rings and sample buffers have grown to their steady-state size, a whole
-// replication — per-replication setup included, since a pooled kernel
-// (sim reuses one per worker via sync.Pool) reseeds rather than
-// reconstructs — performs zero allocations. Only the Metrics snapshot handed
-// to the caller is freshly allocated, because the caller owns it.
+// A pooled kernel (sim reuses one per worker via sync.Pool) is a fresh one:
+// reset truncates the packet pool, the completion ring and the route slab to
+// length zero, so they regrow through a fresh kernel's doubling, reslicing
+// the capacity they kept, and the budget charges lengths — what this run
+// holds — never capacity an earlier run left. There is no handler
+// indirection and no per-event allocation: once that capacity has reached
+// its steady-state size, a whole replication, reset included, performs zero
+// allocations. Only the Metrics snapshot handed to the caller is freshly
+// allocated, because the caller owns it.
 //
 // # OS-backed arrays
 //
@@ -137,8 +140,8 @@
 // The regions belong to the Kernel. reset releases those of an optional
 // array the run does not use, and a cleanup (runtime.AddCleanup) releases the
 // rest once the kernel is unreachable, as when sim's sync.Pool drops a
-// runner. max_bytes counts committed bytes, whole 2 MiB steps included;
-// EstimateBytes stays a floor.
+// runner. max_bytes counts an OS-backed array's length in whole 2 MiB steps,
+// what a fresh kernel commits for it; EstimateBytes stays a floor.
 //
 // Measured on a 2-vCPU Linux VM whose transparent huge pages are in madvise
 // mode (enabled and defrag both madvise; thp_fault_fallback stayed 0): one
@@ -280,9 +283,10 @@ type Config struct {
 	Batch BatchSampler
 	// MaxBytes caps the kernel's memory: reset panics when the pre-run
 	// estimate (EstimateBytes) exceeds it, and every growth of the dynamic
-	// pools re-checks it. Zero disables the budget. Callers that want a
-	// clean error instead of a panic validate with EstimateBytes first
-	// (sim.Scenario.MaxBytes does).
+	// pools re-checks it against the arrays' lengths, panicking with a
+	// *BudgetError. Zero disables the budget. Callers that want errors
+	// instead of panics validate with EstimateBytes first and recover the
+	// *BudgetError (sim does both).
 	MaxBytes int64
 	// Measurement selects the optional measurements.
 	network.Measurement
@@ -343,20 +347,14 @@ type completion struct {
 
 // EstimateBytes returns the kernel's pre-run memory estimate for cfg: the
 // arc-indexed arrays — the deterministic term that dominates at scale (a
-// d = 20 hypercube has d·2^d ≈ 21M arcs) — plus the initial capacities of the
-// dynamically growing packet pool and completion ring. The dynamic structures
-// grow with the in-flight population (every growth re-checks
-// Config.MaxBytes), and OS-backed arrays commit whole huge pages, so the
-// estimate is a floor, not a ceiling; it is what sim's max_bytes validation
-// prices before a run starts.
+// d = 20 hypercube has d·2^d ≈ 21M arcs) — plus the initial lengths of the
+// dynamically growing packet pool and completion ring and the fixed 2 KiB
+// arrival sampling block every run has. The dynamic structures grow with the
+// in-flight population (every growth re-checks Config.MaxBytes), and
+// OS-backed arrays count whole huge pages, so the estimate is a floor, not a
+// ceiling; it is what sim's max_bytes validation prices before a run starts.
 func EstimateBytes(cfg Config) int64 {
-	est := arcTermBytes(cfg) + poolChunk*cfg.pktSize() + compChunk*compBytes
-	if !cfg.Slotted {
-		// Continuous arrivals are sampled a whole block ahead. Slotted
-		// batches sample through the same block, but only as large as the
-		// batches they meet; that growth is charged when it happens.
-		est += prefetchPairs * pairBytes
-	}
+	est := arcTermBytes(cfg) + poolChunk*cfg.pktSize() + compChunk*compBytes + prefetchPairs*pairBytes
 	if len(cfg.Outages) > 0 {
 		est += int64(2*len(cfg.Outages)) * 16 // transitions
 	}
@@ -454,10 +452,10 @@ type Kernel struct {
 	// Per-group arrival counts since the measurement start.
 	gArrivals []int64
 
-	// Packet pool: parallel arrays indexed by pool slot. A packet occupies
-	// one slot from injection to delivery; pNext threads both the per-arc
-	// FIFO queues and the free list. Allocation is bump-then-free-list, so
-	// reset is O(1) in the pool size.
+	// Packet pool: parallel arrays indexed by pool slot, whose length is the
+	// pool's logical capacity. A packet occupies one slot from injection to
+	// delivery; pNext threads both the per-arc FIFO queues and the free list.
+	// Allocation is bump-then-free-list, so reset is O(1) in the pool size.
 	pGen     []float64
 	pUV      []uint64  // current identity (high 32) | mask or dest row (low 32)
 	pAux     []uint32  // hop (high 16) | total hops (low 16)
@@ -469,7 +467,7 @@ type Kernel struct {
 	live     int // occupied slots
 
 	// Stored-route slab: MaxHops ints per slot, with a slot free list; nil
-	// outside RouteStored.
+	// outside RouteStored. Its length, like the pool's, is its capacity.
 	paths    []int
 	pathFree []int32
 	numSlots int
@@ -499,10 +497,10 @@ type Kernel struct {
 	slotSrc *workload.SlottedSource
 	poisSrc *workload.PoissonSource
 
-	// Arrival sampling scratch (Config.Batch): one block of at most
-	// prefetchPairs pairs.
-	batchOrigins []uint32
-	batchDests   []uint32
+	// Arrival sampling scratch (Config.Batch): one fixed block of
+	// prefetchPairs pairs, which EstimateBytes and memFootprint price.
+	batchOrigins [prefetchPairs]uint32
+	batchDests   [prefetchPairs]uint32
 
 	// Snapshot scratch.
 	snapArcs     []int
@@ -651,30 +649,25 @@ func (k *Kernel) reset(cfg Config) {
 	}
 	k.gArrivals = resizeZero(k, k.gArrivals, cfg.NumGroups)
 
-	// Packet pool: every slot is free again (bump allocation restarts).
+	// The packet pool, the route slab and the completion ring start empty,
+	// as on a fresh kernel: at length zero, keeping their capacity.
 	k.freeHead = -1
 	k.poolBump = 0
 	k.live = 0
+	k.pGen, k.pUV, k.pAux, k.pNext = k.pGen[:0], k.pUV[:0], k.pAux[:0], k.pNext[:0]
 	if k.hopWait {
-		k.pEnqAt = resizeWithin(k, k.pEnqAt, len(k.pGen), poolSlots)
+		k.pEnqAt = k.pEnqAt[:0]
 	} else {
 		k.pEnqAt = drop(k, k.pEnqAt)
 	}
-
-	// Stored-route slab: every slot is free again; re-stride for the
-	// (possibly changed) MaxHops.
 	if cfg.Mode == RouteStored {
-		k.pSlot = resizeWithin(k, k.pSlot, len(k.pGen), poolSlots)
-		k.pathFree = k.pathFree[:0]
-		for i := k.numSlots - 1; i >= 0; i-- {
-			k.pathFree = append(k.pathFree, int32(i))
-		}
-		k.paths = resizeWithin(k, k.paths, k.numSlots*cfg.MaxHops, math.MaxInt)
+		k.pSlot, k.paths, k.pathFree = k.pSlot[:0], k.paths[:0], k.pathFree[:0]
 	} else {
 		k.pSlot, k.paths = drop(k, k.pSlot), drop(k, k.paths)
-		k.pathFree, k.numSlots = nil, 0
+		k.pathFree = nil
 	}
-
+	k.numSlots = 0
+	k.comp, k.compMask = k.comp[:0], 0
 	k.compHead, k.compTail = 0, 0
 	k.arrPending = false
 	k.batchPop = cfg.Slotted && cfg.TraceInterval == 0 && cfg.BufferCapacity == 0
@@ -915,39 +908,39 @@ func arrayBytes(n int, size int64) int64 {
 	return b
 }
 
-// growthBytes is what resize(k, s, n) adds to the kernel's footprint: the
-// figure the budget checks charge a growth. Where a region cannot be had,
-// the heap array it falls back to takes up to a huge page less.
-func growthBytes[T any](s []T, n int) int64 {
-	if cap(s) >= n {
-		return 0
-	}
-	size := int64(unsafe.Sizeof(*new(T)))
-	return arrayBytes(n, size) - int64(cap(s))*size
+// heldBytes is what s charges the budget: its length, priced by arrayBytes.
+// Capacity beyond it, left by an earlier run on a pooled kernel, is free.
+func heldBytes[T any](s []T) int64 {
+	return arrayBytes(len(s), int64(unsafe.Sizeof(*new(T))))
 }
 
-// memFootprint sums the capacities of the kernel's long-lived arrays; it is
-// the "in use" figure of the growth-time budget checks.
+// growthBytes is what growing s to n > len(s) elements adds to the kernel's
+// footprint: the figure the budget checks charge a growth. Where a region
+// cannot be had, the heap array it falls back to takes up to a huge page less.
+func growthBytes[T any](s []T, n int) int64 {
+	return arrayBytes(n, int64(unsafe.Sizeof(*new(T)))) - heldBytes(s)
+}
+
+// memFootprint sums what the kernel's long-lived arrays hold; it is the
+// "in use" figure of the growth-time budget checks.
 func (k *Kernel) memFootprint() int64 {
-	b := k.arcFootprint() + int64(cap(k.gArrivals))*8 + int64(cap(k.trans))*16
-	b += k.poolFootprint() + int64(cap(k.comp))*compBytes
-	b += int64(cap(k.paths))*8 + int64(cap(k.pathFree))*4
-	b += int64(cap(k.batchOrigins))*4 + int64(cap(k.batchDests))*4
-	return b
+	return k.arcFootprint() + heldBytes(k.gArrivals) + heldBytes(k.trans) +
+		k.poolFootprint() + heldBytes(k.comp) + heldBytes(k.paths) + heldBytes(k.pathFree) +
+		prefetchPairs*pairBytes
 }
 
 // arcFootprint is memFootprint's arc-indexed part, the counterpart of
 // arcTermBytes.
 func (k *Kernel) arcFootprint() int64 {
-	return int64(cap(k.aTail))*4 + int64(cap(k.aBusyTime))*8 + int64(cap(k.aQLen))*4 +
-		int64(cap(k.aHead))*4 + int64(cap(k.downWords))*8 + int64(cap(k.stalled))*8
+	return heldBytes(k.aTail) + heldBytes(k.aBusyTime) + heldBytes(k.aQLen) +
+		heldBytes(k.aHead) + heldBytes(k.downWords) + heldBytes(k.stalled)
 }
 
 // poolFootprint is memFootprint's packet-pool part, the counterpart of
 // Config.pktSize.
 func (k *Kernel) poolFootprint() int64 {
-	return int64(cap(k.pGen))*8 + int64(cap(k.pUV))*8 + int64(cap(k.pAux))*4 +
-		int64(cap(k.pNext))*4 + int64(cap(k.pSlot))*4 + int64(cap(k.pEnqAt))*8
+	return heldBytes(k.pGen) + heldBytes(k.pUV) + heldBytes(k.pAux) +
+		heldBytes(k.pNext) + heldBytes(k.pSlot) + heldBytes(k.pEnqAt)
 }
 
 // fits reports whether growing by extra bytes stays within MaxBytes.
@@ -955,13 +948,28 @@ func (k *Kernel) fits(extra int64) bool {
 	return k.cfg.MaxBytes <= 0 || k.memFootprint()+extra <= k.cfg.MaxBytes
 }
 
-// checkBudget panics when growing `what` by extra bytes would exceed the
-// configured MaxBytes. Growth happens mid-run, where no error return exists;
-// failing loudly with sizes beats being OOM-killed without one.
+// BudgetError is the panic value of a growth that would exceed
+// Config.MaxBytes. Growth happens mid-run, where no error return exists;
+// failing loudly with sizes beats being OOM-killed without one, and a caller
+// that wants an error recovers this value (sim's runner does).
+type BudgetError struct {
+	What     string // the growing structure
+	InUse    int64  // bytes the kernel's arrays hold (memFootprint)
+	Needed   int64  // bytes the growth adds
+	MaxBytes int64
+}
+
+// Error names the growing structure and the sizes that broke the budget.
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("slotsim: memory budget exceeded growing %s: ~%d B in use + %d B needed > MaxBytes %d",
+		e.What, e.InUse, e.Needed, e.MaxBytes)
+}
+
+// checkBudget panics with a *BudgetError when growing `what` by extra bytes
+// would exceed the configured MaxBytes.
 func (k *Kernel) checkBudget(what string, extra int64) {
 	if !k.fits(extra) {
-		panic(fmt.Sprintf("slotsim: memory budget exceeded growing %s: ~%d B in use + %d B needed > MaxBytes %d",
-			what, k.memFootprint(), extra, k.cfg.MaxBytes))
+		panic(&BudgetError{what, k.memFootprint(), extra, k.cfg.MaxBytes})
 	}
 }
 
@@ -1177,7 +1185,7 @@ func (k *Kernel) runContinuous() {
 	horizon, warmup := k.cfg.Horizon, k.cfg.Warmup
 	rng := k.poisSrc.RNG()
 	measuring := false
-	origins, dests := k.batchBuffers(prefetchPairs, "arrival prefetch buffers")
+	origins, dests := k.batchOrigins[:], k.batchDests[:]
 	pos := len(origins) // index of the next unused sampled pair; starts drained
 	for {
 		// Completions due strictly before every other event source fire
@@ -1270,7 +1278,8 @@ func (k *Kernel) fireTick(now float64) {
 	batch := src.BatchSize()
 	rng := src.RNG()
 	k.reserve(batch)
-	origins, dests := k.batchBuffers(min(batch, prefetchPairs), "slot batch buffers")
+	n := min(batch, prefetchPairs)
+	origins, dests := k.batchOrigins[:n], k.batchDests[:n]
 	for left := batch; left > 0; left -= len(origins) {
 		if left < len(origins) {
 			origins, dests = origins[:left], dests[:left]
@@ -1286,18 +1295,6 @@ func (k *Kernel) fireTick(now float64) {
 			k.injectTo(origins[j], dests[j], now)
 		}
 	}
-}
-
-// batchBuffers returns the arrival sampling scratch sized to n <= prefetchPairs
-// pairs, charging any growth (named what) to the memory budget first. The two
-// buffers are always resized together, so they share one capacity.
-func (k *Kernel) batchBuffers(n int, what string) (origins, dests []uint32) {
-	if cap(k.batchOrigins) < n {
-		k.checkBudget(what, int64(n-cap(k.batchOrigins))*pairBytes)
-	}
-	k.batchOrigins = resize(k, k.batchOrigins, n)
-	k.batchDests = resize(k, k.batchDests, n)
-	return k.batchOrigins, k.batchDests
 }
 
 // injectTo creates the packet of a sampled (origin, dest) pair at time now;
@@ -1600,8 +1597,8 @@ func (k *Kernel) poolGrowth(c int) int64 {
 	return b
 }
 
-// allocPathSlot takes a stored-route slab slot from the free list, growing
-// the slab when it is exhausted.
+// allocPathSlot takes a stored-route slab slot from the free list, doubling
+// the slab when its slots are exhausted.
 func (k *Kernel) allocPathSlot() int32 {
 	if n := len(k.pathFree); n > 0 {
 		s := k.pathFree[n-1]
@@ -1610,13 +1607,10 @@ func (k *Kernel) allocPathSlot() int32 {
 	}
 	s := int32(k.numSlots)
 	k.numSlots++
-	need := k.numSlots * k.maxHops
-	if need > cap(k.paths) {
-		newCap := max(2*cap(k.paths), need)
-		k.checkBudget("route slab", growthBytes(k.paths, newCap))
-		k.paths = resizeWithin(k, k.paths, newCap, math.MaxInt)[:need]
-	} else {
-		k.paths = k.paths[:need]
+	if need := k.numSlots * k.maxHops; need > len(k.paths) {
+		newLen := max(2*len(k.paths), need)
+		k.checkBudget("route slab", growthBytes(k.paths, newLen))
+		k.paths = resizeWithin(k, k.paths, newLen, math.MaxInt)
 	}
 	return s
 }

@@ -44,8 +44,12 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := n.runOnce().Kernel; got != c.kernel {
-					t.Fatalf("ran on %s, want %s", got, c.kernel)
+				res, err := n.runOnce()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Kernel != c.kernel {
+					t.Fatalf("ran on %s, want %s", res.Kernel, c.kernel)
 				}
 				if allocs := testing.AllocsPerRun(20, func() { n.runOnce() }); allocs > c.max {
 					t.Errorf("%v allocations per pooled run, want at most %v", allocs, c.max)

@@ -204,15 +204,34 @@ func (c *storeForward) slotConfig(t sampler) slotsim.Config {
 	return cfg
 }
 
+// MemoryBudgetError reports a run whose in-flight population outgrew
+// Scenario.MaxBytes: validation prices the arrays a run starts with, and the
+// kernel stops a run whose packet pool, completion ring or route slab would
+// later grow past the budget. Run returns it for a single run and RunSweep for
+// its point; a replicated run's *engine.PanicError unwraps to it, so
+// errors.As finds it on every path.
+type MemoryBudgetError = slotsim.BudgetError
+
 // run executes c once on the kernel and assembles the result while the
-// pooled runner still holds the kernel's delay statistics.
-func (c *storeForward) run() *Result {
+// pooled runner still holds the kernel's delay statistics. A budget overrun
+// is returned as its *MemoryBudgetError; every other panic propagates
+// unchanged.
+func (c *storeForward) run() (res *Result, err error) {
 	r := runners.Get().(*runner)
 	defer runners.Put(r)
+	defer func() {
+		if v := recover(); v != nil {
+			be, ok := v.(*MemoryBudgetError)
+			if !ok {
+				panic(v)
+			}
+			err = be
+		}
+	}()
 	r.traffic = r.sampler(c)
 	r.traffic.prepare(c)
 	if r.kernel == nil {
 		r.kernel = new(slotsim.Kernel)
 	}
-	return c.result(r.kernel.Run(c.slotConfig(r.traffic)), r.kernel)
+	return c.result(r.kernel.Run(c.slotConfig(r.traffic)), r.kernel), nil
 }

@@ -525,13 +525,13 @@ func Run(ctx context.Context, sc Scenario) (*Result, error) {
 	if sc.Replications > 1 {
 		return runReplicated(ctx, &sc, n)
 	}
-	return n.runOnce(), nil
+	return n.runOnce()
 }
 
 // runOnce executes one normalized single run.
-func (n normalized) runOnce() *Result {
+func (n normalized) runOnce() (*Result, error) {
 	if n.dc != nil {
-		return runDeflectionOnce(n.dc)
+		return runDeflectionOnce(n.dc), nil
 	}
 	return n.sf.run()
 }
@@ -788,7 +788,10 @@ const sketchMetricName = "delay"
 // out of the pooled runner, so it is safe for the engine to retain.
 func replicationTask(sc *Scenario, n normalized) engine.SketchTask {
 	return func(_ int, seed uint64) (map[string]float64, map[string]*stats.DDSketch) {
-		rep := n.replica(seed).runOnce()
+		rep, err := n.replica(seed).runOnce()
+		if err != nil {
+			panic(err) // the engine's *PanicError unwraps to it
+		}
 		m := map[string]float64{
 			MetricMeanDelay:          rep.MeanDelay,
 			MetricMeanHops:           rep.Metrics.MeanHops,

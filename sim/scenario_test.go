@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -311,14 +312,15 @@ func TestScenarioTitle(t *testing.T) {
 }
 
 // TestContinuousMaxBytes checks the budget on a continuous-time hypercube:
-// the estimate prices the arrival prefetch block that greedy routing uses,
-// and a budgeted run is the unbudgeted run.
+// the estimate prices the one arrival sampling block both arrival models
+// use, so it equals the slotted estimate, and a budgeted run is the
+// unbudgeted run.
 func TestContinuousMaxBytes(t *testing.T) {
 	continuous := valid()
 	slotted := valid()
 	slotted.Slotted, slotted.Tau = true, 1
-	if extra := slotEstimate(&continuous) - slotEstimate(&slotted); extra != 256*8 {
-		t.Errorf("continuous estimate exceeds the slotted one by %d B, want the 2048 B prefetch block", extra)
+	if c, s := slotEstimate(&continuous), slotEstimate(&slotted); c != s {
+		t.Errorf("continuous estimate %d B, slotted %d B; want equal, the sampling block priced in both", c, s)
 	}
 	want, err := Run(context.Background(), continuous)
 	if err != nil {
@@ -331,6 +333,48 @@ func TestContinuousMaxBytes(t *testing.T) {
 	}
 	if got.Metrics.MeanDelay != want.Metrics.MeanDelay || got.Kernel != KernelSlotStepped {
 		t.Errorf("budgeted run: %s kernel, mean delay %v; want slot-stepped, %v", got.Kernel, got.Metrics.MeanDelay, want.Metrics.MeanDelay)
+	}
+}
+
+// TestMidRunBudgetOverrunIsAnError checks that a run validation accepts but
+// whose in-flight population outgrows max_bytes fails with a
+// *MemoryBudgetError on every path, not a crash: a single run returns it, a
+// replicated run's engine panic unwraps to it, and a sweep returns it for
+// the point. A single run and a sweep point run once: a deterministic
+// overrun is not retried.
+func TestMidRunBudgetOverrunIsAnError(t *testing.T) {
+	sc := Scenario{Topology: Hypercube(7), P: 0.5, LoadFactor: 0.5, Horizon: 200, Seed: 5, MaxBytes: 40000}
+	if _, err := sc.normalize(); err != nil {
+		t.Fatalf("validation rejects the scenario: %v", err)
+	}
+	replicated := sc
+	replicated.Replications = 2
+	sweep := Sweep{Base: sc, Axes: []Axis{{Field: "seed", Values: Ints(5)}}}
+	for _, tc := range []struct {
+		name string
+		runs int // Run calls; 0 leaves them unchecked
+		run  func() error
+	}{
+		{"single run", 1, func() error { _, err := Run(context.Background(), sc); return err }},
+		{"replicated run", 0, func() error { _, err := Run(context.Background(), replicated); return err }},
+		{"sweep point", 1, func() error { _, err := RunSweep(context.Background(), sweep); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := 0
+			runTestHook = func(Scenario) { runs++ }
+			defer func() { runTestHook = nil }()
+			err := tc.run()
+			var budgetErr *MemoryBudgetError
+			if !errors.As(err, &budgetErr) {
+				t.Fatalf("err = %v (%T), want a *MemoryBudgetError", err, err)
+			}
+			if budgetErr.MaxBytes != sc.MaxBytes || !strings.Contains(err.Error(), "memory budget exceeded growing") {
+				t.Fatalf("budget error %+v, message %q", budgetErr, err)
+			}
+			if tc.runs > 0 && runs != tc.runs {
+				t.Fatalf("%d Run calls, want %d", runs, tc.runs)
+			}
+		})
 	}
 }
 

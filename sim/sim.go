@@ -331,9 +331,9 @@ type Scenario struct {
 	// arc-indexed arrays up front (slotsim.EstimateBytes) and rejects
 	// scenarios that cannot fit with a clean error; the kernel re-checks the
 	// budget whenever its dynamic pools grow mid-run, so a run whose
-	// in-flight population outgrows the budget fails loudly instead of being
-	// OOM-killed. Deflection routing, which runs on its own kernel, rejects
-	// it.
+	// in-flight population outgrows the budget fails with a
+	// *MemoryBudgetError instead of being OOM-killed. Deflection routing,
+	// which runs on its own kernel, rejects it.
 	MaxBytes int64 `json:"max_bytes,omitempty"`
 
 	// Parallelism bounds the number of concurrently executing replication
