@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		perClient    = fs.Int("per-client", 0, "max in-flight jobs per client before 429 (0 = default 8)")
 		pointTimeout = fs.Duration("point-timeout", 0, "per-point wall-clock watchdog (0 = none)")
 		jobTimeout   = fs.Duration("job-timeout", 0, "whole-job deadline (0 = none)")
-		retries      = fs.Int("retries", 0, "retries for jobs killed by an engine panic (0 = default 2, negative = none)")
 		cacheSize    = fs.Int("cache", 0, "result cache entries (0 = default 1024, negative = disabled)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max wait for running jobs on SIGTERM before hard-stopping them")
 	)
@@ -86,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		PerClientCap:  *perClient,
 		PointTimeout:  *pointTimeout,
 		JobTimeout:    *jobTimeout,
-		MaxRetries:    *retries,
 		CacheEntries:  *cacheSize,
 		Logf:          logger.Printf,
 	})

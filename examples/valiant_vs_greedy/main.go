@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/routing"
+	"repro/internal/static"
 	"repro/sim"
 )
 
@@ -49,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		b := routing.RunPipelined(routing.PipelinedConfig{
+		b := static.RunPipelined(static.PipelinedConfig{
 			D: d, Lambda: rho / p, P: p, Horizon: horizon, Seed: 11,
 		})
 		fmt.Printf("%-6.2f  %-14.3f  %-14.3f  T=%-8.2f slope=%+.3f\n",

@@ -30,33 +30,25 @@ import (
 	"repro/internal/xrand"
 )
 
-// panicAttempts is the total number of times a panicking index is attempted
-// before the engine gives up on it. Tasks are pure functions of their index
-// and seed, so the retry only rescues transient failures (a corrupted pooled
-// object, an overload-induced allocation failure); a deterministic panic
-// fails again immediately and surfaces as a *PanicError.
-const panicAttempts = 2
-
-// PanicError reports an index whose task panicked on every attempt. The
-// worker pool converts panics into this typed error instead of crashing the
-// process, so one poisoned shard cannot take down a long sweep; callers
-// inspect it with errors.As.
+// PanicError reports an index whose task panicked. The worker pool converts
+// panics into this typed error instead of crashing the process, so one
+// poisoned shard cannot take down a long sweep; callers inspect it with
+// errors.As. Tasks are pure functions of their index and seed, so the index
+// is not tried again: it would panic again.
 type PanicError struct {
 	// Index is the ForEach index (the shard or sweep-point index) that
 	// panicked.
 	Index int
-	// Attempts is the number of times the index was tried.
-	Attempts int
-	// Value is the last recovered panic value.
+	// Value is the recovered panic value.
 	Value any
-	// Stack is the stack trace captured at the last recovery.
+	// Stack is the stack trace captured at the recovery.
 	Stack []byte
 }
 
-// Error formats the panic with its index and attempt count; the captured
-// stack is available separately to keep single-line logs readable.
+// Error formats the panic with its index; the captured stack is available
+// separately to keep single-line logs readable.
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("engine: task %d panicked after %d attempts: %v", e.Index, e.Attempts, e.Value)
+	return fmt.Sprintf("engine: task %d panicked: %v", e.Index, e.Value)
 }
 
 // Unwrap returns the panic value when it is an error, so errors.Is and
@@ -66,24 +58,12 @@ func (e *PanicError) Unwrap() error {
 	return err
 }
 
-// runIsolated executes fn(i) with panic isolation: a panic is recovered and
-// the index retried up to panicAttempts total attempts. It returns nil on
-// success, or the PanicError of the final attempt.
-func runIsolated(fn func(i int), i int) *PanicError {
-	var last *PanicError
-	for attempt := 1; attempt <= panicAttempts; attempt++ {
-		if last = tryIndex(fn, i, attempt); last == nil {
-			return nil
-		}
-	}
-	return last
-}
-
-// tryIndex is one recover-guarded attempt at fn(i).
-func tryIndex(fn func(i int), i, attempt int) (pe *PanicError) {
+// runIsolated executes fn(i) with panic isolation: it returns nil on
+// success, or the recovered panic as a *PanicError.
+func runIsolated(fn func(i int), i int) (pe *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
-			pe = &PanicError{Index: i, Attempts: attempt, Value: v, Stack: debug.Stack()}
+			pe = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
 	fn(i)

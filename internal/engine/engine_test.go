@@ -338,9 +338,10 @@ func TestRunCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestForEachCtxPanicIsolation checks that a persistently panicking index
-// surfaces as a typed *PanicError on both execution paths — after the bounded
-// retry — instead of killing the process, and that dispatch stops early.
+// TestForEachCtxPanicIsolation checks that a panicking index surfaces as a
+// typed *PanicError on both execution paths instead of killing the process,
+// that it runs once (a task is a pure function of its index, so a second try
+// would panic again), and that dispatch stops early.
 func TestForEachCtxPanicIsolation(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		var attempts int64
@@ -354,11 +355,11 @@ func TestForEachCtxPanicIsolation(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("parallelism %d: err = %v (%T), want *PanicError", par, err, err)
 		}
-		if pe.Index != 7 || pe.Attempts != 2 || pe.Value != "poisoned shard" {
+		if pe.Index != 7 || pe.Value != "poisoned shard" {
 			t.Fatalf("parallelism %d: bad PanicError: %+v", par, pe)
 		}
-		if got := atomic.LoadInt64(&attempts); got != 2 {
-			t.Fatalf("parallelism %d: index attempted %d times, want 2", par, got)
+		if got := atomic.LoadInt64(&attempts); got != 1 {
+			t.Fatalf("parallelism %d: index attempted %d times, want 1", par, got)
 		}
 		if len(pe.Stack) == 0 {
 			t.Fatalf("parallelism %d: PanicError carries no stack", par)
@@ -382,31 +383,6 @@ func TestPanicErrorUnwrap(t *testing.T) {
 	}
 	if (&PanicError{Value: "text"}).Unwrap() != nil {
 		t.Fatal("a non-error panic value unwraps to an error")
-	}
-}
-
-// TestForEachCtxPanicRetryRecovers checks the transient-failure half of the
-// retry contract: an index that panics once and then succeeds must not error,
-// and every index must still run exactly once (successfully).
-func TestForEachCtxPanicRetryRecovers(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		var flaky int32
-		n := 50
-		ok := make([]int32, n)
-		err := ForEach(context.Background(), n, par, func(i int) {
-			if i == 13 && atomic.CompareAndSwapInt32(&flaky, 0, 1) {
-				panic("transient glitch")
-			}
-			atomic.AddInt32(&ok[i], 1)
-		})
-		if err != nil {
-			t.Fatalf("parallelism %d: retry did not absorb a transient panic: %v", par, err)
-		}
-		for i, c := range ok {
-			if c != 1 {
-				t.Fatalf("parallelism %d: index %d succeeded %d times, want 1", par, i, c)
-			}
-		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/queueing"
 	"repro/internal/queuenet"
-	"repro/internal/routing"
+	"repro/internal/static"
 	"repro/sim"
 )
 
@@ -332,7 +332,7 @@ func runE7(cfg RunConfig) *Table {
 			Topology: sim.Hypercube(d), P: 0.5, LoadFactor: rho, Horizon: horizon, Seed: cfg.Seed,
 			PopulationTraceInterval: horizon / 200,
 		})
-		p := routing.RunPipelined(routing.PipelinedConfig{
+		p := static.RunPipelined(static.PipelinedConfig{
 			D: d, Lambda: rho / 0.5, P: 0.5, Horizon: horizon, Seed: cfg.Seed,
 		})
 		verdict := "stable"

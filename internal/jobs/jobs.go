@@ -16,9 +16,9 @@
 //   - All jobs draw their simulation slots from one engine.Pool, so a machine
 //     serving many clients never runs more concurrent simulations than the
 //     pool has slots, no matter how many jobs are in flight.
-//   - Points that die with engine.PanicError are retried with bounded backoff;
-//     the journal carries completed points across attempts, so a retry re-runs
-//     only the poisoned point.
+//   - A point that panics fails its job once, with the engine.PanicError:
+//     points are pure functions of (spec, seed), so a re-run would panic
+//     again.
 //   - A shared result cache keyed by scenario fingerprint (normalized spec +
 //     seed) makes repeated points free across jobs and clients.
 //
@@ -106,13 +106,6 @@ type Config struct {
 	PointTimeout time.Duration
 	// JobTimeout is the whole-job deadline. 0 disables it.
 	JobTimeout time.Duration
-	// MaxRetries is how many times a job whose run dies with an
-	// engine.PanicError is retried (the journal carries completed points
-	// across attempts, so only the poisoned point re-runs). Default 2.
-	MaxRetries int
-	// RetryBackoff is the base backoff between retries, doubled per
-	// attempt. Default 100ms.
-	RetryBackoff time.Duration
 	// CacheEntries bounds the shared result cache (distinct points held).
 	// 0 defaults to 1024; negative disables caching.
 	CacheEntries int
@@ -132,9 +125,9 @@ type Manager struct {
 	cfg   Config
 	cache *lruCache
 
-	// runSweep executes one attempt of a job's sweep. It is sim.RunSweep in
-	// production; tests swap in fakes to exercise scheduling, admission and
-	// retry without running simulations.
+	// runSweep executes a job's sweep. It is sim.RunSweep in production;
+	// tests swap in fakes to exercise scheduling and admission without
+	// running simulations.
 	runSweep func(ctx context.Context, sw sim.Sweep, sinks ...sim.RowSink) ([]sim.Row, error)
 	// writeRecord durably replaces a job record file. It is
 	// atomicfile.WriteFile in production; tests swap in a fake to stall an
@@ -174,7 +167,6 @@ type job struct {
 
 	state          string
 	completed      int      // points finished (journal-backed)
-	attempts       int      // run attempts consumed
 	recordsSkipped int      // unreadable journal records dropped on replay
 	rows           [][]byte // serialized JSONL row lines, strictly point-ordered
 	err            error
@@ -194,7 +186,6 @@ type Status struct {
 	Points    int    `json:"points"`
 	Completed int    `json:"completed"`
 	Rows      int    `json:"rows"`
-	Attempts  int    `json:"attempts,omitempty"`
 	// Range is present on shard jobs: the sweep is restricted to this
 	// absolute point range of its parent expansion (Points counts only the
 	// range). The cluster coordinator submits such jobs.
@@ -242,14 +233,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.PerClientCap <= 0 {
 		cfg.PerClientCap = 8
-	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 1024
@@ -572,10 +555,7 @@ func (m *Manager) changedLocked(j *job) {
 }
 
 // jobSink receives a running sweep's rows (strictly in point order) and
-// appends their serialized JSONL lines to the job's row buffer. A retry
-// attempt resumes from the journal and re-streams the completed prefix; rows
-// the buffer already holds are skipped — valid because the stream is
-// strictly point-ordered and byte-identical across attempts.
+// appends their serialized JSONL lines to the job's row buffer.
 type jobSink struct {
 	m *Manager
 	j *job
@@ -594,9 +574,6 @@ func (s *jobSink) WriteRow(r sim.Row) error {
 	idx := r.Point
 	if s.j.sweep.Range != nil {
 		idx -= s.j.sweep.Range.Start
-	}
-	if idx < len(s.j.rows) {
-		return nil // re-streamed by a retry's journal replay
 	}
 	if idx != len(s.j.rows) {
 		return fmt.Errorf("jobs: row stream out of order: got point %d, want %d", idx, len(s.j.rows))
@@ -642,29 +619,7 @@ func (m *Manager) runJob(ctx context.Context, j *job) {
 			shortID(j.id), info.RecordsSkipped)
 	}
 
-	sink := &jobSink{m: m, j: j}
-	var err error
-	for attempt := 1; ; attempt++ {
-		m.mu.Lock()
-		j.attempts = attempt
-		m.mu.Unlock()
-		_, err = m.runSweep(jctx, sw, sink)
-		var pe *engine.PanicError
-		if err == nil || !errors.As(err, &pe) || attempt > m.cfg.MaxRetries || jctx.Err() != nil {
-			break
-		}
-		backoff := m.cfg.RetryBackoff << (attempt - 1)
-		m.cfg.Logf("jobs: job %s attempt %d died with a panic (%v); retrying in %v",
-			shortID(j.id), attempt, err, backoff)
-		select {
-		case <-time.After(backoff):
-		case <-jctx.Done():
-			err = jctx.Err()
-		}
-		if jctx.Err() != nil {
-			break
-		}
-	}
+	_, err := m.runSweep(jctx, sw, &jobSink{m: m, j: j})
 	m.finishJob(j, jctx, err)
 }
 
@@ -687,7 +642,7 @@ func (m *Manager) finishJob(j *job, jctx context.Context, err error) {
 	case err == nil:
 		j.state = StateDone
 		j.completed = j.points
-		m.cfg.Logf("jobs: job %s done (%d points, %d attempts)", shortID(j.id), j.points, j.attempts)
+		m.cfg.Logf("jobs: job %s done (%d points)", shortID(j.id), j.points)
 	case j.cancelled:
 		j.state = StateCancelled
 		j.err = err
@@ -782,7 +737,6 @@ func (m *Manager) statusLocked(j *job) Status {
 		Points:         j.points,
 		Completed:      j.completed,
 		Rows:           len(j.rows),
-		Attempts:       j.attempts,
 		RecordsSkipped: j.recordsSkipped,
 		Submitted:      j.submitted,
 	}

@@ -7,7 +7,7 @@
 // its own counts and per-packet delays. There are no pools, rings, bulk
 // samplers or shared statistics code, so a test that compares
 // internal/slotsim with this package catches a bug in either that the other
-// does not share.
+// does not share. Only tests import it.
 //
 // The sample path is fixed by the seed. Arrivals use the streams the
 // workload sources use (payload stream 0 and its timing stream), drawn one
@@ -19,11 +19,11 @@
 // xrand.StreamDiscipline.
 //
 // Events fire in (time, seq) order, seq counting schedule calls: the
-// calendar is a container/heap of instants ordered by time, and each instant
-// lists its events in the order they were scheduled. So simultaneous events
-// fire in schedule order. Outage boundaries are scheduled first (each
-// window's start, then its end): at equal times they fire before everything
-// else, and a window's end before the next one's start. A completion is
+// calendar is one container/heap of events ordered by that pair, so
+// simultaneous events fire in schedule order. Outage boundaries are
+// scheduled first (each window's start, then its end): at equal times they
+// fire before everything else, and a window's end before the next one's
+// start. A completion is
 // scheduled when its service starts; the next arrival or slot tick is
 // scheduled after the current one's packets are injected. Events at the
 // warm-up instant still belong to the warm-up, and events after the horizon
@@ -98,28 +98,26 @@ const (
 )
 
 type event struct {
+	time float64
+	seq  int
 	kind int
 	x    int // the arc of a completion, the outage of a boundary
 }
 
-// instant is one time on the calendar and its events in schedule order.
-type instant struct {
-	time   float64
-	events []event
+// calendar is a container/heap of events ordered by (time, seq).
+type calendar []event
+
+func (c calendar) Len() int { return len(c) }
+func (c calendar) Less(i, j int) bool {
+	return c[i].time < c[j].time || c[i].time == c[j].time && c[i].seq < c[j].seq
 }
-
-// calendar is a container/heap of instants ordered by time.
-type calendar []*instant
-
-func (c calendar) Len() int           { return len(c) }
-func (c calendar) Less(i, j int) bool { return c[i].time < c[j].time }
-func (c calendar) Swap(i, j int)      { c[i], c[j] = c[j], c[i] }
-func (c *calendar) Push(x any)        { *c = append(*c, x.(*instant)) }
+func (c calendar) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
+func (c *calendar) Push(x any)   { *c = append(*c, x.(event)) }
 func (c *calendar) Pop() any {
 	old := *c
-	in := old[len(old)-1]
+	e := old[len(old)-1]
 	*c = old[:len(old)-1]
-	return in
+	return e
 }
 
 type packet struct {
@@ -139,7 +137,7 @@ type run struct {
 	cfg       Config
 	now       float64
 	cal       calendar
-	at        map[float64]*instant // the instants on the calendar
+	seq       int // schedule calls so far
 	arcs      []arc
 	pkts      []packet
 	payload   xrand.Rand
@@ -180,7 +178,6 @@ func newRun(cfg Config, record bool) *run {
 	r := &run{
 		cfg:  cfg,
 		arcs: make([]arc, cfg.NumArcs),
-		at:   make(map[float64]*instant),
 		pkts: make([]packet, 0, len(cfg.Initial)),
 	}
 	if record {
@@ -211,13 +208,8 @@ func newRun(cfg Config, record bool) *run {
 }
 
 func (r *run) schedule(t float64, kind, x int) {
-	in := r.at[t]
-	if in == nil {
-		in = &instant{time: t}
-		r.at[t] = in
-		heap.Push(&r.cal, in)
-	}
-	in.events = append(in.events, event{kind, x})
+	heap.Push(&r.cal, event{t, r.seq, kind, x})
+	r.seq++
 }
 
 func (r *run) rate() float64 { return float64(r.cfg.Sources) * r.cfg.Lambda }
@@ -231,17 +223,12 @@ func (r *run) scheduleArrival() {
 
 func (r *run) loop() {
 	for len(r.cal) > 0 && r.cal[0].time <= r.cfg.Horizon {
-		in := r.cal[0]
-		r.now = in.time
+		e := heap.Pop(&r.cal).(event)
+		r.now = e.time
 		if !r.measuring && r.now > r.cfg.Warmup {
 			r.measuring = true
 		}
-		// Events scheduled at this instant while it fires join its list.
-		for i := 0; i < len(in.events); i++ {
-			r.fire(in.events[i])
-		}
-		heap.Pop(&r.cal)
-		delete(r.at, in.time)
+		r.fire(e)
 	}
 }
 

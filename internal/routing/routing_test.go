@@ -161,65 +161,6 @@ func TestButterflyPath(t *testing.T) {
 	}
 }
 
-func TestPipelinedLowLoadDelivers(t *testing.T) {
-	// At a very light load the batch scheme is stable: the backlog stays
-	// flat and delays are of order d (one round) plus the origin wait.
-	cfg := PipelinedConfig{D: 4, Lambda: 0.01, P: 0.5, Horizon: 4000, Seed: 7}
-	res := RunPipelined(cfg)
-	if res.Delivered == 0 {
-		t.Fatal("nothing delivered at low load")
-	}
-	if res.Rounds == 0 {
-		t.Fatal("no rounds executed")
-	}
-	// At this light load a round carries only a handful of packets, so its
-	// length is at least one transmission and at most the diameter plus the
-	// (small) contention.
-	if res.MeanRoundLength < 1 || res.MeanRoundLength > 2*float64(cfg.D) {
-		t.Fatalf("round length %v outside [1, 2d]", res.MeanRoundLength)
-	}
-	if res.BacklogSlope > 0.01 {
-		t.Fatalf("backlog growing at low load: slope %v", res.BacklogSlope)
-	}
-	if res.MeanDelay <= 0 {
-		t.Fatalf("mean delay %v", res.MeanDelay)
-	}
-}
-
-func TestPipelinedModerateLoadUnstable(t *testing.T) {
-	// At rho = 0.5 (lambda = 1, p = 1/2) greedy routing is comfortably
-	// stable, but the batch scheme needs lambda*round < 1 with round >= d,
-	// so lambda = 1 on the 4-cube is far beyond its capacity: the origin
-	// backlog must grow roughly linearly.
-	cfg := PipelinedConfig{D: 4, Lambda: 1.0, P: 0.5, Horizon: 2000, Seed: 8}
-	res := RunPipelined(cfg)
-	if res.BacklogSlope < 1 {
-		t.Fatalf("expected strongly positive backlog slope, got %v", res.BacklogSlope)
-	}
-	if res.FinalBacklog == 0 {
-		t.Fatal("expected a large final backlog")
-	}
-}
-
-func TestPipelinedValidation(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for d=0")
-			}
-		}()
-		RunPipelined(PipelinedConfig{D: 0, Horizon: 10})
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic for zero horizon")
-			}
-		}()
-		RunPipelined(PipelinedConfig{D: 3})
-	}()
-}
-
 // Property: every router produces a contiguous path ending at the
 // destination, for every origin/destination pair.
 func TestQuickRoutersReachDestination(t *testing.T) {

@@ -269,3 +269,40 @@ func TestRingGrowsOnlyOnIdleArcStart(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchCases runs the reference simulator's Batch cases, and an empty
+// batch, through both Batch implementations from one table: each must give
+// the hand-computed deliveries. One kernel runs every case.
+func TestBatchCases(t *testing.T) {
+	fifo := make([][]int, 50)
+	wantFIFO := make([]Delivery, 50)
+	for i := range fifo {
+		fifo[i] = []int{0}
+		wantFIFO[i] = Delivery{i, float64(i + 1)}
+	}
+	var k Kernel
+	for _, c := range []struct {
+		name   string
+		arcs   int
+		routes [][]int
+		want   []Delivery
+	}{
+		// Packets injected into the same arc depart in order, one per time unit.
+		{"FIFO order on one arc", 1, fifo, wantFIFO},
+		{"zero-hop packet delivered first at t = 0", 1, [][]int{{0}, nil}, []Delivery{{1, 0}, {0, 1}}},
+		// Three packets leave arc 0 at 1, 2 and 3 and never wait at arc 1.
+		{"back-to-back service", 2, [][]int{{0, 1}, {0, 1}, {0, 1}}, []Delivery{{0, 2}, {1, 3}, {2, 4}}},
+		{"no routes", 1, nil, nil},
+	} {
+		var ref []Delivery
+		for _, d := range oracle.Batch(c.arcs, c.routes) {
+			ref = append(ref, Delivery(d))
+		}
+		if !slices.Equal(ref, c.want) {
+			t.Errorf("%s: oracle delivered %v, want %v", c.name, ref, c.want)
+		}
+		if got := k.Batch(c.arcs, c.routes); !slices.Equal(got, c.want) {
+			t.Errorf("%s: kernel delivered %v, want %v", c.name, got, c.want)
+		}
+	}
+}

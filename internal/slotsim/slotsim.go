@@ -8,6 +8,10 @@
 // monotone stream of service completions. internal/oracle is the naive
 // reference its tests compare it with.
 //
+// Kernel.Batch runs the synchronous batches of E7's pipelined rounds and
+// E14's permutations: stored routes injected at t = 0 with no arrivals,
+// reported delivery by delivery as internal/oracle.Batch reports them.
+//
 // # Memory layout: structure of arrays, sized for the million-node regime
 //
 // All kernel state is stored as flat parallel arrays (structure of arrays),
@@ -457,7 +461,7 @@ type Kernel struct {
 	// delivery; pNext threads both the per-arc FIFO queues and the free list.
 	// Allocation is bump-then-free-list, so reset is O(1) in the pool size.
 	pGen     []float64
-	pUV      []uint64  // current identity (high 32) | mask or dest row (low 32)
+	pUV      []uint64  // current identity (high 32) | mask or dest row (low 32); origin | dest with stored routes
 	pAux     []uint32  // hop (high 16) | total hops (low 16)
 	pNext    []int32   // queue / free-list link, -1 = end
 	pSlot    []int32   // stored-route slab slot, allocated only in RouteStored
@@ -471,6 +475,10 @@ type Kernel struct {
 	paths    []int
 	pathFree []int32
 	numSlots int
+
+	// Batch's record of its deliveries, in delivery order.
+	record     bool
+	deliveries []Delivery
 
 	// Completion FIFO: a power-of-two ring indexed by free-running counts of
 	// the completions popped (compHead) and pushed (compTail) so far; the
@@ -529,6 +537,49 @@ func (k *Kernel) Run(cfg Config) network.Metrics {
 	runtime.KeepAlive(k)
 	return m
 }
+
+// Delivery is one packet of a Batch reaching its destination: its index in
+// the route list and the time.
+type Delivery struct {
+	Packet int
+	Time   float64
+}
+
+// Batch injects one packet per route at time zero into a fault-free FIFO
+// network of numArcs arcs, runs until every packet is delivered, and returns
+// the deliveries in delivery order: internal/oracle.Batch's contract. The
+// slice is the kernel's, valid until its next run.
+func (k *Kernel) Batch(numArcs int, routes [][]int) []Delivery {
+	hops, maxHops := 0, 1
+	for _, r := range routes {
+		hops += len(r)
+		maxHops = max(maxHops, len(r))
+	}
+	// At λ = 0 nothing arrives, and some arc is busy until the last
+	// delivery, which therefore comes by time hops. reset wants a source and
+	// a positive route stride even for an empty batch.
+	k.reset(Config{NumArcs: numArcs, Sources: max(len(routes), 1), MaxHops: maxHops,
+		Horizon: float64(hops + 1), Traffic: script(routes), Batch: script(routes),
+		Measurement: network.Measurement{SkipGroupPopulation: true}})
+	k.record = true
+	k.deliveries = k.deliveries[:0]
+	for i, r := range routes {
+		if len(r) == 0 { // delivered at injection, before any completion
+			k.deliveries = append(k.deliveries, Delivery{i, 0})
+		}
+		k.injectTo(uint32(i), 0, 0)
+	}
+	k.runContinuous()
+	runtime.KeepAlive(k)
+	return k.deliveries
+}
+
+// script is Batch's traffic: the packet injected with origin i takes route
+// i. Nothing arrives, so its sampler never draws.
+type script [][]int
+
+func (s script) AppendRoute(origin, _ uint32, dst []int) []int { return append(dst, s[origin]...) }
+func (script) SampleDestBatch(*xrand.Rand, []uint32, []uint32) {}
 
 // DelayQuantile returns the exact q-quantile of the delays measured by the
 // last Run; it requires TrackQuantiles and returns NaN otherwise.
@@ -667,6 +718,7 @@ func (k *Kernel) reset(cfg Config) {
 		k.pathFree = nil
 	}
 	k.numSlots = 0
+	k.record = false
 	k.comp, k.compMask = k.comp[:0], 0
 	k.compHead, k.compTail = 0, 0
 	k.arrPending = false
@@ -1313,6 +1365,7 @@ func (k *Kernel) injectTo(origin, dest uint32, now float64) {
 		uv = uint64(origin)<<32 | uint64(dest)
 		hops = int(k.bfHops)
 	default:
+		uv = uint64(origin)<<32 | uint64(dest) // read only by Batch's record
 		slot = k.allocPathSlot()
 		base := int(slot) * k.maxHops
 		route := k.cfg.Traffic.AppendRoute(origin, dest, k.paths[base:base:base+k.maxHops])
@@ -1496,6 +1549,9 @@ func (k *Kernel) complete(idx int, start float64, s int32) {
 		k.col.Deliver(now, k.pGen[s], int(uint16(aux)))
 		if k.mode == RouteStored {
 			k.pathFree = append(k.pathFree, k.pSlot[s])
+			if k.record {
+				k.deliveries = append(k.deliveries, Delivery{int(k.pUV[s] >> 32), now})
+			}
 		}
 		k.freePkt(s)
 		return

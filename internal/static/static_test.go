@@ -1,10 +1,15 @@
 package static
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/hypercube"
+	"repro/internal/oracle"
+	"repro/internal/routing"
+	"repro/internal/slotsim"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -174,6 +179,27 @@ func TestReproducible(t *testing.T) {
 	}
 }
 
+// TestConcurrentTrials runs the same trials from several goroutines at once,
+// as the experiment harness runs E14's rows: the pooled slot kernels must
+// give each the single-goroutine result.
+func TestConcurrentTrials(t *testing.T) {
+	want, err := RunTrials(5, Valiant, 4, []float64{3}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := RunTrials(5, Valiant, 4, []float64{3}, 11); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("concurrent trials gave %+v (err %v), want %+v", got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Property: for any permutation of the 4-cube, greedy routing delivers every
 // packet, the makespan is at least the maximum Hamming distance and at most
 // the total number of hops.
@@ -224,4 +250,129 @@ func BenchmarkValiantPermutation(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func TestPipelinedLowLoadDelivers(t *testing.T) {
+	// At a very light load the batch scheme is stable: the backlog stays
+	// flat and delays are of order d (one round) plus the origin wait.
+	cfg := PipelinedConfig{D: 4, Lambda: 0.01, P: 0.5, Horizon: 4000, Seed: 7}
+	res := RunPipelined(cfg)
+	if res.Delivered == 0 {
+		t.Fatal("nothing delivered at low load")
+	}
+	if res.Rounds == 0 {
+		t.Fatal("no rounds executed")
+	}
+	// At this light load a round carries only a handful of packets, so its
+	// length is at least one transmission and at most the diameter plus the
+	// (small) contention.
+	if res.MeanRoundLength < 1 || res.MeanRoundLength > 2*float64(cfg.D) {
+		t.Fatalf("round length %v outside [1, 2d]", res.MeanRoundLength)
+	}
+	if res.BacklogSlope > 0.01 {
+		t.Fatalf("backlog growing at low load: slope %v", res.BacklogSlope)
+	}
+	if res.MeanDelay <= 0 {
+		t.Fatalf("mean delay %v", res.MeanDelay)
+	}
+}
+
+func TestPipelinedModerateLoadUnstable(t *testing.T) {
+	// At rho = 0.5 (lambda = 1, p = 1/2) greedy routing is comfortably
+	// stable, but the batch scheme needs lambda*round < 1 with round >= d,
+	// so lambda = 1 on the 4-cube is far beyond its capacity: the origin
+	// backlog must grow roughly linearly.
+	cfg := PipelinedConfig{D: 4, Lambda: 1.0, P: 0.5, Horizon: 2000, Seed: 8}
+	res := RunPipelined(cfg)
+	if res.BacklogSlope < 1 {
+		t.Fatalf("expected strongly positive backlog slope, got %v", res.BacklogSlope)
+	}
+	if res.FinalBacklog == 0 {
+		t.Fatal("expected a large final backlog")
+	}
+}
+
+func TestPipelinedValidation(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic for d=0")
+			}
+		}()
+		RunPipelined(PipelinedConfig{D: 0, Horizon: 10})
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic for zero horizon")
+			}
+		}()
+		RunPipelined(PipelinedConfig{D: 3})
+	}()
+}
+
+// checkedBatch runs every batch on one slot kernel and requires the
+// reference simulator's deliveries from it: every delivery's packet index
+// and float64 time, in order. *n counts the batches checked.
+func checkedBatch(t *testing.T, n *int) batchFunc {
+	var k slotsim.Kernel
+	return func(numArcs int, routes [][]int) []slotsim.Delivery {
+		got, want := k.Batch(numArcs, routes), oracle.Batch(numArcs, routes)
+		if len(got) != len(want) {
+			t.Fatalf("batch %d: kernel delivered %d packets, oracle %d", *n, len(got), len(want))
+		}
+		for i, w := range want {
+			if got[i] != slotsim.Delivery(w) {
+				t.Fatalf("batch %d, delivery %d: kernel %+v, oracle %+v", *n, i, got[i], w)
+			}
+		}
+		*n++
+		return got
+	}
+}
+
+// TestKernelBatchMatchesOracle requires the slot kernel's batches to equal
+// the reference simulator's, delivery by delivery: on E7's and E14's Quick
+// inputs (seed 1, as experiments -quick runs them), and on random
+// permutations, many-to-one and subset batches at d <= 8 under greedy,
+// random-dimension-order and Valiant routes.
+func TestKernelBatchMatchesOracle(t *testing.T) {
+	var n int
+	batch := checkedBatch(t, &n)
+	for _, rho := range []float64{0.1, 0.3, 0.6} {
+		runPipelined(PipelinedConfig{D: 4, Lambda: rho / 0.5, P: 0.5, Horizon: 1200, Seed: 1}, batch)
+	}
+	for d := 4; d <= 6; d++ {
+		for _, scheme := range []Scheme{Greedy, Valiant} {
+			for seed := uint64(1); seed <= 8; seed++ {
+				perm := workload.Permutation(d, xrand.NewStream(seed, permStream))
+				if _, err := routePermutation(batch, d, perm, scheme, seed); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	rng := xrand.NewStream(9, 0)
+	routers := []routing.HypercubeRouter{routing.DimensionOrder{}, routing.RandomDimensionOrder{}, routing.ValiantTwoPhase{}}
+	for d := 1; d <= 8; d++ {
+		cube := hypercube.New(d)
+		for _, r := range routers {
+			for _, shape := range []string{"permutation", "many-to-one", "subset"} {
+				perm := workload.Permutation(d, rng)
+				var routes [][]int
+				for x := range cube.Nodes() {
+					z := perm[x]
+					switch {
+					case shape == "many-to-one":
+						z = hypercube.Node(rng.Intn(1 + cube.Nodes()/4))
+					case shape == "subset" && rng.Intn(2) == 0:
+						continue
+					}
+					routes = append(routes, routing.Path(r, cube, hypercube.Node(x), z, rng))
+				}
+				batch(cube.NumArcs(), routes)
+			}
+		}
+	}
+	t.Logf("%d batches identical", n)
 }
