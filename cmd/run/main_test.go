@@ -82,11 +82,6 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 			  "axes": [{"field": "d", "values": [3]}], "mod": "zip"}`,
 			`unknown field "mod"`,
 		},
-		{
-			"deflection with quantiles",
-			`{"topology": {"kind": "hypercube", "d": 4}, "p": 0.5, "load_factor": 0.5, "router": "deflection", "horizon": 100, "track_quantiles": true}`,
-			"quantiles",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -17,15 +17,16 @@ package deflection
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/hypercube"
+	"repro/internal/network"
 	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
-// Config parameterises a deflection-routing simulation.
+// Config parameterises a deflection-routing simulation. Run trusts it: the
+// caller validates every field.
 type Config struct {
 	// D is the hypercube dimension.
 	D int
@@ -35,8 +36,8 @@ type Config struct {
 	P float64
 	// Slots is the number of time slots to simulate.
 	Slots int
-	// WarmupFraction of the slots is discarded before measuring
-	// (default 0.2).
+	// WarmupFraction of the slots, truncated to whole slots, is discarded
+	// before measuring.
 	WarmupFraction float64
 	// Seed drives all randomness.
 	Seed uint64
@@ -45,56 +46,30 @@ type Config struct {
 	// (xrand.StreamFault of Seed). Zero disables the draw. Deflection routing
 	// is bufferless, so this is the only fault mode that applies to it.
 	ArcFailProb float64
-	// Sketch, when non-nil, receives every measured delay so callers can
-	// report tail quantiles with a guaranteed relative error. The sketch
-	// must be configured (NewDDSketch); Run feeds it exactly the delays
-	// behind MeanDelay, in delivery order.
-	Sketch *stats.DDSketch
-}
-
-func (c *Config) normalize() error {
-	if c.D < 1 || c.D > hypercube.MaxDimension {
-		return fmt.Errorf("deflection: dimension %d out of range [1,%d]", c.D, hypercube.MaxDimension)
-	}
-	if c.Lambda < 0 {
-		return fmt.Errorf("deflection: negative lambda %v", c.Lambda)
-	}
-	if c.P < 0 || c.P > 1 {
-		return fmt.Errorf("deflection: p = %v outside [0,1]", c.P)
-	}
-	if c.Slots <= 0 {
-		return fmt.Errorf("deflection: Slots must be positive, got %d", c.Slots)
-	}
-	if c.WarmupFraction < 0 || c.WarmupFraction >= 1 {
-		return fmt.Errorf("deflection: warmup fraction %v outside [0,1)", c.WarmupFraction)
-	}
-	if c.WarmupFraction == 0 {
-		c.WarmupFraction = 0.2
-	}
-	if c.ArcFailProb < 0 || c.ArcFailProb >= 1 {
-		return fmt.Errorf("deflection: arc_fail_prob = %v outside [0,1)", c.ArcFailProb)
-	}
-	return nil
+	// Measure selects the collector's optional measurements: the exact
+	// delay sample, the delay sketch and the population trace. Per-hop waits
+	// do not apply (there are no arc queues), and the network population of
+	// statistics group 0 is always kept.
+	Measure network.Measurement
 }
 
 // Result reports one deflection-routing simulation.
 type Result struct {
-	// MeanDelay is the mean number of slots from generation to delivery for
-	// packets generated after warm-up and delivered before the end.
-	MeanDelay float64
-	// MeanHops is the mean number of arcs traversed by those packets.
-	MeanHops float64
-	// MeanShortest is the mean Hamming distance of those packets (the
-	// minimum possible hop count).
+	// Metrics is the collector's snapshot of the measurement window, the
+	// same measurements the store-and-forward kernel reports. The whole
+	// network is statistics group 0: GroupMeanPopulation[0] is the
+	// time-averaged number of packets inside the network (excluding
+	// injection queues) and GroupArcUtilization[0] the fraction of arc-slots
+	// that carried a hop.
+	Metrics network.Metrics
+	// Collector holds the run's delay sample and sketch (Measure).
+	Collector *network.Collector
+	// MeanShortest is the mean Hamming distance of the measured delivered
+	// packets (the minimum possible hop count).
 	MeanShortest float64
 	// MeanDeflections is the mean number of unprofitable (distance
-	// non-decreasing) hops per delivered packet.
+	// non-decreasing) hops per measured delivered packet.
 	MeanDeflections float64
-	// Delivered is the number of packets in the delay statistics.
-	Delivered int64
-	// MeanNetworkPopulation is the time-averaged number of packets inside
-	// the network (excluding injection queues).
-	MeanNetworkPopulation float64
 	// MeanInjectionBacklog is the time-averaged number of packets waiting in
 	// injection queues.
 	MeanInjectionBacklog float64
@@ -104,10 +79,6 @@ type Result struct {
 	// MaxNodeOccupancy is the largest number of packets observed at one node
 	// when ports were assigned; it can never exceed d.
 	MaxNodeOccupancy int
-	// Dropped is the number of measured packets lost to transient hop faults
-	// (Config.ArcFailProb); it counts packets generated after warm-up, the
-	// same population the delay statistics draw from.
-	Dropped int64
 }
 
 // packet is one in-flight or queued packet.
@@ -118,61 +89,85 @@ type packet struct {
 	deflections int
 }
 
-// Run simulates deflection routing.
+// run is the state moveOne reads and writes while one slot's hops complete.
+type run struct {
+	cube     *hypercube.Cube
+	col      *network.Collector
+	failProb float64
+	faultRNG *xrand.Rand
+	// next[x] collects the packets that arrive at node x at the end of the
+	// slot.
+	next [][]*packet
+	// now is the end of the current slot, when its hops complete.
+	now float64
+	// warmupSlot is the first measured slot; windowHops counts the hops
+	// transmitted from it on.
+	warmupSlot  int
+	windowHops  float64
+	shortest    stats.Tally
+	deflections stats.Tally
+}
+
+// Run simulates deflection routing. Every packet enters the collector when
+// it is generated and leaves it when it is delivered or dropped; it joins
+// the network population (group 0) when it leaves its injection queue.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
 	cube := hypercube.New(cfg.D)
 	n := cube.Nodes()
 	d := cfg.D
 	dist := workload.NewBitFlip(d, cfg.P)
 	rng := xrand.NewStream(cfg.Seed, 0xDEF1)
-	faultRNG := xrand.NewStream(cfg.Seed, xrand.StreamFault)
 	srcRNG := make([]*xrand.Rand, n)
 	for x := range srcRNG {
 		srcRNG[x] = xrand.NewStream(cfg.Seed, uint64(x))
 	}
+	r := &run{
+		cube:       cube,
+		col:        new(network.Collector),
+		failProb:   cfg.ArcFailProb,
+		faultRNG:   xrand.NewStream(cfg.Seed, xrand.StreamFault),
+		warmupSlot: int(cfg.WarmupFraction * float64(cfg.Slots)),
+	}
+	col := r.col
+	col.Reset(1, cfg.Measure)
 
 	// at[x] holds the packets present at node x at the start of the slot.
 	at := make([][]*packet, n)
 	// injection[x] holds generated packets waiting to enter the network.
 	injection := make([][]*packet, n)
 
-	warmupSlot := int(cfg.WarmupFraction * float64(cfg.Slots))
-	var delay, hops, shortest, deflections stats.Tally
-	var netPop, backlog stats.Tally
+	var backlog stats.Tally
 	var backlogSeries stats.Series
 	maxOccupancy := 0
-	var delivered, dropped int64
 
 	// Scratch buffers reused across nodes and slots.
 	dimUsed := make([]bool, d+1)
 	wantDeflect := make([]*packet, 0, d)
 
 	for slot := 0; slot < cfg.Slots; slot++ {
+		now := float64(slot)
+		if slot == r.warmupSlot {
+			col.StartMeasurement(now)
+		}
 		// 1. Generate new packets (Poisson batch per node per slot) into the
 		// injection queues.
 		for x := 0; x < n; x++ {
 			batch := srcRNG[x].Poisson(cfg.Lambda)
 			for k := 0; k < batch; k++ {
 				dest := dist.Sample(hypercube.Node(x), srcRNG[x])
-				p := &packet{dest: dest, genSlot: slot}
+				col.CountGenerated()
+				col.PacketEntered(now)
 				if dest == hypercube.Node(x) {
 					// Zero-distance packets are delivered immediately.
-					if slot >= warmupSlot {
-						delay.Add(0)
-						if cfg.Sketch != nil {
-							cfg.Sketch.Add(0)
-						}
-						hops.Add(0)
-						shortest.Add(0)
-						deflections.Add(0)
-						delivered++
+					col.Deliver(now, now, 0)
+					col.PacketLeft(now)
+					if slot >= r.warmupSlot {
+						r.shortest.Add(0)
+						r.deflections.Add(0)
 					}
 					continue
 				}
-				injection[x] = append(injection[x], p)
+				injection[x] = append(injection[x], &packet{dest: dest, genSlot: slot})
 			}
 		}
 
@@ -185,13 +180,13 @@ func Run(cfg Config) (*Result, error) {
 				injection[x][len(injection[x])-1] = nil
 				injection[x] = injection[x][:len(injection[x])-1]
 				at[x] = append(at[x], p)
+				col.GroupPopulationAdd(0, now, 1)
 			}
 		}
 
 		// Record occupancy statistics.
-		var inNet, queued int
+		queued := 0
 		for x := 0; x < n; x++ {
-			inNet += len(at[x])
 			queued += len(injection[x])
 			if len(at[x]) > maxOccupancy {
 				maxOccupancy = len(at[x])
@@ -200,18 +195,21 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("deflection: node %d holds %d > d packets", x, len(at[x]))
 			}
 		}
-		if slot >= warmupSlot {
-			netPop.Add(float64(inNet))
+		if slot >= r.warmupSlot {
 			backlog.Add(float64(queued))
-			backlogSeries.AddPoint(float64(slot), float64(queued))
+			backlogSeries.AddPoint(now, float64(queued))
 		}
 
 		// 3. Assign output ports node by node and move the packets.
-		next := make([][]*packet, n)
+		r.next = make([][]*packet, n)
+		r.now = now + 1
 		for x := 0; x < n; x++ {
 			pkts := at[x]
 			if len(pkts) == 0 {
 				continue
+			}
+			if slot >= r.warmupSlot {
+				r.windowHops += float64(len(pkts))
 			}
 			for m := 1; m <= d; m++ {
 				dimUsed[m] = false
@@ -226,7 +224,7 @@ func Run(cfg Config) (*Result, error) {
 				for m := 1; m <= d; m++ {
 					if diff&(1<<uint(m-1)) != 0 && !dimUsed[m] {
 						dimUsed[m] = true
-						moveOne(cube, x, m, p, false, next, &delivered, &dropped, &delay, cfg.Sketch, &hops, &shortest, &deflections, slot, warmupSlot, cfg.ArcFailProb, faultRNG)
+						r.moveOne(x, m, p, false)
 						assigned = true
 						break
 					}
@@ -241,7 +239,7 @@ func Run(cfg Config) (*Result, error) {
 				for m := 1; m <= d; m++ {
 					if !dimUsed[m] {
 						dimUsed[m] = true
-						moveOne(cube, x, m, p, true, next, &delivered, &dropped, &delay, cfg.Sketch, &hops, &shortest, &deflections, slot, warmupSlot, cfg.ArcFailProb, faultRNG)
+						r.moveOne(x, m, p, true)
 						placed = true
 						break
 					}
@@ -251,63 +249,50 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		at = next
+		at = r.next
 	}
 
-	res := &Result{
-		MeanDelay:             delay.Mean(),
-		MeanHops:              hops.Mean(),
-		MeanShortest:          shortest.Mean(),
-		MeanDeflections:       deflections.Mean(),
-		Delivered:             delivered,
-		MeanNetworkPopulation: netPop.Mean(),
+	return &Result{
+		Metrics: col.Snapshot(float64(cfg.Slots), []int{d * n},
+			[]float64{r.windowHops}, []float64{r.windowHops}),
+		Collector:             col,
+		MeanShortest:          r.shortest.Mean(),
+		MeanDeflections:       r.deflections.Mean(),
 		MeanInjectionBacklog:  backlog.Mean(),
 		InjectionBacklogSlope: backlogSeries.LinearSlope(),
 		MaxNodeOccupancy:      maxOccupancy,
-		Dropped:               dropped,
-	}
-	if math.IsNaN(res.MeanDelay) {
-		res.MeanDelay = 0
-	}
-	return res, nil
+	}, nil
 }
 
-// moveOne advances packet p from node x along dimension m, recording delivery
-// statistics when it reaches its destination. The hop completes at the end of
-// the slot, so a packet delivered in slot s has spent s+1-genSlot slots in
-// the system. With a positive failProb each hop transmission draws once from
-// the fault stream and may drop the packet — including on its final hop,
-// matching the store-and-forward kernels' per-completion fault semantics.
-func moveOne(cube *hypercube.Cube, x, m int, p *packet, deflected bool, next [][]*packet,
-	delivered, dropped *int64, delay *stats.Tally, sketch *stats.DDSketch,
-	hops, shortest, deflections *stats.Tally, slot, warmupSlot int,
-	failProb float64, faultRNG *xrand.Rand) {
-	to := cube.Flip(hypercube.Node(x), hypercube.Dimension(m))
+// moveOne advances packet p from node x along dimension m. The hop completes
+// at the end of the slot, so a packet delivered in slot s has spent
+// s+1-genSlot slots in the system. With a positive failProb each hop
+// transmission draws once from the fault stream and may drop the packet —
+// including on its final hop, matching the store-and-forward kernel's
+// per-completion fault semantics.
+func (r *run) moveOne(x, m int, p *packet, deflected bool) {
+	to := r.cube.Flip(hypercube.Node(x), hypercube.Dimension(m))
 	p.hops++
 	if deflected {
 		p.deflections++
 	}
-	if failProb > 0 && faultRNG.Float64() < failProb {
-		if p.genSlot >= warmupSlot {
-			*dropped++
-		}
-		return
-	}
-	if to == p.dest {
-		if p.genSlot >= warmupSlot {
-			delay.Add(float64(slot + 1 - p.genSlot))
-			if sketch != nil {
-				sketch.Add(float64(slot + 1 - p.genSlot))
-			}
-			hops.Add(float64(p.hops))
+	gen := float64(p.genSlot)
+	switch {
+	case r.failProb > 0 && r.faultRNG.Float64() < r.failProb:
+		r.col.Drop(gen, false)
+	case to == p.dest:
+		r.col.Deliver(r.now, gen, p.hops)
+		if p.genSlot >= r.warmupSlot {
 			// Every deflection moves the packet one step away from its
-			// destination and must be undone by an extra profitable step, so
-			// the original Hamming distance is hops - 2*deflections.
-			shortest.Add(float64(p.hops - 2*p.deflections))
-			deflections.Add(float64(p.deflections))
-			*delivered++
+			// destination and must be undone by an extra profitable step,
+			// so the original Hamming distance is hops - 2*deflections.
+			r.shortest.Add(float64(p.hops - 2*p.deflections))
+			r.deflections.Add(float64(p.deflections))
 		}
+	default:
+		r.next[to] = append(r.next[to], p)
 		return
 	}
-	next[to] = append(next[to], p)
+	r.col.PacketLeft(r.now)
+	r.col.GroupPopulationAdd(0, r.now, -1)
 }

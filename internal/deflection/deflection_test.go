@@ -6,18 +6,33 @@ import (
 	"testing/quick"
 )
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{D: 0, Lambda: 0.5, P: 0.5, Slots: 100},
-		{D: 25, Lambda: 0.5, P: 0.5, Slots: 100},
-		{D: 4, Lambda: -1, P: 0.5, Slots: 100},
-		{D: 4, Lambda: 0.5, P: 2, Slots: 100},
-		{D: 4, Lambda: 0.5, P: 0.5, Slots: 0},
-		{D: 4, Lambda: 0.5, P: 0.5, Slots: 100, WarmupFraction: 1},
-	}
-	for i, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Fatalf("case %d: expected error", i)
+// TestPacketConservation checks the collector's accounting: without a
+// warm-up every generated packet is delivered, dropped or still in the
+// system at the end, exactly; with one, the window's delivered and dropped
+// packets are among the packets it generated, and those are all accounted
+// for once the packets still in the system (some generated before the
+// window) are added. p = 0.5 makes some packets zero-distance.
+func TestPacketConservation(t *testing.T) {
+	for _, fail := range []float64{0, 0.05} {
+		for _, warmup := range []float64{0, 0.2} {
+			res, err := Run(Config{D: 4, Lambda: 1.5, P: 0.5, Slots: 400, Seed: 8,
+				WarmupFraction: warmup, ArcFailProb: fail})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := res.Metrics
+			if m.DroppedOverflow != 0 || (fail == 0) != (m.DroppedFault == 0) {
+				t.Fatalf("fail %v: drops %d fault, %d overflow", fail, m.DroppedFault, m.DroppedOverflow)
+			}
+			decided := m.Delivered + m.DroppedFault + m.DroppedOverflow
+			if warmup == 0 && m.Generated != decided+m.InFlight {
+				t.Errorf("fail %v: generated %d != delivered %d + dropped %d + in flight %d",
+					fail, m.Generated, m.Delivered, m.DroppedFault, m.InFlight)
+			}
+			if warmup > 0 && (decided > m.Generated || m.Generated > decided+m.InFlight) {
+				t.Errorf("fail %v, warm-up %v: generated %d outside [%d, %d]",
+					fail, warmup, m.Generated, decided, decided+m.InFlight)
+			}
 		}
 	}
 }
@@ -30,19 +45,19 @@ func TestLowLoadNoDeflections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered == 0 {
+	if res.Metrics.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
 	if res.MeanDeflections > 0.05 {
 		t.Fatalf("mean deflections %v at trivial load", res.MeanDeflections)
 	}
-	if math.Abs(res.MeanHops-res.MeanShortest) > 0.1 {
-		t.Fatalf("hops %v vs shortest %v at trivial load", res.MeanHops, res.MeanShortest)
+	if math.Abs(res.Metrics.MeanHops-res.MeanShortest) > 0.1 {
+		t.Fatalf("hops %v vs shortest %v at trivial load", res.Metrics.MeanHops, res.MeanShortest)
 	}
 	// Delay per packet is its hop count at this load (one hop per slot, no
 	// injection wait), plus at most a fraction of a slot of discretisation.
-	if res.MeanDelay < res.MeanHops-1e-9 || res.MeanDelay > res.MeanHops+1.1 {
-		t.Fatalf("delay %v vs hops %v", res.MeanDelay, res.MeanHops)
+	if res.Metrics.MeanDelay < res.Metrics.MeanHops-1e-9 || res.Metrics.MeanDelay > res.Metrics.MeanHops+1.1 {
+		t.Fatalf("delay %v vs hops %v", res.Metrics.MeanDelay, res.Metrics.MeanHops)
 	}
 	if res.MaxNodeOccupancy > 5 {
 		t.Fatalf("occupancy %d exceeds d", res.MaxNodeOccupancy)
@@ -54,29 +69,29 @@ func TestModerateLoadStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered == 0 {
+	if res.Metrics.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
 	// Hop count always at least the shortest distance, and shortest distance
 	// close to d*p = 2.5 on average.
-	if res.MeanHops < res.MeanShortest-1e-9 {
-		t.Fatalf("hops %v below shortest %v", res.MeanHops, res.MeanShortest)
+	if res.Metrics.MeanHops < res.MeanShortest-1e-9 {
+		t.Fatalf("hops %v below shortest %v", res.Metrics.MeanHops, res.MeanShortest)
 	}
 	if math.Abs(res.MeanShortest-2.5) > 0.2 {
 		t.Fatalf("mean shortest %v, want ~2.5", res.MeanShortest)
 	}
 	// Consistency: hops = shortest + 2*deflections.
-	if math.Abs(res.MeanHops-(res.MeanShortest+2*res.MeanDeflections)) > 1e-9 {
+	if math.Abs(res.Metrics.MeanHops-(res.MeanShortest+2*res.MeanDeflections)) > 1e-9 {
 		t.Fatalf("hops %v != shortest %v + 2*deflections %v",
-			res.MeanHops, res.MeanShortest, res.MeanDeflections)
+			res.Metrics.MeanHops, res.MeanShortest, res.MeanDeflections)
 	}
 	// The node-occupancy invariant d must never be violated.
 	if res.MaxNodeOccupancy > 5 {
 		t.Fatalf("occupancy %d exceeds d = 5", res.MaxNodeOccupancy)
 	}
 	// Delay includes injection wait, so it is at least the hop count.
-	if res.MeanDelay < res.MeanHops-1e-9 {
-		t.Fatalf("delay %v below hops %v", res.MeanDelay, res.MeanHops)
+	if res.Metrics.MeanDelay < res.Metrics.MeanHops-1e-9 {
+		t.Fatalf("delay %v below hops %v", res.Metrics.MeanDelay, res.Metrics.MeanHops)
 	}
 }
 
@@ -93,10 +108,10 @@ func TestHigherLoadMoreDeflections(t *testing.T) {
 		t.Fatalf("deflections did not increase with load: %v vs %v",
 			low.MeanDeflections, high.MeanDeflections)
 	}
-	if high.MeanDelay <= low.MeanDelay {
-		t.Fatalf("delay did not increase with load: %v vs %v", low.MeanDelay, high.MeanDelay)
+	if high.Metrics.MeanDelay <= low.Metrics.MeanDelay {
+		t.Fatalf("delay did not increase with load: %v vs %v", low.Metrics.MeanDelay, high.Metrics.MeanDelay)
 	}
-	if high.MeanNetworkPopulation <= low.MeanNetworkPopulation {
+	if high.Metrics.GroupMeanPopulation[0] <= low.Metrics.GroupMeanPopulation[0] {
 		t.Fatal("network population did not increase with load")
 	}
 }
@@ -132,14 +147,14 @@ func TestZeroDistancePacketsCountedWithZeroDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Delivered == 0 {
+	if res.Metrics.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	if res.MeanDelay != 0 || res.MeanHops != 0 {
-		t.Fatalf("p=0 should give zero delay/hops, got %v/%v", res.MeanDelay, res.MeanHops)
+	if res.Metrics.MeanDelay != 0 || res.Metrics.MeanHops != 0 {
+		t.Fatalf("p=0 should give zero delay/hops, got %v/%v", res.Metrics.MeanDelay, res.Metrics.MeanHops)
 	}
-	if res.MeanNetworkPopulation != 0 {
-		t.Fatalf("network population %v with p=0", res.MeanNetworkPopulation)
+	if pop := res.Metrics.GroupMeanPopulation[0]; pop != 0 {
+		t.Fatalf("network population %v with p=0", pop)
 	}
 }
 
@@ -152,8 +167,8 @@ func TestAntipodalTraffic(t *testing.T) {
 	if res.MeanShortest != 4 {
 		t.Fatalf("mean shortest %v, want exactly 4", res.MeanShortest)
 	}
-	if res.MeanHops < 4 {
-		t.Fatalf("mean hops %v below 4", res.MeanHops)
+	if res.Metrics.MeanHops < 4 {
+		t.Fatalf("mean hops %v below 4", res.Metrics.MeanHops)
 	}
 }
 
@@ -166,14 +181,14 @@ func TestReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.MeanDelay != b.MeanDelay || a.Delivered != b.Delivered {
+	if a.Metrics.MeanDelay != b.Metrics.MeanDelay || a.Metrics.Delivered != b.Metrics.Delivered {
 		t.Fatal("same seed gave different results")
 	}
 	c, err := Run(Config{D: 4, Lambda: 0.7, P: 0.5, Slots: 1000, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.MeanDelay == a.MeanDelay && c.Delivered == a.Delivered {
+	if c.Metrics.MeanDelay == a.Metrics.MeanDelay && c.Metrics.Delivered == a.Metrics.Delivered {
 		t.Fatal("different seeds gave identical results")
 	}
 }
@@ -191,10 +206,10 @@ func TestQuickInvariants(t *testing.T) {
 		if res.MaxNodeOccupancy > 4 {
 			return false
 		}
-		if res.MeanHops < res.MeanShortest-1e-9 {
+		if res.Metrics.MeanHops < res.MeanShortest-1e-9 {
 			return false
 		}
-		return math.Abs(res.MeanHops-(res.MeanShortest+2*res.MeanDeflections)) < 1e-9
+		return math.Abs(res.Metrics.MeanHops-(res.MeanShortest+2*res.MeanDeflections)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -12,9 +12,9 @@
 // completed.
 //
 // Determinism is the engine's core contract: the shard decomposition and all
-// seeds depend only on (Replications, ShardSize, BaseSeed), never on the
-// parallelism or on scheduling, and the merge happens in a fixed order after
-// the barrier. Running the same configuration with 1 worker or with
+// seeds depend only on (Replications, BaseSeed), never on the parallelism
+// or on scheduling, and the merge happens in a fixed order after the
+// barrier. Running the same configuration with 1 worker or with
 // GOMAXPROCS workers therefore produces bit-identical aggregate results.
 package engine
 
@@ -146,12 +146,6 @@ type Progress func(doneShards, totalShards, doneReps, totalReps int)
 type Config struct {
 	// Replications is the total number of independent replications.
 	Replications int
-	// ShardSize is the number of replications per shard; non-positive
-	// selects DefaultShardSize(Replications). The shard layout is part of
-	// the deterministic run identity: changing it changes which substream
-	// seeds the replications receive (but never breaks determinism for a
-	// fixed layout).
-	ShardSize int
 	// Parallelism bounds the number of concurrently executing shards
 	// (non-positive = GOMAXPROCS). It never affects results.
 	Parallelism int
@@ -191,10 +185,11 @@ type Result struct {
 	Sketches map[string]*stats.DDSketch
 }
 
-// DefaultShardSize returns the shard size used when Config.ShardSize is not
-// set: one replication per shard up to 256 shards, then growing so the shard
-// count stays near 256. It is a pure function of n so that the shard layout
-// never depends on the machine.
+// DefaultShardSize returns the number of replications per shard of an
+// n-replication run: one up to 256 shards, then growing so the shard count
+// stays near 256. It is a pure function of n so that the shard layout, and
+// with it the substream seed each replication receives, never depends on
+// the machine.
 func DefaultShardSize(n int) int {
 	const targetShards = 256
 	if n <= targetShards {
@@ -204,16 +199,13 @@ func DefaultShardSize(n int) int {
 }
 
 // Shards returns the deterministic shard decomposition for the config. The
-// layout and every seed depend only on Replications, ShardSize and BaseSeed.
+// layout and every seed depend only on Replications and BaseSeed.
 func Shards(cfg Config) []Shard {
 	n := cfg.Replications
 	if n <= 0 {
 		return nil
 	}
-	size := cfg.ShardSize
-	if size <= 0 {
-		size = DefaultShardSize(n)
-	}
+	size := DefaultShardSize(n)
 	shards := make([]Shard, 0, (n+size-1)/size)
 	for start := 0; start < n; start += size {
 		end := start + size
@@ -239,9 +231,9 @@ func Shards(cfg Config) []Shard {
 //
 // When ctx is cancelled, no new shard starts (in-flight shards finish their
 // current replication block) and Run returns (nil, ctx.Err()) instead of a
-// partial merge; a shard that panics on every attempt is returned as a
-// *PanicError. Neither compromises determinism: a run either completes with
-// the exact result of an uninterrupted run, or reports the error.
+// partial merge; a shard that panics is returned as a *PanicError. Neither
+// compromises determinism: a run either completes with the exact result of
+// an uninterrupted run, or reports the error.
 func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 	shards := Shards(cfg)
 	res := &Result{
@@ -255,11 +247,7 @@ func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 		return res, nil
 	}
 
-	type shardResult struct {
-		tallies  map[string]*stats.Tally
-		sketches map[string]*stats.DDSketch
-	}
-	results := make([]shardResult, len(shards))
+	results := make([]Result, len(shards))
 
 	var progressMu sync.Mutex
 	doneShards, doneReps := 0, 0
@@ -298,7 +286,7 @@ func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 				dst.Merge(s)
 			}
 		}
-		results[i] = shardResult{tallies: tallies, sketches: sketches}
+		results[i] = Result{Metrics: tallies, Sketches: sketches}
 		if cfg.Progress != nil {
 			progressMu.Lock()
 			doneShards++
@@ -314,24 +302,32 @@ func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 	// Merge in shard-index order: the only order-sensitive step, and it is
 	// fully deterministic because it happens after the barrier.
 	for i := range results {
-		for k, t := range results[i].tallies {
-			dst, ok := res.Metrics[k]
-			if !ok {
-				dst = &stats.Tally{}
-				res.Metrics[k] = dst
-			}
-			dst.Merge(t)
-		}
-		for k, s := range results[i].sketches {
-			dst, ok := res.Sketches[k]
-			if !ok {
-				dst = &stats.DDSketch{}
-				res.Sketches[k] = dst
-			}
-			dst.Merge(s)
-		}
+		res.Merge(&results[i])
 	}
 	return res, nil
+}
+
+// Merge folds o's tallies and sketches into r's, metric by metric; a metric
+// r lacks starts empty. r's maps must be non-nil. Merging a fixed sequence
+// of results in a fixed order is deterministic; the replication and shard
+// counts are left to the caller.
+func (r *Result) Merge(o *Result) {
+	for k, t := range o.Metrics {
+		dst, ok := r.Metrics[k]
+		if !ok {
+			dst = &stats.Tally{}
+			r.Metrics[k] = dst
+		}
+		dst.Merge(t)
+	}
+	for k, s := range o.Sketches {
+		dst, ok := r.Sketches[k]
+		if !ok {
+			dst = &stats.DDSketch{}
+			r.Sketches[k] = dst
+		}
+		dst.Merge(s)
+	}
 }
 
 // ForEach runs fn(i) for every i in [0, n) using at most parallelism
@@ -342,9 +338,9 @@ func Run(ctx context.Context, cfg Config, task SketchTask) (*Result, error) {
 //
 // Once ctx is cancelled no further index is dispatched, in-flight fn calls
 // run to completion, and the context error is returned. A panic inside fn is
-// recovered and the index retried; an index that panics on every attempt
-// stops dispatch and is reported as a *PanicError (the process survives). A
-// nil return means fn ran for every index.
+// recovered, stops dispatch and is reported as a *PanicError for the lowest
+// panicking index (the process survives); the index is not run again. A nil
+// return means fn ran for every index.
 func ForEach(ctx context.Context, n, parallelism int, fn func(i int)) error {
 	return forEach(ctx, nil, n, parallelism, fn)
 }
@@ -400,7 +396,7 @@ func forEach(ctx context.Context, pool *Pool, n, parallelism int, fn func(i int)
 		}
 		return nil
 	}
-	// A persistent panic cancels this derived context so dispatch stops
+	// A panic cancels this derived context so dispatch stops
 	// promptly; the parent's error still wins when both fire.
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()

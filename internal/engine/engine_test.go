@@ -63,10 +63,10 @@ func fingerprint(res *Result) string {
 }
 
 func TestShardsLayoutDeterministic(t *testing.T) {
-	cfg := Config{Replications: 100, ShardSize: 7, BaseSeed: 42}
+	cfg := Config{Replications: 1001, BaseSeed: 42} // shards of 4
 	a, b := Shards(cfg), Shards(cfg)
-	if len(a) != 15 {
-		t.Fatalf("len = %d, want ceil(100/7) = 15", len(a))
+	if len(a) != 251 {
+		t.Fatalf("len = %d, want ceil(1001/4) = 251", len(a))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -81,8 +81,8 @@ func TestShardsLayoutDeterministic(t *testing.T) {
 		}
 		next = sh.End
 	}
-	if next != 100 {
-		t.Fatalf("shards cover [0, %d), want [0, 100)", next)
+	if next != 1001 {
+		t.Fatalf("shards cover [0, %d), want [0, 1001)", next)
 	}
 	// Substream seeds are all distinct.
 	seen := map[uint64]bool{}
@@ -120,7 +120,7 @@ func TestRunDeterminismAcrossParallelism(t *testing.T) {
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
 	var want string
 	for _, par := range levels {
-		cfg := Config{Replications: 63, ShardSize: 5, Parallelism: par, BaseSeed: 1234}
+		cfg := Config{Replications: 601, Parallelism: par, BaseSeed: 1234} // shards of 3
 		got := fingerprint(run(t, cfg, noisyTask))
 		if want == "" {
 			want = got
@@ -135,7 +135,7 @@ func TestRunDeterminismAcrossParallelism(t *testing.T) {
 // TestRunMatchesSerialReference checks the shard decomposition and Welford
 // merge against a plain serial loop over the same (rep, seed) pairs.
 func TestRunMatchesSerialReference(t *testing.T) {
-	cfg := Config{Replications: 40, ShardSize: 3, Parallelism: runtime.GOMAXPROCS(0), BaseSeed: 9}
+	cfg := Config{Replications: 300, Parallelism: runtime.GOMAXPROCS(0), BaseSeed: 9} // shards of 2
 	got := run(t, cfg, noisyTask)
 
 	ref := map[string]*stats.Tally{}
@@ -187,7 +187,7 @@ func TestRunMatchesSerialReference(t *testing.T) {
 func TestRunRaceStress(t *testing.T) {
 	var calls int64
 	seen := make([]int32, 500)
-	cfg := Config{Replications: len(seen), ShardSize: 1, Parallelism: 2 * runtime.GOMAXPROCS(0), BaseSeed: 7}
+	cfg := Config{Replications: len(seen), Parallelism: 2 * runtime.GOMAXPROCS(0), BaseSeed: 7}
 	var progressCalls int64
 	cfg.Progress = func(doneShards, totalShards, doneReps, totalReps int) {
 		atomic.AddInt64(&progressCalls, 1)
@@ -235,9 +235,9 @@ func TestRunSkipsNaNMetrics(t *testing.T) {
 		}
 		return map[string]float64{"ratio": ratio, "never": math.NaN()}, nil
 	}
-	res := run(t, Config{Replications: 9, ShardSize: 2, Parallelism: 2}, task)
-	if got := res.Metrics["ratio"]; got.Count() != 3 || got.Mean() != 3 {
-		t.Errorf("ratio: count %d, mean %v; want 3 replications (0, 3, 6) with mean 3", got.Count(), got.Mean())
+	res := run(t, Config{Replications: 513, Parallelism: 2}, task) // shards of 3
+	if got := res.Metrics["ratio"]; got.Count() != 171 || got.Mean() != 255 {
+		t.Errorf("ratio: count %d, mean %v; want 171 replications (0, 3, ..., 510) with mean 255", got.Count(), got.Mean())
 	}
 	if got, ok := res.Metrics["never"]; !ok || got.Count() != 0 {
 		t.Errorf("never: tally %+v (present %v), want an empty tally", got, ok)
@@ -247,7 +247,7 @@ func TestRunSkipsNaNMetrics(t *testing.T) {
 func TestProgressIsMonotonic(t *testing.T) {
 	var mu sync.Mutex
 	lastShards, lastReps := 0, 0
-	cfg := Config{Replications: 64, ShardSize: 4, Parallelism: 8, BaseSeed: 3}
+	cfg := Config{Replications: 1024, Parallelism: 8, BaseSeed: 3} // shards of 4
 	cfg.Progress = func(doneShards, totalShards, doneReps, totalReps int) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -260,8 +260,8 @@ func TestProgressIsMonotonic(t *testing.T) {
 	run(t, cfg, scalar(func(rep int, seed uint64) map[string]float64 {
 		return map[string]float64{"x": 1}
 	}))
-	if lastShards != 16 || lastReps != 64 {
-		t.Fatalf("final progress %d shards / %d reps, want 16 / 64", lastShards, lastReps)
+	if lastShards != 256 || lastReps != 1024 {
+		t.Fatalf("final progress %d shards / %d reps, want 256 / 1024", lastShards, lastReps)
 	}
 }
 
@@ -286,7 +286,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 func BenchmarkRunOverhead(b *testing.B) {
 	// Measures pure engine overhead (sharding, pool, merge) with a trivial
 	// task, the worst case for the engine-to-work ratio.
-	cfg := Config{Replications: 1024, ShardSize: 0, Parallelism: 0, BaseSeed: 1}
+	cfg := Config{Replications: 1024, Parallelism: 0, BaseSeed: 1}
 	task := scalar(func(rep int, seed uint64) map[string]float64 {
 		return map[string]float64{"v": float64(seed & 0xff)}
 	})
@@ -387,10 +387,10 @@ func TestPanicErrorUnwrap(t *testing.T) {
 }
 
 // TestForEachRepanics checks the crash-on-bug contract callers such as the
-// experiment harness build on ForEach: a persistent panic on a worker
-// goroutine comes back on the caller's goroutine as a *PanicError, which the
-// caller re-panics with and which can be recovered there, rather than dying
-// as an unrecoverable worker-goroutine panic.
+// experiment harness build on ForEach: a panic on a worker goroutine comes
+// back on the caller's goroutine as a *PanicError, which the caller
+// re-panics with and which can be recovered there, rather than dying as an
+// unrecoverable worker-goroutine panic.
 func TestForEachRepanics(t *testing.T) {
 	defer func() {
 		pe, ok := recover().(*PanicError)
@@ -405,13 +405,13 @@ func TestForEachRepanics(t *testing.T) {
 	}); err != nil {
 		panic(err)
 	}
-	t.Fatal("ForEach returned no error despite a persistent panic")
+	t.Fatal("ForEach returned no error despite a panic")
 }
 
 // TestRunCtxPanicTyped checks that a shard panic inside a sharded run comes
 // back as a typed error with no partial result.
 func TestRunCtxPanicTyped(t *testing.T) {
-	res, err := Run(context.Background(), Config{Replications: 40, ShardSize: 4, Parallelism: 4, BaseSeed: 2},
+	res, err := Run(context.Background(), Config{Replications: 1024, Parallelism: 4, BaseSeed: 2}, // shards of 4
 		scalar(func(rep int, _ uint64) map[string]float64 {
 			if rep == 21 {
 				panic(fmt.Sprintf("rep %d exploded", rep))
@@ -457,7 +457,8 @@ func TestForEachCtxSerialAndParallel(t *testing.T) {
 // pure function of the replication seed.
 func noisySketchTask(rep int, seed uint64) (map[string]float64, map[string]*stats.DDSketch) {
 	r := xrand.New(seed)
-	s := stats.NewDDSketch(0.02)
+	s := new(stats.DDSketch)
+	s.Reset(0.02)
 	n := 50 + int(seed%50)
 	for i := 0; i < n; i++ {
 		s.Add(r.Exp(0.5))
@@ -485,7 +486,7 @@ func sketchQuantiles(s *stats.DDSketch) string {
 // whether shards run serially or on every core, and must equal a plain serial
 // merge over the same (rep, seed) pairs.
 func TestRunSketchDeterminismAcrossParallelism(t *testing.T) {
-	cfg := Config{Replications: 63, ShardSize: 5, BaseSeed: 1234}
+	cfg := Config{Replications: 601, BaseSeed: 1234} // shards of 3
 
 	// Serial reference: one sketch fed by every replication in index order.
 	ref := &stats.DDSketch{}

@@ -155,9 +155,9 @@ type RunConfig struct {
 // engine's worker pool (bounded by cfg.Parallelism), reports per-point
 // progress through cfg.Progress, and appends the returned rows to the table
 // in point order. Each point writes only to its own result slot, so the
-// table is deterministic regardless of parallelism. A point that keeps
-// panicking is a bug in the experiment: it re-panics here with the engine's
-// *PanicError, on the caller's goroutine.
+// table is deterministic regardless of parallelism. A point that panics is a
+// bug in the experiment: it re-panics here with the engine's *PanicError, on
+// the caller's goroutine.
 func addGridRows(table *Table, cfg RunConfig, n int, body func(i int) []string) {
 	rows := make([][]string, n)
 	var mu sync.Mutex

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 )
 
 // maxSpecBytes bounds a submitted spec body. Real specs are a few KB; the
@@ -60,14 +59,18 @@ func clientID(r *http.Request) string {
 	return "anonymous"
 }
 
+// retryAfter is the Retry-After header of a backpressure (503 or 429)
+// response, in seconds.
+const retryAfter = "1"
+
 // writeAdmissionError maps an admission/validation error to its status code.
 func (m *Manager) writeAdmissionError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", strconv.Itoa(m.RetryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrClientBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(m.RetryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -260,7 +263,7 @@ func (m *Manager) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if m.Draining() {
-		w.Header().Set("Retry-After", strconv.Itoa(m.RetryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}

@@ -196,7 +196,7 @@ func TestDaemonRunSyncScenario(t *testing.T) {
 // full admission queue answers 503 with a Retry-After header; a client over
 // its cap answers 429 with Retry-After.
 func TestDaemonBackpressureHTTP(t *testing.T) {
-	m := newTestManager(t, Config{MaxActiveJobs: 1, QueueLimit: 1, PerClientCap: 10, RetryAfter: 2 * time.Second})
+	m := newTestManager(t, Config{MaxActiveJobs: 1, QueueLimit: 1, PerClientCap: 10})
 	release := make(chan struct{})
 	m.runSweep = func(ctx context.Context, sw sim.Sweep, sinks ...sim.RowSink) ([]sim.Row, error) {
 		select {
@@ -235,8 +235,8 @@ func TestDaemonBackpressureHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-full submit = %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") != "2" {
-		t.Fatalf("503 Retry-After = %q, want \"2\"", resp.Header.Get("Retry-After"))
+	if resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("503 Retry-After = %q, want \"1\"", resp.Header.Get("Retry-After"))
 	}
 
 	// Per-client cap → 429 + Retry-After.

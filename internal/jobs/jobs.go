@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -109,9 +108,6 @@ type Config struct {
 	// CacheEntries bounds the shared result cache (distinct points held).
 	// 0 defaults to 1024; negative disables caching.
 	CacheEntries int
-	// RetryAfter is the hint returned in the Retry-After header on 503/429
-	// responses. Default 1s.
-	RetryAfter time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 
@@ -236,9 +232,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 1024
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -847,10 +840,4 @@ func shortID(id string) string {
 		return id[:12]
 	}
 	return id
-}
-
-// RetryAfterSeconds is the Retry-After value for backpressure responses,
-// rounded up to at least one second.
-func (m *Manager) RetryAfterSeconds() int {
-	return int(math.Ceil(m.cfg.RetryAfter.Seconds()))
 }

@@ -37,7 +37,8 @@ const sketchGrowPad = 16
 //     answer is a pure function of the multiset, never of arrival or merge
 //     order.
 //
-// The zero value is not usable; construct with NewDDSketch or Reset.
+// The zero value is not usable until Reset sets its alpha (Merge into a
+// zero value adopts the source's).
 type DDSketch struct {
 	alpha    float64
 	gamma    float64
@@ -51,14 +52,6 @@ type DDSketch struct {
 	// buckets[i] counts values with key minKey+i; key(x) = ceil(log_gamma x).
 	minKey  int32
 	buckets []uint64
-}
-
-// NewDDSketch returns a sketch with the given relative-error bound alpha,
-// which must lie in (0, 0.5).
-func NewDDSketch(alpha float64) *DDSketch {
-	s := new(DDSketch)
-	s.Reset(alpha)
-	return s
 }
 
 // Reset re-initialises the sketch for relative error alpha (in (0, 0.5)),

@@ -10,6 +10,13 @@ import (
 	"repro/internal/xrand"
 )
 
+// newSketch returns an empty sketch with relative-error bound alpha.
+func newSketch(alpha float64) *DDSketch {
+	s := new(DDSketch)
+	s.Reset(alpha)
+	return s
+}
+
 // sketchTestDistributions are the adversarial value streams the relative-error
 // and merge properties are checked on: heavy-tailed (Pareto-like), constant
 // (every value in one bucket), bimodal (two far-apart clusters), a stream
@@ -47,7 +54,7 @@ func TestDDSketchRelativeErrorGuarantee(t *testing.T) {
 	for _, alpha := range []float64{0.01, 0.05} {
 		for _, dist := range sketchTestDistributions {
 			rng := xrand.NewStream(7, 0x5EED)
-			s := NewDDSketch(alpha)
+			s := newSketch(alpha)
 			xs := make([]float64, 0, 20000)
 			for i := 0; i < 20000; i++ {
 				x := dist.gen(rng)
@@ -90,10 +97,10 @@ func TestDDSketchMergePartitionInvariance(t *testing.T) {
 		n := 500 + int(seed%1500)
 		parts := int(nParts)%7 + 2
 
-		whole := NewDDSketch(alpha)
+		whole := newSketch(alpha)
 		split := make([]*DDSketch, parts)
 		for i := range split {
-			split[i] = NewDDSketch(alpha)
+			split[i] = newSketch(alpha)
 		}
 		for i := 0; i < n; i++ {
 			x := dist.gen(rng)
@@ -145,10 +152,10 @@ func sketchState(s *DDSketch) string {
 // empty sketch is a no-op, merging into an unconfigured (zero-alpha) sketch
 // adopts the source's resolution, and merging mismatched alphas panics.
 func TestDDSketchMergeEmptyAndUnconfigured(t *testing.T) {
-	a := NewDDSketch(0.01)
+	a := newSketch(0.01)
 	a.Add(3)
 	before := sketchState(a)
-	a.Merge(NewDDSketch(0.01))
+	a.Merge(newSketch(0.01))
 	a.Merge(nil)
 	if sketchState(a) != before {
 		t.Fatal("merging an empty or nil sketch changed the state")
@@ -168,7 +175,7 @@ func TestDDSketchMergeEmptyAndUnconfigured(t *testing.T) {
 			t.Fatal("merging mismatched alphas did not panic")
 		}
 	}()
-	b := NewDDSketch(0.05)
+	b := newSketch(0.05)
 	b.Add(1)
 	a.Merge(b)
 }
@@ -176,7 +183,7 @@ func TestDDSketchMergeEmptyAndUnconfigured(t *testing.T) {
 // TestDDSketchEmptyAndClear pins the empty-sketch contract (NaN quantiles,
 // zero count) and that Clear empties without changing alpha.
 func TestDDSketchEmptyAndClear(t *testing.T) {
-	s := NewDDSketch(0.01)
+	s := newSketch(0.01)
 	if !math.IsNaN(s.Quantile(0.5)) {
 		t.Fatal("empty sketch quantile is not NaN")
 	}
@@ -186,7 +193,7 @@ func TestDDSketchEmptyAndClear(t *testing.T) {
 	if s.Count() != 0 || s.Alpha() != 0.01 || !math.IsNaN(s.Quantile(0.99)) {
 		t.Fatalf("Clear left count=%d alpha=%v", s.Count(), s.Alpha())
 	}
-	empty := NewDDSketch(0.01)
+	empty := newSketch(0.01)
 	if sketchState(s) != sketchState(empty) {
 		t.Fatal("cleared sketch state differs from a fresh sketch")
 	}
@@ -196,7 +203,7 @@ func TestDDSketchEmptyAndClear(t *testing.T) {
 // slotsim.TestMillionNodeSteadyStateZeroAllocs: once the sketch has seen the
 // value range, further Adds perform no allocation at all.
 func TestDDSketchAddZeroAllocs(t *testing.T) {
-	s := NewDDSketch(0.01)
+	s := newSketch(0.01)
 	rng := xrand.NewStream(11, 5)
 	// Warm the bucket range: values spanning the full range the measurement
 	// loop below will produce, plus the zero bucket.
@@ -219,7 +226,7 @@ func TestDDSketchAddZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDDSketchInvalidAlpha pins the constructor contract.
+// TestDDSketchInvalidAlpha pins Reset's contract.
 func TestDDSketchInvalidAlpha(t *testing.T) {
 	for _, alpha := range []float64{0, -0.1, 0.5, 1, math.NaN()} {
 		func() {
@@ -228,7 +235,7 @@ func TestDDSketchInvalidAlpha(t *testing.T) {
 					t.Errorf("alpha %v did not panic", alpha)
 				}
 			}()
-			NewDDSketch(alpha)
+			new(DDSketch).Reset(alpha)
 		}()
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,7 +27,7 @@ func TestDeflectionMatchesKernelDirectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := deflection.Run(deflection.Config{
-		D: 4, Lambda: 1.2, P: 0.5, Slots: 500, Seed: 11,
+		D: 4, Lambda: 1.2, P: 0.5, Slots: 500, WarmupFraction: 0.2, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +35,8 @@ func TestDeflectionMatchesKernelDirectly(t *testing.T) {
 	if res.Kernel != KernelDeflection {
 		t.Fatalf("kernel = %q, want %q", res.Kernel, KernelDeflection)
 	}
-	if res.MeanDelay != want.MeanDelay {
-		t.Fatalf("mean delay %v != kernel %v", res.MeanDelay, want.MeanDelay)
+	if res.MeanDelay != want.Metrics.MeanDelay {
+		t.Fatalf("mean delay %v != kernel %v", res.MeanDelay, want.Metrics.MeanDelay)
 	}
 	d := res.Deflection
 	if d == nil {
@@ -48,9 +51,8 @@ func TestDeflectionMatchesKernelDirectly(t *testing.T) {
 		d.MaxNodeOccupancy != want.MaxNodeOccupancy {
 		t.Fatalf("deflection block %+v does not match kernel result %+v", d, want)
 	}
-	if res.Metrics.MeanHops != want.MeanHops || res.Metrics.Delivered != want.Delivered {
-		t.Fatalf("metrics (%v hops, %d delivered) do not match kernel (%v, %d)",
-			res.Metrics.MeanHops, res.Metrics.Delivered, want.MeanHops, want.Delivered)
+	if !reflect.DeepEqual(res.Metrics, want.Metrics) {
+		t.Fatalf("metrics %+v do not match kernel %+v", res.Metrics, want.Metrics)
 	}
 	if res.Metrics.Elapsed != 400 { // 500 slots minus the truncated 20% warm-up
 		t.Fatalf("elapsed = %v, want 400", res.Metrics.Elapsed)
@@ -102,6 +104,32 @@ func TestDeflectionReplicated(t *testing.T) {
 	}
 }
 
+// TestDeflectionReturnsExactDelays checks that a deflection run honours
+// track_quantiles and return_delays as a store-and-forward run does: one
+// delay per delivered packet, and the exact p99 of that sample.
+func TestDeflectionReturnsExactDelays(t *testing.T) {
+	res, err := Run(context.Background(), Scenario{
+		Topology: Hypercube(4), P: 0.5, LoadFactor: 0.6, Horizon: 500, Seed: 11,
+		Router: Deflection, TrackQuantiles: true, ReturnDelays: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(res.Delays)) != res.Metrics.Delivered || res.Metrics.Delivered == 0 {
+		t.Fatalf("%d delays for %d delivered packets", len(res.Delays), res.Metrics.Delivered)
+	}
+	xs := slices.Sorted(slices.Values(res.Delays))
+	idx := 0.99 * float64(len(xs)-1)
+	lo, frac := int(idx), idx-math.Floor(idx)
+	p99 := xs[lo]
+	if frac > 0 {
+		p99 = xs[lo]*(1-frac) + xs[lo+1]*frac
+	}
+	if res.DelayP99 != p99 {
+		t.Fatalf("p99 = %v, want %v from the returned sample", res.DelayP99, p99)
+	}
+}
+
 func TestDeflectionValidationRejections(t *testing.T) {
 	base := func() Scenario {
 		return Scenario{
@@ -125,9 +153,7 @@ func TestDeflectionValidationRejections(t *testing.T) {
 			}
 			s.CustomWeights = w
 		}, "bit-flip"},
-		{"quantiles", func(s *Scenario) { s.TrackQuantiles = true }, "quantiles"},
 		{"per-dimension wait", func(s *Scenario) { s.TrackPerDimensionWait = true }, "per-dimension"},
-		{"population trace", func(s *Scenario) { s.PopulationTraceInterval = 10 }, "backlog slope"},
 		{"sub-slot horizon", func(s *Scenario) { s.Horizon = 0.5 }, "at least one slot"},
 		{"fractional horizon", func(s *Scenario) { s.Horizon = 1000.7 }, "whole number of slots"},
 		{"butterfly", func(s *Scenario) { s.Topology = Butterfly(4) }, "only greedy routing"},

@@ -216,22 +216,7 @@ func runSequential(ctx context.Context, sc *Scenario, n normalized) (*Result, er
 		if err != nil {
 			return nil, err
 		}
-		for k, t := range merged.Metrics {
-			dst, ok := cum.Metrics[k]
-			if !ok {
-				dst = &stats.Tally{}
-				cum.Metrics[k] = dst
-			}
-			dst.Merge(t)
-		}
-		for k, s := range merged.Sketches {
-			dst, ok := cum.Sketches[k]
-			if !ok {
-				dst = &stats.DDSketch{}
-				cum.Sketches[k] = dst
-			}
-			dst.Merge(s)
-		}
+		cum.Merge(merged)
 		reps += batch
 		pr.Batches++
 		pr.Replications = reps

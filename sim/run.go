@@ -95,14 +95,16 @@ type DeflectionStats struct {
 	// non-decreasing) hops per delivered packet.
 	MeanDeflections float64 `json:"mean_deflections"`
 	// MeanNetworkPopulation is the time-averaged number of packets inside
-	// the network (excluding injection queues).
+	// the network, excluding injection queues (Metrics.GroupMeanPopulation[0];
+	// Metrics.MeanPopulation includes them).
 	MeanNetworkPopulation float64 `json:"mean_network_population"`
 	// MeanInjectionBacklog is the time-averaged number of packets waiting in
 	// the per-node injection queues.
 	MeanInjectionBacklog float64 `json:"mean_injection_backlog"`
 	// InjectionBacklogSlope is the least-squares slope of the injection
-	// backlog over the measurement window (positive = not keeping up); it is
-	// the deflection counterpart of Metrics.PopulationSlope.
+	// backlog, sampled every slot of the measurement window (positive = not
+	// keeping up). Unlike Metrics.PopulationSlope it needs no population
+	// trace.
 	InjectionBacklogSlope float64 `json:"injection_backlog_slope"`
 	// MaxNodeOccupancy is the largest number of packets observed at one node
 	// when ports were assigned; the lossless invariant caps it at d.
@@ -119,8 +121,7 @@ type DeflectionStats struct {
 // generated inside the measurement window.
 type FaultStats struct {
 	// Offered is the number of packets injected during the window
-	// (Metrics.Generated; for deflection routing, the accounted packets —
-	// delivered plus dropped — since that kernel reports no generation count).
+	// (Metrics.Generated).
 	Offered int64 `json:"offered"`
 	// Delivered is the number of packets that reached their destination.
 	Delivered int64 `json:"delivered"`
@@ -142,22 +143,21 @@ type FaultStats struct {
 }
 
 // newFaultStats assembles the loss summary of one faulty run from the
-// window's offered, delivered and dropped packet counts and the mean delay
-// of the delivered packets.
-func newFaultStats(offered, delivered, droppedFault, droppedOverflow int64, meanDelay float64) *FaultStats {
+// window's metrics.
+func newFaultStats(m network.Metrics) *FaultStats {
 	f := &FaultStats{
-		Offered:              offered,
-		Delivered:            delivered,
-		DroppedFault:         droppedFault,
-		DroppedOverflow:      droppedOverflow,
-		ConditionalMeanDelay: meanDelay,
+		Offered:              m.Generated,
+		Delivered:            m.Delivered,
+		DroppedFault:         m.DroppedFault,
+		DroppedOverflow:      m.DroppedOverflow,
+		ConditionalMeanDelay: m.MeanDelay,
 		DeliveryRatio:        math.NaN(),
 	}
-	if delivered == 0 {
+	if m.Delivered == 0 {
 		f.ConditionalMeanDelay = math.NaN()
 	}
-	if decided := delivered + droppedFault + droppedOverflow; decided > 0 {
-		f.DeliveryRatio = float64(delivered) / float64(decided)
+	if decided := m.Delivered + m.DroppedFault + m.DroppedOverflow; decided > 0 {
+		f.DeliveryRatio = float64(m.Delivered) / float64(decided)
 	}
 	return f
 }
@@ -543,6 +543,7 @@ func (n normalized) replica(seed uint64) normalized {
 	if n.dc != nil {
 		dc := *n.dc
 		dc.Seed = seed
+		dc.ReturnDelays = false
 		return normalized{dc: &dc}
 	}
 	sf := *n.sf
@@ -617,26 +618,42 @@ func (c *storeForward) analyticResult() *Result {
 	return res
 }
 
+// delaySource is where a run's per-packet delay measurements live: the
+// slot kernel, or the collector of a deflection run.
+type delaySource interface {
+	DelaySample() []float64
+	DelayQuantile(q float64) float64
+	DelaySketch() *stats.DDSketch
+}
+
+// measured completes an analytic result with one run's measurements: the
+// collector's metrics, the delay sample (when returnDelays) and quantiles,
+// the tail sketch, and the loss summary of a faulty run. Both kernels'
+// results go through it.
+func (res *Result) measured(m network.Metrics, ds delaySource, returnDelays, faults bool) {
+	res.Metrics = m
+	res.MeanDelay = m.MeanDelay
+	if returnDelays {
+		// Copied before the quantile queries reorder the sample.
+		res.Delays = append([]float64(nil), ds.DelaySample()...)
+	}
+	res.DelayP95 = ds.DelayQuantile(0.95)
+	res.DelayP99 = ds.DelayQuantile(0.99)
+	if s := ds.DelaySketch(); s != nil {
+		// Cloned out of the kernel, so it outlives a pooled runner.
+		res.sketch = s.Clone()
+		res.Tail = tailStatsFromSketch(res.sketch)
+	}
+	if faults {
+		res.Faults = newFaultStats(m)
+	}
+}
+
 // result assembles one run's Result: the analytic part plus the measured
 // fields, read from the kernel that ran it.
 func (c *storeForward) result(m network.Metrics, k *slotsim.Kernel) *Result {
 	res := c.analyticResult()
-	res.Metrics = m
-	res.MeanDelay = m.MeanDelay
-	if c.ReturnDelays {
-		// Copied before the quantile queries reorder the sample.
-		res.Delays = append([]float64(nil), k.DelaySample()...)
-	}
-	res.DelayP95 = k.DelayQuantile(0.95)
-	res.DelayP99 = k.DelayQuantile(0.99)
-	if s := k.DelaySketch(); s != nil {
-		// Cloned out of the pooled kernel, so it outlives the runner.
-		res.sketch = s.Clone()
-		res.Tail = tailStatsFromSketch(res.sketch)
-	}
-	if c.Faults != nil {
-		res.Faults = newFaultStats(m.Generated, m.Delivered, m.DroppedFault, m.DroppedOverflow, m.MeanDelay)
-	}
+	res.measured(m, k, c.ReturnDelays, c.Faults != nil)
 	d := c.Topology.D
 	var lower, upper float64
 	if h := res.Hypercube; h != nil {
@@ -677,19 +694,10 @@ func (c *storeForward) result(m network.Metrics, k *slotsim.Kernel) *Result {
 }
 
 // runDeflectionOnce executes one normalized hot-potato run on the slotted
-// deflection kernel and assembles the result. Only the Metrics fields the
-// kernel actually measures are populated; everything deflection-specific
-// lives in the Deflection block.
+// deflection kernel and assembles the result: the shared measurements
+// through measured, the hot-potato ones into the Deflection block.
 func runDeflectionOnce(cfg *deflectionConfig) *Result {
-	var sketch *stats.DDSketch
-	if cfg.SketchAlpha > 0 {
-		sketch = stats.NewDDSketch(cfg.SketchAlpha)
-	}
-	out, err := deflection.Run(deflection.Config{
-		D: cfg.D, Lambda: cfg.Lambda, P: cfg.P, Slots: cfg.Slots,
-		WarmupFraction: cfg.WarmupFraction, Seed: cfg.Seed,
-		ArcFailProb: cfg.ArcFailProb, Sketch: sketch,
-	})
+	out, err := deflection.Run(cfg.Config)
 	if err != nil {
 		// The scenario was validated; a failure here is a broken kernel
 		// invariant (e.g. a node holding more than d packets), never user
@@ -697,38 +705,15 @@ func runDeflectionOnce(cfg *deflectionConfig) *Result {
 		panic(fmt.Sprintf("sim: deflection kernel failed on a validated scenario: %v", err))
 	}
 	res := deflectionAnalyticResult(cfg)
-	if sketch != nil {
-		res.sketch = sketch
-		res.Tail = tailStatsFromSketch(sketch)
-	}
+	res.measured(out.Metrics, out.Collector, cfg.ReturnDelays, cfg.ArcFailProb > 0)
+	res.MeanPacketsPerNode = out.Metrics.MeanPopulation / float64(int(1)<<uint(cfg.D))
 	d := res.Deflection
-	// The kernel truncates the warm-up to whole slots; mirror that here so
-	// Elapsed and Throughput use exactly the window the packets were
-	// counted in.
-	measured := float64(cfg.Slots - int(cfg.WarmupFraction*float64(cfg.Slots)))
-	res.Metrics = Metrics{
-		Elapsed:         measured,
-		MeanDelay:       out.MeanDelay,
-		MeanHops:        out.MeanHops,
-		Delivered:       out.Delivered,
-		Throughput:      float64(out.Delivered) / measured,
-		MeanPopulation:  out.MeanNetworkPopulation + out.MeanInjectionBacklog,
-		PopulationSlope: out.InjectionBacklogSlope,
-	}
-	res.MeanDelay = out.MeanDelay
-	res.MeanPacketsPerNode = res.Metrics.MeanPopulation / float64(int(1)<<uint(cfg.D))
 	d.MeanShortest = out.MeanShortest
 	d.MeanDeflections = out.MeanDeflections
-	d.MeanNetworkPopulation = out.MeanNetworkPopulation
+	d.MeanNetworkPopulation = out.Metrics.GroupMeanPopulation[0]
 	d.MeanInjectionBacklog = out.MeanInjectionBacklog
 	d.InjectionBacklogSlope = out.InjectionBacklogSlope
 	d.MaxNodeOccupancy = out.MaxNodeOccupancy
-	if cfg.ArcFailProb > 0 {
-		res.Metrics.DroppedFault = out.Dropped
-		// The kernel reports no generation count, so the offered packets
-		// are the accounted ones: delivered plus dropped.
-		res.Faults = newFaultStats(out.Delivered+out.Dropped, out.Delivered, out.Dropped, 0, out.MeanDelay)
-	}
 	return res
 }
 
@@ -744,8 +729,6 @@ func deflectionAnalyticResult(cfg *deflectionConfig) *Result {
 		Lambda:     cfg.Lambda,
 		LoadFactor: cfg.Lambda * cfg.P,
 		Kernel:     KernelDeflection,
-		DelayP95:   math.NaN(),
-		DelayP99:   math.NaN(),
 		Deflection: d,
 	}
 }

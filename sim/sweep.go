@@ -813,7 +813,7 @@ func (s *JSONLSink) WriteRow(r Row) error {
 //
 // Robustness: Sweep.PointTimeout bounds each point's wall-clock time
 // (*PointTimeoutError on expiry), a panic inside a point surfaces as a typed
-// *engine.PanicError after a bounded retry instead of crashing the process,
+// *engine.PanicError instead of crashing the process (the point runs once),
 // and Sweep.CheckpointPath journals completed points so a killed sweep
 // resumes without re-running them — with byte-identical sink output.
 func RunSweep(ctx context.Context, sw Sweep, sinks ...RowSink) ([]Row, error) {

@@ -61,7 +61,8 @@ func TestTailCrossKernelIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sketch := stats.NewDDSketch(fast.Tail.Alpha)
+		sketch := new(stats.DDSketch)
+		sketch.Reset(fast.Tail.Alpha)
 		for _, d := range ref.Delays {
 			sketch.Add(d)
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/butterfly"
+	"repro/internal/deflection"
 	"repro/internal/hypercube"
 	"repro/internal/network"
 	"repro/internal/routing"
@@ -58,14 +59,8 @@ type netShape struct {
 // a hypercube scenario whose Router is Deflection. The kernel is slotted, so
 // the horizon normalizes to a whole number of slots.
 type deflectionConfig struct {
-	D              int
-	P              float64
-	Lambda         float64
-	Slots          int
-	WarmupFraction float64
-	Seed           uint64
-	ArcFailProb    float64
-	SketchAlpha    float64
+	deflection.Config
+	ReturnDelays bool
 }
 
 // normalized is the result of one validation/normalization pass: exactly one
@@ -75,17 +70,24 @@ type normalized struct {
 	dc *deflectionConfig
 }
 
-// sketchAlpha resolves the delay-sketch resolution the kernels receive: zero
-// (sketch off) unless TailQuantiles is set, then the explicit SketchAlpha or
-// DefaultSketchAlpha.
-func (s *Scenario) sketchAlpha() float64 {
-	if !s.TailQuantiles {
-		return 0
+// measurement is the collector configuration both kernels take. The delay
+// sketch is off unless TailQuantiles is set, then at the explicit
+// SketchAlpha or DefaultSketchAlpha.
+func (s *Scenario) measurement() network.Measurement {
+	m := network.Measurement{
+		TrackQuantiles:  s.TrackQuantiles,
+		TrackPerHopWait: s.TrackPerDimensionWait,
+		TraceInterval:   s.PopulationTraceInterval,
+		// The butterfly results never read per-group populations.
+		SkipGroupPopulation: s.SkipPerDimensionStats || s.Topology.Kind == TopologyButterfly,
 	}
-	if s.SketchAlpha > 0 {
-		return s.SketchAlpha
+	if s.TailQuantiles {
+		m.SketchAlpha = s.SketchAlpha
+		if m.SketchAlpha == 0 {
+			m.SketchAlpha = DefaultSketchAlpha
+		}
 	}
-	return DefaultSketchAlpha
+	return m
 }
 
 // empty reports whether the block sets no fault feature.
@@ -325,12 +327,11 @@ func (s *Scenario) normalize() (normalized, error) {
 		lambda = s.LoadFactor / s.P
 	}
 	if s.Router == Deflection {
-		// Hot-potato routing runs on its own slotted kernel with none of the
-		// store-and-forward observability hooks; reject the settings it
-		// cannot honour so spec files fail loudly instead of silently
-		// reporting different semantics. (The performance toggle
-		// SkipPerDimensionStats is ignored: it never changes what a run
-		// computes.)
+		// Hot-potato routing runs on its own slotted kernel, which has no
+		// arc queues; reject the settings it cannot honour so spec files
+		// fail loudly instead of silently reporting different semantics.
+		// (The performance toggle SkipPerDimensionStats is ignored: it never
+		// changes what a run computes.)
 		switch {
 		case s.Discipline != FIFO:
 			return none, fmt.Errorf("sim: deflection routing has no arc queues, so the discipline must stay FIFO (the default)")
@@ -338,12 +339,8 @@ func (s *Scenario) normalize() (normalized, error) {
 			return none, fmt.Errorf("sim: deflection routing is inherently slotted (unit slots); drop Slotted/Tau")
 		case s.CustomWeights != nil:
 			return none, fmt.Errorf("sim: deflection routing supports only the bit-flip destination distribution")
-		case s.TrackQuantiles:
-			return none, fmt.Errorf("sim: deflection routing does not record delay quantiles")
 		case s.TrackPerDimensionWait:
 			return none, fmt.Errorf("sim: deflection routing does not track per-dimension waits")
-		case s.PopulationTraceInterval > 0:
-			return none, fmt.Errorf("sim: deflection routing reports its backlog slope instead of a population trace")
 		case s.MaxBytes > 0:
 			return none, fmt.Errorf("sim: max_bytes budgets the slot-stepped kernel, which deflection routing does not use")
 		case s.Horizon < 1:
@@ -360,13 +357,16 @@ func (s *Scenario) normalize() (normalized, error) {
 			return none, err
 		}
 		dc := &deflectionConfig{
-			D:              s.Topology.D,
-			P:              s.P,
-			Lambda:         lambda,
-			Slots:          int(s.Horizon),
-			WarmupFraction: warmup,
-			Seed:           s.Seed,
-			SketchAlpha:    s.sketchAlpha(),
+			Config: deflection.Config{
+				D:              s.Topology.D,
+				P:              s.P,
+				Lambda:         lambda,
+				Slots:          int(s.Horizon),
+				WarmupFraction: warmup,
+				Seed:           s.Seed,
+				Measure:        s.measurement(),
+			},
+			ReturnDelays: s.ReturnDelays,
 		}
 		if plan != nil {
 			dc.ArcFailProb = plan.ArcFailProb
@@ -436,16 +436,9 @@ func (s *Scenario) storeForward(lambda, warmup float64, net netShape) (normalize
 		Tau:            s.Tau,
 		ReturnDelays:   s.ReturnDelays,
 		MaxBytes:       s.MaxBytes,
-		Measure: network.Measurement{
-			TrackQuantiles:  s.TrackQuantiles,
-			SketchAlpha:     s.sketchAlpha(),
-			TrackPerHopWait: s.TrackPerDimensionWait,
-			TraceInterval:   s.PopulationTraceInterval,
-			// The butterfly results never read per-group populations.
-			SkipGroupPopulation: s.SkipPerDimensionStats || s.Topology.Kind == TopologyButterfly,
-		},
-		Faults: plan,
-		net:    net,
+		Measure:        s.measurement(),
+		Faults:         plan,
+		net:            net,
 	}
 	if s.MaxBytes > 0 {
 		r := new(runner)
