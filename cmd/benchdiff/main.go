@@ -9,7 +9,8 @@
 //	benchdiff -emit BENCH_123.json bench-head.txt
 //
 // Compare a head run against a base run, failing (exit code 1) when any
-// benchmark matching -filter regressed in ns/op by more than -threshold.
+// benchmark matching -filter regressed in ns/op by more than -threshold, or
+// in allocs/op by more than allocThreshold and allocFloor allocations both.
 // Either side may be raw `go test -bench` output or an emitted BENCH_*.json
 // artifact (selected by the .json extension):
 //
@@ -39,6 +40,15 @@ import (
 
 // artifactSchema versions the BENCH_<n>.json perf artifact format.
 const artifactSchema = "repro-bench/v1"
+
+// The allocation gate. A run's allocation count is nearly noise-free (within
+// 2% across runs, where ns/op spreads 15-20%), so it needs no pairing: a
+// gated benchmark fails when its allocs/op grow by more than allocThreshold
+// and by more than allocFloor, so that a 5 -> 6 change passes.
+const (
+	allocThreshold = 1.10
+	allocFloor     = 10
+)
 
 // artifact is the schema of the BENCH_<n>.json perf artifact.
 type artifact struct {
@@ -215,9 +225,13 @@ func compare(basePath, headPath, filter string, threshold float64) (bool, error)
 				verdict = "REGRESSED"
 				ok = false
 			}
+			if moreAllocs(c.BaseAllocsPerOp, c.HeadAllocsPerOp) {
+				verdict = "MORE ALLOCS"
+				ok = false
+			}
 		}
-		fmt.Printf("%-45s base %14.0f ns/op  head %14.0f ns/op  ratio %5.3f  [%s]\n",
-			c.Name, c.BaseNsPerOp, c.HeadNsPerOp, c.Ratio, verdict)
+		fmt.Printf("%-45s base %14.0f ns/op  head %14.0f ns/op  ratio %5.3f  allocs/op %10.0f -> %-10.0f [%s]\n",
+			c.Name, c.BaseNsPerOp, c.HeadNsPerOp, c.Ratio, c.BaseAllocsPerOp, c.HeadAllocsPerOp, verdict)
 	}
 	// Benchmarks present on only one side are reported, not failed: a PR that
 	// adds a benchmark has no base measurement to compare, and a PR that
@@ -239,7 +253,14 @@ func compare(basePath, headPath, filter string, threshold float64) (bool, error)
 		return false, fmt.Errorf("no benchmark matching %q present in both %s and %s: the regression gate would pass vacuously", filter, basePath, headPath)
 	}
 	if !ok {
-		fmt.Printf("FAIL: a benchmark matching %q regressed beyond %.2fx\n", filter, threshold)
+		fmt.Printf("FAIL: a benchmark matching %q regressed beyond %.2fx in ns/op or %.2fx (and %d) in allocs/op\n",
+			filter, threshold, allocThreshold, allocFloor)
 	}
 	return ok, nil
+}
+
+// moreAllocs reports whether head's allocs/op broke the allocation gate
+// against base's. A side without -benchmem numbers (0) is not compared.
+func moreAllocs(base, head float64) bool {
+	return base > 0 && head > base*allocThreshold && head-base > allocFloor
 }

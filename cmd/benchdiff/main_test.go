@@ -135,3 +135,39 @@ BenchmarkRingPushPop-4 3  100 ns/op
 		t.Fatal("-check must fail when no benchmark matches the gate filter")
 	}
 }
+
+// TestCompareGatesAllocations pins the allocation gate: a gated benchmark
+// whose allocs/op grow by more than 10% fails even at equal ns/op; a rise
+// within the absolute floor (5 -> 6) or within 10% passes, and ungated
+// benchmarks and sides without -benchmem numbers are not compared.
+func TestCompareGatesAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name, base, head string
+		ok               bool
+	}{
+		{"+11%", "BenchmarkE4Foo-2 5 1000 ns/op 500 B/op 400 allocs/op",
+			"BenchmarkE4Foo-2 5 1000 ns/op 500 B/op 444 allocs/op", false},
+		{"+10%", "BenchmarkE4Foo-2 5 1000 ns/op 500 B/op 400 allocs/op",
+			"BenchmarkE4Foo-2 5 1000 ns/op 500 B/op 440 allocs/op", true},
+		{"5 -> 6", "BenchmarkE4Foo-2 5 1000 ns/op 50 B/op 5 allocs/op",
+			"BenchmarkE4Foo-2 5 1000 ns/op 50 B/op 6 allocs/op", true},
+		{"fewer", "BenchmarkE4Foo-2 5 1000 ns/op 500 B/op 400 allocs/op",
+			"BenchmarkE4Foo-2 5 1000 ns/op 500 B/op 10 allocs/op", true},
+		{"no -benchmem", "BenchmarkE4Foo-2 5 1000 ns/op",
+			"BenchmarkE4Foo-2 5 1000 ns/op 500 B/op 400 allocs/op", true},
+		{"ungated", "BenchmarkE4Foo-2 5 1000 ns/op\nBenchmarkRing-2 5 10 ns/op 1 B/op 100 allocs/op",
+			"BenchmarkE4Foo-2 5 1000 ns/op\nBenchmarkRing-2 5 10 ns/op 1 B/op 500 allocs/op", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ok, err := compare(writeBench(t, dir, "base.txt", tc.base+"\n"), writeBench(t, dir, "head.txt", tc.head+"\n"),
+				"^BenchmarkE", 1.10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != tc.ok {
+				t.Fatalf("gate passed = %v, want %v", ok, tc.ok)
+			}
+		})
+	}
+}

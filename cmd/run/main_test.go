@@ -156,10 +156,23 @@ func TestRunExitCodeTable(t *testing.T) {
 
 // TestRunMidRunBudgetOverrun pins the UX of a run that passes max_bytes
 // validation but whose in-flight population outgrows the budget: a runtime
-// failure (exit 1) naming the overrun, with no panic trace.
+// failure (exit 1) naming the overrun, with no panic trace. The budget is
+// the smallest validation accepts (found by bisection over Validate), which
+// the first growth of the packet pool or the completion ring overruns
+// whatever the kernel's layout.
 func TestRunMidRunBudgetOverrun(t *testing.T) {
-	spec := write(t, "overrun.json", `{"topology": {"kind": "hypercube", "d": 7}, "p": 0.5,
-		"load_factor": 0.5, "horizon": 200, "seed": 5, "max_bytes": 40000}`)
+	sc := sim.Scenario{Topology: sim.Hypercube(7), P: 0.5, LoadFactor: 0.5, Horizon: 200, Seed: 5}
+	lo, hi := int64(1), int64(1<<30)
+	for lo < hi {
+		sc.MaxBytes = lo + (hi-lo)/2
+		if sc.Validate() == nil {
+			hi = sc.MaxBytes
+		} else {
+			lo = sc.MaxBytes + 1
+		}
+	}
+	spec := write(t, "overrun.json", fmt.Sprintf(`{"topology": {"kind": "hypercube", "d": 7}, "p": 0.5,
+		"load_factor": 0.5, "horizon": 200, "seed": 5, "max_bytes": %d}`, lo))
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-validate", spec}, &stdout, &stderr); code != cli.ExitOK {
 		t.Fatalf("-validate exit code %d, want 0; stderr: %s", code, stderr.String())

@@ -83,8 +83,10 @@ func ParseBenchOutput(r io.Reader) ([]BenchMeasurement, error) {
 
 // MergeBenchRuns collapses repeated measurements of the same benchmark
 // (`go test -count=N`) into one entry per name, keeping the minimum ns/op
-// (and the matching B/op, allocs/op) — the standard noise-floor estimate for
-// regression gating. Order follows each benchmark's first appearance.
+// (and the matching B/op) — the standard noise-floor estimate for regression
+// gating — and the minimum allocs/op over the repeats that report one, so
+// that setup allocations amortised over different iteration counts do not
+// move it. Order follows each benchmark's first appearance.
 func MergeBenchRuns(ms []BenchMeasurement) []BenchMeasurement {
 	idx := make(map[string]int, len(ms))
 	var out []BenchMeasurement
@@ -95,9 +97,14 @@ func MergeBenchRuns(ms []BenchMeasurement) []BenchMeasurement {
 			out = append(out, m)
 			continue
 		}
+		allocs := out[i].AllocsPerOp
+		if m.AllocsPerOp > 0 && (allocs == 0 || m.AllocsPerOp < allocs) {
+			allocs = m.AllocsPerOp
+		}
 		if m.NsPerOp < out[i].NsPerOp {
 			out[i] = m
 		}
+		out[i].AllocsPerOp = allocs
 	}
 	return out
 }
@@ -110,7 +117,7 @@ type BenchComparison struct {
 	// Ratio is head/base ns/op; above 1 means the head is slower.
 	Ratio float64 `json:"ratio"`
 	// BaseAllocsPerOp / HeadAllocsPerOp carry the -benchmem numbers when
-	// present.
+	// present; benchdiff gates on them too.
 	BaseAllocsPerOp float64 `json:"base_allocs_per_op,omitempty"`
 	HeadAllocsPerOp float64 `json:"head_allocs_per_op,omitempty"`
 }

@@ -64,12 +64,13 @@ func TestMergeBenchRunsKeepsMinimum(t *testing.T) {
 		{Name: "BenchmarkE2", NsPerOp: 10},
 		{Name: "BenchmarkE1", NsPerOp: 100, AllocsPerOp: 40},
 		{Name: "BenchmarkE1", NsPerOp: 110, AllocsPerOp: 45},
+		{Name: "BenchmarkE1", NsPerOp: 130, AllocsPerOp: 38}, // more iterations amortise setup
 	}
 	out := MergeBenchRuns(ms)
 	if len(out) != 2 {
 		t.Fatalf("merged = %+v", out)
 	}
-	if out[0].Name != "BenchmarkE1" || out[0].NsPerOp != 100 || out[0].AllocsPerOp != 40 {
+	if out[0].Name != "BenchmarkE1" || out[0].NsPerOp != 100 || out[0].AllocsPerOp != 38 {
 		t.Fatalf("merged E1 = %+v", out[0])
 	}
 	if out[1].Name != "BenchmarkE2" || out[1].NsPerOp != 10 {

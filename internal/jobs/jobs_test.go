@@ -44,7 +44,8 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
-// waitState polls until the job reaches the wanted state.
+// waitState polls until the job reaches the wanted state. A job that ends
+// in another terminal state never will, so that fails at once.
 func waitState(t *testing.T, m *Manager, id, want string) Status {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -55,6 +56,9 @@ func waitState(t *testing.T, m *Manager, id, want string) Status {
 		}
 		if st.State == want {
 			return st
+		}
+		if terminal(st.State) {
+			t.Fatalf("job %s ended %q, want %q (%+v)", shortID(id), st.State, want, st)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -180,7 +184,9 @@ func TestFairShareOrder(t *testing.T) {
 // again. A replicated 7-cube point over its max_bytes budget dies mid-run
 // with a *sim.MemoryBudgetError, which reaches the job wrapped in an
 // engine.PanicError; the job fails after one sweep call, with an error that
-// still resolves to the budget error.
+// still resolves to the budget error. The budget is the smallest validation
+// accepts, which the first growth of the packet pool or the completion ring
+// overruns whatever the kernel's layout.
 func TestMemoryBudgetPanicRunsOnce(t *testing.T) {
 	m := newTestManager(t, Config{})
 	var calls atomic.Int32
@@ -188,11 +194,12 @@ func TestMemoryBudgetPanicRunsOnce(t *testing.T) {
 		calls.Add(1)
 		return sim.RunSweep(ctx, sw, sinks...)
 	}
-	st, _, err := m.Submit("alice", []byte(`{
+	base := sim.Scenario{Topology: sim.Hypercube(7), P: 0.5, LoadFactor: 0.5, Horizon: 200, Seed: 5, Replications: 2}
+	st, _, err := m.Submit("alice", []byte(fmt.Sprintf(`{
 		"base": {"topology": {"kind": "hypercube", "d": 7}, "p": 0.5, "load_factor": 0.5, "horizon": 200,
-		         "seed": 5, "max_bytes": 40000, "replications": 2},
+		         "seed": 5, "max_bytes": %d, "replications": 2},
 		"axes": [{"field": "seed", "values": [5]}]
-	}`))
+	}`, smallestBudget(base))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +216,21 @@ func TestMemoryBudgetPanicRunsOnce(t *testing.T) {
 		t.Fatalf("job error %v (%T) does not resolve to a *sim.MemoryBudgetError inside an *engine.PanicError", jerr, jerr)
 	}
 	t.Log(jerr)
+}
+
+// smallestBudget returns the smallest max_bytes validation accepts for sc,
+// by bisection over Validate.
+func smallestBudget(sc sim.Scenario) int64 {
+	lo, hi := int64(1), int64(1<<30)
+	for lo < hi {
+		sc.MaxBytes = lo + (hi-lo)/2
+		if sc.Validate() == nil {
+			hi = sc.MaxBytes
+		} else {
+			lo = sc.MaxBytes + 1
+		}
+	}
+	return lo
 }
 
 // TestCancel pins both cancellation paths: a queued job leaves the queue

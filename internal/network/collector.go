@@ -14,6 +14,12 @@ import (
 // it; the reference simulator (internal/oracle) keeps its own counts
 // instead, so the tests comparing the two do not trust this code.
 //
+// The measurement window is [w, T]: the kernel calls StartMeasurement(w)
+// before any event at the warm-up instant w, so a packet generated at w, and
+// anything that happens to it at w, is measured; a packet counts in the
+// window's delay, delivery and drop statistics exactly when its generation
+// time is at least w. Snapshot closes the window at the horizon T.
+//
 // All state is reusable in place: Reset re-initialises the collector for a
 // new run without discarding backing storage, so pooled simulators perform no
 // measurement allocations in steady state.
@@ -283,8 +289,8 @@ func (c *Collector) DelaySample() []float64 {
 
 // Snapshot closes the measurement window at time now and assembles the
 // metrics. The caller supplies the per-group arc aggregates (arc counts, busy
-// time and arrival totals, accumulated in arc-index order), because arc state
-// lives with the kernel, not the collector.
+// time inside the window and arrival totals), because arc state lives with
+// the kernel, not the collector.
 func (c *Collector) Snapshot(now float64, groupArcs []int, groupBusy, groupArrivals []float64) Metrics {
 	elapsed := now - c.measureFrom
 	m := Metrics{

@@ -25,8 +25,9 @@
 // fire before everything else, and a window's end before the next one's
 // start. A completion is
 // scheduled when its service starts; the next arrival or slot tick is
-// scheduled after the current one's packets are injected. Events at the
-// warm-up instant still belong to the warm-up, and events after the horizon
+// scheduled after the current one's packets are injected. The measurement
+// window is [w, T]: measurement starts before any event at the warm-up
+// instant w, so those events are measured, and events after the horizon T
 // never fire.
 package oracle
 
@@ -79,6 +80,10 @@ type Result struct {
 	InFlight int64
 	// Delays holds the delivered packets' delays in delivery order.
 	Delays []float64
+	// Utilization holds each arc's busy fraction of the window [w, T]: the
+	// time it spent transmitting inside the window, over T - w. A service
+	// that straddles w counts from w, and one still under way at T up to T.
+	Utilization []float64
 }
 
 // Delivery is one packet reaching its destination: its index in injection
@@ -127,8 +132,9 @@ type packet struct {
 }
 
 type arc struct {
-	queue     []int // waiting packets, in the discipline's order
-	inService int   // -1 when idle
+	queue     []int   // waiting packets, in the discipline's order
+	inService int     // -1 when idle
+	start     float64 // the start of the service under way
 	down      bool
 }
 
@@ -139,6 +145,7 @@ type run struct {
 	cal       calendar
 	seq       int // schedule calls so far
 	arcs      []arc
+	busy      []float64 // per-arc service time inside the window
 	pkts      []packet
 	payload   xrand.Rand
 	gaps      xrand.Rand // inter-arrival gaps or slot batch sizes
@@ -156,7 +163,25 @@ func Run(cfg Config) Result {
 	r := newRun(cfg, false)
 	r.loop()
 	r.res.InFlight = r.live
+	window := cfg.Horizon - cfg.Warmup
+	for a := range r.arcs {
+		if r.arcs[a].inService >= 0 {
+			r.credit(a, cfg.Horizon)
+		}
+		if window > 0 {
+			r.busy[a] /= window
+		}
+	}
+	r.res.Utilization = r.busy
 	return r.res
+}
+
+// credit adds to arc a's busy time the part of its service under way that
+// falls inside the window and before end.
+func (r *run) credit(a int, end float64) {
+	if b := end - max(r.arcs[a].start, r.cfg.Warmup); b > 0 {
+		r.busy[a] += b
+	}
 }
 
 // Batch injects one packet per route at time zero into a fault-free FIFO
@@ -178,6 +203,7 @@ func newRun(cfg Config, record bool) *run {
 	r := &run{
 		cfg:  cfg,
 		arcs: make([]arc, cfg.NumArcs),
+		busy: make([]float64, cfg.NumArcs),
 		pkts: make([]packet, 0, len(cfg.Initial)),
 	}
 	if record {
@@ -225,7 +251,7 @@ func (r *run) loop() {
 	for len(r.cal) > 0 && r.cal[0].time <= r.cfg.Horizon {
 		e := heap.Pop(&r.cal).(event)
 		r.now = e.time
-		if !r.measuring && r.now > r.cfg.Warmup {
+		if !r.measuring && r.now >= r.cfg.Warmup {
 			r.measuring = true
 		}
 		r.fire(e)
@@ -298,6 +324,7 @@ func (r *run) enqueue(id int) {
 
 func (r *run) startService(a, id int) {
 	r.arcs[a].inService = id
+	r.arcs[a].start = r.now
 	r.schedule(r.now+1, evComplete, a)
 }
 
@@ -321,6 +348,7 @@ func (r *run) serveNext(a int) {
 // and the packet moves on unless the transmission failed.
 func (r *run) complete(a int) {
 	id := r.arcs[a].inService
+	r.credit(a, r.now)
 	r.arcs[a].inService = -1
 	if len(r.arcs[a].queue) > 0 && !r.arcs[a].down {
 		r.serveNext(a)

@@ -180,7 +180,7 @@ func TestQueueCasesMatchOracle(t *testing.T) {
 // TestEstimateBytesMatchesFootprint pins EstimateBytes' arc term to the
 // arrays reset really allocates, so a per-arc array added to only one of the
 // two fails: straight after reset on a fresh kernel, the arc-indexed part of
-// memFootprint equals the estimate's arc term, at 12 bytes per arc plus the
+// memFootprint equals the estimate's arc term, at 4 bytes per arc plus the
 // buffer lengths and, with outages, the stalled-head array and the bitsets.
 func TestEstimateBytesMatchesFootprint(t *testing.T) {
 	outage := []network.Outage{{From: 1, Until: 2, Arcs: []int32{3}}}
@@ -189,10 +189,10 @@ func TestEstimateBytesMatchesFootprint(t *testing.T) {
 		faults network.Faults
 		perArc int64
 	}{
-		{"plain", network.Faults{}, 12},
-		{"buffered", network.Faults{BufferCapacity: 2}, 16},
-		{"outages", network.Faults{Outages: outage}, 16},
-		{"buffered outages", network.Faults{BufferCapacity: 2, Outages: outage}, 20},
+		{"plain", network.Faults{}, 4},
+		{"buffered", network.Faults{BufferCapacity: 2}, 8},
+		{"outages", network.Faults{Outages: outage}, 8},
+		{"buffered outages", network.Faults{BufferCapacity: 2, Outages: outage}, 12},
 	} {
 		for _, slotted := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/slotted=%v", tc.name, slotted), func(t *testing.T) {

@@ -18,9 +18,9 @@
 // so a d = 20 hypercube — 2^20 nodes, d·2^d ≈ 21M arcs — fits in a few GiB
 // and a hop touches a handful of cache lines:
 //
-//   - Arc state is two parallel arrays indexed by arc (queue tail, busy
-//     time), 12 bytes per arc. Neither the queue head nor the packet in
-//     service is stored per arc: while a completion is pending for an arc,
+//   - Arc state is one array indexed by arc, the queue tail: 4 bytes per
+//     arc. Neither the queue head nor the packet in service is stored per
+//     arc: while a completion is pending for an arc,
 //     its record carries the packet in service — the head of the arc's
 //     queue — and the service's start. An arc whose head waits for an
 //     outage to end is marked in a stalled bitset and keeps that head in a
@@ -28,20 +28,22 @@
 //     finite buffers add a count of the waiting packets.
 //     Statistics groups are contiguous power-of-two blocks of arcs
 //     (network.GroupShift, the layout both topologies' arc indices have),
-//     so no arc stores a group id, and arrivals are
+//     so no arc stores a group id, and arrivals and busy time are
 //     counted per group, not per arc. There is no per-arc queue buffer:
 //     queue memory scales with the in-flight population, not with the arc
 //     count.
 //   - Packets live in a pooled slab of parallel arrays (generation time,
-//     bit-packed route state, hop counters, queue link), 24 bytes per packet,
-//     plus 4 for the route-slab slot with stored routes.
+//     bit-packed route state, queue link), 20 bytes per packet; butterfly
+//     and stored routes add 4 for hop counters, and stored routes 4 more for
+//     the route-slab slot.
 //     A packet keeps one pool slot for its whole life; per-arc FIFO queues
 //     are intrusive linked lists threaded through the pool's link array, so
 //     a hop writes an index instead of copying a record.
 //   - Hypercube greedy routes are never materialised: the route state is the
-//     XOR difference mask packed next to the current node in one uint64, and
-//     each hop resolves the lowest unresolved dimension with
-//     bits.TrailingZeros64 and clears it with a single XOR. Butterfly routes
+//     XOR difference mask packed next to the current node in one uint64, with
+//     the hop total above the mask, and each hop resolves the lowest
+//     unresolved dimension with bits.TrailingZeros64 and clears it with a
+//     single XOR; the packet is delivered when no mask bit is left. Butterfly routes
 //     step the unique path the same way; only randomized routers store routes
 //     (in a fixed-stride slab referenced by packet-held slots).
 //   - Service completions form a flat FIFO ring of (service start, arc,
@@ -54,17 +56,17 @@
 // # Prefetching at scale
 //
 // In a slotted greedy hypercube run of at least prefetchMinArcs arcs (2^17,
-// 1.5 MiB of arc arrays) a hop is bound by memory latency: each completion
+// 512 KiB of queue tails) a hop is bound by memory latency: each completion
 // follows a chain of dependent random loads — ring record, packet route
 // state, next arc's queue tail. The ring lists the upcoming completions in
 // order, so their addresses are known dozens of hops ahead. Before completing
 // the head record, the kernel prefetches in two stages, the second reading
 // only lines the first fetched:
 //
-//  1. 32 records ahead, the packet's route state, link and hop counters and
-//     its arc's busy time;
+//  1. 32 records ahead, the packet's route state and link;
 //  2. 16 records ahead, the queue tail of the packet's next arc (greedyNext),
-//     skipping a packet on its last hop, which has no next arc.
+//     skipping a packet on its last hop (no mask bit left), which has no next
+//     arc.
 //
 // A slot batch's bulk injection likewise prefetches the first arc's tail of
 // the pair 8 ahead. Prefetches are hints: they change no event, draw or
@@ -76,8 +78,10 @@
 // packet on a 2-vCPU Xeon VM with 2 MiB of L2 per core): at d = 12 (49,152
 // arcs) prefetching made a hop 4–32% slower, at d = 13 (106,496) 7% slower
 // or 19% faster depending on the horizon, at d = 14 (229,376) 2–37% faster
-// and at d = 16 29% faster. Below the gate the arrays stay cached and the
-// prefetches are pure cost. Butterfly, stored-route and continuous-time runs
+// and at d = 16 29% faster. Those figures predate the shrinking of an arc
+// from 12 to 4 bytes and of a greedy packet from 24 to 20, which moves the
+// crossover to larger d; it has not been re-measured. Below the gate the
+// arrays stay cached and the prefetches are pure cost. Butterfly, stored-route and continuous-time runs
 // are not prefetched: no benchmarked workload of theirs is above the gate.
 // The instruction is assembly — PREFETCHT0 on amd64, PRFM PLDL1KEEP on
 // arm64, a no-op elsewhere — because Go has no prefetch intrinsic outside
@@ -125,7 +129,7 @@
 //
 // At scale the cost that dominates a cold run is page faults, not hops. So
 // every array that reaches hugePage (2 MiB, the PMD size) lives outside the
-// Go heap: the arc arrays (aTail, aBusyTime, aQLen, aHead and the outage
+// Go heap: the arc arrays (aTail, aQLen, aHead and the outage
 // bitsets), the packet pool (pGen, pUV, pAux, pNext, pSlot, pEnqAt), the
 // completion ring and the stored-route slab. Each is a slice over its own
 // anonymous reservation (PROT_NONE, MAP_NORESERVE), advised MADV_HUGEPAGE and
@@ -196,6 +200,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/hypercube"
 	"repro/internal/network"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -261,7 +266,8 @@ type Config struct {
 	// MaxHops is the per-packet route capacity (the route-slab stride).
 	MaxHops int
 	// Horizon is the simulated time span; Warmup is the absolute time at
-	// which measurement starts (events at exactly Warmup still precede it).
+	// which measurement starts: the window is [Warmup, Horizon], and events
+	// at exactly Warmup fall inside it (see network.Collector).
 	Horizon, Warmup float64
 	// Seed drives all randomness: the aggregate source's streams, the fault
 	// stream and the RandomOrder draws.
@@ -318,9 +324,10 @@ type transition struct {
 // Per-element sizes of the structure-of-arrays storage, in bytes. They are
 // the coefficients of EstimateBytes and of the growth-time budget checks.
 const (
-	arcBytes      = 4 + 8         // aTail+aBusyTime
-	groupBytes    = 8 + 8 + 8 + 8 // gArrivals + snapshot scratch, per group
-	pktBytes      = 8 + 8 + 4 + 4 // pGen+pUV+pAux+pNext
+	arcBytes      = 4             // aTail
+	groupBytes    = 8 + 8 + 8 + 8 // gArrivals+gBusy + snapshot scratch, per group
+	pktBytes      = 8 + 8 + 4     // pGen+pUV+pNext
+	pktAuxBytes   = 4             // pAux, only outside greedy hypercube routing
 	pktWaitBytes  = 8             // pEnqAt, only with per-hop waits
 	pktSlotBytes  = 4             // pSlot, only with stored routes
 	compBytes     = 16            // one completion record: 8+4+4
@@ -335,7 +342,7 @@ const (
 // ahead of the one being processed.
 const (
 	prefetchMinArcs  = 1 << 17
-	prefetchPacket   = 32 // stage 1: the packet's hot lines and its arc's busy time
+	prefetchPacket   = 32 // stage 1: the packet's hot lines
 	prefetchNextTail = 16 // stage 2: the tail of the packet's next arc
 	prefetchInject   = 8  // a slot batch's pair: the tail of its first arc
 )
@@ -381,10 +388,13 @@ func arcTermBytes(cfg Config) int64 {
 	return int64(cfg.NumArcs)*perArc + bitsets
 }
 
-// pktSize is the packet pool's size per slot: the per-hop wait and the
-// stored-route slot arrays exist only in the runs that use them.
+// pktSize is the packet pool's size per slot: the hop counter, the per-hop
+// wait and the stored-route slot arrays exist only in the runs that use them.
 func (cfg *Config) pktSize() int64 {
 	b := int64(pktBytes)
+	if cfg.Mode != RouteHypercubeGreedy {
+		b += pktAuxBytes
+	}
 	if cfg.TrackPerHopWait {
 		b += pktWaitBytes
 	}
@@ -438,31 +448,32 @@ type Kernel struct {
 	waiting     []int32
 
 	// Arc state, one entry per arc: the intrusive FIFO queue's tail pool
-	// index and the busy-time accumulator, 12 bytes per arc. The head of a
+	// index, 4 bytes per arc. The head of a
 	// non-empty queue is the packet in service — the arc has a pending
 	// completion, whose record names it — unless the arc is stalled. The
 	// tail index is biased by one — 0 means empty, s+1 means pool slot s —
 	// so an all-zero array is a valid initial state and reset needs nothing
 	// but resizeZero.
-	aTail     []int32
-	aBusyTime []float64 // service time inside the measurement window
-	aQLen     []int32   // waiting packets (an in-service head excluded), only with finite buffers
+	aTail []int32
+	aQLen []int32 // waiting packets (an in-service head excluded), only with finite buffers
 
 	// busyFrom is the measurement start (Config.Warmup): a service's busy
 	// time counts from max(start, busyFrom), so completions before the
 	// warm-up add nothing and startMeasurement needs no per-arc pass.
 	busyFrom float64
 
-	// Per-group arrival counts since the measurement start.
+	// Per-group arrival counts since the measurement start, and per-group
+	// service time inside the measurement window.
 	gArrivals []int64
+	gBusy     []float64
 
 	// Packet pool: parallel arrays indexed by pool slot, whose length is the
 	// pool's logical capacity. A packet occupies one slot from injection to
 	// delivery; pNext threads both the per-arc FIFO queues and the free list.
 	// Allocation is bump-then-free-list, so reset is O(1) in the pool size.
 	pGen     []float64
-	pUV      []uint64  // current identity (high 32) | mask or dest row (low 32); origin | dest with stored routes
-	pAux     []uint32  // hop (high 16) | total hops (low 16)
+	pUV      []uint64  // current identity (high 32) | route state (low 32; see greedyHopShift for greedy); origin | dest with stored routes
+	pAux     []uint32  // hop (high 16) | total hops (low 16), allocated only outside RouteHypercubeGreedy
 	pNext    []int32   // queue / free-list link, -1 = end
 	pSlot    []int32   // stored-route slab slot, allocated only in RouteStored
 	pEnqAt   []float64 // queue-join time, allocated only for per-hop waits
@@ -512,7 +523,6 @@ type Kernel struct {
 
 	// Snapshot scratch.
 	snapArcs     []int
-	snapBusy     []float64
 	snapArrivals []float64
 
 	// mem holds the regions of the OS-backed arrays above, nil until an
@@ -626,6 +636,10 @@ func (k *Kernel) reset(cfg Config) {
 		if cfg.Sources&(cfg.Sources-1) != 0 {
 			panic(fmt.Sprintf("slotsim: stepped route modes require 2^d sources, got %d", cfg.Sources))
 		}
+		if cfg.Mode == RouteHypercubeGreedy && cfg.Sources > 1<<hypercube.MaxDimension {
+			panic(fmt.Sprintf("slotsim: greedy hypercube routing supports at most 2^%d sources, got %d",
+				hypercube.MaxDimension, cfg.Sources))
+		}
 		cfg.MaxHops = 0 // no stored routes
 	default:
 		panic(fmt.Sprintf("slotsim: unknown route mode %d", cfg.Mode))
@@ -691,7 +705,6 @@ func (k *Kernel) reset(cfg Config) {
 	}
 
 	k.aTail = resizeZero(k, k.aTail, cfg.NumArcs)
-	k.aBusyTime = resizeZero(k, k.aBusyTime, cfg.NumArcs)
 	k.busyFrom = cfg.Warmup
 	if k.bufCap > 0 {
 		k.aQLen = resizeZero(k, k.aQLen, cfg.NumArcs)
@@ -699,13 +712,19 @@ func (k *Kernel) reset(cfg Config) {
 		k.aQLen = drop(k, k.aQLen)
 	}
 	k.gArrivals = resizeZero(k, k.gArrivals, cfg.NumGroups)
+	k.gBusy = resizeZero(k, k.gBusy, cfg.NumGroups)
 
 	// The packet pool, the route slab and the completion ring start empty,
 	// as on a fresh kernel: at length zero, keeping their capacity.
 	k.freeHead = -1
 	k.poolBump = 0
 	k.live = 0
-	k.pGen, k.pUV, k.pAux, k.pNext = k.pGen[:0], k.pUV[:0], k.pAux[:0], k.pNext[:0]
+	k.pGen, k.pUV, k.pNext = k.pGen[:0], k.pUV[:0], k.pNext[:0]
+	if cfg.Mode != RouteHypercubeGreedy {
+		k.pAux = k.pAux[:0]
+	} else {
+		k.pAux = drop(k, k.pAux)
+	}
 	if k.hopWait {
 		k.pEnqAt = k.pEnqAt[:0]
 	} else {
@@ -976,7 +995,7 @@ func growthBytes[T any](s []T, n int) int64 {
 // memFootprint sums what the kernel's long-lived arrays hold; it is the
 // "in use" figure of the growth-time budget checks.
 func (k *Kernel) memFootprint() int64 {
-	return k.arcFootprint() + heldBytes(k.gArrivals) + heldBytes(k.trans) +
+	return k.arcFootprint() + heldBytes(k.gArrivals) + heldBytes(k.gBusy) + heldBytes(k.trans) +
 		k.poolFootprint() + heldBytes(k.comp) + heldBytes(k.paths) + heldBytes(k.pathFree) +
 		prefetchPairs*pairBytes
 }
@@ -984,7 +1003,7 @@ func (k *Kernel) memFootprint() int64 {
 // arcFootprint is memFootprint's arc-indexed part, the counterpart of
 // arcTermBytes.
 func (k *Kernel) arcFootprint() int64 {
-	return heldBytes(k.aTail) + heldBytes(k.aBusyTime) + heldBytes(k.aQLen) +
+	return heldBytes(k.aTail) + heldBytes(k.aQLen) +
 		heldBytes(k.aHead) + heldBytes(k.downWords) + heldBytes(k.stalled)
 }
 
@@ -1199,7 +1218,7 @@ func (k *Kernel) runSlotted() {
 			k.flushPop(cur)
 			cur = next
 		}
-		if !measuring && next > warmup {
+		if !measuring && next >= warmup {
 			k.startMeasurement(warmup)
 			measuring = true
 		}
@@ -1295,7 +1314,7 @@ func (k *Kernel) runContinuous() {
 		if next > horizon {
 			break
 		}
-		if !measuring && next > warmup {
+		if !measuring && next >= warmup {
 			k.startMeasurement(warmup)
 			measuring = true
 		}
@@ -1359,8 +1378,8 @@ func (k *Kernel) injectTo(origin, dest uint32, now float64) {
 	switch k.mode {
 	case RouteHypercubeGreedy:
 		mask := origin ^ dest
-		uv = uint64(origin)<<32 | uint64(mask)
 		hops = bits.OnesCount32(mask)
+		uv = uint64(origin)<<32 | uint64(hops)<<greedyHopShift | uint64(mask)
 	case RouteButterfly:
 		uv = uint64(origin)<<32 | uint64(dest)
 		hops = int(k.bfHops)
@@ -1390,7 +1409,9 @@ func (k *Kernel) injectTo(origin, dest uint32, now float64) {
 	s := k.allocPkt()
 	k.pGen[s] = now
 	k.pUV[s] = uv
-	k.pAux[s] = uint32(uint16(hops))
+	if k.mode != RouteHypercubeGreedy {
+		k.pAux[s] = uint32(uint16(hops))
+	}
 	if k.mode == RouteStored {
 		k.pSlot[s] = slot
 	}
@@ -1423,9 +1444,26 @@ func (k *Kernel) nextArc(s int32) int {
 	return idx
 }
 
+// The greedy route word holds the packet's hop total above its difference
+// mask: node (high 32) | hops << greedyHopShift | mask. The mask takes at
+// most hypercube.MaxDimension bits, so while it is non-zero its lowest set
+// bit is the word's, and a packet whose mask bits are all 0 has finished its
+// last hop; the hop total is written once, at injection.
+const (
+	greedyHopShift = 24
+	greedyMask     = 1<<greedyHopShift - 1
+)
+
+// The mask must fit below the hop total, and the total (at most
+// MaxDimension) in the 8 bits above it.
+var (
+	_ [greedyHopShift - hypercube.MaxDimension]struct{}
+	_ [255 - hypercube.MaxDimension]struct{}
+)
+
 // greedyArc is nextArc's greedy hypercube step, small enough to inline into
-// the per-hop path. The difference mask lives in
-// the low word, so the lowest set bit of the packed word is the lowest
+// the per-hop path. The difference mask lives in the low word and the mask
+// is non-zero, so the lowest set bit of the packed word is the lowest
 // unresolved dimension; one XOR clears it from the mask and flips it into the
 // node (high word).
 func (k *Kernel) greedyArc(s int32) int {
@@ -1451,11 +1489,9 @@ func (k *Kernel) prefetchAhead() {
 		c := k.comp[(h+prefetchPacket)&k.compMask]
 		prefetch(unsafe.Pointer(&k.pUV[c.pkt]))
 		prefetch(unsafe.Pointer(&k.pNext[c.pkt]))
-		prefetch(unsafe.Pointer(&k.pAux[c.pkt]))
-		prefetch(unsafe.Pointer(&k.aBusyTime[c.arc]))
 	}
 	if pending > prefetchNextTail {
-		if uv := k.pUV[k.comp[(h+prefetchNextTail)&k.compMask].pkt]; uint32(uv) != 0 {
+		if uv := k.pUV[k.comp[(h+prefetchNextTail)&k.compMask].pkt]; uv&greedyMask != 0 {
 			prefetch(unsafe.Pointer(&k.aTail[k.greedyNext(uv)]))
 		}
 	}
@@ -1497,11 +1533,11 @@ func (k *Kernel) enqueue(s int32, idx int, now float64) {
 	}
 }
 
-// addBusy credits arc idx with the part of a service begun at start that
-// falls inside the measurement window and ends at now.
+// addBusy credits arc idx's statistics group with the part of a service
+// begun at start that falls inside the measurement window and ends at now.
 func (k *Kernel) addBusy(idx int, start, now float64) {
 	if b := now - max(start, k.busyFrom); b > 0 {
-		k.aBusyTime[idx] += b
+		k.gBusy[idx>>k.groupShift] += b
 	}
 }
 
@@ -1543,25 +1579,32 @@ func (k *Kernel) complete(idx int, start float64, s int32) {
 		return
 	}
 
-	aux := k.pAux[s] + 1<<16 // hop++
-	if uint16(aux>>16) >= uint16(aux) {
-		k.packetLeft(now)
-		k.col.Deliver(now, k.pGen[s], int(uint16(aux)))
-		if k.mode == RouteStored {
-			k.pathFree = append(k.pathFree, k.pSlot[s])
-			if k.record {
-				k.deliveries = append(k.deliveries, Delivery{int(k.pUV[s] >> 32), now})
-			}
-		}
-		k.freePkt(s)
-		return
-	}
-	k.pAux[s] = aux
+	var hops int
 	if k.mode == RouteHypercubeGreedy {
-		k.enqueue(s, k.greedyArc(s), now)
+		uv := k.pUV[s]
+		if uv&greedyMask != 0 {
+			k.enqueue(s, k.greedyArc(s), now)
+			return
+		}
+		hops = int(uint32(uv) >> greedyHopShift)
 	} else {
-		k.enqueue(s, k.nextArc(s), now)
+		aux := k.pAux[s] + 1<<16 // hop++
+		if uint16(aux>>16) < uint16(aux) {
+			k.pAux[s] = aux
+			k.enqueue(s, k.nextArc(s), now)
+			return
+		}
+		hops = int(uint16(aux))
 	}
+	k.packetLeft(now)
+	k.col.Deliver(now, k.pGen[s], hops)
+	if k.mode == RouteStored {
+		k.pathFree = append(k.pathFree, k.pSlot[s])
+		if k.record {
+			k.deliveries = append(k.deliveries, Delivery{int(k.pUV[s] >> 32), now})
+		}
+	}
+	k.freePkt(s)
 }
 
 // startMeasurement discards the warm-up transient at the given instant.
@@ -1571,15 +1614,14 @@ func (k *Kernel) startMeasurement(now float64) {
 	clear(k.gArrivals)
 }
 
-// snapshot closes the run at the horizon, summing per-arc busy time per
-// group in arc-index order. The pending completions are exactly the busy
-// arcs, so one pass over the ring credits each with its partial service
-// before the per-group sums. Arrival counts are summed per group in
+// snapshot closes the run at the horizon. The pending completions are
+// exactly the busy arcs, so one pass over the ring credits each group with
+// its arcs' partial services before the per-group busy times are read; they
+// are summed in completion order. Arrival counts are summed per group in
 // integers.
 func (k *Kernel) snapshot() network.Metrics {
 	n := k.cfg.NumGroups
 	k.snapArcs = resize(k, k.snapArcs, n)
-	k.snapBusy = resize(k, k.snapBusy, n)
 	k.snapArrivals = resize(k, k.snapArrivals, n)
 	now := k.cfg.Horizon
 	for i := k.compHead; i != k.compTail; i++ {
@@ -1589,15 +1631,10 @@ func (k *Kernel) snapshot() network.Metrics {
 	k.busyFrom = now // credited up to now: a repeated snapshot adds nothing
 	block := k.numArcs / n
 	for g := range n {
-		busy := 0.0
-		for _, b := range k.aBusyTime[g*block : (g+1)*block] {
-			busy += b
-		}
 		k.snapArcs[g] = block
-		k.snapBusy[g] = busy
 		k.snapArrivals[g] = float64(k.gArrivals[g])
 	}
-	return k.col.Snapshot(now, k.snapArcs, k.snapBusy, k.snapArrivals)
+	return k.col.Snapshot(now, k.snapArcs, k.gBusy, k.snapArrivals)
 }
 
 // allocPkt takes a pool slot: from the free list when one exists, otherwise
@@ -1630,8 +1667,10 @@ func (k *Kernel) growPool(need int) {
 	k.checkBudget("packet pool", k.poolGrowth(newCap))
 	k.pGen = resizeWithin(k, k.pGen, newCap, poolSlots)
 	k.pUV = resizeWithin(k, k.pUV, newCap, poolSlots)
-	k.pAux = resizeWithin(k, k.pAux, newCap, poolSlots)
 	k.pNext = resizeWithin(k, k.pNext, newCap, poolSlots)
+	if k.mode != RouteHypercubeGreedy {
+		k.pAux = resizeWithin(k, k.pAux, newCap, poolSlots)
+	}
 	if k.mode == RouteStored {
 		k.pSlot = resizeWithin(k, k.pSlot, newCap, poolSlots)
 	}
@@ -1643,7 +1682,10 @@ func (k *Kernel) growPool(need int) {
 // poolGrowth is what growing the packet pool to c slots adds to the
 // kernel's footprint, the counterpart of Config.pktSize.
 func (k *Kernel) poolGrowth(c int) int64 {
-	b := growthBytes(k.pGen, c) + growthBytes(k.pUV, c) + growthBytes(k.pAux, c) + growthBytes(k.pNext, c)
+	b := growthBytes(k.pGen, c) + growthBytes(k.pUV, c) + growthBytes(k.pNext, c)
+	if k.mode != RouteHypercubeGreedy {
+		b += growthBytes(k.pAux, c)
+	}
 	if k.mode == RouteStored {
 		b += growthBytes(k.pSlot, c)
 	}

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/xrand"
@@ -33,10 +34,18 @@ func run(t *testing.T, sc sim.Scenario) *sim.Result {
 	return res
 }
 
+// utilizationTolerance bounds the relative difference between a group's arc
+// utilisation on the kernel and on the oracle. The two integrate the same
+// services over the same window [w, T], but the kernel adds them into one
+// sum per group in completion order and the oracle per arc first, so the
+// last bits may differ.
+const utilizationTolerance = 1e-12
+
 // checkOracle runs sc on the slot kernel, with the exact delay sample on,
 // and on the reference simulator (internal/oracle), and fails on any
 // difference in the packet counts or in any bit of any delay, compared in
-// delivery order.
+// delivery order, and on a per-group arc utilisation further than
+// utilizationTolerance from the oracle's per-arc busy fractions.
 func checkOracle(t *testing.T, sc sim.Scenario) {
 	t.Helper()
 	sc.TrackQuantiles, sc.ReturnDelays = true, true
@@ -57,6 +66,18 @@ func checkOracle(t *testing.T, sc sim.Scenario) {
 			i++
 		}
 		t.Errorf("per-packet delays differ from delivery %d on (%d vs %d delays)", i, len(res.Delays), len(ref.Delays))
+	}
+	groups := m.GroupArcUtilization
+	block := len(ref.Utilization) / len(groups) // groups are contiguous blocks of arcs
+	for g, got := range groups {
+		want := 0.0
+		for _, u := range ref.Utilization[g*block : (g+1)*block] {
+			want += u
+		}
+		want /= float64(block)
+		if math.Abs(got-want) > utilizationTolerance*math.Abs(want) {
+			t.Errorf("group %d arc utilisation: kernel %v, oracle %v", g, got, want)
+		}
 	}
 	if sc.Faults != nil && ref.DroppedFault+ref.DroppedOverflow == 0 {
 		t.Error("fault variant recorded no drops; the loss path was not exercised")

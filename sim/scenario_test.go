@@ -336,14 +336,32 @@ func TestContinuousMaxBytes(t *testing.T) {
 	}
 }
 
+// smallestBudget returns the smallest max_bytes validation accepts for sc,
+// by bisection over Validate.
+func smallestBudget(sc Scenario) int64 {
+	lo, hi := int64(1), int64(1<<30)
+	for lo < hi {
+		sc.MaxBytes = lo + (hi-lo)/2
+		if sc.Validate() == nil {
+			hi = sc.MaxBytes
+		} else {
+			lo = sc.MaxBytes + 1
+		}
+	}
+	return lo
+}
+
 // TestMidRunBudgetOverrunIsAnError checks that a run validation accepts but
 // whose in-flight population outgrows max_bytes fails with a
 // *MemoryBudgetError on every path, not a crash: a single run returns it, a
 // replicated run's engine panic unwraps to it, and a sweep returns it for
 // the point. A single run and a sweep point run once: a deterministic
-// overrun is not retried.
+// overrun is not retried. The budget is the smallest validation accepts, so
+// the property holds whatever the kernel's layout: the first growth of the
+// packet pool or the completion ring past its initial size overruns it.
 func TestMidRunBudgetOverrunIsAnError(t *testing.T) {
-	sc := Scenario{Topology: Hypercube(7), P: 0.5, LoadFactor: 0.5, Horizon: 200, Seed: 5, MaxBytes: 40000}
+	sc := Scenario{Topology: Hypercube(7), P: 0.5, LoadFactor: 0.5, Horizon: 200, Seed: 5}
+	sc.MaxBytes = smallestBudget(sc)
 	if _, err := sc.normalize(); err != nil {
 		t.Fatalf("validation rejects the scenario: %v", err)
 	}
@@ -399,15 +417,7 @@ func TestMaxBytesPricesTheFaultPlan(t *testing.T) {
 			t.Run(topo.String()+"/"+f.name, func(t *testing.T) {
 				sc := Scenario{Topology: topo, P: 0.5, LoadFactor: 0.01, Horizon: 20, Seed: 1, Faults: f.spec}
 				budget := func(b int64) Scenario { s := sc; s.MaxBytes = b; return s }
-				lo, hi := int64(1), int64(1<<30)
-				for lo < hi {
-					mid := lo + (hi-lo)/2
-					if s := budget(mid); s.Validate() == nil {
-						hi = mid
-					} else {
-						lo = mid + 1
-					}
-				}
+				lo := smallestBudget(sc)
 				for _, b := range []int64{lo - 1, lo, lo + 1, 2 * lo} {
 					var err error
 					func() {
